@@ -7,15 +7,15 @@ mask whose true positions are a subset of the input's. The final byte stays a
 boundary throughout.
 
 Tie-breaking is leftmost-pair everywhere, and a merged patch's score is the
-sum of its parts without re-scoring, which keeps the entropy merges at
-O(p log p) with a lazy heap.
+sum of its parts without re-scoring, which keeps the entropy and
+cross-entropy merges at O(p log p) with a lazy heap. Their per-patch scores
+are the teacher's cached per-token entropies and cross-entropies.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -24,19 +24,10 @@ class BoundaryError(ValueError):
     pass
 
 
-class AuxScorer(Protocol):
-    """Anything that maps a token id sequence to per-token scores in nats."""
-
-    def score_tokens(self, token_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (entropy, cross_entropy), each shaped (len(token_ids),)."""
-        ...
-
-
 @dataclass
 class MergeStrategy:
     kind: str  # subword | bpe | entropy | xent
     target_compression: float = 0.0
-    aux: AuxScorer | None = None
 
     KINDS = ("subword", "bpe", "entropy", "xent")
 
@@ -45,8 +36,6 @@ class MergeStrategy:
             raise BoundaryError(f"unknown merge strategy {self.kind!r}")
         if self.kind != "subword" and not self.target_compression > 0:
             raise BoundaryError("merging strategies need target_compression > 0")
-        if self.kind in ("entropy", "xent") and self.aux is None:
-            raise BoundaryError(f"{self.kind} merging needs an aux scoring LM")
 
 
 def mask_to_ends(mask: np.ndarray) -> np.ndarray:
@@ -98,13 +87,16 @@ def _spans(ends: list[int]) -> list[tuple[int, int]]:
 
 def merge_by_score(mask: np.ndarray, n_bytes: int, scores: np.ndarray, t: float) -> np.ndarray:
     """Merge the adjacent patch pair with the smallest summed score until
-    bytes-per-patch >= t or one patch remains. Merged patches keep the sum of
-    their parts as their score; ties break on the leftmost pair."""
+    bytes-per-patch >= t or one patch remains. Scores are per-patch entropies
+    or cross-entropies in nats, so never negative. Merged patches keep the sum
+    of their parts as their score; ties break on the leftmost pair."""
     ends = mask_to_ends(mask)
     p = len(ends)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (p,):
         raise BoundaryError(f"need one score per patch, got {scores.shape} for {p} patches")
+    if np.any(scores < 0):
+        raise BoundaryError("merge scores must be non-negative")
     score = scores.copy()
     starts = np.concatenate([[0], ends[:-1] + 1])
     nxt = list(range(1, p)) + [-1]
@@ -143,21 +135,6 @@ def merge_by_score(mask: np.ndarray, n_bytes: int, scores: np.ndarray, t: float)
         out_ends.append(int(ends[j - 1]) if j >= 0 else int(ends[-1]))
         i = j
     return ends_to_mask(np.array(out_ends), len(mask))
-
-
-def merge_entropy(mask: np.ndarray, data: bytes, t: float, entropies: np.ndarray) -> np.ndarray:
-    """Entropy-sum merging; `entropies` holds the aux LM's predictive entropy
-    of each initial patch, in nats."""
-    return merge_by_score(mask, len(data), entropies, t)
-
-
-def merge_cross_entropy(mask: np.ndarray, data: bytes, t: float, xents: np.ndarray) -> np.ndarray:
-    """Cross-entropy-sum merging; `xents` holds the aux LM's data
-    cross-entropy of each initial patch, in nats."""
-    xents = np.asarray(xents, dtype=np.float64)
-    if np.any(xents < 0):
-        raise BoundaryError("cross-entropies must be non-negative")
-    return merge_by_score(mask, len(data), xents, t)
 
 
 def attained_compression(masks: list[np.ndarray]) -> float:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage, 3 invalid config, 4 missing file,
 from __future__ import annotations
 
 import argparse
+import dataclasses as dc
 import json
 import sys
 from pathlib import Path
@@ -23,7 +24,6 @@ from .boundaries import MergeStrategy, attained_compression, mask_to_rle
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import compound_docs, load_corpus, markov_word_docs, write_corpus
 from .inference import SamplerConfig, generate
-from .losses import LossWeights
 from .merging import format_spectrum, reset_embeddings_check, spectrum_report, task_arithmetic_merge
 from .model import (
     GlobalConfig,
@@ -84,45 +84,40 @@ def _coerce(value: str, typ):
     return typ(value)
 
 
-def build_model_config(cfg: dict[str, str], vocab_size: int) -> ModelConfig:
-    """Overlay model.* keys onto the defaults and construct once, so derived
-    fields and validation see the final values."""
-    import dataclasses as dc
+# keys whose change would make the transplanted backbone compute something else
+BACKBONE_KEYS = ("d", "rope_base", "rms_eps")
 
-    kwargs: dict = {"vocab_size": vocab_size}
-    sub: dict[str, dict[str, str]] = {"mlstm": {}, "global": {}}
-    defaults = {f.name: f.default for f in dc.fields(ModelConfig)
-                if f.default is not dc.MISSING}
+
+def build_model_config(cfg: dict[str, str], vocab_size: int, base: ModelConfig | None = None) -> ModelConfig:
+    """Overlay model.* keys onto `base` (the defaults when None) and construct
+    once, so derived fields and validation see the final values. The base is
+    the teacher's config when converting it: a key that would change the
+    transplanted backbone (`d`, `rope_base`, `rms_eps`, `global.*`) is then
+    rejected."""
+    if base is None:
+        values = {f.name: f.default for f in dc.fields(ModelConfig) if f.default is not dc.MISSING}
+        values["mlstm"] = dc.asdict(MlstmConfig())
+        values["global_model"] = dc.asdict(GlobalConfig())
+    else:
+        values = base.to_dict()
+    values["vocab_size"] = vocab_size  # always taken from the tokenizer
+    groups = {"mlstm": values["mlstm"], "global": values["global_model"]}
     for key, value in cfg.items():
-        if not key.startswith("model."):
+        if not key.startswith("model.") or key == "model.vocab_size":
             continue
         rest = key[len("model.") :]
-        if rest == "vocab_size":
-            continue  # always taken from the tokenizer
         head, _, tail = rest.partition(".")
-        if head in sub and tail:
-            sub[head][tail] = value
-        elif rest in defaults:
-            kwargs[rest] = _coerce(value, type(defaults[rest]))
-        else:
+        group, name = (groups.get(head), tail) if tail else (values, rest)
+        if group is None or name not in group or isinstance(group[name], dict):
             raise ConfigFileError(f"unknown config key {key!r}")
+        new = _coerce(value, type(group[name]))
+        if base is not None and new != group[name] and (rest in BACKBONE_KEYS or head == "global"):
+            raise ConfigFileError(f"{key}={value} changes the teacher's backbone ({group[name]})")
+        group[name] = new
     try:
-        kwargs["mlstm"] = _coerce_fields(MlstmConfig, sub["mlstm"])
-        kwargs["global_model"] = _coerce_fields(GlobalConfig, sub["global"])
-        return ModelConfig(**kwargs)
+        return ModelConfig.from_dict(values)
     except (TypeError, ValueError) as e:
         raise ConfigFileError(str(e)) from None
-
-
-def _coerce_fields(cls, overrides: dict[str, str]):
-    import dataclasses as dc
-
-    out = {f.name: f.default for f in dc.fields(cls)}
-    for name, value in overrides.items():
-        if name not in out:
-            raise ConfigFileError(f"unknown config key {cls.__name__}.{name}")
-        out[name] = _coerce(value, type(out[name]))
-    return cls(**out)
 
 
 def build_train_config(cfg: dict[str, str], stage: int, args) -> TrainConfig:
@@ -131,6 +126,8 @@ def build_train_config(cfg: dict[str, str], stage: int, args) -> TrainConfig:
         if not key.startswith("train."):
             continue
         name = key[len("train.") :]
+        if name in ("stage", "loss_weights"):  # set by the subcommand and the lambda_* keys
+            raise ConfigFileError(f"unknown config key {key!r}")
         try:
             if name.startswith("lambda_"):
                 field = name[len("lambda_") :]
@@ -148,7 +145,6 @@ def build_train_config(cfg: dict[str, str], stage: int, args) -> TrainConfig:
     if getattr(args, "target_compression", None) is not None:
         tc.target_compression = args.target_compression
     tc.seed = args.seed
-    tc.__post_init__()
     return tc
 
 
@@ -202,8 +198,8 @@ def cmd_stage1(args) -> int:
     cfg = parse_config_file(args.config)
     corpus = _load_corpus(args, cfg)
     vocab = load_vocab(args.vocab)
-    teacher, mc, _ = _load_ckpt(args.teacher)
-    _overlay_local_model_config(mc, cfg)
+    teacher, teacher_mc, _ = _load_ckpt(args.teacher)
+    mc = build_model_config(cfg, teacher_mc.vocab_size, teacher_mc)
     tc = build_train_config(cfg, stage=1, args=args)
     tc.merge_kind = "subword"  # stage 1 always distills against subword boundaries
     rng = np.random.default_rng(args.seed)
@@ -215,24 +211,6 @@ def cmd_stage1(args) -> int:
                     metadata={"stage": 1, "seed": args.seed, "steps": tc.steps})
     print(f"stage-1 model saved to {args.out}")
     return EXIT_OK
-
-
-def _overlay_local_model_config(mc: ModelConfig, cfg: dict[str, str]) -> None:
-    """Allow config overrides that do not touch the transplanted backbone."""
-    allowed = {"n_probe", "boundary_dim", "boundary_mode", "boundary_threshold",
-               "encoder_layers", "decoder_layers", "ffn_hidden", "patch_cap", "eot_byte"}
-    for key, value in cfg.items():
-        if not key.startswith("model."):
-            continue
-        name = key[len("model.") :]
-        if name in allowed:
-            cur = getattr(mc, name)
-            setattr(mc, name, _coerce(value, type(cur)))
-        elif name.startswith(("mlstm.",)):
-            sub = name[len("mlstm.") :]
-            cur = getattr(mc.mlstm, sub)
-            setattr(mc.mlstm, sub, _coerce(value, type(cur)))
-    mc.__post_init__()
 
 
 def cmd_stage2(args) -> int:
@@ -261,16 +239,15 @@ def cmd_eval_bpb(args) -> int:
     corpus = _load_corpus(args, cfg)
     vocab = load_vocab(args.vocab)
     params, mc, _ = _load_ckpt(args.model)
-    teacher = None
-    if args.merge_strategy in ("entropy", "xent"):
-        teacher, _, _ = _load_ckpt(args.teacher)
-    strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0) \
-        if args.merge_strategy != "subword" else MergeStrategy("subword")
+    if args.merge_strategy in ("entropy", "xent") and not args.teacher:
+        print("error: entropy/xent supervision needs --teacher", file=sys.stderr)
+        return EXIT_USAGE
+    teacher = _load_ckpt(args.teacher)[0] if args.teacher else None
+    strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0)
     docs = corpus.heldout or corpus.train
     out = evaluate_bpb(params, mc, vocab, docs, strategy, teacher, max_doc_bytes=args.max_doc_bytes)
-    if args.teacher and args.merge_strategy == "subword":
-        teacher2, _, _ = _load_ckpt(args.teacher)
-        out.update(evaluate_alignment(params, mc, vocab, teacher2, docs, max_doc_bytes=args.max_doc_bytes))
+    if teacher is not None and args.merge_strategy == "subword":
+        out.update(evaluate_alignment(params, mc, vocab, teacher, docs, max_doc_bytes=args.max_doc_bytes))
     print(json.dumps(out))
     return EXIT_OK
 
@@ -342,13 +319,13 @@ def cmd_boundary_dump(args) -> int:
     if args.predicted and params is None:
         print("error: --predicted needs --model", file=sys.stderr)
         return EXIT_USAGE
-    strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0) \
-        if args.merge_strategy != "subword" else MergeStrategy("subword")
+    strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0)
+    scorer = teacher if strategy.kind in ("entropy", "xent") else None
     docs = (corpus.heldout or corpus.train)[: args.docs]
     masks = []
     for doc in docs:
         content = doc[: args.max_doc_bytes]
-        w = prepare_window(content, vocab, sidx, mc, teacher, strategy)
+        w = prepare_window(content, vocab, sidx, mc, scorer, strategy)
         if args.predicted:
             out = forward_full(params, mc, w.model_bytes[None, :], w.suffix[None, :], mask=None)
             mask = out["mask"][0][1:]  # drop the BOS pseudo-patch position

@@ -34,13 +34,6 @@ class CorpusManifest:
     train: list[bytes] = field(default_factory=list)
     heldout: list[bytes] = field(default_factory=list)
 
-    @property
-    def n_docs(self) -> int:
-        return len(self.train) + len(self.heldout)
-
-    def byte_counts(self) -> tuple[int, int]:
-        return sum(len(d) for d in self.train), sum(len(d) for d in self.heldout)
-
 
 def load_corpus(path: str | Path, seed: int = 0, holdout_frac: float = 0.1) -> CorpusManifest:
     """Read .txt and .jsonl documents under `path`, append the terminator

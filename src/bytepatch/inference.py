@@ -1,12 +1,14 @@
 """Prefill and incremental decoding.
 
-The prefill scores boundaries non-causally over the whole prompt (one byte of
-future context, forced boundary at the end) and replays the bytes through the
-recurrent state. During decoding the boundary predictor is never consulted:
-the fused output symbol carries the boundary bit, closing a patch triggers one
-global-model step, and the refreshed patch representation feeds every
-following byte until the next boundary. All state math runs on raw numpy
-arrays; nothing here builds an autodiff graph.
+The prefill scores boundaries non-causally over the whole prompt with the
+model's own boundary predictor (one byte of future context, forced boundary
+at the end) and replays the bytes through the recurrent state. During decoding
+the boundary predictor is never consulted: the fused output symbol carries the
+boundary bit, closing a patch triggers one global-model step, and the
+refreshed patch representation feeds every following byte until the next
+boundary. Prefill and decoding close a patch the same way, so both also close
+one that reaches `patch_cap` bytes. The recurrent and cached-attention state
+math runs on raw numpy arrays.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers as L
-from .model import ModelConfig, ParamStore, split_fused
+from .model import ModelConfig, ParamStore, predict_boundaries, predicted_mask, split_fused
+from .tensor import Tensor
 from .tokenizer import SuffixIndex, longest_suffix_token
 
 
@@ -109,14 +112,18 @@ def _decode_position(params: ParamStore, cfg: ModelConfig, state: DecodeState, e
     return shifted - np.log(np.exp(shifted).sum())
 
 
-def _consume(params: ParamStore, cfg: ModelConfig, state: DecodeState, sidx: SuffixIndex, byte: int, boundary: bool) -> None:
-    e_hat = _encode_byte(params, cfg, state, sidx, byte)
-    state.pending += 1
+def _close_or_extend(params: ParamStore, cfg: ModelConfig, state: DecodeState, e_hat: np.ndarray, boundary: bool) -> bool:
+    """Put an encoded byte into the open patch, closing the patch on a
+    boundary bit or when it reaches `patch_cap` bytes, then score the next
+    symbol. Returns whether the patch closed."""
+    boundary = boundary or state.pending + 1 >= cfg.patch_cap
     if boundary:
         _advance_global(params, cfg, state, e_hat)
         state.pending = 0
+    else:
+        state.pending += 1
     state.last_logprobs = _decode_position(params, cfg, state, e_hat)
-    state.check()
+    return boundary
 
 
 def prefill(
@@ -129,40 +136,17 @@ def prefill(
     """Consume a prompt: non-causal boundary scoring over all prompt bytes
     (forced final boundary), one global step per closed patch. Returns the
     ready-to-generate state, the next-symbol log-probabilities, and the
-    boundary mask that was used."""
+    boundary mask that was used, patch-cap closures included."""
     if len(prompt) == 0:
         raise InferenceError("empty prompt")
     state = _fresh_state(params, cfg, seed)
-    e_hats = [_encode_byte(params, cfg, state, vocab_index, b) for b in prompt]
-    mask = _prompt_boundaries(params, cfg, np.stack(e_hats))
+    e_hats = np.stack([_encode_byte(params, cfg, state, vocab_index, b) for b in prompt])
+    scores = predict_boundaries(params, cfg, Tensor(e_hats[None]))
+    predicted = predicted_mask(scores.data, cfg.boundary_threshold)[0]
     # replay: close patches and advance the decoder in byte order
-    for j, byte in enumerate(prompt):
-        if mask[j]:
-            _advance_global(params, cfg, state, e_hats[j])
-            state.pending = 0
-        else:
-            state.pending += 1
-        state.last_logprobs = _decode_position(params, cfg, state, e_hats[j])
+    mask = np.array([_close_or_extend(params, cfg, state, e, b) for e, b in zip(e_hats, predicted)])
     state.check()
     return state, state.last_logprobs, mask
-
-
-def _prompt_boundaries(params: ParamStore, cfg: ModelConfig, e_hats: np.ndarray) -> np.ndarray:
-    n = e_hats.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    if n > 1:
-        q = e_hats[1:] @ params["boundary.w_q"].data
-        k = e_hats[:-1] @ params["boundary.w_k"].data
-        dot = (q * k).sum(axis=-1)
-        norms = np.linalg.norm(q, axis=-1) * np.linalg.norm(k, axis=-1) + cfg.cos_eps
-        scores = 0.5 * (1.0 - dot / norms)
-        if cfg.boundary_mode == "noncausal":
-            mask[:-1] = scores > cfg.boundary_threshold
-        else:
-            mask[1:] = scores > cfg.boundary_threshold
-            mask[0] = True
-    mask[-1] = True
-    return mask
 
 
 def sample(logprobs: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> int:
@@ -197,9 +181,8 @@ def decode_step(
     bit closes the patch; a patch hitting the length cap is closed anyway."""
     symbol = forced_symbol if forced_symbol is not None else sample(state.last_logprobs, sampler, state.rng)
     byte, boundary = split_fused(symbol)
-    if not boundary and state.pending + 1 >= cfg.patch_cap:
-        boundary = True
-    _consume(params, cfg, state, sidx, byte, boundary)
+    _close_or_extend(params, cfg, state, _encode_byte(params, cfg, state, sidx, byte), boundary)
+    state.check()
     return symbol
 
 
@@ -225,17 +208,3 @@ def generate(
         out.append(byte)
     return bytes(out)
 
-
-def utf8_validity_rate(samples: list[bytes]) -> float:
-    """Fraction of generated byte strings that decode as UTF-8 (reported,
-    never asserted)."""
-    if not samples:
-        return 0.0
-    ok = 0
-    for s in samples:
-        try:
-            s.decode("utf-8")
-            ok += 1
-        except UnicodeDecodeError:
-            continue
-    return ok / len(samples)

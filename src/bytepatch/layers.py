@@ -234,8 +234,8 @@ def mlstm_step(
     dots = np.einsum("hk,hk->h", state["n"], q)
     den = np.maximum(np.abs(dots), np.exp(-m_new))
     h = num / den[:, None]
-    h = _rms_np_rows(h, eps).reshape(-1) * p[f"{prefix}.mh_norm_g"].data
-    og = _sigmoid_np(xn @ p[f"{prefix}.w_og"].data)
+    h = _rms_np(h, 1.0, eps).reshape(-1) * p[f"{prefix}.mh_norm_g"].data
+    og = T.sigmoid_np(xn @ p[f"{prefix}.w_og"].data)
     return x_t + (h * og) @ p[f"{prefix}.w_out"].data
 
 
@@ -243,26 +243,13 @@ def ffn_step(p: dict[str, Tensor], prefix: str, x_t: np.ndarray, eps: float) -> 
     xn = _rms_np(x_t, p[f"{prefix}.norm_g"].data, eps)
     gate = xn @ p[f"{prefix}.w_gate"].data
     up = xn @ p[f"{prefix}.w_up"].data
-    return x_t + (gate * _sigmoid_np(gate) * up) @ p[f"{prefix}.w_down"].data
+    return x_t + (gate * T.sigmoid_np(gate) * up) @ p[f"{prefix}.w_down"].data
 
 
 # -- numpy helpers for the step paths ----------------------------------------
 
 def _rms_np(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
     return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps) * gain
-
-
-def _rms_np_rows(x: np.ndarray, eps: float) -> np.ndarray:
-    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def _softcap_np(x: np.ndarray, cap: float) -> np.ndarray:

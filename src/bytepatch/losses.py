@@ -50,7 +50,6 @@ class LossBreakdown:
 def boundary_bce(
     p: Tensor,
     mask: np.ndarray,
-    valid: np.ndarray | None = None,
     reduction: str = "mean",
     eps: float = CLAMP_EPS,
 ) -> Tensor:
@@ -63,11 +62,6 @@ def boundary_bce(
     pc = T.clip(p, eps, 1.0 - eps)
     m = Tensor(mask, _op="const")
     terms = -(m * T.log(pc) + (1.0 - m) * T.log(1.0 - pc))
-    if valid is not None:
-        w = Tensor(np.asarray(valid, dtype=p.dtype), _op="const")
-        terms = terms * w
-        total = terms.sum()
-        return total / float(np.sum(valid)) if reduction == "mean" else total
     return terms.mean() if reduction == "mean" else terms.sum()
 
 
@@ -83,15 +77,6 @@ def encoder_match(student_probe: Tensor, teacher_probe: np.ndarray, valid: np.nd
         return norms.mean()
     w = Tensor(np.asarray(valid, dtype=student_probe.dtype), _op="const")
     return (norms * w).sum() / float(np.sum(valid))
-
-
-def loss_encoder(params, cfg, h: Tensor, teacher_probe: np.ndarray, n: int, valid: np.ndarray | None = None) -> Tensor:
-    """Propagate the pooled representations through the first n backbone
-    layers and match the teacher's activations at the same depth (the plain
-    embedding L2 when n=0)."""
-    from .model import transformer_probe
-
-    return encoder_match(transformer_probe(params, cfg, h, n), teacher_probe, valid)
 
 
 def f_temp_bce(student_logp: Tensor, teacher_logp, tau: float = 5.0, eps: float = CLAMP_EPS) -> Tensor:
@@ -159,13 +144,10 @@ def decoder_distill(
     return (f * w).sum() / float(teacher_valid.sum())
 
 
-def ce_fused(logprobs: Tensor, targets: np.ndarray, valid: np.ndarray | None = None) -> Tensor:
+def ce_fused(logprobs: Tensor, targets: np.ndarray) -> Tensor:
     """Next-fused-symbol cross-entropy, mean per predicting byte position."""
     picked = T.pick(logprobs[:, :-1, :], np.asarray(targets, dtype=np.int64))
-    if valid is None:
-        return -picked.mean()
-    w = Tensor(np.asarray(valid, dtype=logprobs.dtype), _op="const")
-    return -(picked * w).sum() / float(np.sum(valid))
+    return -picked.mean()
 
 
 def bits_per_byte(ce_nats: float) -> float:

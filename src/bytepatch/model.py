@@ -155,18 +155,15 @@ class ParamStore:
 # -- initialization -----------------------------------------------------------
 
 def _normal(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
-    return Tensor(
-        (rng.standard_normal(shape) * std).astype(T.get_default_dtype()),
-        requires_grad=True,
-    )
+    return Tensor(rng.standard_normal(shape) * std, requires_grad=True)
 
 
 def _ones(shape) -> Tensor:
-    return Tensor(np.ones(shape, dtype=T.get_default_dtype()), requires_grad=True)
+    return Tensor(np.ones(shape), requires_grad=True)
 
 
 def _zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=T.get_default_dtype()), requires_grad=True)
+    return Tensor(np.zeros(shape), requires_grad=True)
 
 
 def _init_mlstm_layer(p: dict, prefix: str, cfg: ModelConfig, rng, out_scale: float) -> None:
@@ -176,15 +173,10 @@ def _init_mlstm_layer(p: dict, prefix: str, cfg: ModelConfig, rng, out_scale: fl
     p[f"{prefix}.w_k"] = _normal(rng, (d, m.heads * m.qk_dim))
     p[f"{prefix}.w_v"] = _normal(rng, (d, m.heads * m.v_dim))
     p[f"{prefix}.w_i"] = _zeros((d, m.heads))
-    p[f"{prefix}.b_i"] = Tensor(
-        np.full(m.heads, m.input_gate_bias_init, dtype=T.get_default_dtype()),
-        requires_grad=True,
-    )
+    p[f"{prefix}.b_i"] = Tensor(np.full(m.heads, m.input_gate_bias_init), requires_grad=True)
     p[f"{prefix}.w_f"] = _zeros((d, m.heads))
     # a head-staggered forget bias keeps memories alive at different horizons
-    p[f"{prefix}.b_f"] = Tensor(
-        np.linspace(3.0, 6.0, m.heads).astype(T.get_default_dtype()), requires_grad=True
-    )
+    p[f"{prefix}.b_f"] = Tensor(np.linspace(3.0, 6.0, m.heads), requires_grad=True)
     p[f"{prefix}.w_og"] = _normal(rng, (d, m.heads * m.v_dim))
     p[f"{prefix}.mh_norm_g"] = _ones((m.heads * m.v_dim,))
     p[f"{prefix}.w_out"] = _normal(rng, (m.heads * m.v_dim, d), std=0.02 * out_scale)
@@ -292,28 +284,24 @@ def embed_bytes(params: ParamStore, byte_ids: np.ndarray, suffix_ids: np.ndarray
     return T.take_rows(params["byte_embed.table"], byte_ids) + T.take_rows(table, suffix_ids)
 
 
-def local_encode(params: ParamStore, cfg: ModelConfig, e: Tensor, collect: dict | None = None) -> Tensor:
-    x = e
+def _local_stack(params: ParamStore, cfg: ModelConfig, x: Tensor, stack: str, n_layers: int) -> Tensor:
+    """mLSTM + FFN layers of the encoder or decoder stack."""
     m = cfg.mlstm
-    for l in range(cfg.encoder_layers):
+    for l in range(n_layers):
         x = L.mlstm_block(
-            params.tensors(), f"encoder.{l}.mlstm", x,
-            m.heads, m.qk_dim, m.v_dim, m.gate_soft_cap, cfg.rms_eps, collect,
+            params.tensors(), f"{stack}.{l}.mlstm", x,
+            m.heads, m.qk_dim, m.v_dim, m.gate_soft_cap, cfg.rms_eps,
         )
-        x = L.ffn_block(params.tensors(), f"encoder.{l}.ffn", x, cfg.rms_eps)
+        x = L.ffn_block(params.tensors(), f"{stack}.{l}.ffn", x, cfg.rms_eps)
     return x
 
 
-def local_decode(params: ParamStore, cfg: ModelConfig, z: Tensor, collect: dict | None = None) -> Tensor:
-    x = z
-    m = cfg.mlstm
-    for l in range(cfg.decoder_layers):
-        x = L.mlstm_block(
-            params.tensors(), f"decoder.{l}.mlstm", x,
-            m.heads, m.qk_dim, m.v_dim, m.gate_soft_cap, cfg.rms_eps, collect,
-        )
-        x = L.ffn_block(params.tensors(), f"decoder.{l}.ffn", x, cfg.rms_eps)
-    return x
+def local_encode(params: ParamStore, cfg: ModelConfig, e: Tensor) -> Tensor:
+    return _local_stack(params, cfg, e, "encoder", cfg.encoder_layers)
+
+
+def local_decode(params: ParamStore, cfg: ModelConfig, z: Tensor) -> Tensor:
+    return _local_stack(params, cfg, z, "decoder", cfg.decoder_layers)
 
 
 def predict_boundaries(params: ParamStore, cfg: ModelConfig, e_hat: Tensor) -> Tensor:
@@ -370,44 +358,35 @@ def pool_last(e_hat: Tensor, ends: np.ndarray) -> Tensor:
     return T.gather_rows(e_hat, ends)
 
 
-def global_forward(
-    params: ParamStore, cfg: ModelConfig, h: Tensor, n_probe: int | None = None
-) -> tuple[Tensor, Tensor]:
-    """Transformer over patch positions. Returns the post-norm output and the
-    intermediate activations after `n_probe` layers (the input when 0)."""
+def _global_layers(params: ParamStore, cfg: ModelConfig, x: Tensor, lo: int, hi: int) -> Tensor:
+    """Backbone layers lo..hi-1 (attention + FFN), without the final norm."""
     g = cfg.global_model
-    if n_probe is None:
-        n_probe = cfg.n_probe
-    if n_probe > g.layers:
+    if hi > g.layers:
         raise ConfigError("probe depth exceeds global layers")
-    x = h
-    probe = x
-    for l in range(g.layers):
-        x = L.attention_block(
-            params.tensors(), f"global.{l}.attn", x,
-            g.heads, g.head_dim, cfg.rope_base, cfg.rms_eps,
-        )
-        x = L.ffn_block(params.tensors(), f"global.{l}.ffn", x, cfg.rms_eps)
-        if l + 1 == n_probe:
-            probe = x
-    out = L.rms(x, params["global.final_norm_g"], cfg.rms_eps)
-    return out, probe
-
-
-def transformer_probe(params: ParamStore, cfg: ModelConfig, h: Tensor, n: int) -> Tensor:
-    """Only the first n backbone layers (the identity when n=0): everything
-    the encoder-matching loss needs, without paying for the full stack."""
-    g = cfg.global_model
-    if n > g.layers:
-        raise ConfigError("probe depth exceeds global layers")
-    x = h
-    for l in range(n):
+    for l in range(lo, hi):
         x = L.attention_block(
             params.tensors(), f"global.{l}.attn", x,
             g.heads, g.head_dim, cfg.rope_base, cfg.rms_eps,
         )
         x = L.ffn_block(params.tensors(), f"global.{l}.ffn", x, cfg.rms_eps)
     return x
+
+
+def global_forward(
+    params: ParamStore, cfg: ModelConfig, h: Tensor, n_probe: int | None = None
+) -> tuple[Tensor, Tensor]:
+    """Transformer over patch positions. Returns the post-norm output and the
+    intermediate activations after `n_probe` layers (the input when 0)."""
+    n_probe = cfg.n_probe if n_probe is None else n_probe
+    probe = _global_layers(params, cfg, h, 0, n_probe)
+    x = _global_layers(params, cfg, probe, n_probe, cfg.global_model.layers)
+    return L.rms(x, params["global.final_norm_g"], cfg.rms_eps), probe
+
+
+def transformer_probe(params: ParamStore, cfg: ModelConfig, h: Tensor, n: int) -> Tensor:
+    """Only the first n backbone layers (the identity when n=0): everything
+    the encoder-matching loss needs, without paying for the full stack."""
+    return _global_layers(params, cfg, h, 0, n)
 
 
 def depool_index(mask: np.ndarray) -> np.ndarray:
@@ -446,15 +425,13 @@ def forward_full(
     byte_ids: np.ndarray,
     suffix_ids: np.ndarray,
     mask: np.ndarray | None = None,
-    stop_encoder_grad_at_depool: bool = False,
-    collect: dict | None = None,
 ) -> dict:
     """Full pipeline. `mask` selects the pooling boundaries (supervision mask
     during training); None pools on the model's own thresholded scores."""
     byte_ids = np.atleast_2d(byte_ids)
     suffix_ids = np.atleast_2d(suffix_ids)
     e = embed_bytes(params, byte_ids, suffix_ids)
-    e_hat = local_encode(params, cfg, e, collect)
+    e_hat = local_encode(params, cfg, e)
     p = predict_boundaries(params, cfg, e_hat)
     if mask is None:
         mask = predicted_mask(p.data, cfg.boundary_threshold)
@@ -463,9 +440,8 @@ def forward_full(
     ends, valid = pool_indices(mask)
     h = pool_last(e_hat, ends)
     h_hat, probe = global_forward(params, cfg, h)
-    e_for_depool = e_hat.detach() if stop_encoder_grad_at_depool else e_hat
-    z = depool(params, cfg, e_for_depool, h_hat, mask)
-    z_hat = local_decode(params, cfg, z, collect)
+    z = depool(params, cfg, e_hat, h_hat, mask)
+    z_hat = local_decode(params, cfg, z)
     logprobs = lm_head_fused(params, cfg, z_hat)
     return {
         "e_hat": e_hat,

@@ -78,21 +78,3 @@ def run_teacher(params: ParamStore, cfg: ModelConfig, vocab: SubwordVocab, data:
         xent=-next_logp,
     )
 
-
-class TeacherScorer:
-    """Adapter exposing the teacher as an aux scoring LM for boundary merging."""
-
-    def __init__(self, params: ParamStore, cfg: ModelConfig, vocab: SubwordVocab):
-        self.params = params
-        self.cfg = cfg
-        self.vocab = vocab
-
-    def score_tokens(self, token_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        ids = np.array([self.vocab.bos_id] + list(token_ids), dtype=np.int64)
-        logits, _, _, _ = teacher_logits(self.params, self.cfg, ids[None, :])
-        logp = T.log_softmax(logits).data[0]
-        m = len(token_ids)
-        probs = np.exp(logp[:m])
-        entropy = -(probs * logp[:m]).sum(axis=-1)
-        xent = -logp[np.arange(m), ids[1:]]
-        return entropy, xent

@@ -2,8 +2,8 @@
 
 The graph is built define-by-run: every op records its parents and a closure
 that routes the output gradient back to them. Calling ``backward()`` on a
-scalar walks the recorded graph once in reverse topological order. Float64 is
-the default dtype; float32 can be enabled globally as a speed mode.
+scalar walks the recorded graph once in reverse topological order. Values
+are float64 throughout.
 
 Every op checks its output for NaN/Inf and raises ``NonFiniteError`` instead
 of propagating silently. Broadcasting is restricted to trailing-axis
@@ -17,9 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-_DEFAULT_DTYPE = np.float64
-_FINITE_CHECKS = True
-
 
 class NonFiniteError(FloatingPointError):
     """An op produced NaN or Inf."""
@@ -29,25 +26,8 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested op."""
 
 
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
-
-
-def set_finite_checks(enabled: bool) -> None:
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-
-
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if _FINITE_CHECKS and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
@@ -105,8 +85,8 @@ class Tensor:
         if isinstance(data, Tensor):
             raise TypeError("wrap raw arrays, not Tensors")
         arr = np.asarray(data)
-        if arr.dtype not in (np.float64, np.float32):
-            arr = arr.astype(_DEFAULT_DTYPE)
+        if arr.dtype != np.float64:
+            arr = arr.astype(np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -213,7 +193,7 @@ class Tensor:
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE), _op="const")
+    return Tensor(np.asarray(x, dtype=np.float64), _op="const")
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -371,7 +351,7 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out_data = _sigmoid_np(x.data)
+    out_data = sigmoid_np(x.data)
 
     def backward(g):
         _accum(x, g * out_data * (1.0 - out_data))
@@ -379,13 +359,9 @@ def sigmoid(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward, "sigmoid")
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """Logistic function through the tanh identity: one pass, no overflow."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def logsigmoid(x: Tensor) -> Tensor:
@@ -393,7 +369,7 @@ def logsigmoid(x: Tensor) -> Tensor:
     out_data = -_softplus_np(-x.data)
 
     def backward(g):
-        _accum(x, g * _sigmoid_np(-x.data))
+        _accum(x, g * sigmoid_np(-x.data))
 
     return _make(out_data, (x,), backward, "logsigmoid")
 
@@ -403,7 +379,7 @@ def _softplus_np(x: np.ndarray) -> np.ndarray:
 
 
 def silu(x: Tensor) -> Tensor:
-    s = _sigmoid_np(x.data)
+    s = sigmoid_np(x.data)
     out_data = x.data * s
 
     def backward(g):
@@ -441,7 +417,7 @@ def clip(x: Tensor, lo: float | None, hi: float | None) -> Tensor:
 def log1mexp(x: Tensor) -> Tensor:
     """log(1 - exp(x)) for x < 0, with the standard two-branch evaluation."""
     xd = x.data
-    if _FINITE_CHECKS and np.any(xd >= 0):
+    if np.any(xd >= 0):
         raise NonFiniteError("log1mexp requires strictly negative input")
     out_data = np.where(xd > -np.log(2.0), np.log(-np.expm1(xd)), np.log1p(-np.exp(xd)))
     _check_finite(out_data, "log1mexp")

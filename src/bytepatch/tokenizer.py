@@ -9,7 +9,7 @@ the canonical BPE convention. Ties between equally frequent pairs break on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +27,6 @@ def utf8_to_bytes(text: str) -> bytes:
     if text == "":
         raise TokenizerError("empty text")
     return text.encode("utf-8")
-
-
-def bytes_to_text(data: bytes) -> str:
-    return bytes(data).decode("utf-8", errors="replace")
 
 
 @dataclass
@@ -57,10 +53,6 @@ class SubwordVocab:
         """Ids with a byte-string (excludes BOS)."""
         return len(self.token_bytes)
 
-    def merge_rank(self, left: int, right: int) -> int | None:
-        r = self._ranks.get((left, right))
-        return r
-
     def check(self) -> None:
         seen = set()
         for i, tb in enumerate(self.token_bytes):
@@ -72,13 +64,6 @@ class SubwordVocab:
         for r, (a, b) in enumerate(self.merges):
             if self.token_bytes[256 + r] != self.token_bytes[a] + self.token_bytes[b]:
                 raise TokenizerError(f"merge {r} does not reconstruct its token")
-
-
-def count_pairs(ids: list[int]) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for pair in zip(ids, ids[1:]):
-        counts[pair] = counts.get(pair, 0) + 1
-    return counts
 
 
 def apply_merge(ids: list[int], pair: tuple[int, int], new_id: int) -> list[int]:

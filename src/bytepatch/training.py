@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .boundaries import MergeStrategy, attained_compression, merge_bpe_per_example, merge_by_score
 from .data import make_windows
 from .losses import (
@@ -81,8 +80,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.stage not in (1, 2):
             raise ValueError("stage must be 1 or 2")
-        if self.peak_lr_global == 0.0:
-            self.peak_lr_global = self.peak_lr / 2.0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -97,7 +94,8 @@ def lr_at(config: TrainConfig, step: int) -> dict[str, float]:
         frac = step / warmup
     else:
         frac = max(0.0, (config.steps - step) / max(1, config.steps - warmup))
-    return {"local": config.peak_lr * frac, "global": config.peak_lr_global * frac}
+    peak_global = config.peak_lr_global or config.peak_lr / 2.0
+    return {"local": config.peak_lr * frac, "global": peak_global * frac}
 
 
 # -- cached training windows ----------------------------------------------------
@@ -112,6 +110,9 @@ class Window:
     subword_mask: np.ndarray  # over model positions; BOS flagged
     strategy_mask: np.ndarray  # merged supervision (== subword_mask for kind=subword)
     teacher: TeacherOutputs | None
+
+    def __len__(self) -> int:
+        return len(self.model_bytes)
 
 
 def supervision_from_tokens(
@@ -177,19 +178,20 @@ def prepare_windows(
 
 
 class WindowSampler:
-    """Deterministic batches of equal-length windows (bucketed by length)."""
+    """Deterministic batches of equal-length windows (bucketed by length).
+    Anything with a length samples: training windows, or teacher token rows."""
 
-    def __init__(self, windows: list[Window], batch_size: int, seed: int):
-        self.buckets: dict[int, list[Window]] = {}
+    def __init__(self, windows: list, batch_size: int, seed: int):
+        self.buckets: dict[int, list] = {}
         for w in windows:
-            self.buckets.setdefault(len(w.model_bytes), []).append(w)
+            self.buckets.setdefault(len(w), []).append(w)
         self.lengths = sorted(self.buckets)
         self.weights = np.array([len(self.buckets[k]) for k in self.lengths], dtype=np.float64)
         self.weights /= self.weights.sum()
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed)
 
-    def draw(self) -> list[Window]:
+    def draw(self) -> list:
         length = self.lengths[int(self.rng.choice(len(self.lengths), p=self.weights))]
         bucket = self.buckets[length]
         take = min(self.batch_size, len(bucket))
@@ -385,13 +387,7 @@ def train_teacher(
     conversion will see."""
     chunks = make_windows(docs, tcfg.max_bytes - 1)
     token_rows = [np.array([vocab.bos_id] + encode(vocab, c), dtype=np.int64) for c in chunks]
-    buckets: dict[int, list[np.ndarray]] = {}
-    for row in token_rows:
-        buckets.setdefault(len(row), []).append(row)
-    lengths = sorted(buckets)
-    weights = np.array([len(buckets[k]) for k in lengths], dtype=np.float64)
-    weights /= weights.sum()
-    rng = np.random.default_rng(tcfg.seed)
+    sampler = WindowSampler(token_rows, tcfg.batch_size, tcfg.seed)
     params.set_trainable(tuple(params.component_tags()), True)
     opt = AdamW(
         {"local": [t for _, t in params.items()]},
@@ -402,12 +398,7 @@ def train_teacher(
     for i in range(tcfg.steps):
         lrs = lr_at(tcfg, i + 1)
         opt.set_lr("local", lrs["local"])
-        length = lengths[int(rng.choice(len(lengths), p=weights))]
-        bucket = buckets[length]
-        take = min(tcfg.batch_size, len(bucket))
-        idx = rng.choice(len(bucket), size=take, replace=len(bucket) < tcfg.batch_size)
-        rows = np.stack([bucket[j] for j in idx])
-        loss = teacher_nll(params, cfg, rows)
+        loss = teacher_nll(params, cfg, np.stack(sampler.draw()))
         opt.zero_grad()
         loss.backward()
         grad_norm = opt.step()
@@ -417,14 +408,6 @@ def train_teacher(
 
 
 # -- evaluation ---------------------------------------------------------------------
-
-def _eval_window_arrays(content, vocab, sidx, cfg, teacher_params, strategy):
-    w = prepare_window(
-        content, vocab, sidx, cfg,
-        teacher_params if strategy.kind in ("entropy", "xent") else None, strategy,
-    )
-    return w
-
 
 def evaluate_bpb(
     params: ParamStore,
@@ -440,6 +423,7 @@ def evaluate_bpb(
     boundary accuracy against the supervision mask, and the attained
     compression of the predicted boundaries."""
     strategy = strategy or MergeStrategy("subword")
+    scorer = teacher_params if strategy.kind in ("entropy", "xent") else None
     sidx = SuffixIndex(vocab)
     tot_ce = 0.0
     tot_pos = 0
@@ -450,7 +434,7 @@ def evaluate_bpb(
         content = doc[:max_doc_bytes]
         if len(content) < 2:
             continue
-        w = _eval_window_arrays(content, vocab, sidx, cfg, teacher_params, strategy)
+        w = prepare_window(content, vocab, sidx, cfg, scorer, strategy)
         out = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], mask=None)
         targets = fused_targets(w.model_bytes[1:], w.strategy_mask[1:])[None, :]
         ce = ce_fused(out["logprobs"], targets).item()
@@ -497,29 +481,3 @@ def evaluate_alignment(
     return {"mean_abs_diff": float(all_diffs.mean()), "max_abs_diff": float(all_diffs.max()),
             "n_patches": int(all_diffs.size)}
 
-
-def boundary_error_rate(
-    params: ParamStore,
-    cfg: ModelConfig,
-    vocab: SubwordVocab,
-    docs: list[bytes],
-    max_doc_bytes: int = 512,
-) -> float:
-    """Byte-level boundary prediction error against subword supervision, over
-    positions the predictor actually scores."""
-    sidx = SuffixIndex(vocab)
-    wrong = 0
-    total = 0
-    for doc in docs:
-        content = doc[:max_doc_bytes]
-        if len(content) < 2:
-            continue
-        w = prepare_window(content, vocab, sidx, cfg, None, MergeStrategy("subword"))
-        e = embed_bytes(params, w.model_bytes[None, :], w.suffix[None, :])
-        e_hat = local_encode(params, cfg, e)
-        p = predict_boundaries(params, cfg, e_hat)
-        pred = predicted_mask(p.data, cfg.boundary_threshold)[0]
-        real = slice(None, -1) if cfg.boundary_mode == "noncausal" else slice(1, None)
-        wrong += int((pred[real] != w.subword_mask[real]).sum())
-        total += pred[real].size
-    return wrong / total

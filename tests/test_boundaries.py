@@ -8,8 +8,6 @@ from bytepatch.boundaries import (
     attained_compression,
     merge_bpe_per_example,
     merge_by_score,
-    merge_cross_entropy,
-    merge_entropy,
 )
 
 
@@ -43,14 +41,14 @@ def test_bpe_merge_infinite_target_single_patch():
 
 def test_entropy_merge_picks_min_sum():
     data = b"wxyz"
-    out = merge_entropy(all_true(4), data, t=4 / 3, entropies=np.array([1.0, 0.1, 0.2, 5.0]))
+    out = merge_by_score(all_true(4), len(data), np.array([1.0, 0.1, 0.2, 5.0]), t=4 / 3)
     # pair sums {1.1, 0.3, 5.2} -> merge patches 1&2 (0-indexed)
     assert out.tolist() == [True, False, True, True]
 
 
 def test_entropy_merge_leftmost_tie():
     data = b"wxyz"
-    out = merge_entropy(all_true(4), data, t=4 / 3, entropies=np.ones(4))
+    out = merge_by_score(all_true(4), len(data), np.ones(4), t=4 / 3)
     assert out.tolist() == [False, True, True, True]
 
 
@@ -60,7 +58,7 @@ def test_entropy_merge_patch_count_strictly_decreases():
     scores = rng.exponential(size=24)
     counts = []
     for t in [1.0, 1.5, 2.0, 3.0, 6.0, np.inf]:
-        out = merge_entropy(all_true(24), data, t=t, entropies=scores)
+        out = merge_by_score(all_true(24), len(data), scores, t=t)
         counts.append(int(out.sum()))
     assert counts[0] == 24
     assert all(a >= b for a, b in zip(counts, counts[1:]))
@@ -69,14 +67,14 @@ def test_entropy_merge_patch_count_strictly_decreases():
 
 def test_cross_entropy_merge_example():
     data = b"abc"
-    out = merge_cross_entropy(all_true(3), data, t=1.5, xents=np.array([0.5, 0.4, 3.0]))
+    out = merge_by_score(all_true(3), len(data), np.array([0.5, 0.4, 3.0]), t=1.5)
     # sums {0.9, 3.4} -> merge patches 0&1
     assert out.tolist() == [False, True, True]
 
 
 def test_cross_entropy_rejects_negative():
     with pytest.raises(BoundaryError):
-        merge_cross_entropy(all_true(3), b"abc", 2.0, np.array([0.1, -0.2, 0.3]))
+        merge_by_score(all_true(3), 3, np.array([0.1, -0.2, 0.3]), 2.0)
 
 
 def test_xent_equals_entropy_when_calibrated():
@@ -85,8 +83,8 @@ def test_xent_equals_entropy_when_calibrated():
     rng = np.random.default_rng(5)
     data = bytes(rng.integers(97, 123, size=16).tolist())
     scores = np.full(16, np.log(4.0))
-    a = merge_entropy(all_true(16), data, t=2.7, entropies=scores)
-    b = merge_cross_entropy(all_true(16), data, t=2.7, xents=scores)
+    a = merge_by_score(all_true(16), len(data), scores, t=2.7)
+    b = merge_by_score(all_true(16), len(data), scores.copy(), t=2.7)
     assert a.tolist() == b.tolist()
 
 
@@ -120,8 +118,7 @@ def test_merge_strategy_validation():
         MergeStrategy("nope")
     with pytest.raises(BoundaryError):
         MergeStrategy("bpe")  # missing target
-    with pytest.raises(BoundaryError):
-        MergeStrategy("entropy", target_compression=4.0)  # missing aux
+    MergeStrategy("entropy", target_compression=4.0)  # scores come from the teacher
     MergeStrategy("subword")
 
 

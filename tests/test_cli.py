@@ -1,11 +1,19 @@
 import json
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from bytepatch import cli
 from bytepatch.checkpoint import load_checkpoint, save_checkpoint
-from bytepatch.cli import EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_MISSING, EXIT_OK, EXIT_USAGE, build_model_config, parse_config_file
+from bytepatch.cli import (
+    EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_MISSING, EXIT_OK, EXIT_USAGE,
+    build_model_config, build_train_config, parse_config_file,
+)
 from bytepatch.model import init_byte_model
+
+TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
 
 TINY_CFG = """
 # tiny pipeline for CLI tests
@@ -57,6 +65,19 @@ def test_config_parsing(tmp_path):
     f.write_text("this is not a key value line\n")
     with pytest.raises(cli.ConfigFileError):
         parse_config_file(str(f))
+    # overlaid on a teacher's config: its own file applies cleanly, local keys
+    # may change, anything that alters the transplanted backbone may not
+    teacher = build_model_config(parse_config_file(str(TOY_CFG)), 300)
+    assert build_model_config(parse_config_file(str(TOY_CFG)), 300, teacher) == teacher
+    local = build_model_config({"model.decoder_layers": "3", "model.mlstm.heads": "2"}, 300, teacher)
+    assert (local.decoder_layers, local.mlstm.heads, local.d) == (3, 2, teacher.d)
+    for key, value in [("model.d", "64"), ("model.global.layers", "3"),
+                       ("model.rope_base", "500"), ("model.nonsense", "1")]:
+        with pytest.raises(cli.ConfigFileError):
+            build_model_config({key: value}, 300, teacher)
+    # the subcommand, not the file, picks the training stage
+    with pytest.raises(cli.ConfigFileError):
+        build_train_config({"train.stage": "2"}, 1, SimpleNamespace(seed=0))
 
 
 def test_unknown_flag_exits_usage():
@@ -72,11 +93,17 @@ def test_missing_checkpoint_exit_code(workspace):
 
 
 def test_invalid_config_exit_code(workspace, tmp_path):
-    root, _ = workspace
+    root, cfg = workspace
     bad = tmp_path / "bad.cfg"
     bad.write_text("model.d=banana\n")
     rc = cli.main(["train-teacher", "--data", str(root / "corpus"), "--out", str(tmp_path / "t.ckpt"),
                    "--vocab-out", str(tmp_path / "v.txt"), "--config", str(bad)])
+    assert rc == EXIT_CONFIG
+    # stage 1 must not widen the teacher's backbone it transplants
+    bad.write_text(cfg.read_text().replace("model.d=16", "model.d=32"))
+    rc = cli.main(["stage1", "--data", str(root / "corpus"), "--teacher", str(root / "teacher.ckpt"),
+                   "--vocab", str(root / "vocab.txt"), "--out", str(tmp_path / "s1.ckpt"),
+                   "--config", str(bad), "--steps", "0"])
     assert rc == EXIT_CONFIG
 
 
@@ -143,6 +170,35 @@ def test_spectrum_and_boundary_dump(workspace, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     # the tiny corpus holds out a single doc; each line is one RLE mask
     assert 1 <= len(lines) <= 2 and all(":" in l for l in lines)
+
+
+@pytest.mark.parametrize("kind", ["subword", "bpe", "entropy", "xent"])
+def test_stage2_one_step_per_merge_strategy(workspace, tmp_path, kind):
+    root, cfg = workspace
+    out = tmp_path / "s2.ckpt"
+    rc = cli.main(["stage2", "--data", str(root / "corpus"), "--model", str(root / "s1.ckpt"),
+                   "--teacher", str(root / "teacher.ckpt"), "--vocab", str(root / "vocab.txt"),
+                   "--out", str(out), "--config", str(cfg), "--steps", "1",
+                   "--merge-strategy", kind, "--target-compression", "6"])
+    assert rc == EXIT_OK
+    _, _, header = load_checkpoint(out)
+    assert header["metadata"]["merge"] == kind
+
+
+@pytest.mark.parametrize("kind", ["entropy", "xent"])
+def test_scored_supervision_eval_and_dump(workspace, capsys, kind):
+    root, cfg = workspace
+    common = ["--data", str(root / "corpus"), "--vocab", str(root / "vocab.txt"), "--config", str(cfg),
+              "--merge-strategy", kind, "--target-compression", "6"]
+    model = ["--model", str(root / "s1.ckpt")]
+    teacher = ["--teacher", str(root / "teacher.ckpt")]
+    assert cli.main(["eval-bpb", *model, *common]) == EXIT_USAGE  # the teacher scores patches
+    assert cli.main(["eval-bpb", *model, *teacher, *common]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert np.isfinite(out["bits_per_byte"]) and 0 < out["boundary_acc"] <= 1
+    assert cli.main(["boundary-dump", "--docs", "2", *teacher, *common]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines and all(":" in l for l in lines)
 
 
 def test_merge_roundtrip_via_cli(workspace, tmp_path):

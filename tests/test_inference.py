@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from bytepatch import inference as inf
 from bytepatch.inference import DecodeState, InferenceError, SamplerConfig, decode_step, generate, prefill, sample
 from bytepatch.model import (
     GlobalConfig,
@@ -129,6 +128,18 @@ def test_patch_cap_forces_boundary(setup):
     # every 4th byte closes a patch despite no sampled boundary bits
     assert state.n_patches - before == 2
     assert state.pending < 4
+    # prefill closes capped patches too: a threshold of 1 predicts no interior
+    # boundary, so only the cap and the forced final byte close patches
+    cfg_nopred = tiny_cfg(patch_cap=4, boundary_threshold=1.0)
+    prompt = b"abcdefghij"
+    state, logprobs, mask = prefill(params, cfg_nopred, sidx, prompt)
+    ends = np.flatnonzero(mask)
+    assert np.diff(np.concatenate([[-1], ends])).max() <= 4
+    assert state.n_global_calls == int(mask.sum())
+    out = forward_full(params, cfg_nopred,
+                       np.frombuffer(prompt, dtype=np.uint8).astype(np.int64)[None, :],
+                       _suffix_ids_for(sidx, prompt)[None, :], mask[None, :])
+    np.testing.assert_allclose(logprobs, out["logprobs"].data[0, -1], atol=1e-9)
 
 
 def test_sample_temperature_zero_is_argmax():
@@ -190,6 +201,3 @@ def test_generate_stops_at_eot(setup):
     out = generate(params2, cfg, sidx, b"abc", 50, SamplerConfig(temperature=0.0))
     assert out == b""
 
-
-def test_utf8_validity_rate():
-    assert inf.utf8_validity_rate([b"ok", b"\xff\xfe", "é".encode()]) == pytest.approx(2 / 3)

@@ -10,7 +10,6 @@ from bytepatch.losses import (
     decoder_distill,
     encoder_match,
     f_temp_bce,
-    loss_encoder,
     patch_logprobs,
 )
 from bytepatch.model import GlobalConfig, MlstmConfig, ModelConfig, init_teacher, transformer_probe
@@ -67,7 +66,7 @@ def test_loss_encoder_n0_equals_direct_l2_exactly():
     params = init_teacher(cfg, rng)
     h = Tensor(rng.normal(size=(1, 5, cfg.d)))
     teacher = rng.normal(size=(1, 5, cfg.d))
-    got = loss_encoder(params, cfg, h, teacher, n=0).item()
+    got = encoder_match(transformer_probe(params, cfg, h, 0), teacher).item()
     want = float(np.mean(np.linalg.norm(h.data - teacher, axis=-1)))
     assert got == pytest.approx(want, rel=4e-16)  # machine precision
 
@@ -79,7 +78,7 @@ def test_loss_encoder_identical_inputs_is_zero():
     h = rng.normal(size=(1, 5, cfg.d))
     for n in [0, 1, 2]:
         probe = transformer_probe(params, cfg, Tensor(h), n)
-        assert loss_encoder(params, cfg, Tensor(h), probe.data, n=n).item() == 0.0
+        assert encoder_match(transformer_probe(params, cfg, Tensor(h), n), probe.data).item() == 0.0
 
 
 def test_loss_encoder_matches_bruteforce_recompute():
@@ -90,7 +89,7 @@ def test_loss_encoder_matches_bruteforce_recompute():
     teacher_h = rng.normal(size=(2, 4, cfg.d))
     n = 2
     teacher_probe = transformer_probe(params, cfg, Tensor(teacher_h), n).data
-    got = loss_encoder(params, cfg, Tensor(h), teacher_probe, n=n).item()
+    got = encoder_match(transformer_probe(params, cfg, Tensor(h), n), teacher_probe).item()
     student_probe = transformer_probe(params, cfg, Tensor(h), n).data
     want = float(np.mean(np.linalg.norm(student_probe - teacher_probe, axis=-1)))
     assert got == pytest.approx(want, rel=1e-12)

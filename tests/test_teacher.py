@@ -3,7 +3,7 @@ import pytest
 
 from bytepatch import tensor as T
 from bytepatch.model import GlobalConfig, MlstmConfig, ModelConfig, init_teacher
-from bytepatch.teacher import TeacherScorer, run_teacher, teacher_logits, teacher_nll
+from bytepatch.teacher import run_teacher, teacher_logits, teacher_nll
 from bytepatch.tokenizer import encode, train_bpe
 
 
@@ -55,12 +55,3 @@ def test_run_teacher_consistency(setup):
     nll = teacher_nll(params, cfg, out.token_ids[None, :]).item()
     assert nll == pytest.approx(float(out.xent.mean()), rel=1e-6)
 
-
-def test_teacher_scorer_adapter(setup):
-    docs, vocab, cfg, params = setup
-    scorer = TeacherScorer(params, cfg, vocab)
-    ids = encode(vocab, docs[0])
-    ent, xent = scorer.score_tokens(ids)
-    ref = run_teacher(params, cfg, vocab, docs[0])
-    np.testing.assert_allclose(ent, ref.entropy, rtol=1e-6)
-    np.testing.assert_allclose(xent, ref.xent, rtol=1e-6)

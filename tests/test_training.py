@@ -1,10 +1,13 @@
 import hashlib
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bytepatch import training as tr
 from bytepatch.boundaries import MergeStrategy
+from bytepatch.cli import build_train_config, parse_config_file
 from bytepatch.data import make_windows, markov_word_docs
 from bytepatch.losses import LossWeights
 from bytepatch.model import (
@@ -49,9 +52,13 @@ def test_lr_at_examples():
 
 def test_stage2_lr_ratio_default():
     tc = TrainConfig(stage=2, steps=10, peak_lr=1e-3)
-    assert tc.peak_lr_global == pytest.approx(5e-4)
     lrs = lr_at(tc, tc.warmup_steps or 1)
+    assert lrs["global"] == pytest.approx(5e-4)
     assert lrs["local"] == pytest.approx(2 * lrs["global"])
+    # the halving follows a peak_lr set by a config file (toy.cfg: 1.5e-3)
+    toy = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
+    tc = build_train_config(parse_config_file(str(toy)), stage=2, args=SimpleNamespace(seed=0))
+    assert lr_at(tc, tc.warmup_steps)["global"] == pytest.approx(7.5e-4)
 
 
 def test_prepare_window_alignment(toy):
@@ -75,7 +82,7 @@ def test_supervision_strategies_are_subsets(toy):
     content = docs[1][:80]
     base = prepare_window(content, vocab, sidx, cfg, teacher, MergeStrategy("subword"))
     for kind in ("bpe", "entropy", "xent"):
-        strat = MergeStrategy(kind, target_compression=8.0, aux=object() if kind != "bpe" else None)
+        strat = MergeStrategy(kind, target_compression=8.0)
         w = prepare_window(content, vocab, sidx, cfg, teacher, strat)
         assert not np.any(w.strategy_mask & ~base.subword_mask)
         assert w.strategy_mask[-1]
