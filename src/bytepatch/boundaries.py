@@ -37,6 +37,11 @@ class MergeStrategy:
         if self.kind != "subword" and not self.target_compression > 0:
             raise BoundaryError("merging strategies need target_compression > 0")
 
+    @property
+    def needs_teacher(self) -> bool:
+        """Whether the merge scores patches with the teacher's cached outputs."""
+        return self.kind in ("entropy", "xent")
+
 
 def mask_to_ends(mask: np.ndarray) -> np.ndarray:
     ends = np.flatnonzero(np.asarray(mask, dtype=bool))

@@ -220,12 +220,11 @@ def cmd_stage2(args) -> int:
     params, mc, header = _load_ckpt(args.model)
     tc = build_train_config(cfg, stage=2, args=args)
     teacher = None
-    if tc.merge_kind in ("entropy", "xent"):
+    if MergeStrategy(tc.merge_kind, tc.target_compression or 1.0).needs_teacher:
         if not args.teacher:
             print("error: entropy/xent supervision needs --teacher", file=sys.stderr)
             return EXIT_USAGE
         teacher, _, _ = _load_ckpt(args.teacher)
-    MergeStrategy(tc.merge_kind, tc.target_compression or 1.0)  # validate early
     train_conversion(params, mc, vocab, teacher, corpus.train, tc, log_path=args.log)
     save_checkpoint(args.out, params, mc, kind="byte_model",
                     metadata={"stage": 2, "seed": args.seed, "steps": tc.steps,
@@ -239,11 +238,11 @@ def cmd_eval_bpb(args) -> int:
     corpus = _load_corpus(args, cfg)
     vocab = load_vocab(args.vocab)
     params, mc, _ = _load_ckpt(args.model)
-    if args.merge_strategy in ("entropy", "xent") and not args.teacher:
+    strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0)
+    if strategy.needs_teacher and not args.teacher:
         print("error: entropy/xent supervision needs --teacher", file=sys.stderr)
         return EXIT_USAGE
     teacher = _load_ckpt(args.teacher)[0] if args.teacher else None
-    strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0)
     docs = corpus.heldout or corpus.train
     out = evaluate_bpb(params, mc, vocab, docs, strategy, teacher, max_doc_bytes=args.max_doc_bytes)
     if teacher is not None and args.merge_strategy == "subword":
@@ -313,14 +312,14 @@ def cmd_boundary_dump(args) -> int:
     if args.teacher:
         teacher, mc_t, _ = _load_ckpt(args.teacher)
         mc = mc or mc_t
-    if mc is None or (args.merge_strategy in ("entropy", "xent") and teacher is None):
+    strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0)
+    if mc is None or (strategy.needs_teacher and teacher is None):
         print("error: need --model (and --teacher for entropy/xent) here", file=sys.stderr)
         return EXIT_USAGE
     if args.predicted and params is None:
         print("error: --predicted needs --model", file=sys.stderr)
         return EXIT_USAGE
-    strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0)
-    scorer = teacher if strategy.kind in ("entropy", "xent") else None
+    scorer = teacher if strategy.needs_teacher else None
     docs = (corpus.heldout or corpus.train)[: args.docs]
     masks = []
     for doc in docs:
@@ -383,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--log", default=None)
-    p.add_argument("--merge-strategy", choices=["subword", "bpe", "entropy", "xent"], default="subword")
+    p.add_argument("--merge-strategy", choices=MergeStrategy.KINDS, default="subword")
     p.add_argument("--target-compression", type=float, default=None)
     p.set_defaults(fn=cmd_stage2)
 
@@ -392,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--teacher", default=None)
-    p.add_argument("--merge-strategy", choices=["subword", "bpe", "entropy", "xent"], default="subword")
+    p.add_argument("--merge-strategy", choices=MergeStrategy.KINDS, default="subword")
     p.add_argument("--target-compression", type=float, default=None)
     p.add_argument("--max-doc-bytes", type=int, default=512)
     p.set_defaults(fn=cmd_eval_bpb)
@@ -435,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None)
     p.add_argument("--teacher", default=None)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--merge-strategy", choices=["subword", "bpe", "entropy", "xent"], default="subword")
+    p.add_argument("--merge-strategy", choices=MergeStrategy.KINDS, default="subword")
     p.add_argument("--target-compression", type=float, default=None)
     p.add_argument("--predicted", action="store_true", help="dump the model's own boundaries")
     p.add_argument("--docs", type=int, default=16)

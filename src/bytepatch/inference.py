@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers as L
+from . import tensor as T
 from .model import ModelConfig, ParamStore, predict_boundaries, predicted_mask, split_fused
 from .tensor import Tensor
 from .tokenizer import SuffixIndex, longest_suffix_token
@@ -71,17 +72,22 @@ def _fresh_state(params: ParamStore, cfg: ModelConfig, seed: int) -> DecodeState
     )
 
 
+def _step_stack(params: ParamStore, cfg: ModelConfig, x: np.ndarray, states: list[dict], stack: str) -> np.ndarray:
+    """One position through the mLSTM + FFN layers of the encoder or decoder
+    stack (the step form of `model._local_stack`)."""
+    m = cfg.mlstm
+    p = params.tensors()
+    for l, st in enumerate(states):
+        x = L.mlstm_step(p, f"{stack}.{l}.mlstm", x, st, m.heads, m.qk_dim, m.v_dim, m.gate_soft_cap, cfg.rms_eps)
+        x = L.ffn_step(p, f"{stack}.{l}.ffn", x, cfg.rms_eps)
+    return x
+
+
 def _encode_byte(params: ParamStore, cfg: ModelConfig, state: DecodeState, sidx: SuffixIndex, byte: int) -> np.ndarray:
     state.history.append(byte)
     sfx = longest_suffix_token(sidx, bytes(state.history), len(state.history) - 1)
     e = params["byte_embed.table"].data[byte] + params["subword_embed.table"].data[sfx]
-    x = e
-    m = cfg.mlstm
-    p = params.tensors()
-    for l in range(cfg.encoder_layers):
-        x = L.mlstm_step(p, f"encoder.{l}.mlstm", x, state.enc[l], m.heads, m.qk_dim, m.v_dim, m.gate_soft_cap, cfg.rms_eps)
-        x = L.ffn_step(p, f"encoder.{l}.ffn", x, cfg.rms_eps)
-    return x
+    return _step_stack(params, cfg, e, state.enc, "encoder")
 
 
 def _advance_global(params: ParamStore, cfg: ModelConfig, state: DecodeState, e_hat: np.ndarray) -> None:
@@ -91,25 +97,19 @@ def _advance_global(params: ParamStore, cfg: ModelConfig, state: DecodeState, e_
     for l in range(g.layers):
         x = L.attention_step(p, f"global.{l}.attn", x, state.kv[l], g.heads, g.head_dim, cfg.rope_base, cfg.rms_eps)
         x = L.ffn_step(p, f"global.{l}.ffn", x, cfg.rms_eps)
-    state.h_latest = L._rms_np(x, params["global.final_norm_g"].data, cfg.rms_eps)
+    state.h_latest = x * T.rms_scale_np(x, cfg.rms_eps) * params["global.final_norm_g"].data
     state.n_patches += 1
     state.n_global_calls += 1
 
 
 def _decode_position(params: ParamStore, cfg: ModelConfig, state: DecodeState, e_hat: np.ndarray) -> np.ndarray:
-    p = params.tensors()
     z = e_hat @ params["depool_proj.w"].data + state.h_latest
-    m = cfg.mlstm
-    x = z
-    for l in range(cfg.decoder_layers):
-        x = L.mlstm_step(p, f"decoder.{l}.mlstm", x, state.dec[l], m.heads, m.qk_dim, m.v_dim, m.gate_soft_cap, cfg.rms_eps)
-        x = L.ffn_step(p, f"decoder.{l}.ffn", x, cfg.rms_eps)
-    x = L._rms_np(x, params["lm_head.norm_g"].data, cfg.rms_eps)
+    x = _step_stack(params, cfg, z, state.dec, "decoder")
+    x = x * T.rms_scale_np(x, cfg.rms_eps) * params["lm_head.norm_g"].data
     logits = x @ params["lm_head.w"].data
     if not np.all(np.isfinite(logits)):
         raise InferenceError("non-finite logits")
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    return T.log_softmax_np(logits)
 
 
 def _close_or_extend(params: ParamStore, cfg: ModelConfig, state: DecodeState, e_hat: np.ndarray, boundary: bool) -> bool:
@@ -155,10 +155,7 @@ def sample(logprobs: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -
     argmax."""
     if cfg.temperature == 0.0:
         return int(np.argmax(logprobs))
-    scaled = logprobs / cfg.temperature
-    scaled = scaled - scaled.max()
-    probs = np.exp(scaled)
-    probs /= probs.sum()
+    probs = T.softmax_np(logprobs / cfg.temperature)
     if cfg.top_p < 1.0:
         order = np.argsort(-probs, kind="stable")
         csum = np.cumsum(probs[order])

@@ -5,13 +5,18 @@ Two implementations exist for the recurrent byte-level layers:
 * ``mlstm_block`` builds the training graph in a closed quadratic form: the
   exponential-gate recurrence unrolls into a decay matrix over all position
   pairs, stabilized by a running log-max that cancels exactly and is therefore
-  detached from the gradient.
+  computed in numpy, outside the gradient.
 * ``mlstm_step`` advances one byte at a time on raw numpy state, used for
   incremental decoding. ``test_layers`` pins the two to each other; the
   sequential form is the correctness oracle.
 
 The attention stack mirrors a standard pre-norm decoder block: RMSNorm, rotary
-positions, causal softmax attention, SwiGLU feed-forward.
+positions, causal softmax attention, SwiGLU feed-forward. ``attention_step`` is
+its cached one-position form, the oracle pinned to ``attention_block``.
+
+Both pairs share their primitives: the step forms call the same
+``tensor.*_np`` kernels (RMS scale, softcap, log-sigmoid, softmax, rotary
+positions) that the graph ops compute with.
 """
 
 from __future__ import annotations
@@ -60,21 +65,6 @@ def rope_tables(positions: np.ndarray, head_dim: int, base: float, dtype) -> tup
     return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
 
 
-def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    half = x.shape[-1] // 2
-    x1 = x[..., :half]
-    x2 = x[..., half:]
-    c = Tensor(cos, _op="const")
-    s = Tensor(sin, _op="const")
-    return T.concat([x1 * c - x2 * s, x2 * c + x1 * s], axis=-1)
-
-
-def _rope_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
-
-
 # -- causal attention block ---------------------------------------------------
 
 def attention_block(
@@ -92,8 +82,8 @@ def attention_block(
     k = _heads(T.matmul(xn, p[f"{prefix}.w_k"]), n_heads, head_dim)
     v = _heads(T.matmul(xn, p[f"{prefix}.w_v"]), n_heads, head_dim)
     cos, sin = rope_tables(np.arange(n), head_dim, rope_base, x.dtype)
-    q = apply_rope(q, cos, sin)
-    k = apply_rope(k, cos, sin)
+    q = T.rope(q, cos, sin)
+    k = T.rope(k, cos, sin)
     att = T.matmul(q, k.swap_last()) * Tensor(np.float64(head_dim) ** -0.5, _op="const")
     causal = np.triu(np.full((n, n), NEG_MASK, dtype=x.dtype), k=1)
     att = T.softmax(att + Tensor(causal, _op="const"))
@@ -113,21 +103,18 @@ def attention_step(
 ) -> np.ndarray:
     """One position of cached attention on raw numpy state. cache holds
     'k'/'v' arrays shaped (H, t, hd) plus 'pos', and is mutated in place."""
-    xn = _rms_np(x_t, p[f"{prefix}.norm_g"].data, eps)
+    xn = x_t * T.rms_scale_np(x_t, eps) * p[f"{prefix}.norm_g"].data
     q = (xn @ p[f"{prefix}.w_q"].data).reshape(n_heads, head_dim)
     k = (xn @ p[f"{prefix}.w_k"].data).reshape(n_heads, head_dim)
     v = (xn @ p[f"{prefix}.w_v"].data).reshape(n_heads, head_dim)
     pos = cache["pos"]
     cos, sin = rope_tables(np.array([pos]), head_dim, rope_base, x_t.dtype)
-    q = _rope_np(q, cos[0], sin[0])
-    k = _rope_np(k, cos[0], sin[0])
+    q = T.rope_np(q, cos, sin)
+    k = T.rope_np(k, cos, sin)
     cache["k"] = np.concatenate([cache["k"], k[:, None, :]], axis=1)
     cache["v"] = np.concatenate([cache["v"], v[:, None, :]], axis=1)
     cache["pos"] = pos + 1
-    att = np.einsum("hd,htd->ht", q, cache["k"]) * head_dim**-0.5
-    att = att - att.max(axis=-1, keepdims=True)
-    w = np.exp(att)
-    w /= w.sum(axis=-1, keepdims=True)
+    w = T.softmax_np(np.einsum("hd,htd->ht", q, cache["k"]) * head_dim**-0.5)
     out = np.einsum("ht,htd->hd", w, cache["v"]).reshape(-1)
     return x_t + out @ p[f"{prefix}.w_o"].data
 
@@ -175,8 +162,8 @@ def mlstm_block(
     fcum = T.cumsum(log_f, axis=-1)  # F_t = sum_{s<=t} log f_s
     a = i_pre - fcum  # a_s = i_s - F_s
     # running stabilizer m_t = F_t + max_{s<=t} a_s; it rescales numerator and
-    # denominator identically, so it is detached from the gradient
-    m = (fcum + T.cummax(a, axis=-1)).detach()
+    # denominator identically, so it is a constant for the gradient
+    m = Tensor(fcum.data + np.maximum.accumulate(a.data, axis=-1), _op="const")
     # decay[t, s] = exp(F_t + a_s - m_t) for s <= t, 0 above the diagonal
     scores = T.outer_add(fcum - m, a)
     decay = T.exp_where(scores, np.tril(np.ones((n, n), dtype=bool)))
@@ -215,13 +202,13 @@ def mlstm_step(
     eps: float,
 ) -> np.ndarray:
     """Sequential mLSTM update on raw numpy state (mutated in place)."""
-    xn = _rms_np(x_t, p[f"{prefix}.norm_g"].data, eps)
+    xn = x_t * T.rms_scale_np(x_t, eps) * p[f"{prefix}.norm_g"].data
     q = (xn @ p[f"{prefix}.w_q"].data).reshape(heads, qk_dim)
     k = (xn @ p[f"{prefix}.w_k"].data).reshape(heads, qk_dim) * qk_dim**-0.5
     v = (xn @ p[f"{prefix}.w_v"].data).reshape(heads, v_dim)
-    i_pre = _softcap_np(xn @ p[f"{prefix}.w_i"].data + p[f"{prefix}.b_i"].data, soft_cap)
-    f_pre = _softcap_np(xn @ p[f"{prefix}.w_f"].data + p[f"{prefix}.b_f"].data, soft_cap)
-    log_f = -np.logaddexp(0.0, -f_pre)
+    i_pre = T.softcap_np(xn @ p[f"{prefix}.w_i"].data + p[f"{prefix}.b_i"].data, soft_cap)
+    f_pre = T.softcap_np(xn @ p[f"{prefix}.w_f"].data + p[f"{prefix}.b_f"].data, soft_cap)
+    log_f = T.logsigmoid_np(f_pre)
     m_new = np.maximum(log_f + state["m"], i_pre)
     f_eff = np.exp(log_f + state["m"] - m_new)
     i_eff = np.exp(i_pre - m_new)
@@ -234,23 +221,14 @@ def mlstm_step(
     dots = np.einsum("hk,hk->h", state["n"], q)
     den = np.maximum(np.abs(dots), np.exp(-m_new))
     h = num / den[:, None]
-    h = _rms_np(h, 1.0, eps).reshape(-1) * p[f"{prefix}.mh_norm_g"].data
+    h = (h * T.rms_scale_np(h, eps)).reshape(-1) * p[f"{prefix}.mh_norm_g"].data
     og = T.sigmoid_np(xn @ p[f"{prefix}.w_og"].data)
     return x_t + (h * og) @ p[f"{prefix}.w_out"].data
 
 
 def ffn_step(p: dict[str, Tensor], prefix: str, x_t: np.ndarray, eps: float) -> np.ndarray:
-    xn = _rms_np(x_t, p[f"{prefix}.norm_g"].data, eps)
+    xn = x_t * T.rms_scale_np(x_t, eps) * p[f"{prefix}.norm_g"].data
     gate = xn @ p[f"{prefix}.w_gate"].data
     up = xn @ p[f"{prefix}.w_up"].data
     return x_t + (gate * T.sigmoid_np(gate) * up) @ p[f"{prefix}.w_down"].data
 
-
-# -- numpy helpers for the step paths ----------------------------------------
-
-def _rms_np(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
-    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps) * gain
-
-
-def _softcap_np(x: np.ndarray, cap: float) -> np.ndarray:
-    return cap * np.tanh(x / cap)

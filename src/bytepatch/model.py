@@ -75,6 +75,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.global_model.heads * self.global_model.head_dim != self.d:
             raise ConfigError("global heads * head_dim must equal d")
+        if self.global_model.head_dim % 2:
+            raise ConfigError("global head_dim must be even (rotary positions rotate pairs)")
         if self.n_probe > self.global_model.layers:
             raise ConfigError("n_probe exceeds global layer count")
         if self.boundary_mode not in ("noncausal", "causal"):
@@ -319,6 +321,13 @@ def predict_boundaries(params: ParamStore, cfg: ModelConfig, e_hat: Tensor) -> T
     if cfg.boundary_mode == "noncausal":
         return T.concat([scores, ones], axis=1)
     return T.concat([ones, scores], axis=1)
+
+
+def scored_positions(cfg: ModelConfig) -> slice:
+    """The positions whose boundary `predict_boundaries` actually scores:
+    all but its forced constant one (the last byte, or the first in the
+    causal ablation)."""
+    return slice(None, -1) if cfg.boundary_mode == "noncausal" else slice(1, None)
 
 
 def _cosine_score(q: Tensor, k: Tensor, eps: float) -> Tensor:

@@ -1,7 +1,7 @@
 """The subword teacher LM: a token embedding, the shared transformer backbone,
 and a linear head. It provides everything the byte-level conversion consumes:
-token log-likelihoods, embeddings, probe-depth activations, final-layer
-states, and per-token entropy/cross-entropy scores for boundary supervision.
+token log-likelihoods, probe-depth activations, final-layer states, and
+per-token entropy/cross-entropy scores for boundary supervision.
 """
 
 from __future__ import annotations
@@ -28,26 +28,25 @@ class TeacherOutputs:
 
     token_ids: np.ndarray  # (m+1,)
     next_logp: np.ndarray  # (m,)
-    embeddings: np.ndarray  # (m+1, d)
     probe: np.ndarray  # (m+1, d) activations after n_probe layers
     z: np.ndarray  # (m+1, d) post-norm final states
     entropy: np.ndarray  # (m,) predictive entropy at each real token
     xent: np.ndarray  # (m,) data cross-entropy of each real token
 
 
-def teacher_logits(params: ParamStore, cfg: ModelConfig, token_ids: np.ndarray) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """(logits, embeddings, probe, z) over a batch of token id rows."""
+def teacher_logits(params: ParamStore, cfg: ModelConfig, token_ids: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
+    """(logits, probe, z) over a batch of token id rows."""
     token_ids = np.atleast_2d(np.asarray(token_ids, dtype=np.int64))
     emb = T.take_rows(params["subword_embed.table"], token_ids)
     z, probe = global_forward(params, cfg, emb)
     logits = T.matmul(z, params["lm_head.w"])
-    return logits, emb, probe, z
+    return logits, probe, z
 
 
 def teacher_nll(params: ParamStore, cfg: ModelConfig, token_ids: np.ndarray, valid: np.ndarray | None = None) -> Tensor:
     """Mean next-token cross-entropy in nats over valid positions."""
     token_ids = np.atleast_2d(np.asarray(token_ids, dtype=np.int64))
-    logits, _, _, _ = teacher_logits(params, cfg, token_ids)
+    logits, _, _ = teacher_logits(params, cfg, token_ids)
     logp = T.log_softmax(logits)
     picked = T.pick(logp[:, :-1, :], token_ids[:, 1:])
     if valid is None:
@@ -62,7 +61,7 @@ def run_teacher(params: ParamStore, cfg: ModelConfig, vocab: SubwordVocab, data:
     the conversion needs. BOS is prepended here."""
     ids = encode(vocab, data)
     token_ids = np.array([vocab.bos_id] + ids, dtype=np.int64)
-    logits, emb, probe, z = teacher_logits(params, cfg, token_ids[None, :])
+    logits, probe, z = teacher_logits(params, cfg, token_ids[None, :])
     logp = T.log_softmax(logits).data[0]  # (m+1, V)
     m = len(ids)
     next_logp = logp[np.arange(m), token_ids[1:]]
@@ -71,7 +70,6 @@ def run_teacher(params: ParamStore, cfg: ModelConfig, vocab: SubwordVocab, data:
     return TeacherOutputs(
         token_ids=token_ids,
         next_logp=next_logp,
-        embeddings=emb.data[0].astype(np.float32),
         probe=probe.data[0].astype(np.float32),
         z=z.data[0].astype(np.float32),
         entropy=entropy,

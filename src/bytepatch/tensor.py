@@ -5,6 +5,10 @@ that routes the output gradient back to them. Calling ``backward()`` on a
 scalar walks the recorded graph once in reverse topological order. Values
 are float64 throughout.
 
+Where the graph-free code (the decode step path, the sampler) needs an op's
+forward, the op's arithmetic is a public ``*_np`` kernel, so both paths
+compute the same values.
+
 Every op checks its output for NaN/Inf and raises ``NonFiniteError`` instead
 of propagating silently. Broadcasting is restricted to trailing-axis
 expansion (suffix alignment plus size-1 expansion of trailing axes); anything
@@ -332,24 +336,6 @@ def sqrt(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward, "sqrt")
 
 
-def square(x: Tensor) -> Tensor:
-    out_data = x.data * x.data
-
-    def backward(g):
-        _accum(x, g * 2.0 * x.data)
-
-    return _make(out_data, (x,), backward, "square")
-
-
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-
-    def backward(g):
-        _accum(x, g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (x,), backward, "tanh")
-
-
 def sigmoid(x: Tensor) -> Tensor:
     out_data = sigmoid_np(x.data)
 
@@ -365,8 +351,7 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def logsigmoid(x: Tensor) -> Tensor:
-    """log(sigmoid(x)), computed as -softplus(-x) for stability."""
-    out_data = -_softplus_np(-x.data)
+    out_data = logsigmoid_np(x.data)
 
     def backward(g):
         _accum(x, g * sigmoid_np(-x.data))
@@ -374,8 +359,9 @@ def logsigmoid(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward, "logsigmoid")
 
 
-def _softplus_np(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def logsigmoid_np(x: np.ndarray) -> np.ndarray:
+    """log(sigmoid(x)), computed as -softplus(-x) for stability."""
+    return -(np.maximum(-x, 0.0) + np.log1p(np.exp(-np.abs(x))))
 
 
 def silu(x: Tensor) -> Tensor:
@@ -430,7 +416,8 @@ def log1mexp(x: Tensor) -> Tensor:
 
 
 def softcap(x: Tensor, cap: float) -> Tensor:
-    """cap * tanh(x / cap): smooth clamp of pre-activations into (-cap, cap)."""
+    # softcap_np's arithmetic, inline to keep tanh for the backward:
+    # recovering it as out / cap is not bit-identical
     t = np.tanh(x.data / cap)
     out_data = cap * t
 
@@ -438,6 +425,11 @@ def softcap(x: Tensor, cap: float) -> Tensor:
         _accum(x, g * (1.0 - t * t))
 
     return _make(out_data, (x,), backward, "softcap")
+
+
+def softcap_np(x: np.ndarray, cap: float) -> np.ndarray:
+    """cap * tanh(x / cap): smooth clamp of pre-activations into (-cap, cap)."""
+    return cap * np.tanh(x / cap)
 
 
 # -- reductions -------------------------------------------------------------
@@ -472,28 +464,6 @@ def cumsum(x: Tensor, axis: int) -> Tensor:
         _accum(x, np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis))
 
     return _make(out_data, (x,), backward, "cumsum")
-
-
-def cummax(x: Tensor, axis: int) -> Tensor:
-    out_data = np.maximum.accumulate(x.data, axis=axis)
-    # first index attaining the running max, for the backward scatter
-    xm = np.moveaxis(x.data, axis, -1)
-    om = np.moveaxis(out_data, axis, -1)
-    n = xm.shape[-1]
-    prev = np.concatenate([np.full(xm.shape[:-1] + (1,), -np.inf), om[..., :-1]], axis=-1)
-    marker = np.where(xm > prev, np.arange(n), -1)
-    argmax = np.maximum.accumulate(marker, axis=-1)
-
-    def backward(g):
-        gm = np.moveaxis(g, axis, -1)
-        flat_g = gm.reshape(-1, n)
-        flat_idx = argmax.reshape(-1, n)
-        flat_out = np.zeros_like(flat_g)
-        rows = np.repeat(np.arange(flat_g.shape[0]), n)
-        np.add.at(flat_out, (rows, flat_idx.ravel()), flat_g.ravel())
-        _accum(x, np.moveaxis(flat_out.reshape(xm.shape), -1, axis))
-
-    return _make(out_data, (x,), backward, "cummax")
 
 
 # -- shape ops --------------------------------------------------------------
@@ -649,10 +619,7 @@ def outer_add(u: Tensor, v: Tensor) -> Tensor:
 # -- fused normalizers ------------------------------------------------------
 
 def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis (max-shifted; the shift cancels exactly)."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = softmax_np(x.data)
 
     def backward(g):
         dot = (g * out_data).sum(axis=-1, keepdims=True)
@@ -661,10 +628,14 @@ def softmax(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward, "softmax")
 
 
+def softmax_np(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis (max-shifted; the shift cancels exactly)."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def log_softmax(x: Tensor) -> Tensor:
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_data = shifted - lse
+    out_data = log_softmax_np(x.data)
 
     def backward(g):
         _accum(x, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
@@ -672,11 +643,15 @@ def log_softmax(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward, "log_softmax")
 
 
+def log_softmax_np(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis (max-shifted)."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def rmsnorm(x: Tensor, eps: float = 0.0) -> Tensor:
     """x / sqrt(mean(x^2, last axis) + eps); gain is applied by the caller."""
-    ms = np.mean(x.data * x.data, axis=-1, keepdims=True)
-    with np.errstate(all="ignore"):
-        r = 1.0 / np.sqrt(ms + eps)
+    r = rms_scale_np(x.data, eps)
     _check_finite(r, "rmsnorm")
     out_data = x.data * r
     n = x.shape[-1]
@@ -686,6 +661,34 @@ def rmsnorm(x: Tensor, eps: float = 0.0) -> Tensor:
         _accum(x, r * g - (r ** 3 / n) * dot * x.data)
 
     return _make(out_data, (x,), backward, "rmsnorm")
+
+
+def rms_scale_np(x: np.ndarray, eps: float) -> np.ndarray:
+    """1 / sqrt(mean(x^2, last axis) + eps), kept as a size-1 last axis;
+    `x * rms_scale_np(x, eps)` is the RMS-normalized x."""
+    with np.errstate(all="ignore"):
+        return 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+
+
+# -- rotary positions -------------------------------------------------------
+
+def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotary positions on the last axis. A rotation, so the backward is the
+    inverse rotation of the output gradient."""
+    out_data = rope_np(x.data, cos, sin)
+
+    def backward(g):
+        _accum(x, rope_np(g, cos, -sin))
+
+    return _make(out_data, (x,), backward, "rope")
+
+
+def rope_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate each (x[i], x[i + half]) pair of the last axis by the angle
+    whose cosine and sine are given, broadcast over the leading axes."""
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
 
 
 # -- gradient checking ------------------------------------------------------

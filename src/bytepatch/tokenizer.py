@@ -151,16 +151,11 @@ def token_lengths(vocab: SubwordVocab, ids: list[int]) -> list[int]:
 
 def subword_boundary_mask(vocab: SubwordVocab, data: bytes) -> np.ndarray:
     """True at every byte that ends a token of encode(vocab, data)."""
-    mask = np.zeros(len(data), dtype=bool)
-    pos = -1
-    for i in encode(vocab, data):
-        pos += len(vocab.token_bytes[i])
-        mask[pos] = True
-    assert pos == len(data) - 1
-    return mask
+    return mask_from_token_ids(vocab, encode(vocab, data))
 
 
 def mask_from_token_ids(vocab: SubwordVocab, ids: list[int]) -> np.ndarray:
+    """True at every byte that ends one of the tokens `ids` spell out."""
     mask = np.zeros(sum(token_lengths(vocab, ids)), dtype=bool)
     pos = -1
     for i in ids:

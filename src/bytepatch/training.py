@@ -17,7 +17,7 @@ Metrics stream to a line-delimited log, one JSON record per step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,7 @@ from .model import (
     pool_last,
     predict_boundaries,
     predicted_mask,
+    scored_positions,
     transformer_probe,
 )
 from .optim import AdamW
@@ -109,7 +110,7 @@ class Window:
     suffix: np.ndarray  # longest-suffix token id per model position
     subword_mask: np.ndarray  # over model positions; BOS flagged
     strategy_mask: np.ndarray  # merged supervision (== subword_mask for kind=subword)
-    teacher: TeacherOutputs | None
+    teacher: TeacherOutputs | None  # prepare_windows keeps it for stage 1 only
 
     def __len__(self) -> int:
         return len(self.model_bytes)
@@ -170,11 +171,10 @@ def prepare_windows(
     strategy = MergeStrategy(tcfg.merge_kind, tcfg.target_compression)
     sidx = SuffixIndex(vocab)
     chunks = make_windows(docs, tcfg.max_bytes - 1)
-    need_teacher = tcfg.stage == 1 or tcfg.merge_kind in ("entropy", "xent")
-    return [
-        prepare_window(c, vocab, sidx, cfg, teacher_params if need_teacher else None, strategy)
-        for c in chunks
-    ]
+    teacher = teacher_params if tcfg.stage == 1 or strategy.needs_teacher else None
+    windows = (prepare_window(c, vocab, sidx, cfg, teacher, strategy) for c in chunks)
+    # only stage 1 reads teacher activations; stage 2 needs just the masks
+    return [w if tcfg.stage == 1 else replace(w, teacher=None) for w in windows]
 
 
 class WindowSampler:
@@ -299,7 +299,7 @@ def stage2_step(
 
 def _step_metrics(p_scores: np.ndarray, mask: np.ndarray, cfg: ModelConfig, grad_norm: float) -> dict:
     pred = predicted_mask(p_scores, cfg.boundary_threshold)
-    real = slice(None, -1) if cfg.boundary_mode == "noncausal" else slice(1, None)
+    real = scored_positions(cfg)
     acc = float((pred[:, real] == mask[:, real]).mean())
     comp = mask.size / max(1, int(pred.sum()))
     return {"boundary_acc": acc, "compression": comp, "grad_norm": grad_norm}
@@ -423,8 +423,9 @@ def evaluate_bpb(
     boundary accuracy against the supervision mask, and the attained
     compression of the predicted boundaries."""
     strategy = strategy or MergeStrategy("subword")
-    scorer = teacher_params if strategy.kind in ("entropy", "xent") else None
+    scorer = teacher_params if strategy.needs_teacher else None
     sidx = SuffixIndex(vocab)
+    real = scored_positions(cfg)
     tot_ce = 0.0
     tot_pos = 0
     tot_correct = 0
@@ -442,7 +443,6 @@ def evaluate_bpb(
         tot_ce += ce * n_pred
         tot_pos += n_pred
         pred = out["mask"][0]
-        real = slice(None, -1) if cfg.boundary_mode == "noncausal" else slice(1, None)
         tot_correct += int((pred[real] == w.strategy_mask[real]).sum())
         tot_real += pred[real].size
         pred_masks.append(pred)

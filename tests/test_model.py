@@ -54,6 +54,8 @@ def test_config_validation():
         tiny_config(global_model=GlobalConfig(layers=2, heads=3, head_dim=4))
     with pytest.raises(ConfigError):
         tiny_config(n_probe=5)
+    with pytest.raises(ConfigError):  # rotary positions rotate pairs of dims
+        tiny_config(d=6, global_model=GlobalConfig(layers=2, heads=2, head_dim=3))
     cfg = tiny_config()
     assert cfg.boundary_dim == cfg.d
     round_trip = ModelConfig.from_dict(cfg.to_dict())
@@ -124,6 +126,8 @@ def test_causal_boundary_alignment(setup):
     # same pair scores, shifted by one position; forced ends differ
     np.testing.assert_allclose(c[1:], nc[:-1], atol=0)
     assert c[0] == 1.0 and nc[-1] == 1.0
+    # each mode's scored positions leave out exactly its forced one
+    np.testing.assert_allclose(c[M.scored_positions(ccfg)], nc[M.scored_positions(cfg)], atol=0)
 
 
 def test_pool_last(setup):
@@ -253,7 +257,7 @@ def test_forward_full_one_byte_lookahead_causality(setup):
 
 
 def test_forward_full_gradient_end_to_end():
-    cfg = tiny_config(d=6, global_model=GlobalConfig(layers=1, heads=2, head_dim=3), n_probe=1)
+    cfg = tiny_config(d=8, global_model=GlobalConfig(layers=1, heads=2, head_dim=4), n_probe=1)
     rng = np.random.default_rng(9)
     params = init_byte_model(cfg, rng)
     byte_ids = rng.integers(0, 256, size=(1, 6))

@@ -23,17 +23,17 @@ def setup():
 def test_teacher_logits_shapes(setup):
     docs, vocab, cfg, params = setup
     ids = np.array([vocab.bos_id] + encode(vocab, docs[0]), dtype=np.int64)
-    logits, emb, probe, z = teacher_logits(params, cfg, ids[None, :])
+    logits, probe, z = teacher_logits(params, cfg, ids[None, :])
     m = len(ids)
     assert logits.shape == (1, m, vocab.size)
-    assert emb.shape == probe.shape == z.shape == (1, m, cfg.d)
+    assert probe.shape == z.shape == (1, m, cfg.d)
 
 
 def test_teacher_nll_matches_manual(setup):
     docs, vocab, cfg, params = setup
     ids = np.array([vocab.bos_id] + encode(vocab, docs[0]), dtype=np.int64)
     nll = teacher_nll(params, cfg, ids[None, :]).item()
-    logits, _, _, _ = teacher_logits(params, cfg, ids[None, :])
+    logits, _, _ = teacher_logits(params, cfg, ids[None, :])
     lp = T.log_softmax(logits).data[0]
     manual = -np.mean([lp[i, ids[i + 1]] for i in range(len(ids) - 1)])
     assert nll == pytest.approx(float(manual), rel=1e-12)

@@ -13,6 +13,7 @@ from bytepatch.tensor import (
 )
 
 RNG = np.random.default_rng(0)
+ANGLES = np.linspace(0.3, 2.5, 6).reshape(3, 2)  # rotary angles: 3 positions x 2 pairs
 
 
 def t(arr, grad=True):
@@ -116,20 +117,6 @@ def test_cumsum_value_and_grad():
     assert finite_difference_check(loss, [x]) < 1e-8
 
 
-def test_cummax_value():
-    x = np.array([1.0, 3.0, 2.0, 3.0, 5.0])
-    out = T.cummax(t(x), axis=0)
-    np.testing.assert_allclose(out.data, [1, 3, 3, 3, 5])
-
-
-def test_cummax_grad_routes_to_first_max():
-    x = t(np.array([1.0, 3.0, 2.0, 3.0]))
-    out = T.cummax(x, axis=0)
-    out.sum().backward()
-    # running maxes: positions 0 and 1 (1 and the first 3, which wins ties)
-    np.testing.assert_allclose(x.grad, [1.0, 3.0, 0.0, 0.0])
-
-
 @pytest.mark.parametrize(
     "name,fn,shapes",
     [
@@ -142,7 +129,7 @@ def test_cummax_grad_routes_to_first_max():
         ("exp", lambda a: T.exp(a).sum(), [(3, 3)]),
         ("log", lambda a: T.log(a * a + 0.5).sum(), [(3, 3)]),
         ("sqrt", lambda a: T.sqrt(a * a + 0.3).sum(), [(3, 3)]),
-        ("tanh", lambda a: T.tanh(a).sum(), [(3, 3)]),
+        ("rope", lambda a: (T.rope(a, np.cos(ANGLES), np.sin(ANGLES)) * a * a).sum(), [(3, 4)]),
         ("sigmoid", lambda a: T.sigmoid(a).sum(), [(3, 3)]),
         ("logsigmoid", lambda a: T.logsigmoid(a).sum(), [(3, 3)]),
         ("silu", lambda a: T.silu(a).sum(), [(3, 3)]),

@@ -182,6 +182,20 @@ def test_entropy_supervision_needs_teacher(toy):
         prepare_windows(docs[:4], vocab, cfg, tc, None)
 
 
+def test_stage2_scored_windows_keep_masks_not_teacher(toy):
+    docs, vocab, cfg, teacher = toy
+    tc = TrainConfig(stage=2, steps=1, batch_size=2, max_bytes=48, seed=0,
+                     merge_kind="entropy", target_compression=6.0)
+    windows = prepare_windows(docs[:4], vocab, cfg, tc, teacher)
+    sidx = SuffixIndex(vocab)
+    strategy = MergeStrategy("entropy", 6.0)
+    for w in windows:
+        assert w.teacher is None
+        ref = prepare_window(w.content, vocab, sidx, cfg, teacher, strategy)
+        assert np.array_equal(w.strategy_mask, ref.strategy_mask)
+        assert np.array_equal(w.subword_mask, ref.subword_mask)
+
+
 def test_make_windows_bounds():
     docs = [b"a" * 100, b"b" * 30, b"c" * 10]
     wins = make_windows(docs, 40, min_len=16)
