@@ -66,7 +66,7 @@ def save_checkpoint(
         f.write(digest)
 
 
-def load_checkpoint(path: str | Path, trainable: bool = True) -> tuple[ParamStore, ModelConfig, dict]:
+def load_checkpoint(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
     """Returns (params, config, header). Raises on bad magic, version,
     truncation, or checksum mismatch."""
     blob = Path(path).read_bytes()
@@ -94,7 +94,7 @@ def load_checkpoint(path: str | Path, trainable: bool = True) -> tuple[ParamStor
         arr = np.frombuffer(payload[offset : offset + n], dtype=np.dtype(entry["dtype"])).reshape(
             entry["shape"]
         )
-        tensors[entry["name"]] = Tensor(arr.copy(), requires_grad=trainable)
+        tensors[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
         offset += n
     if offset != len(payload):
         raise CheckpointError("trailing bytes after tensor table")

@@ -126,7 +126,7 @@ def build_train_config(cfg: dict[str, str], stage: int, args) -> TrainConfig:
         if not key.startswith("train."):
             continue
         name = key[len("train.") :]
-        if name in ("stage", "loss_weights"):  # set by the subcommand and the lambda_* keys
+        if name in ("stage", "loss_weights", "seed"):  # set by the subcommand, lambda_* and --seed
             raise ConfigFileError(f"unknown config key {key!r}")
         try:
             if name.startswith("lambda_"):
@@ -201,7 +201,6 @@ def cmd_stage1(args) -> int:
     teacher, teacher_mc, _ = _load_ckpt(args.teacher)
     mc = build_model_config(cfg, teacher_mc.vocab_size, teacher_mc)
     tc = build_train_config(cfg, stage=1, args=args)
-    tc.merge_kind = "subword"  # stage 1 always distills against subword boundaries
     rng = np.random.default_rng(args.seed)
     params = init_byte_model(mc, rng, teacher, fresh_suffix=args.fresh_suffix)
     n_local = params.n_params(LOCAL_COMPONENTS)
@@ -220,7 +219,7 @@ def cmd_stage2(args) -> int:
     params, mc, header = _load_ckpt(args.model)
     tc = build_train_config(cfg, stage=2, args=args)
     teacher = None
-    if MergeStrategy(tc.merge_kind, tc.target_compression or 1.0).needs_teacher:
+    if tc.strategy().needs_teacher:
         if not args.teacher:
             print("error: entropy/xent supervision needs --teacher", file=sys.stderr)
             return EXIT_USAGE
@@ -329,7 +328,7 @@ def cmd_boundary_dump(args) -> int:
             out = forward_full(params, mc, w.model_bytes[None, :], w.suffix[None, :], mask=None)
             mask = out["mask"][0][1:]  # drop the BOS pseudo-patch position
         else:
-            mask = w.strategy_mask[1:]
+            mask = w.mask[1:]
         masks.append(mask)
         print(mask_to_rle(mask))
     print(f"# attained compression: {attained_compression(masks):.4f}", file=sys.stderr)

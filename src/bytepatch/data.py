@@ -23,6 +23,7 @@ import numpy as np
 from .tokenizer import utf8_to_bytes
 
 EOT = 0  # document terminator byte
+MIN_WINDOW_BYTES = 16  # shortest document tail kept as a training window
 
 
 class DataError(ValueError):
@@ -142,16 +143,17 @@ def compound_docs(seed: int, n_docs: int = 150, words_per_doc: tuple[int, int] =
 
 # -- fixed-length training windows ---------------------------------------------
 
-def make_windows(docs: list[bytes], content_bytes: int, min_len: int = 16) -> list[bytes]:
+def make_windows(docs: list[bytes], content_bytes: int) -> list[bytes]:
     """Chunk documents into windows of `content_bytes`; each window later gets
     its own BOS byte, so recurrent state resets at window boundaries. Short
-    tails survive down to `min_len` so terminator bytes stay in training."""
+    tails survive down to `MIN_WINDOW_BYTES` so terminator bytes stay in
+    training."""
     out = []
     for doc in docs:
         for start in range(0, len(doc), content_bytes):
             w = doc[start : start + content_bytes]
-            if len(w) >= min_len:
+            if len(w) >= MIN_WINDOW_BYTES:
                 out.append(w)
     if not out:
-        raise DataError("no windows; documents shorter than min_len?")
+        raise DataError(f"no windows; documents shorter than {MIN_WINDOW_BYTES} bytes?")
     return out

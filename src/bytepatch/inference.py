@@ -49,14 +49,14 @@ class DecodeState:
     h_latest: np.ndarray  # start vector until the first patch closes
     history: bytearray  # all consumed bytes (suffix lookup context)
     pending: int = 0  # bytes in the open patch
-    n_patches: int = 0
-    n_global_calls: int = 0
+    n_global_calls: int = 0  # one per closed patch
     last_logprobs: np.ndarray = field(default_factory=lambda: np.zeros(0))
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
     def check(self) -> None:
         for cache in self.kv:
-            assert cache["pos"] == self.n_patches, "KV length != closed patches"
+            if cache["pos"] != self.n_global_calls:
+                raise InferenceError("KV length != closed patches")
 
 
 def _fresh_state(params: ParamStore, cfg: ModelConfig, seed: int) -> DecodeState:
@@ -98,7 +98,6 @@ def _advance_global(params: ParamStore, cfg: ModelConfig, state: DecodeState, e_
         x = L.attention_step(p, f"global.{l}.attn", x, state.kv[l], g.heads, g.head_dim, cfg.rope_base, cfg.rms_eps)
         x = L.ffn_step(p, f"global.{l}.ffn", x, cfg.rms_eps)
     state.h_latest = x * T.rms_scale_np(x, cfg.rms_eps) * params["global.final_norm_g"].data
-    state.n_patches += 1
     state.n_global_calls += 1
 
 

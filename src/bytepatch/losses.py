@@ -50,19 +50,17 @@ class LossBreakdown:
 def boundary_bce(
     p: Tensor,
     mask: np.ndarray,
-    reduction: str = "mean",
     eps: float = CLAMP_EPS,
 ) -> Tensor:
-    """-sum_t [m_t log p_t + (1 - m_t) log(1 - p_t)] with probabilities
-    clamped to [eps, 1-eps]; `reduction` picks the raw sum or the per-byte
-    mean used in training."""
+    """Per-byte mean of -[m_t log p_t + (1 - m_t) log(1 - p_t)] with
+    probabilities clamped to [eps, 1-eps]."""
     mask = np.asarray(mask, dtype=p.dtype)
     if mask.shape != p.shape:
         raise ValueError(f"mask shape {mask.shape} != scores shape {p.shape}")
     pc = T.clip(p, eps, 1.0 - eps)
     m = Tensor(mask, _op="const")
     terms = -(m * T.log(pc) + (1.0 - m) * T.log(1.0 - pc))
-    return terms.mean() if reduction == "mean" else terms.sum()
+    return terms.mean()
 
 
 def encoder_match(student_probe: Tensor, teacher_probe: np.ndarray, valid: np.ndarray | None = None) -> Tensor:

@@ -324,10 +324,10 @@ def predict_boundaries(params: ParamStore, cfg: ModelConfig, e_hat: Tensor) -> T
 
 
 def scored_positions(cfg: ModelConfig) -> slice:
-    """The positions whose boundary `predict_boundaries` actually scores:
-    all but its forced constant one (the last byte, or the first in the
-    causal ablation)."""
-    return slice(None, -1) if cfg.boundary_mode == "noncausal" else slice(1, None)
+    """The positions whose boundary bit comes from a real score: all but the
+    last byte, which `predicted_mask` always flags, and in the causal
+    ablation also the first, which `predict_boundaries` forces."""
+    return slice(None, -1) if cfg.boundary_mode == "noncausal" else slice(1, -1)
 
 
 def _cosine_score(q: Tensor, k: Tensor, eps: float) -> Tensor:

@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .model import ModelConfig, ParamStore, global_forward
 from .tensor import Tensor
-from .tokenizer import SubwordVocab, encode
+from .tokenizer import SubwordVocab
 
 
 @dataclass
@@ -56,10 +56,10 @@ def teacher_nll(params: ParamStore, cfg: ModelConfig, token_ids: np.ndarray, val
     return -(picked * Tensor(w, _op="const")).sum() / total
 
 
-def run_teacher(params: ParamStore, cfg: ModelConfig, vocab: SubwordVocab, data: bytes) -> TeacherOutputs:
-    """Forward one document (no gradients) and collect every teacher quantity
-    the conversion needs. BOS is prepended here."""
-    ids = encode(vocab, data)
+def run_teacher(params: ParamStore, cfg: ModelConfig, vocab: SubwordVocab, ids: list[int]) -> TeacherOutputs:
+    """Forward one document's token ids, as `encode` gives them (no gradients),
+    and collect every teacher quantity the conversion needs. BOS is prepended
+    here."""
     token_ids = np.array([vocab.bos_id] + ids, dtype=np.int64)
     logits, probe, z = teacher_logits(params, cfg, token_ids[None, :])
     logp = T.log_softmax(logits).data[0]  # (m+1, V)

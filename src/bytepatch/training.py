@@ -11,13 +11,18 @@ Stage 2 trains everything end-to-end with predicted-boundary pooling, keeping
 only the boundary BCE and the fused cross-entropy, with the byte-level modules
 on twice the backbone learning rate.
 
-Metrics stream to a line-delimited log, one JSON record per step.
+This module alone turns a document into a training window: `TrainConfig.strategy`
+picks the stage's boundary supervision, and `prepare_window` encodes the text
+once, runs the teacher on those token ids and merges the subword mask into the
+one supervision mask the window carries. Both stages and the teacher's own
+training share one step loop; metrics stream to a line-delimited log, one
+JSON record per step.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +77,8 @@ class TrainConfig:
     weight_decay: float = 0.1
     grad_clip: float = 0.5
     tau: float = 5.0
-    merge_kind: str = "subword"
-    target_compression: float = 0.0
+    merge_kind: str = "subword"  # stage 2 only; stage 1 always distills subword ends
+    target_compression: float = 0.0  # stage 2 only
     seed: int = 0
     use_oracle_pooling: bool = False  # stage 2 ablation: pool on supervision mask
     loss_weights: LossWeights = field(default_factory=LossWeights)
@@ -82,8 +87,12 @@ class TrainConfig:
         if self.stage not in (1, 2):
             raise ValueError("stage must be 1 or 2")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def strategy(self) -> MergeStrategy:
+        """The boundary supervision this stage trains on: the teacher's own
+        subword ends in stage 1, `merge_kind` at `target_compression` in stage 2."""
+        if self.stage == 1:
+            return MergeStrategy("subword")
+        return MergeStrategy(self.merge_kind, self.target_compression)
 
 
 def lr_at(config: TrainConfig, step: int) -> dict[str, float]:
@@ -105,35 +114,13 @@ def lr_at(config: TrainConfig, step: int) -> dict[str, float]:
 class Window:
     """One fixed training sequence with everything the steps consume."""
 
-    content: bytes
     model_bytes: np.ndarray  # [BOS] + content bytes
     suffix: np.ndarray  # longest-suffix token id per model position
-    subword_mask: np.ndarray  # over model positions; BOS flagged
-    strategy_mask: np.ndarray  # merged supervision (== subword_mask for kind=subword)
+    mask: np.ndarray  # supervision boundaries over model positions; BOS flagged
     teacher: TeacherOutputs | None  # prepare_windows keeps it for stage 1 only
 
     def __len__(self) -> int:
         return len(self.model_bytes)
-
-
-def supervision_from_tokens(
-    vocab: SubwordVocab,
-    content: bytes,
-    token_ids: list[int],
-    strategy: MergeStrategy,
-    teacher: TeacherOutputs | None,
-) -> np.ndarray:
-    """Content-level supervision mask for a strategy, before the BOS flag."""
-    base = mask_from_token_ids(vocab, token_ids)
-    if strategy.kind == "subword":
-        return base
-    t = strategy.target_compression
-    if strategy.kind == "bpe":
-        return merge_bpe_per_example(base, content, t)
-    if teacher is None:
-        raise ValueError(f"{strategy.kind} supervision needs teacher scores")
-    scores = teacher.entropy if strategy.kind == "entropy" else teacher.xent
-    return merge_by_score(base, len(content), scores, t)
 
 
 def prepare_window(
@@ -144,19 +131,24 @@ def prepare_window(
     teacher_params: ParamStore | None,
     strategy: MergeStrategy,
 ) -> Window:
+    """Encode `content` once, run the teacher (when given) on those token ids,
+    and merge the subword mask under `strategy` into the window's supervision."""
     token_ids = encode(vocab, content)
-    teacher = (
-        run_teacher(teacher_params, cfg, vocab, content) if teacher_params is not None else None
-    )
-    content_mask = mask_from_token_ids(vocab, token_ids)
-    strat_mask = supervision_from_tokens(vocab, content, token_ids, strategy, teacher)
+    teacher = run_teacher(teacher_params, cfg, vocab, token_ids) if teacher_params is not None else None
+    mask = mask_from_token_ids(vocab, token_ids)
+    t = strategy.target_compression
+    if strategy.kind == "bpe":
+        mask = merge_bpe_per_example(mask, content, t)
+    elif strategy.needs_teacher:
+        if teacher is None:
+            raise ValueError(f"{strategy.kind} supervision needs teacher scores")
+        scores = teacher.entropy if strategy.kind == "entropy" else teacher.xent
+        mask = merge_by_score(mask, len(content), scores, t)
     model_bytes = np.concatenate([[0], np.frombuffer(content, dtype=np.uint8)]).astype(np.int64)
     return Window(
-        content=content,
         model_bytes=model_bytes,
         suffix=suffix_ids(sidx, bytes(model_bytes.tolist())),
-        subword_mask=np.concatenate([[True], content_mask]),
-        strategy_mask=np.concatenate([[True], strat_mask]),
+        mask=np.concatenate([[True], mask]),
         teacher=teacher,
     )
 
@@ -168,7 +160,7 @@ def prepare_windows(
     tcfg: TrainConfig,
     teacher_params: ParamStore | None,
 ) -> list[Window]:
-    strategy = MergeStrategy(tcfg.merge_kind, tcfg.target_compression)
+    strategy = tcfg.strategy()
     sidx = SuffixIndex(vocab)
     chunks = make_windows(docs, tcfg.max_bytes - 1)
     teacher = teacher_params if tcfg.stage == 1 or strategy.needs_teacher else None
@@ -199,10 +191,10 @@ class WindowSampler:
         return [bucket[i] for i in idx]
 
 
-def _stack_batch(batch: list[Window], use_subword_mask: bool) -> dict:
+def _stack_batch(batch: list[Window]) -> dict:
     y = np.stack([w.model_bytes for w in batch])
     sfx = np.stack([w.suffix for w in batch])
-    mask = np.stack([w.subword_mask if use_subword_mask else w.strategy_mask for w in batch])
+    mask = np.stack([w.mask for w in batch])
     targets = fused_targets(y[:, 1:], mask[:, 1:])
     ends, valid = pool_indices(mask)
     return {"y": y, "sfx": sfx, "mask": mask, "targets": targets, "ends": ends, "valid": valid}
@@ -231,7 +223,7 @@ def stage1_step(
     """One distillation step: boundary BCE + probed encoder match + patch
     distillation + fused CE, with the backbone frozen and the decoder path
     depooling the teacher's final-layer states."""
-    arrays = _stack_batch(batch, use_subword_mask=True)
+    arrays = _stack_batch(batch)
     b, n = arrays["y"].shape
     p_max = arrays["ends"].shape[1]
     t_probe = _pad_teacher(batch, "probe", p_max, cfg.d)
@@ -282,7 +274,7 @@ def stage2_step(
     """One end-to-end step: boundary BCE + fused CE, pooling on the model's
     own thresholded boundaries (or the supervision mask under the oracle
     ablation), every parameter group trainable."""
-    arrays = _stack_batch(batch, use_subword_mask=False)
+    arrays = _stack_batch(batch)
     w = tcfg.loss_weights
     pool_mask = arrays["mask"] if tcfg.use_oracle_pooling else None
     out = forward_full(params, cfg, arrays["y"], arrays["sfx"], mask=pool_mask)
@@ -322,25 +314,33 @@ class MetricsLog:
                 f.write(json.dumps(record) + "\n")
 
 
-def _make_optimizer(params: ParamStore, tcfg: TrainConfig) -> AdamW:
-    if tcfg.stage == 1:
-        params.set_trainable(("global",), False)
-        params.set_trainable(LOCAL_COMPONENTS, True)
-        groups = {"local": params.trainable(LOCAL_COMPONENTS)}
-    else:
-        params.set_trainable(("global",), True)
-        params.set_trainable(LOCAL_COMPONENTS, True)
-        groups = {
-            "global": params.trainable(("global",)),
-            "local": params.trainable(LOCAL_COMPONENTS),
-        }
-    return AdamW(
+def _train_loop(
+    tcfg: TrainConfig,
+    groups: dict[str, list[Tensor]],
+    rows: list,
+    step,
+    log_path: str | Path | None,
+) -> MetricsLog:
+    """The one step loop: `lr_at` sets each group's learning rate, then one
+    draw from `rows`, one `step(opt, batch)` and one JSONL record of its
+    metrics."""
+    sampler = WindowSampler(rows, tcfg.batch_size, tcfg.seed)
+    opt = AdamW(
         groups,
         beta1=tcfg.beta1,
         beta2=tcfg.beta2,
         weight_decay=tcfg.weight_decay,
         grad_clip=tcfg.grad_clip,
     )
+    log = MetricsLog(log_path)
+    for i in range(tcfg.steps):
+        lrs = lr_at(tcfg, i + 1)
+        for name in opt.groups:
+            opt.set_lr(name, lrs[name])
+        metrics = step(opt, sampler.draw())
+        log.write({"step": i + 1, **metrics, "lr_local": lrs["local"],
+                   "lr_global": lrs["global"] if "global" in opt.groups else 0.0})
+    return log
 
 
 def train_conversion(
@@ -352,25 +352,24 @@ def train_conversion(
     tcfg: TrainConfig,
     log_path: str | Path | None = None,
 ) -> MetricsLog:
-    """Run stage 1 or stage 2 for tcfg.steps over the documents."""
+    """Run stage 1 or stage 2 for tcfg.steps over the documents. Stage 1
+    trains the byte-level modules only; stage 2 adds the backbone as its own
+    learning-rate group."""
     if tcfg.stage == 1 and teacher_params is None:
         raise ValueError("stage 1 needs the teacher")
     windows = prepare_windows(docs, vocab, cfg, tcfg, teacher_params)
-    sampler = WindowSampler(windows, tcfg.batch_size, tcfg.seed)
-    opt = _make_optimizer(params, tcfg)
-    step_fn = stage1_step if tcfg.stage == 1 else stage2_step
-    log = MetricsLog(log_path)
-    for i in range(tcfg.steps):
-        lrs = lr_at(tcfg, i + 1)
-        opt.set_lr("local", lrs["local"])
-        if "global" in opt.groups:
-            opt.set_lr("global", lrs["global"])
-        batch = sampler.draw()
+    stage2 = tcfg.stage == 2
+    params.set_trainable(("global",), stage2)
+    params.set_trainable(LOCAL_COMPONENTS, True)
+    groups = {"global": params.trainable(("global",))} if stage2 else {}
+    groups["local"] = params.trainable(LOCAL_COMPONENTS)
+    step_fn = stage2_step if stage2 else stage1_step
+
+    def step(opt: AdamW, batch: list[Window]) -> dict:
         breakdown, extras = step_fn(params, cfg, tcfg, opt, batch)
-        record = {"step": i + 1, **breakdown.as_dict(), **extras,
-                  "lr_local": lrs["local"], "lr_global": lrs["global"] if tcfg.stage == 2 else 0.0}
-        log.write(record)
-    return log
+        return {**breakdown.as_dict(), **extras}
+
+    return _train_loop(tcfg, groups, windows, step, log_path)
 
 
 # -- teacher training ---------------------------------------------------------------
@@ -387,24 +386,16 @@ def train_teacher(
     conversion will see."""
     chunks = make_windows(docs, tcfg.max_bytes - 1)
     token_rows = [np.array([vocab.bos_id] + encode(vocab, c), dtype=np.int64) for c in chunks]
-    sampler = WindowSampler(token_rows, tcfg.batch_size, tcfg.seed)
     params.set_trainable(tuple(params.component_tags()), True)
-    opt = AdamW(
-        {"local": [t for _, t in params.items()]},
-        beta1=tcfg.beta1, beta2=tcfg.beta2,
-        weight_decay=tcfg.weight_decay, grad_clip=tcfg.grad_clip,
-    )
-    log = MetricsLog(log_path)
-    for i in range(tcfg.steps):
-        lrs = lr_at(tcfg, i + 1)
-        opt.set_lr("local", lrs["local"])
-        loss = teacher_nll(params, cfg, np.stack(sampler.draw()))
+
+    def step(opt: AdamW, batch: list[np.ndarray]) -> dict:
+        loss = teacher_nll(params, cfg, np.stack(batch))
         opt.zero_grad()
         loss.backward()
         grad_norm = opt.step()
-        log.write({"step": i + 1, "total": loss.item(), "l_ce": loss.item(),
-                   "grad_norm": grad_norm, "lr_local": lrs["local"], "lr_global": 0.0})
-    return log
+        return {"total": loss.item(), "l_ce": loss.item(), "grad_norm": grad_norm}
+
+    return _train_loop(tcfg, {"local": [t for _, t in params.items()]}, token_rows, step, log_path)
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -437,13 +428,13 @@ def evaluate_bpb(
             continue
         w = prepare_window(content, vocab, sidx, cfg, scorer, strategy)
         out = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], mask=None)
-        targets = fused_targets(w.model_bytes[1:], w.strategy_mask[1:])[None, :]
+        targets = fused_targets(w.model_bytes[1:], w.mask[1:])[None, :]
         ce = ce_fused(out["logprobs"], targets).item()
         n_pred = len(w.model_bytes) - 1
         tot_ce += ce * n_pred
         tot_pos += n_pred
         pred = out["mask"][0]
-        tot_correct += int((pred[real] == w.strategy_mask[real]).sum())
+        tot_correct += int((pred[real] == w.mask[real]).sum())
         tot_real += pred[real].size
         pred_masks.append(pred)
     ce_mean = tot_ce / tot_pos
@@ -473,8 +464,8 @@ def evaluate_alignment(
         if len(content) < 2:
             continue
         w = prepare_window(content, vocab, sidx, cfg, teacher_params, MergeStrategy("subword"))
-        out = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], w.subword_mask[None, :])
-        targets = fused_targets(w.model_bytes[1:], w.subword_mask[1:])[None, :]
+        out = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], w.mask[None, :])
+        targets = fused_targets(w.model_bytes[1:], w.mask[1:])[None, :]
         sums, valid = patch_logprobs(out["logprobs"], targets, out["ends"], out["valid"])
         diffs.append(np.abs(sums.data[0] - w.teacher.next_logp))
     all_diffs = np.concatenate(diffs)

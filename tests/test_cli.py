@@ -11,6 +11,7 @@ from bytepatch.cli import (
     EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_MISSING, EXIT_OK, EXIT_USAGE,
     build_model_config, build_train_config, parse_config_file,
 )
+from bytepatch.data import load_corpus
 from bytepatch.model import init_byte_model
 
 TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
@@ -75,9 +76,12 @@ def test_config_parsing(tmp_path):
                        ("model.rope_base", "500"), ("model.nonsense", "1")]:
         with pytest.raises(cli.ConfigFileError):
             build_model_config({key: value}, 300, teacher)
-    # the subcommand, not the file, picks the training stage
+    # the subcommand, not the file, picks the training stage, and --seed is
+    # the only training seed
     with pytest.raises(cli.ConfigFileError):
         build_train_config({"train.stage": "2"}, 1, SimpleNamespace(seed=0))
+    with pytest.raises(cli.ConfigFileError):
+        build_train_config({"train.seed": "7"}, 2, SimpleNamespace(seed=0))
 
 
 def test_unknown_flag_exits_usage():
@@ -120,16 +124,20 @@ def test_corrupt_checkpoint_exit_code(workspace, tmp_path):
 
 def test_stage1_zero_steps_saves_init(workspace, tmp_path):
     root, cfg = workspace
-    out = tmp_path / "init.ckpt"
-    rc = cli.main(["stage1", "--data", str(root / "corpus"), "--teacher", str(root / "teacher.ckpt"),
-                   "--vocab", str(root / "vocab.txt"), "--out", str(out),
-                   "--config", str(cfg), "--seed", "2", "--steps", "0"])
-    assert rc == EXIT_OK
-    saved, mc, _ = load_checkpoint(out)
     teacher, _, _ = load_checkpoint(root / "teacher.ckpt")
-    fresh = init_byte_model(mc, np.random.default_rng(2), teacher)
-    for name, t in fresh.items():
-        assert np.array_equal(saved[name].data, t.data), name
+    for fresh_suffix in (False, True):
+        out = tmp_path / f"init{int(fresh_suffix)}.ckpt"
+        rc = cli.main(["stage1", "--data", str(root / "corpus"), "--teacher", str(root / "teacher.ckpt"),
+                       "--vocab", str(root / "vocab.txt"), "--out", str(out),
+                       "--config", str(cfg), "--seed", "2", "--steps", "0",
+                       *(["--fresh-suffix"] if fresh_suffix else [])])
+        assert rc == EXIT_OK
+        saved, mc, _ = load_checkpoint(out)
+        fresh = init_byte_model(mc, np.random.default_rng(2), teacher, fresh_suffix=fresh_suffix)
+        for name, t in fresh.items():
+            assert np.array_equal(saved[name].data, t.data), name
+        copied = np.array_equal(saved["subword_embed.table"].data, teacher["subword_embed.table"].data)
+        assert copied != fresh_suffix
 
 
 def test_generate_deterministic_outputs(workspace, tmp_path):
@@ -153,6 +161,15 @@ def test_eval_bpb_reports_and_matches_loss_ce(workspace, capsys):
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert out["bits_per_byte"] == pytest.approx(out["ce_nats"] / np.log(2), rel=1e-12)
     assert 0 < out["boundary_acc"] <= 1
+    # with the teacher, subword evaluation adds the patch/token alignment
+    rc = cli.main(["eval-bpb", "--data", str(root / "corpus"), "--model", str(root / "s1.ckpt"),
+                   "--vocab", str(root / "vocab.txt"), "--config", str(cfg),
+                   "--teacher", str(root / "teacher.ckpt")])
+    assert rc == EXIT_OK
+    with_teacher = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert with_teacher["bits_per_byte"] == out["bits_per_byte"]
+    assert with_teacher["n_patches"] > 0
+    assert 0 <= with_teacher["mean_abs_diff"] <= with_teacher["max_abs_diff"]
 
 
 def test_spectrum_and_boundary_dump(workspace, capsys):
@@ -199,6 +216,23 @@ def test_scored_supervision_eval_and_dump(workspace, capsys, kind):
     assert cli.main(["boundary-dump", "--docs", "2", *teacher, *common]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines and all(":" in l for l in lines)
+
+
+@pytest.mark.parametrize("kind", ["shifted-words", "compounds"])
+def test_make_corpus_kinds(tmp_path, kind):
+    out = tmp_path / "corpus"
+    assert cli.main(["make-corpus", "--kind", kind, "--docs", "4", "--out", str(out), "--seed", "1"]) == EXIT_OK
+    assert len(load_corpus(out).train) >= 3
+
+
+def test_reset_check_reports_ratio(workspace, capsys):
+    root, cfg = workspace
+    teacher = str(root / "teacher.ckpt")
+    rc = cli.main(["reset-check", "--data", str(root / "corpus"), "--base", teacher,
+                   "--posttrained", teacher, "--vocab", str(root / "vocab.txt"), "--config", str(cfg)])
+    assert rc == EXIT_OK
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert out["ratio"] == 1.0  # resetting to identical embeddings changes nothing
 
 
 def test_merge_roundtrip_via_cli(workspace, tmp_path):

@@ -65,7 +65,7 @@ def test_single_byte_prompt_single_patch(setup):
     cfg, params, sidx = setup
     state, _, mask = prefill(params, cfg, sidx, b"A")
     assert mask.tolist() == [True]
-    assert state.n_patches == 1
+    assert state.n_global_calls == 1
 
 
 def test_empty_prompt_rejected(setup):
@@ -114,7 +114,10 @@ def test_global_invocations_equal_boundary_bits(setup):
     for sym in forced:
         decode_step(params, cfg, state, sidx, sampler, forced_symbol=sym)
     assert state.n_global_calls - base_calls == 2
-    assert state.kv[0]["pos"] == state.n_patches
+    assert state.kv[0]["pos"] == state.n_global_calls
+    state.kv[0]["pos"] += 1  # a cache out of step with the closed patches is refused
+    with pytest.raises(InferenceError):
+        state.check()
 
 
 def test_patch_cap_forces_boundary(setup):
@@ -122,11 +125,11 @@ def test_patch_cap_forces_boundary(setup):
     _, params, sidx = setup
     sampler = SamplerConfig(temperature=0.0)
     state, _, _ = prefill(params, cfg_capped, sidx, b"x")
-    before = state.n_patches
+    before = state.n_global_calls
     for _ in range(8):  # force non-boundary symbols only
         decode_step(params, cfg_capped, state, sidx, sampler, forced_symbol=ord("a"))
     # every 4th byte closes a patch despite no sampled boundary bits
-    assert state.n_patches - before == 2
+    assert state.n_global_calls - before == 2
     assert state.pending < 4
     # prefill closes capped patches too: a threshold of 1 predicts no interior
     # boundary, so only the cap and the forced final byte close patches

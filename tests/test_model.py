@@ -126,8 +126,12 @@ def test_causal_boundary_alignment(setup):
     # same pair scores, shifted by one position; forced ends differ
     np.testing.assert_allclose(c[1:], nc[:-1], atol=0)
     assert c[0] == 1.0 and nc[-1] == 1.0
-    # each mode's scored positions leave out exactly its forced one
-    np.testing.assert_allclose(c[M.scored_positions(ccfg)], nc[M.scored_positions(cfg)], atol=0)
+    # neither mode scores the last byte, which `predicted_mask` always flags;
+    # the causal mode also leaves out its forced first byte
+    positions = np.arange(5)
+    assert positions[M.scored_positions(cfg)].tolist() == [0, 1, 2, 3]
+    assert positions[M.scored_positions(ccfg)].tolist() == [1, 2, 3]
+    np.testing.assert_allclose(c[M.scored_positions(ccfg)], nc[:-2], atol=0)
 
 
 def test_pool_last(setup):

@@ -41,7 +41,7 @@ def test_teacher_nll_matches_manual(setup):
 
 def test_run_teacher_consistency(setup):
     docs, vocab, cfg, params = setup
-    out = run_teacher(params, cfg, vocab, docs[0])
+    out = run_teacher(params, cfg, vocab, encode(vocab, docs[0]))
     m = len(out.token_ids) - 1
     assert out.token_ids[0] == vocab.bos_id
     assert out.next_logp.shape == (m,)

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -69,8 +70,8 @@ def test_prepare_window_alignment(toy):
     # BOS pseudo-patch plus one patch per teacher token
     assert w.model_bytes[0] == 0
     assert len(w.model_bytes) == len(content) + 1
-    assert w.subword_mask[0] and w.subword_mask[-1]
-    assert int(w.subword_mask.sum()) == len(w.teacher.token_ids)
+    assert w.mask[0] and w.mask[-1]
+    assert int(w.mask.sum()) == len(w.teacher.token_ids)
     assert len(w.teacher.next_logp) == len(w.teacher.token_ids) - 1
     # suffix ids are always valid vocabulary tokens
     assert w.suffix.min() >= 0 and w.suffix.max() < vocab.n_tokens
@@ -84,10 +85,10 @@ def test_supervision_strategies_are_subsets(toy):
     for kind in ("bpe", "entropy", "xent"):
         strat = MergeStrategy(kind, target_compression=8.0)
         w = prepare_window(content, vocab, sidx, cfg, teacher, strat)
-        assert not np.any(w.strategy_mask & ~base.subword_mask)
-        assert w.strategy_mask[-1]
-        assert w.strategy_mask.sum() <= base.subword_mask.sum()
-        assert len(content) / (w.strategy_mask.sum() - 1) >= 8.0 or w.strategy_mask.sum() <= 2
+        assert not np.any(w.mask & ~base.mask)
+        assert w.mask[-1]
+        assert w.mask.sum() <= base.mask.sum()
+        assert len(content) / (w.mask.sum() - 1) >= 8.0 or w.mask.sum() <= 2
 
 
 def test_stage1_freezes_global_bit_exact(toy):
@@ -191,13 +192,45 @@ def test_stage2_scored_windows_keep_masks_not_teacher(toy):
     strategy = MergeStrategy("entropy", 6.0)
     for w in windows:
         assert w.teacher is None
-        ref = prepare_window(w.content, vocab, sidx, cfg, teacher, strategy)
-        assert np.array_equal(w.strategy_mask, ref.strategy_mask)
-        assert np.array_equal(w.subword_mask, ref.subword_mask)
+        content = w.model_bytes[1:].astype(np.uint8).tobytes()
+        ref = prepare_window(content, vocab, sidx, cfg, teacher, strategy)
+        assert np.array_equal(w.mask, ref.mask)
+
+
+def test_stage1_supervises_subword_ends_whatever_the_merge_keys(toy):
+    docs, vocab, cfg, teacher = toy
+    # stage 1 ignores the stage-2 merge keys, even ones stage 2 would reject
+    tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=0,
+                     merge_kind="bpe", target_compression=0.0)
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    log = train_conversion(student, cfg, vocab, teacher, docs[:4], tc)
+    assert len(log.records) == 1 and np.isfinite(log.records[0]["total"])
+    assert tc.strategy() == MergeStrategy("subword")
+    windows = prepare_windows(docs[:4], vocab, cfg, tc, teacher)
+    for w in windows:
+        assert int(w.mask.sum()) == len(w.teacher.token_ids)  # BOS + one end per token
+
+
+def test_stage1_windows_encode_each_window_once(toy, monkeypatch):
+    docs, vocab, cfg, teacher = toy
+    seen = []
+
+    def counting_encode(v, data):
+        seen.append(data)
+        return encode(v, data)
+
+    # every module that imported `encode` counts, whichever calls it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bytepatch.") and getattr(module, "encode", None) is encode:
+            monkeypatch.setattr(module, "encode", counting_encode)
+    tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=0)
+    windows = prepare_windows(docs[:4], vocab, cfg, tc, teacher)
+    assert seen == make_windows(docs[:4], tc.max_bytes - 1)
+    assert len(seen) == len(windows)
 
 
 def test_make_windows_bounds():
     docs = [b"a" * 100, b"b" * 30, b"c" * 10]
-    wins = make_windows(docs, 40, min_len=16)
+    wins = make_windows(docs, 40)
     assert all(16 <= len(w) <= 40 for w in wins)
     assert sum(1 for w in wins if w[0:1] == b"a") == 3  # 40+40+20
