@@ -148,6 +148,8 @@ def make_windows(docs: list[bytes], content_bytes: int) -> list[bytes]:
     its own BOS byte, so recurrent state resets at window boundaries. Short
     tails survive down to `MIN_WINDOW_BYTES` so terminator bytes stay in
     training."""
+    if content_bytes < MIN_WINDOW_BYTES:
+        raise DataError(f"{content_bytes}-byte windows are below the {MIN_WINDOW_BYTES}-byte minimum")
     out = []
     for doc in docs:
         for start in range(0, len(doc), content_bytes):
@@ -155,5 +157,6 @@ def make_windows(docs: list[bytes], content_bytes: int) -> list[bytes]:
             if len(w) >= MIN_WINDOW_BYTES:
                 out.append(w)
     if not out:
-        raise DataError(f"no windows; documents shorter than {MIN_WINDOW_BYTES} bytes?")
+        raise DataError(f"no training windows: every document is shorter than the "
+                        f"{MIN_WINDOW_BYTES}-byte minimum")
     return out

@@ -9,6 +9,7 @@ the canonical BPE convention. Ties between equally frequent pairs break on
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,15 +55,22 @@ class SubwordVocab:
         return len(self.token_bytes)
 
     def check(self) -> None:
+        """Ids 0..255 are the 256 single bytes, in order, so every byte
+        string encodes; merge r builds id 256 + r from earlier ids."""
+        if self.token_bytes[:N_BYTES] != [bytes([i]) for i in range(N_BYTES)]:
+            raise TokenizerError("ids 0..255 must be the single bytes 0..255 in order")
+        n_merged = len(self.token_bytes) - N_BYTES
+        if len(self.merges) != n_merged:
+            raise TokenizerError(f"{len(self.merges)} merges for {n_merged} merged tokens")
         seen = set()
-        for i, tb in enumerate(self.token_bytes):
-            if len(tb) == 0:
-                raise TokenizerError(f"token {i} has empty byte-string")
+        for tb in self.token_bytes:
             if tb in seen:
                 raise TokenizerError(f"duplicate byte-string {tb!r}")
             seen.add(tb)
         for r, (a, b) in enumerate(self.merges):
-            if self.token_bytes[256 + r] != self.token_bytes[a] + self.token_bytes[b]:
+            if not (0 <= a < N_BYTES + r and 0 <= b < N_BYTES + r):
+                raise TokenizerError(f"merge {r} uses an id not below {N_BYTES + r}")
+            if self.token_bytes[N_BYTES + r] != self.token_bytes[a] + self.token_bytes[b]:
                 raise TokenizerError(f"merge {r} does not reconstruct its token")
 
 
@@ -119,21 +127,37 @@ def train_bpe(corpus: list[bytes], vocab_size: int) -> SubwordVocab:
 
 def encode(vocab: SubwordVocab, data: bytes) -> list[int]:
     """Canonical BPE encoding: apply merges greedily in rank order. Single
-    bytes guarantee totality; no BOS is added here."""
+    bytes guarantee totality; no BOS is added here.
+
+    A min-heap of (rank, position) over a linked list of live tokens pops the
+    pairs in rank order, equal ranks left to right. A merge only creates pairs
+    of higher rank (`check` requires merge r to use ids below 256 + r), so the
+    pops reproduce the rank-by-rank non-overlapping left-to-right replacement.
+    Entries whose pair has since changed are skipped when popped.
+    """
     ids = list(data)
+    n = len(ids)
     ranks = vocab._ranks
-    while len(ids) >= 2:
-        best_rank = None
-        best_pair = None
-        for pair in zip(ids, ids[1:]):
-            r = ranks.get(pair)
-            if r is not None and (best_rank is None or r < best_rank):
-                best_rank = r
-                best_pair = pair
-        if best_pair is None:
-            break
-        ids = apply_merge(ids, best_pair, 256 + best_rank)
-    return ids
+    nxt = list(range(1, n + 1))  # n ends the list
+    prv = list(range(-1, n - 1))
+    heap = [(r, i) for i, pair in enumerate(zip(ids, ids[1:])) if (r := ranks.get(pair)) is not None]
+    heapq.heapify(heap)
+    while heap:
+        r, i = heapq.heappop(heap)
+        j = nxt[i]
+        if ids[i] < 0 or j == n or ranks.get((ids[i], ids[j])) != r:
+            continue
+        ids[i], ids[j] = N_BYTES + r, -1
+        k = nxt[j]
+        nxt[i] = k
+        if k < n:
+            prv[k] = i
+            if (rk := ranks.get((ids[i], ids[k]))) is not None:
+                heapq.heappush(heap, (rk, i))
+        p = prv[i]
+        if p >= 0 and (rp := ranks.get((ids[p], ids[i]))) is not None:
+            heapq.heappush(heap, (rp, p))
+    return [t for t in ids if t >= 0]
 
 
 def decode(vocab: SubwordVocab, ids: list[int]) -> bytes:
@@ -188,7 +212,8 @@ class SuffixIndex:
 
 def longest_suffix_token(index: SuffixIndex, data: bytes, i: int) -> int:
     """Id of the vocabulary token whose byte-string is the longest suffix of
-    data[: i + 1]. Single-byte tokens make the result total."""
+    data[: i + 1]. The 256 single-byte tokens `check` guarantees make the
+    result total."""
     if not 0 <= i < len(data):
         raise TokenizerError(f"position {i} out of range")
     node = 0
@@ -204,7 +229,6 @@ def longest_suffix_token(index: SuffixIndex, data: bytes, i: int) -> int:
         if token[node] >= 0:
             best = token[node]
         pos -= 1
-    assert best >= 0
     return best
 
 

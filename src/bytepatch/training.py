@@ -12,11 +12,13 @@ only the boundary BCE and the fused cross-entropy, with the byte-level modules
 on twice the backbone learning rate.
 
 This module alone turns a document into a training window: `TrainConfig.strategy`
-picks the stage's boundary supervision, and `prepare_window` encodes the text
-once, runs the teacher on those token ids and merges the subword mask into the
-one supervision mask the window carries. Both stages and the teacher's own
-training share one step loop; metrics stream to a line-delimited log, one
-JSON record per step.
+picks the stage's boundary supervision, each window's text is encoded once,
+the teacher runs on those token ids and the subword mask is merged into the
+one supervision mask the window carries. `prepare_windows` runs the teacher
+over all training windows in batches of equal token count; `prepare_window`
+builds one window (evaluation, boundary dumps) with the same assembly code.
+Both stages and the teacher's own training share one step loop; metrics
+stream to a line-delimited log, one JSON record per step.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .model import (
     transformer_probe,
 )
 from .optim import AdamW
-from .teacher import TeacherOutputs, run_teacher, teacher_nll
+from .teacher import TeacherOutputs, run_teacher, run_teachers, teacher_nll
 from .tensor import Tensor
 from .tokenizer import SubwordVocab, SuffixIndex, encode, mask_from_token_ids, suffix_ids
 
@@ -135,6 +137,18 @@ def prepare_window(
     and merge the subword mask under `strategy` into the window's supervision."""
     token_ids = encode(vocab, content)
     teacher = run_teacher(teacher_params, cfg, vocab, token_ids) if teacher_params is not None else None
+    return _assemble_window(content, token_ids, teacher, vocab, sidx, strategy)
+
+
+def _assemble_window(
+    content: bytes,
+    token_ids: list[int],
+    teacher: TeacherOutputs | None,
+    vocab: SubwordVocab,
+    sidx: SuffixIndex,
+    strategy: MergeStrategy,
+) -> Window:
+    """The window of `content`, given its token ids and teacher outputs."""
     mask = mask_from_token_ids(vocab, token_ids)
     t = strategy.target_compression
     if strategy.kind == "bpe":
@@ -160,13 +174,19 @@ def prepare_windows(
     tcfg: TrainConfig,
     teacher_params: ParamStore | None,
 ) -> list[Window]:
+    """Every `make_windows` chunk of `docs` as a window: each chunk is encoded
+    once and the teacher runs over all of them in batches."""
     strategy = tcfg.strategy()
     sidx = SuffixIndex(vocab)
     chunks = make_windows(docs, tcfg.max_bytes - 1)
-    teacher = teacher_params if tcfg.stage == 1 or strategy.needs_teacher else None
-    windows = (prepare_window(c, vocab, sidx, cfg, teacher, strategy) for c in chunks)
+    id_lists = [encode(vocab, c) for c in chunks]
+    teachers: list[TeacherOutputs | None] = [None] * len(chunks)
+    if teacher_params is not None and (tcfg.stage == 1 or strategy.needs_teacher):
+        teachers = run_teachers(teacher_params, cfg, vocab, id_lists)
+    windows = [_assemble_window(c, ids, t, vocab, sidx, strategy)
+               for c, ids, t in zip(chunks, id_lists, teachers)]
     # only stage 1 reads teacher activations; stage 2 needs just the masks
-    return [w if tcfg.stage == 1 else replace(w, teacher=None) for w in windows]
+    return windows if tcfg.stage == 1 else [replace(w, teacher=None) for w in windows]
 
 
 class WindowSampler:
@@ -187,7 +207,7 @@ class WindowSampler:
         length = self.lengths[int(self.rng.choice(len(self.lengths), p=self.weights))]
         bucket = self.buckets[length]
         take = min(self.batch_size, len(bucket))
-        idx = self.rng.choice(len(bucket), size=take, replace=len(bucket) < self.batch_size)
+        idx = self.rng.choice(len(bucket), size=take, replace=False)
         return [bucket[i] for i in idx]
 
 

@@ -245,3 +245,14 @@ def test_merge_roundtrip_via_cli(workspace, tmp_path):
     b, _, _ = load_checkpoint(merged)
     for name, t in a.items():
         assert np.array_equal(b[name].data, t.data)
+
+
+def test_corpus_of_short_documents_names_the_window_minimum(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i in range(4):
+        (corpus / f"d{i}.txt").write_text(f"cat dog {i}")  # 10 bytes with the terminator
+    rc = cli.main(["train-teacher", "--data", str(corpus), "--out", str(tmp_path / "t.ckpt"),
+                   "--vocab-out", str(tmp_path / "v.txt")])
+    assert rc == EXIT_CONFIG
+    assert "shorter than the 16-byte minimum" in capsys.readouterr().err

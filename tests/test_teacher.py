@@ -3,7 +3,8 @@ import pytest
 
 from bytepatch import tensor as T
 from bytepatch.model import GlobalConfig, MlstmConfig, ModelConfig, init_teacher
-from bytepatch.teacher import run_teacher, teacher_logits, teacher_nll
+from bytepatch import teacher as teacher_mod
+from bytepatch.teacher import run_teacher, run_teachers, teacher_logits, teacher_nll
 from bytepatch.tokenizer import encode, train_bpe
 
 
@@ -55,3 +56,24 @@ def test_run_teacher_consistency(setup):
     nll = teacher_nll(params, cfg, out.token_ids[None, :]).item()
     assert nll == pytest.approx(float(out.xent.mean()), rel=1e-6)
 
+
+
+@pytest.mark.parametrize("batch_rows", [2, teacher_mod.BATCH_ROWS])
+def test_run_teachers_matches_run_teacher(setup, monkeypatch, batch_rows):
+    docs, vocab, cfg, params = setup
+    monkeypatch.setattr(teacher_mod, "BATCH_ROWS", batch_rows)  # 2: groups split
+    texts = [docs[0][a:b] for a, b in [(0, 20), (5, 40), (0, 20), (3, 9), (10, 30), (0, 20), (1, 2), (5, 40)]]
+    id_lists = [encode(vocab, t) for t in texts]
+    assert len({len(ids) for ids in id_lists}) < len(id_lists)  # some rows share a group
+    batched = run_teachers(params, cfg, vocab, id_lists)
+    assert len(batched) == len(id_lists)
+    for ids, got in zip(id_lists, batched):
+        want = run_teacher(params, cfg, vocab, ids)
+        assert np.array_equal(got.token_ids, [vocab.bos_id, *ids])
+        assert np.array_equal(got.token_ids, want.token_ids)
+        for name in ("next_logp", "entropy", "xent"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12)
+        for name in ("probe", "z"):
+            assert getattr(got, name).dtype == np.float32
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-6)
+    assert run_teachers(params, cfg, vocab, []) == []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bytepatch import tokenizer as tok
+from bytepatch.data import markov_word_docs
 from bytepatch.tokenizer import (
     SubwordVocab,
     SuffixIndex,
@@ -66,6 +67,48 @@ def test_encode_decode_roundtrip_random():
     for _ in range(1000):
         data = bytes(rng.integers(0, 256, size=rng.integers(1, 40)).tolist())
         assert tok.decode(vocab, tok.encode(vocab, data)) == data
+
+
+def _encode_by_rescan(vocab: SubwordVocab, data: bytes) -> list[int]:
+    """Oracle for `encode`: rescan the whole sequence for its lowest-rank
+    pair, replace that pair everywhere left to right, repeat."""
+    ids = list(data)
+    ranks = vocab._ranks
+    while len(ids) >= 2:
+        best_rank = None
+        best_pair = None
+        for pair in zip(ids, ids[1:]):
+            r = ranks.get(pair)
+            if r is not None and (best_rank is None or r < best_rank):
+                best_rank = r
+                best_pair = pair
+        if best_pair is None:
+            break
+        ids = tok.apply_merge(ids, best_pair, 256 + best_rank)
+    return ids
+
+
+def test_encode_matches_rescan_oracle_on_random_vocabularies():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        top = int(rng.integers(98, 102))  # alphabet a..top, 2 to 5 letters
+
+        def text(n):
+            return bytes(rng.integers(97, top + 1, size=n).tolist())
+
+        vocab = train_bpe([text(rng.integers(4, 40)) for _ in range(8)], int(rng.integers(258, 330)))
+        inputs = [b"", b"a", b"aaaa", b"a" * int(rng.integers(5, 30)), b"ab" * 9 + b"a"]
+        inputs += [text(rng.integers(1, 60)) for _ in range(15)]
+        for data in inputs:
+            assert tok.encode(vocab, data) == _encode_by_rescan(vocab, data), (vocab.merges, data)
+
+
+def test_encode_matches_rescan_oracle_on_toy_text():
+    docs = [d.encode() for d in markov_word_docs(seed=2, n_docs=40)]
+    vocab = train_bpe(docs[:30], 420)
+    for doc in docs[30:]:
+        for data in (doc[:88], doc[:512]):
+            assert tok.encode(vocab, data) == _encode_by_rescan(vocab, data)
 
 
 def test_boundary_mask_ab_ab():
@@ -152,4 +195,23 @@ def test_vocab_check_rejects_bad_merge():
     vocab.merges = [(0, 1)]  # claims token 256 = \x00\x01, actually b"xy"
     vocab.bos_id = 257
     with pytest.raises(TokenizerError):
+        vocab.check()
+
+
+def test_load_vocab_rejects_swapped_byte_ids(tmp_path):
+    vocab = train_bpe([b"the cat sat on the mat, the cat sat"], 300)
+    path = tmp_path / "vocab.txt"
+    tok.save_vocab(vocab, str(path))
+    lines = path.read_text().splitlines()
+    lines[97], lines[98] = lines[98], lines[97]  # ids of b"a" and b"b"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TokenizerError, match="single bytes"):
+        tok.load_vocab(str(path))
+
+
+def test_vocab_check_rejects_merge_of_a_later_id():
+    # token 256 claims to merge token 257, which merge 0 cannot have built yet
+    token_bytes = [bytes([i]) for i in range(256)] + [b"aab", b"ab"]
+    vocab = SubwordVocab(token_bytes, [(ord("a"), 257), (ord("a"), ord("b"))])
+    with pytest.raises(TokenizerError, match="not below 256"):
         vocab.check()

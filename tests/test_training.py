@@ -6,10 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bytepatch import teacher as teacher_mod
 from bytepatch import training as tr
 from bytepatch.boundaries import MergeStrategy
 from bytepatch.cli import build_train_config, parse_config_file
-from bytepatch.data import make_windows, markov_word_docs
+from bytepatch.data import DataError, make_windows, markov_word_docs
 from bytepatch.losses import LossWeights
 from bytepatch.model import (
     GlobalConfig,
@@ -229,8 +230,56 @@ def test_stage1_windows_encode_each_window_once(toy, monkeypatch):
     assert len(seen) == len(windows)
 
 
+def test_stage1_windows_equal_a_prepare_window_loop(toy):
+    docs, vocab, cfg, teacher = toy
+    tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=0)
+    windows = prepare_windows(docs[:6], vocab, cfg, tc, teacher)
+    chunks = make_windows(docs[:6], tc.max_bytes - 1)
+    sidx = SuffixIndex(vocab)
+    assert len(windows) == len(chunks)
+    for w, chunk in zip(windows, chunks):
+        ref = prepare_window(chunk, vocab, sidx, cfg, teacher, MergeStrategy("subword"))
+        assert np.array_equal(w.model_bytes, ref.model_bytes)
+        assert np.array_equal(w.mask, ref.mask)
+        assert np.array_equal(w.suffix, ref.suffix)
+        assert np.array_equal(w.teacher.token_ids, ref.teacher.token_ids)
+        np.testing.assert_allclose(w.teacher.next_logp, ref.teacher.next_logp, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w.teacher.z, ref.teacher.z, rtol=0, atol=1e-6)
+
+
+def test_stage1_windows_batch_the_teacher(toy, monkeypatch):
+    docs, vocab, cfg, teacher = toy
+    rows = []
+    teacher_logits = teacher_mod.teacher_logits
+
+    def counting_logits(params, cfg, token_ids):
+        rows.append(len(token_ids))
+        return teacher_logits(params, cfg, token_ids)
+
+    monkeypatch.setattr(teacher_mod, "teacher_logits", counting_logits)
+    monkeypatch.setattr(teacher_mod, "BATCH_ROWS", 4)
+    tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=0)
+    windows = prepare_windows(docs[:8], vocab, cfg, tc, teacher)
+    groups = np.unique([len(encode(vocab, c)) for c in make_windows(docs[:8], tc.max_bytes - 1)],
+                       return_counts=True)[1]
+    # one forward per (token-count group, at most 4 rows), not one per window
+    assert len(rows) == sum(-(-g // 4) for g in groups) < len(windows)
+    assert sum(rows) == len(windows) and max(rows) <= 4
+
+
+def test_window_sampler_short_bucket_draws_each_window_once():
+    windows = [np.arange(5) + i for i in range(3)]
+    sampler = tr.WindowSampler(windows, batch_size=8, seed=0)
+    for _ in range(200):
+        batch = sampler.draw()
+        assert len(batch) == 3
+        assert len({int(w[0]) for w in batch}) == 3
+
+
 def test_make_windows_bounds():
     docs = [b"a" * 100, b"b" * 30, b"c" * 10]
     wins = make_windows(docs, 40)
     assert all(16 <= len(w) <= 40 for w in wins)
     assert sum(1 for w in wins if w[0:1] == b"a") == 3  # 40+40+20
+    with pytest.raises(DataError, match="below the 16-byte minimum"):
+        make_windows(docs, 15)
