@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tokenizer import apply_merge
+
 
 class BoundaryError(ValueError):
     pass
@@ -60,34 +62,18 @@ def merge_bpe_per_example(mask: np.ndarray, data: bytes, t: float) -> np.ndarray
     """Per-example BPE over patches: merge every non-overlapping occurrence of
     the most frequent adjacent patch-content pair, repeating until average
     bytes-per-patch >= t or a single patch remains."""
-    ends = list(mask_to_ends(mask))
+    ends = mask_to_ends(mask)
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    pieces = [bytes(data[a : b + 1]) for a, b in zip(starts, ends)]
     n = len(data)
-    while len(ends) > 1 and n / len(ends) < t:
-        spans = _spans(ends)
-        pieces = [bytes(data[a : b + 1]) for a, b in spans]
+    while len(pieces) > 1 and n / len(pieces) < t:
         counts: dict[tuple[bytes, bytes], int] = {}
-        first_at: dict[tuple[bytes, bytes], int] = {}
-        for i in range(len(pieces) - 1):
-            pair = (pieces[i], pieces[i + 1])
+        for pair in zip(pieces, pieces[1:]):
             counts[pair] = counts.get(pair, 0) + 1
-            first_at.setdefault(pair, i)
-        best = min(counts.items(), key=lambda kv: (-kv[1], first_at[kv[0]]))[0]
-        new_ends = []
-        i = 0
-        while i < len(pieces):
-            if i < len(pieces) - 1 and (pieces[i], pieces[i + 1]) == best:
-                new_ends.append(ends[i + 1])  # drop the boundary at ends[i]
-                i += 2
-            else:
-                new_ends.append(ends[i])
-                i += 1
-        ends = new_ends
-    return ends_to_mask(np.array(ends), n)
-
-
-def _spans(ends: list[int]) -> list[tuple[int, int]]:
-    starts = [0] + [e + 1 for e in ends[:-1]]
-    return list(zip(starts, ends))
+        # insertion order is first occurrence, so ties go to the leftmost pair
+        a, b = max(counts, key=counts.get)
+        pieces = apply_merge(pieces, (a, b), a + b)
+    return ends_to_mask(np.cumsum([len(piece) for piece in pieces]) - 1, n)
 
 
 def merge_by_score(mask: np.ndarray, n_bytes: int, scores: np.ndarray, t: float) -> np.ndarray:
@@ -103,17 +89,15 @@ def merge_by_score(mask: np.ndarray, n_bytes: int, scores: np.ndarray, t: float)
     if np.any(scores < 0):
         raise BoundaryError("merge scores must be non-negative")
     score = scores.copy()
-    starts = np.concatenate([[0], ends[:-1] + 1])
     nxt = list(range(1, p)) + [-1]
     prv = [-1] + list(range(p - 1))
-    alive = [True] * p
-    heap: list[tuple[float, int, int, int]] = []
-    for i in range(p - 1):
-        heapq.heappush(heap, (score[i] + score[i + 1], int(starts[i]), i, i + 1))
+    alive = np.ones(p, dtype=bool)
+    heap = [(score[i] + score[i + 1], i, i + 1) for i in range(p - 1)]
+    heapq.heapify(heap)
     remaining = p
     while remaining > 1 and n_bytes / remaining < t:
         while True:
-            s, _, left, right = heapq.heappop(heap)
+            s, left, right = heapq.heappop(heap)
             if alive[left] and alive[right] and nxt[left] == right:
                 if s == score[left] + score[right]:
                     break
@@ -125,21 +109,12 @@ def merge_by_score(mask: np.ndarray, n_bytes: int, scores: np.ndarray, t: float)
             prv[nxt[left]] = left
         remaining -= 1
         if prv[left] >= 0:
-            heapq.heappush(heap, (score[prv[left]] + score[left], int(starts[prv[left]]), prv[left], left))
+            heapq.heappush(heap, (score[prv[left]] + score[left], prv[left], left))
         if nxt[left] >= 0:
-            heapq.heappush(heap, (score[left] + score[nxt[left]], int(starts[left]), left, nxt[left]))
-    # surviving boundaries: the end of every alive patch
-    out_ends = []
-    i = 0
-    while i >= 0:
-        if not alive[i]:
-            raise AssertionError("walk hit a dead patch")
-        # the end of patch i is the original end of its last constituent,
-        # which is ends[next alive start - 1]; track via linked list
-        j = nxt[i]
-        out_ends.append(int(ends[j - 1]) if j >= 0 else int(ends[-1]))
-        i = j
-    return ends_to_mask(np.array(out_ends), len(mask))
+            heapq.heappush(heap, (score[left] + score[nxt[left]], left, nxt[left]))
+    # a merge absorbs the right patch, so boundary k survives exactly when
+    # patch k + 1 is alive; the final boundary always does
+    return ends_to_mask(ends[np.append(alive[1:], True)], len(mask))
 
 
 def attained_compression(masks: list[np.ndarray]) -> float:

@@ -42,8 +42,6 @@ def save_checkpoint(
     payload = bytearray()
     for name in names:
         arr = np.ascontiguousarray(params[name].data)
-        if arr.dtype.byteorder == ">":
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
         raw = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
         table.append(
             {"name": name, "shape": list(arr.shape), "dtype": arr.dtype.name, "nbytes": len(raw)}

@@ -47,7 +47,7 @@ class DecodeState:
     dec: list[dict]
     kv: list[dict]
     h_latest: np.ndarray  # start vector until the first patch closes
-    history: bytearray  # all consumed bytes (suffix lookup context)
+    history: bytearray  # the last SuffixIndex.max_len consumed bytes (suffix lookup context)
     pending: int = 0  # bytes in the open patch
     n_global_calls: int = 0  # one per closed patch
     last_logprobs: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -85,6 +85,7 @@ def _step_stack(params: ParamStore, cfg: ModelConfig, x: np.ndarray, states: lis
 
 def _encode_byte(params: ParamStore, cfg: ModelConfig, state: DecodeState, sidx: SuffixIndex, byte: int) -> np.ndarray:
     state.history.append(byte)
+    del state.history[: -sidx.max_len]  # no suffix token reaches further back
     sfx = longest_suffix_token(sidx, bytes(state.history), len(state.history) - 1)
     e = params["byte_embed.table"].data[byte] + params["subword_embed.table"].data[sfx]
     return _step_stack(params, cfg, e, state.enc, "encoder")

@@ -138,7 +138,6 @@ def mlstm_block(
     v_dim: int,
     soft_cap: float,
     eps: float,
-    collect: dict | None = None,
 ) -> Tensor:
     """Parallel-form mLSTM with exponential input gate, sigmoid forget gate,
     soft-capped gate pre-activations, matrix memory per head, per-head RMS
@@ -153,8 +152,6 @@ def mlstm_block(
 
     i_pre = T.softcap(T.matmul(xn, p[f"{prefix}.w_i"]) + p[f"{prefix}.b_i"], soft_cap)
     f_pre = T.softcap(T.matmul(xn, p[f"{prefix}.w_f"]) + p[f"{prefix}.b_f"], soft_cap)
-    if collect is not None:
-        collect.setdefault("gate_preacts", []).extend([i_pre.data, f_pre.data])
     i_pre = T.transpose(i_pre, (0, 2, 1))  # (B, NH, n)
     f_pre = T.transpose(f_pre, (0, 2, 1))
 

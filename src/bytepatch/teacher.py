@@ -47,17 +47,13 @@ def teacher_logits(params: ParamStore, cfg: ModelConfig, token_ids: np.ndarray) 
     return logits, probe, z
 
 
-def teacher_nll(params: ParamStore, cfg: ModelConfig, token_ids: np.ndarray, valid: np.ndarray | None = None) -> Tensor:
-    """Mean next-token cross-entropy in nats over valid positions."""
+def teacher_nll(params: ParamStore, cfg: ModelConfig, token_ids: np.ndarray) -> Tensor:
+    """Mean next-token cross-entropy in nats."""
     token_ids = np.atleast_2d(np.asarray(token_ids, dtype=np.int64))
     logits, _, _ = teacher_logits(params, cfg, token_ids)
     logp = T.log_softmax(logits)
     picked = T.pick(logp[:, :-1, :], token_ids[:, 1:])
-    if valid is None:
-        return -picked.mean()
-    w = np.asarray(valid[:, 1:], dtype=logp.dtype)
-    total = float(w.sum())
-    return -(picked * Tensor(w, _op="const")).sum() / total
+    return -picked.mean()
 
 
 BATCH_ROWS = 64  # rows per teacher forward; 16..64 cost the same per row

@@ -1,9 +1,12 @@
 """Dense tensor engine with reverse-mode autodiff on top of numpy arrays.
 
-The graph is built define-by-run: every op records its parents and a closure
-that routes the output gradient back to them. Calling ``backward()`` on a
-scalar walks the recorded graph once in reverse topological order. Values
-are float64 throughout.
+The graph is built define-by-run: every op hands `_make` its output and one
+vector-Jacobian product (VJP) per input, a function from the output's
+gradient to that input's. `_make` keeps only the VJPs of inputs in the graph
+(`requires_grad`), so constants and frozen weights get no gradient computed
+or stored. Calling ``backward()`` on a scalar walks the recorded graph once
+in reverse topological order and is the one place gradients accumulate.
+Values are float64 throughout.
 
 Where the graph-free code (the decode step path, the sampler) needs an op's
 forward, the op's arithmetic is a public ``*_np`` kernel, so both paths
@@ -20,6 +23,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+
+Vjp = Callable[[np.ndarray], np.ndarray]  # output gradient -> one input's gradient
 
 
 class NonFiniteError(FloatingPointError):
@@ -76,16 +81,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A dense array node in the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_vjps", "_op")
 
-    def __init__(
-        self,
-        data,
-        requires_grad: bool = False,
-        _parents: tuple["Tensor", ...] = (),
-        _backward: Callable[[np.ndarray], None] | None = None,
-        _op: str = "leaf",
-    ):
+    def __init__(self, data, requires_grad: bool = False, _op: str = "leaf"):
         if isinstance(data, Tensor):
             raise TypeError("wrap raw arrays, not Tensors")
         arr = np.asarray(data)
@@ -94,8 +92,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents = _parents
-        self._backward = _backward
+        self._vjps: tuple[tuple[Tensor, Vjp], ...] = ()
         self._op = _op
         _check_finite(arr, _op)
 
@@ -124,24 +121,27 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """A view of the same values cut off from the graph."""
-        return Tensor(self.data, requires_grad=False, _op="detach")
+        return Tensor(self.data, _op="detach")
 
     # -- backward -----------------------------------------------------------
     def backward(self) -> None:
-        """Reverse-mode sweep from this scalar through the recorded graph."""
+        """Reverse-mode sweep from this scalar through the recorded graph:
+        each node's gradient goes through its VJPs into its inputs' `.grad`."""
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar loss")
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-        # free intermediate grads/closures so the graph can be collected
+            for parent, vjp in node._vjps:
+                g = vjp(node.grad)
+                # accumulation allocates a fresh array, so sharing g across inputs is safe
+                parent.grad = g if parent.grad is None else parent.grad + g
+        # free intermediate grads and VJPs so the graph can be collected
         for node in order:
-            if node._backward is not None:
+            if node._vjps:
                 node.grad = None
-                node._backward = None
-                node._parents = ()
+                node._vjps = ()
+                node.requires_grad = False
 
     # -- operator sugar -----------------------------------------------------
     def __add__(self, other):
@@ -214,23 +214,19 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p, _ in node._vjps:
             if id(p) not in seen:
                 stack.append((p, False))
     return order
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    # accumulation allocates a fresh array, so sharing g across parents is safe
-    t.grad = g if t.grad is None else t.grad + g
-
-
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
-    req = any(p.requires_grad or p._backward is not None for p in parents)
-    if not req:
-        backward = None
-        parents = ()
-    return Tensor(data, _parents=tuple(parents), _backward=backward, _op=op)
+def _make(data: np.ndarray, op: str, *inputs: tuple[Tensor, Vjp]) -> Tensor:
+    """The op's output node. `inputs` pairs each input with its VJP; only the
+    pairs whose input is in the graph are kept."""
+    out = Tensor(data, _op=op)
+    out._vjps = tuple(pair for pair in inputs if pair[0].requires_grad)
+    out.requires_grad = bool(out._vjps)
+    return out
 
 
 # -- elementwise binary -----------------------------------------------------
@@ -242,60 +238,41 @@ def _binary(a: Tensor, b: Tensor, op: str):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary(a, b, "add")
-    out_data = a.data + b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
-
-    return _make(out_data, (a, b), backward, "add")
+    return _make(a.data + b.data, "add",
+                 (a, lambda g: _unbroadcast(g, a.shape)),
+                 (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary(a, b, "sub")
-    out_data = a.data - b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _make(out_data, (a, b), backward, "sub")
+    return _make(a.data - b.data, "sub",
+                 (a, lambda g: _unbroadcast(g, a.shape)),
+                 (b, lambda g: _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary(a, b, "mul")
-    out_data = a.data * b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
-
-    return _make(out_data, (a, b), backward, "mul")
+    return _make(a.data * b.data, "mul",
+                 (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _binary(a, b, "div")
     with np.errstate(all="ignore"):
         out_data = a.data / b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * out_data / b.data, b.shape))
-
-    return _make(out_data, (a, b), backward, "div")
+    return _make(out_data, "div",
+                 (a, lambda g: _unbroadcast(g / b.data, a.shape)),
+                 (b, lambda g: _unbroadcast(-g * out_data / b.data, b.shape)))
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; ties route the gradient to the first argument."""
     _binary(a, b, "maximum")
     take_a = a.data >= b.data
-    out_data = np.where(take_a, a.data, b.data)
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * take_a, a.shape))
-        _accum(b, _unbroadcast(g * ~take_a, b.shape))
-
-    return _make(out_data, (a, b), backward, "maximum")
+    return _make(np.where(take_a, a.data, b.data), "maximum",
+                 (a, lambda g: _unbroadcast(g * take_a, a.shape)),
+                 (b, lambda g: _unbroadcast(g * ~take_a, b.shape)))
 
 
 # -- elementwise unary ------------------------------------------------------
@@ -303,42 +280,26 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 def exp(x: Tensor) -> Tensor:
     with np.errstate(all="ignore"):
         out_data = np.exp(x.data)
-
-    def backward(g):
-        _accum(x, g * out_data)
-
-    return _make(out_data, (x,), backward, "exp")
+    return _make(out_data, "exp", (x, lambda g: g * out_data))
 
 
 def log(x: Tensor) -> Tensor:
     with np.errstate(all="ignore"):
         out_data = np.log(x.data)
-
-    def backward(g):
-        _accum(x, g / x.data)
-
-    return _make(out_data, (x,), backward, "log")
+    return _make(out_data, "log", (x, lambda g: g / x.data))
 
 
 def sqrt(x: Tensor) -> Tensor:
     with np.errstate(all="ignore"):
         out_data = np.sqrt(x.data)
-
-    def backward(g):
-        # guard the 0.5/sqrt singularity at exactly 0: upstream grads there
-        # are themselves 0 in every use we have (L2 norms), so clamp is safe
-        _accum(x, g * 0.5 / np.maximum(out_data, 1e-150))
-
-    return _make(out_data, (x,), backward, "sqrt")
+    # guard the 0.5/sqrt singularity at exactly 0: upstream grads there
+    # are themselves 0 in every use we have (L2 norms), so clamp is safe
+    return _make(out_data, "sqrt", (x, lambda g: g * 0.5 / np.maximum(out_data, 1e-150)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     out_data = sigmoid_np(x.data)
-
-    def backward(g):
-        _accum(x, g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (x,), backward, "sigmoid")
+    return _make(out_data, "sigmoid", (x, lambda g: g * out_data * (1.0 - out_data)))
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -347,12 +308,7 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def logsigmoid(x: Tensor) -> Tensor:
-    out_data = logsigmoid_np(x.data)
-
-    def backward(g):
-        _accum(x, g * sigmoid_np(-x.data))
-
-    return _make(out_data, (x,), backward, "logsigmoid")
+    return _make(logsigmoid_np(x.data), "logsigmoid", (x, lambda g: g * sigmoid_np(-x.data)))
 
 
 def logsigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -362,22 +318,12 @@ def logsigmoid_np(x: np.ndarray) -> np.ndarray:
 
 def silu(x: Tensor) -> Tensor:
     s = sigmoid_np(x.data)
-    out_data = x.data * s
-
-    def backward(g):
-        _accum(x, g * (s + x.data * s * (1.0 - s)))
-
-    return _make(out_data, (x,), backward, "silu")
+    return _make(x.data * s, "silu", (x, lambda g: g * (s + x.data * s * (1.0 - s))))
 
 
 def absolute(x: Tensor) -> Tensor:
-    out_data = np.abs(x.data)
     sign = np.sign(x.data)
-
-    def backward(g):
-        _accum(x, g * sign)
-
-    return _make(out_data, (x,), backward, "abs")
+    return _make(np.abs(x.data), "abs", (x, lambda g: g * sign))
 
 
 def clip(x: Tensor, lo: float | None, hi: float | None) -> Tensor:
@@ -389,11 +335,7 @@ def clip(x: Tensor, lo: float | None, hi: float | None) -> Tensor:
         inside &= x.data >= lo
     if hi is not None:
         inside &= x.data <= hi
-
-    def backward(g):
-        _accum(x, g * inside)
-
-    return _make(out_data, (x,), backward, "clip")
+    return _make(out_data, "clip", (x, lambda g: g * inside))
 
 
 def log1mexp(x: Tensor) -> Tensor:
@@ -402,24 +344,15 @@ def log1mexp(x: Tensor) -> Tensor:
     if np.any(xd >= 0):
         raise NonFiniteError("log1mexp requires strictly negative input")
     out_data = np.where(xd > -np.log(2.0), np.log(-np.expm1(xd)), np.log1p(-np.exp(xd)))
-
-    def backward(g):
-        # d/dx log(1-e^x) = -1/expm1(-x)
-        _accum(x, -g / np.expm1(-xd))
-
-    return _make(out_data, (x,), backward, "log1mexp")
+    # d/dx log(1-e^x) = -1/expm1(-x)
+    return _make(out_data, "log1mexp", (x, lambda g: -g / np.expm1(-xd)))
 
 
 def softcap(x: Tensor, cap: float) -> Tensor:
     # softcap_np's arithmetic, inline to keep tanh for the backward:
     # recovering it as out / cap is not bit-identical
     t = np.tanh(x.data / cap)
-    out_data = cap * t
-
-    def backward(g):
-        _accum(x, g * (1.0 - t * t))
-
-    return _make(out_data, (x,), backward, "softcap")
+    return _make(cap * t, "softcap", (x, lambda g: g * (1.0 - t * t)))
 
 
 def softcap_np(x: np.ndarray, cap: float) -> np.ndarray:
@@ -431,16 +364,9 @@ def softcap_np(x: np.ndarray, cap: float) -> np.ndarray:
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            _accum(x, np.broadcast_to(g, x.shape))
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(x, np.broadcast_to(g, x.shape))
-
-    return _make(np.asarray(out_data), (x,), backward, "sum")
+    kept = axis is None or keepdims  # g already broadcasts against x
+    return _make(np.asarray(out_data), "sum",
+                 (x, lambda g: np.broadcast_to(g if kept else np.expand_dims(g, axis), x.shape)))
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -453,60 +379,43 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def cumsum(x: Tensor, axis: int) -> Tensor:
-    out_data = np.cumsum(x.data, axis=axis)
-
-    def backward(g):
-        _accum(x, np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis))
-
-    return _make(out_data, (x,), backward, "cumsum")
+    return _make(np.cumsum(x.data, axis=axis), "cumsum",
+                 (x, lambda g: np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis)))
 
 
 # -- shape ops --------------------------------------------------------------
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out_data = x.data.reshape(shape)
     in_shape = x.shape
-
-    def backward(g):
-        _accum(x, g.reshape(in_shape))
-
-    return _make(out_data, (x,), backward, "reshape")
+    return _make(x.data.reshape(shape), "reshape", (x, lambda g: g.reshape(in_shape)))
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out_data = np.transpose(x.data, axes)
     inv = np.argsort(axes)
-
-    def backward(g):
-        _accum(x, np.transpose(g, inv))
-
-    return _make(out_data, (x,), backward, "transpose")
+    return _make(np.transpose(x.data, axes), "transpose", (x, lambda g: np.transpose(g, inv)))
 
 
 def index(x: Tensor, key) -> Tensor:
-    out_data = x.data[key]
-
-    def backward(g):
+    def vjp(g):
         full = np.zeros_like(x.data)
         full[key] = g
-        _accum(x, full)
+        return full
 
-    return _make(out_data, (x,), backward, "index")
+    return _make(x.data[key], "index", (x, vjp))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = list(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            key = [slice(None)] * g.ndim
-            key[axis] = slice(lo, hi)
-            _accum(t, g[tuple(key)])
+    def part(lo, hi):
+        key = [slice(None)] * out_data.ndim
+        key[axis] = slice(lo, hi)
+        return lambda g: g[tuple(key)]
 
-    return _make(out_data, tuple(tensors), backward, "concat")
+    return _make(out_data, "concat",
+                 *((t, part(lo, hi)) for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:])))
 
 
 # -- matmul -----------------------------------------------------------------
@@ -519,21 +428,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dims {sa} @ {sb}")
     if len(sa) > 2 and len(sb) > 2 and sa[:-2] != sb[:-2]:
         raise ShapeError(f"matmul: batch dims must match exactly, got {sa} @ {sb}")
-    out_data = np.matmul(a.data, b.data)
-
-    def backward(g):
-        bt = np.swapaxes(b.data, -1, -2)
-        at = np.swapaxes(a.data, -1, -2)
-        ga = np.matmul(g, bt)
-        if ga.ndim > len(sa):  # b batched, a plain: sum over batch
-            ga = ga.sum(axis=tuple(range(ga.ndim - len(sa))))
-        _accum(a, ga)
-        gb = np.matmul(at, g)
-        if gb.ndim > len(sb):  # a batched, b plain (weight): sum over batch
-            gb = gb.sum(axis=tuple(range(gb.ndim - len(sb))))
-        _accum(b, gb)
-
-    return _make(out_data, (a, b), backward, "matmul")
+    # a batched operand against a plain one (a weight) sums the plain
+    # operand's gradient over the batch axes
+    return _make(np.matmul(a.data, b.data), "matmul",
+                 (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), sa)),
+                 (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), sb)))
 
 
 # -- gathers ----------------------------------------------------------------
@@ -541,14 +440,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def take_rows(table: Tensor, idx: np.ndarray) -> Tensor:
     """Embedding lookup: table (R, d), idx int array of any shape -> idx.shape + (d,)."""
     idx = np.asarray(idx)
-    out_data = table.data[idx]
 
-    def backward(g):
+    def vjp(g):
         full = np.zeros_like(table.data)
         np.add.at(full, idx, g)
-        _accum(table, full)
+        return full
 
-    return _make(out_data, (table,), backward, "take_rows")
+    return _make(table.data[idx], "take_rows", (table, vjp))
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -556,15 +454,13 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx)
     if x.ndim != 3 or idx.ndim != 2:
         raise ShapeError("gather_rows expects x (B, R, d) and idx (B, P)")
-    out_data = np.take_along_axis(x.data, idx[:, :, None], axis=1)
 
-    def backward(g):
+    def vjp(g):
         full = np.zeros_like(x.data)
-        rows = np.arange(x.shape[0])[:, None]
-        np.add.at(full, (rows, idx), g)
-        _accum(x, full)
+        np.add.at(full, (np.arange(x.shape[0])[:, None], idx), g)
+        return full
 
-    return _make(out_data, (x,), backward, "gather_rows")
+    return _make(np.take_along_axis(x.data, idx[:, :, None], axis=1), "gather_rows", (x, vjp))
 
 
 def pick(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -572,14 +468,13 @@ def pick(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx)
     if idx.shape != x.shape[:-1]:
         raise ShapeError(f"pick: idx shape {idx.shape} must equal {x.shape[:-1]}")
-    out_data = np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0]
 
-    def backward(g):
+    def vjp(g):
         full = np.zeros_like(x.data)
         np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
-        _accum(x, full)
+        return full
 
-    return _make(out_data, (x,), backward, "pick")
+    return _make(np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0], "pick", (x, vjp))
 
 
 def exp_where(x: Tensor, keep: np.ndarray) -> Tensor:
@@ -589,11 +484,7 @@ def exp_where(x: Tensor, keep: np.ndarray) -> Tensor:
     keep_b = np.broadcast_to(keep, x.shape)
     out_data = np.zeros(x.shape, dtype=x.data.dtype)
     np.exp(x.data, out=out_data, where=keep_b)
-
-    def backward(g):
-        _accum(x, g * out_data)
-
-    return _make(out_data, (x,), backward, "exp_where")
+    return _make(out_data, "exp_where", (x, lambda g: g * out_data))
 
 
 def outer_add(u: Tensor, v: Tensor) -> Tensor:
@@ -601,25 +492,17 @@ def outer_add(u: Tensor, v: Tensor) -> Tensor:
     with out[..., i, j] = u[..., i] + v[..., j]. Leading dims must match."""
     if u.shape[:-1] != v.shape[:-1]:
         raise ShapeError(f"outer_add: leading dims differ, {u.shape} vs {v.shape}")
-    out_data = u.data[..., :, None] + v.data[..., None, :]
-
-    def backward(g):
-        _accum(u, g.sum(axis=-1))
-        _accum(v, g.sum(axis=-2))
-
-    return _make(out_data, (u, v), backward, "outer_add")
+    return _make(u.data[..., :, None] + v.data[..., None, :], "outer_add",
+                 (u, lambda g: g.sum(axis=-1)),
+                 (v, lambda g: g.sum(axis=-2)))
 
 
 # -- fused normalizers ------------------------------------------------------
 
 def softmax(x: Tensor) -> Tensor:
     out_data = softmax_np(x.data)
-
-    def backward(g):
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        _accum(x, (g - dot) * out_data)
-
-    return _make(out_data, (x,), backward, "softmax")
+    return _make(out_data, "softmax",
+                 (x, lambda g: (g - (g * out_data).sum(axis=-1, keepdims=True)) * out_data))
 
 
 def softmax_np(x: np.ndarray) -> np.ndarray:
@@ -630,11 +513,8 @@ def softmax_np(x: np.ndarray) -> np.ndarray:
 
 def log_softmax(x: Tensor) -> Tensor:
     out_data = log_softmax_np(x.data)
-
-    def backward(g):
-        _accum(x, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
-
-    return _make(out_data, (x,), backward, "log_softmax")
+    return _make(out_data, "log_softmax",
+                 (x, lambda g: g - np.exp(out_data) * g.sum(axis=-1, keepdims=True)))
 
 
 def log_softmax_np(x: np.ndarray) -> np.ndarray:
@@ -646,14 +526,13 @@ def log_softmax_np(x: np.ndarray) -> np.ndarray:
 def rmsnorm(x: Tensor, eps: float = 0.0) -> Tensor:
     """x / sqrt(mean(x^2, last axis) + eps); gain is applied by the caller."""
     r = rms_scale_np(x.data, eps)
-    out_data = x.data * r
     n = x.shape[-1]
 
-    def backward(g):
+    def vjp(g):
         dot = (g * x.data).sum(axis=-1, keepdims=True)
-        _accum(x, r * g - (r ** 3 / n) * dot * x.data)
+        return r * g - (r ** 3 / n) * dot * x.data
 
-    return _make(out_data, (x,), backward, "rmsnorm")
+    return _make(x.data * r, "rmsnorm", (x, vjp))
 
 
 def rms_scale_np(x: np.ndarray, eps: float) -> np.ndarray:
@@ -666,14 +545,9 @@ def rms_scale_np(x: np.ndarray, eps: float) -> np.ndarray:
 # -- rotary positions -------------------------------------------------------
 
 def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotary positions on the last axis. A rotation, so the backward is the
+    """Rotary positions on the last axis. A rotation, so the VJP is the
     inverse rotation of the output gradient."""
-    out_data = rope_np(x.data, cos, sin)
-
-    def backward(g):
-        _accum(x, rope_np(g, cos, -sin))
-
-    return _make(out_data, (x,), backward, "rope")
+    return _make(rope_np(x.data, cos, sin), "rope", (x, lambda g: rope_np(g, cos, -sin)))
 
 
 def rope_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:

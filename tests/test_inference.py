@@ -68,6 +68,14 @@ def test_single_byte_prompt_single_patch(setup):
     assert state.n_global_calls == 1
 
 
+def test_history_keeps_only_the_suffix_window(setup):
+    cfg, params, sidx = setup
+    prompt = bytes(np.random.default_rng(4).integers(97, 100, size=512).tolist())
+    state, _, _ = prefill(params, cfg, sidx, prompt)
+    assert len(state.history) <= sidx.max_len
+    assert bytes(state.history) == prompt[-sidx.max_len:]
+
+
 def test_empty_prompt_rejected(setup):
     cfg, params, sidx = setup
     with pytest.raises(InferenceError):

@@ -173,12 +173,14 @@ def test_attention_step_matches_batch():
 def test_gate_preactivations_respect_soft_cap():
     rng = np.random.default_rng(8)
     p = mlstm_params(rng)
-    # huge inputs would blow past the cap without the soft clamp
-    x = rng.normal(size=(1, 10, D)) * 50
-    collect = {}
-    L.mlstm_block(p, "m", Tensor(x), HEADS, QK, VD, CAP, EPS, collect=collect)
-    for arr in collect["gate_preacts"]:
-        assert np.all(np.abs(arr) < CAP)
+    # huge gate weights would blow past the cap without the soft clamp
+    for gate in ("i", "f"):
+        p[f"m.w_{gate}"].data *= 100
+    xn = L.rms(Tensor(rng.normal(size=(1, 10, D))), p["m.norm_g"], EPS)
+    for gate in ("i", "f"):
+        raw = T.matmul(xn, p[f"m.w_{gate}"]) + p[f"m.b_{gate}"]
+        assert np.any(np.abs(raw.data) > CAP)
+        assert np.all(np.abs(T.softcap(raw, CAP).data) < CAP)
 
 
 def test_rope_preserves_norm_and_relative_positions():

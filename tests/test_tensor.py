@@ -204,6 +204,15 @@ def test_detach_blocks_gradient():
     assert x.grad == pytest.approx(2.0)  # only the live branch
 
 
+def test_backward_skips_inputs_outside_the_graph():
+    x = t([[1.0, -2.0]])
+    w = t([[1.0, 2.0], [3.0, 4.0]], grad=False)  # frozen weight
+    c = Tensor(np.array([10.0, 20.0]), _op="const")
+    (x @ w + c).sum().backward()
+    assert w.grad is None and c.grad is None
+    np.testing.assert_array_equal(x.grad, [[3.0, 7.0]])  # row sums of w
+
+
 def test_evaluate_deterministic():
     x = RNG.normal(size=(8, 8))
     w = RNG.normal(size=(8, 8))

@@ -117,6 +117,16 @@ def test_stage1_freezes_global_bit_exact(toy):
     assert any(local_before[n] != local_after[n] for n in local_before)  # others moved
 
 
+def test_stage1_leaves_no_gradient_on_frozen_tensors(toy):
+    docs, vocab, cfg, teacher = toy
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=3)
+    train_conversion(student, cfg, vocab, teacher, docs[:8], tc)
+    assert [n for n, t in student.component("global").items() if t.grad is not None] == []
+    assert all(t.grad is None for _, t in student.items() if not t.requires_grad)
+    assert any(t.grad is not None for _, t in student.items() if t.requires_grad)
+
+
 def test_stage1_loss_decreases_smoke(toy):
     docs, vocab, cfg, teacher = toy
     # a lightly trained teacher makes the distillation target coherent
