@@ -139,14 +139,3 @@ def mask_to_rle(mask: np.ndarray) -> str:
     bounds = np.concatenate([[0], edges, [len(mask)]])
     runs = np.diff(bounds)
     return f"{int(mask[0])}:{','.join(str(int(r)) for r in runs)}"
-
-
-def rle_to_mask(text: str) -> np.ndarray:
-    first, _, runs = text.partition(":")
-    bit = bool(int(first))
-    out: list[np.ndarray] = []
-    if runs:
-        for r in runs.split(","):
-            out.append(np.full(int(r), bit))
-            bit = not bit
-    return np.concatenate(out) if out else np.zeros(0, dtype=bool)

@@ -92,7 +92,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
         arr = np.frombuffer(payload[offset : offset + n], dtype=np.dtype(entry["dtype"])).reshape(
             entry["shape"]
         )
-        tensors[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
+        tensors[entry["name"]] = Tensor(arr.copy())
         offset += n
     if offset != len(payload):
         raise CheckpointError("trailing bytes after tensor table")

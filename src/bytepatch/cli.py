@@ -24,6 +24,7 @@ from .boundaries import MergeStrategy, attained_compression, mask_to_rle
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import compound_docs, load_corpus, markov_word_docs, write_corpus
 from .inference import SamplerConfig, generate
+from .losses import LossWeights
 from .merging import format_spectrum, reset_embeddings_check, spectrum_report, task_arithmetic_merge
 from .model import (
     GlobalConfig,
@@ -121,31 +122,37 @@ def build_model_config(cfg: dict[str, str], vocab_size: int, base: ModelConfig |
 
 
 def build_train_config(cfg: dict[str, str], stage: int, args) -> TrainConfig:
-    tc = TrainConfig(stage=stage)
+    """Overlay train.* keys (lambda_* for loss weights) and the subcommand's
+    flags onto the defaults and construct once, so validation sees them."""
+    values = {f.name: f.default for f in dc.fields(TrainConfig) if f.default is not dc.MISSING}
+    weights = dc.asdict(LossWeights())
     for key, value in cfg.items():
         if not key.startswith("train."):
             continue
         name = key[len("train.") :]
-        if name in ("stage", "loss_weights", "seed"):  # set by the subcommand, lambda_* and --seed
+        group, field = (weights, name[len("lambda_") :]) if name.startswith("lambda_") else (values, name)
+        # the subcommand sets the stage and --seed the seed
+        if name in ("stage", "seed") or field not in group:
             raise ConfigFileError(f"unknown config key {key!r}")
-        try:
-            if name.startswith("lambda_"):
-                field = name[len("lambda_") :]
-                cur = getattr(tc.loss_weights, field)
-                setattr(tc.loss_weights, field, _coerce(value, type(cur)))
-            else:
-                cur = getattr(tc, name)
-                setattr(tc, name, _coerce(value, type(cur)))
-        except AttributeError:
-            raise ConfigFileError(f"unknown config key {key!r}") from None
+        group[field] = _coerce(value, type(group[field]))
     if getattr(args, "steps", None) is not None:
-        tc.steps = args.steps
+        values["steps"] = args.steps
     if getattr(args, "merge_strategy", None):
-        tc.merge_kind = args.merge_strategy
+        values["merge_kind"] = args.merge_strategy
     if getattr(args, "target_compression", None) is not None:
-        tc.target_compression = args.target_compression
-    tc.seed = args.seed
-    return tc
+        values["target_compression"] = args.target_compression
+    values.update(stage=stage, seed=args.seed, loss_weights=LossWeights(**weights))
+    try:
+        return TrainConfig(**values)
+    except ValueError as e:
+        raise ConfigFileError(str(e)) from None
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load_corpus(args, cfg: dict[str, str]):
@@ -392,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", default=None)
     p.add_argument("--merge-strategy", choices=MergeStrategy.KINDS, default="subword")
     p.add_argument("--target-compression", type=float, default=None)
-    p.add_argument("--max-doc-bytes", type=int, default=512)
+    p.add_argument("--max-doc-bytes", type=_positive_int, default=512)
     p.set_defaults(fn=cmd_eval_bpb)
 
     p = sub.add_parser("generate", help="sample bytes from a trained model")
@@ -436,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merge-strategy", choices=MergeStrategy.KINDS, default="subword")
     p.add_argument("--target-compression", type=float, default=None)
     p.add_argument("--predicted", action="store_true", help="dump the model's own boundaries")
-    p.add_argument("--docs", type=int, default=16)
-    p.add_argument("--max-doc-bytes", type=int, default=512)
+    p.add_argument("--docs", type=_positive_int, default=16)
+    p.add_argument("--max-doc-bytes", type=_positive_int, default=512)
     p.set_defaults(fn=cmd_boundary_dump)
 
     return ap

@@ -104,14 +104,3 @@ def format_spectrum(report: dict, max_rows: int = 0) -> str:
     for i in range(n):
         lines.append(f"{i}\t{ratios[i]:.8e}\t{report['cumulative'][i]:.8f}")
     return "\n".join(lines)
-
-
-def component_fingerprint(params: ParamStore, tags: tuple[str, ...]) -> dict[str, bytes]:
-    """Raw-byte fingerprints for change tracking in tests and tooling."""
-    import hashlib
-
-    out = {}
-    for name, t in params.items():
-        if ParamStore.tag(name) in tags:
-            out[name] = hashlib.sha256(np.ascontiguousarray(t.data).tobytes()).digest()
-    return out

@@ -5,7 +5,8 @@ byte+boundary output head over 512 symbols.
 
 All forward functions are pure in (params, inputs); parameters live in a flat
 ``ParamStore`` whose name prefix is the component tag used for checkpointing,
-freezing and checkpoint arithmetic.
+training groups and checkpoint arithmetic. Parameters are plain values: only
+the training step loop puts them in the autodiff graph.
 """
 
 from __future__ import annotations
@@ -129,43 +130,25 @@ class ParamStore:
     def component(self, tag: str) -> dict[str, Tensor]:
         return {n: t for n, t in self._t.items() if self.tag(n) == tag}
 
-    def component_tags(self) -> list[str]:
-        return sorted({self.tag(n) for n in self._t})
-
     def n_params(self, tags: tuple[str, ...] | None = None) -> int:
         return sum(t.size for n, t in self._t.items() if tags is None or self.tag(n) in tags)
 
-    def set_trainable(self, tags: tuple[str, ...], flag: bool) -> None:
-        for n, t in self._t.items():
-            if self.tag(n) in tags:
-                t.requires_grad = flag
-
-    def trainable(self, tags: tuple[str, ...] | None = None) -> list[Tensor]:
-        return [
-            t
-            for n, t in self.items()
-            if t.requires_grad and (tags is None or self.tag(n) in tags)
-        ]
-
     def copy(self) -> "ParamStore":
-        out = ParamStore()
-        for n, t in self._t.items():
-            out[n] = Tensor(t.data.copy(), requires_grad=t.requires_grad)
-        return out
+        return ParamStore({n: Tensor(t.data.copy()) for n, t in self._t.items()})
 
 
 # -- initialization -----------------------------------------------------------
 
 def _normal(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
-    return Tensor(rng.standard_normal(shape) * std, requires_grad=True)
+    return Tensor(rng.standard_normal(shape) * std)
 
 
 def _ones(shape) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True)
+    return Tensor(np.ones(shape))
 
 
 def _zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+    return Tensor(np.zeros(shape))
 
 
 def _init_mlstm_layer(p: dict, prefix: str, cfg: ModelConfig, rng, out_scale: float) -> None:
@@ -175,10 +158,10 @@ def _init_mlstm_layer(p: dict, prefix: str, cfg: ModelConfig, rng, out_scale: fl
     p[f"{prefix}.w_k"] = _normal(rng, (d, m.heads * m.qk_dim))
     p[f"{prefix}.w_v"] = _normal(rng, (d, m.heads * m.v_dim))
     p[f"{prefix}.w_i"] = _zeros((d, m.heads))
-    p[f"{prefix}.b_i"] = Tensor(np.full(m.heads, m.input_gate_bias_init), requires_grad=True)
+    p[f"{prefix}.b_i"] = Tensor(np.full(m.heads, m.input_gate_bias_init))
     p[f"{prefix}.w_f"] = _zeros((d, m.heads))
     # a head-staggered forget bias keeps memories alive at different horizons
-    p[f"{prefix}.b_f"] = Tensor(np.linspace(3.0, 6.0, m.heads), requires_grad=True)
+    p[f"{prefix}.b_f"] = Tensor(np.linspace(3.0, 6.0, m.heads))
     p[f"{prefix}.w_og"] = _normal(rng, (d, m.heads * m.v_dim))
     p[f"{prefix}.mh_norm_g"] = _ones((m.heads * m.v_dim,))
     p[f"{prefix}.w_out"] = _normal(rng, (m.heads * m.v_dim, d), std=0.02 * out_scale)
@@ -228,9 +211,7 @@ def init_byte_model(
     p: dict[str, Tensor] = {}
     p["byte_embed.table"] = _normal(rng, (256, cfg.d))
     if teacher is not None and not fresh_suffix:
-        p["subword_embed.table"] = Tensor(
-            teacher["subword_embed.table"].data.copy(), requires_grad=True
-        )
+        p["subword_embed.table"] = Tensor(teacher["subword_embed.table"].data.copy())
     else:
         p["subword_embed.table"] = _normal(rng, (cfg.vocab_size, cfg.d))
     enc_scale = 1.0 / np.sqrt(2.0 * cfg.encoder_layers)
@@ -241,7 +222,7 @@ def init_byte_model(
     p["boundary.w_k"] = _normal(rng, (cfg.d, cfg.boundary_dim))
     if teacher is not None:
         for name, t in teacher.component("global").items():
-            p[name] = Tensor(t.data.copy(), requires_grad=True)
+            p[name] = Tensor(t.data.copy())
     else:
         _init_global(p, cfg, rng)
     # zero depool projection: at initialization the decoder sees pure patch

@@ -4,8 +4,10 @@ The graph is built define-by-run: every op hands `_make` its output and one
 vector-Jacobian product (VJP) per input, a function from the output's
 gradient to that input's. `_make` keeps only the VJPs of inputs in the graph
 (`requires_grad`), so constants and frozen weights get no gradient computed
-or stored. Calling ``backward()`` on a scalar walks the recorded graph once
-in reverse topological order and is the one place gradients accumulate.
+or stored. Parameters are plain values, put in the graph only by the training
+step loop while it runs, so forward-only passes record nothing. Calling
+``backward()`` on a scalar walks the recorded graph once in reverse
+topological order and is the one place gradients accumulate.
 Values are float64 throughout.
 
 Where the graph-free code (the decode step path, the sampler) needs an op's

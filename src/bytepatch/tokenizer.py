@@ -49,11 +49,6 @@ class SubwordVocab:
         """Total ids including BOS."""
         return len(self.token_bytes) + 1
 
-    @property
-    def n_tokens(self) -> int:
-        """Ids with a byte-string (excludes BOS)."""
-        return len(self.token_bytes)
-
     def check(self) -> None:
         """Ids 0..255 are the 256 single bytes, in order, so every byte
         string encodes; merge r builds id 256 + r from earlier ids."""

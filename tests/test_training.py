@@ -1,5 +1,6 @@
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ import pytest
 from bytepatch import teacher as teacher_mod
 from bytepatch import training as tr
 from bytepatch.boundaries import MergeStrategy
+from bytepatch.checkpoint import load_checkpoint, save_checkpoint
 from bytepatch.cli import build_train_config, parse_config_file
 from bytepatch.data import DataError, make_windows, markov_word_docs
 from bytepatch.losses import LossWeights
@@ -17,9 +19,11 @@ from bytepatch.model import (
     LOCAL_COMPONENTS,
     MlstmConfig,
     ModelConfig,
+    forward_full,
     init_byte_model,
     init_teacher,
 )
+from bytepatch.tensor import NonFiniteError
 from bytepatch.tokenizer import SuffixIndex, encode, train_bpe, utf8_to_bytes
 from bytepatch.training import TrainConfig, lr_at, prepare_window, prepare_windows, train_conversion, train_teacher
 
@@ -75,7 +79,7 @@ def test_prepare_window_alignment(toy):
     assert int(w.mask.sum()) == len(w.teacher.token_ids)
     assert len(w.teacher.next_logp) == len(w.teacher.token_ids) - 1
     # suffix ids are always valid vocabulary tokens
-    assert w.suffix.min() >= 0 and w.suffix.max() < vocab.n_tokens
+    assert w.suffix.min() >= 0 and w.suffix.max() < len(vocab.token_bytes)
 
 
 def test_supervision_strategies_are_subsets(toy):
@@ -123,8 +127,57 @@ def test_stage1_leaves_no_gradient_on_frozen_tensors(toy):
     tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=3)
     train_conversion(student, cfg, vocab, teacher, docs[:8], tc)
     assert [n for n, t in student.component("global").items() if t.grad is not None] == []
-    assert all(t.grad is None for _, t in student.items() if not t.requires_grad)
-    assert any(t.grad is not None for _, t in student.items() if t.requires_grad)
+    local = [t for n, t in student.items() if student.tag(n) in LOCAL_COMPONENTS]
+    assert any(t.grad is not None for t in local)
+
+
+def test_parameters_are_plain_values_outside_the_step_loop(toy, tmp_path):
+    docs, vocab, cfg, _ = toy
+    sidx = SuffixIndex(vocab)
+    w = prepare_window(docs[0][:40], vocab, sidx, cfg, None, MergeStrategy("subword"))
+    token_ids = np.array([vocab.bos_id, *encode(vocab, docs[0][:40])])
+
+    def assert_plain(student, teacher):
+        for params in (student, teacher, student.copy()):
+            assert [n for n, t in params.items() if t.requires_grad] == []
+        logprobs = forward_full(student, cfg, w.model_bytes[None, :], w.suffix[None, :])["logprobs"]
+        logits = teacher_mod.teacher_logits(teacher, cfg, token_ids)[0]
+        for out in (logprobs, logits):
+            assert out._vjps == () and not out.requires_grad
+
+    teacher = init_teacher(cfg, np.random.default_rng(0))
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    assert_plain(student, teacher)
+    save_checkpoint(tmp_path / "s.ckpt", student, cfg)
+    save_checkpoint(tmp_path / "t.ckpt", teacher, cfg, kind="teacher")
+    assert_plain(load_checkpoint(tmp_path / "s.ckpt")[0], load_checkpoint(tmp_path / "t.ckpt")[0])
+
+    tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=3)
+    train_teacher(teacher, cfg, vocab, docs[:4], tc)
+    train_conversion(student, cfg, vocab, teacher, docs[:4], tc)
+    assert_plain(student, teacher)
+    assert [n for n, t in student.component("global").items() if t.grad is not None] == []
+    train_conversion(student, cfg, vocab, None, docs[:4], replace(tc, stage=2))
+    assert_plain(student, teacher)
+
+
+def test_a_raising_step_still_clears_every_flag(toy):
+    docs, vocab, cfg, teacher = toy
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    student["lm_head.w"].data[0, 0] = np.inf  # the first stage-2 forward turns non-finite
+    tc = TrainConfig(stage=2, steps=2, batch_size=2, max_bytes=48, seed=3)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+        train_conversion(student, cfg, vocab, None, docs[:4], tc)
+    assert [n for n, t in student.items() if t.requires_grad] == []
+
+
+def test_evaluation_without_a_scorable_document_raises(toy):
+    docs, vocab, cfg, teacher = toy
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    with pytest.raises(ValueError, match="2 bytes"):
+        tr.evaluate_bpb(student, cfg, vocab, docs[:2], max_doc_bytes=1)
+    with pytest.raises(ValueError, match="2 bytes"):
+        tr.evaluate_alignment(student, cfg, vocab, teacher, [b"a", b""])
 
 
 def test_stage1_loss_decreases_smoke(toy):
