@@ -2,13 +2,19 @@
 
 Two implementations exist for the recurrent byte-level layers:
 
-* ``mlstm_block`` builds the training graph in a closed quadratic form: the
-  exponential-gate recurrence unrolls into a decay matrix over all position
-  pairs, stabilized by a running log-max that cancels exactly and is therefore
-  computed in numpy, outside the gradient.
+* ``mlstm_block`` builds the training graph in chunkwise-parallel form
+  (xLSTM, arXiv 2405.04517; Tiled Flash Linear Attention, arXiv 2503.14376).
+  Inside each chunk of L bytes the exponential-gate recurrence unrolls into a
+  decay matrix over the chunk's position pairs; each chunk's key-value state
+  and normalizer reach the later chunks through one strictly-lower decay
+  matmul over chunks. Every exponent is stabilized by a max of the gate
+  log-sums that cancels exactly and is therefore computed in numpy, outside
+  the gradient. L = n is the closed quadratic form over all position pairs,
+  L = 1 the recurrence; the default ``CHUNK`` bounds memory at L×n instead
+  of n×n per head.
 * ``mlstm_step`` advances one byte at a time on raw numpy state, used for
-  incremental decoding. ``test_layers`` pins the two to each other; the
-  sequential form is the correctness oracle.
+  incremental decoding. ``test_layers`` pins the two to each other at
+  several chunk lengths; the sequential form is the correctness oracle.
 
 The attention stack mirrors a standard pre-norm decoder block: RMSNorm, rotary
 positions, causal softmax attention, SwiGLU feed-forward. ``attention_step`` is
@@ -129,6 +135,11 @@ def empty_attention_cache(n_heads: int, head_dim: int, dtype) -> dict:
 
 # -- mLSTM block --------------------------------------------------------------
 
+# bytes per chunk of the mLSTM training form: toy.cfg's 88-B windows stay one
+# chunk, 512-B documents take four
+CHUNK = 128
+
+
 def mlstm_block(
     p: dict[str, Tensor],
     prefix: str,
@@ -138,10 +149,12 @@ def mlstm_block(
     v_dim: int,
     soft_cap: float,
     eps: float,
+    chunk: int = CHUNK,
 ) -> Tensor:
-    """Parallel-form mLSTM with exponential input gate, sigmoid forget gate,
-    soft-capped gate pre-activations, matrix memory per head, per-head RMS
-    normalization and a sigmoid output gate, wrapped pre-norm residually."""
+    """Chunkwise-parallel mLSTM with exponential input gate, sigmoid forget
+    gate, soft-capped gate pre-activations, matrix memory per head, per-head
+    RMS normalization and a sigmoid output gate, wrapped pre-norm residually.
+    `chunk` is the chunk length L; tests pass it, callers keep CHUNK."""
     b, n, d = x.shape
     xn = rms(x, p[f"{prefix}.norm_g"], eps)
     q = _heads(T.matmul(xn, p[f"{prefix}.w_q"]), heads, qk_dim)
@@ -159,18 +172,62 @@ def mlstm_block(
     fcum = T.cumsum(log_f, axis=-1)  # F_t = sum_{s<=t} log f_s
     a = i_pre - fcum  # a_s = i_s - F_s
     # running stabilizer m_t = F_t + max_{s<=t} a_s; it rescales numerator and
-    # denominator identically, so it is a constant for the gradient
-    m = Tensor(fcum.data + np.maximum.accumulate(a.data, axis=-1), _op="const")
-    # decay[t, s] = exp(F_t + a_s - m_t) for s <= t, 0 above the diagonal
-    scores = T.outer_add(fcum - m, a)
-    decay = T.exp_where(scores, np.tril(np.ones((n, n), dtype=bool)))
+    # denominator identically, so it is a constant for the gradient, and so is
+    # every other max of `a` below
+    amax = np.maximum.accumulate(a.data, axis=-1)
+    m = Tensor(fcum.data + amax, _op="const")
+    # decay[t, s] = exp(u_t + a_s) for s <= t, where u_t = F_t - m_t is
+    # -max_{s<=t} a_s, so no exponent is positive
 
-    w = decay * T.matmul(q, k.swap_last())
-    num = T.matmul(w, v)  # (B, NH, n, v)
-    den = T.maximum(
-        T.absolute(w.sum(axis=-1, keepdims=True)),
-        T.exp(-m).reshape((b, heads, n, 1)),
-    )
+    # split the time axis into nc chunks of L bytes; a ragged last chunk is
+    # padded with zero q/k/v and with the last stabilizer as u and a, so its
+    # exponents stay <= 0 too
+    size = min(chunk, n)
+    nc = -(-n // size)
+    pad = nc * size - n
+    last = amax[..., -1:]
+
+    def chunks(t: Tensor, fill) -> Tensor:
+        if pad:
+            fill = np.broadcast_to(fill, t.shape[:2] + (pad,) + t.shape[3:])
+            t = T.concat([t, Tensor(fill, _op="const")], axis=2)
+        return t.reshape((b, heads, nc, size) + t.shape[3:])
+
+    uc, ac = chunks(fcum - m, -last), chunks(a, last)
+    qc, kc, vc = chunks(q, 0.0), chunks(k, 0.0), chunks(v, 0.0)
+
+    # inside each chunk: the decay matrix over its position pairs
+    scores = T.outer_add(uc, ac)  # (B, NH, nc, L, L)
+    decay = T.exp_where(scores, np.tril(np.ones((size, size), dtype=bool)))
+    w = decay * T.matmul(qc, kc.swap_last())
+    num = T.matmul(w, vc)  # (B, NH, nc, L, v)
+    den = w.sum(axis=-1, keepdims=True)
+
+    if nc > 1:  # across chunks, an empty sum for one chunk
+        # chunk c's state sum_s exp(a_s - M_c) k_s v_s^T and normalizer, with
+        # M_c the chunk's max of a; chunk c reads the earlier states through
+        # one strictly-lower decay exp(M_c' - R_c), R_c the max of a before c
+        # (a_0 for c = 0, whose row is empty)
+        cmax = ac.data.max(axis=-1)  # (B, NH, nc)
+        ref = amax[..., np.maximum(np.arange(nc) * size - 1, 0)]
+        cross = np.zeros((b, heads, nc, nc))
+        np.exp(cmax[..., None, :] - ref[..., :, None], out=cross,
+               where=np.tril(np.ones((nc, nc), dtype=bool), k=-1))
+        cross = Tensor(cross, _op="const")
+        kg = kc * T.exp(ac - Tensor(cmax[..., None], _op="const")).reshape((b, heads, nc, size, 1))
+        states = T.matmul(kg.swap_last(), vc).reshape((b, heads, nc, qk_dim * v_dim))
+        carry = T.matmul(cross, states).reshape((b, heads, nc, qk_dim, v_dim))
+        carry_n = T.matmul(cross, kg.sum(axis=-2)).reshape((b, heads, nc, qk_dim, 1))
+        # u_t + R_c <= 0, because R_c <= max_{s<=t} a_s = -u_t
+        e = T.exp(uc + Tensor(ref[..., None], _op="const")).reshape((b, heads, nc, size, 1))
+        num = num + T.matmul(qc, carry) * e
+        den = den + T.matmul(qc, carry_n) * e
+
+    num = num.reshape((b, heads, nc * size, v_dim))
+    den = den.reshape((b, heads, nc * size, 1))
+    if pad:
+        num, den = num[:, :, :n], den[:, :, :n]
+    den = T.maximum(T.absolute(den), T.exp(-m).reshape((b, heads, n, 1)))
     h = num / den  # (B, NH, n, v)
 
     h = T.transpose(h, (0, 2, 1, 3))  # (B, n, NH, v)

@@ -352,7 +352,7 @@ def _train_loop(
     """The one step loop: `lr_at` sets each group's learning rate, then one
     draw from `rows`, one `step(opt, batch)` and one JSONL record of its
     metrics. The groups' tensors are in the autodiff graph only while it
-    runs, and plain values again once it returns or raises."""
+    runs, and plain values without a `.grad` once it returns or raises."""
     sampler = WindowSampler(rows, tcfg.batch_size, tcfg.seed)
     opt = AdamW(
         groups,
@@ -375,6 +375,7 @@ def _train_loop(
     finally:
         for p in opt.params():
             p.requires_grad = False
+            p.grad = None
     return log
 
 

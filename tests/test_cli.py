@@ -189,6 +189,19 @@ def test_spectrum_and_boundary_dump(workspace, capsys):
     assert 1 <= len(lines) <= 2 and all(":" in l for l in lines)
 
 
+def test_boundary_dump_predicted(workspace, capsys):
+    root, _ = workspace
+    corpus = load_corpus(root / "corpus")
+    docs = [d[:300] for d in (corpus.heldout or corpus.train)[:2]]
+    assert max(map(len, docs)) > 128  # the encoder runs over more than one mLSTM chunk
+    assert cli.main(["boundary-dump", "--data", str(root / "corpus"), "--vocab", str(root / "vocab.txt"),
+                     "--model", str(root / "s1.ckpt"), "--predicted",
+                     "--docs", "2", "--max-doc-bytes", "300"]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    # one RLE mask per document, covering each of its bytes
+    assert [sum(int(r) for r in line.split(":")[1].split(",")) for line in lines] == list(map(len, docs))
+
+
 @pytest.mark.parametrize("kind", ["subword", "bpe", "entropy", "xent"])
 def test_stage2_one_step_per_merge_strategy(workspace, tmp_path, kind):
     root, cfg = workspace

@@ -1,6 +1,9 @@
 """Layer-level checks: the sequential mLSTM recurrence is the correctness
-oracle for the parallel training form; attention caching must reproduce the
-batch pass; every block passes a finite-difference gradient check."""
+oracle for the chunkwise training form at every chunk length; attention
+caching must reproduce the batch pass; every block passes a finite-difference
+gradient check."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +61,91 @@ def test_mlstm_parallel_matches_sequential_oracle():
     state = L.empty_mlstm_state(HEADS, QK, VD, np.float64)
     seq = np.stack([L.mlstm_step(p, "m", x[0, t], state, HEADS, QK, VD, CAP, EPS) for t in range(9)])
     np.testing.assert_allclose(batch, seq, rtol=1e-10, atol=1e-12)
+
+
+def mlstm_oracle(p, x):
+    """mlstm_step over each row of x (B, n, d) from a fresh state."""
+    rows = []
+    for row in x:
+        state = L.empty_mlstm_state(HEADS, QK, VD, np.float64)
+        rows.append([L.mlstm_step(p, "m", x_t, state, HEADS, QK, VD, CAP, EPS) for x_t in row])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 23])
+def test_mlstm_chunks_match_sequential_oracle(chunk):
+    # 23 bytes: three chunks of 7 and a ragged one of 2, or one chunk of n
+    rng = np.random.default_rng(10)
+    p = mlstm_params(rng)
+    x = rng.normal(size=(2, 23, D))
+    out = L.mlstm_block(p, "m", Tensor(x), HEADS, QK, VD, CAP, EPS, chunk=chunk).data
+    np.testing.assert_allclose(out, mlstm_oracle(p, x), rtol=1e-10, atol=1e-12)
+
+
+def block_gradients(p, x, weights, chunk):
+    for t in p.values():
+        t.grad = None
+    xt = Tensor(x, requires_grad=True)
+    (L.mlstm_block(p, "m", xt, HEADS, QK, VD, CAP, EPS, chunk=chunk) * weights).sum().backward()
+    return {"x": xt.grad, **{name: t.grad for name, t in p.items()}}
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_mlstm_chunk_gradients_equal_the_one_chunk_form(chunk):
+    rng = np.random.default_rng(11)
+    p = mlstm_params(rng)
+    x = rng.normal(size=(2, 23, D))
+    weights = Tensor(rng.normal(size=(2, 23, D)))
+    whole = block_gradients(p, x, weights, 23)
+    chunked = block_gradients(p, x, weights, chunk)
+    for name, g in whole.items():
+        np.testing.assert_allclose(chunked[name], g, rtol=1e-10, err_msg=name)
+
+
+def test_mlstm_gradient_check_across_chunks():
+    # n=5 in chunks of 2: two full chunks and a padded one
+    rng = np.random.default_rng(12)
+    p = mlstm_params(rng, d=6)
+    weights = Tensor(rng.normal(size=(1, 5, 6)))
+
+    def loss(x, bi, wf):
+        p2 = dict(p)
+        p2["m.b_i"], p2["m.w_f"] = bi, wf
+        return (L.mlstm_block(p2, "m", x, HEADS, QK, VD, CAP, EPS, chunk=2) * weights).sum()
+
+    err = finite_difference_check(loss, [rng.normal(size=(1, 5, 6)), p["m.b_i"].data, p["m.w_f"].data])
+    assert err < 1e-4
+
+
+@pytest.mark.parametrize("chunk", [7, L.CHUNK])
+def test_mlstm_saturated_gates_stay_finite_across_chunks(chunk):
+    # forget gates pinned open (+50) and shut (-50) with input gates up to 14:
+    # the gate cumsums reach thousands over 300 bytes, and padded rows must not
+    # overflow either
+    rng = np.random.default_rng(13)
+    p = mlstm_params(rng)
+    p["m.b_f"].data[:] = [50.0, -50.0]
+    p["m.b_i"].data[:] = [14.0, 6.0]
+    x = rng.normal(size=(1, 300, D))
+    out = L.mlstm_block(p, "m", Tensor(x), HEADS, QK, VD, CAP, EPS, chunk=chunk).data
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(out, mlstm_oracle(p, x), rtol=1e-10, atol=1e-12)
+
+
+def test_mlstm_chunks_bound_forward_memory():
+    rng = np.random.default_rng(14)
+    p = mlstm_params(rng)
+    x = Tensor(rng.normal(size=(1, 1024, D)))
+
+    def peak(chunk):
+        tracemalloc.start()
+        try:
+            L.mlstm_block(p, "m", x, HEADS, QK, VD, CAP, EPS, chunk=chunk)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(L.CHUNK) <= peak(1024) / 4
 
 
 def test_mlstm_length_one():

@@ -23,6 +23,7 @@ from bytepatch.model import (
     init_byte_model,
     init_teacher,
 )
+from bytepatch.optim import AdamW
 from bytepatch.tensor import NonFiniteError
 from bytepatch.tokenizer import SuffixIndex, encode, train_bpe, utf8_to_bytes
 from bytepatch.training import TrainConfig, lr_at, prepare_window, prepare_windows, train_conversion, train_teacher
@@ -125,10 +126,11 @@ def test_stage1_leaves_no_gradient_on_frozen_tensors(toy):
     docs, vocab, cfg, teacher = toy
     student = init_byte_model(cfg, np.random.default_rng(1), teacher)
     tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=3)
-    train_conversion(student, cfg, vocab, teacher, docs[:8], tc)
-    assert [n for n, t in student.component("global").items() if t.grad is not None] == []
     local = [t for n, t in student.items() if student.tag(n) in LOCAL_COMPONENTS]
-    assert any(t.grad is not None for t in local)
+    local_before = [t.data.copy() for t in local]
+    train_conversion(student, cfg, vocab, teacher, docs[:8], tc)
+    assert [n for n, t in student.items() if t.grad is not None] == []
+    assert any(not np.array_equal(b, t.data) for b, t in zip(local_before, local))
 
 
 def test_parameters_are_plain_values_outside_the_step_loop(toy, tmp_path):
@@ -169,6 +171,21 @@ def test_a_raising_step_still_clears_every_flag(toy):
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
         train_conversion(student, cfg, vocab, None, docs[:4], tc)
     assert [n for n, t in student.items() if t.requires_grad] == []
+
+
+def test_a_step_raising_after_backward_leaves_no_gradient(toy, monkeypatch):
+    docs, vocab, cfg, teacher = toy
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+
+    def failing_step(opt):
+        assert any(p.grad is not None for p in opt.params())
+        raise NonFiniteError("optimizer step failed")
+
+    monkeypatch.setattr(AdamW, "step", failing_step)
+    tc = TrainConfig(stage=2, steps=2, batch_size=2, max_bytes=48, seed=3)
+    with pytest.raises(NonFiniteError):
+        train_conversion(student, cfg, vocab, None, docs[:4], tc)
+    assert [n for n, t in student.items() if t.requires_grad or t.grad is not None] == []
 
 
 def test_evaluation_without_a_scorable_document_raises(toy):
