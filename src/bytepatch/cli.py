@@ -16,6 +16,7 @@ import argparse
 import dataclasses as dc
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +186,10 @@ def cmd_train_teacher(args) -> int:
     cfg = parse_config_file(args.config)
     corpus = _load_corpus(args, cfg)
     vocab_size = int(cfg.get("tokenizer.vocab_size", "420"))
+    t0 = time.perf_counter()
     vocab = train_bpe(corpus.train, vocab_size)
+    print(f"tokenizer: {len(vocab.merges)} merges from {sum(map(len, corpus.train))} corpus bytes "
+          f"in {time.perf_counter() - t0:.2f} s{' (truncated)' if vocab.truncated else ''}", file=sys.stderr)
     if vocab.truncated:
         print(f"warning: corpus supports only {vocab.size} ids (asked {vocab_size})", file=sys.stderr)
     mc = build_model_config(cfg, vocab.size)
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-corpus", help="write a synthetic corpus")
     common(p)
     p.add_argument("--kind", choices=["words", "shifted-words", "compounds"], default="words")
-    p.add_argument("--docs", type=int, default=200)
+    p.add_argument("--docs", type=_positive_int, default=200)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_make_corpus)
 
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--prompt", default="")
-    p.add_argument("--max-bytes", type=int, default=256)
+    p.add_argument("--max-bytes", type=_positive_int, default=256)
     p.add_argument("--temperature", type=float, default=0.6)
     p.add_argument("--top-p", type=float, default=0.6)
     p.add_argument("--out", default=None, help="write raw bytes here instead of stdout")

@@ -1,16 +1,21 @@
 """Byte-level ingestion and a small trainable BPE subword tokenizer.
 
 The vocabulary always contains the 256 single bytes, then merged tokens in
-rank order, then a BOS special id. Pair counting during training is plain
-adjacent-pair counting; replacement is non-overlapping left-to-right, which is
-the canonical BPE convention. Ties between equally frequent pairs break on
-(lower left id, then lower right id) so training is deterministic.
+rank order, then a BOS special id. Training counts adjacent pairs within each
+document once and then updates the counts only around each applied merge;
+replacement is non-overlapping left-to-right, which is the canonical BPE
+convention. Ties between equally frequent pairs break on (lower left id, then
+lower right id) so training is deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
+from collections import defaultdict, deque
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -88,33 +93,81 @@ def train_bpe(corpus: list[bytes], vocab_size: int) -> SubwordVocab:
     """Corpus-level BPE: repeatedly merge the globally most frequent adjacent
     pair until the vocabulary (256 bytes + merges + BOS) reaches vocab_size.
     Stops early with `truncated=True` when no pair occurs at least twice.
+
+    This is the incremental form of Sennrich et al.'s trainer; the tests keep
+    the per-merge recount as its oracle. The documents sit end to end in one
+    doubly linked list of live tokens whose links stop at each document's
+    ends, so no pair crosses a document. A pair -> count table, a pair ->
+    left-positions index and a lazy max-heap keyed (-count, left id, right
+    id), the recount's tie order, replace the recount. A merge visits the
+    stored positions of its pair in ascending order and skips stale ones, so
+    runs like "aaaa" merge left to right without overlap, as `apply_merge`
+    does. Each applied merge moves counts from the three pairs it destroys to
+    the two it creates; every touched pair is then pushed once with its new
+    count, and a popped entry whose count has since changed is skipped.
     """
     if vocab_size < N_BYTES + 1:
         raise TokenizerError(f"vocab_size must be >= {N_BYTES + 1}, got {vocab_size}")
     if not corpus or all(len(d) == 0 for d in corpus):
         raise TokenizerError("empty corpus")
     n_merges = vocab_size - N_BYTES - 1  # reserve one id for BOS
-    seqs = [list(doc) for doc in corpus if len(doc) > 0]
+    # int32 arrays, not lists, keep the transient small; they cap the corpus
+    # below 2**31 bytes (larger raises OverflowError)
+    ids = array("i", iter(b"".join(corpus)))  # -1 once merged into its left neighbour
+    nxt = array("i", range(1, len(ids) + 1))  # -1 ends a document
+    prv = array("i", range(-1, len(ids) - 1))  # -1 starts one
+    where: defaultdict[tuple[int, int], array] = defaultdict(partial(array, "i"))
+    end = 0
+    for doc in corpus:
+        if doc:
+            start, end = end, end + len(doc)
+            nxt[end - 1] = prv[start] = -1
+            for i, pair in enumerate(zip(doc, doc[1:]), start):
+                where[pair].append(i)
+    counts = {pair: len(at) for pair, at in where.items()}
+    heap = [(-c, a, b) for (a, b), c in counts.items()]
+    heapq.heapify(heap)
     token_bytes = [bytes([i]) for i in range(N_BYTES)]
     merges: list[tuple[int, int]] = []
     truncated = False
     for _ in range(n_merges):
-        counts: dict[tuple[int, int], int] = {}
-        for seq in seqs:
-            for pair in zip(seq, seq[1:]):
-                counts[pair] = counts.get(pair, 0) + 1
-        if not counts:
+        while heap and counts.get(heap[0][1:]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < 2:
             truncated = True
             break
-        best = min(counts.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
-        pair, freq = best
-        if freq < 2:
-            truncated = True
-            break
-        new_id = len(token_bytes)
-        token_bytes.append(token_bytes[pair[0]] + token_bytes[pair[1]])
-        merges.append(pair)
-        seqs = [apply_merge(seq, pair, new_id) for seq in seqs]
+        _, a, b = heapq.heappop(heap)
+        new = len(token_bytes)
+        token_bytes.append(token_bytes[a] + token_bytes[b])
+        merges.append((a, b))
+        delta: defaultdict[tuple[int, int], int] = defaultdict(int)
+        # ascending without a sort: a pair's positions are all appended in
+        # order, at the start or in the round that made its newer id
+        for i in where.pop((a, b)):
+            j = nxt[i]
+            if ids[i] != a or j < 0 or ids[j] != b:
+                continue  # an earlier merge of this round took i or its neighbour
+            p, k = prv[i], nxt[j]
+            ids[i], ids[j], nxt[i] = new, -1, k
+            delta[a, b] -= 1
+            if p >= 0:
+                x = ids[p]
+                delta[x, a] -= 1
+                delta[x, new] += 1
+                where[x, new].append(p)
+            if k >= 0:
+                prv[k] = i
+                y = ids[k]
+                delta[b, y] -= 1
+                delta[new, y] += 1
+                where[new, y].append(i)
+        for pair, d in delta.items():
+            if c := counts.get(pair, 0) + d:
+                counts[pair] = c
+                heapq.heappush(heap, (-c, *pair))
+            else:
+                counts.pop(pair, None)
+                where.pop(pair, None)
     vocab = SubwordVocab(token_bytes, merges, truncated=truncated)
     vocab.check()
     return vocab
@@ -184,56 +237,71 @@ def mask_from_token_ids(vocab: SubwordVocab, ids: list[int]) -> np.ndarray:
 
 
 class SuffixIndex:
-    """Trie over reversed token byte-strings for longest-suffix lookup."""
+    """Aho–Corasick automaton over the token byte-strings for longest-suffix
+    lookup. State s spells a prefix of some token; reading byte c moves to
+    the longest such prefix that is a suffix of s's string + c, so after
+    data[: i + 1] the state spells the longest suffix of it that starts a
+    token, and `_longest[s]` names the longest token ending there."""
 
     def __init__(self, vocab: SubwordVocab):
         self.vocab = vocab
         self.max_len = max(len(tb) for tb in vocab.token_bytes)
-        # children as dicts keyed by byte value; node payload = token id or -1
-        self._children: list[dict[int, int]] = [{}]
-        self._token: list[int] = [-1]
+        # sparse goto: state -> {byte: state}; the root must have every
+        # byte, or a scan would fall back to it forever
+        goto: list[dict[int, int]] = [{}]
+        longest = [-1]
         for tid, tb in enumerate(vocab.token_bytes):
-            node = 0
-            for b in reversed(tb):
-                nxt = self._children[node].get(b)
-                if nxt is None:
-                    nxt = len(self._children)
-                    self._children.append({})
-                    self._token.append(-1)
-                    self._children[node][b] = nxt
-                node = nxt
-            self._token[node] = tid
+            s = 0
+            for c in tb:
+                t = goto[s].get(c)
+                if t is None:
+                    t = goto[s][c] = len(goto)
+                    goto.append({})
+                    longest.append(-1)
+                s = t
+            longest[s] = tid
+        if any(longest[goto[0].get(c, 0)] < 0 for c in range(N_BYTES)):
+            raise TokenizerError("suffix lookup needs the 256 single-byte tokens")
+        fail = [0] * len(goto)
+        queue = deque(goto[0].values())  # depth-1 states fail to the root
+        while queue:
+            s = queue.popleft()
+            if longest[s] < 0:
+                longest[s] = longest[fail[s]]
+            for c, t in goto[s].items():
+                f = fail[s]
+                while c not in goto[f]:
+                    f = fail[f]
+                fail[t] = goto[f][c]
+                queue.append(t)
+        self._goto, self._fail, self._longest = goto, fail, longest
+
+
+def _scan(index: SuffixIndex, data: bytes) -> Iterator[int]:
+    """Longest-suffix token id after each byte of data, in one pass."""
+    goto, fail, longest = index._goto, index._fail, index._longest
+    s = 0
+    for c in data:
+        while (t := goto[s].get(c)) is None:
+            s = fail[s]
+        s = t
+        yield longest[s]
 
 
 def longest_suffix_token(index: SuffixIndex, data: bytes, i: int) -> int:
     """Id of the vocabulary token whose byte-string is the longest suffix of
     data[: i + 1]. The 256 single-byte tokens `check` guarantees make the
-    result total."""
+    result total. No token is longer than `index.max_len`, so the automaton
+    reads only the last that many bytes."""
     if not 0 <= i < len(data):
         raise TokenizerError(f"position {i} out of range")
-    node = 0
-    best = -1
-    children = index._children
-    token = index._token
-    pos = i
-    while pos >= 0:
-        nxt = children[node].get(data[pos])
-        if nxt is None:
-            break
-        node = nxt
-        if token[node] >= 0:
-            best = token[node]
-        pos -= 1
+    *_, best = _scan(index, data[max(0, i - index.max_len + 1) : i + 1])
     return best
 
 
 def suffix_ids(index: SuffixIndex, data: bytes) -> np.ndarray:
     """Longest-suffix token id at every position of data."""
-    return np.fromiter(
-        (longest_suffix_token(index, data, i) for i in range(len(data))),
-        dtype=np.int64,
-        count=len(data),
-    )
+    return np.fromiter(_scan(index, data), dtype=np.int64, count=len(data))
 
 
 # -- serialization ------------------------------------------------------------

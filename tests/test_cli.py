@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from bytepatch.cli import (
 )
 from bytepatch.data import load_corpus
 from bytepatch.model import init_byte_model
+from bytepatch.tokenizer import load_vocab
 
 TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
 
@@ -280,6 +282,39 @@ def test_counts_below_one_are_usage_errors(workspace, command, flag, value):
     rc = cli.main([command, "--data", str(root / "corpus"), "--model", str(root / "s1.ckpt"),
                    "--vocab", str(root / "vocab.txt"), "--config", str(cfg), flag, value])
     assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_make_corpus_document_count_below_one_is_a_usage_error(tmp_path, value):
+    out = tmp_path / "corpus"
+    assert cli.main(["make-corpus", "--docs", value, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_generate_byte_budget_below_one_is_a_usage_error(workspace, tmp_path, value):
+    root, _ = workspace
+    out = tmp_path / "g.bin"
+    rc = cli.main(["generate", "--model", str(root / "s1.ckpt"), "--vocab", str(root / "vocab.txt"),
+                   "--max-bytes", value, "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_train_teacher_reports_the_tokenizer_phase(tmp_path, capsys):
+    corpus, cfg = tmp_path / "corpus", tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CFG.replace("train.steps=6", "train.steps=0").replace("vocab_size=300", "vocab_size=4000"))
+    assert cli.main(["make-corpus", "--docs", "6", "--out", str(corpus), "--seed", "5"]) == EXIT_OK
+    capsys.readouterr()
+    rc = cli.main(["train-teacher", "--data", str(corpus), "--out", str(tmp_path / "t.ckpt"),
+                   "--vocab-out", str(tmp_path / "v.txt"), "--config", str(cfg)])
+    assert rc == EXIT_OK
+    out, err = capsys.readouterr()
+    n_merges = len(load_vocab(str(tmp_path / "v.txt")).merges)
+    n_bytes = sum(len(d) for d in load_corpus(corpus).train)
+    line = next(l for l in err.splitlines() if l.startswith("tokenizer:"))
+    assert re.fullmatch(rf"tokenizer: {n_merges} merges from {n_bytes} corpus bytes in \d+\.\d\d s \(truncated\)", line)
+    assert out.startswith("teacher saved to") and "tokenizer" not in out
 
 
 def test_eval_bpb_without_a_scorable_document_names_the_minimum(workspace, capsys):

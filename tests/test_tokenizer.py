@@ -1,3 +1,5 @@
+from collections.abc import Callable
+
 import numpy as np
 import pytest
 
@@ -27,16 +29,84 @@ def test_utf8_empty_rejected():
         utf8_to_bytes("")
 
 
+def _train_bpe_by_recount(corpus: list[bytes], vocab_size: int) -> SubwordVocab:
+    """Oracle for `train_bpe`: recount every adjacent pair of every document
+    before each merge, take the most frequent with ties on (lower left id,
+    then lower right id), replace it everywhere with `apply_merge`."""
+    n_merges = vocab_size - 256 - 1
+    seqs = [list(doc) for doc in corpus if len(doc) > 0]
+    token_bytes = [bytes([i]) for i in range(256)]
+    merges: list[tuple[int, int]] = []
+    truncated = False
+    for _ in range(n_merges):
+        counts: dict[tuple[int, int], int] = {}
+        for seq in seqs:
+            for pair in zip(seq, seq[1:]):
+                counts[pair] = counts.get(pair, 0) + 1
+        if not counts:
+            truncated = True
+            break
+        pair, freq = min(counts.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
+        if freq < 2:
+            truncated = True
+            break
+        new_id = len(token_bytes)
+        token_bytes.append(token_bytes[pair[0]] + token_bytes[pair[1]])
+        merges.append(pair)
+        seqs = [tok.apply_merge(seq, pair, new_id) for seq in seqs]
+    return SubwordVocab(token_bytes, merges, truncated=truncated)
+
+
+def _assert_trains_like_recount(corpus: list[bytes], vocab_size: int) -> SubwordVocab:
+    vocab, want = train_bpe(corpus, vocab_size), _train_bpe_by_recount(corpus, vocab_size)
+    assert (vocab.merges, vocab.token_bytes, vocab.truncated) == (want.merges, want.token_bytes, want.truncated), corpus
+    return vocab
+
+
 def test_train_bpe_aaab():
     # adjacent-pair counting gives (a,a)=2, (a,b)=1 -> merge "aa"
-    vocab = train_bpe([b"aaab"], 258)
+    vocab = _assert_trains_like_recount([b"aaab"], 258)
     assert vocab.merges == [(ord("a"), ord("a"))]
     assert vocab.token_bytes[256] == b"aa"
 
 
 def test_train_bpe_abab():
-    vocab = train_bpe([b"abab"], 258)
+    vocab = _assert_trains_like_recount([b"abab"], 258)
     assert vocab.token_bytes[256] == b"ab"
+
+
+def test_train_bpe_matches_recount_on_random_corpora():
+    # 1-4 letter alphabets, long single-letter runs whose pairs overlap,
+    # empty documents, and sizes past what the corpus supports (truncation)
+    rng = np.random.default_rng(13)
+    truncated = 0
+    for _ in range(400):
+        top = int(rng.integers(97, 101))
+        corpus = []
+        for _ in range(int(rng.integers(1, 8))):
+            r = rng.random()
+            if r < 0.15:
+                corpus.append(b"")
+            elif r < 0.35:
+                corpus.append(bytes([top]) * int(rng.integers(1, 40)))
+            else:
+                corpus.append(bytes(rng.integers(97, top + 1, size=rng.integers(1, 50)).tolist()))
+        if not any(corpus):
+            corpus.append(b"aaaa")
+        truncated += _assert_trains_like_recount(corpus, int(rng.integers(257, 330))).truncated
+    assert 0 < truncated < 400
+
+
+def test_train_bpe_matches_recount_on_toy_text():
+    docs = [d.encode() for d in markov_word_docs(seed=4, n_docs=100)]
+    vocab = _assert_trains_like_recount(docs, 420)
+    assert not vocab.truncated and vocab.size == 420
+
+
+def test_train_bpe_pairs_stop_at_document_ends():
+    # "ab" spans the join of the two documents and must not be counted there
+    vocab = _assert_trains_like_recount([b"xa", b"bx", b"ba", b"ba"], 258)
+    assert vocab.merges == [(ord("b"), ord("a"))]
 
 
 def test_train_bpe_minimum_size_is_identity():
@@ -49,9 +119,11 @@ def test_train_bpe_minimum_size_is_identity():
 
 
 def test_train_bpe_truncates_on_small_corpus():
-    vocab = train_bpe([b"ab"], 400)
+    vocab = _assert_trains_like_recount([b"ab"], 400)
     assert vocab.truncated
     assert vocab.size < 400
+    # after "aa" no document has a pair left at all
+    assert _assert_trains_like_recount([b"aa", b"aa"], 400).merges == [(ord("a"), ord("a"))]
 
 
 def test_encode_single_merge():
@@ -156,6 +228,12 @@ def test_longest_suffix_hand_cases():
     assert vocab.token_bytes[longest_suffix_token(index, x, 2)] == b"bc"
 
 
+def test_suffix_index_rejects_a_vocabulary_without_every_byte():
+    token_bytes = [bytes([i]) for i in range(256) if i != ord("z")] + [b"z!"]
+    with pytest.raises(TokenizerError, match="single-byte"):
+        SuffixIndex(SubwordVocab(token_bytes, []))
+
+
 def _brute_longest_suffix(vocab: SubwordVocab, x: bytes, i: int) -> int:
     best, best_len = -1, 0
     prefix = x[: i + 1]
@@ -163,6 +241,34 @@ def _brute_longest_suffix(vocab: SubwordVocab, x: bytes, i: int) -> int:
         if len(tb) > best_len and prefix.endswith(tb):
             best, best_len = tid, len(tb)
     return best
+
+
+def _longest_suffix_by_trie(vocab: SubwordVocab) -> Callable[[bytes, int], int]:
+    """Oracle for the suffix automaton: a trie of reversed token
+    byte-strings, walked from the root backwards from position i."""
+    children: list[dict[int, int]] = [{}]
+    token = [-1]
+    for tid, tb in enumerate(vocab.token_bytes):
+        node = 0
+        for b in reversed(tb):
+            if b not in children[node]:
+                children[node][b] = len(children)
+                children.append({})
+                token.append(-1)
+            node = children[node][b]
+        token[node] = tid
+
+    def lookup(x: bytes, i: int) -> int:
+        node, best = 0, -1
+        for pos in range(i, -1, -1):
+            node = children[node].get(x[pos])
+            if node is None:
+                break
+            if token[node] >= 0:
+                best = token[node]
+        return best
+
+    return lookup
 
 
 def test_longest_suffix_matches_bruteforce():
@@ -174,6 +280,20 @@ def test_longest_suffix_matches_bruteforce():
         x = bytes(rng.integers(97, 103, size=rng.integers(1, 30)).tolist())
         for i in range(len(x)):
             assert longest_suffix_token(index, x, i) == _brute_longest_suffix(vocab, x, i)
+
+
+def test_suffix_automaton_matches_reversed_trie():
+    docs = [d.encode() for d in markov_word_docs(seed=6, n_docs=40)]
+    vocab = train_bpe(docs[:30], 420)
+    index, oracle = SuffixIndex(vocab), _longest_suffix_by_trie(vocab)
+    rng = np.random.default_rng(8)
+    texts = [doc[s : s + 88] for doc in docs[30:] for s in range(0, len(doc), 88)]
+    texts += [bytes(rng.integers(0, 256, size=rng.integers(1, 20)).tolist()) for _ in range(50)]
+    texts += [b"".join(rng.choice(vocab.token_bytes, size=rng.integers(1, 30)).tolist()) for _ in range(150)]
+    for x in texts:
+        want = [oracle(x, i) for i in range(len(x))]
+        assert tok.suffix_ids(index, x).tolist() == want
+        assert [longest_suffix_token(index, x, i) for i in range(len(x))] == want
 
 
 def test_vocab_serialization_roundtrip(tmp_path):
