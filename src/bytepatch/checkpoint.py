@@ -23,7 +23,7 @@ from .model import ModelConfig, ParamStore
 from .tensor import Tensor
 
 MAGIC = b"BPCKPT\x00\x01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -66,7 +66,7 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
     """Returns (params, config, header). Raises on bad magic, version,
-    truncation, or checksum mismatch."""
+    truncation, checksum mismatch, or a config this build cannot construct."""
     blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC) + 8 + 32 or blob[: len(MAGIC)] != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
@@ -96,5 +96,8 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
         offset += n
     if offset != len(payload):
         raise CheckpointError("trailing bytes after tensor table")
-    config = ModelConfig.from_dict(header["config"])
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"bad model config in header: {e}") from None
     return ParamStore(tensors), config, header

@@ -23,7 +23,7 @@ import numpy as np
 
 from .boundaries import MergeStrategy, attained_compression, mask_to_rle
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import compound_docs, load_corpus, markov_word_docs, write_corpus
+from .data import EOT, compound_docs, load_corpus, markov_word_docs, write_corpus
 from .inference import SamplerConfig, generate
 from .losses import LossWeights
 from .merging import format_spectrum, reset_embeddings_check, spectrum_report, task_arithmetic_merge
@@ -36,7 +36,7 @@ from .model import (
     init_byte_model,
     init_teacher,
 )
-from .tokenizer import SuffixIndex, load_vocab, save_vocab, train_bpe, utf8_to_bytes
+from .tokenizer import load_vocab, save_vocab, train_bpe, utf8_to_bytes
 from .training import (
     TrainConfig,
     evaluate_alignment,
@@ -86,16 +86,11 @@ def _coerce(value: str, typ):
     return typ(value)
 
 
-# keys whose change would make the transplanted backbone compute something else
-BACKBONE_KEYS = ("d", "rope_base", "rms_eps")
-
-
 def build_model_config(cfg: dict[str, str], vocab_size: int, base: ModelConfig | None = None) -> ModelConfig:
     """Overlay model.* keys onto `base` (the defaults when None) and construct
-    once, so derived fields and validation see the final values. The base is
-    the teacher's config when converting it: a key that would change the
-    transplanted backbone (`d`, `rope_base`, `rms_eps`, `global.*`) is then
-    rejected."""
+    once, so validation sees the final values. The base is the teacher's
+    config when converting it: a key that would change the transplanted
+    backbone (`d`, `global.*`) is then rejected."""
     if base is None:
         values = {f.name: f.default for f in dc.fields(ModelConfig) if f.default is not dc.MISSING}
         values["mlstm"] = dc.asdict(MlstmConfig())
@@ -113,7 +108,7 @@ def build_model_config(cfg: dict[str, str], vocab_size: int, base: ModelConfig |
         if group is None or name not in group or isinstance(group[name], dict):
             raise ConfigFileError(f"unknown config key {key!r}")
         new = _coerce(value, type(group[name]))
-        if base is not None and new != group[name] and (rest in BACKBONE_KEYS or head == "global"):
+        if base is not None and new != group[name] and (rest == "d" or head == "global"):
             raise ConfigFileError(f"{key}={value} changes the teacher's backbone ({group[name]})")
         group[name] = new
     try:
@@ -264,10 +259,9 @@ def cmd_eval_bpb(args) -> int:
 def cmd_generate(args) -> int:
     vocab = load_vocab(args.vocab)
     params, mc, _ = _load_ckpt(args.model)
-    sidx = SuffixIndex(vocab)
-    prompt = bytes([mc.eot_byte]) + (utf8_to_bytes(args.prompt) if args.prompt else b"")
+    prompt = bytes([EOT]) + (utf8_to_bytes(args.prompt) if args.prompt else b"")
     sampler = SamplerConfig(temperature=args.temperature, top_p=args.top_p, seed=args.seed)
-    out = generate(params, mc, sidx, prompt, args.max_bytes, sampler)
+    out = generate(params, mc, vocab.suffix_index, prompt, args.max_bytes, sampler)
     if args.out:
         Path(args.out).write_bytes(out)
     else:
@@ -314,7 +308,6 @@ def cmd_boundary_dump(args) -> int:
     cfg = parse_config_file(args.config)
     corpus = _load_corpus(args, cfg)
     vocab = load_vocab(args.vocab)
-    sidx = SuffixIndex(vocab)
     teacher = None
     params = mc = None
     if args.model:
@@ -334,7 +327,7 @@ def cmd_boundary_dump(args) -> int:
     masks = []
     for doc in docs:
         content = doc[: args.max_doc_bytes]
-        w = prepare_window(content, vocab, sidx, mc, scorer, strategy)
+        w = prepare_window(content, vocab, mc, scorer, strategy)
         if args.predicted:
             out = forward_full(params, mc, w.model_bytes[None, :], w.suffix[None, :], mask=None)
             mask = out["mask"][0][1:]  # drop the BOS pseudo-patch position
@@ -436,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--tensor", default="subword_embed.table")
-    p.add_argument("--max-rows", type=int, default=0)
+    p.add_argument("--max-rows", type=_positive_int, default=None, help="all rows when omitted")
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("boundary-dump", help="emit supervision or predicted masks as RLE")

@@ -3,7 +3,8 @@
 Documents are UTF-8 text files (one document per .txt file) or line-delimited
 records with a "text" field. Loading order is sorted paths followed by a
 seeded shuffle, so splits are reproducible. Every document gets a trailing
-0x00 byte, which doubles as the end-of-text convention during generation.
+`EOT` (0x00) byte; the same byte starts every training window as its BOS and
+ends generation.
 
 The synthetic generators produce three families used throughout the tests:
 a word-graph corpus with low conditional entropy (teacher food), a
@@ -22,7 +23,7 @@ import numpy as np
 
 from .tokenizer import utf8_to_bytes
 
-EOT = 0  # document terminator byte
+EOT = 0  # document terminator, every window's BOS byte and generate's stop byte
 MIN_WINDOW_BYTES = 16  # shortest document tail kept as a training window
 
 

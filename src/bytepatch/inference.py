@@ -19,6 +19,7 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
+from .data import EOT
 from .model import ModelConfig, ParamStore, predict_boundaries, predicted_mask, split_fused
 from .tensor import Tensor
 from .tokenizer import SuffixIndex, longest_suffix_token
@@ -78,8 +79,8 @@ def _step_stack(params: ParamStore, cfg: ModelConfig, x: np.ndarray, states: lis
     m = cfg.mlstm
     p = params.tensors()
     for l, st in enumerate(states):
-        x = L.mlstm_step(p, f"{stack}.{l}.mlstm", x, st, m.heads, m.qk_dim, m.v_dim, m.gate_soft_cap, cfg.rms_eps)
-        x = L.ffn_step(p, f"{stack}.{l}.ffn", x, cfg.rms_eps)
+        x = L.mlstm_step(p, f"{stack}.{l}.mlstm", x, st, m.heads, m.qk_dim, m.v_dim)
+        x = L.ffn_step(p, f"{stack}.{l}.ffn", x)
     return x
 
 
@@ -96,16 +97,16 @@ def _advance_global(params: ParamStore, cfg: ModelConfig, state: DecodeState, e_
     p = params.tensors()
     x = e_hat
     for l in range(g.layers):
-        x = L.attention_step(p, f"global.{l}.attn", x, state.kv[l], g.heads, g.head_dim, cfg.rope_base, cfg.rms_eps)
-        x = L.ffn_step(p, f"global.{l}.ffn", x, cfg.rms_eps)
-    state.h_latest = x * T.rms_scale_np(x, cfg.rms_eps) * params["global.final_norm_g"].data
+        x = L.attention_step(p, f"global.{l}.attn", x, state.kv[l], g.heads, g.head_dim)
+        x = L.ffn_step(p, f"global.{l}.ffn", x)
+    state.h_latest = x * T.rms_scale_np(x, L.RMS_EPS) * params["global.final_norm_g"].data
     state.n_global_calls += 1
 
 
 def _decode_position(params: ParamStore, cfg: ModelConfig, state: DecodeState, e_hat: np.ndarray) -> np.ndarray:
     z = e_hat @ params["depool_proj.w"].data + state.h_latest
     x = _step_stack(params, cfg, z, state.dec, "decoder")
-    x = x * T.rms_scale_np(x, cfg.rms_eps) * params["lm_head.norm_g"].data
+    x = x * T.rms_scale_np(x, L.RMS_EPS) * params["lm_head.norm_g"].data
     logits = x @ params["lm_head.w"].data
     if not np.all(np.isfinite(logits)):
         raise InferenceError("non-finite logits")
@@ -192,7 +193,7 @@ def generate(
     sampler: SamplerConfig,
 ) -> bytes:
     """Greedy/sampled continuation of `prompt`, stopping at the end-of-text
-    byte or after max_bytes. Returns only the generated bytes."""
+    byte `data.EOT` or after max_bytes. Returns only the generated bytes."""
     if max_bytes <= 0:
         return b""
     state, _, _ = prefill(params, cfg, vocab_index, prompt, seed=sampler.seed)
@@ -200,7 +201,7 @@ def generate(
     for _ in range(max_bytes):
         symbol = decode_step(params, cfg, state, sidx=vocab_index, sampler=sampler)
         byte, _ = split_fused(symbol)
-        if byte == cfg.eot_byte:
+        if byte == EOT:
             break
         out.append(byte)
     return bytes(out)

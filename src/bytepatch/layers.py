@@ -33,20 +33,23 @@ from . import tensor as T
 from .tensor import Tensor
 
 NEG_MASK = -1e9
+RMS_EPS = 1e-12  # every RMSNorm, shared with the transplanted backbone
+ROPE_BASE = 10000.0  # rotary frequency base of the backbone's attention
+GATE_SOFT_CAP = 15.0  # mLSTM input/forget gate pre-activations stay inside ±cap
 
 
 # -- small shared pieces ------------------------------------------------------
 
-def rms(x: Tensor, gain: Tensor, eps: float) -> Tensor:
-    return T.rmsnorm(x, eps) * gain
+def rms(x: Tensor, gain: Tensor) -> Tensor:
+    return T.rmsnorm(x, RMS_EPS) * gain
 
 
 def swiglu(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
     return T.matmul(T.silu(T.matmul(x, w_gate)) * T.matmul(x, w_up), w_down)
 
 
-def ffn_block(p: dict[str, Tensor], prefix: str, x: Tensor, eps: float) -> Tensor:
-    xn = rms(x, p[f"{prefix}.norm_g"], eps)
+def ffn_block(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
+    xn = rms(x, p[f"{prefix}.norm_g"])
     return x + swiglu(xn, p[f"{prefix}.w_gate"], p[f"{prefix}.w_up"], p[f"{prefix}.w_down"])
 
 
@@ -64,9 +67,9 @@ def _unheads(x: Tensor) -> Tensor:
 
 # -- rotary positions ---------------------------------------------------------
 
-def rope_tables(positions: np.ndarray, head_dim: int, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+def rope_tables(positions: np.ndarray, head_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     half = head_dim // 2
-    freqs = base ** (-np.arange(half, dtype=np.float64) / half)
+    freqs = ROPE_BASE ** (-np.arange(half, dtype=np.float64) / half)
     ang = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
     return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
 
@@ -79,15 +82,13 @@ def attention_block(
     x: Tensor,
     n_heads: int,
     head_dim: int,
-    rope_base: float,
-    eps: float,
 ) -> Tensor:
     b, n, d = x.shape
-    xn = rms(x, p[f"{prefix}.norm_g"], eps)
+    xn = rms(x, p[f"{prefix}.norm_g"])
     q = _heads(T.matmul(xn, p[f"{prefix}.w_q"]), n_heads, head_dim)
     k = _heads(T.matmul(xn, p[f"{prefix}.w_k"]), n_heads, head_dim)
     v = _heads(T.matmul(xn, p[f"{prefix}.w_v"]), n_heads, head_dim)
-    cos, sin = rope_tables(np.arange(n), head_dim, rope_base, x.dtype)
+    cos, sin = rope_tables(np.arange(n), head_dim, x.dtype)
     q = T.rope(q, cos, sin)
     k = T.rope(k, cos, sin)
     att = T.matmul(q, k.swap_last()) * Tensor(np.float64(head_dim) ** -0.5, _op="const")
@@ -104,17 +105,15 @@ def attention_step(
     cache: dict,
     n_heads: int,
     head_dim: int,
-    rope_base: float,
-    eps: float,
 ) -> np.ndarray:
     """One position of cached attention on raw numpy state. cache holds
     'k'/'v' arrays shaped (H, t, hd) plus 'pos', and is mutated in place."""
-    xn = x_t * T.rms_scale_np(x_t, eps) * p[f"{prefix}.norm_g"].data
+    xn = x_t * T.rms_scale_np(x_t, RMS_EPS) * p[f"{prefix}.norm_g"].data
     q = (xn @ p[f"{prefix}.w_q"].data).reshape(n_heads, head_dim)
     k = (xn @ p[f"{prefix}.w_k"].data).reshape(n_heads, head_dim)
     v = (xn @ p[f"{prefix}.w_v"].data).reshape(n_heads, head_dim)
     pos = cache["pos"]
-    cos, sin = rope_tables(np.array([pos]), head_dim, rope_base, x_t.dtype)
+    cos, sin = rope_tables(np.array([pos]), head_dim, x_t.dtype)
     q = T.rope_np(q, cos, sin)
     k = T.rope_np(k, cos, sin)
     cache["k"] = np.concatenate([cache["k"], k[:, None, :]], axis=1)
@@ -147,8 +146,6 @@ def mlstm_block(
     heads: int,
     qk_dim: int,
     v_dim: int,
-    soft_cap: float,
-    eps: float,
     chunk: int = CHUNK,
 ) -> Tensor:
     """Chunkwise-parallel mLSTM with exponential input gate, sigmoid forget
@@ -156,15 +153,15 @@ def mlstm_block(
     RMS normalization and a sigmoid output gate, wrapped pre-norm residually.
     `chunk` is the chunk length L; tests pass it, callers keep CHUNK."""
     b, n, d = x.shape
-    xn = rms(x, p[f"{prefix}.norm_g"], eps)
+    xn = rms(x, p[f"{prefix}.norm_g"])
     q = _heads(T.matmul(xn, p[f"{prefix}.w_q"]), heads, qk_dim)
     k = _heads(T.matmul(xn, p[f"{prefix}.w_k"]), heads, qk_dim) * Tensor(
         np.float64(qk_dim) ** -0.5, _op="const"
     )
     v = _heads(T.matmul(xn, p[f"{prefix}.w_v"]), heads, v_dim)
 
-    i_pre = T.softcap(T.matmul(xn, p[f"{prefix}.w_i"]) + p[f"{prefix}.b_i"], soft_cap)
-    f_pre = T.softcap(T.matmul(xn, p[f"{prefix}.w_f"]) + p[f"{prefix}.b_f"], soft_cap)
+    i_pre = T.softcap(T.matmul(xn, p[f"{prefix}.w_i"]) + p[f"{prefix}.b_i"], GATE_SOFT_CAP)
+    f_pre = T.softcap(T.matmul(xn, p[f"{prefix}.w_f"]) + p[f"{prefix}.b_f"], GATE_SOFT_CAP)
     i_pre = T.transpose(i_pre, (0, 2, 1))  # (B, NH, n)
     f_pre = T.transpose(f_pre, (0, 2, 1))
 
@@ -231,7 +228,7 @@ def mlstm_block(
     h = num / den  # (B, NH, n, v)
 
     h = T.transpose(h, (0, 2, 1, 3))  # (B, n, NH, v)
-    h = T.rmsnorm(h, eps).reshape((b, n, heads * v_dim)) * p[f"{prefix}.mh_norm_g"]
+    h = T.rmsnorm(h, RMS_EPS).reshape((b, n, heads * v_dim)) * p[f"{prefix}.mh_norm_g"]
     og = T.sigmoid(T.matmul(xn, p[f"{prefix}.w_og"]))
     return x + T.matmul(h * og, p[f"{prefix}.w_out"])
 
@@ -252,16 +249,14 @@ def mlstm_step(
     heads: int,
     qk_dim: int,
     v_dim: int,
-    soft_cap: float,
-    eps: float,
 ) -> np.ndarray:
     """Sequential mLSTM update on raw numpy state (mutated in place)."""
-    xn = x_t * T.rms_scale_np(x_t, eps) * p[f"{prefix}.norm_g"].data
+    xn = x_t * T.rms_scale_np(x_t, RMS_EPS) * p[f"{prefix}.norm_g"].data
     q = (xn @ p[f"{prefix}.w_q"].data).reshape(heads, qk_dim)
     k = (xn @ p[f"{prefix}.w_k"].data).reshape(heads, qk_dim) * qk_dim**-0.5
     v = (xn @ p[f"{prefix}.w_v"].data).reshape(heads, v_dim)
-    i_pre = T.softcap_np(xn @ p[f"{prefix}.w_i"].data + p[f"{prefix}.b_i"].data, soft_cap)
-    f_pre = T.softcap_np(xn @ p[f"{prefix}.w_f"].data + p[f"{prefix}.b_f"].data, soft_cap)
+    i_pre = T.softcap_np(xn @ p[f"{prefix}.w_i"].data + p[f"{prefix}.b_i"].data, GATE_SOFT_CAP)
+    f_pre = T.softcap_np(xn @ p[f"{prefix}.w_f"].data + p[f"{prefix}.b_f"].data, GATE_SOFT_CAP)
     log_f = T.logsigmoid_np(f_pre)
     m_new = np.maximum(log_f + state["m"], i_pre)
     f_eff = np.exp(log_f + state["m"] - m_new)
@@ -275,13 +270,13 @@ def mlstm_step(
     dots = np.einsum("hk,hk->h", state["n"], q)
     den = np.maximum(np.abs(dots), np.exp(-m_new))
     h = num / den[:, None]
-    h = (h * T.rms_scale_np(h, eps)).reshape(-1) * p[f"{prefix}.mh_norm_g"].data
+    h = (h * T.rms_scale_np(h, RMS_EPS)).reshape(-1) * p[f"{prefix}.mh_norm_g"].data
     og = T.sigmoid_np(xn @ p[f"{prefix}.w_og"].data)
     return x_t + (h * og) @ p[f"{prefix}.w_out"].data
 
 
-def ffn_step(p: dict[str, Tensor], prefix: str, x_t: np.ndarray, eps: float) -> np.ndarray:
-    xn = x_t * T.rms_scale_np(x_t, eps) * p[f"{prefix}.norm_g"].data
+def ffn_step(p: dict[str, Tensor], prefix: str, x_t: np.ndarray) -> np.ndarray:
+    xn = x_t * T.rms_scale_np(x_t, RMS_EPS) * p[f"{prefix}.norm_g"].data
     gate = xn @ p[f"{prefix}.w_gate"].data
     up = xn @ p[f"{prefix}.w_up"].data
     return x_t + (gate * T.sigmoid_np(gate) * up) @ p[f"{prefix}.w_down"].data

@@ -47,49 +47,43 @@ class LossBreakdown:
         }
 
 
-def boundary_bce(
-    p: Tensor,
-    mask: np.ndarray,
-    eps: float = CLAMP_EPS,
-) -> Tensor:
+def boundary_bce(p: Tensor, mask: np.ndarray) -> Tensor:
     """Per-byte mean of -[m_t log p_t + (1 - m_t) log(1 - p_t)] with
-    probabilities clamped to [eps, 1-eps]."""
+    probabilities clamped to [CLAMP_EPS, 1-CLAMP_EPS]."""
     mask = np.asarray(mask, dtype=p.dtype)
     if mask.shape != p.shape:
         raise ValueError(f"mask shape {mask.shape} != scores shape {p.shape}")
-    pc = T.clip(p, eps, 1.0 - eps)
+    pc = T.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
     m = Tensor(mask, _op="const")
     terms = -(m * T.log(pc) + (1.0 - m) * T.log(1.0 - pc))
     return terms.mean()
 
 
-def encoder_match(student_probe: Tensor, teacher_probe: np.ndarray, valid: np.ndarray | None = None) -> Tensor:
-    """Mean over patches of the L2 distance between the pooled-and-probed
-    student representations and the teacher's, both after the same frozen
-    backbone prefix."""
+def encoder_match(student_probe: Tensor, teacher_probe: np.ndarray, valid: np.ndarray) -> Tensor:
+    """Mean over the `valid` patches of the L2 distance between the
+    pooled-and-probed student representations and the teacher's, both after
+    the same frozen backbone prefix."""
     teacher = Tensor(np.asarray(teacher_probe, dtype=student_probe.dtype), _op="const")
     diff = student_probe - teacher
     sq = (diff * diff).sum(axis=-1)  # (B, P)
     norms = T.sqrt(sq)
-    if valid is None:
-        return norms.mean()
     w = Tensor(np.asarray(valid, dtype=student_probe.dtype), _op="const")
     return (norms * w).sum() / float(np.sum(valid))
 
 
-def f_temp_bce(student_logp: Tensor, teacher_logp, tau: float = 5.0, eps: float = CLAMP_EPS) -> Tensor:
+def f_temp_bce(student_logp: Tensor, teacher_logp: np.ndarray, tau: float = 5.0) -> Tensor:
     """Temperature-modulated binary cross-entropy between two likelihoods
     given as log-probabilities, evaluated entirely in log space:
 
         f(yhat || y) = -(y^(1/tau) log yhat^(1/tau)
                          + (1 - y^(1/tau)) log(1 - yhat^(1/tau)))
 
-    The student side is clamped to [eps, 1-eps] in probability space so the
-    log(1 - .) branch stays finite; interior values pass through exactly.
+    The student side is clamped to [CLAMP_EPS, 1-CLAMP_EPS] in probability
+    space so the log(1 - .) branch stays finite; interior values pass through
+    exactly.
     """
-    if not isinstance(teacher_logp, Tensor):
-        teacher_logp = Tensor(np.asarray(teacher_logp, dtype=np.float64), _op="const")
-    a = T.clip(student_logp * (1.0 / tau), np.log(eps), np.log1p(-eps))
+    teacher_logp = Tensor(np.asarray(teacher_logp, dtype=np.float64), _op="const")
+    a = T.clip(student_logp * (1.0 / tau), np.log(CLAMP_EPS), np.log1p(-CLAMP_EPS))
     y_pow = T.exp(teacher_logp * (1.0 / tau))
     return -(y_pow * a + (1.0 - y_pow) * T.log1mexp(a))
 

@@ -96,10 +96,11 @@ def spectrum_report(matrix: np.ndarray) -> dict:
     return {"ratios": ratios, "cumulative": np.cumsum(ratios), "singular_values": s}
 
 
-def format_spectrum(report: dict, max_rows: int = 0) -> str:
-    """Line-delimited table: index, explained-variance ratio, cumulative."""
+def format_spectrum(report: dict, max_rows: int | None = None) -> str:
+    """Line-delimited table: index, explained-variance ratio, cumulative;
+    the first `max_rows` ranks, or all when None."""
     ratios = report["ratios"]
-    n = len(ratios) if max_rows == 0 else min(max_rows, len(ratios))
+    n = len(ratios) if max_rows is None else min(max_rows, len(ratios))
     lines = ["rank\tratio\tcumulative"]
     for i in range(n):
         lines.append(f"{i}\t{ratios[i]:.8e}\t{report['cumulative'][i]:.8f}")

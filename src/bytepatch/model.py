@@ -7,6 +7,11 @@ All forward functions are pure in (params, inputs); parameters live in a flat
 ``ParamStore`` whose name prefix is the component tag used for checkpointing,
 training groups and checkpoint arithmetic. Parameters are plain values: only
 the training step loop puts them in the autodiff graph.
+
+The numerical constants are fixed, not configured: the RMS epsilon, RoPE base
+and mLSTM gate soft cap live in ``layers`` (the first two are shared with the
+transplanted backbone), the boundary head's cosine epsilon and the mLSTM
+input-gate bias initialization here; the boundary projections are d x d.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from . import tensor as T
 from .tensor import Tensor
 
 N_FUSED = 512  # 256 bytes x boundary bit
+COS_EPS = 1e-8  # keeps the boundary head's cosine finite for a zero projection
+INPUT_GATE_BIAS_INIT = -10.0  # mLSTM input gates start nearly closed (xLSTM)
 COMPONENTS = (
     "byte_embed",
     "subword_embed",
@@ -43,8 +50,6 @@ class MlstmConfig:
     heads: int = 4
     qk_dim: int = 16
     v_dim: int = 32
-    gate_soft_cap: float = 15.0
-    input_gate_bias_init: float = -10.0
 
 
 @dataclass
@@ -64,14 +69,9 @@ class ModelConfig:
     n_probe: int = 4  # global layers crossed by the encoder-matching loss
     mlstm: MlstmConfig = field(default_factory=MlstmConfig)
     global_model: GlobalConfig = field(default_factory=GlobalConfig)
-    boundary_dim: int = 0  # 0 -> d
     boundary_mode: str = "noncausal"  # or "causal" (ablation)
     boundary_threshold: float = 0.5
-    cos_eps: float = 1e-8
-    rms_eps: float = 1e-12
-    rope_base: float = 10000.0
     patch_cap: int = 64  # decode-time forced boundary after this many bytes
-    eot_byte: int = 0
 
     def __post_init__(self):
         if self.global_model.heads * self.global_model.head_dim != self.d:
@@ -82,8 +82,6 @@ class ModelConfig:
             raise ConfigError("n_probe exceeds global layer count")
         if self.boundary_mode not in ("noncausal", "causal"):
             raise ConfigError(f"bad boundary_mode {self.boundary_mode!r}")
-        if self.boundary_dim == 0:
-            self.boundary_dim = self.d
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -158,7 +156,7 @@ def _init_mlstm_layer(p: dict, prefix: str, cfg: ModelConfig, rng, out_scale: fl
     p[f"{prefix}.w_k"] = _normal(rng, (d, m.heads * m.qk_dim))
     p[f"{prefix}.w_v"] = _normal(rng, (d, m.heads * m.v_dim))
     p[f"{prefix}.w_i"] = _zeros((d, m.heads))
-    p[f"{prefix}.b_i"] = Tensor(np.full(m.heads, m.input_gate_bias_init))
+    p[f"{prefix}.b_i"] = Tensor(np.full(m.heads, INPUT_GATE_BIAS_INIT))
     p[f"{prefix}.w_f"] = _zeros((d, m.heads))
     # a head-staggered forget bias keeps memories alive at different horizons
     p[f"{prefix}.b_f"] = Tensor(np.linspace(3.0, 6.0, m.heads))
@@ -218,8 +216,8 @@ def init_byte_model(
     for l in range(cfg.encoder_layers):
         _init_mlstm_layer(p, f"encoder.{l}.mlstm", cfg, rng, enc_scale)
         _init_ffn(p, f"encoder.{l}.ffn", cfg, rng, enc_scale)
-    p["boundary.w_q"] = _normal(rng, (cfg.d, cfg.boundary_dim))
-    p["boundary.w_k"] = _normal(rng, (cfg.d, cfg.boundary_dim))
+    p["boundary.w_q"] = _normal(rng, (cfg.d, cfg.d))
+    p["boundary.w_k"] = _normal(rng, (cfg.d, cfg.d))
     if teacher is not None:
         for name, t in teacher.component("global").items():
             p[name] = Tensor(t.data.copy())
@@ -271,11 +269,8 @@ def _local_stack(params: ParamStore, cfg: ModelConfig, x: Tensor, stack: str, n_
     """mLSTM + FFN layers of the encoder or decoder stack."""
     m = cfg.mlstm
     for l in range(n_layers):
-        x = L.mlstm_block(
-            params.tensors(), f"{stack}.{l}.mlstm", x,
-            m.heads, m.qk_dim, m.v_dim, m.gate_soft_cap, cfg.rms_eps,
-        )
-        x = L.ffn_block(params.tensors(), f"{stack}.{l}.ffn", x, cfg.rms_eps)
+        x = L.mlstm_block(params.tensors(), f"{stack}.{l}.mlstm", x, m.heads, m.qk_dim, m.v_dim)
+        x = L.ffn_block(params.tensors(), f"{stack}.{l}.ffn", x)
     return x
 
 
@@ -297,7 +292,7 @@ def predict_boundaries(params: ParamStore, cfg: ModelConfig, e_hat: Tensor) -> T
     b, n, _ = e_hat.shape
     q = T.matmul(e_hat[:, 1:, :], params["boundary.w_q"])
     k = T.matmul(e_hat[:, :-1, :], params["boundary.w_k"])
-    scores = _cosine_score(q, k, cfg.cos_eps)  # one score per adjacent pair
+    scores = _cosine_score(q, k)  # one score per adjacent pair
     ones = Tensor(np.ones((b, 1), dtype=e_hat.dtype), _op="const")
     if cfg.boundary_mode == "noncausal":
         return T.concat([scores, ones], axis=1)
@@ -311,11 +306,11 @@ def scored_positions(cfg: ModelConfig) -> slice:
     return slice(None, -1) if cfg.boundary_mode == "noncausal" else slice(1, -1)
 
 
-def _cosine_score(q: Tensor, k: Tensor, eps: float) -> Tensor:
+def _cosine_score(q: Tensor, k: Tensor) -> Tensor:
     dot = (q * k).sum(axis=-1)
     qn = T.sqrt((q * q).sum(axis=-1))
     kn = T.sqrt((k * k).sum(axis=-1))
-    cos = dot / (qn * kn + eps)
+    cos = dot / (qn * kn + COS_EPS)
     return (1.0 - cos) * 0.5
 
 
@@ -354,23 +349,17 @@ def _global_layers(params: ParamStore, cfg: ModelConfig, x: Tensor, lo: int, hi:
     if hi > g.layers:
         raise ConfigError("probe depth exceeds global layers")
     for l in range(lo, hi):
-        x = L.attention_block(
-            params.tensors(), f"global.{l}.attn", x,
-            g.heads, g.head_dim, cfg.rope_base, cfg.rms_eps,
-        )
-        x = L.ffn_block(params.tensors(), f"global.{l}.ffn", x, cfg.rms_eps)
+        x = L.attention_block(params.tensors(), f"global.{l}.attn", x, g.heads, g.head_dim)
+        x = L.ffn_block(params.tensors(), f"global.{l}.ffn", x)
     return x
 
 
-def global_forward(
-    params: ParamStore, cfg: ModelConfig, h: Tensor, n_probe: int | None = None
-) -> tuple[Tensor, Tensor]:
+def global_forward(params: ParamStore, cfg: ModelConfig, h: Tensor) -> tuple[Tensor, Tensor]:
     """Transformer over patch positions. Returns the post-norm output and the
-    intermediate activations after `n_probe` layers (the input when 0)."""
-    n_probe = cfg.n_probe if n_probe is None else n_probe
-    probe = _global_layers(params, cfg, h, 0, n_probe)
-    x = _global_layers(params, cfg, probe, n_probe, cfg.global_model.layers)
-    return L.rms(x, params["global.final_norm_g"], cfg.rms_eps), probe
+    intermediate activations after `cfg.n_probe` layers (the input when 0)."""
+    probe = _global_layers(params, cfg, h, 0, cfg.n_probe)
+    x = _global_layers(params, cfg, probe, cfg.n_probe, cfg.global_model.layers)
+    return L.rms(x, params["global.final_norm_g"]), probe
 
 
 def transformer_probe(params: ParamStore, cfg: ModelConfig, h: Tensor, n: int) -> Tensor:
@@ -405,7 +394,7 @@ def depool(
 
 def lm_head_fused(params: ParamStore, cfg: ModelConfig, z_hat: Tensor) -> Tensor:
     """Log-probabilities over the 512 fused byte+boundary symbols."""
-    x = L.rms(z_hat, params["lm_head.norm_g"], cfg.rms_eps)
+    x = L.rms(z_hat, params["lm_head.norm_g"])
     return T.log_softmax(T.matmul(x, params["lm_head.w"]))
 
 

@@ -11,6 +11,8 @@ import numpy as np
 
 from .tensor import NonFiniteError, Tensor
 
+EPS = 1e-8  # added to the root of the second moment
+
 
 class AdamW:
     def __init__(
@@ -20,14 +22,12 @@ class AdamW:
         beta2: float = 0.95,
         weight_decay: float = 0.1,
         grad_clip: float = 0.5,
-        eps: float = 1e-8,
     ):
         self.groups = {name: list(params) for name, params in groups.items()}
         self.beta1 = beta1
         self.beta2 = beta2
         self.weight_decay = weight_decay
         self.grad_clip = grad_clip
-        self.eps = eps
         self.step_count = 0
         self.lr = {name: 0.0 for name in self.groups}
         self.m = {}
@@ -79,7 +79,7 @@ class AdamW:
                 m += (1.0 - self.beta1) * g
                 v *= self.beta2
                 v += (1.0 - self.beta2) * g * g
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
                 p.data -= lr * update
                 if self.weight_decay > 0:
                     p.data -= lr * self.weight_decay * p.data

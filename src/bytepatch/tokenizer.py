@@ -15,7 +15,7 @@ from array import array
 from collections import defaultdict, deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -53,6 +53,11 @@ class SubwordVocab:
     def size(self) -> int:
         """Total ids including BOS."""
         return len(self.token_bytes) + 1
+
+    @cached_property
+    def suffix_index(self) -> SuffixIndex:
+        """The longest-suffix automaton over this vocabulary, built on first use."""
+        return SuffixIndex(self)
 
     def check(self) -> None:
         """Ids 0..255 are the 256 single bytes, in order, so every byte

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundaries import MergeStrategy, attained_compression, merge_bpe_per_example, merge_by_score
-from .data import make_windows
+from .data import EOT, make_windows
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -64,7 +64,7 @@ from .model import (
 from .optim import AdamW
 from .teacher import TeacherOutputs, run_teacher, run_teachers, teacher_nll
 from .tensor import Tensor
-from .tokenizer import SubwordVocab, SuffixIndex, encode, mask_from_token_ids, suffix_ids
+from .tokenizer import SubwordVocab, encode, mask_from_token_ids, suffix_ids
 
 
 @dataclass
@@ -73,8 +73,7 @@ class TrainConfig:
     steps: int = 1000
     batch_size: int = 8
     max_bytes: int = 128  # window length including the BOS byte
-    peak_lr: float = 1e-3  # byte-level modules
-    peak_lr_global: float = 0.0  # backbone in stage 2; 0 -> peak_lr / 2
+    peak_lr: float = 1e-3  # byte-level modules; the backbone (stage 2) gets half
     warmup_steps: int = 0  # 0 -> steps // 10
     beta1: float = 0.9
     beta2: float = 0.95
@@ -106,7 +105,8 @@ class TrainConfig:
 
 
 def lr_at(config: TrainConfig, step: int) -> dict[str, float]:
-    """Linear warmup to peak, then linear decay to zero at `steps`."""
+    """Linear warmup to peak, then linear decay to zero at `steps`; the
+    backbone's peak is half the byte-level modules'."""
     if step < 0:
         raise ValueError("step must be >= 0")
     warmup = config.warmup_steps or max(1, config.steps // 10)
@@ -114,8 +114,7 @@ def lr_at(config: TrainConfig, step: int) -> dict[str, float]:
         frac = step / warmup
     else:
         frac = max(0.0, (config.steps - step) / max(1, config.steps - warmup))
-    peak_global = config.peak_lr_global or config.peak_lr / 2.0
-    return {"local": config.peak_lr * frac, "global": peak_global * frac}
+    return {"local": config.peak_lr * frac, "global": config.peak_lr / 2.0 * frac}
 
 
 # -- cached training windows ----------------------------------------------------
@@ -124,7 +123,7 @@ def lr_at(config: TrainConfig, step: int) -> dict[str, float]:
 class Window:
     """One fixed training sequence with everything the steps consume."""
 
-    model_bytes: np.ndarray  # [BOS] + content bytes
+    model_bytes: np.ndarray  # [EOT as BOS] + content bytes
     suffix: np.ndarray  # longest-suffix token id per model position
     mask: np.ndarray  # supervision boundaries over model positions; BOS flagged
     teacher: TeacherOutputs | None  # prepare_windows keeps it for stage 1 only
@@ -136,7 +135,6 @@ class Window:
 def prepare_window(
     content: bytes,
     vocab: SubwordVocab,
-    sidx: SuffixIndex,
     cfg: ModelConfig,
     teacher_params: ParamStore | None,
     strategy: MergeStrategy,
@@ -145,7 +143,7 @@ def prepare_window(
     and merge the subword mask under `strategy` into the window's supervision."""
     token_ids = encode(vocab, content)
     teacher = run_teacher(teacher_params, cfg, vocab, token_ids) if teacher_params is not None else None
-    return _assemble_window(content, token_ids, teacher, vocab, sidx, strategy)
+    return _assemble_window(content, token_ids, teacher, vocab, strategy)
 
 
 def _assemble_window(
@@ -153,7 +151,6 @@ def _assemble_window(
     token_ids: list[int],
     teacher: TeacherOutputs | None,
     vocab: SubwordVocab,
-    sidx: SuffixIndex,
     strategy: MergeStrategy,
 ) -> Window:
     """The window of `content`, given its token ids and teacher outputs."""
@@ -166,10 +163,10 @@ def _assemble_window(
             raise ValueError(f"{strategy.kind} supervision needs teacher scores")
         scores = teacher.entropy if strategy.kind == "entropy" else teacher.xent
         mask = merge_by_score(mask, len(content), scores, t)
-    model_bytes = np.concatenate([[0], np.frombuffer(content, dtype=np.uint8)]).astype(np.int64)
+    model_bytes = np.concatenate([[EOT], np.frombuffer(content, dtype=np.uint8)]).astype(np.int64)
     return Window(
         model_bytes=model_bytes,
-        suffix=suffix_ids(sidx, bytes(model_bytes.tolist())),
+        suffix=suffix_ids(vocab.suffix_index, bytes(model_bytes.tolist())),
         mask=np.concatenate([[True], mask]),
         teacher=teacher,
     )
@@ -185,13 +182,12 @@ def prepare_windows(
     """Every `make_windows` chunk of `docs` as a window: each chunk is encoded
     once and the teacher runs over all of them in batches."""
     strategy = tcfg.strategy()
-    sidx = SuffixIndex(vocab)
     chunks = make_windows(docs, tcfg.max_bytes - 1)
     id_lists = [encode(vocab, c) for c in chunks]
     teachers: list[TeacherOutputs | None] = [None] * len(chunks)
     if teacher_params is not None and (tcfg.stage == 1 or strategy.needs_teacher):
         teachers = run_teachers(teacher_params, cfg, vocab, id_lists)
-    windows = [_assemble_window(c, ids, t, vocab, sidx, strategy)
+    windows = [_assemble_window(c, ids, t, vocab, strategy)
                for c, ids, t in zip(chunks, id_lists, teachers)]
     # only stage 1 reads teacher activations; stage 2 needs just the masks
     return windows if tcfg.stage == 1 else [replace(w, teacher=None) for w in windows]
@@ -321,7 +317,8 @@ def _step_metrics(p_scores: np.ndarray, mask: np.ndarray, cfg: ModelConfig, grad
     pred = predicted_mask(p_scores, cfg.boundary_threshold)
     real = scored_positions(cfg)
     acc = float((pred[:, real] == mask[:, real]).mean())
-    comp = mask.size / max(1, int(pred.sum()))
+    content = pred[:, 1:]  # the BOS position is no byte of the text
+    comp = content.size / max(1, int(content.sum()))
     return {"boundary_acc": acc, "compression": comp, "grad_norm": grad_norm}
 
 
@@ -446,10 +443,9 @@ def evaluate_bpb(
     """Held-out metrics with the model pooling on its own boundaries: fused
     cross-entropy (reported as bits per byte against the supervision targets),
     boundary accuracy against the supervision mask, and the attained
-    compression of the predicted boundaries."""
+    compression of the predicted boundaries over the content bytes."""
     strategy = strategy or MergeStrategy("subword")
     scorer = teacher_params if strategy.needs_teacher else None
-    sidx = SuffixIndex(vocab)
     real = scored_positions(cfg)
     tot_ce = 0.0
     tot_pos = 0
@@ -460,7 +456,7 @@ def evaluate_bpb(
         content = doc[:max_doc_bytes]
         if len(content) < 2:
             continue
-        w = prepare_window(content, vocab, sidx, cfg, scorer, strategy)
+        w = prepare_window(content, vocab, cfg, scorer, strategy)
         out = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], mask=None)
         targets = fused_targets(w.model_bytes[1:], w.mask[1:])[None, :]
         ce = ce_fused(out["logprobs"], targets).item()
@@ -470,7 +466,7 @@ def evaluate_bpb(
         pred = out["mask"][0]
         tot_correct += int((pred[real] == w.mask[real]).sum())
         tot_real += pred[real].size
-        pred_masks.append(pred)
+        pred_masks.append(pred[1:])  # content bytes only, as boundary-dump counts
     if tot_pos == 0:
         raise ValueError("no document has the 2 bytes a prediction needs")
     ce_mean = tot_ce / tot_pos
@@ -493,13 +489,12 @@ def evaluate_alignment(
 ) -> dict:
     """Mean absolute difference between student per-patch log-likelihood and
     teacher per-token log-likelihood under teacher-mask pooling."""
-    sidx = SuffixIndex(vocab)
     diffs = []
     for doc in docs:
         content = doc[:max_doc_bytes]
         if len(content) < 2:
             continue
-        w = prepare_window(content, vocab, sidx, cfg, teacher_params, MergeStrategy("subword"))
+        w = prepare_window(content, vocab, cfg, teacher_params, MergeStrategy("subword"))
         out = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], w.mask[None, :])
         targets = fused_targets(w.model_bytes[1:], w.mask[1:])[None, :]
         sums, valid = patch_logprobs(out["logprobs"], targets, out["ends"], out["valid"])

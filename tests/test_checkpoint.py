@@ -1,7 +1,12 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from bytepatch import cli
 from bytepatch.checkpoint import CheckpointError, FORMAT_VERSION, load_checkpoint, save_checkpoint
+from bytepatch.cli import EXIT_CHECKPOINT
 from bytepatch.model import GlobalConfig, MlstmConfig, ModelConfig, init_byte_model
 
 
@@ -50,24 +55,39 @@ def test_truncated_file_fails(tmp_path):
         load_checkpoint(path)
 
 
+def rewrite_header(path, edit) -> None:
+    """Apply `edit` to the JSON header of the checkpoint at `path` and give
+    the file a fresh checksum, so only the edit can make loading fail."""
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16 : 16 + hlen])
+    edit(header)
+    hb = json.dumps(header, sort_keys=True).encode()
+    payload = blob[16 + hlen : -32]
+    path.write_bytes(blob[:8] + len(hb).to_bytes(8, "little") + hb + payload + hashlib.sha256(hb + payload).digest())
+
+
 def test_wrong_version_rejected(tmp_path):
     cfg = cfg_small()
     params = init_byte_model(cfg, np.random.default_rng(3))
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, params, cfg)
-    blob = path.read_bytes()
-    # rewrite the header with a bumped version and a fresh checksum
-    import hashlib, json
-
-    hlen = int.from_bytes(blob[8:16], "little")
-    header = json.loads(blob[16 : 16 + hlen])
-    header["format_version"] = FORMAT_VERSION + 1
-    hb = json.dumps(header, sort_keys=True).encode()
-    payload = blob[16 + hlen : -32]
-    out = blob[:8] + len(hb).to_bytes(8, "little") + hb + payload + hashlib.sha256(hb + payload).digest()
-    path.write_bytes(out)
+    rewrite_header(path, lambda h: h.update(format_version=FORMAT_VERSION + 1))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(format_version=1),  # format 1 configs still carry the fixed constants
+    lambda h: h["config"].update(nonsense=1),  # a key ModelConfig does not have
+], ids=["version-1", "extra-config-key"])
+def test_bad_header_exits_as_a_bad_checkpoint(tmp_path, capsys, edit):
+    cfg = cfg_small()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_byte_model(cfg, np.random.default_rng(4)), cfg)
+    rewrite_header(path, edit)
+    assert cli.main(["spectrum", "--model", str(path)]) == EXIT_CHECKPOINT
+    assert capsys.readouterr().err.startswith("error: bad checkpoint:")
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -61,7 +61,6 @@ def test_config_parsing(tmp_path):
     cfg = parse_config_file(str(f))
     mc = build_model_config(cfg, vocab_size=300)
     assert mc.d == 32 and mc.global_model.heads == 4
-    assert mc.boundary_dim == 32  # derived from the final d
     f.write_text("model.nonsense=1\n")
     with pytest.raises(cli.ConfigFileError):
         build_model_config(parse_config_file(str(f)), 300)
@@ -74,8 +73,7 @@ def test_config_parsing(tmp_path):
     assert build_model_config(parse_config_file(str(TOY_CFG)), 300, teacher) == teacher
     local = build_model_config({"model.decoder_layers": "3", "model.mlstm.heads": "2"}, 300, teacher)
     assert (local.decoder_layers, local.mlstm.heads, local.d) == (3, 2, teacher.d)
-    for key, value in [("model.d", "64"), ("model.global.layers", "3"),
-                       ("model.rope_base", "500"), ("model.nonsense", "1")]:
+    for key, value in [("model.d", "64"), ("model.global.layers", "3"), ("model.nonsense", "1")]:
         with pytest.raises(cli.ConfigFileError):
             build_model_config({key: value}, 300, teacher)
     # the subcommand, not the file, picks the training stage, and --seed is
@@ -84,6 +82,24 @@ def test_config_parsing(tmp_path):
         build_train_config({"train.stage": "2"}, 1, SimpleNamespace(seed=0))
     with pytest.raises(cli.ConfigFileError):
         build_train_config({"train.seed": "7"}, 2, SimpleNamespace(seed=0))
+
+
+@pytest.mark.parametrize("line", [
+    "model.cos_eps=1e-8", "model.rms_eps=1e-12", "model.rope_base=10000", "model.boundary_dim=16",
+    "model.eot_byte=0", "model.mlstm.gate_soft_cap=15", "model.mlstm.input_gate_bias_init=-10",
+    "train.peak_lr_global=0.0005",
+])
+def test_fixed_constants_are_unknown_keys(workspace, tmp_path, capsys, line):
+    root, cfg = workspace
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg.read_text() + line + "\n")
+    out = tmp_path / "s1.ckpt"
+    rc = cli.main(["stage1", "--data", str(root / "corpus"), "--teacher", str(root / "teacher.ckpt"),
+                   "--vocab", str(root / "vocab.txt"), "--out", str(out), "--config", str(bad)])
+    assert rc == EXIT_CONFIG
+    key = line.partition("=")[0]
+    assert f"invalid config: unknown config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_usage():
@@ -204,6 +220,17 @@ def test_boundary_dump_predicted(workspace, capsys):
     assert [sum(int(r) for r in line.split(":")[1].split(",")) for line in lines] == list(map(len, docs))
 
 
+def test_eval_bpb_and_predicted_dump_report_one_compression(workspace, capsys):
+    root, cfg = workspace
+    common = ["--data", str(root / "corpus"), "--vocab", str(root / "vocab.txt"),
+              "--model", str(root / "s1.ckpt"), "--config", str(cfg), "--max-doc-bytes", "200"]
+    assert cli.main(["eval-bpb", *common]) == EXIT_OK
+    evaluated = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["attained_compression"]
+    assert cli.main(["boundary-dump", "--predicted", "--docs", "100", *common]) == EXIT_OK
+    dumped = re.fullmatch(r"# attained compression: (\S+)", capsys.readouterr().err.strip()).group(1)
+    assert f"{evaluated:.4f}" == dumped
+
+
 @pytest.mark.parametrize("kind", ["subword", "bpe", "entropy", "xent"])
 def test_stage2_one_step_per_merge_strategy(workspace, tmp_path, kind):
     root, cfg = workspace
@@ -282,6 +309,16 @@ def test_counts_below_one_are_usage_errors(workspace, command, flag, value):
     rc = cli.main([command, "--data", str(root / "corpus"), "--model", str(root / "s1.ckpt"),
                    "--vocab", str(root / "vocab.txt"), "--config", str(cfg), flag, value])
     assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_spectrum_row_count_below_one_is_a_usage_error(workspace, capsys, value):
+    root, _ = workspace
+    model = ["spectrum", "--model", str(root / "teacher.ckpt")]
+    assert cli.main([*model, "--max-rows", value]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert cli.main(model) == EXIT_OK  # omitted: every rank
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 16  # header + min(vocab, d) ranks
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

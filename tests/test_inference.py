@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bytepatch.data import EOT
 from bytepatch.inference import DecodeState, InferenceError, SamplerConfig, decode_step, generate, prefill, sample
 from bytepatch.model import (
     GlobalConfig,
@@ -208,7 +209,7 @@ def test_generate_stops_at_eot(setup):
     # bias the head so the EOT fused symbol dominates immediately
     params2 = params.copy()
     params2["lm_head.w"].data[:, :] = 0.0
-    params2["lm_head.w"].data[:, cfg.eot_byte] = 50.0
+    params2["lm_head.w"].data[:, EOT] = 50.0
     out = generate(params2, cfg, sidx, b"abc", 50, SamplerConfig(temperature=0.0))
     assert out == b""
 

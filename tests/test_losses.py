@@ -67,7 +67,7 @@ def test_loss_encoder_n0_equals_direct_l2_exactly():
     params = init_teacher(cfg, rng)
     h = Tensor(rng.normal(size=(1, 5, cfg.d)))
     teacher = rng.normal(size=(1, 5, cfg.d))
-    got = encoder_match(transformer_probe(params, cfg, h, 0), teacher).item()
+    got = encoder_match(transformer_probe(params, cfg, h, 0), teacher, np.ones((1, 5), dtype=bool)).item()
     want = float(np.mean(np.linalg.norm(h.data - teacher, axis=-1)))
     assert got == pytest.approx(want, rel=4e-16)  # machine precision
 
@@ -79,7 +79,8 @@ def test_loss_encoder_identical_inputs_is_zero():
     h = rng.normal(size=(1, 5, cfg.d))
     for n in [0, 1, 2]:
         probe = transformer_probe(params, cfg, Tensor(h), n)
-        assert encoder_match(transformer_probe(params, cfg, Tensor(h), n), probe.data).item() == 0.0
+        valid = np.ones((1, 5), dtype=bool)
+        assert encoder_match(transformer_probe(params, cfg, Tensor(h), n), probe.data, valid).item() == 0.0
 
 
 def test_loss_encoder_matches_bruteforce_recompute():
@@ -90,7 +91,8 @@ def test_loss_encoder_matches_bruteforce_recompute():
     teacher_h = rng.normal(size=(2, 4, cfg.d))
     n = 2
     teacher_probe = transformer_probe(params, cfg, Tensor(teacher_h), n).data
-    got = encoder_match(transformer_probe(params, cfg, Tensor(h), n), teacher_probe).item()
+    valid = np.ones((2, 4), dtype=bool)
+    got = encoder_match(transformer_probe(params, cfg, Tensor(h), n), teacher_probe, valid).item()
     student_probe = transformer_probe(params, cfg, Tensor(h), n).data
     want = float(np.mean(np.linalg.norm(student_probe - teacher_probe, axis=-1)))
     assert got == pytest.approx(want, rel=1e-12)
@@ -101,7 +103,7 @@ def test_encoder_match_gradient():
     teacher = rng.normal(size=(1, 4, 6))
 
     def loss(h):
-        return encoder_match(h, teacher)
+        return encoder_match(h, teacher, np.ones((1, 4), dtype=bool))
 
     assert finite_difference_check(loss, [rng.normal(size=(1, 4, 6))]) < 1e-4
 

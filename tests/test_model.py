@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):  # rotary positions rotate pairs of dims
         tiny_config(d=6, global_model=GlobalConfig(layers=2, heads=2, head_dim=3))
     cfg = tiny_config()
-    assert cfg.boundary_dim == cfg.d
     round_trip = ModelConfig.from_dict(cfg.to_dict())
     assert round_trip == cfg
 
@@ -215,9 +216,9 @@ def test_global_forward_probe_and_causality(setup):
     cfg, _, params = setup
     rng = np.random.default_rng(6)
     h = rng.normal(size=(1, 5, cfg.d))
-    out, probe0 = global_forward(params, cfg, Tensor(h), n_probe=0)
+    _, probe0 = global_forward(params, replace(cfg, n_probe=0), Tensor(h))
     np.testing.assert_allclose(probe0.data, h, atol=0)
-    _, probe1 = global_forward(params, cfg, Tensor(h), n_probe=1)
+    out, probe1 = global_forward(params, cfg, Tensor(h))  # n_probe=1
     assert not np.allclose(probe1.data, h)
     pert = h.copy()
     pert[0, 3] += 1.0

@@ -285,7 +285,8 @@ def test_longest_suffix_matches_bruteforce():
 def test_suffix_automaton_matches_reversed_trie():
     docs = [d.encode() for d in markov_word_docs(seed=6, n_docs=40)]
     vocab = train_bpe(docs[:30], 420)
-    index, oracle = SuffixIndex(vocab), _longest_suffix_by_trie(vocab)
+    index, oracle = vocab.suffix_index, _longest_suffix_by_trie(vocab)
+    assert vocab.suffix_index is index  # built once per vocabulary
     rng = np.random.default_rng(8)
     texts = [doc[s : s + 88] for doc in docs[30:] for s in range(0, len(doc), 88)]
     texts += [bytes(rng.integers(0, 256, size=rng.integers(1, 20)).tolist()) for _ in range(50)]

@@ -12,7 +12,7 @@ from bytepatch import training as tr
 from bytepatch.boundaries import MergeStrategy
 from bytepatch.checkpoint import load_checkpoint, save_checkpoint
 from bytepatch.cli import build_train_config, parse_config_file
-from bytepatch.data import DataError, make_windows, markov_word_docs
+from bytepatch.data import EOT, DataError, make_windows, markov_word_docs
 from bytepatch.losses import LossWeights
 from bytepatch.model import (
     GlobalConfig,
@@ -25,7 +25,7 @@ from bytepatch.model import (
 )
 from bytepatch.optim import AdamW
 from bytepatch.tensor import NonFiniteError
-from bytepatch.tokenizer import SuffixIndex, encode, train_bpe, utf8_to_bytes
+from bytepatch.tokenizer import encode, train_bpe, utf8_to_bytes
 from bytepatch.training import TrainConfig, lr_at, prepare_window, prepare_windows, train_conversion, train_teacher
 
 
@@ -70,11 +70,10 @@ def test_stage2_lr_ratio_default():
 
 def test_prepare_window_alignment(toy):
     docs, vocab, cfg, teacher = toy
-    sidx = SuffixIndex(vocab)
     content = docs[0][:60]
-    w = prepare_window(content, vocab, sidx, cfg, teacher, MergeStrategy("subword"))
+    w = prepare_window(content, vocab, cfg, teacher, MergeStrategy("subword"))
     # BOS pseudo-patch plus one patch per teacher token
-    assert w.model_bytes[0] == 0
+    assert w.model_bytes[0] == EOT
     assert len(w.model_bytes) == len(content) + 1
     assert w.mask[0] and w.mask[-1]
     assert int(w.mask.sum()) == len(w.teacher.token_ids)
@@ -85,12 +84,11 @@ def test_prepare_window_alignment(toy):
 
 def test_supervision_strategies_are_subsets(toy):
     docs, vocab, cfg, teacher = toy
-    sidx = SuffixIndex(vocab)
     content = docs[1][:80]
-    base = prepare_window(content, vocab, sidx, cfg, teacher, MergeStrategy("subword"))
+    base = prepare_window(content, vocab, cfg, teacher, MergeStrategy("subword"))
     for kind in ("bpe", "entropy", "xent"):
         strat = MergeStrategy(kind, target_compression=8.0)
-        w = prepare_window(content, vocab, sidx, cfg, teacher, strat)
+        w = prepare_window(content, vocab, cfg, teacher, strat)
         assert not np.any(w.mask & ~base.mask)
         assert w.mask[-1]
         assert w.mask.sum() <= base.mask.sum()
@@ -135,8 +133,7 @@ def test_stage1_leaves_no_gradient_on_frozen_tensors(toy):
 
 def test_parameters_are_plain_values_outside_the_step_loop(toy, tmp_path):
     docs, vocab, cfg, _ = toy
-    sidx = SuffixIndex(vocab)
-    w = prepare_window(docs[0][:40], vocab, sidx, cfg, None, MergeStrategy("subword"))
+    w = prepare_window(docs[0][:40], vocab, cfg, None, MergeStrategy("subword"))
     token_ids = np.array([vocab.bos_id, *encode(vocab, docs[0][:40])])
 
     def assert_plain(student, teacher):
@@ -269,12 +266,11 @@ def test_stage2_scored_windows_keep_masks_not_teacher(toy):
     tc = TrainConfig(stage=2, steps=1, batch_size=2, max_bytes=48, seed=0,
                      merge_kind="entropy", target_compression=6.0)
     windows = prepare_windows(docs[:4], vocab, cfg, tc, teacher)
-    sidx = SuffixIndex(vocab)
     strategy = MergeStrategy("entropy", 6.0)
     for w in windows:
         assert w.teacher is None
         content = w.model_bytes[1:].astype(np.uint8).tobytes()
-        ref = prepare_window(content, vocab, sidx, cfg, teacher, strategy)
+        ref = prepare_window(content, vocab, cfg, teacher, strategy)
         assert np.array_equal(w.mask, ref.mask)
 
 
@@ -315,10 +311,9 @@ def test_stage1_windows_equal_a_prepare_window_loop(toy):
     tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=0)
     windows = prepare_windows(docs[:6], vocab, cfg, tc, teacher)
     chunks = make_windows(docs[:6], tc.max_bytes - 1)
-    sidx = SuffixIndex(vocab)
     assert len(windows) == len(chunks)
     for w, chunk in zip(windows, chunks):
-        ref = prepare_window(chunk, vocab, sidx, cfg, teacher, MergeStrategy("subword"))
+        ref = prepare_window(chunk, vocab, cfg, teacher, MergeStrategy("subword"))
         assert np.array_equal(w.model_bytes, ref.model_bytes)
         assert np.array_equal(w.mask, ref.mask)
         assert np.array_equal(w.suffix, ref.suffix)
