@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .tensor import Tensor
 
 MAGIC = b"BPCKPT\x00\x01"
 FORMAT_VERSION = 2
+ENTRY_KEYS = {"name", "shape", "dtype", "nbytes"}
 
 
 class CheckpointError(ValueError):
@@ -83,15 +85,15 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
             f"unsupported format version {header.get('format_version')} "
             f"(this build reads {FORMAT_VERSION})"
         )
+    if not isinstance(header.get("tensors"), list):
+        raise CheckpointError("header has no tensor table")
     tensors = {}
     offset = 0
     for entry in header["tensors"]:
-        n = entry["nbytes"]
+        n = _entry_nbytes(entry, tensors)
         if offset + n > len(payload):
             raise CheckpointError("payload shorter than tensor table")
-        arr = np.frombuffer(payload[offset : offset + n], dtype=np.dtype(entry["dtype"])).reshape(
-            entry["shape"]
-        )
+        arr = np.frombuffer(payload[offset : offset + n], dtype="<f8").reshape(entry["shape"])
         tensors[entry["name"]] = Tensor(arr.copy())
         offset += n
     if offset != len(payload):
@@ -101,3 +103,21 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"bad model config in header: {e}") from None
     return ParamStore(tensors), config, header
+
+
+def _entry_nbytes(entry, seen: dict) -> int:
+    """The payload size of a tensor-table entry, which must hold exactly a
+    name not in `seen`, a shape, dtype float64 and the shape's byte count."""
+    if not isinstance(entry, dict) or set(entry) != ENTRY_KEYS:
+        raise CheckpointError(f"tensor entry {entry!r} needs exactly the keys {sorted(ENTRY_KEYS)}")
+    name, shape = entry["name"], entry["shape"]
+    if not isinstance(name, str) or name in seen:
+        raise CheckpointError(f"tensor name {name!r} is not a new string")
+    if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
+        raise CheckpointError(f"tensor {name}: shape {shape!r} is not a list of sizes")
+    if entry["dtype"] != "float64":
+        raise CheckpointError(f"tensor {name}: dtype {entry['dtype']!r}, this build stores float64")
+    n = 8 * math.prod(shape)
+    if entry["nbytes"] != n:
+        raise CheckpointError(f"tensor {name}: nbytes {entry['nbytes']!r} != {n} for shape {shape}")
+    return n

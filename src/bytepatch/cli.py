@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage, 3 invalid config, 4 missing file,
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses as dc
 import json
 import sys
@@ -25,17 +26,8 @@ from .boundaries import MergeStrategy, attained_compression, mask_to_rle
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import EOT, compound_docs, load_corpus, markov_word_docs, write_corpus
 from .inference import SamplerConfig, generate
-from .losses import LossWeights
 from .merging import format_spectrum, reset_embeddings_check, spectrum_report, task_arithmetic_merge
-from .model import (
-    GlobalConfig,
-    LOCAL_COMPONENTS,
-    MlstmConfig,
-    ModelConfig,
-    forward_full,
-    init_byte_model,
-    init_teacher,
-)
+from .model import LOCAL_COMPONENTS, ModelConfig, forward_full, init_byte_model, init_teacher
 from .tokenizer import load_vocab, save_vocab, train_bpe, utf8_to_bytes
 from .training import (
     TrainConfig,
@@ -57,8 +49,17 @@ class ConfigFileError(ValueError):
     pass
 
 
+# sections a config file may set that no config class owns, at their defaults
+DATA_DEFAULTS = {"seed": 0, "holdout_frac": 0.1}  # load_corpus's keywords
+TOKENIZER_DEFAULTS = {"vocab_size": 420}
+# fields the code derives, never a file: the tokenizer's vocabulary size, the
+# subcommand's stage and --seed
+DERIVED = ("model.vocab_size", "train.stage", "train.seed")
+
+
 def parse_config_file(path: str | None) -> dict[str, str]:
-    """Flat `section.key=value` lines; '#' starts a comment."""
+    """Flat `section.key=value` lines; '#' starts a comment. Every key must
+    name a settable field of the model, train, data or tokenizer section."""
     if path is None:
         return {}
     p = Path(path)
@@ -73,6 +74,13 @@ def parse_config_file(path: str | None) -> dict[str, str]:
             raise ConfigFileError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
+    sections = {"model": ModelConfig().to_dict(), "train": dc.asdict(TrainConfig()),
+                "data": DATA_DEFAULTS, "tokenizer": TOKENIZER_DEFAULTS}
+    for key in out:
+        if key.partition(".")[0] not in sections:
+            raise ConfigFileError(f"unknown config key {key!r}")
+    for section, defaults in sections.items():
+        _overlay(out, section, defaults)
     return out
 
 
@@ -86,58 +94,55 @@ def _coerce(value: str, typ):
     return typ(value)
 
 
+def _overlay(cfg: dict[str, str], section: str, defaults: dict) -> dict:
+    """A copy of `defaults` with each `section.name` key of `cfg` set on the
+    field `name`, and each `section.group.name` on the field `name` of a
+    nested group (`model.mlstm.*`, `model.global.*`), coerced to the
+    default's type. Any other key of the section, or a derived one, is
+    unknown."""
+    values = copy.deepcopy(defaults)
+    slots = {}
+    for name, value in values.items():
+        if isinstance(value, dict):
+            group = "global" if name == "global_model" else name
+            slots.update({f"{section}.{group}.{k}": (value, k) for k in value})
+        else:
+            slots[f"{section}.{name}"] = (values, name)
+    for key, text in cfg.items():
+        if key.partition(".")[0] != section:
+            continue
+        if key not in slots or key in DERIVED:
+            raise ConfigFileError(f"unknown config key {key!r}")
+        owner, name = slots[key]
+        try:
+            owner[name] = _coerce(text, type(owner[name]))
+        except ValueError as e:
+            raise ConfigFileError(f"{key}={text}: {e}") from None
+    return values
+
+
 def build_model_config(cfg: dict[str, str], vocab_size: int, base: ModelConfig | None = None) -> ModelConfig:
     """Overlay model.* keys onto `base` (the defaults when None) and construct
     once, so validation sees the final values. The base is the teacher's
     config when converting it: a key that would change the transplanted
     backbone (`d`, `global.*`) is then rejected."""
-    if base is None:
-        values = {f.name: f.default for f in dc.fields(ModelConfig) if f.default is not dc.MISSING}
-        values["mlstm"] = dc.asdict(MlstmConfig())
-        values["global_model"] = dc.asdict(GlobalConfig())
-    else:
-        values = base.to_dict()
-    values["vocab_size"] = vocab_size  # always taken from the tokenizer
-    groups = {"mlstm": values["mlstm"], "global": values["global_model"]}
-    for key, value in cfg.items():
-        if not key.startswith("model.") or key == "model.vocab_size":
-            continue
-        rest = key[len("model.") :]
-        head, _, tail = rest.partition(".")
-        group, name = (groups.get(head), tail) if tail else (values, rest)
-        if group is None or name not in group or isinstance(group[name], dict):
-            raise ConfigFileError(f"unknown config key {key!r}")
-        new = _coerce(value, type(group[name]))
-        if base is not None and new != group[name] and (rest == "d" or head == "global"):
-            raise ConfigFileError(f"{key}={value} changes the teacher's backbone ({group[name]})")
-        group[name] = new
+    values = _overlay(cfg, "model", (base or ModelConfig()).to_dict())
+    if base is not None and (values["d"], values["global_model"]) != (base.d, dc.asdict(base.global_model)):
+        raise ConfigFileError(f"model.d and model.global.* must keep the teacher's backbone "
+                              f"(d={base.d}, global {dc.asdict(base.global_model)})")
     try:
-        return ModelConfig.from_dict(values)
-    except (TypeError, ValueError) as e:
+        return ModelConfig.from_dict({**values, "vocab_size": vocab_size})
+    except ValueError as e:
         raise ConfigFileError(str(e)) from None
 
 
 def build_train_config(cfg: dict[str, str], stage: int, args) -> TrainConfig:
-    """Overlay train.* keys (lambda_* for loss weights) and the subcommand's
-    flags onto the defaults and construct once, so validation sees them."""
-    values = {f.name: f.default for f in dc.fields(TrainConfig) if f.default is not dc.MISSING}
-    weights = dc.asdict(LossWeights())
-    for key, value in cfg.items():
-        if not key.startswith("train."):
-            continue
-        name = key[len("train.") :]
-        group, field = (weights, name[len("lambda_") :]) if name.startswith("lambda_") else (values, name)
-        # the subcommand sets the stage and --seed the seed
-        if name in ("stage", "seed") or field not in group:
-            raise ConfigFileError(f"unknown config key {key!r}")
-        group[field] = _coerce(value, type(group[field]))
-    if getattr(args, "steps", None) is not None:
-        values["steps"] = args.steps
-    if getattr(args, "merge_strategy", None):
-        values["merge_kind"] = args.merge_strategy
-    if getattr(args, "target_compression", None) is not None:
-        values["target_compression"] = args.target_compression
-    values.update(stage=stage, seed=args.seed, loss_weights=LossWeights(**weights))
+    """Overlay train.* keys and the subcommand's flags onto the defaults and
+    construct once, so validation sees them."""
+    values = _overlay(cfg, "train", dc.asdict(TrainConfig()))
+    flags = {"steps": getattr(args, "steps", None), "merge_kind": getattr(args, "merge_strategy", None),
+             "target_compression": getattr(args, "target_compression", None)}
+    values.update({name: v for name, v in flags.items() if v is not None}, stage=stage, seed=args.seed)
     try:
         return TrainConfig(**values)
     except ValueError as e:
@@ -151,10 +156,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load_corpus(args, cfg: dict[str, str]):
-    holdout = float(cfg.get("data.holdout_frac", "0.1"))
-    data_seed = int(cfg.get("data.seed", "0"))
-    return load_corpus(args.data, seed=data_seed, holdout_frac=holdout)
+def _load_corpus(args):
+    return load_corpus(args.data, **_overlay(args.cfg, "data", DATA_DEFAULTS))
 
 
 def _load_ckpt(path: str):
@@ -178,17 +181,16 @@ def cmd_make_corpus(args) -> int:
 
 
 def cmd_train_teacher(args) -> int:
-    cfg = parse_config_file(args.config)
-    corpus = _load_corpus(args, cfg)
-    vocab_size = int(cfg.get("tokenizer.vocab_size", "420"))
+    corpus = _load_corpus(args)
+    vocab_size = _overlay(args.cfg, "tokenizer", TOKENIZER_DEFAULTS)["vocab_size"]
     t0 = time.perf_counter()
     vocab = train_bpe(corpus.train, vocab_size)
     print(f"tokenizer: {len(vocab.merges)} merges from {sum(map(len, corpus.train))} corpus bytes "
           f"in {time.perf_counter() - t0:.2f} s{' (truncated)' if vocab.truncated else ''}", file=sys.stderr)
     if vocab.truncated:
         print(f"warning: corpus supports only {vocab.size} ids (asked {vocab_size})", file=sys.stderr)
-    mc = build_model_config(cfg, vocab.size)
-    tc = build_train_config(cfg, stage=1, args=args)
+    mc = build_model_config(args.cfg, vocab.size)
+    tc = build_train_config(args.cfg, stage=1, args=args)
     rng = np.random.default_rng(args.seed)
     params = init_teacher(mc, rng)
     log = train_teacher(params, mc, vocab, corpus.train, tc, log_path=args.log)
@@ -201,12 +203,11 @@ def cmd_train_teacher(args) -> int:
 
 
 def cmd_stage1(args) -> int:
-    cfg = parse_config_file(args.config)
-    corpus = _load_corpus(args, cfg)
+    corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
     teacher, teacher_mc, _ = _load_ckpt(args.teacher)
-    mc = build_model_config(cfg, teacher_mc.vocab_size, teacher_mc)
-    tc = build_train_config(cfg, stage=1, args=args)
+    mc = build_model_config(args.cfg, teacher_mc.vocab_size, teacher_mc)
+    tc = build_train_config(args.cfg, stage=1, args=args)
     rng = np.random.default_rng(args.seed)
     params = init_byte_model(mc, rng, teacher, fresh_suffix=args.fresh_suffix)
     n_local = params.n_params(LOCAL_COMPONENTS)
@@ -219,11 +220,10 @@ def cmd_stage1(args) -> int:
 
 
 def cmd_stage2(args) -> int:
-    cfg = parse_config_file(args.config)
-    corpus = _load_corpus(args, cfg)
+    corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
     params, mc, header = _load_ckpt(args.model)
-    tc = build_train_config(cfg, stage=2, args=args)
+    tc = build_train_config(args.cfg, stage=2, args=args)
     teacher = None
     if tc.strategy().needs_teacher:
         if not args.teacher:
@@ -239,8 +239,7 @@ def cmd_stage2(args) -> int:
 
 
 def cmd_eval_bpb(args) -> int:
-    cfg = parse_config_file(args.config)
-    corpus = _load_corpus(args, cfg)
+    corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
     params, mc, _ = _load_ckpt(args.model)
     strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0)
@@ -283,8 +282,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_reset_check(args) -> int:
-    cfg = parse_config_file(args.config)
-    corpus = _load_corpus(args, cfg)
+    corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
     base, mc, _ = _load_ckpt(args.base)
     post, _, _ = _load_ckpt(args.posttrained)
@@ -305,8 +303,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_boundary_dump(args) -> int:
-    cfg = parse_config_file(args.config)
-    corpus = _load_corpus(args, cfg)
+    corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
     teacher = None
     params = mc = None
@@ -454,8 +451,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        args.cfg = parse_config_file(args.config)
         return args.fn(args)
-    except (ConfigFileError,) as e:
+    except ConfigFileError as e:
         print(f"error: invalid config: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except FileNotFoundError as e:

@@ -11,40 +11,12 @@ weights keep their meaning across sequence lengths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
 
 CLAMP_EPS = 1e-7  # probability floor/ceiling in all BCE-style terms
-
-
-@dataclass
-class LossWeights:
-    boundary: float = 4.0
-    encoder: float = 1.0
-    distill: float = 1.0
-    ce: float = 1.0
-
-
-@dataclass
-class LossBreakdown:
-    boundary: float = 0.0
-    encoder: float = 0.0
-    distill: float = 0.0
-    ce: float = 0.0
-    total: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "l_boundary": self.boundary,
-            "l_encoder": self.encoder,
-            "l_distill": self.distill,
-            "l_ce": self.ce,
-            "total": self.total,
-        }
 
 
 def boundary_bce(p: Tensor, mask: np.ndarray) -> Tensor:

@@ -11,23 +11,16 @@ import numpy as np
 
 from .tensor import NonFiniteError, Tensor
 
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.95  # second-moment decay
 EPS = 1e-8  # added to the root of the second moment
+WEIGHT_DECAY = 0.1  # decoupled, times the group's learning rate
+GRAD_CLIP = 0.5  # global gradient-norm ceiling
 
 
 class AdamW:
-    def __init__(
-        self,
-        groups: dict[str, list[Tensor]],
-        beta1: float = 0.9,
-        beta2: float = 0.95,
-        weight_decay: float = 0.1,
-        grad_clip: float = 0.5,
-    ):
+    def __init__(self, groups: dict[str, list[Tensor]]):
         self.groups = {name: list(params) for name, params in groups.items()}
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.weight_decay = weight_decay
-        self.grad_clip = grad_clip
         self.step_count = 0
         self.lr = {name: 0.0 for name in self.groups}
         self.m = {}
@@ -60,13 +53,11 @@ class AdamW:
             if p.grad is not None and not np.all(np.isfinite(p.grad)):
                 raise NonFiniteError("non-finite gradient in optimizer step")
         norm = self.grad_norm()
-        scale = 1.0
-        if self.grad_clip > 0 and norm > self.grad_clip:
-            scale = self.grad_clip / norm
+        scale = GRAD_CLIP / norm if norm > GRAD_CLIP else 1.0
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, params in self.groups.items():
             lr = self.lr[name]
             for p in params:
@@ -75,12 +66,11 @@ class AdamW:
                 g = p.grad * scale
                 m = self.m[id(p)]
                 v = self.v[id(p)]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * g * g
                 update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
                 p.data -= lr * update
-                if self.weight_decay > 0:
-                    p.data -= lr * self.weight_decay * p.data
+                p.data -= lr * WEIGHT_DECAY * p.data
         return norm

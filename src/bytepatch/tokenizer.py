@@ -41,13 +41,15 @@ class SubwordVocab:
 
     token_bytes: list[bytes]  # ids 0..255 are single bytes, then merges
     merges: list[tuple[int, int]]  # rank order; merge r creates id 256 + r
-    bos_id: int = -1  # assigned after the merges
     truncated: bool = False  # corpus ran out of mergeable pairs
 
     def __post_init__(self):
-        if self.bos_id < 0:
-            self.bos_id = len(self.token_bytes)
         self._ranks = {pair: r for r, pair in enumerate(self.merges)}
+
+    @property
+    def bos_id(self) -> int:
+        """The one special id, right after the merged tokens."""
+        return len(self.token_bytes)
 
     @property
     def size(self) -> int:
@@ -213,15 +215,6 @@ def encode(vocab: SubwordVocab, data: bytes) -> list[int]:
     return [t for t in ids if t >= 0]
 
 
-def decode(vocab: SubwordVocab, ids: list[int]) -> bytes:
-    out = bytearray()
-    for i in ids:
-        if i == vocab.bos_id:
-            continue
-        out += vocab.token_bytes[i]
-    return bytes(out)
-
-
 def token_lengths(vocab: SubwordVocab, ids: list[int]) -> list[int]:
     return [len(vocab.token_bytes[i]) for i in ids]
 
@@ -313,7 +306,7 @@ def suffix_ids(index: SuffixIndex, data: bytes) -> np.ndarray:
 # One token per line: "<hex byte-string> <rank>", where rank is -1 for the 256
 # base bytes and the merge rank for merged tokens; merged lines carry two extra
 # columns with the left/right ids so the merge list round-trips exactly. The
-# final line marks the BOS id.
+# final line, `bos <id>`, marks the BOS id, which is always the token count.
 
 def save_vocab(vocab: SubwordVocab, path: str) -> None:
     lines = []
@@ -330,20 +323,32 @@ def save_vocab(vocab: SubwordVocab, path: str) -> None:
 
 
 def load_vocab(path: str) -> SubwordVocab:
+    """The vocabulary `save_vocab` wrote; a malformed line, a missing `bos`
+    line or one that is not the token count is a TokenizerError."""
     token_bytes: list[bytes] = []
     merges: list[tuple[int, int]] = []
-    bos_id = -1
+    bos_id = None
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == "bos":
-                bos_id = int(parts[1])
-                continue
-            token_bytes.append(bytes.fromhex(parts[0]))
-            if int(parts[1]) >= 0:
-                merges.append((int(parts[2]), int(parts[3])))
-    vocab = SubwordVocab(token_bytes, merges, bos_id=bos_id)
+            try:
+                if bos_id is not None:
+                    raise ValueError("after the bos line")
+                if parts[0] == "bos":
+                    (bos_id,) = map(int, parts[1:])
+                    continue
+                token_bytes.append(bytes.fromhex(parts[0]))
+                rank, *pair = map(int, parts[1:])
+                if len(pair) != (2 if rank >= 0 else 0):
+                    raise ValueError("a merged token needs its two ids, a byte none")
+            except ValueError as e:
+                raise TokenizerError(f"{path}:{lineno}: malformed vocabulary line {line.strip()!r} ({e})") from None
+            if pair:
+                merges.append(tuple(pair))
+    if bos_id != len(token_bytes):
+        raise TokenizerError(f"{path}: the bos line must give the token count {len(token_bytes)}, got {bos_id}")
+    vocab = SubwordVocab(token_bytes, merges)
     vocab.check()
     return vocab

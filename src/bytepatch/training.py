@@ -26,23 +26,15 @@ window preparation and evaluation build no graph.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .boundaries import MergeStrategy, attained_compression, merge_bpe_per_example, merge_by_score
 from .data import EOT, make_windows
-from .losses import (
-    LossBreakdown,
-    LossWeights,
-    boundary_bce,
-    bits_per_byte,
-    ce_fused,
-    decoder_distill,
-    encoder_match,
-    patch_logprobs,
-)
+from .losses import boundary_bce, bits_per_byte, ce_fused, decoder_distill, encoder_match, patch_logprobs
 from .model import (
     LOCAL_COMPONENTS,
     ModelConfig,
@@ -75,16 +67,15 @@ class TrainConfig:
     max_bytes: int = 128  # window length including the BOS byte
     peak_lr: float = 1e-3  # byte-level modules; the backbone (stage 2) gets half
     warmup_steps: int = 0  # 0 -> steps // 10
-    beta1: float = 0.9
-    beta2: float = 0.95
-    weight_decay: float = 0.1
-    grad_clip: float = 0.5
     tau: float = 5.0
     merge_kind: str = "subword"  # stage 2 only; stage 1 always distills subword ends
     target_compression: float = 0.0  # stage 2 only
     seed: int = 0
     use_oracle_pooling: bool = False  # stage 2 ablation: pool on supervision mask
-    loss_weights: LossWeights = field(default_factory=LossWeights)
+    lambda_boundary: float = 4.0  # loss weights; stage 2 uses boundary and ce only
+    lambda_encoder: float = 1.0
+    lambda_distill: float = 1.0
+    lambda_ce: float = 1.0
 
     def __post_init__(self):
         if self.stage not in (1, 2):
@@ -243,7 +234,7 @@ def stage1_step(
     tcfg: TrainConfig,
     opt: AdamW,
     batch: list[Window],
-) -> tuple[LossBreakdown, dict]:
+) -> dict:
     """One distillation step: boundary BCE + probed encoder match + patch
     distillation + fused CE, with the backbone frozen and the decoder path
     depooling the teacher's final-layer states."""
@@ -253,7 +244,6 @@ def stage1_step(
     t_probe = _pad_teacher(batch, "probe", p_max, cfg.d)
     t_z = _pad_teacher(batch, "z", p_max, cfg.d)
     t_logp = _pad_teacher(batch, "next_logp", p_max - 1, None)
-    w = tcfg.loss_weights
 
     e = embed_bytes(params, arrays["y"], arrays["sfx"])
     e_hat = local_encode(params, cfg, e)
@@ -275,17 +265,14 @@ def stage1_step(
         t_logp, arrays["valid"][:, 1:], tau=tcfg.tau,
     )
 
-    total = w.boundary * l_b + w.encoder * l_e + w.distill * l_d + w.ce * l_ce
+    total = (tcfg.lambda_boundary * l_b + tcfg.lambda_encoder * l_e
+             + tcfg.lambda_distill * l_d + tcfg.lambda_ce * l_ce)
     opt.zero_grad()
     total.backward()
     grad_norm = opt.step()
-
-    breakdown = LossBreakdown(
-        boundary=l_b.item(), encoder=l_e.item(), distill=l_d.item(),
-        ce=l_ce.item(), total=total.item(),
-    )
-    extras = _step_metrics(p_scores.data, arrays["mask"], cfg, grad_norm)
-    return breakdown, extras
+    return {"l_boundary": l_b.item(), "l_encoder": l_e.item(), "l_distill": l_d.item(),
+            "l_ce": l_ce.item(), "total": total.item(),
+            **_step_metrics(p_scores.data, arrays["mask"], cfg, grad_norm)}
 
 
 def stage2_step(
@@ -294,23 +281,22 @@ def stage2_step(
     tcfg: TrainConfig,
     opt: AdamW,
     batch: list[Window],
-) -> tuple[LossBreakdown, dict]:
+) -> dict:
     """One end-to-end step: boundary BCE + fused CE, pooling on the model's
     own thresholded boundaries (or the supervision mask under the oracle
     ablation), every parameter group trainable."""
     arrays = _stack_batch(batch)
-    w = tcfg.loss_weights
     pool_mask = arrays["mask"] if tcfg.use_oracle_pooling else None
     out = forward_full(params, cfg, arrays["y"], arrays["sfx"], mask=pool_mask)
     l_b = boundary_bce(out["p"], arrays["mask"])
     l_ce = ce_fused(out["logprobs"], arrays["targets"])
-    total = w.boundary * l_b + w.ce * l_ce
+    total = tcfg.lambda_boundary * l_b + tcfg.lambda_ce * l_ce
     opt.zero_grad()
     total.backward()
     grad_norm = opt.step()
-    breakdown = LossBreakdown(boundary=l_b.item(), ce=l_ce.item(), total=total.item())
-    extras = _step_metrics(out["p"].data, arrays["mask"], cfg, grad_norm)
-    return breakdown, extras
+    return {"l_boundary": l_b.item(), "l_encoder": 0.0, "l_distill": 0.0,
+            "l_ce": l_ce.item(), "total": total.item(),
+            **_step_metrics(out["p"].data, arrays["mask"], cfg, grad_norm)}
 
 
 def _step_metrics(p_scores: np.ndarray, mask: np.ndarray, cfg: ModelConfig, grad_norm: float) -> dict:
@@ -351,13 +337,7 @@ def _train_loop(
     metrics. The groups' tensors are in the autodiff graph only while it
     runs, and plain values without a `.grad` once it returns or raises."""
     sampler = WindowSampler(rows, tcfg.batch_size, tcfg.seed)
-    opt = AdamW(
-        groups,
-        beta1=tcfg.beta1,
-        beta2=tcfg.beta2,
-        weight_decay=tcfg.weight_decay,
-        grad_clip=tcfg.grad_clip,
-    )
+    opt = AdamW(groups)
     log = MetricsLog(log_path)
     for p in opt.params():
         p.requires_grad = True
@@ -395,12 +375,7 @@ def train_conversion(
     group_tags = {"global": ("global",)} if stage2 else {}
     group_tags["local"] = LOCAL_COMPONENTS
     groups = {g: [t for n, t in params.items() if params.tag(n) in tags] for g, tags in group_tags.items()}
-    step_fn = stage2_step if stage2 else stage1_step
-
-    def step(opt: AdamW, batch: list[Window]) -> dict:
-        breakdown, extras = step_fn(params, cfg, tcfg, opt, batch)
-        return {**breakdown.as_dict(), **extras}
-
+    step = partial(stage2_step if stage2 else stage1_step, params, cfg, tcfg)
     return _train_loop(tcfg, groups, windows, step, log_path)
 
 

@@ -80,7 +80,16 @@ def test_wrong_version_rejected(tmp_path):
 @pytest.mark.parametrize("edit", [
     lambda h: h.update(format_version=1),  # format 1 configs still carry the fixed constants
     lambda h: h["config"].update(nonsense=1),  # a key ModelConfig does not have
-], ids=["version-1", "extra-config-key"])
+    lambda h: h["tensors"][0].update(dtype="nonsense"),
+    lambda h: h["tensors"][0].update(dtype="int64"),  # same width, reinterpreted weights
+    lambda h: h["tensors"][0].pop("nbytes"),
+    lambda h: h["tensors"][0].update(offset=0),  # a key the table does not have
+    lambda h: h["tensors"][0]["shape"].append(2),  # disagrees with nbytes
+    lambda h: h["tensors"][0].update(shape="8"),
+    lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"]),
+    lambda h: h.pop("tensors"),
+], ids=["version-1", "extra-config-key", "nonsense-dtype", "int64-dtype", "no-nbytes",
+        "extra-entry-key", "shape-not-nbytes", "shape-not-a-list", "duplicate-name", "no-table"])
 def test_bad_header_exits_as_a_bad_checkpoint(tmp_path, capsys, edit):
     cfg = cfg_small()
     path = tmp_path / "m.ckpt"

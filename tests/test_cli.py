@@ -1,3 +1,4 @@
+import dataclasses as dc
 import json
 import re
 from pathlib import Path
@@ -84,10 +85,30 @@ def test_config_parsing(tmp_path):
         build_train_config({"train.seed": "7"}, 2, SimpleNamespace(seed=0))
 
 
+def test_every_toy_cfg_line_lands_on_a_field():
+    lines = [l for l in TOY_CFG.read_text().splitlines() if l.split("#", 1)[0].strip()]
+    cfg = parse_config_file(str(TOY_CFG))
+    assert len(cfg) == len(lines)  # no key is set twice
+    teacher = build_model_config(cfg, 300)
+    built = {
+        "model": [teacher.to_dict(), build_model_config(cfg, 300, teacher).to_dict()],
+        "train": [dc.asdict(build_train_config(cfg, stage, SimpleNamespace(seed=0))) for stage in (1, 2)],
+        "data": [cli._overlay(cfg, "data", cli.DATA_DEFAULTS)],
+        "tokenizer": [cli._overlay(cfg, "tokenizer", cli.TOKENIZER_DEFAULTS)],
+    }
+    for key, text in cfg.items():
+        section, *path = key.split(".")
+        for value in built[section]:
+            for name in path:
+                value = value["global_model" if name == "global" else name]
+            assert float(value) == float(text), key
+
+
 @pytest.mark.parametrize("line", [
     "model.cos_eps=1e-8", "model.rms_eps=1e-12", "model.rope_base=10000", "model.boundary_dim=16",
     "model.eot_byte=0", "model.mlstm.gate_soft_cap=15", "model.mlstm.input_gate_bias_init=-10",
-    "train.peak_lr_global=0.0005",
+    "train.peak_lr_global=0.0005", "train.beta1=0.9", "train.beta2=0.95", "train.weight_decay=0.1",
+    "train.grad_clip=0.5",
 ])
 def test_fixed_constants_are_unknown_keys(workspace, tmp_path, capsys, line):
     root, cfg = workspace
@@ -97,6 +118,31 @@ def test_fixed_constants_are_unknown_keys(workspace, tmp_path, capsys, line):
     rc = cli.main(["stage1", "--data", str(root / "corpus"), "--teacher", str(root / "teacher.ckpt"),
                    "--vocab", str(root / "vocab.txt"), "--out", str(out), "--config", str(bad)])
     assert rc == EXIT_CONFIG
+    key = line.partition("=")[0]
+    assert f"invalid config: unknown config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [
+    "tokenizer.vocabsize=300", "data.holdout_fraction=0.5", "modle.d=64", "model.vocab_size=300",
+    "train.stage=2", "train.seed=7", "model.mlstm=4", "model.global.width=3",
+])
+@pytest.mark.parametrize("command", ["make-corpus", "train-teacher", "stage1", "eval-bpb", "generate", "spectrum"])
+def test_every_command_rejects_an_unknown_config_key(workspace, tmp_path, capsys, command, line):
+    root, cfg = workspace
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg.read_text() + line + "\n")
+    data, teacher, vocab = str(root / "corpus"), str(root / "teacher.ckpt"), str(root / "vocab.txt")
+    out = tmp_path / "out"
+    flags = {
+        "make-corpus": ["--out", str(out)],
+        "train-teacher": ["--data", data, "--out", str(out), "--vocab-out", str(tmp_path / "v.txt")],
+        "stage1": ["--data", data, "--teacher", teacher, "--vocab", vocab, "--out", str(out)],
+        "eval-bpb": ["--data", data, "--model", str(root / "s1.ckpt"), "--vocab", vocab],
+        "generate": ["--model", str(root / "s1.ckpt"), "--vocab", vocab, "--out", str(out)],
+        "spectrum": ["--model", teacher],
+    }[command]
+    assert cli.main([command, *flags, "--config", str(bad)]) == EXIT_CONFIG
     key = line.partition("=")[0]
     assert f"invalid config: unknown config key '{key}'" in capsys.readouterr().err
     assert not out.exists()
@@ -382,7 +428,7 @@ def test_stage1_rejects_invalid_train_values(workspace, tmp_path, capsys, line, 
 def test_train_config_is_validated_once_built():
     args = SimpleNamespace(seed=0, steps=0)  # zero steps stay valid
     tc = build_train_config({"train.lambda_ce": "2", "train.peak_lr": "0.01"}, 2, args)
-    assert (tc.loss_weights.ce, tc.peak_lr, tc.stage, tc.steps) == (2.0, 0.01, 2, 0)
+    assert (tc.lambda_ce, tc.peak_lr, tc.stage, tc.steps) == (2.0, 0.01, 2, 0)
     with pytest.raises(cli.ConfigFileError, match="tau"):
         build_train_config({"train.tau": "-1"}, 1, args)
     with pytest.raises(cli.ConfigFileError):

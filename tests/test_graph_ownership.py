@@ -1,15 +1,15 @@
 """Parameters are plain values: only the training step loop puts tensors in
-the autodiff graph, and only the gradient checker makes its own leaves. A
-second place that sets `requires_grad` would let forward-only passes build a
-graph again, so the package source is read with `ast` and every site that can
-set the flag to True is checked against the owners."""
+the autodiff graph. A second place that sets `requires_grad` would let
+forward-only passes build a graph again, so the package source is read with
+`ast` and every site that can set the flag to True is checked against the
+owner."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bytepatch"
 
-OWNERS = {("training.py", "_train_loop"), ("tensor.py", "finite_difference_check")}
+OWNERS = {("training.py", "_train_loop")}
 # sites that only pass membership on: the constructor stores its argument, and
 # an op's output is in the graph exactly when one of its inputs is
 PROPAGATION = {("tensor.py", "Tensor.__init__"), ("tensor.py", "_make")}
@@ -47,7 +47,7 @@ def may_set_true(value: ast.expr | None) -> bool:
     return not (isinstance(value, ast.Constant) and value.value is False)
 
 
-def test_only_the_step_loop_and_the_gradient_checker_set_requires_grad():
+def test_only_the_step_loop_sets_requires_grad():
     sets = [(path, scope, line) for path, scope, line, value in flag_sets() if may_set_true(value)]
     stray = [f"{path}:{line} in {scope or '<module>'}" for path, scope, line in sets
              if (path, scope) not in OWNERS | PROPAGATION]

@@ -10,7 +10,8 @@ import pytest
 
 from bytepatch import layers as L
 from bytepatch import tensor as T
-from bytepatch.tensor import Tensor, finite_difference_check
+from bytepatch.tensor import Tensor
+from gradcheck import finite_difference_check
 
 HEADS, QK, VD = 2, 3, 4
 D = 8

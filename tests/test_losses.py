@@ -13,7 +13,8 @@ from bytepatch.losses import (
     patch_logprobs,
 )
 from bytepatch.model import GlobalConfig, MlstmConfig, ModelConfig, init_teacher, transformer_probe
-from bytepatch.tensor import Tensor, finite_difference_check
+from bytepatch.tensor import Tensor
+from gradcheck import finite_difference_check
 
 
 def test_boundary_bce_exact_match_is_clamp_floor():

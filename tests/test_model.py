@@ -25,6 +25,7 @@ from bytepatch.model import (
     predicted_mask,
 )
 from bytepatch.tensor import Tensor
+from gradcheck import finite_difference_check
 
 
 def tiny_config(**kw) -> ModelConfig:
@@ -279,5 +280,5 @@ def test_forward_full_gradient_end_to_end():
         lp = out["logprobs"]
         return -T.pick(lp[:, :-1, :], targets[:, 1:]).mean() + out["p"].mean()
 
-    err = T.finite_difference_check(loss, [params[nm].data for nm in names], max_coords=60)
+    err = finite_difference_check(loss, [params[nm].data for nm in names], max_coords=60)
     assert err < 1e-4

@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 
 from bytepatch import tensor as T
-from bytepatch.tensor import (
-    NonFiniteError,
-    ShapeError,
-    Tensor,
-    finite_difference_check,
-)
+from bytepatch.tensor import NonFiniteError, ShapeError, Tensor
+from gradcheck import finite_difference_check
 
 RNG = np.random.default_rng(0)
 ANGLES = np.linspace(0.3, 2.5, 6).reshape(3, 2)  # rotary angles: 3 positions x 2 pairs

@@ -3,7 +3,9 @@ from collections.abc import Callable
 import numpy as np
 import pytest
 
+from bytepatch import cli
 from bytepatch import tokenizer as tok
+from bytepatch.cli import EXIT_CONFIG
 from bytepatch.data import markov_word_docs
 from bytepatch.tokenizer import (
     SubwordVocab,
@@ -132,13 +134,18 @@ def test_encode_single_merge():
     assert tok.encode(vocab, b"ba") == [ord("b"), ord("a")]
 
 
+def decode(vocab: SubwordVocab, ids: list[int]) -> bytes:
+    """The bytes that token ids spell, BOS dropped."""
+    return b"".join(vocab.token_bytes[i] for i in ids if i != vocab.bos_id)
+
+
 def test_encode_decode_roundtrip_random():
     rng = np.random.default_rng(7)
     corpus = [bytes(rng.integers(97, 105, size=rng.integers(5, 60)).tolist()) for _ in range(50)]
     vocab = train_bpe(corpus, 300)
     for _ in range(1000):
         data = bytes(rng.integers(0, 256, size=rng.integers(1, 40)).tolist())
-        assert tok.decode(vocab, tok.encode(vocab, data)) == data
+        assert decode(vocab, tok.encode(vocab, data)) == data
 
 
 def _encode_by_rescan(vocab: SubwordVocab, data: bytes) -> list[int]:
@@ -314,7 +321,6 @@ def test_vocab_check_rejects_bad_merge():
     vocab = SubwordVocab.__new__(SubwordVocab)
     vocab.token_bytes = token_bytes
     vocab.merges = [(0, 1)]  # claims token 256 = \x00\x01, actually b"xy"
-    vocab.bos_id = 257
     with pytest.raises(TokenizerError):
         vocab.check()
 
@@ -336,3 +342,28 @@ def test_vocab_check_rejects_merge_of_a_later_id():
     vocab = SubwordVocab(token_bytes, [(ord("a"), 257), (ord("a"), ord("b"))])
     with pytest.raises(TokenizerError, match="not below 256"):
         vocab.check()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines.__setitem__(256, " ".join(lines[256].split()[:2])),  # merged, no ids
+    lambda lines: lines.__setitem__(100, lines[100] + " 7 8"),  # a byte with a merge's ids
+    lambda lines: lines.__setitem__(-1, "bos 5"),  # would make byte 0x05 the BOS
+    lambda lines: lines.__setitem__(-1, "bos 999"),  # past the vocabulary
+    lambda lines: lines.__setitem__(-1, "bos"),
+    lambda lines: lines.pop(),  # no bos line
+    lambda lines: lines.append(lines[0]),  # a token after the bos line
+    lambda lines: lines.__setitem__(65, "4g -1"),  # not hex
+], ids=["merge-without-ids", "byte-with-ids", "bos-a-byte", "bos-past-vocab", "bos-without-id",
+        "no-bos", "line-after-bos", "bad-hex"])
+def test_load_vocab_rejects_malformed_files(tmp_path, capsys, edit):
+    vocab = train_bpe([b"the cat sat on the mat, the cat sat"], 300)
+    path = tmp_path / "vocab.txt"
+    tok.save_vocab(vocab, str(path))
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TokenizerError):
+        tok.load_vocab(str(path))
+    # the vocabulary loads before the checkpoint, so the model need not exist
+    assert cli.main(["generate", "--model", str(tmp_path / "none.ckpt"), "--vocab", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")

@@ -13,7 +13,6 @@ from bytepatch.boundaries import MergeStrategy
 from bytepatch.checkpoint import load_checkpoint, save_checkpoint
 from bytepatch.cli import build_train_config, parse_config_file
 from bytepatch.data import EOT, DataError, make_windows, markov_word_docs
-from bytepatch.losses import LossWeights
 from bytepatch.model import (
     GlobalConfig,
     LOCAL_COMPONENTS,
@@ -212,7 +211,7 @@ def test_stage1_weights_zero_except_ce_reduces_to_ce(toy):
     docs, vocab, cfg, teacher = toy
     student = init_byte_model(cfg, np.random.default_rng(2), teacher)
     tc = TrainConfig(stage=1, steps=2, batch_size=2, max_bytes=48, seed=4,
-                     loss_weights=LossWeights(boundary=0, encoder=0, distill=0, ce=1))
+                     lambda_boundary=0, lambda_encoder=0, lambda_distill=0)
     log = train_conversion(student, cfg, vocab, teacher, docs[:6], tc)
     for r in log.records:
         assert r["total"] == pytest.approx(r["l_ce"], rel=1e-12)
@@ -236,7 +235,7 @@ def test_stage2_oracle_pooling_equals_full_stack_lm(toy):
     student = init_byte_model(cfg, np.random.default_rng(4), teacher)
     tc = TrainConfig(stage=2, steps=3, batch_size=2, max_bytes=48, seed=6,
                      use_oracle_pooling=True,
-                     loss_weights=LossWeights(boundary=0, encoder=0, distill=0, ce=1))
+                     lambda_boundary=0, lambda_encoder=0, lambda_distill=0)
     log = train_conversion(student, cfg, vocab, None, docs[:6], tc)
     for r in log.records:
         assert r["total"] == pytest.approx(r["l_ce"], rel=1e-12)
