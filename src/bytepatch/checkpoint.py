@@ -1,7 +1,9 @@
 """Checkpoint container: a JSON header (format version, model config, kind,
 metadata, and a tensor table with shapes/dtypes/offsets), the concatenated
 little-endian tensor payload, and a trailing SHA-256 over header plus payload.
-Round trips are bit-exact; version and checksum are validated on load.
+Round trips are bit-exact; version and checksum are validated on load, and
+the tensor table must name exactly the parameters, with their shapes, that
+the header's kind builds from the header's config.
 
 Layout:
     8 bytes   magic  b"BPCKPT\\x00\\x01"
@@ -17,10 +19,11 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .model import ModelConfig, ParamStore
+from .model import ModelConfig, ParamStore, init_byte_model, init_teacher
 from .tensor import Tensor
 
 MAGIC = b"BPCKPT\x00\x01"
@@ -39,10 +42,9 @@ def save_checkpoint(
     kind: str = "byte_model",
     metadata: dict | None = None,
 ) -> None:
-    names = params.names()
     table = []
     payload = bytearray()
-    for name in names:
+    for name in sorted(params):  # name order: the bytes written must not depend on insertion order
         arr = np.ascontiguousarray(params[name].data)
         raw = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
         table.append(
@@ -68,7 +70,8 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
     """Returns (params, config, header). Raises on bad magic, version,
-    truncation, checksum mismatch, or a config this build cannot construct."""
+    truncation, checksum mismatch, a config this build cannot construct, or a
+    tensor set other than the one the kind and config build."""
     blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC) + 8 + 32 or blob[: len(MAGIC)] != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
@@ -87,7 +90,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
         )
     if not isinstance(header.get("tensors"), list):
         raise CheckpointError("header has no tensor table")
-    tensors = {}
+    tensors = ParamStore()
     offset = 0
     for entry in header["tensors"]:
         n = _entry_nbytes(entry, tensors)
@@ -102,7 +105,16 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
         config = ModelConfig.from_dict(header["config"])
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"bad model config in header: {e}") from None
-    return ParamStore(tensors), config, header
+    kind = header.get("kind")
+    if kind not in ("teacher", "byte_model"):
+        raise CheckpointError(f"unknown checkpoint kind {kind!r}")
+    # init whose every draw is zeros builds the names and shapes without random numbers
+    init = init_teacher if kind == "teacher" else init_byte_model
+    want = {(n, t.shape) for n, t in init(config, SimpleNamespace(standard_normal=np.zeros)).items()}
+    if diff := sorted(want ^ {(n, t.shape) for n, t in tensors.items()}):
+        raise CheckpointError(f"{len(diff)} tensor names/shapes differ from the {kind} its config builds, "
+                              f"first {diff[:3]}")
+    return tensors, config, header
 
 
 def _entry_nbytes(entry, seen: dict) -> int:

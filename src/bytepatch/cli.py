@@ -296,7 +296,7 @@ def cmd_spectrum(args) -> int:
     name = args.tensor
     if name not in params:
         print(f"error: tensor {name!r} not in checkpoint "
-              f"(try {', '.join(params.names()[:4])} ...)", file=sys.stderr)
+              f"(try {', '.join(sorted(params)[:4])} ...)", file=sys.stderr)
         return EXIT_USAGE
     print(format_spectrum(spectrum_report(params[name].data), max_rows=args.max_rows))
     return EXIT_OK
@@ -382,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--log", default=None)
-    p.add_argument("--merge-strategy", choices=MergeStrategy.KINDS, default="subword")
-    p.add_argument("--target-compression", type=float, default=None)
+    p.add_argument("--merge-strategy", choices=MergeStrategy.KINDS, default=None,
+                   help="overrides train.merge_kind")
+    p.add_argument("--target-compression", type=float, default=None, help="overrides train.target_compression")
     p.set_defaults(fn=cmd_stage2)
 
     p = sub.add_parser("eval-bpb", help="bits/byte, boundary accuracy, attained compression")

@@ -39,7 +39,10 @@ class CorpusManifest:
 
 def load_corpus(path: str | Path, seed: int = 0, holdout_frac: float = 0.1) -> CorpusManifest:
     """Read .txt and .jsonl documents under `path`, append the terminator
-    byte, shuffle deterministically, and split."""
+    byte, shuffle deterministically, and split off a `holdout_frac` share,
+    in [0, 1), of the documents."""
+    if not 0 <= holdout_frac < 1:
+        raise DataError(f"holdout_frac must be in [0, 1), got {holdout_frac}")
     path = Path(path)
     if not path.exists():
         raise DataError(f"corpus path {path} does not exist")

@@ -22,7 +22,7 @@ from . import tensor as T
 from .data import EOT
 from .model import ModelConfig, ParamStore, predict_boundaries, predicted_mask, split_fused
 from .tensor import Tensor
-from .tokenizer import SuffixIndex, longest_suffix_token
+from .tokenizer import SuffixIndex
 
 
 class InferenceError(ValueError):
@@ -48,7 +48,7 @@ class DecodeState:
     dec: list[dict]
     kv: list[dict]
     h_latest: np.ndarray  # start vector until the first patch closes
-    history: bytearray  # the last SuffixIndex.max_len consumed bytes (suffix lookup context)
+    suffix_state: int = 0  # SuffixIndex state after the consumed bytes
     pending: int = 0  # bytes in the open patch
     n_global_calls: int = 0  # one per closed patch
     last_logprobs: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -68,7 +68,6 @@ def _fresh_state(params: ParamStore, cfg: ModelConfig, seed: int) -> DecodeState
         dec=[L.empty_mlstm_state(m.heads, m.qk_dim, m.v_dim, dtype) for _ in range(cfg.decoder_layers)],
         kv=[L.empty_attention_cache(g.heads, g.head_dim, dtype) for _ in range(g.layers)],
         h_latest=params["start_vector.v"].data.copy(),
-        history=bytearray(),
         rng=np.random.default_rng(seed),
     )
 
@@ -77,28 +76,25 @@ def _step_stack(params: ParamStore, cfg: ModelConfig, x: np.ndarray, states: lis
     """One position through the mLSTM + FFN layers of the encoder or decoder
     stack (the step form of `model._local_stack`)."""
     m = cfg.mlstm
-    p = params.tensors()
     for l, st in enumerate(states):
-        x = L.mlstm_step(p, f"{stack}.{l}.mlstm", x, st, m.heads, m.qk_dim, m.v_dim)
-        x = L.ffn_step(p, f"{stack}.{l}.ffn", x)
+        x = L.mlstm_step(params, f"{stack}.{l}.mlstm", x, st, m.heads, m.qk_dim, m.v_dim)
+        x = L.ffn_step(params, f"{stack}.{l}.ffn", x)
     return x
 
 
 def _encode_byte(params: ParamStore, cfg: ModelConfig, state: DecodeState, sidx: SuffixIndex, byte: int) -> np.ndarray:
-    state.history.append(byte)
-    del state.history[: -sidx.max_len]  # no suffix token reaches further back
-    sfx = longest_suffix_token(sidx, bytes(state.history), len(state.history) - 1)
+    state.suffix_state = sidx.step(state.suffix_state, byte)
+    sfx = sidx.longest[state.suffix_state]
     e = params["byte_embed.table"].data[byte] + params["subword_embed.table"].data[sfx]
     return _step_stack(params, cfg, e, state.enc, "encoder")
 
 
 def _advance_global(params: ParamStore, cfg: ModelConfig, state: DecodeState, e_hat: np.ndarray) -> None:
     g = cfg.global_model
-    p = params.tensors()
     x = e_hat
     for l in range(g.layers):
-        x = L.attention_step(p, f"global.{l}.attn", x, state.kv[l], g.heads, g.head_dim)
-        x = L.ffn_step(p, f"global.{l}.ffn", x)
+        x = L.attention_step(params, f"global.{l}.attn", x, state.kv[l], g.heads, g.head_dim)
+        x = L.ffn_step(params, f"global.{l}.ffn", x)
     state.h_latest = x * T.rms_scale_np(x, L.RMS_EPS) * params["global.final_norm_g"].data
     state.n_global_calls += 1
 

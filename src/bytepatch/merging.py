@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ModelConfig, ParamStore
-from .teacher import teacher_nll
-from .tensor import Tensor
+from .teacher import run_teachers
 from .tokenizer import SubwordVocab, encode
 
 
@@ -63,25 +62,19 @@ def reset_embeddings_check(
     embeddings reset to the base model's) over the post-trained model itself.
     Reported, never asserted: near 1 means the embedding spaces stayed
     compatible and checkpoint arithmetic transfer is viable."""
-    reset = posttrained.copy()
+    reset = ParamStore(posttrained)  # shares the arrays: only entries are replaced
     for tag in ("subword_embed", "lm_head"):
-        for name, t in base.component(tag).items():
-            reset[name] = Tensor(t.data.copy())
+        reset.update(base.component(tag))
     ce_post = _corpus_ce(posttrained, cfg, vocab, eval_docs, max_doc_bytes)
     ce_reset = _corpus_ce(reset, cfg, vocab, eval_docs, max_doc_bytes)
     return {"ce_posttrained": ce_post, "ce_reset": ce_reset, "ratio": ce_reset / ce_post}
 
 
 def _corpus_ce(params: ParamStore, cfg: ModelConfig, vocab: SubwordVocab, docs: list[bytes], max_doc_bytes: int) -> float:
-    total, count = 0.0, 0
-    for doc in docs:
-        ids = [vocab.bos_id] + encode(vocab, doc[:max_doc_bytes])
-        if len(ids) < 2:
-            continue
-        row = np.array(ids, dtype=np.int64)[None, :]
-        total += teacher_nll(params, cfg, row).item() * (len(ids) - 1)
-        count += len(ids) - 1
-    return total / count
+    """Token-weighted mean next-token cross-entropy over the documents."""
+    id_lists = [ids for doc in docs if (ids := encode(vocab, doc[:max_doc_bytes]))]
+    outputs = run_teachers(params, cfg, vocab, id_lists)
+    return float(-np.concatenate([t.next_logp for t in outputs]).mean())
 
 
 def spectrum_report(matrix: np.ndarray) -> dict:

@@ -82,6 +82,9 @@ class ModelConfig:
             raise ConfigError("n_probe exceeds global layer count")
         if self.boundary_mode not in ("noncausal", "causal"):
             raise ConfigError(f"bad boundary_mode {self.boundary_mode!r}")
+        if not 0 <= self.boundary_threshold < 1:
+            # scores are half a cosine distance, so never above 1
+            raise ConfigError(f"boundary_threshold must be in [0, 1), got {self.boundary_threshold}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -94,45 +97,26 @@ class ModelConfig:
         return cls(**d)
 
 
-class ParamStore:
-    """Named parameter tensors, partitioned by the leading name component."""
+class ParamStore(dict):
+    """Named parameter tensors, partitioned by the leading name component.
 
-    def __init__(self, tensors: dict[str, Tensor] | None = None):
-        self._t: dict[str, Tensor] = dict(tensors or {})
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._t[name]
-
-    def __setitem__(self, name: str, value: Tensor) -> None:
-        self._t[name] = value
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._t
-
-    def __len__(self) -> int:
-        return len(self._t)
-
-    def names(self) -> list[str]:
-        return sorted(self._t)
-
-    def items(self):
-        return ((n, self._t[n]) for n in self.names())
-
-    def tensors(self) -> dict[str, Tensor]:
-        return self._t
+    Iteration follows insertion order; a result that depends on the order
+    (optimizer groups, the checkpoint table) sorts the names itself.
+    `copy()` is deep: it copies every array, so a caller may change the copy
+    in place. `ParamStore(params)` is the shallow copy that shares them."""
 
     @staticmethod
     def tag(name: str) -> str:
         return name.split(".", 1)[0]
 
     def component(self, tag: str) -> dict[str, Tensor]:
-        return {n: t for n, t in self._t.items() if self.tag(n) == tag}
+        return {n: t for n, t in self.items() if self.tag(n) == tag}
 
     def n_params(self, tags: tuple[str, ...] | None = None) -> int:
-        return sum(t.size for n, t in self._t.items() if tags is None or self.tag(n) in tags)
+        return sum(t.size for n, t in self.items() if tags is None or self.tag(n) in tags)
 
     def copy(self) -> "ParamStore":
-        return ParamStore({n: Tensor(t.data.copy()) for n, t in self._t.items()})
+        return ParamStore({n: Tensor(t.data.copy()) for n, t in self.items()})
 
 
 # -- initialization -----------------------------------------------------------
@@ -269,8 +253,8 @@ def _local_stack(params: ParamStore, cfg: ModelConfig, x: Tensor, stack: str, n_
     """mLSTM + FFN layers of the encoder or decoder stack."""
     m = cfg.mlstm
     for l in range(n_layers):
-        x = L.mlstm_block(params.tensors(), f"{stack}.{l}.mlstm", x, m.heads, m.qk_dim, m.v_dim)
-        x = L.ffn_block(params.tensors(), f"{stack}.{l}.ffn", x)
+        x = L.mlstm_block(params, f"{stack}.{l}.mlstm", x, m.heads, m.qk_dim, m.v_dim)
+        x = L.ffn_block(params, f"{stack}.{l}.ffn", x)
     return x
 
 
@@ -349,8 +333,8 @@ def _global_layers(params: ParamStore, cfg: ModelConfig, x: Tensor, lo: int, hi:
     if hi > g.layers:
         raise ConfigError("probe depth exceeds global layers")
     for l in range(lo, hi):
-        x = L.attention_block(params.tensors(), f"global.{l}.attn", x, g.heads, g.head_dim)
-        x = L.ffn_block(params.tensors(), f"global.{l}.ffn", x)
+        x = L.attention_block(params, f"global.{l}.attn", x, g.heads, g.head_dim)
+        x = L.ffn_block(params, f"global.{l}.ffn", x)
     return x
 
 

@@ -239,7 +239,8 @@ class SuffixIndex:
     lookup. State s spells a prefix of some token; reading byte c moves to
     the longest such prefix that is a suffix of s's string + c, so after
     data[: i + 1] the state spells the longest suffix of it that starts a
-    token, and `_longest[s]` names the longest token ending there."""
+    token, and `longest[s]` names the longest token ending there. State 0
+    spells the empty string."""
 
     def __init__(self, vocab: SubwordVocab):
         self.vocab = vocab
@@ -272,17 +273,22 @@ class SuffixIndex:
                     f = fail[f]
                 fail[t] = goto[f][c]
                 queue.append(t)
-        self._goto, self._fail, self._longest = goto, fail, longest
+        self._goto, self._fail, self.longest = goto, fail, longest
+
+    def step(self, s: int, c: int) -> int:
+        """The state after reading byte c in state s."""
+        goto, fail = self._goto, self._fail
+        while (t := goto[s].get(c)) is None:
+            s = fail[s]
+        return t
 
 
 def _scan(index: SuffixIndex, data: bytes) -> Iterator[int]:
     """Longest-suffix token id after each byte of data, in one pass."""
-    goto, fail, longest = index._goto, index._fail, index._longest
+    step, longest = index.step, index.longest
     s = 0
     for c in data:
-        while (t := goto[s].get(c)) is None:
-            s = fail[s]
-        s = t
+        s = step(s, c)
         yield longest[s]
 
 

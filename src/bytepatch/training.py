@@ -374,7 +374,8 @@ def train_conversion(
     stage2 = tcfg.stage == 2
     group_tags = {"global": ("global",)} if stage2 else {}
     group_tags["local"] = LOCAL_COMPONENTS
-    groups = {g: [t for n, t in params.items() if params.tag(n) in tags] for g, tags in group_tags.items()}
+    # name order: the global gradient norm is a float sum in group order
+    groups = {g: [t for n, t in sorted(params.items()) if params.tag(n) in tags] for g, tags in group_tags.items()}
     step = partial(stage2_step if stage2 else stage1_step, params, cfg, tcfg)
     return _train_loop(tcfg, groups, windows, step, log_path)
 
@@ -401,7 +402,8 @@ def train_teacher(
         grad_norm = opt.step()
         return {"total": loss.item(), "l_ce": loss.item(), "grad_norm": grad_norm}
 
-    return _train_loop(tcfg, {"local": [t for _, t in params.items()]}, token_rows, step, log_path)
+    # sorted for the same reason as train_conversion's groups
+    return _train_loop(tcfg, {"local": [t for _, t in sorted(params.items())]}, token_rows, step, log_path)
 
 
 # -- evaluation ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def test_roundtrip_bit_exact(tmp_path):
     loaded, cfg2, header = load_checkpoint(path)
     assert cfg2 == cfg
     assert header["metadata"]["stage"] == 1
-    assert loaded.names() == params.names()
+    assert list(loaded) == sorted(params)  # the table is in name order
     for name, t in params.items():
         assert np.array_equal(loaded[name].data, t.data)
         assert loaded[name].dtype == t.dtype
@@ -57,13 +58,15 @@ def test_truncated_file_fails(tmp_path):
 
 def rewrite_header(path, edit) -> None:
     """Apply `edit` to the JSON header of the checkpoint at `path` and give
-    the file a fresh checksum, so only the edit can make loading fail."""
+    the file a fresh checksum, so only the edit can make loading fail. An
+    edit that drops the last table entry returns its `nbytes`, which are cut
+    from the end of the payload to keep the file consistent."""
     blob = path.read_bytes()
     hlen = int.from_bytes(blob[8:16], "little")
     header = json.loads(blob[16 : 16 + hlen])
-    edit(header)
+    cut = edit(header)
     hb = json.dumps(header, sort_keys=True).encode()
-    payload = blob[16 + hlen : -32]
+    payload = blob[16 + hlen : len(blob) - 32 - (cut or 0)]
     path.write_bytes(blob[:8] + len(hb).to_bytes(8, "little") + hb + payload + hashlib.sha256(hb + payload).digest())
 
 
@@ -82,14 +85,23 @@ def test_wrong_version_rejected(tmp_path):
     lambda h: h["config"].update(nonsense=1),  # a key ModelConfig does not have
     lambda h: h["tensors"][0].update(dtype="nonsense"),
     lambda h: h["tensors"][0].update(dtype="int64"),  # same width, reinterpreted weights
-    lambda h: h["tensors"][0].pop("nbytes"),
+    lambda h: h["tensors"][0].pop("nbytes") and None,
     lambda h: h["tensors"][0].update(offset=0),  # a key the table does not have
     lambda h: h["tensors"][0]["shape"].append(2),  # disagrees with nbytes
     lambda h: h["tensors"][0].update(shape="8"),
     lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"]),
-    lambda h: h.pop("tensors"),
+    lambda h: h.pop("tensors") and None,
+    lambda h: h["config"].update(boundary_threshold=1.5),  # scores never exceed 1
+    lambda h: h["tensors"].pop()["nbytes"],  # a consistent file one tensor short
+    lambda h: h["tensors"].append({"name": "extra.w", "shape": [0], "dtype": "float64", "nbytes": 0}),
+    lambda h: h["tensors"][0].update(name="boundary.w_key"),
+    lambda h: h["tensors"][-1].update(shape=[math.prod(h["tensors"][-1]["shape"])]),  # same bytes, flat
+    lambda h: h.update(kind="nonsense"),
+    lambda h: h.update(kind=["byte_model"]),
 ], ids=["version-1", "extra-config-key", "nonsense-dtype", "int64-dtype", "no-nbytes",
-        "extra-entry-key", "shape-not-nbytes", "shape-not-a-list", "duplicate-name", "no-table"])
+        "extra-entry-key", "shape-not-nbytes", "shape-not-a-list", "duplicate-name", "no-table",
+        "threshold-above-one", "dropped-tensor", "extra-tensor", "renamed-tensor", "reshaped-tensor",
+        "unknown-kind", "kind-not-a-string"])
 def test_bad_header_exits_as_a_bad_checkpoint(tmp_path, capsys, edit):
     cfg = cfg_small()
     path = tmp_path / "m.ckpt"

@@ -290,6 +290,19 @@ def test_stage2_one_step_per_merge_strategy(workspace, tmp_path, kind):
     assert header["metadata"]["merge"] == kind
 
 
+def test_stage2_takes_the_merge_kind_from_the_config(workspace, tmp_path):
+    root, cfg = workspace
+    bpe = tmp_path / "bpe.cfg"
+    bpe.write_text(cfg.read_text() + "train.merge_kind=bpe\ntrain.target_compression=8\n")
+    common = ["stage2", "--data", str(root / "corpus"), "--model", str(root / "s1.ckpt"),
+              "--vocab", str(root / "vocab.txt"), "--config", str(bpe), "--steps", "1"]
+    for flags, kind in [([], "bpe"), (["--merge-strategy", "subword"], "subword")]:  # the flag wins
+        out = tmp_path / f"{kind}.ckpt"
+        assert cli.main([*common, "--out", str(out), *flags]) == EXIT_OK
+        metadata = load_checkpoint(out)[2]["metadata"]
+        assert (metadata["merge"], metadata["target_compression"]) == (kind, 8.0)
+
+
 @pytest.mark.parametrize("kind", ["entropy", "xent"])
 def test_scored_supervision_eval_and_dump(workspace, capsys, kind):
     root, cfg = workspace
@@ -422,6 +435,24 @@ def test_stage1_rejects_invalid_train_values(workspace, tmp_path, capsys, line, 
                    "--vocab", str(root / "vocab.txt"), "--out", str(out), "--config", str(bad), *flags])
     assert rc == EXIT_CONFIG
     assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, name", [
+    ("data.holdout_frac=-0.5", "holdout_frac"),
+    ("data.holdout_frac=1.0", "holdout_frac"),
+    ("data.holdout_frac=1.5", "holdout_frac"),
+    ("model.boundary_threshold=1.5", "boundary_threshold"),
+])
+def test_out_of_range_values_are_invalid_config(workspace, tmp_path, capsys, line, name):
+    root, cfg = workspace
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg.read_text() + line + "\n")
+    out = tmp_path / "s1.ckpt"
+    rc = cli.main(["stage1", "--data", str(root / "corpus"), "--teacher", str(root / "teacher.ckpt"),
+                   "--vocab", str(root / "vocab.txt"), "--out", str(out), "--config", str(bad), "--steps", "0"])
+    assert rc == EXIT_CONFIG
+    assert f"{name} must be in [0, 1)" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,12 +7,15 @@ from bytepatch.model import (
     GlobalConfig,
     MlstmConfig,
     ModelConfig,
+    ParamStore,
     forward_full,
+    fused_symbol,
     fused_targets,
     init_byte_model,
     split_fused,
 )
-from bytepatch.tokenizer import SubwordVocab, SuffixIndex
+from bytepatch.tensor import Tensor
+from bytepatch.tokenizer import SubwordVocab, SuffixIndex, longest_suffix_token, suffix_ids
 
 
 def tiny_cfg(**kw):
@@ -40,12 +43,6 @@ def setup():
     return cfg, params, sidx
 
 
-def _suffix_ids_for(sidx, data: bytes) -> np.ndarray:
-    from bytepatch.tokenizer import suffix_ids
-
-    return suffix_ids(sidx, data)
-
-
 def test_prefill_matches_batch_forward(setup):
     cfg, params, sidx = setup
     rng = np.random.default_rng(1)
@@ -54,7 +51,7 @@ def test_prefill_matches_batch_forward(setup):
         state, logprobs, mask = prefill(params, cfg, sidx, prompt)
         out = forward_full(params, cfg,
                            np.frombuffer(prompt, dtype=np.uint8).astype(np.int64)[None, :],
-                           _suffix_ids_for(sidx, prompt)[None, :], mask[None, :])
+                           suffix_ids(sidx, prompt)[None, :], mask[None, :])
         np.testing.assert_allclose(logprobs, out["logprobs"].data[0, -1], atol=1e-9)
         # prefill's own mask equals the batch predictor's thresholded scores
         # except the forced final position
@@ -69,12 +66,22 @@ def test_single_byte_prompt_single_patch(setup):
     assert state.n_global_calls == 1
 
 
-def test_history_keeps_only_the_suffix_window(setup):
-    cfg, params, sidx = setup
-    prompt = bytes(np.random.default_rng(4).integers(97, 100, size=512).tolist())
-    state, _, _ = prefill(params, cfg, sidx, prompt)
-    assert len(state.history) <= sidx.max_len
-    assert bytes(state.history) == prompt[-sidx.max_len:]
+def test_decode_state_holds_the_suffix_of_all_consumed_bytes(setup):
+    cfg, params, _ = setup
+    # "abc" reaches three bytes back, so the state must carry that context
+    vocab = SubwordVocab([bytes([i]) for i in range(256)] + [b"ab", b"abc"], [(97, 98), (256, 99)])
+    sidx = SuffixIndex(vocab)
+    rng = np.random.default_rng(4)
+    consumed = bytearray(rng.integers(97, 100, size=30).tolist())
+    state, _, _ = prefill(params, cfg, sidx, bytes(consumed))
+    sampler = SamplerConfig(temperature=0.0)
+    for step in range(31):
+        if step:
+            byte = int(rng.integers(97, 100))
+            decode_step(params, cfg, state, sidx, sampler, forced_symbol=fused_symbol(byte, rng.random() < 0.3))
+            consumed.append(byte)
+        want = longest_suffix_token(sidx, bytes(consumed), len(consumed) - 1)
+        assert sidx.longest[state.suffix_state] == suffix_ids(sidx, bytes(consumed))[-1] == want
 
 
 def test_empty_prompt_rejected(setup):
@@ -105,7 +112,7 @@ def test_incremental_equals_batch_on_forced_continuations(setup):
         out = forward_full(
             params, cfg,
             np.frombuffer(full, dtype=np.uint8).astype(np.int64)[None, :],
-            _suffix_ids_for(sidx, full)[None, :],
+            suffix_ids(sidx, full)[None, :],
             full_mask[None, :],
         )
         batch = out["logprobs"].data[0]
@@ -140,17 +147,18 @@ def test_patch_cap_forces_boundary(setup):
     # every 4th byte closes a patch despite no sampled boundary bits
     assert state.n_global_calls - before == 2
     assert state.pending < 4
-    # prefill closes capped patches too: a threshold of 1 predicts no interior
-    # boundary, so only the cap and the forced final byte close patches
-    cfg_nopred = tiny_cfg(patch_cap=4, boundary_threshold=1.0)
+    # prefill closes capped patches too: a zero query projection scores every
+    # pair 0.5, which is not above the threshold, so no interior boundary is
+    # predicted and only the cap and the forced final byte close patches
+    nopred = ParamStore(params)
+    nopred["boundary.w_q"] = Tensor(np.zeros_like(params["boundary.w_q"].data))
     prompt = b"abcdefghij"
-    state, logprobs, mask = prefill(params, cfg_nopred, sidx, prompt)
-    ends = np.flatnonzero(mask)
-    assert np.diff(np.concatenate([[-1], ends])).max() <= 4
+    state, logprobs, mask = prefill(nopred, cfg_capped, sidx, prompt)
+    assert mask.tolist() == [False, False, False, True] * 2 + [False, True]
     assert state.n_global_calls == int(mask.sum())
-    out = forward_full(params, cfg_nopred,
+    out = forward_full(nopred, cfg_capped,
                        np.frombuffer(prompt, dtype=np.uint8).astype(np.int64)[None, :],
-                       _suffix_ids_for(sidx, prompt)[None, :], mask[None, :])
+                       suffix_ids(sidx, prompt)[None, :], mask[None, :])
     np.testing.assert_allclose(logprobs, out["logprobs"].data[0, -1], atol=1e-9)
 
 

@@ -113,9 +113,12 @@ def test_reset_embeddings_reports_for_perturbed(stores):
     cfg, base, post, _ = stores
     docs = [b"the cat sat on the mat. the dog ran."] * 3
     vocab = train_bpe(docs, 280)
+    before = {(i, n): t.data.copy() for i, p in enumerate((base, post)) for n, t in p.items()}
     out = reset_embeddings_check(base, post, cfg, vocab, docs)
     # diagnostic contract: reported, finite, never asserted against a bound
     assert np.isfinite(out["ratio"]) and out["ratio"] > 0
+    assert out["ce_reset"] != out["ce_posttrained"]  # post's perturbed embeddings were swapped out
+    assert all(np.array_equal((base, post)[i][n].data, a) for (i, n), a in before.items())
 
 
 def test_spectrum_rank_one():

@@ -59,6 +59,9 @@ def test_config_validation():
         tiny_config(n_probe=5)
     with pytest.raises(ConfigError):  # rotary positions rotate pairs of dims
         tiny_config(d=6, global_model=GlobalConfig(layers=2, heads=2, head_dim=3))
+    for threshold in (-0.1, 1.0, float("nan")):  # scores lie in [0, 1]
+        with pytest.raises(ConfigError, match="boundary_threshold"):
+            tiny_config(boundary_threshold=threshold)
     cfg = tiny_config()
     round_trip = ModelConfig.from_dict(cfg.to_dict())
     assert round_trip == cfg
@@ -66,8 +69,8 @@ def test_config_validation():
 
 def test_param_store_components(setup):
     _, teacher, params = setup
-    assert {params.tag(n) for n in params.names()} == set(M.COMPONENTS)
-    assert {teacher.tag(n) for n in teacher.names()} == {"subword_embed", "global", "lm_head"}
+    assert {params.tag(n) for n in params} == set(M.COMPONENTS)
+    assert {teacher.tag(n) for n in teacher} == {"subword_embed", "global", "lm_head"}
     # the transplanted backbone is bit-identical to the teacher's
     for name, t in teacher.component("global").items():
         assert np.array_equal(params[name].data, t.data)
@@ -80,6 +83,16 @@ def test_param_store_components(setup):
     assert a.n_params(("global",)) == b.n_params(("global",))
 
 
+def test_copy_owns_its_arrays_and_the_constructor_shares_them(setup):
+    _, _, params = setup
+    before = {n: t.data.copy() for n, t in params.items()}
+    deep, shallow = params.copy(), ParamStore(params)
+    for t in deep.values():
+        t.data += 1.0
+    assert all(np.array_equal(params[n].data, a) for n, a in before.items())
+    assert all(shallow[n] is t for n, t in params.items())
+
+
 def test_embed_bytes_additive(setup):
     cfg, _, params = setup
     byte_ids = np.array([[65, 66, 65]])
@@ -89,7 +102,7 @@ def test_embed_bytes_additive(setup):
     st = params["subword_embed.table"].data
     np.testing.assert_allclose(e, bt[[65, 66, 65]] + st[[0, 10, 20]], atol=0)
     # zero suffix table -> byte embedding alone
-    zeroed = ParamStore(dict(params.tensors()))
+    zeroed = ParamStore(params)
     zeroed["subword_embed.table"] = Tensor(np.zeros_like(st))
     e2 = embed_bytes(zeroed, byte_ids, sfx).data[0]
     np.testing.assert_allclose(e2, bt[[65, 66, 65]], atol=0)
@@ -103,7 +116,7 @@ def test_embed_bytes_additive(setup):
 
 def test_boundary_predictor_trivial_geometry(setup):
     cfg, _, params = setup
-    p = ParamStore(dict(params.tensors()))
+    p = ParamStore(params)
     eye = Tensor(np.eye(cfg.d))
     p["boundary.w_q"] = eye
     p["boundary.w_k"] = eye
@@ -154,7 +167,7 @@ def test_pool_last(setup):
 def test_depool_rule(setup):
     cfg, _, params = setup
     rng = np.random.default_rng(3)
-    p = ParamStore(dict(params.tensors()))
+    p = ParamStore(params)
     p["depool_proj.w"] = Tensor(np.zeros((cfg.d, cfg.d)))  # isolate the patch term
     start = rng.normal(size=cfg.d)
     p["start_vector.v"] = Tensor(start)
@@ -195,7 +208,7 @@ def test_lm_head_fused_normalization(setup):
     lp = lm_head_fused(params, cfg, z_hat).data
     np.testing.assert_allclose(np.exp(lp).sum(axis=-1), np.ones((1, 3)), atol=1e-9)
     # zero weights -> exactly uniform over the 512 fused symbols
-    p = ParamStore(dict(params.tensors()))
+    p = ParamStore(params)
     p["lm_head.w"] = Tensor(np.zeros((cfg.d, M.N_FUSED)))
     lp = lm_head_fused(p, cfg, z_hat).data
     np.testing.assert_allclose(lp, np.full_like(lp, -np.log(M.N_FUSED)), atol=1e-12)
@@ -273,7 +286,7 @@ def test_forward_full_gradient_end_to_end():
     names = ["byte_embed.table", "encoder.0.mlstm.w_v", "decoder.0.ffn.w_gate", "lm_head.w"]
 
     def loss(*tensors):
-        p = ParamStore(dict(params.tensors()))
+        p = ParamStore(params)
         for nm, tt in zip(names, tensors):
             p[nm] = tt
         out = forward_full(p, cfg, byte_ids, sfx, mask)

@@ -18,6 +18,7 @@ from bytepatch.model import (
     LOCAL_COMPONENTS,
     MlstmConfig,
     ModelConfig,
+    ParamStore,
     forward_full,
     init_byte_model,
     init_teacher,
@@ -128,6 +129,22 @@ def test_stage1_leaves_no_gradient_on_frozen_tensors(toy):
     train_conversion(student, cfg, vocab, teacher, docs[:8], tc)
     assert [n for n, t in student.items() if t.grad is not None] == []
     assert any(not np.array_equal(b, t.data) for b, t in zip(local_before, local))
+
+
+def test_parameter_insertion_order_changes_no_result(toy, tmp_path):
+    docs, vocab, cfg, teacher = toy
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    tc = TrainConfig(stage=1, steps=2, batch_size=2, max_bytes=48, seed=3)
+    runs = []
+    for i, order in enumerate((list, lambda items: list(items)[::-1])):
+        s, t = (ParamStore(order(p.copy().items())) for p in (student, teacher))
+        records = [train_conversion(s, cfg, vocab, t, docs[:4], tc).records,
+                   train_teacher(t, cfg, vocab, docs[:4], tc).records]
+        save_checkpoint(tmp_path / f"{i}.ckpt", s, cfg)
+        runs.append((list(s), records, (tmp_path / f"{i}.ckpt").read_bytes()))
+    (names, *same), (reversed_names, *same_reversed) = runs
+    assert names == reversed_names[::-1] != reversed_names
+    assert same == same_reversed
 
 
 def test_parameters_are_plain_values_outside_the_step_loop(toy, tmp_path):
