@@ -1,9 +1,9 @@
 """Checkpoint container: a JSON header (format version, model config, kind,
-metadata, and a tensor table with shapes/dtypes/offsets), the concatenated
+metadata, and a tensor table with shapes/dtypes/byte counts), the concatenated
 little-endian tensor payload, and a trailing SHA-256 over header plus payload.
-Round trips are bit-exact; version and checksum are validated on load, and
-the tensor table must name exactly the parameters, with their shapes, that
-the header's kind builds from the header's config.
+Round trips are bit-exact. The table is a function of the kind and config: on
+load, magic, checksum and version are validated, and the table must equal,
+entry for entry, the one the header's kind builds from the header's config.
 
 Layout:
     8 bytes   magic  b"BPCKPT\\x00\\x01"
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+from itertools import zip_longest
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,11 +28,18 @@ from .tensor import Tensor
 
 MAGIC = b"BPCKPT\x00\x01"
 FORMAT_VERSION = 2
-ENTRY_KEYS = {"name", "shape", "dtype", "nbytes"}
+ZEROS = SimpleNamespace(standard_normal=np.zeros)  # an init with this generator draws no random numbers
 
 
 class CheckpointError(ValueError):
     pass
+
+
+def _table(params: dict) -> list[dict]:
+    """The header's tensor table for `params`: name order (the bytes written
+    must not depend on insertion order), float64, 8 bytes per element."""
+    return [{"name": n, "shape": list(params[n].shape), "dtype": "float64", "nbytes": 8 * params[n].size}
+            for n in sorted(params)]
 
 
 def save_checkpoint(
@@ -42,15 +49,8 @@ def save_checkpoint(
     kind: str = "byte_model",
     metadata: dict | None = None,
 ) -> None:
-    table = []
-    payload = bytearray()
-    for name in sorted(params):  # name order: the bytes written must not depend on insertion order
-        arr = np.ascontiguousarray(params[name].data)
-        raw = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-        table.append(
-            {"name": name, "shape": list(arr.shape), "dtype": arr.dtype.name, "nbytes": len(raw)}
-        )
-        payload += raw
+    table = _table(params)
+    payload = b"".join(params[e["name"]].data.astype("<f8").tobytes() for e in table)
     header = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -59,7 +59,7 @@ def save_checkpoint(
         "tensors": table,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    digest = hashlib.sha256(header_bytes + bytes(payload)).digest()
+    digest = hashlib.sha256(header_bytes + payload).digest()
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(len(header_bytes).to_bytes(8, "little"))
@@ -70,8 +70,9 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
     """Returns (params, config, header). Raises on bad magic, version,
-    truncation, checksum mismatch, a config this build cannot construct, or a
-    tensor set other than the one the kind and config build."""
+    truncation, checksum mismatch, a header that is no JSON object, a config
+    this build cannot construct, or a tensor table other than the one the
+    kind and config build."""
     blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC) + 8 + 32 or blob[: len(MAGIC)] != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
@@ -82,54 +83,37 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
     digest = blob[-32:]
     if hashlib.sha256(header_bytes + payload).digest() != digest:
         raise CheckpointError("checksum mismatch (file corrupted or truncated)")
-    header = json.loads(header_bytes.decode("utf-8"))
-    if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported format version {header.get('format_version')} "
-            f"(this build reads {FORMAT_VERSION})"
-        )
-    if not isinstance(header.get("tensors"), list):
-        raise CheckpointError("header has no tensor table")
-    tensors = ParamStore()
-    offset = 0
-    for entry in header["tensors"]:
-        n = _entry_nbytes(entry, tensors)
-        if offset + n > len(payload):
-            raise CheckpointError("payload shorter than tensor table")
-        arr = np.frombuffer(payload[offset : offset + n], dtype="<f8").reshape(entry["shape"])
-        tensors[entry["name"]] = Tensor(arr.copy())
-        offset += n
-    if offset != len(payload):
-        raise CheckpointError("trailing bytes after tensor table")
     try:
-        config = ModelConfig.from_dict(header["config"])
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"bad model config in header: {e}") from None
+        header = json.loads(header_bytes.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError both are
+        raise CheckpointError(f"header is not UTF-8 JSON: {e}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"header is a JSON {type(header).__name__}, not an object")
+    version = header.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported format version {version!r} (this build reads {FORMAT_VERSION})")
     kind = header.get("kind")
     if kind not in ("teacher", "byte_model"):
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
-    # init whose every draw is zeros builds the names and shapes without random numbers
     init = init_teacher if kind == "teacher" else init_byte_model
-    want = {(n, t.shape) for n, t in init(config, SimpleNamespace(standard_normal=np.zeros)).items()}
-    if diff := sorted(want ^ {(n, t.shape) for n, t in tensors.items()}):
-        raise CheckpointError(f"{len(diff)} tensor names/shapes differ from the {kind} its config builds, "
-                              f"first {diff[:3]}")
-    return tensors, config, header
-
-
-def _entry_nbytes(entry, seen: dict) -> int:
-    """The payload size of a tensor-table entry, which must hold exactly a
-    name not in `seen`, a shape, dtype float64 and the shape's byte count."""
-    if not isinstance(entry, dict) or set(entry) != ENTRY_KEYS:
-        raise CheckpointError(f"tensor entry {entry!r} needs exactly the keys {sorted(ENTRY_KEYS)}")
-    name, shape = entry["name"], entry["shape"]
-    if not isinstance(name, str) or name in seen:
-        raise CheckpointError(f"tensor name {name!r} is not a new string")
-    if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
-        raise CheckpointError(f"tensor {name}: shape {shape!r} is not a list of sizes")
-    if entry["dtype"] != "float64":
-        raise CheckpointError(f"tensor {name}: dtype {entry['dtype']!r}, this build stores float64")
-    n = 8 * math.prod(shape)
-    if entry["nbytes"] != n:
-        raise CheckpointError(f"tensor {name}: nbytes {entry['nbytes']!r} != {n} for shape {shape}")
-    return n
+    try:
+        config = ModelConfig.from_dict(header.get("config"))
+        like = init(config, ZEROS)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"bad model config in header: {e}") from None
+    table = _table(like)
+    # compared as JSON text, so 8.0 is no size and true no 1
+    want = [json.dumps(e, sort_keys=True) for e in table]
+    got = header.get("tensors")
+    got = [json.dumps(e, sort_keys=True) for e in got] if isinstance(got, list) else [json.dumps(got)]
+    for i, (g, w) in enumerate(zip_longest(got, want, fillvalue="nothing")):
+        if g != w:
+            raise CheckpointError(f"tensor table entry {i} is {g}; the {kind} its config builds has {w}")
+    if len(payload) != sum(e["nbytes"] for e in table):
+        raise CheckpointError("payload length differs from the tensor table's")
+    params, offset = ParamStore(), 0
+    for e in table:
+        arr = np.frombuffer(payload, dtype="<f8", count=e["nbytes"] // 8, offset=offset)
+        params[e["name"]] = Tensor(arr.reshape(e["shape"]).copy())
+        offset += e["nbytes"]
+    return params, config, header

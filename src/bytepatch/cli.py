@@ -84,16 +84,6 @@ def parse_config_file(path: str | None) -> dict[str, str]:
     return out
 
 
-def _coerce(value: str, typ):
-    if typ is bool:
-        if value.lower() in ("1", "true", "yes"):
-            return True
-        if value.lower() in ("0", "false", "no"):
-            return False
-        raise ConfigFileError(f"bad boolean {value!r}")
-    return typ(value)
-
-
 def _overlay(cfg: dict[str, str], section: str, defaults: dict) -> dict:
     """A copy of `defaults` with each `section.name` key of `cfg` set on the
     field `name`, and each `section.group.name` on the field `name` of a
@@ -115,7 +105,7 @@ def _overlay(cfg: dict[str, str], section: str, defaults: dict) -> dict:
             raise ConfigFileError(f"unknown config key {key!r}")
         owner, name = slots[key]
         try:
-            owner[name] = _coerce(text, type(owner[name]))
+            owner[name] = type(owner[name])(text)
         except ValueError as e:
             raise ConfigFileError(f"{key}={text}: {e}") from None
     return values

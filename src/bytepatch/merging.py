@@ -15,6 +15,8 @@ from .model import ModelConfig, ParamStore
 from .teacher import run_teachers
 from .tokenizer import SubwordVocab, encode
 
+MAX_DOC_BYTES = 512  # the embedding-reset check scores each document's first bytes only
+
 
 class MergeError(ValueError):
     pass
@@ -56,7 +58,6 @@ def reset_embeddings_check(
     cfg: ModelConfig,
     vocab: SubwordVocab,
     eval_docs: list[bytes],
-    max_doc_bytes: int = 512,
 ) -> dict:
     """Cross-entropy ratio of (post-trained model with its input and output
     embeddings reset to the base model's) over the post-trained model itself.
@@ -65,14 +66,15 @@ def reset_embeddings_check(
     reset = ParamStore(posttrained)  # shares the arrays: only entries are replaced
     for tag in ("subword_embed", "lm_head"):
         reset.update(base.component(tag))
-    ce_post = _corpus_ce(posttrained, cfg, vocab, eval_docs, max_doc_bytes)
-    ce_reset = _corpus_ce(reset, cfg, vocab, eval_docs, max_doc_bytes)
+    ce_post = _corpus_ce(posttrained, cfg, vocab, eval_docs)
+    ce_reset = _corpus_ce(reset, cfg, vocab, eval_docs)
     return {"ce_posttrained": ce_post, "ce_reset": ce_reset, "ratio": ce_reset / ce_post}
 
 
-def _corpus_ce(params: ParamStore, cfg: ModelConfig, vocab: SubwordVocab, docs: list[bytes], max_doc_bytes: int) -> float:
-    """Token-weighted mean next-token cross-entropy over the documents."""
-    id_lists = [ids for doc in docs if (ids := encode(vocab, doc[:max_doc_bytes]))]
+def _corpus_ce(params: ParamStore, cfg: ModelConfig, vocab: SubwordVocab, docs: list[bytes]) -> float:
+    """Token-weighted mean next-token cross-entropy over the documents' first
+    MAX_DOC_BYTES bytes."""
+    id_lists = [ids for doc in docs if (ids := encode(vocab, doc[:MAX_DOC_BYTES]))]
     outputs = run_teachers(params, cfg, vocab, id_lists)
     return float(-np.concatenate([t.next_logp for t in outputs]).mean())
 

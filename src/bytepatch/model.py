@@ -78,8 +78,10 @@ class ModelConfig:
             raise ConfigError("global heads * head_dim must equal d")
         if self.global_model.head_dim % 2:
             raise ConfigError("global head_dim must be even (rotary positions rotate pairs)")
-        if self.n_probe > self.global_model.layers:
-            raise ConfigError("n_probe exceeds global layer count")
+        if not 0 <= self.n_probe <= self.global_model.layers:
+            raise ConfigError(f"n_probe must be in [0, global layers], got {self.n_probe}")
+        if self.patch_cap < 1:
+            raise ConfigError(f"patch_cap must be >= 1, got {self.patch_cap}")
         if self.boundary_mode not in ("noncausal", "causal"):
             raise ConfigError(f"bad boundary_mode {self.boundary_mode!r}")
         if not 0 <= self.boundary_threshold < 1:
@@ -91,10 +93,21 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["mlstm"] = MlstmConfig(**d.get("mlstm", {}))
-        d["global_model"] = GlobalConfig(**d.get("global_model", {}))
-        return cls(**d)
+        """The inverse of `to_dict`: `d` holds exactly its keys, the groups'
+        too, and each value has its default's type (a bool is no int)."""
+        _require_like(d, cls().to_dict(), "config")
+        return cls(**{**d, "mlstm": MlstmConfig(**d["mlstm"]), "global_model": GlobalConfig(**d["global_model"])})
+
+
+def _require_like(value, default, where: str) -> None:
+    if not isinstance(default, dict):
+        if type(value) is not type(default):
+            raise ConfigError(f"{where} is {value!r}, not a {type(default).__name__}")
+    elif not isinstance(value, dict) or value.keys() != default.keys():
+        raise ConfigError(f"{where} needs exactly the keys {sorted(default)}, got {value!r}")
+    else:
+        for k in default:
+            _require_like(value[k], default[k], f"{where}.{k}")
 
 
 class ParamStore(dict):

@@ -71,7 +71,6 @@ class TrainConfig:
     merge_kind: str = "subword"  # stage 2 only; stage 1 always distills subword ends
     target_compression: float = 0.0  # stage 2 only
     seed: int = 0
-    use_oracle_pooling: bool = False  # stage 2 ablation: pool on supervision mask
     lambda_boundary: float = 4.0  # loss weights; stage 2 uses boundary and ce only
     lambda_encoder: float = 1.0
     lambda_distill: float = 1.0
@@ -283,11 +282,9 @@ def stage2_step(
     batch: list[Window],
 ) -> dict:
     """One end-to-end step: boundary BCE + fused CE, pooling on the model's
-    own thresholded boundaries (or the supervision mask under the oracle
-    ablation), every parameter group trainable."""
+    own thresholded boundaries, every parameter group trainable."""
     arrays = _stack_batch(batch)
-    pool_mask = arrays["mask"] if tcfg.use_oracle_pooling else None
-    out = forward_full(params, cfg, arrays["y"], arrays["sfx"], mask=pool_mask)
+    out = forward_full(params, cfg, arrays["y"], arrays["sfx"])
     l_b = boundary_bce(out["p"], arrays["mask"])
     l_ce = ce_fused(out["logprobs"], arrays["targets"])
     total = tcfg.lambda_boundary * l_b + tcfg.lambda_ce * l_ce

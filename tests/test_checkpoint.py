@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -60,13 +61,14 @@ def rewrite_header(path, edit) -> None:
     """Apply `edit` to the JSON header of the checkpoint at `path` and give
     the file a fresh checksum, so only the edit can make loading fail. An
     edit that drops the last table entry returns its `nbytes`, which are cut
-    from the end of the payload to keep the file consistent."""
+    from the end of the payload to keep the file consistent; an edit that
+    returns bytes replaces the header text with them."""
     blob = path.read_bytes()
     hlen = int.from_bytes(blob[8:16], "little")
     header = json.loads(blob[16 : 16 + hlen])
     cut = edit(header)
-    hb = json.dumps(header, sort_keys=True).encode()
-    payload = blob[16 + hlen : len(blob) - 32 - (cut or 0)]
+    hb = cut if isinstance(cut, bytes) else json.dumps(header, sort_keys=True).encode()
+    payload = blob[16 + hlen : len(blob) - 32 - (cut if isinstance(cut, int) else 0)]
     path.write_bytes(blob[:8] + len(hb).to_bytes(8, "little") + hb + payload + hashlib.sha256(hb + payload).digest())
 
 
@@ -98,10 +100,22 @@ def test_wrong_version_rejected(tmp_path):
     lambda h: h["tensors"][-1].update(shape=[math.prod(h["tensors"][-1]["shape"])]),  # same bytes, flat
     lambda h: h.update(kind="nonsense"),
     lambda h: h.update(kind=["byte_model"]),
+    lambda h: b"\xff\xfe not UTF-8",
+    lambda h: b"[1, 2]",
+    lambda h: h["config"].update(d=8.0),
+    lambda h: h["config"]["mlstm"].update(heads="2"),
+    lambda h: h["config"].update(encoder_layers="1"),
+    lambda h: h["config"].update(patch_cap="64"),
+    lambda h: h["config"].update(n_probe=True),  # a bool is no int
+    lambda h: h["config"].pop("boundary_mode") and None,  # saved as the default, still required
+    lambda h: h["config"].update(n_probe=-1),
+    lambda h: h["config"].update(patch_cap=0),
 ], ids=["version-1", "extra-config-key", "nonsense-dtype", "int64-dtype", "no-nbytes",
         "extra-entry-key", "shape-not-nbytes", "shape-not-a-list", "duplicate-name", "no-table",
         "threshold-above-one", "dropped-tensor", "extra-tensor", "renamed-tensor", "reshaped-tensor",
-        "unknown-kind", "kind-not-a-string"])
+        "unknown-kind", "kind-not-a-string", "not-utf8", "json-list", "float-d", "string-heads",
+        "string-encoder-layers", "string-patch-cap", "bool-n-probe", "dropped-config-key",
+        "negative-n-probe", "zero-patch-cap"])
 def test_bad_header_exits_as_a_bad_checkpoint(tmp_path, capsys, edit):
     cfg = cfg_small()
     path = tmp_path / "m.ckpt"
@@ -116,3 +130,61 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"not a checkpoint at all, nope" * 4)
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path)
+
+
+def _retype(value, rng: random.Random):
+    """A JSON value of another type than `value`; an int may become the
+    same number as a float, and a float an int."""
+    others = [json.dumps(value), [value], None, True]
+    others += [float(value)] if type(value) is int else [int(value)] if type(value) is float else []
+    return rng.choice([o for o in others if type(o) is not type(value)])
+
+
+def _random_edit(h: dict, rng: random.Random):
+    """One edit that a loader must reject, in the form `rewrite_header`
+    applies: a dropped, renamed or retyped key (top level except metadata,
+    config, config group or table entry), a perturbed shape size, nbytes,
+    dtype, name or kind, two entries swapped, one duplicated, or the last
+    dropped together with its payload bytes."""
+    table = h["tensors"]
+    i, j = rng.sample(range(len(table)), 2)
+    entry = table[i]
+    owner = rng.choice([h, h["config"], h["config"]["mlstm"], h["config"]["global_model"], entry])
+    key = rng.choice(sorted(k for k in owner if k != "metadata"))
+    match rng.randrange(11):
+        case 0:
+            del owner[key]
+        case 1:
+            owner[key + "_"] = owner.pop(key)
+        case 2:
+            owner[key] = _retype(owner[key], rng)
+        case 3:  # the same size as a float is no size either
+            shape, k = entry["shape"], rng.randrange(len(entry["shape"]))
+            shape[k] = rng.choice([shape[k] - 1, shape[k] + 1, float(shape[k])])
+        case 4:
+            entry["nbytes"] = rng.choice([entry["nbytes"] - 8, entry["nbytes"] + 8, float(entry["nbytes"])])
+        case 5:
+            entry["dtype"] = rng.choice(["float32", "int64", "<f8", "float"])
+        case 6:
+            entry["name"] = table[j]["name"] if rng.random() < 0.5 else entry["name"] + "_"
+        case 7:
+            h["kind"] = rng.choice(["teacher", "Byte_model", ""])
+        case 8:
+            table[i], table[j] = table[j], table[i]
+        case 9:
+            table.insert(j, dict(entry))
+        case 10:
+            return table.pop()["nbytes"]
+
+
+def test_random_header_edits_exit_as_a_bad_checkpoint(tmp_path, capsys):
+    cfg = cfg_small()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_byte_model(cfg, np.random.default_rng(5)), cfg, metadata={"stage": 1})
+    saved = path.read_bytes()
+    rng = random.Random(13)
+    for trial in range(250):
+        path.write_bytes(saved)
+        rewrite_header(path, lambda h: _random_edit(h, rng))
+        assert cli.main(["spectrum", "--model", str(path)]) == EXIT_CHECKPOINT, trial
+        assert capsys.readouterr().err.startswith("error: bad checkpoint:"), trial

@@ -108,7 +108,7 @@ def test_every_toy_cfg_line_lands_on_a_field():
     "model.cos_eps=1e-8", "model.rms_eps=1e-12", "model.rope_base=10000", "model.boundary_dim=16",
     "model.eot_byte=0", "model.mlstm.gate_soft_cap=15", "model.mlstm.input_gate_bias_init=-10",
     "train.peak_lr_global=0.0005", "train.beta1=0.9", "train.beta2=0.95", "train.weight_decay=0.1",
-    "train.grad_clip=0.5",
+    "train.grad_clip=0.5", "train.use_oracle_pooling=1",
 ])
 def test_fixed_constants_are_unknown_keys(workspace, tmp_path, capsys, line):
     root, cfg = workspace
@@ -453,6 +453,22 @@ def test_out_of_range_values_are_invalid_config(workspace, tmp_path, capsys, lin
                    "--vocab", str(root / "vocab.txt"), "--out", str(out), "--config", str(bad), "--steps", "0"])
     assert rc == EXIT_CONFIG
     assert f"{name} must be in [0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("model.n_probe=-1", "n_probe must be in [0, global layers], got -1"),
+    ("model.patch_cap=0", "patch_cap must be >= 1, got 0"),
+])
+def test_model_counts_out_of_range_are_invalid_config(workspace, tmp_path, capsys, line, message):
+    root, cfg = workspace
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg.read_text() + line + "\n")
+    out = tmp_path / "s1.ckpt"
+    rc = cli.main(["stage1", "--data", str(root / "corpus"), "--teacher", str(root / "teacher.ckpt"),
+                   "--vocab", str(root / "vocab.txt"), "--out", str(out), "--config", str(bad), "--steps", "0"])
+    assert rc == EXIT_CONFIG
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -247,11 +247,10 @@ def test_stage2_trains_all_groups(toy):
     assert all(r["l_distill"] == 0.0 and r["l_encoder"] == 0.0 for r in log.records)
 
 
-def test_stage2_oracle_pooling_equals_full_stack_lm(toy):
+def test_stage2_total_is_ce_at_zero_boundary_weight(toy):
     docs, vocab, cfg, teacher = toy
     student = init_byte_model(cfg, np.random.default_rng(4), teacher)
     tc = TrainConfig(stage=2, steps=3, batch_size=2, max_bytes=48, seed=6,
-                     use_oracle_pooling=True,
                      lambda_boundary=0, lambda_encoder=0, lambda_distill=0)
     log = train_conversion(student, cfg, vocab, None, docs[:6], tc)
     for r in log.records:
