@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 usage, 3 invalid config, 4 missing file,
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses as dc
 import json
 import sys
@@ -86,26 +85,17 @@ def parse_config_file(path: str | None) -> dict[str, str]:
 
 def _overlay(cfg: dict[str, str], section: str, defaults: dict) -> dict:
     """A copy of `defaults` with each `section.name` key of `cfg` set on the
-    field `name`, and each `section.group.name` on the field `name` of a
-    nested group (`model.mlstm.*`, `model.global.*`), coerced to the
-    default's type. Any other key of the section, or a derived one, is
-    unknown."""
-    values = copy.deepcopy(defaults)
-    slots = {}
-    for name, value in values.items():
-        if isinstance(value, dict):
-            group = "global" if name == "global_model" else name
-            slots.update({f"{section}.{group}.{k}": (value, k) for k in value})
-        else:
-            slots[f"{section}.{name}"] = (values, name)
+    field `name`, coerced to the default's type. Any other key of the
+    section, or a derived one, is unknown."""
+    values = dict(defaults)
     for key, text in cfg.items():
-        if key.partition(".")[0] != section:
+        prefix, _, name = key.partition(".")
+        if prefix != section:
             continue
-        if key not in slots or key in DERIVED:
+        if name not in values or key in DERIVED:
             raise ConfigFileError(f"unknown config key {key!r}")
-        owner, name = slots[key]
         try:
-            owner[name] = type(owner[name])(text)
+            values[name] = type(values[name])(text)
         except ValueError as e:
             raise ConfigFileError(f"{key}={text}: {e}") from None
     return values
@@ -114,16 +104,18 @@ def _overlay(cfg: dict[str, str], section: str, defaults: dict) -> dict:
 def build_model_config(cfg: dict[str, str], vocab_size: int, base: ModelConfig | None = None) -> ModelConfig:
     """Overlay model.* keys onto `base` (the defaults when None) and construct
     once, so validation sees the final values. The base is the teacher's
-    config when converting it: a key that would change the transplanted
-    backbone (`d`, `global.*`) is then rejected."""
+    config when converting it: a valid config that would change the
+    transplanted backbone (`d` or a `global_*` field) is then rejected."""
     values = _overlay(cfg, "model", (base or ModelConfig()).to_dict())
-    if base is not None and (values["d"], values["global_model"]) != (base.d, dc.asdict(base.global_model)):
-        raise ConfigFileError(f"model.d and model.global.* must keep the teacher's backbone "
-                              f"(d={base.d}, global {dc.asdict(base.global_model)})")
     try:
-        return ModelConfig.from_dict({**values, "vocab_size": vocab_size})
+        mc = ModelConfig.from_dict({**values, "vocab_size": vocab_size})
     except ValueError as e:
         raise ConfigFileError(str(e)) from None
+    if base is not None:
+        backbone = {k: v for k, v in base.to_dict().items() if k == "d" or k.startswith("global_")}
+        if any(values[k] != v for k, v in backbone.items()):
+            raise ConfigFileError(f"model.d and model.global_* must keep the teacher's backbone {backbone}")
+    return mc
 
 
 def build_train_config(cfg: dict[str, str], stage: int, args) -> TrainConfig:

@@ -61,12 +61,12 @@ class DecodeState:
 
 
 def _fresh_state(params: ParamStore, cfg: ModelConfig, seed: int) -> DecodeState:
-    m, g = cfg.mlstm, cfg.global_model
     dtype = params["byte_embed.table"].dtype
+    mlstm = (cfg.mlstm_heads, cfg.mlstm_qk_dim, cfg.mlstm_v_dim, dtype)
     return DecodeState(
-        enc=[L.empty_mlstm_state(m.heads, m.qk_dim, m.v_dim, dtype) for _ in range(cfg.encoder_layers)],
-        dec=[L.empty_mlstm_state(m.heads, m.qk_dim, m.v_dim, dtype) for _ in range(cfg.decoder_layers)],
-        kv=[L.empty_attention_cache(g.heads, g.head_dim, dtype) for _ in range(g.layers)],
+        enc=[L.empty_mlstm_state(*mlstm) for _ in range(cfg.encoder_layers)],
+        dec=[L.empty_mlstm_state(*mlstm) for _ in range(cfg.decoder_layers)],
+        kv=[L.empty_attention_cache(cfg.global_heads, cfg.global_head_dim, dtype) for _ in range(cfg.global_layers)],
         h_latest=params["start_vector.v"].data.copy(),
         rng=np.random.default_rng(seed),
     )
@@ -75,9 +75,8 @@ def _fresh_state(params: ParamStore, cfg: ModelConfig, seed: int) -> DecodeState
 def _step_stack(params: ParamStore, cfg: ModelConfig, x: np.ndarray, states: list[dict], stack: str) -> np.ndarray:
     """One position through the mLSTM + FFN layers of the encoder or decoder
     stack (the step form of `model._local_stack`)."""
-    m = cfg.mlstm
     for l, st in enumerate(states):
-        x = L.mlstm_step(params, f"{stack}.{l}.mlstm", x, st, m.heads, m.qk_dim, m.v_dim)
+        x = L.mlstm_step(params, f"{stack}.{l}.mlstm", x, st, cfg.mlstm_heads, cfg.mlstm_qk_dim, cfg.mlstm_v_dim)
         x = L.ffn_step(params, f"{stack}.{l}.ffn", x)
     return x
 
@@ -90,10 +89,9 @@ def _encode_byte(params: ParamStore, cfg: ModelConfig, state: DecodeState, sidx:
 
 
 def _advance_global(params: ParamStore, cfg: ModelConfig, state: DecodeState, e_hat: np.ndarray) -> None:
-    g = cfg.global_model
     x = e_hat
-    for l in range(g.layers):
-        x = L.attention_step(params, f"global.{l}.attn", x, state.kv[l], g.heads, g.head_dim)
+    for l in range(cfg.global_layers):
+        x = L.attention_step(params, f"global.{l}.attn", x, state.kv[l], cfg.global_heads, cfg.global_head_dim)
         x = L.ffn_step(params, f"global.{l}.ffn", x)
     state.h_latest = x * T.rms_scale_np(x, L.RMS_EPS) * params["global.final_norm_g"].data
     state.n_global_calls += 1

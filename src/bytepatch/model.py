@@ -16,7 +16,7 @@ input-gate bias initialization here; the boundary projections are d x d.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,20 +46,6 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class MlstmConfig:
-    heads: int = 4
-    qk_dim: int = 16
-    v_dim: int = 32
-
-
-@dataclass
-class GlobalConfig:
-    layers: int = 4
-    heads: int = 4
-    head_dim: int = 32
-
-
-@dataclass
 class ModelConfig:
     d: int = 128
     vocab_size: int = 512  # subword ids including BOS
@@ -67,21 +53,27 @@ class ModelConfig:
     decoder_layers: int = 4
     ffn_hidden: int = 256
     n_probe: int = 4  # global layers crossed by the encoder-matching loss
-    mlstm: MlstmConfig = field(default_factory=MlstmConfig)
-    global_model: GlobalConfig = field(default_factory=GlobalConfig)
+    mlstm_heads: int = 4
+    mlstm_qk_dim: int = 16
+    mlstm_v_dim: int = 32
+    global_layers: int = 4  # the backbone; a converted teacher fixes d and every global_* field
+    global_heads: int = 4
+    global_head_dim: int = 32
     boundary_mode: str = "noncausal"  # or "causal" (ablation)
     boundary_threshold: float = 0.5
     patch_cap: int = 64  # decode-time forced boundary after this many bytes
 
     def __post_init__(self):
-        if self.global_model.heads * self.global_model.head_dim != self.d:
-            raise ConfigError("global heads * head_dim must equal d")
-        if self.global_model.head_dim % 2:
-            raise ConfigError("global head_dim must be even (rotary positions rotate pairs)")
-        if not 0 <= self.n_probe <= self.global_model.layers:
+        for name in ("d", "encoder_layers", "decoder_layers", "ffn_hidden", "mlstm_heads", "mlstm_qk_dim",
+                     "mlstm_v_dim", "global_layers", "global_heads", "global_head_dim", "patch_cap"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.global_heads * self.global_head_dim != self.d:
+            raise ConfigError("global_heads * global_head_dim must equal d")
+        if self.global_head_dim % 2:
+            raise ConfigError("global_head_dim must be even (rotary positions rotate pairs)")
+        if not 0 <= self.n_probe <= self.global_layers:
             raise ConfigError(f"n_probe must be in [0, global layers], got {self.n_probe}")
-        if self.patch_cap < 1:
-            raise ConfigError(f"patch_cap must be >= 1, got {self.patch_cap}")
         if self.boundary_mode not in ("noncausal", "causal"):
             raise ConfigError(f"bad boundary_mode {self.boundary_mode!r}")
         if not 0 <= self.boundary_threshold < 1:
@@ -93,21 +85,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """The inverse of `to_dict`: `d` holds exactly its keys, the groups'
-        too, and each value has its default's type (a bool is no int)."""
-        _require_like(d, cls().to_dict(), "config")
-        return cls(**{**d, "mlstm": MlstmConfig(**d["mlstm"]), "global_model": GlobalConfig(**d["global_model"])})
-
-
-def _require_like(value, default, where: str) -> None:
-    if not isinstance(default, dict):
-        if type(value) is not type(default):
-            raise ConfigError(f"{where} is {value!r}, not a {type(default).__name__}")
-    elif not isinstance(value, dict) or value.keys() != default.keys():
-        raise ConfigError(f"{where} needs exactly the keys {sorted(default)}, got {value!r}")
-    else:
-        for k in default:
-            _require_like(value[k], default[k], f"{where}.{k}")
+        """The inverse of `to_dict`: `d` holds exactly its keys, and each
+        value has its default's type (a bool is no int)."""
+        default = cls().to_dict()
+        if not isinstance(d, dict) or d.keys() != default.keys():
+            raise ConfigError(f"config needs exactly the keys {sorted(default)}, got {d!r}")
+        for k, v in default.items():
+            if type(d[k]) is not type(v):
+                raise ConfigError(f"config.{k} is {d[k]!r}, not a {type(v).__name__}")
+        return cls(**d)
 
 
 class ParamStore(dict):
@@ -147,19 +133,20 @@ def _zeros(shape) -> Tensor:
 
 
 def _init_mlstm_layer(p: dict, prefix: str, cfg: ModelConfig, rng, out_scale: float) -> None:
-    d, m = cfg.d, cfg.mlstm
+    d, heads = cfg.d, cfg.mlstm_heads
+    qk, v = heads * cfg.mlstm_qk_dim, heads * cfg.mlstm_v_dim
     p[f"{prefix}.norm_g"] = _ones((d,))
-    p[f"{prefix}.w_q"] = _normal(rng, (d, m.heads * m.qk_dim))
-    p[f"{prefix}.w_k"] = _normal(rng, (d, m.heads * m.qk_dim))
-    p[f"{prefix}.w_v"] = _normal(rng, (d, m.heads * m.v_dim))
-    p[f"{prefix}.w_i"] = _zeros((d, m.heads))
-    p[f"{prefix}.b_i"] = Tensor(np.full(m.heads, INPUT_GATE_BIAS_INIT))
-    p[f"{prefix}.w_f"] = _zeros((d, m.heads))
+    p[f"{prefix}.w_q"] = _normal(rng, (d, qk))
+    p[f"{prefix}.w_k"] = _normal(rng, (d, qk))
+    p[f"{prefix}.w_v"] = _normal(rng, (d, v))
+    p[f"{prefix}.w_i"] = _zeros((d, heads))
+    p[f"{prefix}.b_i"] = Tensor(np.full(heads, INPUT_GATE_BIAS_INIT))
+    p[f"{prefix}.w_f"] = _zeros((d, heads))
     # a head-staggered forget bias keeps memories alive at different horizons
-    p[f"{prefix}.b_f"] = Tensor(np.linspace(3.0, 6.0, m.heads))
-    p[f"{prefix}.w_og"] = _normal(rng, (d, m.heads * m.v_dim))
-    p[f"{prefix}.mh_norm_g"] = _ones((m.heads * m.v_dim,))
-    p[f"{prefix}.w_out"] = _normal(rng, (m.heads * m.v_dim, d), std=0.02 * out_scale)
+    p[f"{prefix}.b_f"] = Tensor(np.linspace(3.0, 6.0, heads))
+    p[f"{prefix}.w_og"] = _normal(rng, (d, v))
+    p[f"{prefix}.mh_norm_g"] = _ones((v,))
+    p[f"{prefix}.w_out"] = _normal(rng, (v, d), std=0.02 * out_scale)
 
 
 def _init_ffn(p: dict, prefix: str, cfg: ModelConfig, rng, out_scale: float) -> None:
@@ -171,15 +158,15 @@ def _init_ffn(p: dict, prefix: str, cfg: ModelConfig, rng, out_scale: float) -> 
 
 
 def _init_global(p: dict, cfg: ModelConfig, rng) -> None:
-    g = cfg.global_model
-    scale = 1.0 / np.sqrt(2.0 * g.layers)
-    for l in range(g.layers):
+    width = cfg.global_heads * cfg.global_head_dim
+    scale = 1.0 / np.sqrt(2.0 * cfg.global_layers)
+    for l in range(cfg.global_layers):
         ap = f"global.{l}.attn"
         p[f"{ap}.norm_g"] = _ones((cfg.d,))
-        p[f"{ap}.w_q"] = _normal(rng, (cfg.d, g.heads * g.head_dim))
-        p[f"{ap}.w_k"] = _normal(rng, (cfg.d, g.heads * g.head_dim))
-        p[f"{ap}.w_v"] = _normal(rng, (cfg.d, g.heads * g.head_dim))
-        p[f"{ap}.w_o"] = _normal(rng, (g.heads * g.head_dim, cfg.d), std=0.02 * scale)
+        p[f"{ap}.w_q"] = _normal(rng, (cfg.d, width))
+        p[f"{ap}.w_k"] = _normal(rng, (cfg.d, width))
+        p[f"{ap}.w_v"] = _normal(rng, (cfg.d, width))
+        p[f"{ap}.w_o"] = _normal(rng, (width, cfg.d), std=0.02 * scale)
         _init_ffn(p, f"global.{l}.ffn", cfg, rng, scale)
     p["global.final_norm_g"] = _ones((cfg.d,))
 
@@ -264,9 +251,8 @@ def embed_bytes(params: ParamStore, byte_ids: np.ndarray, suffix_ids: np.ndarray
 
 def _local_stack(params: ParamStore, cfg: ModelConfig, x: Tensor, stack: str, n_layers: int) -> Tensor:
     """mLSTM + FFN layers of the encoder or decoder stack."""
-    m = cfg.mlstm
     for l in range(n_layers):
-        x = L.mlstm_block(params, f"{stack}.{l}.mlstm", x, m.heads, m.qk_dim, m.v_dim)
+        x = L.mlstm_block(params, f"{stack}.{l}.mlstm", x, cfg.mlstm_heads, cfg.mlstm_qk_dim, cfg.mlstm_v_dim)
         x = L.ffn_block(params, f"{stack}.{l}.ffn", x)
     return x
 
@@ -342,11 +328,10 @@ def pool_last(e_hat: Tensor, ends: np.ndarray) -> Tensor:
 
 def _global_layers(params: ParamStore, cfg: ModelConfig, x: Tensor, lo: int, hi: int) -> Tensor:
     """Backbone layers lo..hi-1 (attention + FFN), without the final norm."""
-    g = cfg.global_model
-    if hi > g.layers:
+    if hi > cfg.global_layers:
         raise ConfigError("probe depth exceeds global layers")
     for l in range(lo, hi):
-        x = L.attention_block(params, f"global.{l}.attn", x, g.heads, g.head_dim)
+        x = L.attention_block(params, f"global.{l}.attn", x, cfg.global_heads, cfg.global_head_dim)
         x = L.ffn_block(params, f"global.{l}.ffn", x)
     return x
 
@@ -355,7 +340,7 @@ def global_forward(params: ParamStore, cfg: ModelConfig, h: Tensor) -> tuple[Ten
     """Transformer over patch positions. Returns the post-norm output and the
     intermediate activations after `cfg.n_probe` layers (the input when 0)."""
     probe = _global_layers(params, cfg, h, 0, cfg.n_probe)
-    x = _global_layers(params, cfg, probe, cfg.n_probe, cfg.global_model.layers)
+    x = _global_layers(params, cfg, probe, cfg.n_probe, cfg.global_layers)
     return L.rms(x, params["global.final_norm_g"]), probe
 
 

@@ -1,7 +1,8 @@
 """The subword teacher LM: a token embedding, the shared transformer backbone,
 and a linear head. It provides everything the byte-level conversion consumes:
 token log-likelihoods, probe-depth activations, final-layer states, and
-per-token entropy/cross-entropy scores for boundary supervision.
+per-token predictive entropies. Entropy and cross-entropy boundary
+supervision score tokens by the entropies and the negated log-likelihoods.
 
 `run_teachers` is the one place that collects them. It batches documents of
 equal token count into one forward each, so no row is padded; `run_teacher`
@@ -35,7 +36,6 @@ class TeacherOutputs:
     probe: np.ndarray  # (m+1, d) activations after n_probe layers
     z: np.ndarray  # (m+1, d) post-norm final states
     entropy: np.ndarray  # (m,) predictive entropy at each real token
-    xent: np.ndarray  # (m,) data cross-entropy of each real token
 
 
 def teacher_logits(params: ParamStore, cfg: ModelConfig, token_ids: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
@@ -87,7 +87,6 @@ def run_teachers(
                     probe=probe32[r],
                     z=z32[r],
                     entropy=entropy[r],
-                    xent=-next_logp[r],
                 )
     return out
 

@@ -328,16 +328,11 @@ def absolute(x: Tensor) -> Tensor:
     return _make(np.abs(x.data), "abs", (x, lambda g: g * sign))
 
 
-def clip(x: Tensor, lo: float | None, hi: float | None) -> Tensor:
+def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp to [lo, hi]; gradient passes where the input is inside the bounds
     (inclusive), so values already at a bound keep their gradient."""
-    out_data = np.clip(x.data, lo, hi)
-    inside = np.ones(x.shape, dtype=bool)
-    if lo is not None:
-        inside &= x.data >= lo
-    if hi is not None:
-        inside &= x.data <= hi
-    return _make(out_data, "clip", (x, lambda g: g * inside))
+    inside = (x.data >= lo) & (x.data <= hi)
+    return _make(np.clip(x.data, lo, hi), "clip", (x, lambda g: g * inside))
 
 
 def log1mexp(x: Tensor) -> Tensor:

@@ -79,8 +79,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.stage not in (1, 2):
             raise ValueError("stage must be 1 or 2")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        for name in ("steps", "peak_lr", "warmup_steps", "lambda_boundary", "lambda_encoder", "lambda_distill",
+                     "lambda_ce"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.tau <= 0:
@@ -151,7 +153,7 @@ def _assemble_window(
     elif strategy.needs_teacher:
         if teacher is None:
             raise ValueError(f"{strategy.kind} supervision needs teacher scores")
-        scores = teacher.entropy if strategy.kind == "entropy" else teacher.xent
+        scores = teacher.entropy if strategy.kind == "entropy" else -teacher.next_logp
         mask = merge_by_score(mask, len(content), scores, t)
     model_bytes = np.concatenate([[EOT], np.frombuffer(content, dtype=np.uint8)]).astype(np.int64)
     return Window(

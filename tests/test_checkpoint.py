@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,14 +10,14 @@ import pytest
 from bytepatch import cli
 from bytepatch.checkpoint import CheckpointError, FORMAT_VERSION, load_checkpoint, save_checkpoint
 from bytepatch.cli import EXIT_CHECKPOINT
-from bytepatch.model import GlobalConfig, MlstmConfig, ModelConfig, init_byte_model
+from bytepatch.model import ModelConfig, init_byte_model
 
 
 def cfg_small():
     return ModelConfig(
         d=8, vocab_size=260, encoder_layers=1, decoder_layers=1, ffn_hidden=12,
-        n_probe=1, mlstm=MlstmConfig(heads=2, qk_dim=2, v_dim=4),
-        global_model=GlobalConfig(layers=1, heads=2, head_dim=4),
+        n_probe=1, mlstm_heads=2, mlstm_qk_dim=2, mlstm_v_dim=4,
+        global_layers=1, global_heads=2, global_head_dim=4,
     )
 
 
@@ -72,6 +73,15 @@ def rewrite_header(path, edit) -> None:
     path.write_bytes(blob[:8] + len(hb).to_bytes(8, "little") + hb + payload + hashlib.sha256(hb + payload).digest())
 
 
+def _format_2(h: dict) -> None:
+    """Turn `h` into the header that format 2 wrote for the same model, with
+    the mLSTM and backbone sizes in nested groups."""
+    c = h["config"]
+    for group, prefix in (("mlstm", "mlstm_"), ("global_model", "global_")):
+        c[group] = {k.removeprefix(prefix): c.pop(k) for k in sorted(c) if k.startswith(prefix)}
+    h["format_version"] = 2
+
+
 def test_wrong_version_rejected(tmp_path):
     cfg = cfg_small()
     params = init_byte_model(cfg, np.random.default_rng(3))
@@ -84,6 +94,7 @@ def test_wrong_version_rejected(tmp_path):
 
 @pytest.mark.parametrize("edit", [
     lambda h: h.update(format_version=1),  # format 1 configs still carry the fixed constants
+    _format_2,
     lambda h: h["config"].update(nonsense=1),  # a key ModelConfig does not have
     lambda h: h["tensors"][0].update(dtype="nonsense"),
     lambda h: h["tensors"][0].update(dtype="int64"),  # same width, reinterpreted weights
@@ -103,14 +114,14 @@ def test_wrong_version_rejected(tmp_path):
     lambda h: b"\xff\xfe not UTF-8",
     lambda h: b"[1, 2]",
     lambda h: h["config"].update(d=8.0),
-    lambda h: h["config"]["mlstm"].update(heads="2"),
+    lambda h: h["config"].update(mlstm_heads="2"),
     lambda h: h["config"].update(encoder_layers="1"),
     lambda h: h["config"].update(patch_cap="64"),
     lambda h: h["config"].update(n_probe=True),  # a bool is no int
     lambda h: h["config"].pop("boundary_mode") and None,  # saved as the default, still required
     lambda h: h["config"].update(n_probe=-1),
     lambda h: h["config"].update(patch_cap=0),
-], ids=["version-1", "extra-config-key", "nonsense-dtype", "int64-dtype", "no-nbytes",
+], ids=["version-1", "version-2", "extra-config-key", "nonsense-dtype", "int64-dtype", "no-nbytes",
         "extra-entry-key", "shape-not-nbytes", "shape-not-a-list", "duplicate-name", "no-table",
         "threshold-above-one", "dropped-tensor", "extra-tensor", "renamed-tensor", "reshaped-tensor",
         "unknown-kind", "kind-not-a-string", "not-utf8", "json-list", "float-d", "string-heads",
@@ -123,6 +134,17 @@ def test_bad_header_exits_as_a_bad_checkpoint(tmp_path, capsys, edit):
     rewrite_header(path, edit)
     assert cli.main(["spectrum", "--model", str(path)]) == EXIT_CHECKPOINT
     assert capsys.readouterr().err.startswith("error: bad checkpoint:")
+
+
+@pytest.mark.parametrize("size", ["ffn_hidden", "mlstm_heads"])
+def test_zero_size_in_a_consistent_header_exits_as_a_bad_checkpoint(tmp_path, capsys, size):
+    # the table is the one the zero size builds, so only the range check can reject the file
+    values = {**cfg_small().to_dict(), size: 0}
+    path = tmp_path / "m.ckpt"
+    params = init_byte_model(SimpleNamespace(**values), np.random.default_rng(6))
+    save_checkpoint(path, params, SimpleNamespace(to_dict=lambda: values))
+    assert cli.main(["spectrum", "--model", str(path)]) == EXIT_CHECKPOINT
+    assert f"{size} must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -143,13 +165,13 @@ def _retype(value, rng: random.Random):
 def _random_edit(h: dict, rng: random.Random):
     """One edit that a loader must reject, in the form `rewrite_header`
     applies: a dropped, renamed or retyped key (top level except metadata,
-    config, config group or table entry), a perturbed shape size, nbytes,
-    dtype, name or kind, two entries swapped, one duplicated, or the last
-    dropped together with its payload bytes."""
+    config or table entry), a perturbed shape size, nbytes, dtype, name or
+    kind, two entries swapped, one duplicated, or the last dropped together
+    with its payload bytes."""
     table = h["tensors"]
     i, j = rng.sample(range(len(table)), 2)
     entry = table[i]
-    owner = rng.choice([h, h["config"], h["config"]["mlstm"], h["config"]["global_model"], entry])
+    owner = rng.choice([h, h["config"], entry])
     key = rng.choice(sorted(k for k in owner if k != "metadata"))
     match rng.randrange(11):
         case 0:

@@ -25,12 +25,12 @@ model.d=16
 model.ffn_hidden=24
 model.n_probe=1
 model.decoder_layers=1
-model.mlstm.heads=2
-model.mlstm.qk_dim=4
-model.mlstm.v_dim=8
-model.global.layers=1
-model.global.heads=2
-model.global.head_dim=8
+model.mlstm_heads=2
+model.mlstm_qk_dim=4
+model.mlstm_v_dim=8
+model.global_layers=1
+model.global_heads=2
+model.global_head_dim=8
 tokenizer.vocab_size=300
 train.steps=6
 train.batch_size=2
@@ -58,10 +58,10 @@ def workspace(tmp_path_factory):
 
 def test_config_parsing(tmp_path):
     f = tmp_path / "c.cfg"
-    f.write_text("model.d=32  # width\n\nmodel.global.heads=4\nmodel.global.head_dim=8\n")
+    f.write_text("model.d=32  # width\n\nmodel.global_heads=4\nmodel.global_head_dim=8\n")
     cfg = parse_config_file(str(f))
     mc = build_model_config(cfg, vocab_size=300)
-    assert mc.d == 32 and mc.global_model.heads == 4
+    assert mc.d == 32 and mc.global_heads == 4
     f.write_text("model.nonsense=1\n")
     with pytest.raises(cli.ConfigFileError):
         build_model_config(parse_config_file(str(f)), 300)
@@ -72,9 +72,10 @@ def test_config_parsing(tmp_path):
     # may change, anything that alters the transplanted backbone may not
     teacher = build_model_config(parse_config_file(str(TOY_CFG)), 300)
     assert build_model_config(parse_config_file(str(TOY_CFG)), 300, teacher) == teacher
-    local = build_model_config({"model.decoder_layers": "3", "model.mlstm.heads": "2"}, 300, teacher)
-    assert (local.decoder_layers, local.mlstm.heads, local.d) == (3, 2, teacher.d)
-    for key, value in [("model.d", "64"), ("model.global.layers", "3"), ("model.nonsense", "1")]:
+    local = build_model_config({"model.decoder_layers": "3", "model.mlstm_heads": "2"}, 300, teacher)
+    assert (local.decoder_layers, local.mlstm_heads, local.d) == (3, 2, teacher.d)
+    for key, value in [("model.d", "64"), ("model.global_layers", "3"), ("model.global_head_dim", "16"),
+                       ("model.nonsense", "1")]:
         with pytest.raises(cli.ConfigFileError):
             build_model_config({key: value}, 300, teacher)
     # the subcommand, not the file, picks the training stage, and --seed is
@@ -97,11 +98,9 @@ def test_every_toy_cfg_line_lands_on_a_field():
         "tokenizer": [cli._overlay(cfg, "tokenizer", cli.TOKENIZER_DEFAULTS)],
     }
     for key, text in cfg.items():
-        section, *path = key.split(".")
-        for value in built[section]:
-            for name in path:
-                value = value["global_model" if name == "global" else name]
-            assert float(value) == float(text), key
+        section, name = key.split(".")
+        for values in built[section]:
+            assert float(values[name]) == float(text), key
 
 
 @pytest.mark.parametrize("line", [
@@ -109,6 +108,7 @@ def test_every_toy_cfg_line_lands_on_a_field():
     "model.eot_byte=0", "model.mlstm.gate_soft_cap=15", "model.mlstm.input_gate_bias_init=-10",
     "train.peak_lr_global=0.0005", "train.beta1=0.9", "train.beta2=0.95", "train.weight_decay=0.1",
     "train.grad_clip=0.5", "train.use_oracle_pooling=1",
+    "model.mlstm.heads=2", "model.global.layers=1",  # format 2's nested groups are gone too
 ])
 def test_fixed_constants_are_unknown_keys(workspace, tmp_path, capsys, line):
     root, cfg = workspace
@@ -459,6 +459,13 @@ def test_out_of_range_values_are_invalid_config(workspace, tmp_path, capsys, lin
 @pytest.mark.parametrize("line, message", [
     ("model.n_probe=-1", "n_probe must be in [0, global layers], got -1"),
     ("model.patch_cap=0", "patch_cap must be >= 1, got 0"),
+    ("model.ffn_hidden=0", "ffn_hidden must be >= 1, got 0"),
+    ("model.mlstm_heads=0", "mlstm_heads must be >= 1, got 0"),
+    ("model.encoder_layers=-1", "encoder_layers must be >= 1, got -1"),
+    ("model.global_layers=0", "global_layers must be >= 1, got 0"),
+    ("train.peak_lr=-1", "peak_lr must be >= 0, got -1.0"),
+    ("train.warmup_steps=-5", "warmup_steps must be >= 0, got -5"),
+    ("train.lambda_ce=-1", "lambda_ce must be >= 0, got -1.0"),
 ])
 def test_model_counts_out_of_range_are_invalid_config(workspace, tmp_path, capsys, line, message):
     root, cfg = workspace
@@ -473,9 +480,11 @@ def test_model_counts_out_of_range_are_invalid_config(workspace, tmp_path, capsy
 
 
 def test_train_config_is_validated_once_built():
-    args = SimpleNamespace(seed=0, steps=0)  # zero steps stay valid
+    args = SimpleNamespace(seed=0, steps=0)  # zero steps, rates and weights stay valid
     tc = build_train_config({"train.lambda_ce": "2", "train.peak_lr": "0.01"}, 2, args)
     assert (tc.lambda_ce, tc.peak_lr, tc.stage, tc.steps) == (2.0, 0.01, 2, 0)
+    tc = build_train_config({"train.lambda_boundary": "0", "train.peak_lr": "0", "train.warmup_steps": "0"}, 1, args)
+    assert (tc.lambda_boundary, tc.peak_lr, tc.warmup_steps) == (0.0, 0.0, 0)
     with pytest.raises(cli.ConfigFileError, match="tau"):
         build_train_config({"train.tau": "-1"}, 1, args)
     with pytest.raises(cli.ConfigFileError):

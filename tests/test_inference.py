@@ -4,8 +4,6 @@ import pytest
 from bytepatch.data import EOT
 from bytepatch.inference import DecodeState, InferenceError, SamplerConfig, decode_step, generate, prefill, sample
 from bytepatch.model import (
-    GlobalConfig,
-    MlstmConfig,
     ModelConfig,
     ParamStore,
     forward_full,
@@ -21,8 +19,8 @@ from bytepatch.tokenizer import SubwordVocab, SuffixIndex, longest_suffix_token,
 def tiny_cfg(**kw):
     base = dict(
         d=16, vocab_size=258, encoder_layers=1, decoder_layers=2, ffn_hidden=24,
-        n_probe=1, mlstm=MlstmConfig(heads=2, qk_dim=4, v_dim=8),
-        global_model=GlobalConfig(layers=2, heads=2, head_dim=8),
+        n_probe=1, mlstm_heads=2, mlstm_qk_dim=4, mlstm_v_dim=8,
+        global_layers=2, global_heads=2, global_head_dim=8,
     )
     base.update(kw)
     return ModelConfig(**base)

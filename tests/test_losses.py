@@ -12,7 +12,7 @@ from bytepatch.losses import (
     f_temp_bce,
     patch_logprobs,
 )
-from bytepatch.model import GlobalConfig, MlstmConfig, ModelConfig, init_teacher, transformer_probe
+from bytepatch.model import ModelConfig, init_teacher, transformer_probe
 from bytepatch.tensor import Tensor
 from gradcheck import finite_difference_check
 
@@ -57,8 +57,8 @@ def test_boundary_bce_gradient():
 def tiny_cfg():
     return ModelConfig(
         d=8, vocab_size=300, encoder_layers=1, decoder_layers=1, ffn_hidden=12,
-        n_probe=2, mlstm=MlstmConfig(heads=2, qk_dim=2, v_dim=4),
-        global_model=GlobalConfig(layers=2, heads=2, head_dim=4),
+        n_probe=2, mlstm_heads=2, mlstm_qk_dim=2, mlstm_v_dim=4,
+        global_layers=2, global_heads=2, global_head_dim=4,
     )
 
 

@@ -10,8 +10,6 @@ from bytepatch.merging import (
     weight_delta,
 )
 from bytepatch.model import (
-    GlobalConfig,
-    MlstmConfig,
     ModelConfig,
     ParamStore,
     init_byte_model,
@@ -24,8 +22,8 @@ from bytepatch.tokenizer import train_bpe
 def cfg_small():
     return ModelConfig(
         d=8, vocab_size=280, encoder_layers=1, decoder_layers=1, ffn_hidden=12,
-        n_probe=1, mlstm=MlstmConfig(heads=2, qk_dim=2, v_dim=4),
-        global_model=GlobalConfig(layers=2, heads=2, head_dim=4),
+        n_probe=1, mlstm_heads=2, mlstm_qk_dim=2, mlstm_v_dim=4,
+        global_layers=2, global_heads=2, global_head_dim=4,
     )
 
 

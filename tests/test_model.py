@@ -7,8 +7,6 @@ from bytepatch import model as M
 from bytepatch import tensor as T
 from bytepatch.model import (
     ConfigError,
-    GlobalConfig,
-    MlstmConfig,
     ModelConfig,
     ParamStore,
     depool,
@@ -36,8 +34,8 @@ def tiny_config(**kw) -> ModelConfig:
         decoder_layers=1,
         ffn_hidden=12,
         n_probe=1,
-        mlstm=MlstmConfig(heads=2, qk_dim=2, v_dim=4),
-        global_model=GlobalConfig(layers=2, heads=2, head_dim=4),
+        mlstm_heads=2, mlstm_qk_dim=2, mlstm_v_dim=4,
+        global_layers=2, global_heads=2, global_head_dim=4,
     )
     base.update(kw)
     return ModelConfig(**base)
@@ -54,11 +52,15 @@ def setup():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        tiny_config(global_model=GlobalConfig(layers=2, heads=3, head_dim=4))
+        tiny_config(global_layers=2, global_heads=3, global_head_dim=4)
     with pytest.raises(ConfigError):
         tiny_config(n_probe=5)
     with pytest.raises(ConfigError):  # rotary positions rotate pairs of dims
-        tiny_config(d=6, global_model=GlobalConfig(layers=2, heads=2, head_dim=3))
+        tiny_config(d=6, global_layers=2, global_heads=2, global_head_dim=3)
+    for size in ("d", "encoder_layers", "decoder_layers", "ffn_hidden", "mlstm_heads", "mlstm_qk_dim",
+                 "mlstm_v_dim", "global_layers", "global_heads", "global_head_dim", "patch_cap"):
+        with pytest.raises(ConfigError, match=f"{size} must be >= 1, got 0"):
+            tiny_config(**{size: 0})
     for threshold in (-0.1, 1.0, float("nan")):  # scores lie in [0, 1]
         with pytest.raises(ConfigError, match="boundary_threshold"):
             tiny_config(boundary_threshold=threshold)
@@ -276,7 +278,7 @@ def test_forward_full_one_byte_lookahead_causality(setup):
 
 
 def test_forward_full_gradient_end_to_end():
-    cfg = tiny_config(d=8, global_model=GlobalConfig(layers=1, heads=2, head_dim=4), n_probe=1)
+    cfg = tiny_config(d=8, global_layers=1, global_heads=2, global_head_dim=4, n_probe=1)
     rng = np.random.default_rng(9)
     params = init_byte_model(cfg, rng)
     byte_ids = rng.integers(0, 256, size=(1, 6))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bytepatch import tensor as T
-from bytepatch.model import GlobalConfig, MlstmConfig, ModelConfig, init_teacher
+from bytepatch.model import ModelConfig, init_teacher
 from bytepatch import teacher as teacher_mod
 from bytepatch.teacher import run_teacher, run_teachers, teacher_logits, teacher_nll
 from bytepatch.tokenizer import encode, train_bpe
@@ -14,8 +14,8 @@ def setup():
     vocab = train_bpe(docs, 300)
     cfg = ModelConfig(
         d=16, vocab_size=vocab.size, encoder_layers=1, decoder_layers=1, ffn_hidden=24,
-        n_probe=1, mlstm=MlstmConfig(heads=2, qk_dim=4, v_dim=8),
-        global_model=GlobalConfig(layers=2, heads=2, head_dim=8),
+        n_probe=1, mlstm_heads=2, mlstm_qk_dim=4, mlstm_v_dim=8,
+        global_layers=2, global_heads=2, global_head_dim=8,
     )
     params = init_teacher(cfg, np.random.default_rng(0))
     return docs, vocab, cfg, params
@@ -47,14 +47,14 @@ def test_run_teacher_consistency(setup):
     assert out.token_ids[0] == vocab.bos_id
     assert out.next_logp.shape == (m,)
     assert np.all(out.next_logp <= 0)
-    np.testing.assert_allclose(out.xent, -out.next_logp, atol=0)
     # entropy of a distribution upper-bounds nothing here, but must be
     # non-negative and at most log(vocab)
     assert np.all(out.entropy >= 0)
     assert np.all(out.entropy <= np.log(vocab.size) + 1e-9)
-    # mean xent agrees with the training loss on the same row
+    # the mean negated log-likelihood (the xent score) agrees with the
+    # training loss on the same row
     nll = teacher_nll(params, cfg, out.token_ids[None, :]).item()
-    assert nll == pytest.approx(float(out.xent.mean()), rel=1e-6)
+    assert nll == pytest.approx(float(-out.next_logp.mean()), rel=1e-6)
 
 
 
@@ -71,7 +71,7 @@ def test_run_teachers_matches_run_teacher(setup, monkeypatch, batch_rows):
         want = run_teacher(params, cfg, vocab, ids)
         assert np.array_equal(got.token_ids, [vocab.bos_id, *ids])
         assert np.array_equal(got.token_ids, want.token_ids)
-        for name in ("next_logp", "entropy", "xent"):
+        for name in ("next_logp", "entropy"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12)
         for name in ("probe", "z"):
             assert getattr(got, name).dtype == np.float32

@@ -14,9 +14,7 @@ from bytepatch.checkpoint import load_checkpoint, save_checkpoint
 from bytepatch.cli import build_train_config, parse_config_file
 from bytepatch.data import EOT, DataError, make_windows, markov_word_docs
 from bytepatch.model import (
-    GlobalConfig,
     LOCAL_COMPONENTS,
-    MlstmConfig,
     ModelConfig,
     ParamStore,
     forward_full,
@@ -32,8 +30,8 @@ from bytepatch.training import TrainConfig, lr_at, prepare_window, prepare_windo
 def small_cfg():
     return ModelConfig(
         d=16, vocab_size=0, encoder_layers=1, decoder_layers=1, ffn_hidden=24,
-        n_probe=1, mlstm=MlstmConfig(heads=2, qk_dim=4, v_dim=8),
-        global_model=GlobalConfig(layers=2, heads=2, head_dim=8),
+        n_probe=1, mlstm_heads=2, mlstm_qk_dim=4, mlstm_v_dim=8,
+        global_layers=2, global_heads=2, global_head_dim=8,
     )
 
 
