@@ -105,16 +105,18 @@ def build_model_config(cfg: dict[str, str], vocab_size: int, base: ModelConfig |
     """Overlay model.* keys onto `base` (the defaults when None) and construct
     once, so validation sees the final values. The base is the teacher's
     config when converting it: a valid config that would change the
-    transplanted backbone (`d` or a `global_*` field) is then rejected."""
+    transplanted backbone (`d`, `ffn_hidden`, which also sizes the backbone's
+    FFNs, or a `global_*` field) is then rejected."""
     values = _overlay(cfg, "model", (base or ModelConfig()).to_dict())
     try:
         mc = ModelConfig.from_dict({**values, "vocab_size": vocab_size})
     except ValueError as e:
         raise ConfigFileError(str(e)) from None
     if base is not None:
-        backbone = {k: v for k, v in base.to_dict().items() if k == "d" or k.startswith("global_")}
+        backbone = {k: v for k, v in base.to_dict().items() if k in ("d", "ffn_hidden") or k.startswith("global_")}
         if any(values[k] != v for k, v in backbone.items()):
-            raise ConfigFileError(f"model.d and model.global_* must keep the teacher's backbone {backbone}")
+            raise ConfigFileError(f"model.d, model.ffn_hidden and model.global_* must keep the teacher's "
+                                  f"backbone {backbone}")
     return mc
 
 

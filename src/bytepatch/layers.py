@@ -10,8 +10,10 @@ Two implementations exist for the recurrent byte-level layers:
   matmul over chunks. Every exponent is stabilized by a max of the gate
   log-sums that cancels exactly and is therefore computed in numpy, outside
   the gradient. L = n is the closed quadratic form over all position pairs,
-  L = 1 the recurrence; the default ``CHUNK`` bounds memory at L×n instead
-  of n×n per head.
+  L = 1 the recurrence; the default ``CHUNK`` bounds L, and so memory at
+  L×n instead of n×n per head. The n bytes split into the fewest chunks of
+  at most ``CHUNK``, balanced in length, so a ragged last chunk pads fewer
+  bytes than there are chunks.
 * ``mlstm_step`` advances one byte at a time on raw numpy state, used for
   incremental decoding. ``test_layers`` pins the two to each other at
   several chunk lengths; the sequential form is the correctness oracle.
@@ -91,7 +93,7 @@ def attention_block(
     cos, sin = rope_tables(np.arange(n), head_dim, x.dtype)
     q = T.rope(q, cos, sin)
     k = T.rope(k, cos, sin)
-    att = T.matmul(q, k.swap_last()) * Tensor(np.float64(head_dim) ** -0.5, _op="const")
+    att = T.matmul(q, k.swap_last()) * head_dim**-0.5
     causal = np.triu(np.full((n, n), NEG_MASK, dtype=x.dtype), k=1)
     att = T.softmax(att + Tensor(causal, _op="const"))
     out = _unheads(T.matmul(att, v))
@@ -134,8 +136,8 @@ def empty_attention_cache(n_heads: int, head_dim: int, dtype) -> dict:
 
 # -- mLSTM block --------------------------------------------------------------
 
-# bytes per chunk of the mLSTM training form: toy.cfg's 88-B windows stay one
-# chunk, 512-B documents take four
+# most bytes per chunk of the mLSTM training form: toy.cfg's 88-B windows stay
+# one chunk, 512-B documents take four of 128 B, and 513 positions five of 103
 CHUNK = 128
 
 
@@ -151,13 +153,13 @@ def mlstm_block(
     """Chunkwise-parallel mLSTM with exponential input gate, sigmoid forget
     gate, soft-capped gate pre-activations, matrix memory per head, per-head
     RMS normalization and a sigmoid output gate, wrapped pre-norm residually.
-    `chunk` is the chunk length L; tests pass it, callers keep CHUNK."""
+    `chunk` bounds the chunk length L: the n bytes split into the fewest
+    chunks of at most `chunk`, all of one length L, the last one padded.
+    Tests pass it, callers keep CHUNK."""
     b, n, d = x.shape
     xn = rms(x, p[f"{prefix}.norm_g"])
     q = _heads(T.matmul(xn, p[f"{prefix}.w_q"]), heads, qk_dim)
-    k = _heads(T.matmul(xn, p[f"{prefix}.w_k"]), heads, qk_dim) * Tensor(
-        np.float64(qk_dim) ** -0.5, _op="const"
-    )
+    k = _heads(T.matmul(xn, p[f"{prefix}.w_k"]), heads, qk_dim) * qk_dim**-0.5
     v = _heads(T.matmul(xn, p[f"{prefix}.w_v"]), heads, v_dim)
 
     i_pre = T.softcap(T.matmul(xn, p[f"{prefix}.w_i"]) + p[f"{prefix}.b_i"], GATE_SOFT_CAP)
@@ -176,17 +178,18 @@ def mlstm_block(
     # decay[t, s] = exp(u_t + a_s) for s <= t, where u_t = F_t - m_t is
     # -max_{s<=t} a_s, so no exponent is positive
 
-    # split the time axis into nc chunks of L bytes; a ragged last chunk is
-    # padded with zero q/k/v and with the last stabilizer as u and a, so its
-    # exponents stay <= 0 too
-    size = min(chunk, n)
-    nc = -(-n // size)
+    # split the time axis into the fewest chunks of at most `chunk` bytes,
+    # nc chunks of L = ceil(n / nc), so padding stays below nc bytes; a ragged
+    # last chunk is padded with zero q/k/v and with the last stabilizer as u
+    # and a, so its exponents stay <= 0 too
+    nc = -(-n // chunk)
+    size = -(-n // nc)
     pad = nc * size - n
     last = amax[..., -1:]
 
     def chunks(t: Tensor, fill) -> Tensor:
         if pad:
-            fill = np.broadcast_to(fill, t.shape[:2] + (pad,) + t.shape[3:])
+            fill = np.broadcast_to(np.asarray(fill, dtype=t.dtype), t.shape[:2] + (pad,) + t.shape[3:])
             t = T.concat([t, Tensor(fill, _op="const")], axis=2)
         return t.reshape((b, heads, nc, size) + t.shape[3:])
 
@@ -207,7 +210,7 @@ def mlstm_block(
         # (a_0 for c = 0, whose row is empty)
         cmax = ac.data.max(axis=-1)  # (B, NH, nc)
         ref = amax[..., np.maximum(np.arange(nc) * size - 1, 0)]
-        cross = np.zeros((b, heads, nc, nc))
+        cross = np.zeros((b, heads, nc, nc), dtype=amax.dtype)
         np.exp(cmax[..., None, :] - ref[..., :, None], out=cross,
                where=np.tril(np.ones((nc, nc), dtype=bool), k=-1))
         cross = Tensor(cross, _op="const")

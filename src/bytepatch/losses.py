@@ -54,7 +54,7 @@ def f_temp_bce(student_logp: Tensor, teacher_logp: np.ndarray, tau: float = 5.0)
     space so the log(1 - .) branch stays finite; interior values pass through
     exactly.
     """
-    teacher_logp = Tensor(np.asarray(teacher_logp, dtype=np.float64), _op="const")
+    teacher_logp = Tensor(np.asarray(teacher_logp, dtype=student_logp.dtype), _op="const")
     a = T.clip(student_logp * (1.0 / tau), np.log(CLAMP_EPS), np.log1p(-CLAMP_EPS))
     y_pow = T.exp(teacher_logp * (1.0 / tau))
     return -(y_pow * a + (1.0 - y_pow) * T.log1mexp(a))

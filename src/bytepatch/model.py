@@ -5,8 +5,9 @@ byte+boundary output head over 512 symbols.
 
 All forward functions are pure in (params, inputs); parameters live in a flat
 ``ParamStore`` whose name prefix is the component tag used for checkpointing,
-training groups and checkpoint arithmetic. Parameters are plain values: only
-the training step loop puts them in the autodiff graph.
+training groups and checkpoint arithmetic. Parameters are plain float64
+values: only the training step loop differentiates them, through a float32
+copy, and every forward computes in the dtype of the store it is given.
 
 The numerical constants are fixed, not configured: the RMS epsilon, RoPE base
 and mLSTM gate soft cap live in ``layers`` (the first two are shared with the
@@ -51,12 +52,12 @@ class ModelConfig:
     vocab_size: int = 512  # subword ids including BOS
     encoder_layers: int = 1
     decoder_layers: int = 4
-    ffn_hidden: int = 256
+    ffn_hidden: int = 256  # the local and the backbone FFNs alike
     n_probe: int = 4  # global layers crossed by the encoder-matching loss
     mlstm_heads: int = 4
     mlstm_qk_dim: int = 16
     mlstm_v_dim: int = 32
-    global_layers: int = 4  # the backbone; a converted teacher fixes d and every global_* field
+    global_layers: int = 4  # the backbone; a converted teacher fixes d, ffn_hidden and every global_* field
     global_heads: int = 4
     global_head_dim: int = 32
     boundary_mode: str = "noncausal"  # or "causal" (ablation)

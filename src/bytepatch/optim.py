@@ -3,6 +3,12 @@
 Parameters are organized into named groups so the two-rate schedule used in
 end-to-end training (slower backbone, faster byte-level modules) can set a
 different learning rate per group each step.
+
+The tensors the steps differentiate may be float32 copies of float64 master
+weights, as in mixed-precision training (Micikevicius et al., arXiv
+1710.03740): the gradient norm adds up its squares in float64, the moments
+and the update are float64, the update lands on the master, and each master
+is then written back into its copy. A tensor without a master is its own.
 """
 
 from __future__ import annotations
@@ -19,16 +25,18 @@ GRAD_CLIP = 0.5  # global gradient-norm ceiling
 
 
 class AdamW:
-    def __init__(self, groups: dict[str, list[Tensor]]):
+    def __init__(self, groups: dict[str, list[Tensor]], masters: dict[str, list[Tensor]] | None = None):
+        """`groups` holds the tensors whose `.grad` the steps fill; `masters`,
+        in the same layout, the float64 tensors the updates land on."""
         self.groups = {name: list(params) for name, params in groups.items()}
+        self.masters = {name: list(ts) for name, ts in (masters or groups).items()}
         self.step_count = 0
         self.lr = {name: 0.0 for name in self.groups}
         self.m = {}
         self.v = {}
-        for params in self.groups.values():
-            for p in params:
-                self.m[id(p)] = np.zeros_like(p.data)
-                self.v[id(p)] = np.zeros_like(p.data)
+        for p in self.params():
+            self.m[id(p)] = np.zeros(p.shape)
+            self.v[id(p)] = np.zeros(p.shape)
 
     def params(self) -> list[Tensor]:
         return [p for params in self.groups.values() for p in params]
@@ -44,7 +52,7 @@ class AdamW:
         total = 0.0
         for p in self.params():
             if p.grad is not None:
-                total += float(np.sum(p.grad * p.grad))
+                total += float(np.sum(np.square(p.grad, dtype=np.float64)))
         return float(np.sqrt(total))
 
     def step(self) -> float:
@@ -60,10 +68,10 @@ class AdamW:
         bc2 = 1.0 - BETA2 ** t
         for name, params in self.groups.items():
             lr = self.lr[name]
-            for p in params:
+            for p, master in zip(params, self.masters[name], strict=True):
                 if p.grad is None:
                     continue
-                g = p.grad * scale
+                g = np.multiply(p.grad, scale, dtype=np.float64)
                 m = self.m[id(p)]
                 v = self.v[id(p)]
                 m *= BETA1
@@ -71,6 +79,8 @@ class AdamW:
                 v *= BETA2
                 v += (1.0 - BETA2) * g * g
                 update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-                p.data -= lr * update
-                p.data -= lr * WEIGHT_DECAY * p.data
+                master.data -= lr * update
+                master.data -= lr * WEIGHT_DECAY * master.data
+                if p is not master:
+                    np.copyto(p.data, master.data, casting="same_kind")
         return norm

@@ -4,11 +4,16 @@ The graph is built define-by-run: every op hands `_make` its output and one
 vector-Jacobian product (VJP) per input, a function from the output's
 gradient to that input's. `_make` keeps only the VJPs of inputs in the graph
 (`requires_grad`), so constants and frozen weights get no gradient computed
-or stored. Parameters are plain values, put in the graph only by the training
-step loop while it runs, so forward-only passes record nothing. Calling
+or stored. Parameters are plain float64 values outside the graph, so
+forward-only passes record nothing; only the training step loop puts tensors
+in it, float32 copies of the parameters, while it runs. Calling
 ``backward()`` on a scalar walks the recorded graph once in reverse
 topological order and is the one place gradients accumulate.
-Values are float64 throughout.
+
+Values are float32 or float64, and every op's output has its inputs' dtype:
+`_make` rejects an op whose inputs and output disagree, so no float64
+constant can silently widen a float32 graph, and a Python number operand
+takes its partner's dtype. Other inputs (bool, integer) become float64.
 
 Where the graph-free code (the decode step path, the sampler) needs an op's
 forward, the op's arithmetic is a public ``*_np`` kernel, so both paths
@@ -35,6 +40,10 @@ class NonFiniteError(FloatingPointError):
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested op."""
+
+
+class DtypeError(TypeError):
+    """An op mixed float32 and float64 values."""
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -89,8 +98,8 @@ class Tensor:
         if isinstance(data, Tensor):
             raise TypeError("wrap raw arrays, not Tensors")
         arr = np.asarray(data)
-        if arr.dtype != np.float64:
-            arr = arr.astype(np.float64)
+        if arr.dtype != np.float32 and arr.dtype != np.float64:
+            arr = arr.astype(np.float64)  # bool and integer values
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -147,29 +156,29 @@ class Tensor:
 
     # -- operator sugar -----------------------------------------------------
     def __add__(self, other):
-        return add(self, _as_tensor(other))
+        return add(self, _as_tensor(other, self))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, _as_tensor(other))
+        return sub(self, _as_tensor(other, self))
 
     def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
+        return sub(_as_tensor(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
+        return mul(self, _as_tensor(other, self))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return div(self, _as_tensor(other))
+        return div(self, _as_tensor(other, self))
 
     def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
+        return div(_as_tensor(other, self), self)
 
     def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
+        return mul(self, _as_tensor(-1.0, self))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -196,10 +205,15 @@ class Tensor:
         return reduce_mean(self, axis, keepdims)
 
 
-def _as_tensor(x) -> Tensor:
+def _as_tensor(x, like: Tensor) -> Tensor:
+    """`x` as an operand of `like`: a Tensor as it is, a Python number as a
+    constant of `like`'s dtype. An array keeps its own dtype, so a float64
+    array next to a float32 Tensor still raises."""
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=np.float64), _op="const")
+    if isinstance(x, (int, float)):
+        return Tensor(np.asarray(x, dtype=like.dtype), _op="const")
+    return Tensor(x, _op="const")
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -226,6 +240,8 @@ def _make(data: np.ndarray, op: str, *inputs: tuple[Tensor, Vjp]) -> Tensor:
     """The op's output node. `inputs` pairs each input with its VJP; only the
     pairs whose input is in the graph are kept."""
     out = Tensor(data, _op=op)
+    if any(t.data.dtype != out.data.dtype for t, _ in inputs):
+        raise DtypeError(f"{op}: operands {[str(t.dtype) for t, _ in inputs]} give {out.dtype}")
     out._vjps = tuple(pair for pair in inputs if pair[0].requires_grad)
     out.requires_grad = bool(out._vjps)
     return out
@@ -296,7 +312,8 @@ def sqrt(x: Tensor) -> Tensor:
         out_data = np.sqrt(x.data)
     # guard the 0.5/sqrt singularity at exactly 0: upstream grads there
     # are themselves 0 in every use we have (L2 norms), so clamp is safe
-    return _make(out_data, "sqrt", (x, lambda g: g * 0.5 / np.maximum(out_data, 1e-150)))
+    tiny = np.finfo(out_data.dtype).tiny
+    return _make(out_data, "sqrt", (x, lambda g: g * 0.5 / np.maximum(out_data, tiny)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -331,6 +348,7 @@ def absolute(x: Tensor) -> Tensor:
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp to [lo, hi]; gradient passes where the input is inside the bounds
     (inclusive), so values already at a bound keep their gradient."""
+    lo, hi = float(lo), float(hi)  # a numpy float64 bound would widen float32 values
     inside = (x.data >= lo) & (x.data <= hi)
     return _make(np.clip(x.data, lo, hi), "clip", (x, lambda g: g * inside))
 
@@ -372,7 +390,7 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     else:
         axes = (axis,) if isinstance(axis, int) else axis
         denom = int(np.prod([x.shape[a] for a in axes]))
-    return mul(reduce_sum(x, axis, keepdims), _as_tensor(1.0 / denom))
+    return mul(reduce_sum(x, axis, keepdims), _as_tensor(1.0 / denom, x))
 
 
 def cumsum(x: Tensor, axis: int) -> Tensor:

@@ -18,16 +18,18 @@ one supervision mask the window carries. `prepare_windows` runs the teacher
 over all training windows in batches of equal token count; `prepare_window`
 builds one window (evaluation, boundary dumps) with the same assembly code.
 Both stages and the teacher's own training share one step loop; metrics
-stream to a line-delimited log, one JSON record per step. The loop alone puts
-parameters in the autodiff graph, its optimizer's tensors while it runs, so
-window preparation and evaluation build no graph.
+stream to a line-delimited log, one JSON record per step. The loop alone
+picks the compute dtype and puts tensors in the autodiff graph: every step
+runs forward and backward on a float32 copy of the parameters, whose trained
+entries are in the graph while the loop runs, and AdamW keeps float64 master
+weights and moments. Parameters at rest, checkpoints, window preparation and
+evaluation stay float64 and build no graph.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -216,11 +218,8 @@ def _stack_batch(batch: list[Window]) -> dict:
     return {"y": y, "sfx": sfx, "mask": mask, "targets": targets, "ends": ends, "valid": valid}
 
 
-def _pad_teacher(batch: list[Window], field_name: str, p_max: int, d: int | None) -> np.ndarray:
-    if d is None:
-        out = np.zeros((len(batch), p_max))
-    else:
-        out = np.zeros((len(batch), p_max, d))
+def _pad_teacher(batch: list[Window], field_name: str, p_max: int, d: int | None, dtype) -> np.ndarray:
+    out = np.zeros((len(batch), p_max) if d is None else (len(batch), p_max, d), dtype=dtype)
     for i, w in enumerate(batch):
         arr = getattr(w.teacher, field_name)
         out[i, : arr.shape[0]] = arr
@@ -242,11 +241,12 @@ def stage1_step(
     arrays = _stack_batch(batch)
     b, n = arrays["y"].shape
     p_max = arrays["ends"].shape[1]
-    t_probe = _pad_teacher(batch, "probe", p_max, cfg.d)
-    t_z = _pad_teacher(batch, "z", p_max, cfg.d)
-    t_logp = _pad_teacher(batch, "next_logp", p_max - 1, None)
-
     e = embed_bytes(params, arrays["y"], arrays["sfx"])
+    # the teacher's targets take the dtype the parameters compute in
+    t_probe = _pad_teacher(batch, "probe", p_max, cfg.d, e.dtype)
+    t_z = _pad_teacher(batch, "z", p_max, cfg.d, e.dtype)
+    t_logp = _pad_teacher(batch, "next_logp", p_max - 1, None, e.dtype)
+
     e_hat = local_encode(params, cfg, e)
     p_scores = predict_boundaries(params, cfg, e_hat)
     l_b = boundary_bce(p_scores, arrays["mask"])
@@ -325,18 +325,27 @@ class MetricsLog:
 
 
 def _train_loop(
+    params: ParamStore,
+    cfg: ModelConfig,
     tcfg: TrainConfig,
-    groups: dict[str, list[Tensor]],
+    groups: dict[str, list[str]],
     rows: list,
     step,
     log_path: str | Path | None,
 ) -> MetricsLog:
-    """The one step loop: `lr_at` sets each group's learning rate, then one
-    draw from `rows`, one `step(opt, batch)` and one JSONL record of its
-    metrics. The groups' tensors are in the autodiff graph only while it
-    runs, and plain values without a `.grad` once it returns or raises."""
+    """The one step loop, and the one place that picks the compute dtype.
+    It copies every entry of `params`, trained and frozen, to float32 once;
+    then, per step, `lr_at` sets each group's learning rate, and one draw
+    from `rows`, one `step(copy, cfg, tcfg, opt, batch)` and one JSONL record
+    of its metrics follow. `groups` names the trained entries: AdamW updates
+    their float64 masters, the caller's own tensors, and writes each back
+    into its float32 copy. Only the copies are ever in the autodiff graph,
+    so once the loop returns or raises, the caller's tensors are float64
+    plain values holding the last completed update."""
     sampler = WindowSampler(rows, tcfg.batch_size, tcfg.seed)
-    opt = AdamW(groups)
+    work = ParamStore({n: Tensor(t.data.astype(np.float32)) for n, t in params.items()})
+    opt = AdamW({g: [work[n] for n in names] for g, names in groups.items()},
+                masters={g: [params[n] for n in names] for g, names in groups.items()})
     log = MetricsLog(log_path)
     for p in opt.params():
         p.requires_grad = True
@@ -345,10 +354,11 @@ def _train_loop(
             lrs = lr_at(tcfg, i + 1)
             for name in opt.groups:
                 opt.set_lr(name, lrs[name])
-            metrics = step(opt, sampler.draw())
+            metrics = step(work, cfg, tcfg, opt, sampler.draw())
             log.write({"step": i + 1, **metrics, "lr_local": lrs["local"],
                        "lr_global": lrs["global"] if "global" in opt.groups else 0.0})
     finally:
+        # a traceback may keep the copy alive: let it hold no graph
         for p in opt.params():
             p.requires_grad = False
             p.grad = None
@@ -374,12 +384,27 @@ def train_conversion(
     group_tags = {"global": ("global",)} if stage2 else {}
     group_tags["local"] = LOCAL_COMPONENTS
     # name order: the global gradient norm is a float sum in group order
-    groups = {g: [t for n, t in sorted(params.items()) if params.tag(n) in tags] for g, tags in group_tags.items()}
-    step = partial(stage2_step if stage2 else stage1_step, params, cfg, tcfg)
-    return _train_loop(tcfg, groups, windows, step, log_path)
+    groups = {g: [n for n in sorted(params) if params.tag(n) in tags] for g, tags in group_tags.items()}
+    return _train_loop(params, cfg, tcfg, groups, windows, stage2_step if stage2 else stage1_step, log_path)
 
 
 # -- teacher training ---------------------------------------------------------------
+
+def teacher_step(
+    params: ParamStore,
+    cfg: ModelConfig,
+    tcfg: TrainConfig,
+    opt: AdamW,
+    batch: list[np.ndarray],
+) -> dict:
+    """One next-token step of the teacher on a batch of equal-length token
+    rows; `tcfg` is unused, the signature is the conversion steps'."""
+    loss = teacher_nll(params, cfg, np.stack(batch))
+    opt.zero_grad()
+    loss.backward()
+    grad_norm = opt.step()
+    return {"total": loss.item(), "l_ce": loss.item(), "grad_norm": grad_norm}
+
 
 def train_teacher(
     params: ParamStore,
@@ -393,16 +418,8 @@ def train_teacher(
     conversion will see."""
     chunks = make_windows(docs, tcfg.max_bytes - 1)
     token_rows = [np.array([vocab.bos_id] + encode(vocab, c), dtype=np.int64) for c in chunks]
-
-    def step(opt: AdamW, batch: list[np.ndarray]) -> dict:
-        loss = teacher_nll(params, cfg, np.stack(batch))
-        opt.zero_grad()
-        loss.backward()
-        grad_norm = opt.step()
-        return {"total": loss.item(), "l_ce": loss.item(), "grad_norm": grad_norm}
-
     # sorted for the same reason as train_conversion's groups
-    return _train_loop(tcfg, {"local": [t for _, t in sorted(params.items())]}, token_rows, step, log_path)
+    return _train_loop(params, cfg, tcfg, {"local": sorted(params)}, token_rows, teacher_step, log_path)
 
 
 # -- evaluation ---------------------------------------------------------------------

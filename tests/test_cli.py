@@ -74,8 +74,8 @@ def test_config_parsing(tmp_path):
     assert build_model_config(parse_config_file(str(TOY_CFG)), 300, teacher) == teacher
     local = build_model_config({"model.decoder_layers": "3", "model.mlstm_heads": "2"}, 300, teacher)
     assert (local.decoder_layers, local.mlstm_heads, local.d) == (3, 2, teacher.d)
-    for key, value in [("model.d", "64"), ("model.global_layers", "3"), ("model.global_head_dim", "16"),
-                       ("model.nonsense", "1")]:
+    for key, value in [("model.d", "64"), ("model.ffn_hidden", "64"), ("model.global_layers", "3"),
+                       ("model.global_head_dim", "16"), ("model.nonsense", "1")]:
         with pytest.raises(cli.ConfigFileError):
             build_model_config({key: value}, 300, teacher)
     # the subcommand, not the file, picks the training stage, and --seed is
@@ -167,12 +167,16 @@ def test_invalid_config_exit_code(workspace, tmp_path):
     rc = cli.main(["train-teacher", "--data", str(root / "corpus"), "--out", str(tmp_path / "t.ckpt"),
                    "--vocab-out", str(tmp_path / "v.txt"), "--config", str(bad)])
     assert rc == EXIT_CONFIG
-    # stage 1 must not widen the teacher's backbone it transplants
-    bad.write_text(cfg.read_text().replace("model.d=16", "model.d=32"))
-    rc = cli.main(["stage1", "--data", str(root / "corpus"), "--teacher", str(root / "teacher.ckpt"),
-                   "--vocab", str(root / "vocab.txt"), "--out", str(tmp_path / "s1.ckpt"),
-                   "--config", str(bad), "--steps", "0"])
-    assert rc == EXIT_CONFIG
+    # stage 1 must not widen the teacher's backbone it transplants: ffn_hidden
+    # sizes the backbone's FFNs too, so a changed one would save a checkpoint
+    # whose config disagrees with its tensors
+    for old, new in [("model.d=16", "model.d=32"), ("model.ffn_hidden=24", "model.ffn_hidden=32")]:
+        bad.write_text(cfg.read_text().replace(old, new))
+        out = tmp_path / "s1.ckpt"
+        rc = cli.main(["stage1", "--data", str(root / "corpus"), "--teacher", str(root / "teacher.ckpt"),
+                       "--vocab", str(root / "vocab.txt"), "--out", str(out),
+                       "--config", str(bad), "--steps", "0"])
+        assert rc == EXIT_CONFIG and not out.exists()
 
 
 def test_corrupt_checkpoint_exit_code(workspace, tmp_path):

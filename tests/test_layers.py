@@ -75,7 +75,8 @@ def mlstm_oracle(p, x):
 
 @pytest.mark.parametrize("chunk", [1, 7, 23])
 def test_mlstm_chunks_match_sequential_oracle(chunk):
-    # 23 bytes: three chunks of 7 and a ragged one of 2, or one chunk of n
+    # 23 bytes: 23 chunks of 1, four of at most 7 (6 each, the last padded by 1),
+    # or one chunk of n
     rng = np.random.default_rng(10)
     p = mlstm_params(rng)
     x = rng.normal(size=(2, 23, D))
@@ -118,16 +119,18 @@ def test_mlstm_gradient_check_across_chunks():
     assert err < 1e-4
 
 
-@pytest.mark.parametrize("chunk", [7, L.CHUNK])
-def test_mlstm_saturated_gates_stay_finite_across_chunks(chunk):
+@pytest.mark.parametrize("chunk, n", [(7, 300), (L.CHUNK, 300), (L.CHUNK, 301)],
+                         ids=["7", str(L.CHUNK), f"{L.CHUNK}-301"])
+def test_mlstm_saturated_gates_stay_finite_across_chunks(chunk, n):
     # forget gates pinned open (+50) and shut (-50) with input gates up to 14:
     # the gate cumsums reach thousands over 300 bytes, and padded rows must not
-    # overflow either
+    # overflow either (300 B in chunks of at most 7 is 43 of 7, the last padded
+    # by 1; at most CHUNK, 3 of 100 or 3 of 101 padded by 2)
     rng = np.random.default_rng(13)
     p = mlstm_params(rng)
     p["m.b_f"].data[:] = [50.0, -50.0]
     p["m.b_i"].data[:] = [14.0, 6.0]
-    x = rng.normal(size=(1, 300, D))
+    x = rng.normal(size=(1, n, D))
     out = L.mlstm_block(p, "m", Tensor(x), HEADS, QK, VD, chunk=chunk).data
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out, mlstm_oracle(p, x), rtol=1e-10, atol=1e-12)
@@ -136,17 +139,20 @@ def test_mlstm_saturated_gates_stay_finite_across_chunks(chunk):
 def test_mlstm_chunks_bound_forward_memory():
     rng = np.random.default_rng(14)
     p = mlstm_params(rng)
-    x = Tensor(rng.normal(size=(1, 1024, D)))
+    x = rng.normal(size=(1, 1024, D))
 
-    def peak(chunk):
+    def peak(n, chunk=L.CHUNK):
+        xt = Tensor(x[:, :n])
         tracemalloc.start()
         try:
-            L.mlstm_block(p, "m", x, HEADS, QK, VD, chunk=chunk)
+            L.mlstm_block(p, "m", xt, HEADS, QK, VD, chunk=chunk)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(L.CHUNK) <= peak(1024) / 4
+    assert peak(1024) <= peak(1024, chunk=1024) / 4
+    # balanced chunks: 513 bytes run as five chunks of 103, not of 128
+    assert peak(513) < peak(512)
 
 
 def test_mlstm_length_one():

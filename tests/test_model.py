@@ -22,6 +22,7 @@ from bytepatch.model import (
     predict_boundaries,
     predicted_mask,
 )
+from bytepatch.losses import boundary_bce, ce_fused
 from bytepatch.tensor import Tensor
 from gradcheck import finite_difference_check
 
@@ -297,3 +298,22 @@ def test_forward_full_gradient_end_to_end():
 
     err = finite_difference_check(loss, [params[nm].data for nm in names], max_coords=60)
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("n", [12, 301, 512])
+def test_float32_forward_and_backward_stay_float32(setup, n):
+    """The whole model on a float32 copy of its parameters, under the engine's
+    dtype guard: at 301 B the mLSTM's last chunk is padded, at 512 it is not.
+    The log-probs track the float64 forward's under the same pooling."""
+    cfg, _, params = setup
+    rng = np.random.default_rng(n)
+    byte_ids = rng.integers(0, 256, size=(2 if n < 100 else 1, n))
+    sfx = byte_ids.copy()
+    ref = forward_full(params, cfg, byte_ids, sfx)
+    p32 = ParamStore({name: Tensor(t.data.astype(np.float32), requires_grad=True) for name, t in params.items()})
+    out = forward_full(p32, cfg, byte_ids, sfx, ref["mask"])
+    assert out["logprobs"].dtype == np.float32
+    np.testing.assert_allclose(out["logprobs"].data, ref["logprobs"].data, rtol=0, atol=1e-4)
+    targets = fused_targets(byte_ids[:, 1:], ref["mask"][:, 1:])
+    (ce_fused(out["logprobs"], targets) + boundary_bce(out["p"], ref["mask"])).backward()
+    assert {name: t.grad.dtype for name, t in p32.items()} == {name: np.float32 for name in p32}

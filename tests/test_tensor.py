@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bytepatch import tensor as T
-from bytepatch.tensor import NonFiniteError, ShapeError, Tensor
+from bytepatch.tensor import DtypeError, NonFiniteError, ShapeError, Tensor
 from gradcheck import finite_difference_check
 
 RNG = np.random.default_rng(0)
@@ -97,6 +97,44 @@ def test_broadcast_backward_shapes():
     ((a * b).sum()).backward()
     assert a.grad.shape == (2, 3, 4)
     assert b.grad.shape == (4,)
+
+
+MIXABLE = {
+    "add": T.add, "sub": T.sub, "mul": T.mul, "div": T.div, "maximum": T.maximum, "matmul": T.matmul,
+    "outer_add": T.outer_add, "concat": lambda a, b: T.concat([a, b], axis=-1),
+}
+
+
+@pytest.mark.parametrize("name", MIXABLE)
+def test_mixed_float32_float64_operands_raise(name):
+    op = MIXABLE[name]
+    x = RNG.uniform(1.0, 2.0, size=(3, 3))
+    x32, x64 = Tensor(x.astype(np.float32)), Tensor(x)
+    for a, b in ((x32, x64), (x64, x32)):
+        with pytest.raises(DtypeError):
+            op(a, b)
+    assert op(x32, x32).dtype == np.float32 and op(x64, x64).dtype == np.float64
+
+
+def test_values_keep_float32_and_python_numbers_take_their_partners_dtype():
+    x = Tensor(RNG.uniform(1.0, 2.0, size=(2, 3)).astype(np.float32), requires_grad=True)
+    outs = [x + 1, 2 - x, x * 0.5, 1.0 / x, x / 3, -x, x.mean(), T.clip(x, np.float64(1.2), 1.8),
+            x * np.float64(0.5)]
+    assert [o.dtype for o in outs] == [np.float32] * len(outs)
+    sum(o.sum() for o in outs).backward()
+    assert x.grad.dtype == np.float32
+    # non-float values still become float64, and a float64 array stays one
+    assert Tensor(np.array([True, False])).dtype == np.float64
+    with pytest.raises(DtypeError):
+        x * Tensor(np.float64(0.5))
+
+
+def test_float32_norm_of_zero_has_a_finite_gradient():
+    # the sqrt clamp is the dtype's smallest normal: a float64 1e-150 is 0 in float32
+    for dtype in (np.float32, np.float64):
+        x = Tensor(np.zeros(4, dtype=dtype), requires_grad=True)
+        T.sqrt((x * x).sum()).backward()
+        assert x.grad.dtype == dtype and np.array_equal(x.grad, np.zeros(4))
 
 
 def test_matmul_requires_matching_batch():

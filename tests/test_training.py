@@ -22,7 +22,7 @@ from bytepatch.model import (
     init_teacher,
 )
 from bytepatch.optim import AdamW
-from bytepatch.tensor import NonFiniteError
+from bytepatch.tensor import NonFiniteError, Tensor
 from bytepatch.tokenizer import encode, train_bpe, utf8_to_bytes
 from bytepatch.training import TrainConfig, lr_at, prepare_window, prepare_windows, train_conversion, train_teacher
 
@@ -153,6 +153,7 @@ def test_parameters_are_plain_values_outside_the_step_loop(toy, tmp_path):
     def assert_plain(student, teacher):
         for params in (student, teacher, student.copy()):
             assert [n for n, t in params.items() if t.requires_grad] == []
+            assert {t.dtype for t in params.values()} == {np.dtype(np.float64)}
         logprobs = forward_full(student, cfg, w.model_bytes[None, :], w.suffix[None, :])["logprobs"]
         logits = teacher_mod.teacher_logits(teacher, cfg, token_ids)[0]
         for out in (logprobs, logits):
@@ -181,7 +182,7 @@ def test_a_raising_step_still_clears_every_flag(toy):
     tc = TrainConfig(stage=2, steps=2, batch_size=2, max_bytes=48, seed=3)
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
         train_conversion(student, cfg, vocab, None, docs[:4], tc)
-    assert [n for n, t in student.items() if t.requires_grad] == []
+    assert_at_rest(student)
 
 
 def test_a_step_raising_after_backward_leaves_no_gradient(toy, monkeypatch):
@@ -196,7 +197,120 @@ def test_a_step_raising_after_backward_leaves_no_gradient(toy, monkeypatch):
     tc = TrainConfig(stage=2, steps=2, batch_size=2, max_bytes=48, seed=3)
     with pytest.raises(NonFiniteError):
         train_conversion(student, cfg, vocab, None, docs[:4], tc)
-    assert [n for n, t in student.items() if t.requires_grad or t.grad is not None] == []
+    assert_at_rest(student)
+
+
+def test_a_raising_step_leaves_the_last_completed_update(toy, monkeypatch):
+    docs, vocab, cfg, teacher = toy
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    one_step = student.copy()
+    tc = TrainConfig(stage=2, steps=1, batch_size=2, max_bytes=48, seed=3)
+    train_conversion(one_step, cfg, vocab, None, docs[:4], tc)
+    step = AdamW.step
+
+    def second_step_fails(opt):
+        if opt.step_count == 1:
+            raise NonFiniteError("optimizer step failed")
+        return step(opt)
+
+    monkeypatch.setattr(AdamW, "step", second_step_fails)
+    with pytest.raises(NonFiniteError):
+        train_conversion(student, cfg, vocab, None, docs[:4], replace(tc, steps=2))
+    assert_at_rest(student)
+    assert all(np.array_equal(t.data, one_step[n].data) for n, t in student.items())
+
+
+def assert_at_rest(params):
+    """Float64 plain values: no gradient and outside the graph."""
+    assert {t.dtype for t in params.values()} == {np.dtype(np.float64)}
+    assert [n for n, t in params.items() if t.requires_grad or t.grad is not None] == []
+
+
+def float64_reference_step(step, params, cfg, tc, trained, batch) -> dict:
+    """`step` on the float64 store itself with a float64 AdamW (learning
+    rate 0, so the values stay): the reference the float32 steps track."""
+    opt = AdamW({"all": [params[n] for n in trained]})
+    for p in opt.params():
+        p.requires_grad = True
+    try:
+        return step(params, cfg, tc, opt, batch)
+    finally:
+        for p in opt.params():
+            p.requires_grad = False
+            p.grad = None
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_float32_conversion_steps_track_the_float64_step(toy, stage):
+    docs, vocab, cfg, teacher = toy
+    scorer = teacher if stage == 1 else None
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    reference = student.copy()
+    tc = TrainConfig(stage=stage, steps=1, batch_size=2, max_bytes=48, seed=3)
+    log = train_conversion(student, cfg, vocab, scorer, docs[:4], tc)
+    batch = tr.WindowSampler(prepare_windows(docs[:4], vocab, cfg, tc, scorer), tc.batch_size, tc.seed).draw()
+    trained = [n for n in reference if stage == 2 or reference.tag(n) in LOCAL_COMPONENTS]
+    ref = float64_reference_step(tr.stage1_step if stage == 1 else tr.stage2_step, reference, cfg, tc, trained,
+                                 batch)
+    assert log.records[0]["total"] == pytest.approx(ref["total"], rel=1e-5)
+    assert log.records[0]["grad_norm"] == pytest.approx(ref["grad_norm"], rel=1e-4)
+
+
+def test_float32_teacher_step_tracks_the_float64_step(toy):
+    docs, vocab, cfg, teacher = toy
+    reference = teacher.copy()
+    tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=3)
+    log = train_teacher(teacher.copy(), cfg, vocab, docs[:4], tc)
+    rows = [np.array([vocab.bos_id, *encode(vocab, c)]) for c in make_windows(docs[:4], tc.max_bytes - 1)]
+    batch = tr.WindowSampler(rows, tc.batch_size, tc.seed).draw()
+    ref = float64_reference_step(tr.teacher_step, reference, cfg, tc, list(reference), batch)
+    assert log.records[0]["total"] == pytest.approx(ref["total"], rel=1e-5)
+    assert log.records[0]["grad_norm"] == pytest.approx(ref["grad_norm"], rel=1e-4)
+
+
+def test_steps_run_on_float32_copies_of_float64_masters(toy, monkeypatch):
+    docs, vocab, cfg, teacher = toy
+    student, teacher = init_byte_model(cfg, np.random.default_rng(1), teacher), teacher.copy()
+    caller = {id(t) for params in (student, teacher) for t in params.values()}
+    step = AdamW.step
+    checked = []
+
+    def checking_step(opt):
+        norm = step(opt)
+        masters = [m for ms in opt.masters.values() for m in ms]
+        assert {id(m) for m in masters} <= caller
+        assert {p.dtype for p in opt.params()} == {np.dtype(np.float32)}
+        assert {a.dtype for a in [*masters, *opt.m.values(), *opt.v.values()]} == {np.dtype(np.float64)}
+        # after the update, every copy holds its master's value
+        assert all(np.array_equal(p.data, m.data.astype(np.float32)) for p, m in zip(opt.params(), masters))
+        checked.append(opt.step_count)
+        return norm
+
+    monkeypatch.setattr(AdamW, "step", checking_step)
+    tc = TrainConfig(stage=1, steps=2, batch_size=2, max_bytes=48, seed=3)
+    train_conversion(student, cfg, vocab, teacher, docs[:4], tc)
+    train_conversion(student, cfg, vocab, None, docs[:4], replace(tc, stage=2))
+    train_teacher(teacher, cfg, vocab, docs[:4], tc)
+    assert checked == [1, 2] * 3
+    assert_at_rest(student)
+    assert_at_rest(teacher)
+
+
+def test_float32_stage1_step_gives_float32_gradients(toy):
+    """Probe, encoder-match and distillation terms included, every gradient
+    of a float32 store is float32 under the engine's dtype guard."""
+    docs, vocab, cfg, teacher = toy
+    assert cfg.n_probe > 0
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    p32 = ParamStore({n: Tensor(t.data.astype(np.float32), requires_grad=True) for n, t in student.items()})
+    tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=3)
+    batch = prepare_windows(docs[:4], vocab, cfg, tc, teacher)[:2]
+    metrics = tr.stage1_step(p32, cfg, tc, AdamW({"all": list(p32.values())}), batch)
+    assert metrics["l_encoder"] > 0 and metrics["l_distill"] > 0
+    grads = {n: t.grad for n, t in p32.items() if t.grad is not None}
+    # stage 1 reaches the backbone only through the probed layers
+    assert {n for n in p32 if n.startswith("global.0.")} <= set(grads)
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
 
 
 def test_evaluation_without_a_scorable_document_raises(toy):
