@@ -6,8 +6,9 @@ byte+boundary output head over 512 symbols.
 All forward functions are pure in (params, inputs); parameters live in a flat
 ``ParamStore`` whose name prefix is the component tag used for checkpointing,
 training groups and checkpoint arithmetic. Parameters are plain float64
-values: only the training step loop differentiates them, through a float32
-copy, and every forward computes in the dtype of the store it is given.
+values: only the training step loop differentiates them, through a copy in
+its compute dtype, and every forward computes in the dtype of the store it
+is given.
 
 The numerical constants are fixed, not configured: the RMS epsilon, RoPE base
 and mLSTM gate soft cap live in ``layers`` (the first two are shared with the

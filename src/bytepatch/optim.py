@@ -8,7 +8,8 @@ The tensors the steps differentiate may be float32 copies of float64 master
 weights, as in mixed-precision training (Micikevicius et al., arXiv
 1710.03740): the gradient norm adds up its squares in float64, the moments
 and the update are float64, the update lands on the master, and each master
-is then written back into its copy. A tensor without a master is its own.
+is then written back into its copy, unless the two share one array. A
+tensor without a master is its own.
 """
 
 from __future__ import annotations
@@ -81,6 +82,6 @@ class AdamW:
                 update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
                 master.data -= lr * update
                 master.data -= lr * WEIGHT_DECAY * master.data
-                if p is not master:
+                if p.data is not master.data:
                     np.copyto(p.data, master.data, casting="same_kind")
         return norm

@@ -226,9 +226,9 @@ def assert_at_rest(params):
     assert [n for n, t in params.items() if t.requires_grad or t.grad is not None] == []
 
 
-def float64_reference_step(step, params, cfg, tc, trained, batch) -> dict:
-    """`step` on the float64 store itself with a float64 AdamW (learning
-    rate 0, so the values stay): the reference the float32 steps track."""
+def one_step(step, params, cfg, tc, trained, batch) -> dict:
+    """`step` on the store itself with an AdamW at learning rate 0, so the
+    values stay; on a float64 store, the reference the float32 steps track."""
     opt = AdamW({"all": [params[n] for n in trained]})
     for p in opt.params():
         p.requires_grad = True
@@ -244,16 +244,15 @@ def float64_reference_step(step, params, cfg, tc, trained, batch) -> dict:
 def test_float32_conversion_steps_track_the_float64_step(toy, stage):
     docs, vocab, cfg, teacher = toy
     scorer = teacher if stage == 1 else None
-    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
-    reference = student.copy()
+    reference = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    p32 = ParamStore({n: Tensor(t.data.astype(np.float32)) for n, t in reference.items()})
     tc = TrainConfig(stage=stage, steps=1, batch_size=2, max_bytes=48, seed=3)
-    log = train_conversion(student, cfg, vocab, scorer, docs[:4], tc)
     batch = tr.WindowSampler(prepare_windows(docs[:4], vocab, cfg, tc, scorer), tc.batch_size, tc.seed).draw()
     trained = [n for n in reference if stage == 2 or reference.tag(n) in LOCAL_COMPONENTS]
-    ref = float64_reference_step(tr.stage1_step if stage == 1 else tr.stage2_step, reference, cfg, tc, trained,
-                                 batch)
-    assert log.records[0]["total"] == pytest.approx(ref["total"], rel=1e-5)
-    assert log.records[0]["grad_norm"] == pytest.approx(ref["grad_norm"], rel=1e-4)
+    step = tr.stage1_step if stage == 1 else tr.stage2_step
+    got, ref = (one_step(step, params, cfg, tc, trained, batch) for params in (p32, reference))
+    assert got["total"] == pytest.approx(ref["total"], rel=1e-5)
+    assert got["grad_norm"] == pytest.approx(ref["grad_norm"], rel=1e-4)
 
 
 def test_float32_teacher_step_tracks_the_float64_step(toy):
@@ -263,12 +262,13 @@ def test_float32_teacher_step_tracks_the_float64_step(toy):
     log = train_teacher(teacher.copy(), cfg, vocab, docs[:4], tc)
     rows = [np.array([vocab.bos_id, *encode(vocab, c)]) for c in make_windows(docs[:4], tc.max_bytes - 1)]
     batch = tr.WindowSampler(rows, tc.batch_size, tc.seed).draw()
-    ref = float64_reference_step(tr.teacher_step, reference, cfg, tc, list(reference), batch)
+    ref = one_step(tr.teacher_step, reference, cfg, tc, list(reference), batch)
     assert log.records[0]["total"] == pytest.approx(ref["total"], rel=1e-5)
     assert log.records[0]["grad_norm"] == pytest.approx(ref["grad_norm"], rel=1e-4)
 
 
-def test_steps_run_on_float32_copies_of_float64_masters(toy, monkeypatch):
+def test_steps_run_on_copies_of_float64_masters(toy, monkeypatch):
+    """Stage-1 and teacher steps compute in float32, stage-2 steps in float64."""
     docs, vocab, cfg, teacher = toy
     student, teacher = init_byte_model(cfg, np.random.default_rng(1), teacher), teacher.copy()
     caller = {id(t) for params in (student, teacher) for t in params.values()}
@@ -278,12 +278,14 @@ def test_steps_run_on_float32_copies_of_float64_masters(toy, monkeypatch):
     def checking_step(opt):
         norm = step(opt)
         masters = [m for ms in opt.masters.values() for m in ms]
-        assert {id(m) for m in masters} <= caller
-        assert {p.dtype for p in opt.params()} == {np.dtype(np.float32)}
+        assert {id(m) for m in masters} <= caller and not {id(p) for p in opt.params()} & caller
+        (dtype,) = {p.dtype for p in opt.params()}
         assert {a.dtype for a in [*masters, *opt.m.values(), *opt.v.values()]} == {np.dtype(np.float64)}
-        # after the update, every copy holds its master's value
-        assert all(np.array_equal(p.data, m.data.astype(np.float32)) for p, m in zip(opt.params(), masters))
-        checked.append(opt.step_count)
+        # after the update, every copy holds its master's value; a float64
+        # copy is a new tensor over its master's array
+        assert all(np.array_equal(p.data, m.data.astype(dtype)) for p, m in zip(opt.params(), masters))
+        assert all((p.data is m.data) == (dtype == np.float64) for p, m in zip(opt.params(), masters))
+        checked.append((opt.step_count, dtype))
         return norm
 
     monkeypatch.setattr(AdamW, "step", checking_step)
@@ -291,7 +293,8 @@ def test_steps_run_on_float32_copies_of_float64_masters(toy, monkeypatch):
     train_conversion(student, cfg, vocab, teacher, docs[:4], tc)
     train_conversion(student, cfg, vocab, None, docs[:4], replace(tc, stage=2))
     train_teacher(teacher, cfg, vocab, docs[:4], tc)
-    assert checked == [1, 2] * 3
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    assert checked == [(1, f32), (2, f32), (1, f64), (2, f64), (1, f32), (2, f32)]
     assert_at_rest(student)
     assert_at_rest(teacher)
 
