@@ -147,9 +147,7 @@ class Tensor:
                 g = vjp(node.grad)
                 # accumulation allocates a fresh array, so sharing g across inputs is safe
                 parent.grad = g if parent.grad is None else parent.grad + g
-        # free intermediate grads and VJPs so the graph can be collected
-        for node in order:
-            if node._vjps:
+            if node._vjps:  # every consumer has run: free its gradient and VJPs, leave the graph
                 node.grad = None
                 node._vjps = ()
                 node.requires_grad = False
