@@ -46,6 +46,10 @@ class DtypeError(TypeError):
     """An op mixed float32 and float64 values."""
 
 
+class GraphError(RuntimeError):
+    """backward() was called on a tensor outside the autodiff graph."""
+
+
 def _check_finite(data: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
@@ -140,6 +144,9 @@ class Tensor:
         each node's gradient goes through its VJPs into its inputs' `.grad`."""
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar loss")
+        if not self.requires_grad:
+            raise GraphError("backward() needs a tensor in the graph: this one is a constant, "
+                             "or a backward() already swept its graph")
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
         for node in reversed(order):

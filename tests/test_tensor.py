@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bytepatch import tensor as T
-from bytepatch.tensor import DtypeError, NonFiniteError, ShapeError, Tensor
+from bytepatch.tensor import DtypeError, GraphError, NonFiniteError, ShapeError, Tensor
 from gradcheck import finite_difference_check
 
 RNG = np.random.default_rng(0)
@@ -70,6 +70,62 @@ def test_non_scalar_backward_rejected():
     x = t([1.0, 2.0])
     with pytest.raises(ShapeError):
         (x * x).backward()
+
+
+def test_backward_needs_a_tensor_in_the_graph():
+    x = t([1.0, 2.0])
+    y = (x * x).sum()
+    y.backward()
+    first = x.grad.copy()
+    with pytest.raises(GraphError):  # the sweep took y out of the graph
+        y.backward()
+    np.testing.assert_array_equal(x.grad, first)
+    with pytest.raises(GraphError):
+        Tensor(np.array(1.0)).backward()
+
+
+def _sweep_keeping_the_graph(root: Tensor) -> None:
+    """The sweep as it was before nodes were freed in it: every VJP in
+    reverse topological order, every intermediate gradient kept to the end."""
+    order = T._toposort(root)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        for parent, vjp in node._vjps:
+            g = vjp(node.grad)
+            parent.grad = g if parent.grad is None else parent.grad + g
+
+
+def _fan_out(x: Tensor, w: Tensor) -> Tensor:
+    """x feeds a mul twice and an add; h feeds three ops; a keepdims sum,
+    whose VJP hands back a read-only broadcast view, feeds an add."""
+    h = x * x + x
+    s = h.sum(axis=-1, keepdims=True)
+    y = T.exp(h * 0.1) * h + (h @ w) + s
+    return (y * y).sum()
+
+
+def test_freeing_sweep_gives_bit_identical_leaf_grads():
+    xv, wv = RNG.normal(size=(3, 4)), RNG.normal(size=(4, 4))
+    x0, w0 = t(xv), t(wv)
+    _sweep_keeping_the_graph(_fan_out(x0, w0))
+    x1, w1 = t(xv), t(wv)
+    _fan_out(x1, w1).backward()
+    np.testing.assert_array_equal(x1.grad, x0.grad)
+    np.testing.assert_array_equal(w1.grad, w0.grad)
+
+
+def test_backward_releases_every_intermediate():
+    x, w = t(RNG.normal(size=(3, 4))), t(RNG.normal(size=(4, 4)))
+    loss = _fan_out(x, w)
+    nodes = T._toposort(loss)
+    inner = [n for n in nodes if n._vjps]
+    loss.backward()
+    assert len(inner) > 5 and all(n.grad is None and n._vjps == () and not n.requires_grad for n in inner)
+    assert x.grad is not None and w.grad is not None and x.requires_grad and w.requires_grad
+    # an intermediate reused after the sweep is a constant: it records no VJP
+    reused = inner[-2] * 2.0
+    assert reused._vjps == () and not reused.requires_grad
+    assert [p for p, _ in (inner[-2] * x)._vjps] == [x]
 
 
 def test_nonfinite_surfaces():
