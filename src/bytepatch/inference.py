@@ -6,9 +6,10 @@ at the end) and replays the bytes through the recurrent state. During decoding
 the boundary predictor is never consulted: the fused output symbol carries the
 boundary bit, closing a patch triggers one global-model step, and the
 refreshed patch representation feeds every following byte until the next
-boundary. Prefill and decoding close a patch the same way, so both also close
-one that reaches `patch_cap` bytes. The recurrent and cached-attention state
-math runs on raw numpy arrays.
+boundary. Prefill pools on `model.predicted_mask`, as `forward_full` does
+without a supervision mask, and decoding closes a patch by the same rule: on
+a boundary bit, or when the patch reaches `patch_cap` bytes. The recurrent
+and cached-attention state math runs on raw numpy arrays.
 """
 
 from __future__ import annotations
@@ -137,9 +138,10 @@ def prefill(
     state = _fresh_state(params, cfg, seed)
     e_hats = np.stack([_encode_byte(params, cfg, state, vocab_index, b) for b in prompt])
     scores = predict_boundaries(params, cfg, Tensor(e_hats[None]))
-    predicted = predicted_mask(scores.data, cfg.boundary_threshold)[0]
+    mask = predicted_mask(scores.data, cfg.boundary_threshold, cfg.patch_cap)[0]
     # replay: close patches and advance the decoder in byte order
-    mask = np.array([_close_or_extend(params, cfg, state, e, b) for e, b in zip(e_hats, predicted)])
+    for e, b in zip(e_hats, mask):
+        _close_or_extend(params, cfg, state, e, b)
     state.check()
     return state, state.last_logprobs, mask
 

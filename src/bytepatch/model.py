@@ -63,7 +63,7 @@ class ModelConfig:
     global_head_dim: int = 32
     boundary_mode: str = "noncausal"  # or "causal" (ablation)
     boundary_threshold: float = 0.5
-    patch_cap: int = 64  # decode-time forced boundary after this many bytes
+    patch_cap: int = 64  # a patch closes when it reaches this many bytes, predicted or decoded
 
     def __post_init__(self):
         for name in ("d", "encoder_layers", "decoder_layers", "ffn_hidden", "mlstm_heads", "mlstm_qk_dim",
@@ -299,10 +299,18 @@ def _cosine_score(q: Tensor, k: Tensor) -> Tensor:
     return (1.0 - cos) * 0.5
 
 
-def predicted_mask(p_scores: np.ndarray, threshold: float) -> np.ndarray:
+def predicted_mask(p_scores: np.ndarray, threshold: float, patch_cap: int) -> np.ndarray:
+    """Boundaries where the score passes the threshold, at the last byte,
+    and wherever an open patch reaches `patch_cap` bytes: the rule decoding
+    closes patches by, applied left to right."""
     mask = np.asarray(p_scores) > threshold
     mask[..., -1] = True
-    return mask
+    pos = np.arange(mask.shape[-1])
+    last = np.maximum.accumulate(np.where(mask, pos, -1), axis=-1)
+    before = np.concatenate([np.full_like(last[..., :1], -1), last[..., :-1]], axis=-1)
+    # byte t would be the (t - before)-th of an uncapped patch; the cap
+    # closes every patch_cap-th of those
+    return mask | ((pos - before) % patch_cap == 0)
 
 
 def pool_indices(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,14 +398,15 @@ def forward_full(
     mask: np.ndarray | None = None,
 ) -> dict:
     """Full pipeline. `mask` selects the pooling boundaries (supervision mask
-    during training); None pools on the model's own thresholded scores."""
+    during training); None pools on the model's own boundaries,
+    `predicted_mask`, as prefill does."""
     byte_ids = np.atleast_2d(byte_ids)
     suffix_ids = np.atleast_2d(suffix_ids)
     e = embed_bytes(params, byte_ids, suffix_ids)
     e_hat = local_encode(params, cfg, e)
     p = predict_boundaries(params, cfg, e_hat)
     if mask is None:
-        mask = predicted_mask(p.data, cfg.boundary_threshold)
+        mask = predicted_mask(p.data, cfg.boundary_threshold, cfg.patch_cap)
     else:
         mask = np.atleast_2d(np.asarray(mask, dtype=bool))
     ends, valid = pool_indices(mask)

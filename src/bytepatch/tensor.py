@@ -8,7 +8,11 @@ or stored. Parameters are plain float64 values outside the graph, so
 forward-only passes record nothing; only the training step loop puts tensors
 in it, float32 copies of the parameters, while it runs. Calling
 ``backward()`` on a scalar walks the recorded graph once in reverse
-topological order and is the one place gradients accumulate.
+topological order and is the one place gradients accumulate. The sweep
+frees each intermediate node as soon as its VJPs have run (its gradient,
+its VJPs with the arrays they hold, and its place in the graph), so its peak
+is the forward graph plus one frontier of gradients not yet consumed, and a
+swept graph cannot be swept again.
 
 Values are float32 or float64, and every op's output has its inputs' dtype:
 `_make` rejects an op whose inputs and output disagree, so no float64
@@ -141,7 +145,11 @@ class Tensor:
     # -- backward -----------------------------------------------------------
     def backward(self) -> None:
         """Reverse-mode sweep from this scalar through the recorded graph:
-        each node's gradient goes through its VJPs into its inputs' `.grad`."""
+        each node's gradient goes through its VJPs into its inputs' `.grad`.
+        Every consumer of a node runs before it, so once its VJPs have run
+        an intermediate node drops its gradient and VJPs and leaves the
+        graph; leaves keep their `.grad`. Raises `GraphError` on a tensor
+        outside the graph, such as a loss already swept."""
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar loss")
         if not self.requires_grad:

@@ -301,7 +301,7 @@ def stage2_step(
 
 
 def _step_metrics(p_scores: np.ndarray, mask: np.ndarray, cfg: ModelConfig, grad_norm: float) -> dict:
-    pred = predicted_mask(p_scores, cfg.boundary_threshold)
+    pred = predicted_mask(p_scores, cfg.boundary_threshold, cfg.patch_cap)
     real = scored_positions(cfg)
     acc = float((pred[:, real] == mask[:, real]).mean())
     content = pred[:, 1:]  # the BOS position is no byte of the text

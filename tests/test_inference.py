@@ -160,6 +160,23 @@ def test_patch_cap_forces_boundary(setup):
     np.testing.assert_allclose(logprobs, out["logprobs"].data[0, -1], atol=1e-9)
 
 
+def test_forward_full_pools_on_prefills_capped_mask(setup):
+    # a zeroed query projection predicts no interior boundary, so only the
+    # cap and the forced final byte close patches, in both paths
+    cfg_capped = tiny_cfg(patch_cap=4)
+    _, params, sidx = setup
+    nopred = ParamStore(params)
+    nopred["boundary.w_q"] = Tensor(np.zeros_like(params["boundary.w_q"].data))
+    nopred["depool_proj.w"] = Tensor(np.random.default_rng(6).normal(size=params["depool_proj.w"].shape))
+    prompt = b"abcdefghij"
+    _, logprobs, mask = prefill(nopred, cfg_capped, sidx, prompt)
+    out = forward_full(nopred, cfg_capped,
+                       np.frombuffer(prompt, dtype=np.uint8).astype(np.int64)[None, :],
+                       suffix_ids(sidx, prompt)[None, :], mask=None)
+    np.testing.assert_array_equal(out["mask"][0], mask)
+    np.testing.assert_allclose(logprobs, out["logprobs"].data[0, -1], atol=1e-9)
+
+
 def test_sample_temperature_zero_is_argmax():
     rng = np.random.default_rng(3)
     logprobs = np.log(np.random.default_rng(0).dirichlet(np.ones(32)))

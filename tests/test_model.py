@@ -152,6 +152,33 @@ def test_causal_boundary_alignment(setup):
     np.testing.assert_allclose(c[M.scored_positions(ccfg)], nc[:-2], atol=0)
 
 
+def _capped_by_scan(mask: np.ndarray, cap: int) -> np.ndarray:
+    """Decoding's rule, byte by byte: a boundary bit closes the open patch,
+    and so does the byte that brings it to `cap` bytes."""
+    out = mask.copy()
+    for row in out:
+        pending = 0
+        for t in range(len(row)):
+            row[t] = row[t] or pending + 1 >= cap
+            pending = 0 if row[t] else pending + 1
+    return out
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 5, 64])
+def test_predicted_mask_closes_every_capth_byte_of_an_open_run(cap):
+    rng = np.random.default_rng(cap)
+    scores = rng.random((6, 40)) ** 4  # sparse boundaries, so long runs occur
+    scores[0] = 0.0  # one row with no predicted boundary at all
+    uncapped = scores > 0.5
+    uncapped[:, -1] = True
+    got = predicted_mask(scores, 0.5, cap)
+    np.testing.assert_array_equal(got, _capped_by_scan(uncapped, cap))
+    assert got[0].tolist() == [(t + 1) % cap == 0 or t == 39 for t in range(40)]
+    np.testing.assert_array_equal(predicted_mask(scores[1], 0.5, cap), got[1])  # one unbatched row
+    if cap == 64:
+        np.testing.assert_array_equal(got[1:], uncapped[1:])
+
+
 def test_pool_last(setup):
     cfg, _, _ = setup
     rng = np.random.default_rng(2)

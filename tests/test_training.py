@@ -325,6 +325,29 @@ def test_evaluation_without_a_scorable_document_raises(toy):
         tr.evaluate_alignment(student, cfg, vocab, teacher, [b"a", b""])
 
 
+def test_step_metrics_count_capped_boundaries():
+    cfg = replace(small_cfg(), patch_cap=4)
+    p_scores = np.zeros((1, 10))  # no predicted boundary: the cap and the last byte close patches
+    capped = np.array([[False, False, False, True] * 2 + [False, True]])
+    m = tr._step_metrics(p_scores, capped, cfg, grad_norm=1.0)
+    assert m["boundary_acc"] == 1.0
+    assert m["compression"] == 3.0  # 9 content bytes, 3 boundaries
+
+
+def test_evaluation_counts_capped_boundaries(toy):
+    docs, vocab, cfg, teacher = toy
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    student["boundary.w_q"].data[:] = 0.0  # scores every pair 0.5: no boundary is predicted
+    long_docs = [d for d in docs if len(d) > 64][:3]
+    uncapped = tr.evaluate_bpb(student, cfg, vocab, long_docs)
+    capped_cfg = replace(cfg, patch_cap=4)
+    capped = tr.evaluate_bpb(student, capped_cfg, vocab, long_docs)
+    assert uncapped["attained_compression"] > 16
+    # the BOS byte opens each document's first patch, and its last patch may be short
+    assert 3 < capped["attained_compression"] <= 4
+    assert capped["boundary_acc"] != uncapped["boundary_acc"]
+
+
 def test_stage1_loss_decreases_smoke(toy):
     docs, vocab, cfg, teacher = toy
     # a lightly trained teacher makes the distillation target coherent
