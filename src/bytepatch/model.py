@@ -307,10 +307,9 @@ def predicted_mask(p_scores: np.ndarray, threshold: float, patch_cap: int) -> np
     mask[..., -1] = True
     pos = np.arange(mask.shape[-1])
     last = np.maximum.accumulate(np.where(mask, pos, -1), axis=-1)
-    before = np.concatenate([np.full_like(last[..., :1], -1), last[..., :-1]], axis=-1)
-    # byte t would be the (t - before)-th of an uncapped patch; the cap
-    # closes every patch_cap-th of those
-    return mask | ((pos - before) % patch_cap == 0)
+    # a byte t short of a boundary would be the (t - last)-th of an uncapped
+    # patch; the cap closes every patch_cap-th of those
+    return mask | ((pos - last) % patch_cap == 0)
 
 
 def pool_indices(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from bytepatch import tensor as T
-from bytepatch.losses import boundary_bce, ce_fused
 from bytepatch.cli import build_model_config, parse_config_file
+from bytepatch.losses import boundary_bce, ce_fused
 from bytepatch.model import ParamStore, forward_full, fused_targets, init_byte_model
 from bytepatch.tensor import Tensor
 
 # the shapes the benchmark trains on: toy.cfg's model, 512-B and 8 x 88-B batches
-CFG = build_model_config(parse_config_file(str(Path(__file__).resolve().parents[1] / "configs" / "toy.cfg")), 420)
+TOY = parse_config_file(str(Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"))
+CFG = build_model_config(TOY, int(TOY["tokenizer.vocab_size"]))
 MAX_BACKWARD_SHARE = 0.25  # backward's peak increment over the forward's retained memory
 
 
@@ -55,3 +56,12 @@ def test_backward_adds_a_small_share_of_the_forward_graph(batch, n):
         tracemalloc.stop()
     retained, added = graph - base, peak - graph
     assert added <= MAX_BACKWARD_SHARE * retained, (added / 2**20, retained / 2**20)
+
+
+def test_backward_leaves_no_intermediate_in_the_graph():
+    params = _graph_params()
+    loss = _loss(params, 2, 24)
+    inner = [node for node in T._toposort(loss) if node._vjps]
+    loss.backward()
+    assert inner and all(n.grad is None and n._vjps == () and not n.requires_grad for n in inner)
+    assert all(t.grad is not None for t in params.values())
