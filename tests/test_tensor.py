@@ -85,8 +85,8 @@ def test_backward_needs_a_tensor_in_the_graph():
 
 
 def _sweep_keeping_the_graph(root: Tensor) -> None:
-    """The sweep as it was before nodes were freed in it: every VJP in
-    reverse topological order, every intermediate gradient kept to the end."""
+    """The reference sweep, which frees nothing: every VJP in reverse
+    topological order, every intermediate gradient kept to the end."""
     order = T._toposort(root)
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
