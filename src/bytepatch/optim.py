@@ -4,12 +4,11 @@ Parameters are organized into named groups so the two-rate schedule used in
 end-to-end training (slower backbone, faster byte-level modules) can set a
 different learning rate per group each step.
 
-The tensors the steps differentiate may be float32 copies of float64 master
-weights, as in mixed-precision training (Micikevicius et al., arXiv
+The tensors the training steps differentiate are float32 copies of float64
+master weights, as in mixed-precision training (Micikevicius et al., arXiv
 1710.03740): the gradient norm adds up its squares in float64, the moments
 and the update are float64, the update lands on the master, and each master
-is then written back into its copy, unless the two share one array. A
-tensor without a master is its own.
+is then written back into its copy. A tensor without a master is its own.
 """
 
 from __future__ import annotations

@@ -20,12 +20,11 @@ builds one window (evaluation, boundary dumps) with the same assembly code.
 Both stages and the teacher's own training share one step loop; metrics
 stream to a line-delimited log, one JSON record per step. The loop alone
 casts the parameters to the compute dtype and puts tensors in the autodiff
-graph: every step runs forward and backward on a copy of the parameters,
-whose trained entries are in the graph while the loop runs, and AdamW keeps
-float64 master weights and moments. Stage-1 and teacher steps compute in
-float32; stage 2 stays float64, since a float32 stage 2 has not yet tracked
-the float64 loss curve. Parameters at rest, checkpoints, window preparation
-and evaluation stay float64 and build no graph.
+graph: every step runs forward and backward on a float32 copy of the
+parameters, whose trained entries are in the graph while the loop runs, and
+AdamW keeps float64 master weights and moments. Parameters at rest,
+checkpoints, window preparation and evaluation stay float64 and build no
+graph.
 """
 
 from __future__ import annotations
@@ -61,6 +60,8 @@ from .optim import AdamW
 from .teacher import TeacherOutputs, run_teacher, run_teachers, teacher_nll
 from .tensor import Tensor
 from .tokenizer import SubwordVocab, encode, mask_from_token_ids, suffix_ids
+
+COMPUTE_DTYPE = np.float32  # every training step; masters and moments stay float64
 
 
 @dataclass
@@ -334,12 +335,10 @@ def _train_loop(
     rows: list,
     step,
     log_path: str | Path | None,
-    dtype: type[np.floating],
 ) -> MetricsLog:
     """The one step loop, and the one place that casts to the compute dtype.
-    It copies every entry of `params`, trained and frozen, to `dtype` once
-    (at float64 the copies are new tensors over the caller's arrays); then,
-    per step, `lr_at` sets each group's learning rate, and one draw
+    It copies every entry of `params`, trained and frozen, to float32 once;
+    then, per step, `lr_at` sets each group's learning rate, and one draw
     from `rows`, one `step(copy, cfg, tcfg, opt, batch)` and one JSONL record
     of its metrics follow. `groups` names the trained entries: AdamW updates
     their float64 masters, the caller's own tensors, and writes each back
@@ -347,7 +346,7 @@ def _train_loop(
     the loop returns or raises, the caller's tensors are float64 plain
     values holding the last completed update."""
     sampler = WindowSampler(rows, tcfg.batch_size, tcfg.seed)
-    work = ParamStore({n: Tensor(t.data.astype(dtype, copy=False)) for n, t in params.items()})
+    work = ParamStore({n: Tensor(t.data.astype(COMPUTE_DTYPE)) for n, t in params.items()})
     opt = AdamW({g: [work[n] for n in names] for g, names in groups.items()},
                 masters={g: [params[n] for n in names] for g, names in groups.items()})
     log = MetricsLog(log_path)
@@ -389,10 +388,7 @@ def train_conversion(
     group_tags["local"] = LOCAL_COMPONENTS
     # name order: the global gradient norm is a float sum in group order
     groups = {g: [n for n in sorted(params) if params.tag(n) in tags] for g, tags in group_tags.items()}
-    # stage 2 stays float64: in float32 it ended 13.8% above the float64 loss
-    # curve (200 steps on the convert set-up), past the 5% it had to meet
-    dtype = np.float64 if stage2 else np.float32
-    return _train_loop(params, cfg, tcfg, groups, windows, stage2_step if stage2 else stage1_step, log_path, dtype)
+    return _train_loop(params, cfg, tcfg, groups, windows, stage2_step if stage2 else stage1_step, log_path)
 
 
 # -- teacher training ---------------------------------------------------------------
@@ -426,7 +422,7 @@ def train_teacher(
     chunks = make_windows(docs, tcfg.max_bytes - 1)
     token_rows = [np.array([vocab.bos_id] + encode(vocab, c), dtype=np.int64) for c in chunks]
     # sorted for the same reason as train_conversion's groups
-    return _train_loop(params, cfg, tcfg, {"local": sorted(params)}, token_rows, teacher_step, log_path, np.float32)
+    return _train_loop(params, cfg, tcfg, {"local": sorted(params)}, token_rows, teacher_step, log_path)
 
 
 # -- evaluation ---------------------------------------------------------------------

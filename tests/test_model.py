@@ -330,17 +330,24 @@ def test_forward_full_gradient_end_to_end():
 @pytest.mark.parametrize("n", [12, 301, 512])
 def test_float32_forward_and_backward_stay_float32(setup, n):
     """The whole model on a float32 copy of its parameters, under the engine's
-    dtype guard: at 301 B the mLSTM's last chunk is padded, at 512 it is not.
-    The log-probs track the float64 forward's under the same pooling."""
+    dtype guard: at 301 B the mLSTM's last chunk is padded, at 512 it is not,
+    and four chunks carry state across. The log-probs and every parameter's
+    gradient track the float64 pass's under the same pooling."""
     cfg, _, params = setup
     rng = np.random.default_rng(n)
     byte_ids = rng.integers(0, 256, size=(2 if n < 100 else 1, n))
     sfx = byte_ids.copy()
-    ref = forward_full(params, cfg, byte_ids, sfx)
+    p64 = ParamStore({name: Tensor(t.data, requires_grad=True) for name, t in params.items()})
     p32 = ParamStore({name: Tensor(t.data.astype(np.float32), requires_grad=True) for name, t in params.items()})
+    ref = forward_full(p64, cfg, byte_ids, sfx)
     out = forward_full(p32, cfg, byte_ids, sfx, ref["mask"])
     assert out["logprobs"].dtype == np.float32
     np.testing.assert_allclose(out["logprobs"].data, ref["logprobs"].data, rtol=0, atol=1e-4)
     targets = fused_targets(byte_ids[:, 1:], ref["mask"][:, 1:])
-    (ce_fused(out["logprobs"], targets) + boundary_bce(out["p"], ref["mask"])).backward()
+    for o in (ref, out):
+        (ce_fused(o["logprobs"], targets) + boundary_bce(o["p"], ref["mask"])).backward()
     assert {name: t.grad.dtype for name, t in p32.items()} == {name: np.float32 for name in p32}
+    # relative to the float64 gradient's norm, so an exactly zero one must stay zero
+    for name, t in p32.items():
+        g64 = p64[name].grad
+        assert np.linalg.norm(t.grad - g64) <= 1e-3 * np.linalg.norm(g64), name
