@@ -101,23 +101,35 @@ def _overlay(cfg: dict[str, str], section: str, defaults: dict) -> dict:
     return values
 
 
-def build_model_config(cfg: dict[str, str], vocab_size: int, base: ModelConfig | None = None) -> ModelConfig:
+# the teacher's backbone, which a converted model transplants; ffn_hidden also
+# sizes the backbone's FFNs
+BACKBONE = ("d", "ffn_hidden", "global_layers", "global_heads", "global_head_dim")
+
+
+def build_model_config(cfg: dict[str, str], vocab_size: int, base: ModelConfig | None = None,
+                       keep: tuple[str, ...] = BACKBONE) -> ModelConfig:
     """Overlay model.* keys onto `base` (the defaults when None) and construct
-    once, so validation sees the final values. The base is the teacher's
-    config when converting it: a valid config that would change the
-    transplanted backbone (`d`, `ffn_hidden`, which also sizes the backbone's
-    FFNs, or a `global_*` field) is then rejected."""
+    once, so validation sees the final values. The base is a checkpoint's
+    config, and a valid config that changes one of its `keep` fields is
+    rejected, naming the key: the backbone when converting a teacher, every
+    field when a command runs a saved model (`saved_model_config`)."""
     values = _overlay(cfg, "model", (base or ModelConfig()).to_dict())
     try:
         mc = ModelConfig.from_dict({**values, "vocab_size": vocab_size})
     except ValueError as e:
         raise ConfigFileError(str(e)) from None
     if base is not None:
-        backbone = {k: v for k, v in base.to_dict().items() if k in ("d", "ffn_hidden") or k.startswith("global_")}
-        if any(values[k] != v for k, v in backbone.items()):
-            raise ConfigFileError(f"model.d, model.ffn_hidden and model.global_* must keep the teacher's "
-                                  f"backbone {backbone}")
+        changed = [f"model.{k}={values[k]} differs from the checkpoint's {getattr(base, k)}"
+                   for k in keep if values[k] != getattr(base, k)]
+        if changed:
+            raise ConfigFileError("; ".join(changed))
     return mc
+
+
+def saved_model_config(cfg: dict[str, str], mc: ModelConfig) -> ModelConfig:
+    """`mc`, the config a checkpoint was saved with, once every model.* key of
+    the file agrees with it: the saved weights fix every field."""
+    return build_model_config(cfg, mc.vocab_size, base=mc, keep=tuple(mc.to_dict()))
 
 
 def build_train_config(cfg: dict[str, str], stage: int, args) -> TrainConfig:
@@ -206,7 +218,8 @@ def cmd_stage1(args) -> int:
 def cmd_stage2(args) -> int:
     corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
-    params, mc, header = _load_ckpt(args.model)
+    params, mc, _ = _load_ckpt(args.model)
+    mc = saved_model_config(args.cfg, mc)
     tc = build_train_config(args.cfg, stage=2, args=args)
     teacher = None
     if tc.strategy().needs_teacher:
@@ -226,6 +239,7 @@ def cmd_eval_bpb(args) -> int:
     corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
     params, mc, _ = _load_ckpt(args.model)
+    mc = saved_model_config(args.cfg, mc)
     strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0)
     if strategy.needs_teacher and not args.teacher:
         print("error: entropy/xent supervision needs --teacher", file=sys.stderr)
@@ -242,6 +256,7 @@ def cmd_eval_bpb(args) -> int:
 def cmd_generate(args) -> int:
     vocab = load_vocab(args.vocab)
     params, mc, _ = _load_ckpt(args.model)
+    mc = saved_model_config(args.cfg, mc)
     prompt = bytes([EOT]) + (utf8_to_bytes(args.prompt) if args.prompt else b"")
     sampler = SamplerConfig(temperature=args.temperature, top_p=args.top_p, seed=args.seed)
     out = generate(params, mc, vocab.suffix_index, prompt, args.max_bytes, sampler)
@@ -257,6 +272,7 @@ def cmd_generate(args) -> int:
 
 def cmd_merge(args) -> int:
     byte_model, mc, _ = _load_ckpt(args.model)
+    mc = saved_model_config(args.cfg, mc)
     base, _, _ = _load_ckpt(args.base)
     post, _, _ = _load_ckpt(args.posttrained)
     merged = task_arithmetic_merge(byte_model, base, post)
@@ -269,6 +285,7 @@ def cmd_reset_check(args) -> int:
     corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
     base, mc, _ = _load_ckpt(args.base)
+    mc = saved_model_config(args.cfg, mc)
     post, _, _ = _load_ckpt(args.posttrained)
     out = reset_embeddings_check(base, post, mc, vocab, corpus.heldout or corpus.train)
     print(json.dumps(out))
@@ -300,6 +317,7 @@ def cmd_boundary_dump(args) -> int:
     if mc is None or (strategy.needs_teacher and teacher is None):
         print("error: need --model (and --teacher for entropy/xent) here", file=sys.stderr)
         return EXIT_USAGE
+    mc = saved_model_config(args.cfg, mc)
     if args.predicted and params is None:
         print("error: --predicted needs --model", file=sys.stderr)
         return EXIT_USAGE

@@ -281,6 +281,33 @@ def test_eval_bpb_and_predicted_dump_report_one_compression(workspace, capsys):
     assert f"{evaluated:.4f}" == dumped
 
 
+@pytest.mark.parametrize("command", ["stage2", "eval-bpb", "generate", "boundary-dump", "merge", "reset-check"])
+def test_commands_on_a_checkpoint_reject_a_model_key_it_contradicts(workspace, tmp_path, capsys, command):
+    """A saved model fixes every model.* field: a config that restates a value
+    runs, one that contradicts it exits 3 and names the key."""
+    root, cfg = workspace
+    data, model, vocab, teacher = (str(root / n) for n in ("corpus", "s1.ckpt", "vocab.txt", "teacher.ckpt"))
+    out = tmp_path / "out"
+    flags = {
+        "stage2": ["--data", data, "--model", model, "--vocab", vocab, "--out", str(out), "--steps", "1"],
+        "eval-bpb": ["--data", data, "--model", model, "--vocab", vocab, "--max-doc-bytes", "64"],
+        "generate": ["--model", model, "--vocab", vocab, "--max-bytes", "4", "--out", str(out)],
+        "boundary-dump": ["--data", data, "--model", model, "--vocab", vocab, "--predicted", "--docs", "1"],
+        "merge": ["--model", model, "--base", teacher, "--posttrained", teacher, "--out", str(out)],
+        "reset-check": ["--data", data, "--base", teacher, "--posttrained", teacher, "--vocab", vocab],
+    }[command]
+    for line, rc in [("model.boundary_threshold=0.5", EXIT_OK), ("model.boundary_threshold=0.3", EXIT_CONFIG),
+                     ("model.patch_cap=8", EXIT_CONFIG), ("model.decoder_layers=2", EXIT_CONFIG)]:
+        conf = tmp_path / "model.cfg"
+        conf.write_text(cfg.read_text() + line + "\n")
+        out.unlink(missing_ok=True)
+        assert cli.main([command, *flags, "--config", str(conf)]) == rc, line
+        err = capsys.readouterr().err
+        if rc == EXIT_CONFIG:
+            assert f"invalid config: {line} differs from the checkpoint's" in err
+            assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["subword", "bpe", "entropy", "xent"])
 def test_stage2_one_step_per_merge_strategy(workspace, tmp_path, kind):
     root, cfg = workspace
