@@ -30,6 +30,7 @@ from .model import LOCAL_COMPONENTS, ModelConfig, forward_full, init_byte_model,
 from .tokenizer import load_vocab, save_vocab, train_bpe, utf8_to_bytes
 from .training import (
     TrainConfig,
+    compute_copy,
     evaluate_alignment,
     evaluate_bpb,
     prepare_window,
@@ -321,7 +322,9 @@ def cmd_boundary_dump(args) -> int:
     if args.predicted and params is None:
         print("error: --predicted needs --model", file=sys.stderr)
         return EXIT_USAGE
-    scorer = teacher if strategy.needs_teacher else None
+    scorer = compute_copy(teacher) if strategy.needs_teacher else None
+    if args.predicted:
+        params = compute_copy(params)
     docs = (corpus.heldout or corpus.train)[: args.docs]
     masks = []
     for doc in docs:

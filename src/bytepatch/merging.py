@@ -14,6 +14,7 @@ import numpy as np
 from .model import ModelConfig, ParamStore
 from .teacher import run_teachers
 from .tokenizer import SubwordVocab, encode
+from .training import compute_copy
 
 MAX_DOC_BYTES = 512  # the embedding-reset check scores each document's first bytes only
 
@@ -66,8 +67,8 @@ def reset_embeddings_check(
     reset = ParamStore(posttrained)  # shares the arrays: only entries are replaced
     for tag in ("subword_embed", "lm_head"):
         reset.update(base.component(tag))
-    ce_post = _corpus_ce(posttrained, cfg, vocab, eval_docs)
-    ce_reset = _corpus_ce(reset, cfg, vocab, eval_docs)
+    ce_post = _corpus_ce(compute_copy(posttrained), cfg, vocab, eval_docs)
+    ce_reset = _corpus_ce(compute_copy(reset), cfg, vocab, eval_docs)
     return {"ce_posttrained": ce_post, "ce_reset": ce_reset, "ratio": ce_reset / ce_post}
 
 

@@ -71,16 +71,22 @@ class AdamW:
             for p, master in zip(params, self.masters[name], strict=True):
                 if p.grad is None:
                     continue
+                # m = β1·m + (1-β1)·g;  v = β2·v + ((1-β2)·g)·g
+                # w -= lr·(m/bc1) / (√(v/bc2) + ε);  w -= (lr·WEIGHT_DECAY)·w
+                # computed in `g` and one scratch array, each in that order
                 g = np.multiply(p.grad, scale, dtype=np.float64)
+                s = np.empty_like(g)
                 m = self.m[id(p)]
                 v = self.v[id(p)]
                 m *= BETA1
-                m += (1.0 - BETA1) * g
+                m += np.multiply(g, 1.0 - BETA1, out=s)
                 v *= BETA2
-                v += (1.0 - BETA2) * g * g
-                update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-                master.data -= lr * update
-                master.data -= lr * WEIGHT_DECAY * master.data
+                v += np.multiply(np.multiply(g, 1.0 - BETA2, out=s), g, out=s)
+                np.sqrt(np.divide(v, bc2, out=s), out=s)
+                s += EPS
+                update = np.divide(np.divide(m, bc1, out=g), s, out=g)
+                master.data -= np.multiply(update, lr, out=update)
+                master.data -= np.multiply(master.data, lr * WEIGHT_DECAY, out=s)
                 if p.data is not master.data:
                     np.copyto(p.data, master.data, casting="same_kind")
         return norm

@@ -28,7 +28,9 @@ class TeacherOutputs:
     token_ids has m+1 entries ([BOS, t_1..t_m]); next_logp[i] is the teacher's
     log-likelihood of token i+1 given the prefix, so it has m entries. The
     activation matrices are cached in float32 to keep large window caches
-    small; scalar log-likelihoods stay at full precision.
+    small; the per-token log-likelihoods and entropies take the dtype of the
+    store the teacher ran on (float32 in training and evaluation, which run
+    the teacher on a compute copy).
     """
 
     token_ids: np.ndarray  # (m+1,)
@@ -78,8 +80,8 @@ def run_teachers(
             logp = T.log_softmax(logits).data[:, :m]  # (b, m, V)
             next_logp = np.take_along_axis(logp, token_ids[:, 1:, None], axis=-1)[..., 0]
             entropy = -(np.exp(logp) * logp).sum(axis=-1)
-            probe32 = probe.data.astype(np.float32)
-            z32 = z.data.astype(np.float32)
+            probe32 = probe.data.astype(np.float32, copy=False)
+            z32 = z.data.astype(np.float32, copy=False)
             for r, i in enumerate(rows):
                 out[i] = TeacherOutputs(
                     token_ids=token_ids[r],

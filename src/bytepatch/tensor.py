@@ -456,9 +456,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dims {sa} @ {sb}")
     if len(sa) > 2 and len(sb) > 2 and sa[:-2] != sb[:-2]:
         raise ShapeError(f"matmul: batch dims must match exactly, got {sa} @ {sb}")
-    # a batched operand against a plain one (a weight) sums the plain
-    # operand's gradient over the batch axes
-    return _make(np.matmul(a.data, b.data), "matmul",
+    # the forward keeps np.matmul's GEMM per batch entry: a BLAS row's sum
+    # order can depend on the row count, so one (B·n, d) GEMM need not give
+    # the same bits
+    out = np.matmul(a.data, b.data)
+    if len(sa) > 2 and len(sb) == 2:
+        # a batched operand against a weight: each gradient is one GEMM over
+        # the (B·n, d) rows, reshaped inside the VJP so that no closure holds a copy
+        d, m = sb
+        return _make(out, "matmul",
+                     (a, lambda g: (g.reshape(-1, m) @ b.data.T).reshape(sa)),
+                     (b, lambda g: a.data.reshape(-1, d).T @ g.reshape(-1, m)))
+    # a plain operand against a batched one sums its gradient over the batch axes
+    return _make(out, "matmul",
                  (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), sa)),
                  (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), sb)))
 

@@ -61,7 +61,13 @@ from .teacher import TeacherOutputs, run_teacher, run_teachers, teacher_nll
 from .tensor import Tensor
 from .tokenizer import SubwordVocab, encode, mask_from_token_ids, suffix_ids
 
-COMPUTE_DTYPE = np.float32  # every training step; masters and moments stay float64
+COMPUTE_DTYPE = np.float32  # every training step and forward-only pass; masters and moments stay float64
+
+
+def compute_copy(params: ParamStore) -> ParamStore:
+    """A store of new COMPUTE_DTYPE arrays with `params`' values, outside the
+    graph: what every training step and forward-only pass computes on."""
+    return ParamStore({n: Tensor(t.data.astype(COMPUTE_DTYPE)) for n, t in params.items()})
 
 
 @dataclass
@@ -346,7 +352,7 @@ def _train_loop(
     the loop returns or raises, the caller's tensors are float64 plain
     values holding the last completed update."""
     sampler = WindowSampler(rows, tcfg.batch_size, tcfg.seed)
-    work = ParamStore({n: Tensor(t.data.astype(COMPUTE_DTYPE)) for n, t in params.items()})
+    work = compute_copy(params)
     opt = AdamW({g: [work[n] for n in names] for g, names in groups.items()},
                 masters={g: [params[n] for n in names] for g, names in groups.items()})
     log = MetricsLog(log_path)
@@ -382,7 +388,8 @@ def train_conversion(
     learning-rate group."""
     if tcfg.stage == 1 and teacher_params is None:
         raise ValueError("stage 1 needs the teacher")
-    windows = prepare_windows(docs, vocab, cfg, tcfg, teacher_params)
+    teacher = compute_copy(teacher_params) if teacher_params is not None else None
+    windows = prepare_windows(docs, vocab, cfg, tcfg, teacher)
     stage2 = tcfg.stage == 2
     group_tags = {"global": ("global",)} if stage2 else {}
     group_tags["local"] = LOCAL_COMPONENTS
@@ -441,7 +448,8 @@ def evaluate_bpb(
     boundary accuracy against the supervision mask, and the attained
     compression of the predicted boundaries over the content bytes."""
     strategy = strategy or MergeStrategy("subword")
-    scorer = teacher_params if strategy.needs_teacher else None
+    params = compute_copy(params)
+    scorer = compute_copy(teacher_params) if strategy.needs_teacher and teacher_params is not None else None
     real = scored_positions(cfg)
     tot_ce = 0.0
     tot_pos = 0
@@ -485,6 +493,7 @@ def evaluate_alignment(
 ) -> dict:
     """Mean absolute difference between student per-patch log-likelihood and
     teacher per-token log-likelihood under teacher-mask pooling."""
+    params, teacher_params = compute_copy(params), compute_copy(teacher_params)
     diffs = []
     for doc in docs:
         content = doc[:max_doc_bytes]

@@ -6,6 +6,7 @@ from bytepatch.model import ModelConfig, init_teacher
 from bytepatch import teacher as teacher_mod
 from bytepatch.teacher import run_teacher, run_teachers, teacher_logits, teacher_nll
 from bytepatch.tokenizer import encode, train_bpe
+from bytepatch.training import compute_copy
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +78,17 @@ def test_run_teachers_matches_run_teacher(setup, monkeypatch, batch_rows):
             assert getattr(got, name).dtype == np.float32
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-6)
     assert run_teachers(params, cfg, vocab, []) == []
+
+
+def test_run_teachers_on_a_float32_copy_tracks_float64(setup):
+    """Training and evaluation run the teacher on its compute copy; every
+    output stays within 1e-5 of the float64 store's."""
+    docs, vocab, cfg, params = setup
+    id_lists = [encode(vocab, docs[0][:k]) for k in (7, 20, len(docs[0]))]
+    ref = run_teachers(params, cfg, vocab, id_lists)
+    got = run_teachers(compute_copy(params), cfg, vocab, id_lists)
+    for g, r in zip(got, ref, strict=True):
+        assert np.array_equal(g.token_ids, r.token_ids)
+        for field in ("next_logp", "entropy", "probe", "z"):
+            assert getattr(g, field).dtype == np.float32
+            np.testing.assert_allclose(getattr(g, field), getattr(r, field), rtol=0, atol=1e-5)

@@ -193,6 +193,24 @@ def test_float32_norm_of_zero_has_a_finite_gradient():
         assert x.grad.dtype == dtype and np.array_equal(x.grad, np.zeros(4))
 
 
+@pytest.mark.parametrize("b, n", [(8, 88), (1, 512)])
+def test_matmul_against_a_weight_matches_the_batched_form(b, n):
+    """A batched operand against a 2-D weight: np.matmul's forward bits, and
+    gradients from GEMMs over the (B·n, d) rows within 1e-12 of the per-batch
+    products."""
+    rng = np.random.default_rng(b)
+    a, w, g = rng.normal(size=(b, n, 128)), rng.normal(size=(128, 256)), rng.normal(size=(b, n, 256))
+    ta, tw = Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)
+    out = T.matmul(ta, tw)
+    assert np.array_equal(out.data, np.matmul(a, w))
+    (out * Tensor(g)).sum().backward()
+    ref_a = np.matmul(g, w.T)
+    ref_w = np.matmul(np.swapaxes(a, -1, -2), g).sum(axis=0)
+    for got, ref in ((ta.grad, ref_a), (tw.grad, ref_w)):
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_matmul_requires_matching_batch():
     with pytest.raises(ShapeError):
         T.matmul(t(RNG.normal(size=(2, 3, 4))), t(RNG.normal(size=(3, 4, 5))))

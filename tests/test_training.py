@@ -9,7 +9,7 @@ import pytest
 
 from bytepatch import teacher as teacher_mod
 from bytepatch import training as tr
-from bytepatch.boundaries import MergeStrategy
+from bytepatch.boundaries import MergeStrategy, attained_compression
 from bytepatch.checkpoint import load_checkpoint, save_checkpoint
 from bytepatch.cli import build_train_config, parse_config_file
 from bytepatch.data import EOT, DataError, make_windows, markov_word_docs
@@ -18,9 +18,12 @@ from bytepatch.model import (
     ModelConfig,
     ParamStore,
     forward_full,
+    fused_targets,
     init_byte_model,
     init_teacher,
+    scored_positions,
 )
+from bytepatch.losses import ce_fused
 from bytepatch.optim import AdamW
 from bytepatch.tensor import NonFiniteError, Tensor
 from bytepatch.tokenizer import encode, train_bpe, utf8_to_bytes
@@ -344,6 +347,63 @@ def test_evaluation_counts_capped_boundaries(toy):
     # the BOS byte opens each document's first patch, and its last patch may be short
     assert 3 < capped["attained_compression"] <= 4
     assert capped["boundary_acc"] != uncapped["boundary_acc"]
+
+
+def test_evaluation_and_training_leave_the_callers_stores_untouched(toy, monkeypatch):
+    """Forward-only passes and steps compute on copies of their own: the
+    stores passed in come back float64, outside the graph and without
+    gradients, and only training's masters change."""
+    docs, vocab, cfg, teacher = toy
+    student, teacher = init_byte_model(cfg, np.random.default_rng(1), teacher), teacher.copy()
+    caller = [t.data for params in (student, teacher) for t in params.values()]
+    before = [a.copy() for a in caller]
+    copies = []
+    compute_copy = tr.compute_copy
+
+    def recording_copy(params):
+        copies.append(compute_copy(params))
+        return copies[-1]
+
+    monkeypatch.setattr(tr, "compute_copy", recording_copy)
+    tr.evaluate_bpb(student, cfg, vocab, docs[:3], MergeStrategy("entropy", 3.0), teacher)
+    tr.evaluate_alignment(student, cfg, vocab, teacher, docs[:3])
+    assert len(copies) == 4  # model and scorer, model and teacher
+    assert all(np.array_equal(a, b) for a, b in zip(caller, before, strict=True))
+    train_conversion(student, cfg, vocab, teacher, docs[:4], TrainConfig(stage=1, steps=1, batch_size=2,
+                                                                       max_bytes=48, seed=3))
+    assert len(copies) == 6  # the teacher's for its windows, and the step loop's
+    assert all(np.array_equal(t.data, b) for t, b in zip(teacher.values(), before[len(student):], strict=True))
+    assert_at_rest(student)
+    assert_at_rest(teacher)
+    for copy in copies:
+        assert {t.dtype for t in copy.values()} == {np.dtype(tr.COMPUTE_DTYPE)}
+        assert not any(np.shares_memory(t.data, a) for t in copy.values() for a in caller)
+
+
+def test_float32_evaluation_tracks_its_float64_oracle(toy):
+    """`evaluate_bpb` computes on a float32 copy; the reference is the float64
+    store's own `forward_full` and `ce_fused` over the same windows."""
+    docs, vocab, cfg, teacher = toy
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    real = scored_positions(cfg)
+    ce = n = correct = scored = 0
+    masks = []
+    for doc in docs[:6]:
+        w = prepare_window(doc[:512], vocab, cfg, None, MergeStrategy("subword"))
+        out = forward_full(student, cfg, w.model_bytes[None, :], w.suffix[None, :])
+        assert out["logprobs"].dtype == np.float64
+        k = len(w.model_bytes) - 1
+        ce += ce_fused(out["logprobs"], fused_targets(w.model_bytes[1:], w.mask[1:])[None, :]).item() * k
+        n += k
+        pred = out["mask"][0]
+        correct += int((pred[real] == w.mask[real]).sum())
+        scored += pred[real].size
+        masks.append(pred[1:])
+    got = tr.evaluate_bpb(student, cfg, vocab, docs[:6])
+    assert got["n_positions"] == n
+    assert got["ce_nats"] == pytest.approx(ce / n, rel=1e-5)
+    assert got["boundary_acc"] == correct / scored
+    assert got["attained_compression"] == attained_compression(masks)
 
 
 def test_stage1_loss_decreases_smoke(toy):
