@@ -63,7 +63,8 @@ def reset_embeddings_check(
     """Cross-entropy ratio of (post-trained model with its input and output
     embeddings reset to the base model's) over the post-trained model itself.
     Reported, never asserted: near 1 means the embedding spaces stayed
-    compatible and checkpoint arithmetic transfer is viable."""
+    compatible and checkpoint arithmetic transfer is viable. Both stores are
+    scored on float32 compute copies."""
     reset = ParamStore(posttrained)  # shares the arrays: only entries are replaced
     for tag in ("subword_embed", "lm_head"):
         reset.update(base.component(tag))

@@ -8,7 +8,8 @@ All forward functions are pure in (params, inputs); parameters live in a flat
 training groups and checkpoint arithmetic. Parameters are plain float64
 values: only the training step loop differentiates them, through a copy in
 its compute dtype, and every forward computes in the dtype of the store it
-is given.
+is given. Training and evaluation give float32 copies; decoding
+(`inference`) gives the float64 store itself.
 
 The numerical constants are fixed, not configured: the RMS epsilon, RoPE base
 and mLSTM gate soft cap live in ``layers`` (the first two are shared with the

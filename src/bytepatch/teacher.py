@@ -6,7 +6,9 @@ supervision score tokens by the entropies and the negated log-likelihoods.
 
 `run_teachers` is the one place that collects them. It batches documents of
 equal token count into one forward each, so no row is padded; `run_teacher`
-is the same call on one document.
+is the same call on one document. Both compute in the dtype of the store they
+are given: training, evaluation and the embedding-reset check give float32
+copies, and the tests' float64 stores are their oracle.
 """
 
 from __future__ import annotations

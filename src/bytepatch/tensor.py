@@ -4,7 +4,8 @@ The graph is built define-by-run: every op hands `_make` its output and one
 vector-Jacobian product (VJP) per input, a function from the output's
 gradient to that input's. `_make` keeps only the VJPs of inputs in the graph
 (`requires_grad`), so constants and frozen weights get no gradient computed
-or stored. Parameters are plain float64 values outside the graph, so
+or stored. Parameters are plain float64 values outside the graph, and so are
+the float32 copies that evaluation and window preparation compute on, so
 forward-only passes record nothing; only the training step loop puts tensors
 in it, float32 copies of the parameters, while it runs. Calling
 ``backward()`` on a scalar walks the recorded graph once in reverse

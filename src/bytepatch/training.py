@@ -19,12 +19,15 @@ over all training windows in batches of equal token count; `prepare_window`
 builds one window (evaluation, boundary dumps) with the same assembly code.
 Both stages and the teacher's own training share one step loop; metrics
 stream to a line-delimited log, one JSON record per step. The loop alone
-casts the parameters to the compute dtype and puts tensors in the autodiff
-graph: every step runs forward and backward on a float32 copy of the
-parameters, whose trained entries are in the graph while the loop runs, and
-AdamW keeps float64 master weights and moments. Parameters at rest,
-checkpoints, window preparation and evaluation stay float64 and build no
-graph.
+puts tensors in the autodiff graph: every step runs forward and backward on
+a float32 copy of the parameters (`compute_copy`), whose trained entries are
+in the graph while the loop runs, and AdamW keeps float64 master weights and
+moments. The forward-only passes compute on such copies too, made by their
+entry points and never in the graph: `train_conversion` runs the teacher for
+its windows on one, and `evaluate_bpb` and `evaluate_alignment` run the model
+and the teacher on theirs. `prepare_windows` and `prepare_window` compute in
+the dtype of the store they are given. Parameters at rest, checkpoints and
+decoding stay float64.
 """
 
 from __future__ import annotations
@@ -388,8 +391,9 @@ def train_conversion(
     learning-rate group."""
     if tcfg.stage == 1 and teacher_params is None:
         raise ValueError("stage 1 needs the teacher")
-    teacher = compute_copy(teacher_params) if teacher_params is not None else None
-    windows = prepare_windows(docs, vocab, cfg, tcfg, teacher)
+    # the teacher's copy lives only while the windows are prepared
+    windows = prepare_windows(docs, vocab, cfg, tcfg,
+                              compute_copy(teacher_params) if teacher_params is not None else None)
     stage2 = tcfg.stage == 2
     group_tags = {"global": ("global",)} if stage2 else {}
     group_tags["local"] = LOCAL_COMPONENTS
