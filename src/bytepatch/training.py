@@ -450,7 +450,8 @@ def evaluate_bpb(
     """Held-out metrics with the model pooling on its own boundaries: fused
     cross-entropy (reported as bits per byte against the supervision targets),
     boundary accuracy against the supervision mask, and the attained
-    compression of the predicted boundaries over the content bytes."""
+    compression of the predicted boundaries over the content bytes. The
+    model and the scorer run on float32 compute copies."""
     strategy = strategy or MergeStrategy("subword")
     params = compute_copy(params)
     scorer = compute_copy(teacher_params) if strategy.needs_teacher and teacher_params is not None else None
@@ -496,7 +497,8 @@ def evaluate_alignment(
     max_doc_bytes: int = 512,
 ) -> dict:
     """Mean absolute difference between student per-patch log-likelihood and
-    teacher per-token log-likelihood under teacher-mask pooling."""
+    teacher per-token log-likelihood under teacher-mask pooling, both run on
+    float32 compute copies."""
     params, teacher_params = compute_copy(params), compute_copy(teacher_params)
     diffs = []
     for doc in docs:
