@@ -56,11 +56,16 @@ class AdamW:
         return float(np.sqrt(total))
 
     def step(self) -> float:
-        """Apply one update; returns the pre-clip global gradient norm."""
-        for p in self.params():
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise NonFiniteError("non-finite gradient in optimizer step")
+        """Apply one update; returns the pre-clip global gradient norm.
+
+        Raises `NonFiniteError`, before any state changes, when that norm is
+        not finite. For float32 gradients this is exactly a NaN or Inf in
+        some gradient: a float32 value squared cannot overflow float64. A
+        float64 gradient with an entry above about 1e154 overflows the sum of
+        squares and raises too, rather than being clipped to a zero gradient."""
         norm = self.grad_norm()
+        if not np.isfinite(norm):
+            raise NonFiniteError("non-finite gradient in optimizer step")
         scale = GRAD_CLIP / norm if norm > GRAD_CLIP else 1.0
         self.step_count += 1
         t = self.step_count

@@ -125,7 +125,7 @@ def test_mlstm_saturated_gates_stay_finite_across_chunks(chunk, n):
     # forget gates pinned open (+50) and shut (-50) with input gates up to 14:
     # the gate cumsums reach thousands over 300 bytes, and padded rows must not
     # overflow either (300 B in chunks of at most 7 is 43 of 7, the last padded
-    # by 1; at most CHUNK, 3 of 100 or 3 of 101 padded by 2)
+    # by 1; at most CHUNK = 32, 10 of 30, or for 301 B 10 of 31 padded by 9)
     rng = np.random.default_rng(13)
     p = mlstm_params(rng)
     p["m.b_f"].data[:] = [50.0, -50.0]
@@ -151,8 +151,20 @@ def test_mlstm_chunks_bound_forward_memory():
             tracemalloc.stop()
 
     assert peak(1024) <= peak(1024, chunk=1024) / 4
-    # balanced chunks: 513 bytes run as five chunks of 103, not of 128
-    assert peak(513) < peak(512)
+    # balanced chunks: at most 128 B, 513 bytes run as five chunks of 103, not of 128
+    assert peak(513, chunk=128) < peak(512, chunk=128)
+
+
+@pytest.mark.parametrize("n", [L.CHUNK - 1, L.CHUNK, L.CHUNK + 1, 2 * L.CHUNK + 1])
+def test_mlstm_matches_sequential_oracle_at_chunk_boundaries(n):
+    # CHUNK - 1 and CHUNK bytes run as one chunk, CHUNK + 1 and 2 * CHUNK + 1 as
+    # two and three balanced chunks with the last one padded (2 of 17 and 3 of 22
+    # at CHUNK = 32)
+    rng = np.random.default_rng(15)
+    p = mlstm_params(rng)
+    x = rng.normal(size=(2, n, D))
+    out = L.mlstm_block(p, "m", Tensor(x), HEADS, QK, VD).data
+    np.testing.assert_allclose(out, mlstm_oracle(p, x), rtol=1e-10, atol=1e-12)
 
 
 def test_mlstm_length_one():

@@ -1,9 +1,11 @@
-"""AdamW's in-place update against the formula it computes."""
+"""AdamW's in-place update against the formula it computes, and its refusal
+of a non-finite gradient."""
 
 import numpy as np
+import pytest
 
 from bytepatch.optim import BETA1, BETA2, EPS, GRAD_CLIP, WEIGHT_DECAY, AdamW
-from bytepatch.tensor import Tensor
+from bytepatch.tensor import NonFiniteError, Tensor
 
 SHAPES = [(16, 24), (24,), (3, 5, 7), (1,)]
 
@@ -56,3 +58,20 @@ def test_in_place_step_is_bit_identical_to_the_formula():
         assert p.data.dtype == np.float32 and m.data.dtype == np.float64
         assert np.array_equal(p.data, r.data) and np.array_equal(m.data, rm.data)
         assert np.array_equal(opt.m[id(p)], ref.m[id(r)]) and np.array_equal(opt.v[id(p)], ref.v[id(r)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_non_finite_gradient_raises_before_any_state_changes(bad):
+    opt, masters, work, _ = run(AdamW.step, n_steps=2)
+    state = [(m.data.copy(), p.data.copy(), opt.m[id(p)].copy(), opt.v[id(p)].copy())
+             for m, p in zip(masters, work, strict=True)]
+    for i, p in enumerate(work):
+        for q in work:
+            q.grad = np.full(q.shape, 0.1, dtype=np.float32)
+        p.grad.flat[-1] = bad
+        with pytest.raises(NonFiniteError):
+            opt.step()
+        assert opt.step_count == 2, i
+        for (m0, p0, mo, vo), m, q in zip(state, masters, work, strict=True):
+            assert np.array_equal(m.data, m0) and np.array_equal(q.data, p0), i
+            assert np.array_equal(opt.m[id(q)], mo) and np.array_equal(opt.v[id(q)], vo), i
