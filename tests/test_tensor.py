@@ -1,5 +1,8 @@
 """Engine-level checks: forward values, backward correctness against central
-finite differences, shape policing, and the non-finite guard."""
+finite differences, shape policing, the non-finite guard and the malloc
+thresholds the engine fixes at import."""
+
+import ctypes
 
 import numpy as np
 import pytest
@@ -126,6 +129,31 @@ def test_backward_releases_every_intermediate():
     reused = inner[-2] * 2.0
     assert reused._vjps == () and not reused.requires_grad
     assert [p for p, _ in (inner[-2] * x)._vjps] == [x]
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
+def test_blocks_below_the_mmap_threshold_stay_on_the_heap():
+    """A 16-MiB array, far above glibc's default 128-KiB mmap threshold,
+    comes from the heap, and freeing it leaves the heap its pages."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version
+        mallinfo2 = libc.mallinfo2  # glibc 2.33 and later
+    except (OSError, TypeError, AttributeError):
+        pytest.skip("needs glibc 2.33 or later")
+    mallinfo2.restype = _Mallinfo2
+    mapped = mallinfo2().hblkhd
+    a = np.ones(T.MMAP_THRESHOLD // 2 // 8)
+    during = mallinfo2()
+    del a
+    after = mallinfo2()
+    assert during.hblkhd == mapped
+    assert after.arena == during.arena
 
 
 def test_nonfinite_surfaces():
