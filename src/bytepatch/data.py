@@ -40,7 +40,8 @@ class CorpusManifest:
 def load_corpus(path: str | Path, seed: int = 0, holdout_frac: float = 0.1) -> CorpusManifest:
     """Read .txt and .jsonl documents under `path`, append the terminator
     byte, shuffle deterministically, and split off a `holdout_frac` share,
-    in [0, 1), of the documents."""
+    in [0, 1), of the documents. A .jsonl line is blank or a JSON object
+    with a string "text"."""
     if not 0 <= holdout_frac < 1:
         raise DataError(f"holdout_frac must be in [0, 1), got {holdout_frac}")
     path = Path(path)
@@ -56,11 +57,16 @@ def load_corpus(path: str | Path, seed: int = 0, holdout_frac: float = 0.1) -> C
             if text.strip():
                 docs.append(utf8_to_bytes(text) + bytes([EOT]))
         else:
-            for line in f.read_text(encoding="utf-8").splitlines():
+            for lineno, line in enumerate(f.read_text(encoding="utf-8").splitlines(), 1):
                 if not line.strip():
                     continue
-                rec = json.loads(line)
-                if rec.get("text", "").strip():
+                try:
+                    rec = json.loads(line)
+                except ValueError as e:
+                    raise DataError(f"{f}:{lineno}: not JSON: {e}") from None
+                if not isinstance(rec, dict) or not isinstance(rec.get("text"), str):
+                    raise DataError(f"{f}:{lineno}: not a JSON object with a string \"text\"")
+                if rec["text"].strip():
                     docs.append(utf8_to_bytes(rec["text"]) + bytes([EOT]))
     if not docs:
         raise DataError(f"no documents under {path}")

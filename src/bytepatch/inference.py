@@ -37,8 +37,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise InferenceError("temperature must be >= 0")
+        if not 0 <= self.temperature < np.inf:
+            raise InferenceError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not 0 < self.top_p <= 1:
             raise InferenceError("top_p must be in (0, 1]")
 
@@ -138,7 +138,7 @@ def prefill(
     state = _fresh_state(params, cfg, seed)
     e_hats = np.stack([_encode_byte(params, cfg, state, vocab_index, b) for b in prompt])
     scores = predict_boundaries(params, cfg, Tensor(e_hats[None]))
-    mask = predicted_mask(scores.data, cfg.boundary_threshold, cfg.patch_cap)[0]
+    mask = predicted_mask(scores.data, cfg.patch_cap)[0]
     # replay: close patches and advance the decoder in byte order
     for e, b in zip(e_hats, mask):
         _close_or_extend(params, cfg, state, e, b)

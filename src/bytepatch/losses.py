@@ -5,7 +5,7 @@ of pooled byte representations to subword activations probed through the first
 n backbone layers, a patch-likelihood distillation term using a
 temperature-modulated binary cross-entropy computed in log space, and a plain
 next-fused-symbol cross-entropy. Reductions: per-byte mean for the BCE terms,
-per-patch mean for the encoder-match and distillation terms, so the default
+per-patch mean for the encoder-match and distillation terms, so the loss
 weights keep their meaning across sequence lengths.
 """
 
@@ -17,6 +17,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 CLAMP_EPS = 1e-7  # probability floor/ceiling in all BCE-style terms
+TAU = 5.0  # distillation temperature: decoder_distill compares likelihoods raised to 1/TAU
 
 
 def boundary_bce(p: Tensor, mask: np.ndarray) -> Tensor:
@@ -43,7 +44,7 @@ def encoder_match(student_probe: Tensor, teacher_probe: np.ndarray, valid: np.nd
     return (norms * w).sum() / float(np.sum(valid))
 
 
-def f_temp_bce(student_logp: Tensor, teacher_logp: np.ndarray, tau: float = 5.0) -> Tensor:
+def f_temp_bce(student_logp: Tensor, teacher_logp: np.ndarray, tau: float) -> Tensor:
     """Temperature-modulated binary cross-entropy between two likelihoods
     given as log-probabilities, evaluated entirely in log space:
 
@@ -93,17 +94,16 @@ def decoder_distill(
     valid: np.ndarray,
     teacher_logp: np.ndarray,
     teacher_valid: np.ndarray,
-    tau: float = 5.0,
 ) -> Tensor:
-    """Per-patch likelihood matching: compare each patch's student
-    log-likelihood against the teacher's log-likelihood of the aligned token,
-    mean-reduced over patches. Teacher-mask pooling makes misalignment
-    impossible; this is asserted, not handled."""
+    """Per-patch likelihood matching: `f_temp_bce` at `TAU` between each
+    patch's student log-likelihood and the teacher's log-likelihood of the
+    aligned token, mean-reduced over patches. Teacher-mask pooling makes
+    misalignment impossible; this is asserted, not handled."""
     sums, sums_valid = patch_logprobs(logprobs, targets, ends, valid)
     teacher_valid = np.asarray(teacher_valid, dtype=bool)
     if sums_valid.shape != teacher_valid.shape or not np.array_equal(sums_valid, teacher_valid):
         raise AssertionError("patch/token misalignment between student and teacher")
-    f = f_temp_bce(sums, np.where(teacher_valid, teacher_logp, -1.0), tau=tau)
+    f = f_temp_bce(sums, np.where(teacher_valid, teacher_logp, -1.0), TAU)
     w = Tensor(teacher_valid.astype(logprobs.dtype), _op="const")
     return (f * w).sum() / float(teacher_valid.sum())
 

@@ -13,8 +13,8 @@ is given. Training and evaluation give float32 copies; decoding
 
 The numerical constants are fixed, not configured: the RMS epsilon, RoPE base
 and mLSTM gate soft cap live in ``layers`` (the first two are shared with the
-transplanted backbone), the boundary head's cosine epsilon and the mLSTM
-input-gate bias initialization here; the boundary projections are d x d.
+transplanted backbone), the boundary head's cosine epsilon and threshold, its
+d x d projections and the mLSTM input-gate bias initialization here.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .tensor import Tensor
 
 N_FUSED = 512  # 256 bytes x boundary bit
 COS_EPS = 1e-8  # keeps the boundary head's cosine finite for a zero projection
+BOUNDARY_THRESHOLD = 0.5  # scores are half a cosine distance: above 0.5, the cosine is negative
 INPUT_GATE_BIAS_INIT = -10.0  # mLSTM input gates start nearly closed (xLSTM)
 COMPONENTS = (
     "byte_embed",
@@ -63,7 +64,6 @@ class ModelConfig:
     global_heads: int = 4
     global_head_dim: int = 32
     boundary_mode: str = "noncausal"  # or "causal" (ablation)
-    boundary_threshold: float = 0.5
     patch_cap: int = 64  # a patch closes when it reaches this many bytes, predicted or decoded
 
     def __post_init__(self):
@@ -79,9 +79,6 @@ class ModelConfig:
             raise ConfigError(f"n_probe must be in [0, global layers], got {self.n_probe}")
         if self.boundary_mode not in ("noncausal", "causal"):
             raise ConfigError(f"bad boundary_mode {self.boundary_mode!r}")
-        if not 0 <= self.boundary_threshold < 1:
-            # scores are half a cosine distance, so never above 1
-            raise ConfigError(f"boundary_threshold must be in [0, 1), got {self.boundary_threshold}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -300,11 +297,11 @@ def _cosine_score(q: Tensor, k: Tensor) -> Tensor:
     return (1.0 - cos) * 0.5
 
 
-def predicted_mask(p_scores: np.ndarray, threshold: float, patch_cap: int) -> np.ndarray:
-    """Boundaries where the score passes the threshold, at the last byte,
-    and wherever an open patch reaches `patch_cap` bytes: the rule decoding
-    closes patches by, applied left to right."""
-    mask = np.asarray(p_scores) > threshold
+def predicted_mask(p_scores: np.ndarray, patch_cap: int) -> np.ndarray:
+    """Boundaries where the score passes `BOUNDARY_THRESHOLD`, at the last
+    byte, and wherever an open patch reaches `patch_cap` bytes: the rule
+    decoding closes patches by, applied left to right."""
+    mask = np.asarray(p_scores) > BOUNDARY_THRESHOLD
     mask[..., -1] = True
     pos = np.arange(mask.shape[-1])
     last = np.maximum.accumulate(np.where(mask, pos, -1), axis=-1)
@@ -406,7 +403,7 @@ def forward_full(
     e_hat = local_encode(params, cfg, e)
     p = predict_boundaries(params, cfg, e_hat)
     if mask is None:
-        mask = predicted_mask(p.data, cfg.boundary_threshold, cfg.patch_cap)
+        mask = predicted_mask(p.data, cfg.patch_cap)
     else:
         mask = np.atleast_2d(np.asarray(mask, dtype=bool))
     ends, valid = pool_indices(mask)

@@ -9,7 +9,8 @@ and the decoder path does not backpropagate into the encoder.
 
 Stage 2 trains everything end-to-end with predicted-boundary pooling, keeping
 only the boundary BCE and the fused cross-entropy, with the byte-level modules
-on twice the backbone learning rate.
+on twice the backbone learning rate. Both stages weigh the boundary BCE by
+`BOUNDARY_WEIGHT` and every other term by 1.
 
 This module alone turns a document into a training window: `TrainConfig.strategy`
 picks the stage's boundary supervision, each window's text is encoded once,
@@ -65,6 +66,7 @@ from .tensor import Tensor
 from .tokenizer import SubwordVocab, encode, mask_from_token_ids, suffix_ids
 
 COMPUTE_DTYPE = np.float32  # every training step and forward-only pass; masters and moments stay float64
+BOUNDARY_WEIGHT = 4.0  # the boundary BCE's weight in both stages' totals
 
 
 def compute_copy(params: ParamStore) -> ParamStore:
@@ -81,26 +83,20 @@ class TrainConfig:
     max_bytes: int = 128  # window length including the BOS byte
     peak_lr: float = 1e-3  # byte-level modules; the backbone (stage 2) gets half
     warmup_steps: int = 0  # 0 -> steps // 10
-    tau: float = 5.0
     merge_kind: str = "subword"  # stage 2 only; stage 1 always distills subword ends
     target_compression: float = 0.0  # stage 2 only
     seed: int = 0
-    lambda_boundary: float = 4.0  # loss weights; stage 2 uses boundary and ce only
-    lambda_encoder: float = 1.0
-    lambda_distill: float = 1.0
-    lambda_ce: float = 1.0
 
     def __post_init__(self):
         if self.stage not in (1, 2):
             raise ValueError("stage must be 1 or 2")
-        for name in ("steps", "peak_lr", "warmup_steps", "lambda_boundary", "lambda_encoder", "lambda_distill",
-                     "lambda_ce"):
+        for name in ("steps", "peak_lr", "warmup_steps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not np.isfinite(self.peak_lr):
+            raise ValueError(f"peak_lr must be finite, got {self.peak_lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
 
     def strategy(self) -> MergeStrategy:
         """The boundary supervision this stage trains on: the teacher's own
@@ -273,13 +269,10 @@ def stage1_step(
     z_hat = local_decode(params, cfg, z)
     logprobs = lm_head_fused(params, cfg, z_hat)
     l_ce = ce_fused(logprobs, arrays["targets"])
-    l_d = decoder_distill(
-        logprobs, arrays["targets"], arrays["ends"], arrays["valid"],
-        t_logp, arrays["valid"][:, 1:], tau=tcfg.tau,
-    )
+    l_d = decoder_distill(logprobs, arrays["targets"], arrays["ends"], arrays["valid"],
+                          t_logp, arrays["valid"][:, 1:])
 
-    total = (tcfg.lambda_boundary * l_b + tcfg.lambda_encoder * l_e
-             + tcfg.lambda_distill * l_d + tcfg.lambda_ce * l_ce)
+    total = BOUNDARY_WEIGHT * l_b + l_e + l_d + l_ce
     opt.zero_grad()
     total.backward()
     grad_norm = opt.step()
@@ -301,7 +294,7 @@ def stage2_step(
     out = forward_full(params, cfg, arrays["y"], arrays["sfx"])
     l_b = boundary_bce(out["p"], arrays["mask"])
     l_ce = ce_fused(out["logprobs"], arrays["targets"])
-    total = tcfg.lambda_boundary * l_b + tcfg.lambda_ce * l_ce
+    total = BOUNDARY_WEIGHT * l_b + l_ce
     opt.zero_grad()
     total.backward()
     grad_norm = opt.step()
@@ -311,7 +304,7 @@ def stage2_step(
 
 
 def _step_metrics(p_scores: np.ndarray, mask: np.ndarray, cfg: ModelConfig, grad_norm: float) -> dict:
-    pred = predicted_mask(p_scores, cfg.boundary_threshold, cfg.patch_cap)
+    pred = predicted_mask(p_scores, cfg.patch_cap)
     real = scored_positions(cfg)
     acc = float((pred[:, real] == mask[:, real]).mean())
     content = pred[:, 1:]  # the BOS position is no byte of the text
@@ -349,11 +342,12 @@ def _train_loop(
     It copies every entry of `params`, trained and frozen, to float32 once;
     then, per step, `lr_at` sets each group's learning rate, and one draw
     from `rows`, one `step(copy, cfg, tcfg, opt, batch)` and one JSONL record
-    of its metrics follow. `groups` names the trained entries: AdamW updates
-    their float64 masters, the caller's own tensors, and writes each back
-    into its copy. Only the copies are ever in the autodiff graph, so once
-    the loop returns or raises, the caller's tensors are float64 plain
-    values holding the last completed update."""
+    of its metrics follow (no step reads `tcfg`: it keeps the batch fifth,
+    where perfbench counts its bytes). `groups` names the trained entries:
+    AdamW updates their float64 masters, the caller's own tensors, and
+    writes each back into its copy. Only the copies are ever in the autodiff
+    graph, so once the loop returns or raises, the caller's tensors are
+    float64 plain values holding the last completed update."""
     sampler = WindowSampler(rows, tcfg.batch_size, tcfg.seed)
     work = compute_copy(params)
     opt = AdamW({g: [work[n] for n in names] for g, names in groups.items()},
@@ -412,7 +406,7 @@ def teacher_step(
     batch: list[np.ndarray],
 ) -> dict:
     """One next-token step of the teacher on a batch of equal-length token
-    rows; `tcfg` is unused, the signature is the conversion steps'."""
+    rows, with the conversion steps' signature."""
     loss = teacher_nll(params, cfg, np.stack(batch))
     opt.zero_grad()
     loss.backward()

@@ -14,8 +14,9 @@ from bytepatch.cli import (
     build_model_config, build_train_config, parse_config_file,
 )
 from bytepatch.data import load_corpus
-from bytepatch.model import init_byte_model
+from bytepatch.model import ModelConfig, init_byte_model
 from bytepatch.tokenizer import load_vocab
+from bytepatch.training import TrainConfig
 
 TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
 
@@ -109,6 +110,8 @@ def test_every_toy_cfg_line_lands_on_a_field():
     "train.peak_lr_global=0.0005", "train.beta1=0.9", "train.beta2=0.95", "train.weight_decay=0.1",
     "train.grad_clip=0.5", "train.use_oracle_pooling=1",
     "model.mlstm.heads=2", "model.global.layers=1",  # format 2's nested groups are gone too
+    "train.tau=5", "train.lambda_boundary=4", "train.lambda_encoder=1", "train.lambda_distill=1",
+    "train.lambda_ce=1", "model.boundary_threshold=0.5",
 ])
 def test_fixed_constants_are_unknown_keys(workspace, tmp_path, capsys, line):
     root, cfg = workspace
@@ -296,7 +299,7 @@ def test_commands_on_a_checkpoint_reject_a_model_key_it_contradicts(workspace, t
         "merge": ["--model", model, "--base", teacher, "--posttrained", teacher, "--out", str(out)],
         "reset-check": ["--data", data, "--base", teacher, "--posttrained", teacher, "--vocab", vocab],
     }[command]
-    for line, rc in [("model.boundary_threshold=0.5", EXIT_OK), ("model.boundary_threshold=0.3", EXIT_CONFIG),
+    for line, rc in [("model.boundary_mode=noncausal", EXIT_OK), ("model.boundary_mode=causal", EXIT_CONFIG),
                      ("model.patch_cap=8", EXIT_CONFIG), ("model.decoder_layers=2", EXIT_CONFIG)]:
         conf = tmp_path / "model.cfg"
         conf.write_text(cfg.read_text() + line + "\n")
@@ -390,6 +393,18 @@ def test_corpus_of_short_documents_names_the_window_minimum(tmp_path, capsys):
     assert "shorter than the 16-byte minimum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record", ["[1, 2]", '{"text": 5}', "not json"])
+def test_a_bad_jsonl_record_is_invalid_data_at_its_line(tmp_path, capsys, record):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    docs = corpus / "docs.jsonl"
+    docs.write_text('{"text": "cat dog sun sky tree bird"}\n' + record + "\n")
+    rc = cli.main(["train-teacher", "--data", str(corpus), "--out", str(tmp_path / "t.ckpt"),
+                   "--vocab-out", str(tmp_path / "v.txt")])
+    assert rc == EXIT_CONFIG
+    assert f"error: {docs}:2: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("eval-bpb", "--max-doc-bytes"), ("boundary-dump", "--max-doc-bytes"), ("boundary-dump", "--docs"),
 ])
@@ -453,9 +468,10 @@ def test_eval_bpb_without_a_scorable_document_names_the_minimum(workspace, capsy
 
 
 @pytest.mark.parametrize("line, flags, name", [
-    ("train.tau=0", [], "tau"),
+    ("train.tau=0", [], "tau"),  # losses.TAU is no key: rejected as unknown
     ("train.batch_size=0", [], "batch_size"),
     ("", ["--steps", "-3"], "steps"),
+    ("train.peak_lr=nan", [], "peak_lr"),  # the first update would make every master NaN
 ])
 def test_stage1_rejects_invalid_train_values(workspace, tmp_path, capsys, line, flags, name):
     root, cfg = workspace
@@ -473,7 +489,6 @@ def test_stage1_rejects_invalid_train_values(workspace, tmp_path, capsys, line, 
     ("data.holdout_frac=-0.5", "holdout_frac"),
     ("data.holdout_frac=1.0", "holdout_frac"),
     ("data.holdout_frac=1.5", "holdout_frac"),
-    ("model.boundary_threshold=1.5", "boundary_threshold"),
 ])
 def test_out_of_range_values_are_invalid_config(workspace, tmp_path, capsys, line, name):
     root, cfg = workspace
@@ -495,8 +510,8 @@ def test_out_of_range_values_are_invalid_config(workspace, tmp_path, capsys, lin
     ("model.encoder_layers=-1", "encoder_layers must be >= 1, got -1"),
     ("model.global_layers=0", "global_layers must be >= 1, got 0"),
     ("train.peak_lr=-1", "peak_lr must be >= 0, got -1.0"),
+    ("train.peak_lr=inf", "peak_lr must be finite, got inf"),
     ("train.warmup_steps=-5", "warmup_steps must be >= 0, got -5"),
-    ("train.lambda_ce=-1", "lambda_ce must be >= 0, got -1.0"),
 ])
 def test_model_counts_out_of_range_are_invalid_config(workspace, tmp_path, capsys, line, message):
     root, cfg = workspace
@@ -511,12 +526,20 @@ def test_model_counts_out_of_range_are_invalid_config(workspace, tmp_path, capsy
 
 
 def test_train_config_is_validated_once_built():
-    args = SimpleNamespace(seed=0, steps=0)  # zero steps, rates and weights stay valid
-    tc = build_train_config({"train.lambda_ce": "2", "train.peak_lr": "0.01"}, 2, args)
-    assert (tc.lambda_ce, tc.peak_lr, tc.stage, tc.steps) == (2.0, 0.01, 2, 0)
-    tc = build_train_config({"train.lambda_boundary": "0", "train.peak_lr": "0", "train.warmup_steps": "0"}, 1, args)
-    assert (tc.lambda_boundary, tc.peak_lr, tc.warmup_steps) == (0.0, 0.0, 0)
-    with pytest.raises(cli.ConfigFileError, match="tau"):
-        build_train_config({"train.tau": "-1"}, 1, args)
+    args = SimpleNamespace(seed=0, steps=0)  # zero steps and rates stay valid
+    tc = build_train_config({"train.batch_size": "2", "train.peak_lr": "0.01"}, 2, args)
+    assert (tc.batch_size, tc.peak_lr, tc.stage, tc.steps) == (2, 0.01, 2, 0)
+    tc = build_train_config({"train.peak_lr": "0", "train.warmup_steps": "0"}, 1, args)
+    assert (tc.peak_lr, tc.warmup_steps) == (0.0, 0)
+    with pytest.raises(cli.ConfigFileError, match="peak_lr must be finite, got nan"):
+        build_train_config({"train.peak_lr": "nan"}, 1, args)
     with pytest.raises(cli.ConfigFileError):
         build_train_config({"train.lambda_nonsense": "1"}, 1, args)
+
+
+def test_settable_value_counts():
+    """Each config key is a choice some caller makes; a value no caller
+    varies is a constant in the module that uses it, not a key."""
+    settable = {section: [k for k in fields if f"{section}.{k}" not in cli.DERIVED]
+                for section, fields in (("model", ModelConfig().to_dict()), ("train", dc.asdict(TrainConfig())))}
+    assert {section: len(keys) for section, keys in settable.items()} == {"model": 13, "train": 7}

@@ -4,6 +4,7 @@ import pytest
 from bytepatch.data import EOT
 from bytepatch.inference import DecodeState, InferenceError, SamplerConfig, decode_step, generate, prefill, sample
 from bytepatch.model import (
+    BOUNDARY_THRESHOLD,
     ModelConfig,
     ParamStore,
     forward_full,
@@ -53,7 +54,7 @@ def test_prefill_matches_batch_forward(setup):
         np.testing.assert_allclose(logprobs, out["logprobs"].data[0, -1], atol=1e-9)
         # prefill's own mask equals the batch predictor's thresholded scores
         # except the forced final position
-        batch_mask = out["p"].data[0][:-1] > cfg.boundary_threshold
+        batch_mask = out["p"].data[0][:-1] > BOUNDARY_THRESHOLD
         np.testing.assert_array_equal(mask[:-1], batch_mask)
 
 
@@ -208,8 +209,9 @@ def test_sample_full_nucleus_matches_distribution_chi2():
 
 
 def test_sample_validation():
-    with pytest.raises(InferenceError):
-        SamplerConfig(temperature=-1.0)
+    for temperature in (-1.0, float("nan"), float("inf")):  # NaN fails in rng.choice, inf samples uniformly
+        with pytest.raises(InferenceError, match="temperature"):
+            SamplerConfig(temperature=temperature)
     with pytest.raises(InferenceError):
         SamplerConfig(top_p=0.0)
     with pytest.raises(InferenceError):

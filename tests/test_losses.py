@@ -4,6 +4,7 @@ import pytest
 from bytepatch import tensor as T
 from bytepatch.losses import (
     CLAMP_EPS,
+    TAU,
     boundary_bce,
     bits_per_byte,
     ce_fused,
@@ -173,19 +174,18 @@ def test_decoder_distill_minimum_at_teacher_match():
     logprobs, targets, mask, ends, valid = _toy_patch_setup(rng)
     sums, _ = patch_logprobs(logprobs, targets, ends, valid)
     teacher_logp = sums.data.copy()  # student == teacher patch likelihoods
-    tau = 5.0
-    got = decoder_distill(logprobs, targets, ends, valid, teacher_logp, np.ones_like(teacher_logp, dtype=bool), tau)
-    yt = np.exp(teacher_logp / tau)
+    got = decoder_distill(logprobs, targets, ends, valid, teacher_logp, np.ones_like(teacher_logp, dtype=bool))
+    yt = np.exp(teacher_logp / TAU)
     entropies = -(yt * np.log(yt) + (1 - yt) * np.log1p(-yt))
     assert got.item() == pytest.approx(float(entropies.mean()), rel=1e-9)
     # any perturbation of one patch likelihood increases the loss
     worse = Tensor(logprobs.data * 1.02)
-    got2 = decoder_distill(worse, targets, ends, valid, teacher_logp, np.ones_like(teacher_logp, dtype=bool), tau)
+    got2 = decoder_distill(worse, targets, ends, valid, teacher_logp, np.ones_like(teacher_logp, dtype=bool))
     assert got2.item() > got.item()
 
 
 def test_decoder_distill_single_byte_patches_reduces_to_nll():
-    # tau=1 and teacher prob 1 on all-boundary masks: f = -log yhat per byte
+    # teacher prob 1 on all-boundary masks: f = -log(yhat) / TAU per byte
     rng = np.random.default_rng(9)
     n = 6
     logprobs = T.log_softmax(Tensor(rng.normal(size=(1, n, 512))))
@@ -193,8 +193,8 @@ def test_decoder_distill_single_byte_patches_reduces_to_nll():
     ends = np.arange(n)[None, :]
     valid = np.ones((1, n), dtype=bool)
     teacher_logp = np.zeros((1, n - 1))
-    got = decoder_distill(logprobs, targets, ends, valid, teacher_logp, np.ones((1, n - 1), dtype=bool), tau=1.0)
-    want = -logprobs.data[0, :-1][np.arange(n - 1), targets[0]].mean()
+    got = decoder_distill(logprobs, targets, ends, valid, teacher_logp, np.ones((1, n - 1), dtype=bool))
+    want = -logprobs.data[0, :-1][np.arange(n - 1), targets[0]].mean() / TAU
     assert got.item() == pytest.approx(float(want), rel=1e-12)
 
 

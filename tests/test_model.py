@@ -62,9 +62,6 @@ def test_config_validation():
                  "mlstm_v_dim", "global_layers", "global_heads", "global_head_dim", "patch_cap"):
         with pytest.raises(ConfigError, match=f"{size} must be >= 1, got 0"):
             tiny_config(**{size: 0})
-    for threshold in (-0.1, 1.0, float("nan")):  # scores lie in [0, 1]
-        with pytest.raises(ConfigError, match="boundary_threshold"):
-            tiny_config(boundary_threshold=threshold)
     cfg = tiny_config()
     round_trip = ModelConfig.from_dict(cfg.to_dict())
     assert round_trip == cfg
@@ -169,12 +166,12 @@ def test_predicted_mask_closes_every_capth_byte_of_an_open_run(cap):
     rng = np.random.default_rng(cap)
     scores = rng.random((6, 40)) ** 4  # sparse boundaries, so long runs occur
     scores[0] = 0.0  # one row with no predicted boundary at all
-    uncapped = scores > 0.5
+    uncapped = scores > M.BOUNDARY_THRESHOLD
     uncapped[:, -1] = True
-    got = predicted_mask(scores, 0.5, cap)
+    got = predicted_mask(scores, cap)
     np.testing.assert_array_equal(got, _capped_by_scan(uncapped, cap))
     assert got[0].tolist() == [(t + 1) % cap == 0 or t == 39 for t in range(40)]
-    np.testing.assert_array_equal(predicted_mask(scores[1], 0.5, cap), got[1])  # one unbatched row
+    np.testing.assert_array_equal(predicted_mask(scores[1], cap), got[1])  # one unbatched row
     if cap == 64:
         np.testing.assert_array_equal(got[1:], uncapped[1:])
 
