@@ -7,7 +7,7 @@ reports, and boundary-mask dumps. Every command takes --config (flat key=value
 file with section prefixes) and --seed; metrics stream as line-delimited JSON.
 
 Exit codes: 0 success, 2 usage, 3 invalid config, 4 missing file,
-5 bad checkpoint, 1 other runtime failure.
+5 bad checkpoint or one of the wrong kind for its flag, 1 other runtime failure.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .tokenizer import load_vocab, save_vocab, train_bpe, utf8_to_bytes
 from .training import (
     TrainConfig,
     compute_copy,
-    evaluate_alignment,
     evaluate_bpb,
     prepare_window,
     train_conversion,
@@ -157,10 +156,14 @@ def _load_corpus(args):
     return load_corpus(args.data, **_overlay(args.cfg, "data", DATA_DEFAULTS))
 
 
-def _load_ckpt(path: str):
+def _load_ckpt(path: str, kind: str | None):
+    """The checkpoint at `path`, which must be of `kind` (either kind when None)."""
     if not Path(path).exists():
         raise FileNotFoundError(f"checkpoint {path} not found")
-    return load_checkpoint(path)
+    params, mc, header = load_checkpoint(path)
+    if kind is not None and header["kind"] != kind:
+        raise CheckpointError(f"{path} is a {header['kind']} checkpoint, not a {kind}")
+    return params, mc, header
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -180,6 +183,7 @@ def cmd_make_corpus(args) -> int:
 def cmd_train_teacher(args) -> int:
     corpus = _load_corpus(args)
     vocab_size = _overlay(args.cfg, "tokenizer", TOKENIZER_DEFAULTS)["vocab_size"]
+    tc = build_train_config(args.cfg, stage=1, args=args)
     t0 = time.perf_counter()
     vocab = train_bpe(corpus.train, vocab_size)
     print(f"tokenizer: {len(vocab.merges)} merges from {sum(map(len, corpus.train))} corpus bytes "
@@ -187,7 +191,6 @@ def cmd_train_teacher(args) -> int:
     if vocab.truncated:
         print(f"warning: corpus supports only {vocab.size} ids (asked {vocab_size})", file=sys.stderr)
     mc = build_model_config(args.cfg, vocab.size)
-    tc = build_train_config(args.cfg, stage=1, args=args)
     rng = np.random.default_rng(args.seed)
     params = init_teacher(mc, rng)
     log = train_teacher(params, mc, vocab, corpus.train, tc, log_path=args.log)
@@ -202,7 +205,7 @@ def cmd_train_teacher(args) -> int:
 def cmd_stage1(args) -> int:
     corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
-    teacher, teacher_mc, _ = _load_ckpt(args.teacher)
+    teacher, teacher_mc, _ = _load_ckpt(args.teacher, "teacher")
     mc = build_model_config(args.cfg, teacher_mc.vocab_size, teacher_mc)
     tc = build_train_config(args.cfg, stage=1, args=args)
     rng = np.random.default_rng(args.seed)
@@ -219,7 +222,7 @@ def cmd_stage1(args) -> int:
 def cmd_stage2(args) -> int:
     corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
-    params, mc, _ = _load_ckpt(args.model)
+    params, mc, _ = _load_ckpt(args.model, "byte_model")
     mc = saved_model_config(args.cfg, mc)
     tc = build_train_config(args.cfg, stage=2, args=args)
     teacher = None
@@ -227,7 +230,7 @@ def cmd_stage2(args) -> int:
         if not args.teacher:
             print("error: entropy/xent supervision needs --teacher", file=sys.stderr)
             return EXIT_USAGE
-        teacher, _, _ = _load_ckpt(args.teacher)
+        teacher, _, _ = _load_ckpt(args.teacher, "teacher")
     train_conversion(params, mc, vocab, teacher, corpus.train, tc, log_path=args.log)
     save_checkpoint(args.out, params, mc, kind="byte_model",
                     metadata={"stage": 2, "seed": args.seed, "steps": tc.steps,
@@ -239,24 +242,22 @@ def cmd_stage2(args) -> int:
 def cmd_eval_bpb(args) -> int:
     corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
-    params, mc, _ = _load_ckpt(args.model)
+    params, mc, _ = _load_ckpt(args.model, "byte_model")
     mc = saved_model_config(args.cfg, mc)
     strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0)
     if strategy.needs_teacher and not args.teacher:
         print("error: entropy/xent supervision needs --teacher", file=sys.stderr)
         return EXIT_USAGE
-    teacher = _load_ckpt(args.teacher)[0] if args.teacher else None
-    docs = corpus.heldout or corpus.train
-    out = evaluate_bpb(params, mc, vocab, docs, strategy, teacher, max_doc_bytes=args.max_doc_bytes)
-    if teacher is not None and args.merge_strategy == "subword":
-        out.update(evaluate_alignment(params, mc, vocab, teacher, docs, max_doc_bytes=args.max_doc_bytes))
+    teacher = _load_ckpt(args.teacher, "teacher")[0] if args.teacher else None
+    out = evaluate_bpb(params, mc, vocab, corpus.heldout or corpus.train, strategy, teacher,
+                       max_doc_bytes=args.max_doc_bytes)
     print(json.dumps(out))
     return EXIT_OK
 
 
 def cmd_generate(args) -> int:
     vocab = load_vocab(args.vocab)
-    params, mc, _ = _load_ckpt(args.model)
+    params, mc, _ = _load_ckpt(args.model, "byte_model")
     mc = saved_model_config(args.cfg, mc)
     prompt = bytes([EOT]) + (utf8_to_bytes(args.prompt) if args.prompt else b"")
     sampler = SamplerConfig(temperature=args.temperature, top_p=args.top_p, seed=args.seed)
@@ -272,10 +273,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    byte_model, mc, _ = _load_ckpt(args.model)
+    byte_model, mc, _ = _load_ckpt(args.model, "byte_model")
     mc = saved_model_config(args.cfg, mc)
-    base, _, _ = _load_ckpt(args.base)
-    post, _, _ = _load_ckpt(args.posttrained)
+    base, _, _ = _load_ckpt(args.base, "teacher")
+    post, _, _ = _load_ckpt(args.posttrained, "teacher")
     merged = task_arithmetic_merge(byte_model, base, post)
     save_checkpoint(args.out, merged, mc, kind="byte_model", metadata={"merged": True})
     print(f"merged checkpoint saved to {args.out}")
@@ -285,16 +286,16 @@ def cmd_merge(args) -> int:
 def cmd_reset_check(args) -> int:
     corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
-    base, mc, _ = _load_ckpt(args.base)
+    base, mc, _ = _load_ckpt(args.base, "teacher")
     mc = saved_model_config(args.cfg, mc)
-    post, _, _ = _load_ckpt(args.posttrained)
+    post, _, _ = _load_ckpt(args.posttrained, "teacher")
     out = reset_embeddings_check(base, post, mc, vocab, corpus.heldout or corpus.train)
     print(json.dumps(out))
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
-    params, _, _ = _load_ckpt(args.model)
+    params, _, _ = _load_ckpt(args.model, None)
     name = args.tensor
     if name not in params:
         print(f"error: tensor {name!r} not in checkpoint "
@@ -310,9 +311,9 @@ def cmd_boundary_dump(args) -> int:
     teacher = None
     params = mc = None
     if args.model:
-        params, mc, _ = _load_ckpt(args.model)
+        params, mc, _ = _load_ckpt(args.model, "byte_model")
     if args.teacher:
-        teacher, mc_t, _ = _load_ckpt(args.teacher)
+        teacher, mc_t, _ = _load_ckpt(args.teacher, "teacher")
         mc = mc or mc_t
     strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0)
     if mc is None or (strategy.needs_teacher and teacher is None):

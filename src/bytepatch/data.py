@@ -40,8 +40,8 @@ class CorpusManifest:
 def load_corpus(path: str | Path, seed: int = 0, holdout_frac: float = 0.1) -> CorpusManifest:
     """Read .txt and .jsonl documents under `path`, append the terminator
     byte, shuffle deterministically, and split off a `holdout_frac` share,
-    in [0, 1), of the documents. A .jsonl line is blank or a JSON object
-    with a string "text"."""
+    in [0, 1), of the documents. Every file is UTF-8, and a .jsonl line is
+    blank or a JSON object with a string "text"."""
     if not 0 <= holdout_frac < 1:
         raise DataError(f"holdout_frac must be in [0, 1), got {holdout_frac}")
     path = Path(path)
@@ -52,12 +52,15 @@ def load_corpus(path: str | Path, seed: int = 0, holdout_frac: float = 0.1) -> C
     if path.is_file():
         files = [path]
     for f in files:
-        if f.suffix == ".txt":
+        try:
             text = f.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise DataError(f"{f} is not UTF-8: {e}") from None
+        if f.suffix == ".txt":
             if text.strip():
                 docs.append(utf8_to_bytes(text) + bytes([EOT]))
         else:
-            for lineno, line in enumerate(f.read_text(encoding="utf-8").splitlines(), 1):
+            for lineno, line in enumerate(text.splitlines(), 1):
                 if not line.strip():
                     continue
                 try:

@@ -25,10 +25,10 @@ a float32 copy of the parameters (`compute_copy`), whose trained entries are
 in the graph while the loop runs, and AdamW keeps float64 master weights and
 moments. The forward-only passes compute on such copies too, made by their
 entry points and never in the graph: `train_conversion` runs the teacher for
-its windows on one, and `evaluate_bpb` and `evaluate_alignment` run the model
-and the teacher on theirs. `prepare_windows` and `prepare_window` compute in
-the dtype of the store they are given. Parameters at rest, checkpoints and
-decoding stay float64.
+its windows on one, and `evaluate_bpb`, the one held-out scorer (one pass,
+one window per document), runs the model and the teacher on theirs.
+`prepare_windows` and `prepare_window` compute in the dtype of the store
+they are given. Parameters at rest, checkpoints and decoding stay float64.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundaries import MergeStrategy, attained_compression, merge_bpe_per_example, merge_by_score
-from .data import EOT, make_windows
+from .data import EOT, MIN_WINDOW_BYTES, make_windows
 from .losses import boundary_bce, bits_per_byte, ce_fused, decoder_distill, encoder_match, patch_logprobs
 from .model import (
     LOCAL_COMPONENTS,
@@ -97,6 +97,8 @@ class TrainConfig:
             raise ValueError(f"peak_lr must be finite, got {self.peak_lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_bytes < 1 + MIN_WINDOW_BYTES:
+            raise ValueError(f"max_bytes must be >= {1 + MIN_WINDOW_BYTES}, got {self.max_bytes}")
 
     def strategy(self) -> MergeStrategy:
         """The boundary supervision this stage trains on: the teacher's own
@@ -307,9 +309,8 @@ def _step_metrics(p_scores: np.ndarray, mask: np.ndarray, cfg: ModelConfig, grad
     pred = predicted_mask(p_scores, cfg.patch_cap)
     real = scored_positions(cfg)
     acc = float((pred[:, real] == mask[:, real]).mean())
-    content = pred[:, 1:]  # the BOS position is no byte of the text
-    comp = content.size / max(1, int(content.sum()))
-    return {"boundary_acc": acc, "compression": comp, "grad_norm": grad_norm}
+    content = list(pred[:, 1:])  # the BOS position is no byte of the text
+    return {"boundary_acc": acc, "compression": attained_compression(content), "grad_norm": grad_norm}
 
 
 # -- loops ------------------------------------------------------------------------
@@ -441,25 +442,33 @@ def evaluate_bpb(
     teacher_params: ParamStore | None = None,
     max_doc_bytes: int = 512,
 ) -> dict:
-    """Held-out metrics with the model pooling on its own boundaries: fused
-    cross-entropy (reported as bits per byte against the supervision targets),
-    boundary accuracy against the supervision mask, and the attained
-    compression of the predicted boundaries over the content bytes. The
-    model and the scorer run on float32 compute copies."""
+    """Held-out metrics, one pass over the documents cut to `max_doc_bytes`,
+    each encoded once. With the model pooling on its own boundaries: fused
+    cross-entropy (reported as bits per byte against the supervision
+    targets), boundary accuracy against the supervision mask, and the
+    attained compression of the predicted boundaries over the content bytes.
+    Given a teacher under subword supervision, it also reports how far the
+    model's per-patch log-likelihoods, pooled on the teacher's token ends,
+    lie from the teacher's per-token ones (`mean_abs_diff`, `max_abs_diff`,
+    `n_patches`). The teacher runs only then or when the strategy scores
+    with it; each store is cast once, to a float32 compute copy."""
     strategy = strategy or MergeStrategy("subword")
     params = compute_copy(params)
-    scorer = compute_copy(teacher_params) if strategy.needs_teacher and teacher_params is not None else None
+    # the teacher scores patches (entropy, xent) or is the alignment's reference (subword)
+    teacher = compute_copy(teacher_params) if teacher_params is not None and strategy.kind != "bpe" else None
+    align = teacher is not None and strategy.kind == "subword"
     real = scored_positions(cfg)
     tot_ce = 0.0
     tot_pos = 0
     tot_correct = 0
     tot_real = 0
     pred_masks = []
+    diffs = []
     for doc in docs:
         content = doc[:max_doc_bytes]
         if len(content) < 2:
             continue
-        w = prepare_window(content, vocab, cfg, scorer, strategy)
+        w = prepare_window(content, vocab, cfg, teacher, strategy)
         out = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], mask=None)
         targets = fused_targets(w.model_bytes[1:], w.mask[1:])[None, :]
         ce = ce_fused(out["logprobs"], targets).item()
@@ -470,43 +479,22 @@ def evaluate_bpb(
         tot_correct += int((pred[real] == w.mask[real]).sum())
         tot_real += pred[real].size
         pred_masks.append(pred[1:])  # content bytes only, as boundary-dump counts
+        if align:  # w.mask holds the teacher's token ends
+            pooled = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], w.mask[None, :])
+            sums, _ = patch_logprobs(pooled["logprobs"], targets, pooled["ends"], pooled["valid"])
+            diffs.append(np.abs(sums.data[0] - w.teacher.next_logp))
     if tot_pos == 0:
         raise ValueError("no document has the 2 bytes a prediction needs")
     ce_mean = tot_ce / tot_pos
-    return {
+    metrics = {
         "ce_nats": ce_mean,
         "bits_per_byte": bits_per_byte(ce_mean),
         "boundary_acc": tot_correct / tot_real,
         "attained_compression": attained_compression(pred_masks),
         "n_positions": tot_pos,
     }
-
-
-def evaluate_alignment(
-    params: ParamStore,
-    cfg: ModelConfig,
-    vocab: SubwordVocab,
-    teacher_params: ParamStore,
-    docs: list[bytes],
-    max_doc_bytes: int = 512,
-) -> dict:
-    """Mean absolute difference between student per-patch log-likelihood and
-    teacher per-token log-likelihood under teacher-mask pooling, both run on
-    float32 compute copies."""
-    params, teacher_params = compute_copy(params), compute_copy(teacher_params)
-    diffs = []
-    for doc in docs:
-        content = doc[:max_doc_bytes]
-        if len(content) < 2:
-            continue
-        w = prepare_window(content, vocab, cfg, teacher_params, MergeStrategy("subword"))
-        out = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], w.mask[None, :])
-        targets = fused_targets(w.model_bytes[1:], w.mask[1:])[None, :]
-        sums, valid = patch_logprobs(out["logprobs"], targets, out["ends"], out["valid"])
-        diffs.append(np.abs(sums.data[0] - w.teacher.next_logp))
-    if not diffs:
-        raise ValueError("no document has the 2 bytes a prediction needs")
-    all_diffs = np.concatenate(diffs)
-    return {"mean_abs_diff": float(all_diffs.mean()), "max_abs_diff": float(all_diffs.max()),
-            "n_patches": int(all_diffs.size)}
-
+    if align:
+        diffs = np.concatenate(diffs)
+        metrics.update(mean_abs_diff=float(diffs.mean()), max_abs_diff=float(diffs.max()),
+                       n_patches=int(diffs.size))
+    return metrics

@@ -245,10 +245,10 @@ def test_eval_bpb_reports_and_matches_loss_ce(workspace, capsys):
 
 def test_spectrum_and_boundary_dump(workspace, capsys):
     root, _ = workspace
-    assert cli.main(["spectrum", "--model", str(root / "teacher.ckpt"),
-                     "--tensor", "subword_embed.table", "--max-rows", "2"]) == EXIT_OK
-    text = capsys.readouterr().out
-    assert text.startswith("rank")
+    for name in ("teacher.ckpt", "s1.ckpt"):  # spectrum reads either kind
+        assert cli.main(["spectrum", "--model", str(root / name),
+                         "--tensor", "subword_embed.table", "--max-rows", "2"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("rank")
     assert cli.main(["spectrum", "--model", str(root / "teacher.ckpt"),
                      "--tensor", "nope.w"]) == EXIT_USAGE
     capsys.readouterr()
@@ -382,6 +382,56 @@ def test_merge_roundtrip_via_cli(workspace, tmp_path):
         assert np.array_equal(b[name].data, t.data)
 
 
+# the checkpoint kind each command's flags name; spectrum --model takes either
+CHECKPOINT_FLAGS = {
+    "stage1": {"--teacher": "teacher"},
+    "stage2": {"--model": "byte_model", "--teacher": "teacher"},
+    "eval-bpb": {"--model": "byte_model", "--teacher": "teacher"},
+    "generate": {"--model": "byte_model"},
+    "merge": {"--model": "byte_model", "--base": "teacher", "--posttrained": "teacher"},
+    "reset-check": {"--base": "teacher", "--posttrained": "teacher"},
+    "boundary-dump": {"--model": "byte_model", "--teacher": "teacher"},
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in CHECKPOINT_FLAGS.items() for f in flags])
+def test_a_checkpoint_of_the_wrong_kind_is_a_bad_checkpoint(workspace, tmp_path, capsys, command, flag):
+    root, cfg = workspace
+    path = {"teacher": str(root / "teacher.ckpt"), "byte_model": str(root / "s1.ckpt")}
+    want = CHECKPOINT_FLAGS[command][flag]
+    found = "byte_model" if want == "teacher" else "teacher"
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg)]
+    for f, kind in CHECKPOINT_FLAGS[command].items():
+        argv += [f, path[found] if f == flag else path[kind]]
+    if command != "merge":
+        argv += ["--vocab", str(root / "vocab.txt")]
+    if command not in ("generate", "merge"):
+        argv += ["--data", str(root / "corpus")]
+    if command in ("stage1", "stage2", "generate", "merge"):
+        argv += ["--out", str(out)]
+    if command in ("stage2", "eval-bpb", "boundary-dump"):  # so that the teacher is read
+        argv += ["--merge-strategy", "entropy", "--target-compression", "6"]
+    if command in ("stage1", "stage2"):
+        argv += ["--steps", "0"]
+    assert cli.main(argv) == EXIT_CHECKPOINT
+    out_text, err = capsys.readouterr()
+    assert f"error: bad checkpoint: {path[found]} is a {found} checkpoint, not a {want}" in err
+    assert out_text == "" and not out.exists()
+
+
+def test_train_teacher_checks_the_window_length_before_the_tokenizer(workspace, tmp_path, capsys):
+    root, cfg = workspace
+    short = tmp_path / "short.cfg"
+    short.write_text(cfg.read_text().replace("train.max_bytes=48", "train.max_bytes=16"))
+    out = tmp_path / "t.ckpt"
+    assert cli.main(["train-teacher", "--data", str(root / "corpus"), "--out", str(out),
+                     "--vocab-out", str(tmp_path / "v.txt"), "--config", str(short)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid config: max_bytes must be >= 17, got 16" in err
+    assert "tokenizer:" not in err and not out.exists()  # no BPE merge was trained
+
+
 def test_corpus_of_short_documents_names_the_window_minimum(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -391,6 +441,19 @@ def test_corpus_of_short_documents_names_the_window_minimum(tmp_path, capsys):
                    "--vocab-out", str(tmp_path / "v.txt")])
     assert rc == EXIT_CONFIG
     assert "shorter than the 16-byte minimum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, blob", [("d.txt", b"cat dog \xff sun"),
+                                        ("d.jsonl", b'{"text": "cat dog"}\n\xff\n')])
+def test_a_corpus_file_that_is_not_utf8_is_invalid_data_naming_it(tmp_path, capsys, name, blob):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "ok.txt").write_text("cat dog sun sky tree bird")
+    (corpus / name).write_bytes(blob)
+    rc = cli.main(["train-teacher", "--data", str(corpus), "--out", str(tmp_path / "t.ckpt"),
+                   "--vocab-out", str(tmp_path / "v.txt")])
+    assert rc == EXIT_CONFIG
+    assert f"error: {corpus / name} is not UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("record", ["[1, 2]", '{"text": 5}', "not json"])

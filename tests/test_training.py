@@ -323,7 +323,7 @@ def test_evaluation_without_a_scorable_document_raises(toy):
     with pytest.raises(ValueError, match="2 bytes"):
         tr.evaluate_bpb(student, cfg, vocab, docs[:2], max_doc_bytes=1)
     with pytest.raises(ValueError, match="2 bytes"):
-        tr.evaluate_alignment(student, cfg, vocab, teacher, [b"a", b""])
+        tr.evaluate_bpb(student, cfg, vocab, [b"a", b""], teacher_params=teacher)
 
 
 def test_step_metrics_count_capped_boundaries():
@@ -366,7 +366,7 @@ def test_evaluation_and_training_leave_the_callers_stores_untouched(toy, monkeyp
 
     monkeypatch.setattr(tr, "compute_copy", recording_copy)
     tr.evaluate_bpb(student, cfg, vocab, docs[:3], MergeStrategy("entropy", 3.0), teacher)
-    tr.evaluate_alignment(student, cfg, vocab, teacher, docs[:3])
+    tr.evaluate_bpb(student, cfg, vocab, docs[:3], teacher_params=teacher)
     assert len(copies) == 4  # model and scorer, model and teacher
     assert all(np.array_equal(a, b) for a, b in zip(caller, before, strict=True))
     train_conversion(student, cfg, vocab, teacher, docs[:4], TrainConfig(stage=1, steps=1, batch_size=2,
@@ -404,6 +404,55 @@ def test_float32_evaluation_tracks_its_float64_oracle(toy):
     assert got["ce_nats"] == pytest.approx(ce / n, rel=1e-5)
     assert got["boundary_acc"] == correct / scored
     assert got["attained_compression"] == attained_compression(masks)
+
+
+def test_alignment_matches_a_plain_loop_over_patches(toy):
+    """Given a teacher under subword supervision, `evaluate_bpb` adds, after
+    its own figures, the gap between each patch's summed log-probabilities
+    (a float32 `forward_full` pooled on the teacher's token ends) and the
+    teacher's log-probability of that token."""
+    docs, vocab, cfg, teacher = toy
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    s32, t32 = tr.compute_copy(student), tr.compute_copy(teacher)
+    diffs = []
+    for doc in docs[:4]:
+        w = prepare_window(doc[:512], vocab, cfg, t32, MergeStrategy("subword"))
+        out = forward_full(s32, cfg, w.model_bytes[None, :], w.suffix[None, :], w.mask[None, :])
+        logprobs = out["logprobs"].data[0]
+        targets = fused_targets(w.model_bytes[1:], w.mask[1:])
+        ends = np.flatnonzero(w.mask)  # the BOS pseudo-patch first
+        for i in range(1, len(ends)):
+            own = sum(float(logprobs[j, targets[j]]) for j in range(ends[i - 1], ends[i]))
+            diffs.append(abs(own - float(w.teacher.next_logp[i - 1])))
+    plain = tr.evaluate_bpb(student, cfg, vocab, docs[:4])
+    got = tr.evaluate_bpb(student, cfg, vocab, docs[:4], teacher_params=teacher)
+    assert list(got) == [*plain, "mean_abs_diff", "max_abs_diff", "n_patches"]
+    assert {k: got[k] for k in plain} == plain
+    assert got["n_patches"] == len(diffs)
+    # the evaluation differences a float32 running sum; the loop adds in float64
+    assert got["mean_abs_diff"] == pytest.approx(np.mean(diffs), rel=1e-5)
+    assert got["max_abs_diff"] == pytest.approx(max(diffs), rel=1e-5)
+
+
+def test_evaluation_with_a_teacher_is_one_pass(toy, monkeypatch):
+    """Each store is cast once per call; each scored document is encoded
+    once and run through the teacher once, the alignment included. Under
+    bpe supervision the teacher is neither cast nor run."""
+    docs, vocab, cfg, teacher = toy
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    calls = {"compute_copy": [], "encode": [], "run_teacher": []}
+    for name, calls_of in calls.items():
+        monkeypatch.setattr(tr, name, lambda *a, _f=getattr(tr, name), _c=calls_of: _c.append(a) or _f(*a))
+    docs = [b"a", *docs[:3]]  # the 1-byte document is skipped
+    assert "n_patches" in tr.evaluate_bpb(student, cfg, vocab, docs, teacher_params=teacher)
+    assert [id(a[0]) for a in calls["compute_copy"]] == [id(student), id(teacher)]
+    assert [a[1] for a in calls["encode"]] == [d[:512] for d in docs[1:]]
+    assert [a[3] for a in calls["run_teacher"]] == [encode(vocab, d[:512]) for d in docs[1:]]
+    for calls_of in calls.values():
+        calls_of.clear()
+    assert "n_patches" not in tr.evaluate_bpb(student, cfg, vocab, docs, MergeStrategy("bpe", 6.0), teacher)
+    assert [id(a[0]) for a in calls["compute_copy"]] == [id(student)]
+    assert len(calls["encode"]) == 3 and calls["run_teacher"] == []
 
 
 def test_stage1_loss_decreases_smoke(toy):
@@ -555,6 +604,14 @@ def test_window_sampler_short_bucket_draws_each_window_once():
         batch = sampler.draw()
         assert len(batch) == 3
         assert len({int(w[0]) for w in batch}) == 3
+
+
+def test_train_config_rejects_windows_below_the_minimum():
+    """A window is the BOS byte plus at least `data.MIN_WINDOW_BYTES` of content."""
+    for max_bytes in (0, 16):
+        with pytest.raises(ValueError, match=f"max_bytes must be >= 17, got {max_bytes}"):
+            TrainConfig(max_bytes=max_bytes)
+    assert make_windows([b"a" * 40], TrainConfig(max_bytes=17).max_bytes - 1) == [b"a" * 16] * 2
 
 
 def test_make_windows_bounds():
