@@ -36,6 +36,8 @@ class MergeStrategy:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise BoundaryError(f"unknown merge strategy {self.kind!r}")
+        if not np.isfinite(self.target_compression):
+            raise BoundaryError(f"target_compression must be finite, got {self.target_compression}")
         if self.kind != "subword" and not self.target_compression > 0:
             raise BoundaryError("merging strategies need target_compression > 0")
 

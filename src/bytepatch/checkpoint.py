@@ -27,7 +27,7 @@ from .model import ModelConfig, ParamStore, init_byte_model, init_teacher
 from .tensor import Tensor
 
 MAGIC = b"BPCKPT\x00\x01"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 ZEROS = SimpleNamespace(standard_normal=np.zeros)  # an init with this generator draws no random numbers
 
 

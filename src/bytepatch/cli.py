@@ -156,6 +156,14 @@ def _load_corpus(args):
     return load_corpus(args.data, **_overlay(args.cfg, "data", DATA_DEFAULTS))
 
 
+def _check_same(path: str, mc: ModelConfig, ref_path: str, ref: ModelConfig, fields: tuple[str, ...]) -> None:
+    """Reject the checkpoint at `path` unless its config equals `ref`'s, the
+    one saved at `ref_path`, in each of `fields`, naming the first that differs."""
+    for k in fields:
+        if getattr(mc, k) != getattr(ref, k):
+            raise CheckpointError(f"{path} has {k}={getattr(mc, k)} where {ref_path} has {k}={getattr(ref, k)}")
+
+
 def _load_ckpt(path: str, kind: str | None):
     """The checkpoint at `path`, which must be of `kind` (either kind when None)."""
     if not Path(path).exists():
@@ -275,8 +283,10 @@ def cmd_generate(args) -> int:
 def cmd_merge(args) -> int:
     byte_model, mc, _ = _load_ckpt(args.model, "byte_model")
     mc = saved_model_config(args.cfg, mc)
-    base, _, _ = _load_ckpt(args.base, "teacher")
-    post, _, _ = _load_ckpt(args.posttrained, "teacher")
+    base, base_mc, _ = _load_ckpt(args.base, "teacher")
+    _check_same(args.base, base_mc, args.model, mc, BACKBONE)
+    post, post_mc, _ = _load_ckpt(args.posttrained, "teacher")
+    _check_same(args.posttrained, post_mc, args.model, mc, BACKBONE)
     merged = task_arithmetic_merge(byte_model, base, post)
     save_checkpoint(args.out, merged, mc, kind="byte_model", metadata={"merged": True})
     print(f"merged checkpoint saved to {args.out}")
@@ -288,7 +298,8 @@ def cmd_reset_check(args) -> int:
     vocab = load_vocab(args.vocab)
     base, mc, _ = _load_ckpt(args.base, "teacher")
     mc = saved_model_config(args.cfg, mc)
-    post, _, _ = _load_ckpt(args.posttrained, "teacher")
+    post, post_mc, _ = _load_ckpt(args.posttrained, "teacher")
+    _check_same(args.posttrained, post_mc, args.base, mc, tuple(mc.to_dict()))
     out = reset_embeddings_check(base, post, mc, vocab, corpus.heldout or corpus.train)
     print(json.dumps(out))
     return EXIT_OK
@@ -300,6 +311,9 @@ def cmd_spectrum(args) -> int:
     if name not in params:
         print(f"error: tensor {name!r} not in checkpoint "
               f"(try {', '.join(sorted(params)[:4])} ...)", file=sys.stderr)
+        return EXIT_USAGE
+    if len(params[name].shape) != 2:
+        print(f"error: tensor {name!r} has shape {params[name].shape}, not a matrix", file=sys.stderr)
         return EXIT_USAGE
     print(format_spectrum(spectrum_report(params[name].data), max_rows=args.max_rows))
     return EXIT_OK

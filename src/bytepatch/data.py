@@ -47,10 +47,10 @@ def load_corpus(path: str | Path, seed: int = 0, holdout_frac: float = 0.1) -> C
     path = Path(path)
     if not path.exists():
         raise DataError(f"corpus path {path} does not exist")
+    if path.is_file() and path.suffix not in (".txt", ".jsonl"):
+        raise DataError(f"{path} has suffix {path.suffix!r}: a corpus file is .txt or .jsonl")
     docs: list[bytes] = []
-    files = sorted(path.rglob("*.txt")) + sorted(path.rglob("*.jsonl"))
-    if path.is_file():
-        files = [path]
+    files = [path] if path.is_file() else sorted(path.rglob("*.txt")) + sorted(path.rglob("*.jsonl"))
     for f in files:
         try:
             text = f.read_text(encoding="utf-8")

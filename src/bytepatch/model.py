@@ -63,7 +63,6 @@ class ModelConfig:
     global_layers: int = 4  # the backbone; a converted teacher fixes d, ffn_hidden and every global_* field
     global_heads: int = 4
     global_head_dim: int = 32
-    boundary_mode: str = "noncausal"  # or "causal" (ablation)
     patch_cap: int = 64  # a patch closes when it reaches this many bytes, predicted or decoded
 
     def __post_init__(self):
@@ -77,8 +76,6 @@ class ModelConfig:
             raise ConfigError("global_head_dim must be even (rotary positions rotate pairs)")
         if not 0 <= self.n_probe <= self.global_layers:
             raise ConfigError(f"n_probe must be in [0, global layers], got {self.n_probe}")
-        if self.boundary_mode not in ("noncausal", "causal"):
-            raise ConfigError(f"bad boundary_mode {self.boundary_mode!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -267,26 +264,13 @@ def local_decode(params: ParamStore, cfg: ModelConfig, z: Tensor) -> Tensor:
 
 def predict_boundaries(params: ParamStore, cfg: ModelConfig, e_hat: Tensor) -> Tensor:
     """Boundary score per byte as half the cosine distance between projections
-    of two adjacent representations. In the default non-causal mode the pair
-    (t, t+1) scores the boundary after byte t, i.e. one byte of future context,
-    and the final position (no future byte) is a forced constant boundary. In
-    the causal ablation the same pair scores the boundary after byte t+1, so
-    only past context is used and position 0 is the forced one."""
-    b, n, _ = e_hat.shape
+    of two adjacent representations: the pair (t, t+1) scores the boundary
+    after byte t, i.e. one byte of future context, and the final position
+    (no future byte) is a forced constant boundary."""
     q = T.matmul(e_hat[:, 1:, :], params["boundary.w_q"])
     k = T.matmul(e_hat[:, :-1, :], params["boundary.w_k"])
-    scores = _cosine_score(q, k)  # one score per adjacent pair
-    ones = Tensor(np.ones((b, 1), dtype=e_hat.dtype), _op="const")
-    if cfg.boundary_mode == "noncausal":
-        return T.concat([scores, ones], axis=1)
-    return T.concat([ones, scores], axis=1)
-
-
-def scored_positions(cfg: ModelConfig) -> slice:
-    """The positions whose boundary bit comes from a real score: all but the
-    last byte, which `predicted_mask` always flags, and in the causal
-    ablation also the first, which `predict_boundaries` forces."""
-    return slice(None, -1) if cfg.boundary_mode == "noncausal" else slice(1, -1)
+    ones = Tensor(np.ones((e_hat.shape[0], 1), dtype=e_hat.dtype), _op="const")
+    return T.concat([_cosine_score(q, k), ones], axis=1)
 
 
 def _cosine_score(q: Tensor, k: Tensor) -> Tensor:
@@ -335,8 +319,6 @@ def pool_last(e_hat: Tensor, ends: np.ndarray) -> Tensor:
 
 def _global_layers(params: ParamStore, cfg: ModelConfig, x: Tensor, lo: int, hi: int) -> Tensor:
     """Backbone layers lo..hi-1 (attention + FFN), without the final norm."""
-    if hi > cfg.global_layers:
-        raise ConfigError("probe depth exceeds global layers")
     for l in range(lo, hi):
         x = L.attention_block(params, f"global.{l}.attn", x, cfg.global_heads, cfg.global_head_dim)
         x = L.ffn_block(params, f"global.{l}.ffn", x)
@@ -351,10 +333,10 @@ def global_forward(params: ParamStore, cfg: ModelConfig, h: Tensor) -> tuple[Ten
     return L.rms(x, params["global.final_norm_g"]), probe
 
 
-def transformer_probe(params: ParamStore, cfg: ModelConfig, h: Tensor, n: int) -> Tensor:
-    """Only the first n backbone layers (the identity when n=0): everything
-    the encoder-matching loss needs, without paying for the full stack."""
-    return _global_layers(params, cfg, h, 0, n)
+def transformer_probe(params: ParamStore, cfg: ModelConfig, h: Tensor) -> Tensor:
+    """Only the first `cfg.n_probe` backbone layers (the identity when 0):
+    everything the encoder-matching loss needs, without the full stack."""
+    return _global_layers(params, cfg, h, 0, cfg.n_probe)
 
 
 def depool_index(mask: np.ndarray) -> np.ndarray:

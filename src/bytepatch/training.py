@@ -57,7 +57,6 @@ from .model import (
     pool_last,
     predict_boundaries,
     predicted_mask,
-    scored_positions,
     transformer_probe,
 )
 from .optim import AdamW
@@ -99,6 +98,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_bytes < 1 + MIN_WINDOW_BYTES:
             raise ValueError(f"max_bytes must be >= {1 + MIN_WINDOW_BYTES}, got {self.max_bytes}")
+        if self.merge_kind not in MergeStrategy.KINDS:
+            raise ValueError(f"merge_kind must be one of {', '.join(MergeStrategy.KINDS)}, got {self.merge_kind!r}")
 
     def strategy(self) -> MergeStrategy:
         """The boundary supervision this stage trains on: the teacher's own
@@ -262,7 +263,7 @@ def stage1_step(
     l_b = boundary_bce(p_scores, arrays["mask"])
 
     h = pool_last(e_hat, arrays["ends"])
-    probe = transformer_probe(params, cfg, h, cfg.n_probe)
+    probe = transformer_probe(params, cfg, h)
     l_e = encoder_match(probe, t_probe, arrays["valid"])
 
     # decoder path: depool the teacher's final-layer states; the encoder
@@ -307,8 +308,9 @@ def stage2_step(
 
 def _step_metrics(p_scores: np.ndarray, mask: np.ndarray, cfg: ModelConfig, grad_norm: float) -> dict:
     pred = predicted_mask(p_scores, cfg.patch_cap)
-    real = scored_positions(cfg)
-    acc = float((pred[:, real] == mask[:, real]).mean())
+    # boundary accuracy, here and in evaluate_bpb, leaves out the last byte,
+    # which predicted_mask always flags
+    acc = float((pred[:, :-1] == mask[:, :-1]).mean())
     content = list(pred[:, 1:])  # the BOS position is no byte of the text
     return {"boundary_acc": acc, "compression": attained_compression(content), "grad_norm": grad_norm}
 
@@ -457,11 +459,9 @@ def evaluate_bpb(
     # the teacher scores patches (entropy, xent) or is the alignment's reference (subword)
     teacher = compute_copy(teacher_params) if teacher_params is not None and strategy.kind != "bpe" else None
     align = teacher is not None and strategy.kind == "subword"
-    real = scored_positions(cfg)
     tot_ce = 0.0
     tot_pos = 0
     tot_correct = 0
-    tot_real = 0
     pred_masks = []
     diffs = []
     for doc in docs:
@@ -476,8 +476,7 @@ def evaluate_bpb(
         tot_ce += ce * n_pred
         tot_pos += n_pred
         pred = out["mask"][0]
-        tot_correct += int((pred[real] == w.mask[real]).sum())
-        tot_real += pred[real].size
+        tot_correct += int((pred[:-1] == w.mask[:-1]).sum())  # n_pred bytes scored
         pred_masks.append(pred[1:])  # content bytes only, as boundary-dump counts
         if align:  # w.mask holds the teacher's token ends
             pooled = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], w.mask[None, :])
@@ -489,7 +488,7 @@ def evaluate_bpb(
     metrics = {
         "ce_nats": ce_mean,
         "bits_per_byte": bits_per_byte(ce_mean),
-        "boundary_acc": tot_correct / tot_real,
+        "boundary_acc": tot_correct / tot_pos,
         "attained_compression": attained_compression(pred_masks),
         "n_positions": tot_pos,
     }

@@ -130,6 +130,10 @@ def test_merge_strategy_validation():
         MergeStrategy("nope")
     with pytest.raises(BoundaryError):
         MergeStrategy("bpe")  # missing target
+    for t in (float("inf"), float("nan")):  # inf would merge every window into one patch
+        for kind in MergeStrategy.KINDS:
+            with pytest.raises(BoundaryError, match="target_compression must be finite"):
+                MergeStrategy(kind, t)
     MergeStrategy("entropy", target_compression=4.0)  # scores come from the teacher
     MergeStrategy("subword")
 

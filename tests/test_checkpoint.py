@@ -87,7 +87,7 @@ def test_wrong_version_rejected(tmp_path):
     params = init_byte_model(cfg, np.random.default_rng(3))
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, params, cfg)
-    for version in (3, FORMAT_VERSION + 1):  # format 3 configs carried boundary_threshold
+    for version in (4, FORMAT_VERSION + 1):  # format 4 configs carried boundary_mode
         rewrite_header(path, lambda h: h.update(format_version=version))
         with pytest.raises(CheckpointError, match=f"unsupported format version {version} "):
             load_checkpoint(path)
@@ -96,7 +96,8 @@ def test_wrong_version_rejected(tmp_path):
 @pytest.mark.parametrize("edit", [
     lambda h: h.update(format_version=1),  # format 1 configs still carry the fixed constants
     _format_2,
-    lambda h: h.update(format_version=3) or h["config"].update(boundary_threshold=0.5),  # format 3 as written
+    lambda h: h.update(format_version=3) or h["config"].update(boundary_threshold=0.5, boundary_mode="noncausal"),
+    lambda h: h.update(format_version=4) or h["config"].update(boundary_mode="noncausal"),  # format 4 as written
     lambda h: h["config"].update(nonsense=1),  # a key ModelConfig does not have
     lambda h: h["tensors"][0].update(dtype="nonsense"),
     lambda h: h["tensors"][0].update(dtype="int64"),  # same width, reinterpreted weights
@@ -106,7 +107,8 @@ def test_wrong_version_rejected(tmp_path):
     lambda h: h["tensors"][0].update(shape="8"),
     lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"]),
     lambda h: h.pop("tensors") and None,
-    lambda h: h["config"].update(boundary_threshold=1.5),  # format 4 has no threshold key
+    lambda h: h["config"].update(boundary_threshold=1.5),  # format 5 has no threshold key
+    lambda h: h["config"].update(boundary_mode="causal"),  # nor a boundary mode
     lambda h: h["tensors"].pop()["nbytes"],  # a consistent file one tensor short
     lambda h: h["tensors"].append({"name": "extra.w", "shape": [0], "dtype": "float64", "nbytes": 0}),
     lambda h: h["tensors"][0].update(name="boundary.w_key"),
@@ -120,13 +122,13 @@ def test_wrong_version_rejected(tmp_path):
     lambda h: h["config"].update(encoder_layers="1"),
     lambda h: h["config"].update(patch_cap="64"),
     lambda h: h["config"].update(n_probe=True),  # a bool is no int
-    lambda h: h["config"].pop("boundary_mode") and None,  # saved as the default, still required
+    lambda h: h["config"].pop("patch_cap") and None,  # saved as the default, still required
     lambda h: h["config"].update(n_probe=-1),
     lambda h: h["config"].update(patch_cap=0),
-], ids=["version-1", "version-2", "version-3", "extra-config-key", "nonsense-dtype", "int64-dtype", "no-nbytes",
-        "extra-entry-key", "shape-not-nbytes", "shape-not-a-list", "duplicate-name", "no-table",
-        "threshold-above-one", "dropped-tensor", "extra-tensor", "renamed-tensor", "reshaped-tensor",
-        "unknown-kind", "kind-not-a-string", "not-utf8", "json-list", "float-d", "string-heads",
+], ids=["version-1", "version-2", "version-3", "version-4", "extra-config-key", "nonsense-dtype", "int64-dtype",
+        "no-nbytes", "extra-entry-key", "shape-not-nbytes", "shape-not-a-list", "duplicate-name", "no-table",
+        "threshold-above-one", "boundary-mode-key", "dropped-tensor", "extra-tensor", "renamed-tensor",
+        "reshaped-tensor", "unknown-kind", "kind-not-a-string", "not-utf8", "json-list", "float-d", "string-heads",
         "string-encoder-layers", "string-patch-cap", "bool-n-probe", "dropped-config-key",
         "negative-n-probe", "zero-patch-cap"])
 def test_bad_header_exits_as_a_bad_checkpoint(tmp_path, capsys, edit):

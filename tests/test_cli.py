@@ -14,7 +14,7 @@ from bytepatch.cli import (
     build_model_config, build_train_config, parse_config_file,
 )
 from bytepatch.data import load_corpus
-from bytepatch.model import ModelConfig, init_byte_model
+from bytepatch.model import ModelConfig, init_byte_model, init_teacher
 from bytepatch.tokenizer import load_vocab
 from bytepatch.training import TrainConfig
 
@@ -111,7 +111,7 @@ def test_every_toy_cfg_line_lands_on_a_field():
     "train.grad_clip=0.5", "train.use_oracle_pooling=1",
     "model.mlstm.heads=2", "model.global.layers=1",  # format 2's nested groups are gone too
     "train.tau=5", "train.lambda_boundary=4", "train.lambda_encoder=1", "train.lambda_distill=1",
-    "train.lambda_ce=1", "model.boundary_threshold=0.5",
+    "train.lambda_ce=1", "model.boundary_threshold=0.5", "model.boundary_mode=noncausal",
 ])
 def test_fixed_constants_are_unknown_keys(workspace, tmp_path, capsys, line):
     root, cfg = workspace
@@ -252,6 +252,9 @@ def test_spectrum_and_boundary_dump(workspace, capsys):
     assert cli.main(["spectrum", "--model", str(root / "teacher.ckpt"),
                      "--tensor", "nope.w"]) == EXIT_USAGE
     capsys.readouterr()
+    assert cli.main(["spectrum", "--model", str(root / "s1.ckpt"), "--tensor", "lm_head.norm_g"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "error: tensor 'lm_head.norm_g' has shape (16,), not a matrix" in err and out == ""
     assert cli.main(["boundary-dump", "--data", str(root / "corpus"),
                      "--vocab", str(root / "vocab.txt"), "--teacher", str(root / "teacher.ckpt"),
                      "--docs", "2"]) == EXIT_OK
@@ -299,7 +302,7 @@ def test_commands_on_a_checkpoint_reject_a_model_key_it_contradicts(workspace, t
         "merge": ["--model", model, "--base", teacher, "--posttrained", teacher, "--out", str(out)],
         "reset-check": ["--data", data, "--base", teacher, "--posttrained", teacher, "--vocab", vocab],
     }[command]
-    for line, rc in [("model.boundary_mode=noncausal", EXIT_OK), ("model.boundary_mode=causal", EXIT_CONFIG),
+    for line, rc in [("model.patch_cap=64", EXIT_OK), ("model.encoder_layers=2", EXIT_CONFIG),
                      ("model.patch_cap=8", EXIT_CONFIG), ("model.decoder_layers=2", EXIT_CONFIG)]:
         conf = tmp_path / "model.cfg"
         conf.write_text(cfg.read_text() + line + "\n")
@@ -380,6 +383,71 @@ def test_merge_roundtrip_via_cli(workspace, tmp_path):
     b, _, _ = load_checkpoint(merged)
     for name, t in a.items():
         assert np.array_equal(b[name].data, t.data)
+
+
+@pytest.mark.parametrize("command, flag", [("merge", "--base"), ("merge", "--posttrained"),
+                                           ("reset-check", "--posttrained")])
+def test_a_teacher_of_another_shape_is_a_bad_checkpoint(workspace, tmp_path, capsys, command, flag):
+    """A teacher whose config differs from the model's it meets exits 5
+    before any arithmetic, naming both paths and the field."""
+    root, cfg = workspace
+    teacher, model = str(root / "teacher.ckpt"), str(root / "s1.ckpt")
+    mc = load_checkpoint(teacher)[1]
+    wide = dc.replace(mc, d=32, global_head_dim=16)
+    other = str(tmp_path / "wide.ckpt")
+    save_checkpoint(other, init_teacher(wide, np.random.default_rng(0)), wide, kind="teacher")
+    out = tmp_path / "out"
+    argv = {"merge": ["--model", model, "--base", teacher, "--posttrained", teacher, "--out", str(out)],
+            "reset-check": ["--data", str(root / "corpus"), "--vocab", str(root / "vocab.txt"),
+                            "--base", teacher, "--posttrained", teacher]}[command]
+    argv[argv.index(flag) + 1] = other
+    assert cli.main([command, *argv, "--config", str(cfg)]) == EXIT_CHECKPOINT
+    out_text, err = capsys.readouterr()
+    reference = model if command == "merge" else teacher
+    assert f"error: bad checkpoint: {other} has d=32 where {reference} has d=16" in err
+    assert out_text == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "stage1", "stage2"])
+def test_an_unknown_merge_kind_is_invalid_config_naming_the_key(workspace, tmp_path, capsys, command):
+    root, cfg = workspace
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg.read_text() + "train.merge_kind=nonsense\n")
+    out = tmp_path / "out"
+    flags = {"train-teacher": ["--vocab-out", str(tmp_path / "v.txt")],
+             "stage1": ["--teacher", str(root / "teacher.ckpt"), "--vocab", str(root / "vocab.txt")],
+             "stage2": ["--model", str(root / "s1.ckpt"), "--vocab", str(root / "vocab.txt")]}[command]
+    rc = cli.main([command, "--data", str(root / "corpus"), "--out", str(out), "--config", str(bad),
+                   "--steps", "0", *flags])
+    assert rc == EXIT_CONFIG
+    assert "invalid config: merge_kind must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["stage2", "eval-bpb"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_a_non_finite_target_compression_is_invalid_config(workspace, tmp_path, capsys, command, value):
+    root, cfg = workspace
+    out = tmp_path / "s2.ckpt"
+    flags = ["--out", str(out), "--steps", "1"] if command == "stage2" else []
+    rc = cli.main([command, "--data", str(root / "corpus"), "--model", str(root / "s1.ckpt"),
+                   "--vocab", str(root / "vocab.txt"), "--config", str(cfg), *flags,
+                   "--merge-strategy", "bpe", "--target-compression", value])
+    assert rc == EXIT_CONFIG
+    out_text, err = capsys.readouterr()
+    assert f"target_compression must be finite, got {value}" in err
+    assert out_text == "" and not out.exists()
+
+
+@pytest.mark.parametrize("name", ["notes.md", "notes"])
+def test_a_corpus_file_neither_txt_nor_jsonl_is_invalid_data_naming_its_suffix(tmp_path, capsys, name):
+    f = tmp_path / name
+    f.write_text("cat dog sun sky tree bird\n")
+    rc = cli.main(["train-teacher", "--data", str(f), "--out", str(tmp_path / "t.ckpt"),
+                   "--vocab-out", str(tmp_path / "v.txt")])
+    assert rc == EXIT_CONFIG
+    suffix = repr(f.suffix)
+    assert f"error: {f} has suffix {suffix}: a corpus file is .txt or .jsonl" in capsys.readouterr().err
 
 
 # the checkpoint kind each command's flags name; spectrum --model takes either
@@ -605,4 +673,4 @@ def test_settable_value_counts():
     varies is a constant in the module that uses it, not a key."""
     settable = {section: [k for k in fields if f"{section}.{k}" not in cli.DERIVED]
                 for section, fields in (("model", ModelConfig().to_dict()), ("train", dc.asdict(TrainConfig())))}
-    assert {section: len(keys) for section, keys in settable.items()} == {"model": 13, "train": 7}
+    assert {section: len(keys) for section, keys in settable.items()} == {"model": 12, "train": 7}

@@ -55,10 +55,10 @@ def test_boundary_bce_gradient():
     assert finite_difference_check(loss, [rng.normal(size=(1, 8))]) < 1e-4
 
 
-def tiny_cfg():
+def tiny_cfg(n_probe=2):
     return ModelConfig(
         d=8, vocab_size=300, encoder_layers=1, decoder_layers=1, ffn_hidden=12,
-        n_probe=2, mlstm_heads=2, mlstm_qk_dim=2, mlstm_v_dim=4,
+        n_probe=n_probe, mlstm_heads=2, mlstm_qk_dim=2, mlstm_v_dim=4,
         global_layers=2, global_heads=2, global_head_dim=4,
     )
 
@@ -69,7 +69,7 @@ def test_loss_encoder_n0_equals_direct_l2_exactly():
     params = init_teacher(cfg, rng)
     h = Tensor(rng.normal(size=(1, 5, cfg.d)))
     teacher = rng.normal(size=(1, 5, cfg.d))
-    got = encoder_match(transformer_probe(params, cfg, h, 0), teacher, np.ones((1, 5), dtype=bool)).item()
+    got = encoder_match(transformer_probe(params, tiny_cfg(n_probe=0), h), teacher, np.ones((1, 5), dtype=bool)).item()
     want = float(np.mean(np.linalg.norm(h.data - teacher, axis=-1)))
     assert got == pytest.approx(want, rel=4e-16)  # machine precision
 
@@ -80,9 +80,10 @@ def test_loss_encoder_identical_inputs_is_zero():
     params = init_teacher(cfg, rng)
     h = rng.normal(size=(1, 5, cfg.d))
     for n in [0, 1, 2]:
-        probe = transformer_probe(params, cfg, Tensor(h), n)
+        probe_n = tiny_cfg(n_probe=n)
+        probe = transformer_probe(params, probe_n, Tensor(h))
         valid = np.ones((1, 5), dtype=bool)
-        assert encoder_match(transformer_probe(params, cfg, Tensor(h), n), probe.data, valid).item() == 0.0
+        assert encoder_match(transformer_probe(params, probe_n, Tensor(h)), probe.data, valid).item() == 0.0
 
 
 def test_loss_encoder_matches_bruteforce_recompute():
@@ -91,11 +92,11 @@ def test_loss_encoder_matches_bruteforce_recompute():
     params = init_teacher(cfg, rng)
     h = rng.normal(size=(2, 4, cfg.d))
     teacher_h = rng.normal(size=(2, 4, cfg.d))
-    n = 2
-    teacher_probe = transformer_probe(params, cfg, Tensor(teacher_h), n).data
+    assert cfg.n_probe == 2
+    teacher_probe = transformer_probe(params, cfg, Tensor(teacher_h)).data
     valid = np.ones((2, 4), dtype=bool)
-    got = encoder_match(transformer_probe(params, cfg, Tensor(h), n), teacher_probe, valid).item()
-    student_probe = transformer_probe(params, cfg, Tensor(h), n).data
+    got = encoder_match(transformer_probe(params, cfg, Tensor(h)), teacher_probe, valid).item()
+    student_probe = transformer_probe(params, cfg, Tensor(h)).data
     want = float(np.mean(np.linalg.norm(student_probe - teacher_probe, axis=-1)))
     assert got == pytest.approx(want, rel=1e-12)
 

@@ -21,7 +21,6 @@ from bytepatch.model import (
     fused_targets,
     init_byte_model,
     init_teacher,
-    scored_positions,
 )
 from bytepatch.losses import ce_fused
 from bytepatch.optim import AdamW
@@ -333,6 +332,10 @@ def test_step_metrics_count_capped_boundaries():
     m = tr._step_metrics(p_scores, capped, cfg, grad_norm=1.0)
     assert m["boundary_acc"] == 1.0
     assert m["compression"] == 3.0  # 9 content bytes, 3 boundaries
+    missed = capped.copy()
+    missed[0, 0] = True  # a supervised boundary the prediction lacks
+    # one miss in 9 scored bytes: the last byte, always flagged, is not scored
+    assert tr._step_metrics(p_scores, missed, cfg, grad_norm=1.0)["boundary_acc"] == 8 / 9
 
 
 def test_evaluation_counts_capped_boundaries(toy):
@@ -385,7 +388,7 @@ def test_float32_evaluation_tracks_its_float64_oracle(toy):
     store's own `forward_full` and `ce_fused` over the same windows."""
     docs, vocab, cfg, teacher = toy
     student = init_byte_model(cfg, np.random.default_rng(1), teacher)
-    real = scored_positions(cfg)
+    real = slice(None, -1)  # every byte but the last, which predicted_mask always flags
     ce = n = correct = scored = 0
     masks = []
     for doc in docs[:6]:
