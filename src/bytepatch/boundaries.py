@@ -26,6 +26,14 @@ class BoundaryError(ValueError):
     pass
 
 
+def check_target_compression(t: float) -> None:
+    """Bytes per patch: finite (inf merges a window into one patch) and >= 0."""
+    if not np.isfinite(t):
+        raise BoundaryError(f"target_compression must be finite, got {t}")
+    if t < 0:
+        raise BoundaryError(f"target_compression must be >= 0, got {t}")
+
+
 @dataclass
 class MergeStrategy:
     kind: str  # subword | bpe | entropy | xent
@@ -36,8 +44,7 @@ class MergeStrategy:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise BoundaryError(f"unknown merge strategy {self.kind!r}")
-        if not np.isfinite(self.target_compression):
-            raise BoundaryError(f"target_compression must be finite, got {self.target_compression}")
+        check_target_compression(self.target_compression)
         if self.kind != "subword" and not self.target_compression > 0:
             raise BoundaryError("merging strategies need target_compression > 0")
 

@@ -6,8 +6,9 @@ supervision, evaluation, generation, checkpoint arithmetic, embedding spectrum
 reports, and boundary-mask dumps. Every command takes --config (flat key=value
 file with section prefixes) and --seed; metrics stream as line-delimited JSON.
 
-Exit codes: 0 success, 2 usage, 3 invalid config, 4 missing file,
-5 bad checkpoint or one of the wrong kind for its flag, 1 other runtime failure.
+Exit codes: 0 success, 2 usage, 3 invalid config, 4 missing file, 5 bad
+checkpoint, one of the wrong kind for its flag or a teacher of another shape
+than the model it meets, 1 other runtime failure.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ EXIT_CHECKPOINT = 5
 
 class ConfigFileError(ValueError):
     pass
+
+
+class UsageError(Exception):
+    """Flags that no run of the command can honour (exit 2)."""
 
 
 # sections a config file may set that no config class owns, at their defaults
@@ -104,6 +109,9 @@ def _overlay(cfg: dict[str, str], section: str, defaults: dict) -> dict:
 # the teacher's backbone, which a converted model transplants; ffn_hidden also
 # sizes the backbone's FFNs
 BACKBONE = ("d", "ffn_hidden", "global_layers", "global_heads", "global_head_dim")
+# the fields that shape a teacher's tensors, which a teacher must share with
+# the checkpoint it meets
+TEACHER_FIELDS = ("vocab_size", *BACKBONE)
 
 
 def build_model_config(cfg: dict[str, str], vocab_size: int, base: ModelConfig | None = None,
@@ -112,7 +120,7 @@ def build_model_config(cfg: dict[str, str], vocab_size: int, base: ModelConfig |
     once, so validation sees the final values. The base is a checkpoint's
     config, and a valid config that changes one of its `keep` fields is
     rejected, naming the key: the backbone when converting a teacher, every
-    field when a command runs a saved model (`saved_model_config`)."""
+    field when a command runs a saved model (`_open`)."""
     values = _overlay(cfg, "model", (base or ModelConfig()).to_dict())
     try:
         mc = ModelConfig.from_dict({**values, "vocab_size": vocab_size})
@@ -124,12 +132,6 @@ def build_model_config(cfg: dict[str, str], vocab_size: int, base: ModelConfig |
         if changed:
             raise ConfigFileError("; ".join(changed))
     return mc
-
-
-def saved_model_config(cfg: dict[str, str], mc: ModelConfig) -> ModelConfig:
-    """`mc`, the config a checkpoint was saved with, once every model.* key of
-    the file agrees with it: the saved weights fix every field."""
-    return build_model_config(cfg, mc.vocab_size, base=mc, keep=tuple(mc.to_dict()))
 
 
 def build_train_config(cfg: dict[str, str], stage: int, args) -> TrainConfig:
@@ -156,22 +158,37 @@ def _load_corpus(args):
     return load_corpus(args.data, **_overlay(args.cfg, "data", DATA_DEFAULTS))
 
 
-def _check_same(path: str, mc: ModelConfig, ref_path: str, ref: ModelConfig, fields: tuple[str, ...]) -> None:
-    """Reject the checkpoint at `path` unless its config equals `ref`'s, the
-    one saved at `ref_path`, in each of `fields`, naming the first that differs."""
-    for k in fields:
-        if getattr(mc, k) != getattr(ref, k):
-            raise CheckpointError(f"{path} has {k}={getattr(mc, k)} where {ref_path} has {k}={getattr(ref, k)}")
-
-
-def _load_ckpt(path: str, kind: str | None):
-    """The checkpoint at `path`, which must be of `kind` (either kind when None)."""
+def _open(path: str, kind: str | None, cfg: dict[str, str] | None = None,
+          meets: tuple[str, ModelConfig] | None = None):
+    """The params and config saved at `path`, a checkpoint of `kind` (either
+    kind when None). Given the config file `cfg`, each of its model.* keys
+    must agree with the saved config, since the weights fix every field.
+    Given the path and config of the checkpoint it `meets`, the saved config
+    must equal that one in each of TEACHER_FIELDS, naming the first that differs."""
     if not Path(path).exists():
         raise FileNotFoundError(f"checkpoint {path} not found")
     params, mc, header = load_checkpoint(path)
     if kind is not None and header["kind"] != kind:
         raise CheckpointError(f"{path} is a {header['kind']} checkpoint, not a {kind}")
-    return params, mc, header
+    if cfg is not None:
+        build_model_config(cfg, mc.vocab_size, base=mc, keep=tuple(mc.to_dict()))
+    if meets is not None:
+        ref_path, ref = meets
+        for k in TEACHER_FIELDS:
+            if getattr(mc, k) != getattr(ref, k):
+                raise CheckpointError(f"{path} has {k}={getattr(mc, k)} where {ref_path} has {k}={getattr(ref, k)}")
+    return params, mc
+
+
+def _teacher(args, strategy: MergeStrategy, meets: tuple[str, ModelConfig] | None):
+    """The params and config of --teacher, or (None, None) without the flag,
+    which entropy/xent supervision requires. A teacher that meets no model is
+    the only model the command runs, so the config file is checked against it."""
+    if not args.teacher:
+        if strategy.needs_teacher:
+            raise UsageError("entropy/xent supervision needs --teacher")
+        return None, None
+    return _open(args.teacher, "teacher", None if meets else args.cfg, meets)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -213,7 +230,7 @@ def cmd_train_teacher(args) -> int:
 def cmd_stage1(args) -> int:
     corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
-    teacher, teacher_mc, _ = _load_ckpt(args.teacher, "teacher")
+    teacher, teacher_mc = _open(args.teacher, "teacher")
     mc = build_model_config(args.cfg, teacher_mc.vocab_size, teacher_mc)
     tc = build_train_config(args.cfg, stage=1, args=args)
     rng = np.random.default_rng(args.seed)
@@ -230,15 +247,9 @@ def cmd_stage1(args) -> int:
 def cmd_stage2(args) -> int:
     corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
-    params, mc, _ = _load_ckpt(args.model, "byte_model")
-    mc = saved_model_config(args.cfg, mc)
+    params, mc = _open(args.model, "byte_model", args.cfg)
     tc = build_train_config(args.cfg, stage=2, args=args)
-    teacher = None
-    if tc.strategy().needs_teacher:
-        if not args.teacher:
-            print("error: entropy/xent supervision needs --teacher", file=sys.stderr)
-            return EXIT_USAGE
-        teacher, _, _ = _load_ckpt(args.teacher, "teacher")
+    teacher, _ = _teacher(args, tc.strategy(), (args.model, mc))
     train_conversion(params, mc, vocab, teacher, corpus.train, tc, log_path=args.log)
     save_checkpoint(args.out, params, mc, kind="byte_model",
                     metadata={"stage": 2, "seed": args.seed, "steps": tc.steps,
@@ -250,13 +261,9 @@ def cmd_stage2(args) -> int:
 def cmd_eval_bpb(args) -> int:
     corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
-    params, mc, _ = _load_ckpt(args.model, "byte_model")
-    mc = saved_model_config(args.cfg, mc)
+    params, mc = _open(args.model, "byte_model", args.cfg)
     strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0)
-    if strategy.needs_teacher and not args.teacher:
-        print("error: entropy/xent supervision needs --teacher", file=sys.stderr)
-        return EXIT_USAGE
-    teacher = _load_ckpt(args.teacher, "teacher")[0] if args.teacher else None
+    teacher, _ = _teacher(args, strategy, (args.model, mc))
     out = evaluate_bpb(params, mc, vocab, corpus.heldout or corpus.train, strategy, teacher,
                        max_doc_bytes=args.max_doc_bytes)
     print(json.dumps(out))
@@ -265,8 +272,7 @@ def cmd_eval_bpb(args) -> int:
 
 def cmd_generate(args) -> int:
     vocab = load_vocab(args.vocab)
-    params, mc, _ = _load_ckpt(args.model, "byte_model")
-    mc = saved_model_config(args.cfg, mc)
+    params, mc = _open(args.model, "byte_model", args.cfg)
     prompt = bytes([EOT]) + (utf8_to_bytes(args.prompt) if args.prompt else b"")
     sampler = SamplerConfig(temperature=args.temperature, top_p=args.top_p, seed=args.seed)
     out = generate(params, mc, vocab.suffix_index, prompt, args.max_bytes, sampler)
@@ -281,12 +287,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    byte_model, mc, _ = _load_ckpt(args.model, "byte_model")
-    mc = saved_model_config(args.cfg, mc)
-    base, base_mc, _ = _load_ckpt(args.base, "teacher")
-    _check_same(args.base, base_mc, args.model, mc, BACKBONE)
-    post, post_mc, _ = _load_ckpt(args.posttrained, "teacher")
-    _check_same(args.posttrained, post_mc, args.model, mc, BACKBONE)
+    byte_model, mc = _open(args.model, "byte_model", args.cfg)
+    base, _ = _open(args.base, "teacher", meets=(args.model, mc))
+    post, _ = _open(args.posttrained, "teacher", meets=(args.model, mc))
     merged = task_arithmetic_merge(byte_model, base, post)
     save_checkpoint(args.out, merged, mc, kind="byte_model", metadata={"merged": True})
     print(f"merged checkpoint saved to {args.out}")
@@ -296,25 +299,20 @@ def cmd_merge(args) -> int:
 def cmd_reset_check(args) -> int:
     corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
-    base, mc, _ = _load_ckpt(args.base, "teacher")
-    mc = saved_model_config(args.cfg, mc)
-    post, post_mc, _ = _load_ckpt(args.posttrained, "teacher")
-    _check_same(args.posttrained, post_mc, args.base, mc, tuple(mc.to_dict()))
+    base, mc = _open(args.base, "teacher", args.cfg)
+    post, _ = _open(args.posttrained, "teacher", meets=(args.base, mc))
     out = reset_embeddings_check(base, post, mc, vocab, corpus.heldout or corpus.train)
     print(json.dumps(out))
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
-    params, _, _ = _load_ckpt(args.model, None)
+    params, _ = _open(args.model, None)
     name = args.tensor
     if name not in params:
-        print(f"error: tensor {name!r} not in checkpoint "
-              f"(try {', '.join(sorted(params)[:4])} ...)", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"tensor {name!r} not in checkpoint (try {', '.join(sorted(params)[:4])} ...)")
     if len(params[name].shape) != 2:
-        print(f"error: tensor {name!r} has shape {params[name].shape}, not a matrix", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"tensor {name!r} has shape {params[name].shape}, not a matrix")
     print(format_spectrum(spectrum_report(params[name].data), max_rows=args.max_rows))
     return EXIT_OK
 
@@ -322,21 +320,11 @@ def cmd_spectrum(args) -> int:
 def cmd_boundary_dump(args) -> int:
     corpus = _load_corpus(args)
     vocab = load_vocab(args.vocab)
-    teacher = None
-    params = mc = None
-    if args.model:
-        params, mc, _ = _load_ckpt(args.model, "byte_model")
-    if args.teacher:
-        teacher, mc_t, _ = _load_ckpt(args.teacher, "teacher")
-        mc = mc or mc_t
+    if args.predicted and not args.model:
+        raise UsageError("--predicted needs --model")
+    params, mc = _open(args.model, "byte_model", args.cfg) if args.model else (None, None)
     strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0)
-    if mc is None or (strategy.needs_teacher and teacher is None):
-        print("error: need --model (and --teacher for entropy/xent) here", file=sys.stderr)
-        return EXIT_USAGE
-    mc = saved_model_config(args.cfg, mc)
-    if args.predicted and params is None:
-        print("error: --predicted needs --model", file=sys.stderr)
-        return EXIT_USAGE
+    teacher, teacher_mc = _teacher(args, strategy, (args.model, mc) if args.model else None)
     scorer = compute_copy(teacher) if strategy.needs_teacher else None
     if args.predicted:
         params = compute_copy(params)
@@ -344,7 +332,7 @@ def cmd_boundary_dump(args) -> int:
     masks = []
     for doc in docs:
         content = doc[: args.max_doc_bytes]
-        w = prepare_window(content, vocab, mc, scorer, strategy)
+        w = prepare_window(content, vocab, teacher_mc, scorer, strategy)
         if args.predicted:
             out = forward_full(params, mc, w.model_bytes[None, :], w.suffix[None, :], mask=None)
             mask = out["mask"][0][1:]  # drop the BOS pseudo-patch position
@@ -474,6 +462,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.cfg = parse_config_file(args.config)
         return args.fn(args)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except ConfigFileError as e:
         print(f"error: invalid config: {e}", file=sys.stderr)
         return EXIT_CONFIG

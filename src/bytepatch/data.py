@@ -94,31 +94,28 @@ def write_corpus(path: str | Path, docs: list[str]) -> None:
 WORD_LIST = """cat dog sun sky tree bird fish rock lake rain snow fire leaf moon star cloud
 river stone grass house mouse horse sheep plant bread water light night dream smile storm
 garden window basket yellow purple orange silver copper autumn winter spring summer""".split()
+BRANCHING = 4  # successors of each word in the word graph
+WORDS_PER_SENTENCE = (5, 11)  # the word graph's sentence lengths, as an rng.integers range
+WORDS_PER_COMPOUND_DOC = (30, 60)  # compound_docs' document lengths, likewise
 
 
-def markov_word_docs(
-    seed: int,
-    n_docs: int = 200,
-    branching: int = 4,
-    sentences_per_doc: tuple[int, int] = (4, 9),
-    words_per_sentence: tuple[int, int] = (5, 11),
-    transition_seed: int | None = None,
-) -> list[str]:
-    """Low-entropy word-graph text: every word has `branching` possible
-    successors, so a competent model reaches ~log(branching) nats per word.
+def markov_word_docs(seed: int, n_docs: int = 200, sentences_per_doc: tuple[int, int] = (4, 9),
+                     transition_seed: int | None = None) -> list[str]:
+    """Low-entropy word-graph text: every word has `BRANCHING` possible
+    successors, so a competent model reaches ~log(BRANCHING) nats per word.
     `transition_seed` reshuffles only the graph edges, giving a shifted
     distribution over the same vocabulary for fine-tuning experiments."""
     rng = np.random.default_rng(seed)
     words = WORD_LIST
     trng = np.random.default_rng(transition_seed if transition_seed is not None else 1235)
-    successors = {w: trng.choice(words, size=branching, replace=False) for w in words}
+    successors = {w: trng.choice(words, size=BRANCHING, replace=False) for w in words}
     docs = []
     for _ in range(n_docs):
         parts = []
         for _ in range(int(rng.integers(*sentences_per_doc))):
             w = words[int(rng.integers(len(words)))]
             sent = [w]
-            for _ in range(int(rng.integers(*words_per_sentence)) - 1):
+            for _ in range(int(rng.integers(*WORDS_PER_SENTENCE)) - 1):
                 w = str(rng.choice(successors[w]))
                 sent.append(w)
             parts.append(" ".join(sent) + ".")
@@ -137,14 +134,14 @@ COMPOUND_PAIRS = [
 FILLERS = ["the", "a", "near", "saw", "old", "grew", "by", "under"]
 
 
-def compound_docs(seed: int, n_docs: int = 150, words_per_doc: tuple[int, int] = (30, 60)) -> list[str]:
+def compound_docs(seed: int, n_docs: int = 150) -> list[str]:
     """Text where a word is a bare stem or its compound with equal odds, so
     whether a token boundary falls after the stem depends on the next byte."""
     rng = np.random.default_rng(seed)
     docs = []
     for _ in range(n_docs):
         out = []
-        for _ in range(int(rng.integers(*words_per_doc))):
+        for _ in range(int(rng.integers(*WORDS_PER_COMPOUND_DOC))):
             if rng.random() < 0.4:
                 out.append(FILLERS[int(rng.integers(len(FILLERS)))])
             else:

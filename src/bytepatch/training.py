@@ -39,7 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundaries import MergeStrategy, attained_compression, merge_bpe_per_example, merge_by_score
+from .boundaries import (MergeStrategy, attained_compression, check_target_compression, merge_bpe_per_example,
+                         merge_by_score)
 from .data import EOT, MIN_WINDOW_BYTES, make_windows
 from .losses import boundary_bce, bits_per_byte, ce_fused, decoder_distill, encoder_match, patch_logprobs
 from .model import (
@@ -100,6 +101,7 @@ class TrainConfig:
             raise ValueError(f"max_bytes must be >= {1 + MIN_WINDOW_BYTES}, got {self.max_bytes}")
         if self.merge_kind not in MergeStrategy.KINDS:
             raise ValueError(f"merge_kind must be one of {', '.join(MergeStrategy.KINDS)}, got {self.merge_kind!r}")
+        check_target_compression(self.target_compression)
 
     def strategy(self) -> MergeStrategy:
         """The boundary supervision this stage trains on: the teacher's own

@@ -130,10 +130,12 @@ def test_merge_strategy_validation():
         MergeStrategy("nope")
     with pytest.raises(BoundaryError):
         MergeStrategy("bpe")  # missing target
-    for t in (float("inf"), float("nan")):  # inf would merge every window into one patch
-        for kind in MergeStrategy.KINDS:
+    for kind in MergeStrategy.KINDS:
+        for t in (float("inf"), float("nan")):  # inf would merge every window into one patch
             with pytest.raises(BoundaryError, match="target_compression must be finite"):
                 MergeStrategy(kind, t)
+        with pytest.raises(BoundaryError, match="target_compression must be >= 0, got -3.0"):
+            MergeStrategy(kind, -3.0)  # subword reads no target, yet its range holds
     MergeStrategy("entropy", target_compression=4.0)  # scores come from the teacher
     MergeStrategy("subword")
 

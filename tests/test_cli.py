@@ -1,6 +1,7 @@
 import dataclasses as dc
 import json
 import re
+import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +19,8 @@ from bytepatch.model import ModelConfig, init_byte_model, init_teacher
 from bytepatch.tokenizer import load_vocab
 from bytepatch.training import TrainConfig
 
-TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
+ROOT = Path(__file__).resolve().parents[1]
+TOY_CFG = ROOT / "configs" / "toy.cfg"
 
 TINY_CFG = """
 # tiny pipeline for CLI tests
@@ -261,6 +263,15 @@ def test_spectrum_and_boundary_dump(workspace, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     # the tiny corpus holds out a single doc; each line is one RLE mask
     assert 1 <= len(lines) <= 2 and all(":" in l for l in lines)
+    # bpe masks come from the tokenizer alone: the dump needs no checkpoint,
+    # and a teacher it is given changes nothing
+    bpe = ["boundary-dump", "--data", str(root / "corpus"), "--vocab", str(root / "vocab.txt"),
+           "--merge-strategy", "bpe", "--target-compression", "6"]
+    assert cli.main(bpe) == EXIT_OK
+    alone = capsys.readouterr()
+    assert alone.out and alone.err.startswith("# attained compression:")
+    assert cli.main([*bpe, "--teacher", str(root / "teacher.ckpt")]) == EXIT_OK
+    assert capsys.readouterr() == alone
 
 
 def test_boundary_dump_predicted(workspace, capsys):
@@ -363,14 +374,18 @@ def test_make_corpus_kinds(tmp_path, kind):
     assert len(load_corpus(out).train) >= 3
 
 
-def test_reset_check_reports_ratio(workspace, capsys):
+def test_reset_check_reports_ratio(workspace, tmp_path, capsys):
     root, cfg = workspace
     teacher = str(root / "teacher.ckpt")
-    rc = cli.main(["reset-check", "--data", str(root / "corpus"), "--base", teacher,
-                   "--posttrained", teacher, "--vocab", str(root / "vocab.txt"), "--config", str(cfg)])
-    assert rc == EXIT_OK
-    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert out["ratio"] == 1.0  # resetting to identical embeddings changes nothing
+    params, mc, _ = load_checkpoint(teacher)
+    local = str(tmp_path / "local.ckpt")  # the same tensors under sizes that shape no teacher tensor
+    save_checkpoint(local, params, dc.replace(mc, decoder_layers=3, n_probe=0), kind="teacher")
+    for post in (teacher, local):
+        rc = cli.main(["reset-check", "--data", str(root / "corpus"), "--base", teacher,
+                       "--posttrained", post, "--vocab", str(root / "vocab.txt"), "--config", str(cfg)])
+        assert rc == EXIT_OK
+        out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert out["ratio"] == 1.0  # resetting to identical embeddings changes nothing
 
 
 def test_merge_roundtrip_via_cli(workspace, tmp_path):
@@ -386,25 +401,35 @@ def test_merge_roundtrip_via_cli(workspace, tmp_path):
 
 
 @pytest.mark.parametrize("command, flag", [("merge", "--base"), ("merge", "--posttrained"),
-                                           ("reset-check", "--posttrained")])
+                                           ("reset-check", "--posttrained"), ("stage2", "--teacher"),
+                                           ("eval-bpb", "--teacher"), ("boundary-dump", "--teacher")])
 def test_a_teacher_of_another_shape_is_a_bad_checkpoint(workspace, tmp_path, capsys, command, flag):
-    """A teacher whose config differs from the model's it meets exits 5
-    before any arithmetic, naming both paths and the field."""
+    """A teacher whose shape differs from the model's it meets exits 5
+    before any computation, naming both paths and the field."""
     root, cfg = workspace
-    teacher, model = str(root / "teacher.ckpt"), str(root / "s1.ckpt")
+    data, vocab, teacher, model = (str(root / n) for n in ("corpus", "vocab.txt", "teacher.ckpt", "s1.ckpt"))
     mc = load_checkpoint(teacher)[1]
-    wide = dc.replace(mc, d=32, global_head_dim=16)
-    other = str(tmp_path / "wide.ckpt")
-    save_checkpoint(other, init_teacher(wide, np.random.default_rng(0)), wide, kind="teacher")
+    # a wider teacher crashes the arithmetic; one with an extra layer would run
+    # on the model's config, its last layer silently skipped
+    other_mc, field = ((dc.replace(mc, global_layers=mc.global_layers + 1), "global_layers") if flag == "--teacher"
+                       else (dc.replace(mc, d=32, global_head_dim=16), "d"))
+    other = str(tmp_path / "other.ckpt")
+    save_checkpoint(other, init_teacher(other_mc, np.random.default_rng(0)), other_mc, kind="teacher")
     out = tmp_path / "out"
+    scored = ["--merge-strategy", "entropy", "--target-compression", "6"]
     argv = {"merge": ["--model", model, "--base", teacher, "--posttrained", teacher, "--out", str(out)],
-            "reset-check": ["--data", str(root / "corpus"), "--vocab", str(root / "vocab.txt"),
-                            "--base", teacher, "--posttrained", teacher]}[command]
+            "reset-check": ["--data", data, "--vocab", vocab, "--base", teacher, "--posttrained", teacher],
+            "stage2": ["--data", data, "--vocab", vocab, "--model", model, "--teacher", teacher,
+                       "--out", str(out), "--steps", "1", *scored],
+            "eval-bpb": ["--data", data, "--vocab", vocab, "--model", model, "--teacher", teacher],
+            "boundary-dump": ["--data", data, "--vocab", vocab, "--model", model, "--teacher", teacher,
+                              *scored]}[command]
     argv[argv.index(flag) + 1] = other
     assert cli.main([command, *argv, "--config", str(cfg)]) == EXIT_CHECKPOINT
     out_text, err = capsys.readouterr()
-    reference = model if command == "merge" else teacher
-    assert f"error: bad checkpoint: {other} has d=32 where {reference} has d=16" in err
+    reference = teacher if command == "reset-check" else model
+    want, have = getattr(other_mc, field), getattr(mc, field)
+    assert f"error: bad checkpoint: {other} has {field}={want} where {reference} has {field}={have}" in err
     assert out_text == "" and not out.exists()
 
 
@@ -425,18 +450,22 @@ def test_an_unknown_merge_kind_is_invalid_config_naming_the_key(workspace, tmp_p
 
 
 @pytest.mark.parametrize("command", ["stage2", "eval-bpb"])
-@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-3"])
 def test_a_non_finite_target_compression_is_invalid_config(workspace, tmp_path, capsys, command, value):
+    """The range holds for every kind, the default subword (which never
+    reads the target) included."""
     root, cfg = workspace
     out = tmp_path / "s2.ckpt"
     flags = ["--out", str(out), "--steps", "1"] if command == "stage2" else []
-    rc = cli.main([command, "--data", str(root / "corpus"), "--model", str(root / "s1.ckpt"),
-                   "--vocab", str(root / "vocab.txt"), "--config", str(cfg), *flags,
-                   "--merge-strategy", "bpe", "--target-compression", value])
-    assert rc == EXIT_CONFIG
-    out_text, err = capsys.readouterr()
-    assert f"target_compression must be finite, got {value}" in err
-    assert out_text == "" and not out.exists()
+    message = f"target_compression must be {'>= 0' if value == '-3' else 'finite'}, got {float(value)}"
+    for kind in ("bpe", "subword"):
+        rc = cli.main([command, "--data", str(root / "corpus"), "--model", str(root / "s1.ckpt"),
+                       "--vocab", str(root / "vocab.txt"), "--config", str(cfg), *flags,
+                       "--merge-strategy", kind, "--target-compression", value])
+        assert rc == EXIT_CONFIG, kind
+        out_text, err = capsys.readouterr()
+        assert message in err
+        assert out_text == "" and not out.exists()
 
 
 @pytest.mark.parametrize("name", ["notes.md", "notes"])
@@ -643,6 +672,8 @@ def test_out_of_range_values_are_invalid_config(workspace, tmp_path, capsys, lin
     ("train.peak_lr=-1", "peak_lr must be >= 0, got -1.0"),
     ("train.peak_lr=inf", "peak_lr must be finite, got inf"),
     ("train.warmup_steps=-5", "warmup_steps must be >= 0, got -5"),
+    ("train.target_compression=inf", "target_compression must be finite, got inf"),  # stage 1 reads no target,
+    ("train.target_compression=-3", "target_compression must be >= 0, got -3.0"),  # yet its range holds
 ])
 def test_model_counts_out_of_range_are_invalid_config(workspace, tmp_path, capsys, line, message):
     root, cfg = workspace
@@ -674,3 +705,14 @@ def test_settable_value_counts():
     settable = {section: [k for k in fields if f"{section}.{k}" not in cli.DERIVED]
                 for section, fields in (("model", ModelConfig().to_dict()), ("train", dc.asdict(TrainConfig())))}
     assert {section: len(keys) for section, keys in settable.items()} == {"model": 12, "train": 7}
+
+
+def test_the_readme_quickstart_parses():
+    """Every command line of README's CLI quickstart parses, and together
+    they run every subcommand."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI quickstart", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [l for l in block.replace("\\\n", " ").splitlines() if l.startswith("bytepatch ")]
+    ap = cli.build_parser()
+    parsed = [ap.parse_args(shlex.split(l)[1:]) for l in lines]
+    assert {a.fn for a in parsed} == {f for name, f in vars(cli).items() if name.startswith("cmd_")}
