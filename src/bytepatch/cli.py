@@ -26,7 +26,7 @@ from .boundaries import MergeStrategy, attained_compression, mask_to_rle
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import EOT, compound_docs, load_corpus, markov_word_docs, write_corpus
 from .inference import SamplerConfig, generate
-from .merging import format_spectrum, reset_embeddings_check, spectrum_report, task_arithmetic_merge
+from .merging import MergeError, format_spectrum, reset_embeddings_check, spectrum_report, task_arithmetic_merge
 from .model import LOCAL_COMPONENTS, ModelConfig, forward_full, init_byte_model, init_teacher
 from .tokenizer import load_vocab, save_vocab, train_bpe, utf8_to_bytes
 from .training import (
@@ -313,7 +313,11 @@ def cmd_spectrum(args) -> int:
         raise UsageError(f"tensor {name!r} not in checkpoint (try {', '.join(sorted(params)[:4])} ...)")
     if len(params[name].shape) != 2:
         raise UsageError(f"tensor {name!r} has shape {params[name].shape}, not a matrix")
-    print(format_spectrum(spectrum_report(params[name].data), max_rows=args.max_rows))
+    try:
+        report = spectrum_report(params[name].data)
+    except MergeError as e:  # an all-zero matrix has no spectrum
+        raise UsageError(f"tensor {name!r}: {e}") from e
+    print(format_spectrum(report, max_rows=args.max_rows))
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import layers as L
 from . import tensor as T
 from .data import EOT
-from .model import ModelConfig, ParamStore, predict_boundaries, predicted_mask, split_fused
+from .model import ModelConfig, ParamStore, layer_plan, predict_boundaries, predicted_mask, split_fused
 from .tensor import Tensor
 from .tokenizer import SuffixIndex
 
@@ -45,9 +45,7 @@ class SamplerConfig:
 
 @dataclass
 class DecodeState:
-    enc: list[dict]
-    dec: list[dict]
-    kv: list[dict]
+    layers: dict[str, dict]  # mLSTM state or attention cache, by layer prefix
     h_latest: np.ndarray  # start vector until the first patch closes
     suffix_state: int = 0  # SuffixIndex state after the consumed bytes
     pending: int = 0  # bytes in the open patch
@@ -56,29 +54,36 @@ class DecodeState:
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
     def check(self) -> None:
-        for cache in self.kv:
-            if cache["pos"] != self.n_global_calls:
+        for cache in self.layers.values():
+            if "pos" in cache and cache["pos"] != self.n_global_calls:
                 raise InferenceError("KV length != closed patches")
 
 
 def _fresh_state(params: ParamStore, cfg: ModelConfig, seed: int) -> DecodeState:
     dtype = params["byte_embed.table"].dtype
-    mlstm = (cfg.mlstm_heads, cfg.mlstm_qk_dim, cfg.mlstm_v_dim, dtype)
+    layers = {}
+    for prefix, kind in layer_plan(cfg, "encoder") + layer_plan(cfg, "global") + layer_plan(cfg, "decoder"):
+        if kind == "mlstm":
+            layers[prefix] = L.empty_mlstm_state(cfg.mlstm_heads, cfg.mlstm_qk_dim, cfg.mlstm_v_dim, dtype)
+        elif kind == "attn":
+            layers[prefix] = L.empty_attention_cache(cfg.global_heads, cfg.global_head_dim, dtype)
     return DecodeState(
-        enc=[L.empty_mlstm_state(*mlstm) for _ in range(cfg.encoder_layers)],
-        dec=[L.empty_mlstm_state(*mlstm) for _ in range(cfg.decoder_layers)],
-        kv=[L.empty_attention_cache(cfg.global_heads, cfg.global_head_dim, dtype) for _ in range(cfg.global_layers)],
+        layers=layers,
         h_latest=params["start_vector.v"].data.copy(),
         rng=np.random.default_rng(seed),
     )
 
 
-def _step_stack(params: ParamStore, cfg: ModelConfig, x: np.ndarray, states: list[dict], stack: str) -> np.ndarray:
-    """One position through the mLSTM + FFN layers of the encoder or decoder
-    stack (the step form of `model._local_stack`)."""
-    for l, st in enumerate(states):
-        x = L.mlstm_step(params, f"{stack}.{l}.mlstm", x, st, cfg.mlstm_heads, cfg.mlstm_qk_dim, cfg.mlstm_v_dim)
-        x = L.ffn_step(params, f"{stack}.{l}.ffn", x)
+def _run_steps(params: ParamStore, cfg: ModelConfig, x: np.ndarray, layers: dict[str, dict], stack: str) -> np.ndarray:
+    """One position through the stack's layers in plan order: the step form
+    of `model._run_blocks`, advancing each layer's entry in `layers`."""
+    for prefix, kind in layer_plan(cfg, stack):
+        if kind == "mlstm":
+            x = L.mlstm_step(params, prefix, x, layers[prefix], cfg.mlstm_heads, cfg.mlstm_qk_dim, cfg.mlstm_v_dim)
+        elif kind == "attn":
+            x = L.attention_step(params, prefix, x, layers[prefix], cfg.global_heads, cfg.global_head_dim)
+        else:
+            x = L.ffn_step(params, prefix, x)
     return x
 
 
@@ -86,21 +91,18 @@ def _encode_byte(params: ParamStore, cfg: ModelConfig, state: DecodeState, sidx:
     state.suffix_state = sidx.step(state.suffix_state, byte)
     sfx = sidx.longest[state.suffix_state]
     e = params["byte_embed.table"].data[byte] + params["subword_embed.table"].data[sfx]
-    return _step_stack(params, cfg, e, state.enc, "encoder")
+    return _run_steps(params, cfg, e, state.layers, "encoder")
 
 
 def _advance_global(params: ParamStore, cfg: ModelConfig, state: DecodeState, e_hat: np.ndarray) -> None:
-    x = e_hat
-    for l in range(cfg.global_layers):
-        x = L.attention_step(params, f"global.{l}.attn", x, state.kv[l], cfg.global_heads, cfg.global_head_dim)
-        x = L.ffn_step(params, f"global.{l}.ffn", x)
+    x = _run_steps(params, cfg, e_hat, state.layers, "global")
     state.h_latest = x * T.rms_scale_np(x, L.RMS_EPS) * params["global.final_norm_g"].data
     state.n_global_calls += 1
 
 
 def _decode_position(params: ParamStore, cfg: ModelConfig, state: DecodeState, e_hat: np.ndarray) -> np.ndarray:
     z = e_hat @ params["depool_proj.w"].data + state.h_latest
-    x = _step_stack(params, cfg, z, state.dec, "decoder")
+    x = _run_steps(params, cfg, z, state.layers, "decoder")
     x = x * T.rms_scale_np(x, L.RMS_EPS) * params["lm_head.norm_g"].data
     logits = x @ params["lm_head.w"].data
     if not np.all(np.isfinite(logits)):

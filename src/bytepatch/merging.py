@@ -87,6 +87,8 @@ def spectrum_report(matrix: np.ndarray) -> dict:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.size == 0:
         raise MergeError("empty matrix")
+    if not matrix.any():
+        raise MergeError("all-zero matrix has no spectrum")
     s = np.linalg.svd(matrix, compute_uv=False)
     var = s * s
     ratios = var / var.sum()

@@ -115,7 +115,17 @@ class ParamStore(dict):
         return ParamStore({n: Tensor(t.data.copy()) for n, t in self.items()})
 
 
-# -- initialization -----------------------------------------------------------
+# -- layer plan and initialization -------------------------------------------
+
+def layer_plan(cfg: ModelConfig, stack: str) -> list[tuple[str, str]]:
+    """The "encoder", "decoder" or "global" stack's layers in order, as
+    (prefix, kind): an "mlstm" (backbone: "attn") then an "ffn" per layer.
+    The prefixes name the parameters, so the plan fixes the checkpoint's
+    tensor table; no other code builds a layer's name."""
+    mixer = "attn" if stack == "global" else "mlstm"
+    n = getattr(cfg, f"{stack}_layers")
+    return [(f"{stack}.{l}.{kind}", kind) for l in range(n) for kind in (mixer, "ffn")]
+
 
 def _normal(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
     return Tensor(rng.standard_normal(shape) * std)
@@ -129,43 +139,38 @@ def _zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape))
 
 
-def _init_mlstm_layer(p: dict, prefix: str, cfg: ModelConfig, rng, out_scale: float) -> None:
-    d, heads = cfg.d, cfg.mlstm_heads
-    qk, v = heads * cfg.mlstm_qk_dim, heads * cfg.mlstm_v_dim
-    p[f"{prefix}.norm_g"] = _ones((d,))
-    p[f"{prefix}.w_q"] = _normal(rng, (d, qk))
-    p[f"{prefix}.w_k"] = _normal(rng, (d, qk))
-    p[f"{prefix}.w_v"] = _normal(rng, (d, v))
-    p[f"{prefix}.w_i"] = _zeros((d, heads))
-    p[f"{prefix}.b_i"] = Tensor(np.full(heads, INPUT_GATE_BIAS_INIT))
-    p[f"{prefix}.w_f"] = _zeros((d, heads))
-    # a head-staggered forget bias keeps memories alive at different horizons
-    p[f"{prefix}.b_f"] = Tensor(np.linspace(3.0, 6.0, heads))
-    p[f"{prefix}.w_og"] = _normal(rng, (d, v))
-    p[f"{prefix}.mh_norm_g"] = _ones((v,))
-    p[f"{prefix}.w_out"] = _normal(rng, (v, d), std=0.02 * out_scale)
-
-
-def _init_ffn(p: dict, prefix: str, cfg: ModelConfig, rng, out_scale: float) -> None:
-    d, h = cfg.d, cfg.ffn_hidden
-    p[f"{prefix}.norm_g"] = _ones((d,))
-    p[f"{prefix}.w_gate"] = _normal(rng, (d, h))
-    p[f"{prefix}.w_up"] = _normal(rng, (d, h))
-    p[f"{prefix}.w_down"] = _normal(rng, (h, d), std=0.02 * out_scale)
-
-
-def _init_global(p: dict, cfg: ModelConfig, rng) -> None:
-    width = cfg.global_heads * cfg.global_head_dim
-    scale = 1.0 / np.sqrt(2.0 * cfg.global_layers)
-    for l in range(cfg.global_layers):
-        ap = f"global.{l}.attn"
-        p[f"{ap}.norm_g"] = _ones((cfg.d,))
-        p[f"{ap}.w_q"] = _normal(rng, (cfg.d, width))
-        p[f"{ap}.w_k"] = _normal(rng, (cfg.d, width))
-        p[f"{ap}.w_v"] = _normal(rng, (cfg.d, width))
-        p[f"{ap}.w_o"] = _normal(rng, (width, cfg.d), std=0.02 * scale)
-        _init_ffn(p, f"global.{l}.ffn", cfg, rng, scale)
-    p["global.final_norm_g"] = _ones((cfg.d,))
+def _init_stack(p: dict, cfg: ModelConfig, rng, stack: str) -> None:
+    """The parameters of one stack's layers, drawn in plan order. Each
+    residual output projection starts at std 0.02 / sqrt(plan length)."""
+    d, heads, plan = cfg.d, cfg.mlstm_heads, layer_plan(cfg, stack)
+    out_std = 0.02 * (1.0 / np.sqrt(len(plan)))
+    for prefix, kind in plan:
+        p[f"{prefix}.norm_g"] = _ones((d,))
+        if kind == "mlstm":
+            qk, v = heads * cfg.mlstm_qk_dim, heads * cfg.mlstm_v_dim
+            p[f"{prefix}.w_q"] = _normal(rng, (d, qk))
+            p[f"{prefix}.w_k"] = _normal(rng, (d, qk))
+            p[f"{prefix}.w_v"] = _normal(rng, (d, v))
+            p[f"{prefix}.w_i"] = _zeros((d, heads))
+            p[f"{prefix}.b_i"] = Tensor(np.full(heads, INPUT_GATE_BIAS_INIT))
+            p[f"{prefix}.w_f"] = _zeros((d, heads))
+            # a head-staggered forget bias keeps memories alive at different horizons
+            p[f"{prefix}.b_f"] = Tensor(np.linspace(3.0, 6.0, heads))
+            p[f"{prefix}.w_og"] = _normal(rng, (d, v))
+            p[f"{prefix}.mh_norm_g"] = _ones((v,))
+            p[f"{prefix}.w_out"] = _normal(rng, (v, d), std=out_std)
+        elif kind == "attn":
+            width = cfg.global_heads * cfg.global_head_dim
+            p[f"{prefix}.w_q"] = _normal(rng, (d, width))
+            p[f"{prefix}.w_k"] = _normal(rng, (d, width))
+            p[f"{prefix}.w_v"] = _normal(rng, (d, width))
+            p[f"{prefix}.w_o"] = _normal(rng, (width, d), std=out_std)
+        else:
+            p[f"{prefix}.w_gate"] = _normal(rng, (d, cfg.ffn_hidden))
+            p[f"{prefix}.w_up"] = _normal(rng, (d, cfg.ffn_hidden))
+            p[f"{prefix}.w_down"] = _normal(rng, (cfg.ffn_hidden, d), std=out_std)
+    if stack == "global":
+        p["global.final_norm_g"] = _ones((d,))
 
 
 def init_teacher(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
@@ -173,7 +178,7 @@ def init_teacher(cfg: ModelConfig, rng: np.random.Generator) -> ParamStore:
     embedding, global stack, linear head over the subword vocabulary."""
     p: dict[str, Tensor] = {}
     p["subword_embed.table"] = _normal(rng, (cfg.vocab_size, cfg.d))
-    _init_global(p, cfg, rng)
+    _init_stack(p, cfg, rng, "global")
     p["lm_head.w"] = _normal(rng, (cfg.d, cfg.vocab_size))
     return ParamStore(p)
 
@@ -193,25 +198,19 @@ def init_byte_model(
         p["subword_embed.table"] = Tensor(teacher["subword_embed.table"].data.copy())
     else:
         p["subword_embed.table"] = _normal(rng, (cfg.vocab_size, cfg.d))
-    enc_scale = 1.0 / np.sqrt(2.0 * cfg.encoder_layers)
-    for l in range(cfg.encoder_layers):
-        _init_mlstm_layer(p, f"encoder.{l}.mlstm", cfg, rng, enc_scale)
-        _init_ffn(p, f"encoder.{l}.ffn", cfg, rng, enc_scale)
+    _init_stack(p, cfg, rng, "encoder")
     p["boundary.w_q"] = _normal(rng, (cfg.d, cfg.d))
     p["boundary.w_k"] = _normal(rng, (cfg.d, cfg.d))
     if teacher is not None:
         for name, t in teacher.component("global").items():
             p[name] = Tensor(t.data.copy())
     else:
-        _init_global(p, cfg, rng)
+        _init_stack(p, cfg, rng, "global")
     # zero depool projection: at initialization the decoder sees pure patch
     # representations, matching the transplanted backbone's output space
     p["depool_proj.w"] = _zeros((cfg.d, cfg.d))
     p["start_vector.v"] = _zeros((cfg.d,))
-    dec_scale = 1.0 / np.sqrt(2.0 * cfg.decoder_layers)
-    for l in range(cfg.decoder_layers):
-        _init_mlstm_layer(p, f"decoder.{l}.mlstm", cfg, rng, dec_scale)
-        _init_ffn(p, f"decoder.{l}.ffn", cfg, rng, dec_scale)
+    _init_stack(p, cfg, rng, "decoder")
     p["lm_head.norm_g"] = _ones((cfg.d,))
     p["lm_head.w"] = _normal(rng, (cfg.d, N_FUSED))
     return ParamStore(p)
@@ -246,20 +245,24 @@ def embed_bytes(params: ParamStore, byte_ids: np.ndarray, suffix_ids: np.ndarray
     return T.take_rows(params["byte_embed.table"], byte_ids) + T.take_rows(table, suffix_ids)
 
 
-def _local_stack(params: ParamStore, cfg: ModelConfig, x: Tensor, stack: str, n_layers: int) -> Tensor:
-    """mLSTM + FFN layers of the encoder or decoder stack."""
-    for l in range(n_layers):
-        x = L.mlstm_block(params, f"{stack}.{l}.mlstm", x, cfg.mlstm_heads, cfg.mlstm_qk_dim, cfg.mlstm_v_dim)
-        x = L.ffn_block(params, f"{stack}.{l}.ffn", x)
+def _run_blocks(params: ParamStore, cfg: ModelConfig, x: Tensor, plan: list[tuple[str, str]]) -> Tensor:
+    """The block form of the plan's layers, in order."""
+    for prefix, kind in plan:
+        if kind == "mlstm":
+            x = L.mlstm_block(params, prefix, x, cfg.mlstm_heads, cfg.mlstm_qk_dim, cfg.mlstm_v_dim)
+        elif kind == "attn":
+            x = L.attention_block(params, prefix, x, cfg.global_heads, cfg.global_head_dim)
+        else:
+            x = L.ffn_block(params, prefix, x)
     return x
 
 
 def local_encode(params: ParamStore, cfg: ModelConfig, e: Tensor) -> Tensor:
-    return _local_stack(params, cfg, e, "encoder", cfg.encoder_layers)
+    return _run_blocks(params, cfg, e, layer_plan(cfg, "encoder"))
 
 
 def local_decode(params: ParamStore, cfg: ModelConfig, z: Tensor) -> Tensor:
-    return _local_stack(params, cfg, z, "decoder", cfg.decoder_layers)
+    return _run_blocks(params, cfg, z, layer_plan(cfg, "decoder"))
 
 
 def predict_boundaries(params: ParamStore, cfg: ModelConfig, e_hat: Tensor) -> Tensor:
@@ -317,26 +320,19 @@ def pool_last(e_hat: Tensor, ends: np.ndarray) -> Tensor:
     return T.gather_rows(e_hat, ends)
 
 
-def _global_layers(params: ParamStore, cfg: ModelConfig, x: Tensor, lo: int, hi: int) -> Tensor:
-    """Backbone layers lo..hi-1 (attention + FFN), without the final norm."""
-    for l in range(lo, hi):
-        x = L.attention_block(params, f"global.{l}.attn", x, cfg.global_heads, cfg.global_head_dim)
-        x = L.ffn_block(params, f"global.{l}.ffn", x)
-    return x
-
-
 def global_forward(params: ParamStore, cfg: ModelConfig, h: Tensor) -> tuple[Tensor, Tensor]:
     """Transformer over patch positions. Returns the post-norm output and the
     intermediate activations after `cfg.n_probe` layers (the input when 0)."""
-    probe = _global_layers(params, cfg, h, 0, cfg.n_probe)
-    x = _global_layers(params, cfg, probe, cfg.n_probe, cfg.global_layers)
+    plan = layer_plan(cfg, "global")
+    probe = _run_blocks(params, cfg, h, plan[: 2 * cfg.n_probe])
+    x = _run_blocks(params, cfg, probe, plan[2 * cfg.n_probe :])
     return L.rms(x, params["global.final_norm_g"]), probe
 
 
 def transformer_probe(params: ParamStore, cfg: ModelConfig, h: Tensor) -> Tensor:
     """Only the first `cfg.n_probe` backbone layers (the identity when 0):
     everything the encoder-matching loss needs, without the full stack."""
-    return _global_layers(params, cfg, h, 0, cfg.n_probe)
+    return _run_blocks(params, cfg, h, layer_plan(cfg, "global")[: 2 * cfg.n_probe])
 
 
 def depool_index(mask: np.ndarray) -> np.ndarray:

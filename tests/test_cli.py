@@ -586,6 +586,18 @@ def test_spectrum_row_count_below_one_is_a_usage_error(workspace, capsys, value)
     assert len(capsys.readouterr().out.splitlines()) == 1 + 16  # header + min(vocab, d) ranks
 
 
+def test_spectrum_of_an_all_zero_tensor_is_a_usage_error(workspace, tmp_path, capsys):
+    root, cfg = workspace
+    init = tmp_path / "init.ckpt"  # the mLSTM input-gate weights start at zero
+    assert cli.main(["stage1", "--data", str(root / "corpus"), "--teacher", str(root / "teacher.ckpt"),
+                     "--vocab", str(root / "vocab.txt"), "--out", str(init),
+                     "--config", str(cfg), "--steps", "0"]) == EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["spectrum", "--model", str(init), "--tensor", "encoder.0.mlstm.w_i"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "error: tensor 'encoder.0.mlstm.w_i': all-zero matrix has no spectrum" in err and out == ""
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_make_corpus_document_count_below_one_is_a_usage_error(tmp_path, value):
     out = tmp_path / "corpus"

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from bytepatch import layers as L
 from bytepatch.data import EOT
 from bytepatch.inference import DecodeState, InferenceError, SamplerConfig, decode_step, generate, prefill, sample
 from bytepatch.model import (
@@ -11,7 +14,9 @@ from bytepatch.model import (
     fused_symbol,
     fused_targets,
     init_byte_model,
+    layer_plan,
     split_fused,
+    transformer_probe,
 )
 from bytepatch.tensor import Tensor
 from bytepatch.tokenizer import SubwordVocab, SuffixIndex, longest_suffix_token, suffix_ids
@@ -27,9 +32,7 @@ def tiny_cfg(**kw):
     return ModelConfig(**base)
 
 
-@pytest.fixture(scope="module")
-def setup():
-    cfg = tiny_cfg()
+def _tiny_model(cfg):
     rng = np.random.default_rng(0)
     params = init_byte_model(cfg, rng)
     # suffix table: identity vocabulary plus one merge so lookups vary
@@ -42,10 +45,20 @@ def setup():
     return cfg, params, sidx
 
 
-def test_prefill_matches_batch_forward(setup):
-    cfg, params, sidx = setup
+@pytest.fixture(scope="module")
+def setup():
+    return _tiny_model(tiny_cfg())
+
+
+@pytest.fixture(scope="module")
+def deep():
+    """Several layers in each local stack, and no probe split of the backbone."""
+    return _tiny_model(tiny_cfg(encoder_layers=2, decoder_layers=3, n_probe=0))
+
+
+def test_prefill_matches_batch_forward(setup, deep):
     rng = np.random.default_rng(1)
-    for trial in range(5):
+    for (cfg, params, sidx), trial in itertools.product((setup, deep), range(5)):
         prompt = bytes(rng.integers(32, 127, size=rng.integers(4, 20)).tolist())
         state, logprobs, mask = prefill(params, cfg, sidx, prompt)
         out = forward_full(params, cfg,
@@ -89,13 +102,12 @@ def test_empty_prompt_rejected(setup):
         prefill(params, cfg, sidx, b"")
 
 
-def test_incremental_equals_batch_on_forced_continuations(setup):
+def test_incremental_equals_batch_on_forced_continuations(setup, deep):
     """Criterion-8 style: prefill + forced symbols must reproduce the batch
     forward logits at every generated position within 1e-6."""
-    cfg, params, sidx = setup
     rng = np.random.default_rng(2)
     sampler = SamplerConfig(temperature=0.0)
-    for trial in range(5):
+    for (cfg, params, sidx), trial in itertools.product((setup, deep), range(5)):
         prompt = bytes(rng.integers(32, 127, size=rng.integers(3, 10)).tolist())
         n_gen = int(rng.integers(3, 12))
         forced = [
@@ -129,10 +141,43 @@ def test_global_invocations_equal_boundary_bits(setup):
     for sym in forced:
         decode_step(params, cfg, state, sidx, sampler, forced_symbol=sym)
     assert state.n_global_calls - base_calls == 2
-    assert state.kv[0]["pos"] == state.n_global_calls
-    state.kv[0]["pos"] += 1  # a cache out of step with the closed patches is refused
+    caches = [state.layers[prefix] for prefix, kind in layer_plan(cfg, "global") if kind == "attn"]
+    assert [c["pos"] for c in caches] == [state.n_global_calls] * cfg.global_layers
+    caches[-1]["pos"] += 1  # a cache out of step with the closed patches is refused
     with pytest.raises(InferenceError):
         state.check()
+
+
+def test_runners_call_the_layers_in_plan_order(monkeypatch):
+    """The block and step runners reach the six `layers` functions through
+    the module's attributes at call time, with each layer's plan prefix as
+    the second positional argument, in plan order."""
+    cfg, params, sidx = _tiny_model(tiny_cfg(encoder_layers=2, decoder_layers=3, global_layers=3, n_probe=2))
+    calls = []
+    for name in ("mlstm_block", "attention_block", "ffn_block", "mlstm_step", "attention_step", "ffn_step"):
+        def record(*args, _name=name, _fn=getattr(L, name), **kw):
+            calls.append((_name, args[1]))
+            return _fn(*args, **kw)
+        monkeypatch.setattr(L, name, record)
+    fn = {"mlstm": "mlstm", "attn": "attention", "ffn": "ffn"}
+
+    def planned(form, stack):
+        return [(f"{fn[kind]}_{form}", prefix) for prefix, kind in layer_plan(cfg, stack)]
+
+    prompt = b"hello world"
+    forward_full(params, cfg, np.frombuffer(prompt, dtype=np.uint8).astype(np.int64)[None, :],
+                 suffix_ids(sidx, prompt)[None, :])
+    assert calls == planned("block", "encoder") + planned("block", "global") + planned("block", "decoder")
+    calls.clear()
+    transformer_probe(params, cfg, Tensor(np.zeros((1, 3, cfg.d))))
+    assert calls == planned("block", "global")[: 2 * cfg.n_probe]
+    calls.clear()
+    state, _, mask = prefill(params, cfg, sidx, prompt)
+    enc, glob, dec = (planned("step", stack) for stack in ("encoder", "global", "decoder"))
+    assert calls == enc * len(prompt) + [c for closes in mask for c in (glob if closes else []) + dec]
+    calls.clear()
+    decode_step(params, cfg, state, sidx, SamplerConfig(temperature=0.0), forced_symbol=fused_symbol(33, True))
+    assert calls == enc + glob + dec
 
 
 def test_patch_cap_forces_boundary(setup):

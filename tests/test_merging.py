@@ -147,3 +147,9 @@ def test_spectrum_empty_rejected_and_format():
     text = format_spectrum(spectrum_report(np.eye(3)))
     lines = text.splitlines()
     assert lines[0].startswith("rank") and len(lines) == 4
+
+
+def test_spectrum_all_zero_rejected():
+    # no variance to explain: every ratio would be 0/0
+    with pytest.raises(MergeError, match="all-zero"):
+        spectrum_report(np.zeros((3, 2)))

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +82,29 @@ def test_param_store_components(setup):
     local = M.LOCAL_COMPONENTS
     assert a.n_params(local) == b.n_params(local)
     assert a.n_params(("global",)) == b.n_params(("global",))
+
+
+def _store_digest(store: ParamStore) -> str:
+    h = hashlib.sha256()
+    for name in sorted(store):
+        data = np.asarray(store[name].data, dtype=np.float64)
+        h.update(f"{name}{data.shape}".encode())
+        h.update(data.tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_initialisation_is_pinned():
+    """Names, shapes, stds and the order of the RNG draws fix every
+    initialised store; a change to any of them changes the checkpoint's
+    tensor table or its values, and fails here."""
+    cfg = tiny_config(encoder_layers=2, decoder_layers=3, global_layers=3)
+    teacher = init_teacher(cfg, np.random.default_rng(0))
+    digests = [
+        _store_digest(teacher),
+        _store_digest(init_byte_model(cfg, np.random.default_rng(0))),
+        _store_digest(init_byte_model(cfg, np.random.default_rng(0), teacher)),
+    ]
+    assert digests == ["f8f75eed0aac1b0b", "844d32cacb8a100c", "3dc36702332b9fde"]
 
 
 def test_copy_owns_its_arrays_and_the_constructor_shares_them(setup):
