@@ -60,6 +60,7 @@ def save_checkpoint(
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     digest = hashlib.sha256(header_bytes + payload).digest()
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(len(header_bytes).to_bytes(8, "little"))

@@ -54,7 +54,7 @@ class UsageError(Exception):
 
 
 # sections a config file may set that no config class owns, at their defaults
-DATA_DEFAULTS = {"seed": 0, "holdout_frac": 0.1}  # load_corpus's keywords
+DATA_DEFAULTS = {"holdout_frac": 0.1}  # load_corpus's keyword
 TOKENIZER_DEFAULTS = {"vocab_size": 420}
 # fields the code derives, never a file: the tokenizer's vocabulary size, the
 # subcommand's stage and --seed
@@ -63,21 +63,25 @@ DERIVED = ("model.vocab_size", "train.stage", "train.seed")
 
 def parse_config_file(path: str | None) -> dict[str, str]:
     """Flat `section.key=value` lines; '#' starts a comment. Every key must
-    name a settable field of the model, train, data or tokenizer section."""
+    name a settable field of the model, train, data or tokenizer section,
+    and appear on one line only."""
     if path is None:
         return {}
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file {path} not found")
     out: dict[str, str] = {}
+    first: dict[str, int] = {}  # each key's line
     for lineno, line in enumerate(p.read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigFileError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first:
+            raise ConfigFileError(f"{path}:{lineno}: {key} is already set at {path}:{first[key]}")
+        first[key], out[key] = lineno, value
     sections = {"model": ModelConfig().to_dict(), "train": dc.asdict(TrainConfig()),
                 "data": DATA_DEFAULTS, "tokenizer": TOKENIZER_DEFAULTS}
     for key in out:
@@ -152,6 +156,24 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+# the flags two or more commands take, each stated once as add_argument
+# keywords; a command that takes one differently overrides it at its own call
+SHARED_FLAGS = {
+    "data": dict(required=True, help="corpus directory"),
+    "model": dict(required=True),
+    "teacher": {},
+    "vocab": dict(required=True),
+    "base": dict(required=True),
+    "posttrained": dict(required=True),
+    "out": dict(required=True),
+    "steps": dict(type=int),
+    "log": {},
+    "merge-strategy": dict(choices=MergeStrategy.KINDS, default="subword"),
+    "target-compression": dict(type=float),
+    "max-doc-bytes": dict(type=_positive_int, default=512),
+}
 
 
 def _load_corpus(args):
@@ -277,6 +299,7 @@ def cmd_generate(args) -> int:
     sampler = SamplerConfig(temperature=args.temperature, top_p=args.top_p, seed=args.seed)
     out = generate(params, mc, vocab.suffix_index, prompt, args.max_bytes, sampler)
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_bytes(out)
     else:
         sys.stdout.buffer.write(out)
@@ -354,106 +377,52 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bytepatch", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False):
+    def command(name, fn, help, shared, own=None, **overrides):
+        """Subcommand `name`: --config, --seed, the SHARED_FLAGS in `shared`, each updated by
+        the keyword of its dest in `overrides`, and its `own` flags, {flag: add_argument keywords}."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=0)
-        if data:
-            p.add_argument("--data", required=True, help="corpus directory")
+        for flag in shared:
+            p.add_argument(f"--{flag}", **{**SHARED_FLAGS[flag], **overrides.get(flag.replace("-", "_"), {})})
+        for flag, kwargs in (own or {}).items():
+            p.add_argument(f"--{flag}", **kwargs)
+        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("make-corpus", help="write a synthetic corpus")
-    common(p)
-    p.add_argument("--kind", choices=["words", "shifted-words", "compounds"], default="words")
-    p.add_argument("--docs", type=_positive_int, default=200)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_make_corpus)
-
-    p = sub.add_parser("train-teacher", help="train the toy subword LM and its tokenizer")
-    common(p, data=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--vocab-out", required=True)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--log", default=None)
-    p.set_defaults(fn=cmd_train_teacher)
-
-    p = sub.add_parser("stage1", help="distill the teacher into a byte-level model")
-    common(p, data=True)
-    p.add_argument("--teacher", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--log", default=None)
-    p.add_argument("--fresh-suffix", action="store_true",
-                   help="random suffix table instead of copying the teacher's embeddings")
-    p.set_defaults(fn=cmd_stage1)
-
-    p = sub.add_parser("stage2", help="end-to-end training with merged supervision")
-    common(p, data=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--teacher", default=None)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--log", default=None)
-    p.add_argument("--merge-strategy", choices=MergeStrategy.KINDS, default=None,
-                   help="overrides train.merge_kind")
-    p.add_argument("--target-compression", type=float, default=None, help="overrides train.target_compression")
-    p.set_defaults(fn=cmd_stage2)
-
-    p = sub.add_parser("eval-bpb", help="bits/byte, boundary accuracy, attained compression")
-    common(p, data=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--teacher", default=None)
-    p.add_argument("--merge-strategy", choices=MergeStrategy.KINDS, default="subword")
-    p.add_argument("--target-compression", type=float, default=None)
-    p.add_argument("--max-doc-bytes", type=_positive_int, default=512)
-    p.set_defaults(fn=cmd_eval_bpb)
-
-    p = sub.add_parser("generate", help="sample bytes from a trained model")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--prompt", default="")
-    p.add_argument("--max-bytes", type=_positive_int, default=256)
-    p.add_argument("--temperature", type=float, default=0.6)
-    p.add_argument("--top-p", type=float, default=0.6)
-    p.add_argument("--out", default=None, help="write raw bytes here instead of stdout")
-    p.set_defaults(fn=cmd_generate)
-
-    p = sub.add_parser("merge", help="add a post-training delta to the backbone")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--base", required=True)
-    p.add_argument("--posttrained", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_merge)
-
-    p = sub.add_parser("reset-check", help="embedding resettability diagnostic")
-    common(p, data=True)
-    p.add_argument("--base", required=True)
-    p.add_argument("--posttrained", required=True)
-    p.add_argument("--vocab", required=True)
-    p.set_defaults(fn=cmd_reset_check)
-
-    p = sub.add_parser("spectrum", help="singular-value explained variance of a tensor")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--tensor", default="subword_embed.table")
-    p.add_argument("--max-rows", type=_positive_int, default=None, help="all rows when omitted")
-    p.set_defaults(fn=cmd_spectrum)
-
-    p = sub.add_parser("boundary-dump", help="emit supervision or predicted masks as RLE")
-    common(p, data=True)
-    p.add_argument("--model", default=None)
-    p.add_argument("--teacher", default=None)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--merge-strategy", choices=MergeStrategy.KINDS, default="subword")
-    p.add_argument("--target-compression", type=float, default=None)
-    p.add_argument("--predicted", action="store_true", help="dump the model's own boundaries")
-    p.add_argument("--docs", type=_positive_int, default=16)
-    p.add_argument("--max-doc-bytes", type=_positive_int, default=512)
-    p.set_defaults(fn=cmd_boundary_dump)
-
+    command("make-corpus", cmd_make_corpus, "write a synthetic corpus", ["out"], {
+        "kind": dict(choices=["words", "shifted-words", "compounds"], default="words"),
+        "docs": dict(type=_positive_int, default=200)})
+    command("train-teacher", cmd_train_teacher, "train the toy subword LM and its tokenizer",
+            ["data", "out", "steps", "log"], {"vocab-out": dict(required=True)})
+    command("stage1", cmd_stage1, "distill the teacher into a byte-level model",
+            ["data", "teacher", "vocab", "out", "steps", "log"], {
+                "fresh-suffix": dict(action="store_true",
+                                     help="random suffix table instead of copying the teacher's embeddings")},
+            teacher=dict(required=True))
+    command("stage2", cmd_stage2, "end-to-end training with merged supervision",
+            ["data", "model", "teacher", "vocab", "out", "steps", "log", "merge-strategy", "target-compression"],
+            merge_strategy=dict(default=None, help="overrides train.merge_kind"),
+            target_compression=dict(help="overrides train.target_compression"))
+    command("eval-bpb", cmd_eval_bpb, "bits/byte, boundary accuracy, attained compression",
+            ["data", "model", "vocab", "teacher", "merge-strategy", "target-compression", "max-doc-bytes"])
+    command("generate", cmd_generate, "sample bytes from a trained model", ["model", "vocab", "out"], {
+        "prompt": dict(default=""),
+        "max-bytes": dict(type=_positive_int, default=256),
+        "temperature": dict(type=float, default=0.6),
+        "top-p": dict(type=float, default=0.6)},
+        out=dict(required=False, help="write raw bytes here instead of stdout"))
+    command("merge", cmd_merge, "add a post-training delta to the backbone",
+            ["model", "base", "posttrained", "out"])
+    command("reset-check", cmd_reset_check, "embedding resettability diagnostic",
+            ["data", "base", "posttrained", "vocab"])
+    command("spectrum", cmd_spectrum, "singular-value explained variance of a tensor", ["model"], {
+        "tensor": dict(default="subword_embed.table"),
+        "max-rows": dict(type=_positive_int, default=None, help="all rows when omitted")})
+    command("boundary-dump", cmd_boundary_dump, "emit supervision or predicted masks as RLE",
+            ["data", "model", "teacher", "vocab", "merge-strategy", "target-compression", "max-doc-bytes"], {
+                "predicted": dict(action="store_true", help="dump the model's own boundaries"),
+                "docs": dict(type=_positive_int, default=16)},
+            model=dict(required=False))
     return ap
 
 

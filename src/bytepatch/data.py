@@ -25,6 +25,7 @@ from .tokenizer import utf8_to_bytes
 
 EOT = 0  # document terminator, every window's BOS byte and generate's stop byte
 MIN_WINDOW_BYTES = 16  # shortest document tail kept as a training window
+SPLIT_SEED = 0  # the shuffle before the held-out split
 
 
 class DataError(ValueError):
@@ -37,11 +38,12 @@ class CorpusManifest:
     heldout: list[bytes] = field(default_factory=list)
 
 
-def load_corpus(path: str | Path, seed: int = 0, holdout_frac: float = 0.1) -> CorpusManifest:
+def load_corpus(path: str | Path, holdout_frac: float = 0.1) -> CorpusManifest:
     """Read .txt and .jsonl documents under `path`, append the terminator
     byte, shuffle deterministically, and split off a `holdout_frac` share,
-    in [0, 1), of the documents. Every file is UTF-8, and a .jsonl line is
-    blank or a JSON object with a string "text"."""
+    in [0, 1), of the documents: none at 0, and at least one at a positive
+    share when there are two or more. Every file is UTF-8, and a .jsonl line
+    is blank or a JSON object with a string "text"."""
     if not 0 <= holdout_frac < 1:
         raise DataError(f"holdout_frac must be in [0, 1), got {holdout_frac}")
     path = Path(path)
@@ -73,10 +75,9 @@ def load_corpus(path: str | Path, seed: int = 0, holdout_frac: float = 0.1) -> C
                     docs.append(utf8_to_bytes(rec["text"]) + bytes([EOT]))
     if not docs:
         raise DataError(f"no documents under {path}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(docs))
+    order = np.random.default_rng(SPLIT_SEED).permutation(len(docs))
     docs = [docs[i] for i in order]
-    n_hold = max(1, int(round(holdout_frac * len(docs)))) if len(docs) > 1 else 0
+    n_hold = max(1, int(round(holdout_frac * len(docs)))) if holdout_frac > 0 and len(docs) > 1 else 0
     return CorpusManifest(train=docs[n_hold:], heldout=docs[:n_hold])
 
 

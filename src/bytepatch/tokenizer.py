@@ -16,6 +16,7 @@ from collections import defaultdict, deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial
+from pathlib import Path
 
 import numpy as np
 
@@ -324,6 +325,7 @@ def save_vocab(vocab: SubwordVocab, path: str) -> None:
             a, b = vocab.merges[r]
             lines.append(f"{tb.hex()} {r} {a} {b}")
     lines.append(f"bos {vocab.bos_id}")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

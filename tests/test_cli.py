@@ -1,4 +1,5 @@
 import dataclasses as dc
+import hashlib
 import json
 import re
 import shlex
@@ -14,7 +15,7 @@ from bytepatch.cli import (
     EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_MISSING, EXIT_OK, EXIT_USAGE,
     build_model_config, build_train_config, parse_config_file,
 )
-from bytepatch.data import load_corpus
+from bytepatch.data import load_corpus, write_corpus
 from bytepatch.model import ModelConfig, init_byte_model, init_teacher
 from bytepatch.tokenizer import load_vocab
 from bytepatch.training import TrainConfig
@@ -40,6 +41,14 @@ train.batch_size=2
 train.max_bytes=48
 train.peak_lr=0.001
 """
+
+
+def with_line(cfg: Path, line: str) -> str:
+    """The text of config file `cfg` with `line` in place of any line that
+    sets the same key, since a file may set each key once."""
+    key = line.partition("=")[0].strip()
+    kept = [l for l in cfg.read_text().splitlines() if l.partition("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -114,11 +123,12 @@ def test_every_toy_cfg_line_lands_on_a_field():
     "model.mlstm.heads=2", "model.global.layers=1",  # format 2's nested groups are gone too
     "train.tau=5", "train.lambda_boundary=4", "train.lambda_encoder=1", "train.lambda_distill=1",
     "train.lambda_ce=1", "model.boundary_threshold=0.5", "model.boundary_mode=noncausal",
+    "data.seed=0",
 ])
 def test_fixed_constants_are_unknown_keys(workspace, tmp_path, capsys, line):
     root, cfg = workspace
     bad = tmp_path / "bad.cfg"
-    bad.write_text(cfg.read_text() + line + "\n")
+    bad.write_text(with_line(cfg, line))
     out = tmp_path / "s1.ckpt"
     rc = cli.main(["stage1", "--data", str(root / "corpus"), "--teacher", str(root / "teacher.ckpt"),
                    "--vocab", str(root / "vocab.txt"), "--out", str(out), "--config", str(bad)])
@@ -136,7 +146,7 @@ def test_fixed_constants_are_unknown_keys(workspace, tmp_path, capsys, line):
 def test_every_command_rejects_an_unknown_config_key(workspace, tmp_path, capsys, command, line):
     root, cfg = workspace
     bad = tmp_path / "bad.cfg"
-    bad.write_text(cfg.read_text() + line + "\n")
+    bad.write_text(with_line(cfg, line))
     data, teacher, vocab = str(root / "corpus"), str(root / "teacher.ckpt"), str(root / "vocab.txt")
     out = tmp_path / "out"
     flags = {
@@ -150,6 +160,16 @@ def test_every_command_rejects_an_unknown_config_key(workspace, tmp_path, capsys
     assert cli.main([command, *flags, "--config", str(bad)]) == EXIT_CONFIG
     key = line.partition("=")[0]
     assert f"invalid config: unknown config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_key_set_twice_is_invalid_config_naming_both_lines(tmp_path, capsys):
+    f = tmp_path / "twice.cfg"
+    f.write_text("model.d=64\n# narrower\nmodel.d = 32\n")
+    out = tmp_path / "corpus"
+    assert cli.main(["make-corpus", "--docs", "2", "--out", str(out), "--config", str(f)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "model.d" in err and f"{f}:1" in err and f"{f}:3" in err
     assert not out.exists()
 
 
@@ -316,7 +336,7 @@ def test_commands_on_a_checkpoint_reject_a_model_key_it_contradicts(workspace, t
     for line, rc in [("model.patch_cap=64", EXIT_OK), ("model.encoder_layers=2", EXIT_CONFIG),
                      ("model.patch_cap=8", EXIT_CONFIG), ("model.decoder_layers=2", EXIT_CONFIG)]:
         conf = tmp_path / "model.cfg"
-        conf.write_text(cfg.read_text() + line + "\n")
+        conf.write_text(with_line(cfg, line))
         out.unlink(missing_ok=True)
         assert cli.main([command, *flags, "--config", str(conf)]) == rc, line
         err = capsys.readouterr().err
@@ -372,6 +392,32 @@ def test_make_corpus_kinds(tmp_path, kind):
     out = tmp_path / "corpus"
     assert cli.main(["make-corpus", "--kind", kind, "--docs", "4", "--out", str(out), "--seed", "1"]) == EXIT_OK
     assert len(load_corpus(out).train) >= 3
+
+
+@pytest.mark.parametrize("frac, n_heldout", [(0.0, 0), (0.01, 1), (0.1, 3)])
+def test_holdout_frac_sets_the_heldout_share(tmp_path, frac, n_heldout):
+    """A fraction of 0 holds out nothing; a positive one at least one document."""
+    write_corpus(tmp_path, [f"document number {i}" for i in range(30)])
+    corpus = load_corpus(tmp_path, holdout_frac=frac)
+    assert (len(corpus.train), len(corpus.heldout)) == (30 - n_heldout, n_heldout)
+
+
+def test_outputs_in_missing_directories_are_created(workspace, tmp_path):
+    root, cfg = workspace
+    data, vocab = ["--data", str(root / "corpus")], str(root / "vocab.txt")
+    s1 = tmp_path / "new" / "dir" / "s1.ckpt"
+    assert cli.main(["stage1", *data, "--teacher", str(root / "teacher.ckpt"), "--vocab", vocab,
+                     "--out", str(s1), "--config", str(cfg), "--steps", "0"]) == EXIT_OK
+    assert load_checkpoint(s1)[2]["kind"] == "byte_model"
+    teacher, vocab_out = tmp_path / "t" / "teacher.ckpt", tmp_path / "v" / "vocab.txt"
+    assert cli.main(["train-teacher", *data, "--out", str(teacher), "--vocab-out", str(vocab_out),
+                     "--config", str(cfg), "--steps", "0"]) == EXIT_OK
+    assert load_checkpoint(teacher)[2]["kind"] == "teacher"
+    assert load_vocab(str(vocab_out)).size == load_vocab(vocab).size
+    sample = tmp_path / "g" / "sample.bin"
+    assert cli.main(["generate", "--model", str(s1), "--vocab", vocab, "--max-bytes", "4",
+                     "--out", str(sample)]) == EXIT_OK
+    assert 0 < len(sample.read_bytes()) <= 4
 
 
 def test_reset_check_reports_ratio(workspace, tmp_path, capsys):
@@ -648,7 +694,7 @@ def test_eval_bpb_without_a_scorable_document_names_the_minimum(workspace, capsy
 def test_stage1_rejects_invalid_train_values(workspace, tmp_path, capsys, line, flags, name):
     root, cfg = workspace
     bad = tmp_path / "bad.cfg"
-    bad.write_text(cfg.read_text() + line + "\n")
+    bad.write_text(with_line(cfg, line))
     out = tmp_path / "s1.ckpt"
     rc = cli.main(["stage1", "--data", str(root / "corpus"), "--teacher", str(root / "teacher.ckpt"),
                    "--vocab", str(root / "vocab.txt"), "--out", str(out), "--config", str(bad), *flags])
@@ -665,7 +711,7 @@ def test_stage1_rejects_invalid_train_values(workspace, tmp_path, capsys, line, 
 def test_out_of_range_values_are_invalid_config(workspace, tmp_path, capsys, line, name):
     root, cfg = workspace
     bad = tmp_path / "bad.cfg"
-    bad.write_text(cfg.read_text() + line + "\n")
+    bad.write_text(with_line(cfg, line))
     out = tmp_path / "s1.ckpt"
     rc = cli.main(["stage1", "--data", str(root / "corpus"), "--teacher", str(root / "teacher.ckpt"),
                    "--vocab", str(root / "vocab.txt"), "--out", str(out), "--config", str(bad), "--steps", "0"])
@@ -690,7 +736,7 @@ def test_out_of_range_values_are_invalid_config(workspace, tmp_path, capsys, lin
 def test_model_counts_out_of_range_are_invalid_config(workspace, tmp_path, capsys, line, message):
     root, cfg = workspace
     bad = tmp_path / "bad.cfg"
-    bad.write_text(cfg.read_text() + line + "\n")
+    bad.write_text(with_line(cfg, line))
     out = tmp_path / "s1.ckpt"
     rc = cli.main(["stage1", "--data", str(root / "corpus"), "--teacher", str(root / "teacher.ckpt"),
                    "--vocab", str(root / "vocab.txt"), "--out", str(out), "--config", str(bad), "--steps", "0"])
@@ -715,8 +761,9 @@ def test_settable_value_counts():
     """Each config key is a choice some caller makes; a value no caller
     varies is a constant in the module that uses it, not a key."""
     settable = {section: [k for k in fields if f"{section}.{k}" not in cli.DERIVED]
-                for section, fields in (("model", ModelConfig().to_dict()), ("train", dc.asdict(TrainConfig())))}
-    assert {section: len(keys) for section, keys in settable.items()} == {"model": 12, "train": 7}
+                for section, fields in (("model", ModelConfig().to_dict()), ("train", dc.asdict(TrainConfig())),
+                                        ("data", cli.DATA_DEFAULTS))}
+    assert {section: len(keys) for section, keys in settable.items()} == {"model": 12, "train": 7, "data": 1}
 
 
 def test_the_readme_quickstart_parses():
@@ -728,3 +775,31 @@ def test_the_readme_quickstart_parses():
     ap = cli.build_parser()
     parsed = [ap.parse_args(shlex.split(l)[1:]) for l in lines]
     assert {a.fn for a in parsed} == {f for name, f in vars(cli).items() if name.startswith("cmd_")}
+
+
+def _parser_surface() -> list[str]:
+    """One line per subcommand handler and per action: everything a command
+    line can set and what it sets it to. Actions are sorted, since their
+    order only orders the --help listing."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, cli.argparse._SubParsersAction))
+    helps = {c.dest: c.help for c in sub._choices_actions}
+    lines = []
+    for name, p in sub.choices.items():
+        lines.append(f"{name}: fn={p.get_default('fn').__name__} help={helps[name]!r}")
+        actions = []
+        for a in p._actions:
+            kind = getattr(a.type, "__name__", a.type)
+            choices = list(a.choices) if a.choices is not None else None
+            actions.append(f"  {a.option_strings} dest={a.dest} required={a.required} default={a.default!r} "
+                           f"type={kind} choices={choices} {type(a).__name__} help={a.help!r}")
+        lines += sorted(actions)
+    return lines
+
+
+def test_the_parser_surface_is_pinned():
+    """Each subcommand's handler and help and its flags, with their
+    destinations, defaults, types, choices and help, hash to one recorded digest, so a change to how the
+    parser is built cannot move a flag's behaviour unseen."""
+    surface = "\n".join(_parser_surface())
+    digest = hashlib.sha256(surface.encode()).hexdigest()[:16]
+    assert digest == "2a789911cd06840d", surface
