@@ -109,7 +109,7 @@ def markov_word_docs(seed: int, n_docs: int = 200, sentences_per_doc: tuple[int,
     rng = np.random.default_rng(seed)
     words = WORD_LIST
     trng = np.random.default_rng(transition_seed if transition_seed is not None else 1235)
-    successors = {w: trng.choice(words, size=BRANCHING, replace=False) for w in words}
+    successors = {w: [str(s) for s in trng.choice(words, size=BRANCHING, replace=False)] for w in words}
     docs = []
     for _ in range(n_docs):
         parts = []
@@ -117,7 +117,7 @@ def markov_word_docs(seed: int, n_docs: int = 200, sentences_per_doc: tuple[int,
             w = words[int(rng.integers(len(words)))]
             sent = [w]
             for _ in range(int(rng.integers(*WORDS_PER_SENTENCE)) - 1):
-                w = str(rng.choice(successors[w]))
+                w = successors[w][int(rng.integers(BRANCHING))]  # draws as rng.choice(successors[w])
                 sent.append(w)
             parts.append(" ".join(sent) + ".")
         docs.append(" ".join(parts))

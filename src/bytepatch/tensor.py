@@ -2,18 +2,23 @@
 
 The graph is built define-by-run: every op hands `_make` its output and one
 vector-Jacobian product (VJP) per input, a function from the output's
-gradient to that input's. `_make` keeps only the VJPs of inputs in the graph
-(`requires_grad`), so constants and frozen weights get no gradient computed
-or stored. Parameters are plain float64 values outside the graph, and so are
-the float32 copies that evaluation and window preparation compute on, so
-forward-only passes record nothing; only the training step loop puts tensors
-in it, float32 copies of the parameters, while it runs. Calling
-``backward()`` on a scalar walks the recorded graph once in reverse
-topological order and is the one place gradients accumulate. The sweep
-frees each intermediate node as soon as its VJPs have run (its gradient,
-its VJPs with the arrays they hold, and its place in the graph), so its peak
-is the forward graph plus one frontier of gradients not yet consumed, and a
-swept graph cannot be swept again.
+gradient to that input's. Each `Tensor` pairs its array with a `Node`, its
+place in the graph: the node holds the gradient and the VJPs, links to its
+inputs' nodes, and holds no values. A VJP closes over exactly the arrays and
+shapes it reads and never over a Tensor, so the graph keeps alive only what
+the backward reads: an intermediate that no VJP reads (an `add` operand, a
+matmul's output) is freed as soon as the code that made it drops it.
+`_make` keeps only the VJPs of inputs in the graph (`requires_grad`), so
+constants and frozen weights get no gradient computed or stored. Parameters
+are plain float64 values outside the graph, and so are the float32 copies
+that evaluation and window preparation compute on, so forward-only passes
+record nothing; only the training step loop puts tensors in it, float32
+copies of the parameters, while it runs. Calling ``backward()`` on a scalar
+walks the recorded nodes once in reverse topological order and is the one
+place gradients accumulate. The sweep frees each intermediate node as soon
+as its VJPs have run (its gradient, its VJPs with the arrays they read, and
+its place in the graph), so its peak is the forward graph plus one frontier
+of gradients not yet consumed, and a swept graph cannot be swept again.
 
 Values are float32 or float64, and every op's output has its inputs' dtype:
 `_make` rejects an op whose inputs and output disagree, so no float64
@@ -131,10 +136,24 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-class Tensor:
-    """A dense array node in the autodiff graph."""
+class Node:
+    """A tensor's place in the autodiff graph: its gradient, whether it is in
+    the graph, and one `(parent node, VJP)` pair per input in the graph. It
+    holds no values, and its links point to nodes, not tensors, so the graph
+    keeps a value alive only while some VJP reads it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_vjps", "_op")
+    __slots__ = ("grad", "vjps", "requires_grad")
+
+    def __init__(self, requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.vjps: tuple[tuple[Node, Vjp], ...] = ()
+        self.requires_grad = requires_grad
+
+
+class Tensor:
+    """A dense array and its node in the autodiff graph."""
+
+    __slots__ = ("data", "_node", "_op")
 
     def __init__(self, data, requires_grad: bool = False, _op: str = "leaf"):
         if isinstance(data, Tensor):
@@ -143,11 +162,25 @@ class Tensor:
         if arr.dtype != np.float32 and arr.dtype != np.float64:
             arr = arr.astype(np.float64)  # bool and integer values
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._vjps: tuple[tuple[Tensor, Vjp], ...] = ()
+        self._node = Node(requires_grad=requires_grad)
         self._op = _op
         _check_finite(arr, _op)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self._node.grad = g
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        self._node.requires_grad = flag
 
     # -- introspection ------------------------------------------------------
     @property
@@ -179,26 +212,28 @@ class Tensor:
     # -- backward -----------------------------------------------------------
     def backward(self) -> None:
         """Reverse-mode sweep from this scalar through the recorded graph:
-        each node's gradient goes through its VJPs into its inputs' `.grad`.
+        each node's gradient goes through its VJPs into its parents' `grad`.
         Every consumer of a node runs before it, so once its VJPs have run
-        an intermediate node drops its gradient and VJPs and leaves the
-        graph; leaves keep their `.grad`. Raises `GraphError` on a tensor
-        outside the graph, such as a loss already swept."""
+        an intermediate node drops its gradient and its VJPs, with the arrays
+        they read, and leaves the graph; leaves keep their `.grad`. Raises
+        `GraphError` on a tensor outside the graph, such as a loss already
+        swept."""
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar loss")
         if not self.requires_grad:
             raise GraphError("backward() needs a tensor in the graph: this one is a constant, "
                              "or a backward() already swept its graph")
-        order = _toposort(self)
-        self.grad = np.ones_like(self.data)
+        root = self._node
+        order = _toposort(root)
+        root.grad = np.ones_like(self.data)
         for node in reversed(order):
-            for parent, vjp in node._vjps:
+            for parent, vjp in node.vjps:
                 g = vjp(node.grad)
                 # accumulation allocates a fresh array, so sharing g across inputs is safe
                 parent.grad = g if parent.grad is None else parent.grad + g
-            if node._vjps:  # every consumer has run: free its gradient and VJPs, leave the graph
+            if node.vjps:  # every consumer has run: free its gradient and VJPs, leave the graph
                 node.grad = None
-                node._vjps = ()
+                node.vjps = ()
                 node.requires_grad = False
 
     # -- operator sugar -----------------------------------------------------
@@ -263,11 +298,11 @@ def _as_tensor(x, like: Tensor) -> Tensor:
     return Tensor(x, _op="const")
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
+def _toposort(root: Node) -> list[Node]:
     """Iterative DFS topological order (graphs outgrow the recursion limit)."""
-    order: list[Tensor] = []
+    order: list[Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -277,20 +312,22 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p, _ in node._vjps:
+        for p, _ in node.vjps:
             if id(p) not in seen:
                 stack.append((p, False))
     return order
 
 
 def _make(data: np.ndarray, op: str, *inputs: tuple[Tensor, Vjp]) -> Tensor:
-    """The op's output node. `inputs` pairs each input with its VJP; only the
-    pairs whose input is in the graph are kept."""
+    """The op's output. `inputs` pairs each input with its VJP, which must
+    close over the arrays it reads and never over a Tensor; the output's node
+    keeps the pairs whose input is in the graph, linked to that input's node."""
     out = Tensor(data, _op=op)
     if any(t.data.dtype != out.data.dtype for t, _ in inputs):
         raise DtypeError(f"{op}: operands {[str(t.dtype) for t, _ in inputs]} give {out.dtype}")
-    out._vjps = tuple(pair for pair in inputs if pair[0].requires_grad)
-    out.requires_grad = bool(out._vjps)
+    node = out._node
+    node.vjps = tuple((t._node, vjp) for t, vjp in inputs if t._node.requires_grad)
+    node.requires_grad = bool(node.vjps)
     return out
 
 
@@ -303,41 +340,46 @@ def _binary(a: Tensor, b: Tensor, op: str):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary(a, b, "add")
+    sa, sb = a.shape, b.shape
     return _make(a.data + b.data, "add",
-                 (a, lambda g: _unbroadcast(g, a.shape)),
-                 (b, lambda g: _unbroadcast(g, b.shape)))
+                 (a, lambda g: _unbroadcast(g, sa)),
+                 (b, lambda g: _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary(a, b, "sub")
+    sa, sb = a.shape, b.shape
     return _make(a.data - b.data, "sub",
-                 (a, lambda g: _unbroadcast(g, a.shape)),
-                 (b, lambda g: _unbroadcast(-g, b.shape)))
+                 (a, lambda g: _unbroadcast(g, sa)),
+                 (b, lambda g: _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary(a, b, "mul")
-    return _make(a.data * b.data, "mul",
-                 (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-                 (b, lambda g: _unbroadcast(g * a.data, b.shape)))
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+    return _make(ad * bd, "mul",
+                 (a, lambda g: _unbroadcast(g * bd, sa)),
+                 (b, lambda g: _unbroadcast(g * ad, sb)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _binary(a, b, "div")
+    bd, sa, sb = b.data, a.shape, b.shape
     with np.errstate(all="ignore"):
-        out_data = a.data / b.data
+        out_data = a.data / bd
     return _make(out_data, "div",
-                 (a, lambda g: _unbroadcast(g / b.data, a.shape)),
-                 (b, lambda g: _unbroadcast(-g * out_data / b.data, b.shape)))
+                 (a, lambda g: _unbroadcast(g / bd, sa)),
+                 (b, lambda g: _unbroadcast(-g * out_data / bd, sb)))
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; ties route the gradient to the first argument."""
     _binary(a, b, "maximum")
     take_a = a.data >= b.data
+    sa, sb = a.shape, b.shape
     return _make(np.where(take_a, a.data, b.data), "maximum",
-                 (a, lambda g: _unbroadcast(g * take_a, a.shape)),
-                 (b, lambda g: _unbroadcast(g * ~take_a, b.shape)))
+                 (a, lambda g: _unbroadcast(g * take_a, sa)),
+                 (b, lambda g: _unbroadcast(g * ~take_a, sb)))
 
 
 # -- elementwise unary ------------------------------------------------------
@@ -349,9 +391,10 @@ def exp(x: Tensor) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
+    xd = x.data
     with np.errstate(all="ignore"):
-        out_data = np.log(x.data)
-    return _make(out_data, "log", (x, lambda g: g / x.data))
+        out_data = np.log(xd)
+    return _make(out_data, "log", (x, lambda g: g / xd))
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -374,7 +417,8 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def logsigmoid(x: Tensor) -> Tensor:
-    return _make(logsigmoid_np(x.data), "logsigmoid", (x, lambda g: g * sigmoid_np(-x.data)))
+    xd = x.data
+    return _make(logsigmoid_np(xd), "logsigmoid", (x, lambda g: g * sigmoid_np(-xd)))
 
 
 def logsigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -383,8 +427,9 @@ def logsigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def silu(x: Tensor) -> Tensor:
-    s = sigmoid_np(x.data)
-    return _make(x.data * s, "silu", (x, lambda g: g * (s + x.data * s * (1.0 - s))))
+    xd = x.data
+    s = sigmoid_np(xd)
+    return _make(xd * s, "silu", (x, lambda g: g * (s + xd * s * (1.0 - s))))
 
 
 def absolute(x: Tensor) -> Tensor:
@@ -427,8 +472,9 @@ def softcap_np(x: np.ndarray, cap: float) -> np.ndarray:
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = x.data.sum(axis=axis, keepdims=keepdims)
     kept = axis is None or keepdims  # g already broadcasts against x
+    shape = x.shape
     return _make(np.asarray(out_data), "sum",
-                 (x, lambda g: np.broadcast_to(g if kept else np.expand_dims(g, axis), x.shape)))
+                 (x, lambda g: np.broadcast_to(g if kept else np.expand_dims(g, axis), shape)))
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -458,8 +504,10 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def index(x: Tensor, key) -> Tensor:
+    shape, dtype = x.shape, x.dtype
+
     def vjp(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape, dtype)
         full[key] = g
         return full
 
@@ -493,18 +541,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     # the forward keeps np.matmul's GEMM per batch entry: a BLAS row's sum
     # order can depend on the row count, so one (B·n, d) GEMM need not give
     # the same bits
-    out = np.matmul(a.data, b.data)
+    ad, bd = a.data, b.data
+    out = np.matmul(ad, bd)
     if len(sa) > 2 and len(sb) == 2:
         # a batched operand against a weight: each gradient is one GEMM over
         # the (B·n, d) rows, reshaped inside the VJP so that no closure holds a copy
         d, m = sb
         return _make(out, "matmul",
-                     (a, lambda g: (g.reshape(-1, m) @ b.data.T).reshape(sa)),
-                     (b, lambda g: a.data.reshape(-1, d).T @ g.reshape(-1, m)))
+                     (a, lambda g: (g.reshape(-1, m) @ bd.T).reshape(sa)),
+                     (b, lambda g: ad.reshape(-1, d).T @ g.reshape(-1, m)))
     # a plain operand against a batched one sums its gradient over the batch axes
     return _make(out, "matmul",
-                 (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), sa)),
-                 (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), sb)))
+                 (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), sa)),
+                 (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb)))
 
 
 # -- gathers ----------------------------------------------------------------
@@ -512,9 +561,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def take_rows(table: Tensor, idx: np.ndarray) -> Tensor:
     """Embedding lookup: table (R, d), idx int array of any shape -> idx.shape + (d,)."""
     idx = np.asarray(idx)
+    shape, dtype = table.shape, table.dtype
 
     def vjp(g):
-        full = np.zeros_like(table.data)
+        full = np.zeros(shape, dtype)
         np.add.at(full, idx, g)
         return full
 
@@ -526,10 +576,11 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx)
     if x.ndim != 3 or idx.ndim != 2:
         raise ShapeError("gather_rows expects x (B, R, d) and idx (B, P)")
+    shape, dtype = x.shape, x.dtype
 
     def vjp(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, (np.arange(x.shape[0])[:, None], idx), g)
+        full = np.zeros(shape, dtype)
+        np.add.at(full, (np.arange(shape[0])[:, None], idx), g)
         return full
 
     return _make(np.take_along_axis(x.data, idx[:, :, None], axis=1), "gather_rows", (x, vjp))
@@ -540,9 +591,10 @@ def pick(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx)
     if idx.shape != x.shape[:-1]:
         raise ShapeError(f"pick: idx shape {idx.shape} must equal {x.shape[:-1]}")
+    shape, dtype = x.shape, x.dtype
 
     def vjp(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape, dtype)
         np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
         return full
 
@@ -597,14 +649,15 @@ def log_softmax_np(x: np.ndarray) -> np.ndarray:
 
 def rmsnorm(x: Tensor, eps: float = 0.0) -> Tensor:
     """x / sqrt(mean(x^2, last axis) + eps); gain is applied by the caller."""
-    r = rms_scale_np(x.data, eps)
+    xd = x.data
+    r = rms_scale_np(xd, eps)
     n = x.shape[-1]
 
     def vjp(g):
-        dot = (g * x.data).sum(axis=-1, keepdims=True)
-        return r * g - (r ** 3 / n) * dot * x.data
+        dot = (g * xd).sum(axis=-1, keepdims=True)
+        return r * g - (r ** 3 / n) * dot * xd
 
-    return _make(x.data * r, "rmsnorm", (x, vjp))
+    return _make(xd * r, "rmsnorm", (x, vjp))
 
 
 def rms_scale_np(x: np.ndarray, eps: float) -> np.ndarray:

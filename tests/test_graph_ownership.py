@@ -10,9 +10,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "bytepatch"
 
 OWNERS = {("training.py", "_train_loop")}
-# sites that only pass membership on: the constructor stores its argument, and
-# an op's output is in the graph exactly when one of its inputs is
-PROPAGATION = {("tensor.py", "Tensor.__init__"), ("tensor.py", "_make")}
+# sites that only pass membership on: the constructors store their argument,
+# the Tensor property stores into its node, and an op's output is in the graph
+# exactly when one of its inputs is
+PROPAGATION = {("tensor.py", "Tensor.__init__"), ("tensor.py", "Node.__init__"),
+               ("tensor.py", "Tensor.requires_grad"), ("tensor.py", "_make")}
 
 
 def flag_sets() -> list[tuple[str, str, int, ast.expr]]:

@@ -3,6 +3,9 @@ finite differences, shape policing, the non-finite guard and the malloc
 thresholds the engine fixes at import."""
 
 import ctypes
+import gc
+import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -90,45 +93,152 @@ def test_backward_needs_a_tensor_in_the_graph():
 def _sweep_keeping_the_graph(root: Tensor) -> None:
     """The reference sweep, which frees nothing: every VJP in reverse
     topological order, every intermediate gradient kept to the end."""
-    order = T._toposort(root)
+    order = T._toposort(root._node)
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
-        for parent, vjp in node._vjps:
+        for parent, vjp in node.vjps:
             g = vjp(node.grad)
             parent.grad = g if parent.grad is None else parent.grad + g
 
 
-def _fan_out(x: Tensor, w: Tensor) -> Tensor:
-    """x feeds a mul twice and an add; h feeds three ops; a keepdims sum,
-    whose VJP hands back a read-only broadcast view, feeds an add."""
+def _fan_out(x: Tensor, w: Tensor) -> tuple[Tensor, Tensor]:
+    """The loss and its intermediate h: x feeds a mul twice and an add; h
+    feeds three ops; a keepdims sum, whose VJP hands back a read-only
+    broadcast view, feeds an add."""
     h = x * x + x
     s = h.sum(axis=-1, keepdims=True)
     y = T.exp(h * 0.1) * h + (h @ w) + s
-    return (y * y).sum()
+    return (y * y).sum(), h
 
 
 def test_freeing_sweep_gives_bit_identical_leaf_grads():
     xv, wv = RNG.normal(size=(3, 4)), RNG.normal(size=(4, 4))
     x0, w0 = t(xv), t(wv)
-    _sweep_keeping_the_graph(_fan_out(x0, w0))
+    _sweep_keeping_the_graph(_fan_out(x0, w0)[0])
     x1, w1 = t(xv), t(wv)
-    _fan_out(x1, w1).backward()
+    _fan_out(x1, w1)[0].backward()
     np.testing.assert_array_equal(x1.grad, x0.grad)
     np.testing.assert_array_equal(w1.grad, w0.grad)
 
 
 def test_backward_releases_every_intermediate():
     x, w = t(RNG.normal(size=(3, 4))), t(RNG.normal(size=(4, 4)))
-    loss = _fan_out(x, w)
-    nodes = T._toposort(loss)
-    inner = [n for n in nodes if n._vjps]
+    loss, h = _fan_out(x, w)
+    nodes = T._toposort(loss._node)
+    inner = [n for n in nodes if n.vjps]
+    assert h._node in inner
     loss.backward()
-    assert len(inner) > 5 and all(n.grad is None and n._vjps == () and not n.requires_grad for n in inner)
+    assert len(inner) > 5 and all(n.grad is None and n.vjps == () and not n.requires_grad for n in inner)
     assert x.grad is not None and w.grad is not None and x.requires_grad and w.requires_grad
     # an intermediate reused after the sweep is a constant: it records no VJP
-    reused = inner[-2] * 2.0
-    assert reused._vjps == () and not reused.requires_grad
-    assert [p for p, _ in (inner[-2] * x)._vjps] == [x]
+    reused = h * 2.0
+    assert reused._node.vjps == () and not reused.requires_grad
+    assert [p for p, _ in (h * x)._node.vjps] == [x._node]
+
+
+def test_an_intermediate_no_vjp_reads_is_freed_when_dropped():
+    """A matmul output feeding an add is read by no VJP, so the graph does not
+    keep it: once the caller drops it, its array is collected, and the sweep
+    still gives the reference sweep's leaf gradients bit for bit."""
+    xv, wv = RNG.normal(size=(3, 4)), RNG.normal(size=(4, 4))
+
+    def loss_dropping_h(x, w):
+        h = x @ w
+        freed = weakref.ref(h.data)
+        s = h + x
+        del h
+        gc.collect()
+        return (s * s).sum(), freed
+
+    x0, w0 = t(xv), t(wv)
+    loss, _ = loss_dropping_h(x0, w0)
+    _sweep_keeping_the_graph(loss)
+    x1, w1 = t(xv), t(wv)
+    loss, freed = loss_dropping_h(x1, w1)
+    assert freed() is None
+    loss.backward()
+    np.testing.assert_array_equal(x1.grad, x0.grad)
+    np.testing.assert_array_equal(w1.grad, w0.grad)
+
+
+def _u(*shape):
+    return t(RNG.uniform(0.5, 1.5, size=shape))
+
+
+# one build per graph op, every input in the graph
+GRAPH_OPS = {
+    "add": lambda: T.add(_u(2, 3, 4), _u(4)),
+    "sub": lambda: T.sub(_u(2, 3, 4), _u(4)),
+    "mul": lambda: T.mul(_u(2, 3, 4), _u(4)),
+    "div": lambda: T.div(_u(2, 3, 4), _u(4)),
+    "maximum": lambda: T.maximum(_u(2, 3, 4), _u(2, 3, 4)),
+    "exp": lambda: T.exp(_u(2, 3)),
+    "log": lambda: T.log(_u(2, 3)),
+    "sqrt": lambda: T.sqrt(_u(2, 3)),
+    "sigmoid": lambda: T.sigmoid(_u(2, 3)),
+    "logsigmoid": lambda: T.logsigmoid(_u(2, 3)),
+    "silu": lambda: T.silu(_u(2, 3)),
+    "absolute": lambda: T.absolute(_u(2, 3)),
+    "clip": lambda: T.clip(_u(2, 3), 0.7, 1.2),
+    "log1mexp": lambda: T.log1mexp(T.sub(_u(2, 3), _u(2, 3) + 2.0)),
+    "softcap": lambda: T.softcap(_u(2, 3), 2.0),
+    "reduce_sum": lambda: T.reduce_sum(_u(2, 3, 4), 1),
+    "reduce_mean": lambda: T.reduce_mean(_u(2, 3, 4), 1),
+    "cumsum": lambda: T.cumsum(_u(2, 3), 1),
+    "reshape": lambda: T.reshape(_u(2, 3, 4), (6, 4)),
+    "transpose": lambda: T.transpose(_u(2, 3, 4), (0, 2, 1)),
+    "index": lambda: T.index(_u(2, 3, 4), (slice(None), np.array([0, 2]))),
+    "concat": lambda: T.concat([_u(2, 3), _u(2, 1)], axis=1),
+    "matmul": lambda: T.matmul(_u(2, 3, 4), _u(4, 5)) + T.matmul(_u(3, 4), _u(2, 4, 5)).sum(axis=0),
+    "take_rows": lambda: T.take_rows(_u(5, 4), np.array([[0, 3], [3, 1]])),
+    "gather_rows": lambda: T.gather_rows(_u(2, 3, 4), np.array([[0, 2], [1, 1]])),
+    "pick": lambda: T.pick(_u(2, 3, 4), np.array([[0, 3, 1], [2, 2, 0]])),
+    "exp_where": lambda: T.exp_where(_u(2, 3, 3), np.tri(3, dtype=bool)),
+    "outer_add": lambda: T.outer_add(_u(2, 3), _u(2, 4)),
+    "softmax": lambda: T.softmax(_u(2, 3)),
+    "log_softmax": lambda: T.log_softmax(_u(2, 3)),
+    "rmsnorm": lambda: T.rmsnorm(_u(2, 3)),
+    "rope": lambda: T.rope(_u(2, 3, 4), np.cos(ANGLES), np.sin(ANGLES)),
+}
+
+
+def _tensors_held_by(vjp) -> list[Tensor]:
+    """The Tensors a VJP can reach through its closure cells and defaults,
+    following nested functions and containers."""
+    found, seen, stack = [], set(), [vjp]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        elif inspect.isfunction(obj):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+    return found
+
+
+def test_every_graph_op_is_audited():
+    makers = {name for name, fn in vars(T).items()
+              if inspect.isfunction(fn) and fn.__module__ == T.__name__ and name != "_make"
+              and "_make(" in inspect.getsource(fn)}
+    assert makers <= set(GRAPH_OPS), sorted(makers - set(GRAPH_OPS))
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_OPS))
+def test_no_vjp_holds_a_tensor(name):
+    """A VJP closes over the arrays and shapes it reads, never over a Tensor,
+    so the graph keeps no value alive that its VJPs do not read."""
+    out = GRAPH_OPS[name]()
+    assert out.requires_grad
+    pairs = [pair for node in T._toposort(out._node) for pair in node.vjps]
+    assert pairs and all(isinstance(parent, T.Node) for parent, _ in pairs)
+    assert [_tensors_held_by(vjp) for _, vjp in pairs if _tensors_held_by(vjp)] == []
 
 
 class _Mallinfo2(ctypes.Structure):

@@ -159,7 +159,7 @@ def test_parameters_are_plain_values_outside_the_step_loop(toy, tmp_path):
         logprobs = forward_full(student, cfg, w.model_bytes[None, :], w.suffix[None, :])["logprobs"]
         logits = teacher_mod.teacher_logits(teacher, cfg, token_ids)[0]
         for out in (logprobs, logits):
-            assert out._vjps == () and not out.requires_grad
+            assert out._node.vjps == () and not out.requires_grad
 
     teacher = init_teacher(cfg, np.random.default_rng(0))
     student = init_byte_model(cfg, np.random.default_rng(1), teacher)
