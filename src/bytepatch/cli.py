@@ -33,7 +33,7 @@ from .training import (
     TrainConfig,
     compute_copy,
     evaluate_bpb,
-    prepare_window,
+    prepare_windows,
     train_conversion,
     train_teacher,
 )
@@ -352,20 +352,16 @@ def cmd_boundary_dump(args) -> int:
     params, mc = _open(args.model, "byte_model", args.cfg) if args.model else (None, None)
     strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0)
     teacher, teacher_mc = _teacher(args, strategy, (args.model, mc) if args.model else None)
-    scorer = compute_copy(teacher) if strategy.needs_teacher else None
+    contents = [doc[: args.max_doc_bytes] for doc in (corpus.heldout or corpus.train)[: args.docs]]
+    windows = prepare_windows(contents, vocab, teacher_mc,
+                              compute_copy(teacher) if strategy.needs_teacher else None, strategy)
+    # each mask leaves out the BOS pseudo-patch position
     if args.predicted:
         params = compute_copy(params)
-    docs = (corpus.heldout or corpus.train)[: args.docs]
-    masks = []
-    for doc in docs:
-        content = doc[: args.max_doc_bytes]
-        w = prepare_window(content, vocab, teacher_mc, scorer, strategy)
-        if args.predicted:
-            out = forward_full(params, mc, w.model_bytes[None, :], w.suffix[None, :], mask=None)
-            mask = out["mask"][0][1:]  # drop the BOS pseudo-patch position
-        else:
-            mask = w.mask[1:]
-        masks.append(mask)
+        masks = [forward_full(params, mc, w.model_bytes[None, :], w.suffix[None, :])["mask"][0, 1:] for w in windows]
+    else:
+        masks = [w.mask[1:] for w in windows]
+    for mask in masks:
         print(mask_to_rle(mask))
     print(f"# attained compression: {attained_compression(masks):.4f}", file=sys.stderr)
     return EXIT_OK

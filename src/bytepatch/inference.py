@@ -96,14 +96,14 @@ def _encode_byte(params: ParamStore, cfg: ModelConfig, state: DecodeState, sidx:
 
 def _advance_global(params: ParamStore, cfg: ModelConfig, state: DecodeState, e_hat: np.ndarray) -> None:
     x = _run_steps(params, cfg, e_hat, state.layers, "global")
-    state.h_latest = x * T.rms_scale_np(x, L.RMS_EPS) * params["global.final_norm_g"].data
+    state.h_latest = L.rms_np(x, params["global.final_norm_g"].data)
     state.n_global_calls += 1
 
 
 def _decode_position(params: ParamStore, cfg: ModelConfig, state: DecodeState, e_hat: np.ndarray) -> np.ndarray:
     z = e_hat @ params["depool_proj.w"].data + state.h_latest
     x = _run_steps(params, cfg, z, state.layers, "decoder")
-    x = x * T.rms_scale_np(x, L.RMS_EPS) * params["lm_head.norm_g"].data
+    x = L.rms_np(x, params["lm_head.norm_g"].data)
     logits = x @ params["lm_head.w"].data
     if not np.all(np.isfinite(logits)):
         raise InferenceError("non-finite logits")

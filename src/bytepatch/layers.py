@@ -25,7 +25,7 @@ its cached one-position form, the oracle pinned to ``attention_block``.
 
 Both pairs share their primitives: the step forms call the same
 ``tensor.*_np`` kernels (RMS scale, softcap, log-sigmoid, softmax, rotary
-positions) that the graph ops compute with.
+positions) that the graph ops compute with, and ``rms_np`` is ``rms``'s twin.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ GATE_SOFT_CAP = 15.0  # mLSTM input/forget gate pre-activations stay inside ±ca
 
 def rms(x: Tensor, gain: Tensor) -> Tensor:
     return T.rmsnorm(x, RMS_EPS) * gain
+
+
+def rms_np(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """`rms` on raw numpy arrays, for the step forms."""
+    return x * T.rms_scale_np(x, RMS_EPS) * gain
 
 
 def swiglu(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
@@ -111,7 +116,7 @@ def attention_step(
 ) -> np.ndarray:
     """One position of cached attention on raw numpy state. cache holds
     'k'/'v' arrays shaped (H, t, hd) plus 'pos', and is mutated in place."""
-    xn = x_t * T.rms_scale_np(x_t, RMS_EPS) * p[f"{prefix}.norm_g"].data
+    xn = rms_np(x_t, p[f"{prefix}.norm_g"].data)
     q = (xn @ p[f"{prefix}.w_q"].data).reshape(n_heads, head_dim)
     k = (xn @ p[f"{prefix}.w_k"].data).reshape(n_heads, head_dim)
     v = (xn @ p[f"{prefix}.w_v"].data).reshape(n_heads, head_dim)
@@ -259,7 +264,7 @@ def mlstm_step(
     v_dim: int,
 ) -> np.ndarray:
     """Sequential mLSTM update on raw numpy state (mutated in place)."""
-    xn = x_t * T.rms_scale_np(x_t, RMS_EPS) * p[f"{prefix}.norm_g"].data
+    xn = rms_np(x_t, p[f"{prefix}.norm_g"].data)
     q = (xn @ p[f"{prefix}.w_q"].data).reshape(heads, qk_dim)
     k = (xn @ p[f"{prefix}.w_k"].data).reshape(heads, qk_dim) * qk_dim**-0.5
     v = (xn @ p[f"{prefix}.w_v"].data).reshape(heads, v_dim)
@@ -284,7 +289,7 @@ def mlstm_step(
 
 
 def ffn_step(p: dict[str, Tensor], prefix: str, x_t: np.ndarray) -> np.ndarray:
-    xn = x_t * T.rms_scale_np(x_t, RMS_EPS) * p[f"{prefix}.norm_g"].data
+    xn = rms_np(x_t, p[f"{prefix}.norm_g"].data)
     gate = xn @ p[f"{prefix}.w_gate"].data
     up = xn @ p[f"{prefix}.w_up"].data
     return x_t + (gate * T.sigmoid_np(gate) * up) @ p[f"{prefix}.w_down"].data

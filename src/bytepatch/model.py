@@ -386,20 +386,8 @@ def forward_full(
         mask = np.atleast_2d(np.asarray(mask, dtype=bool))
     ends, valid = pool_indices(mask)
     h = pool_last(e_hat, ends)
-    h_hat, probe = global_forward(params, cfg, h)
+    h_hat, _ = global_forward(params, cfg, h)
     z = depool(params, cfg, e_hat, h_hat, mask)
     z_hat = local_decode(params, cfg, z)
     logprobs = lm_head_fused(params, cfg, z_hat)
-    return {
-        "e_hat": e_hat,
-        "p": p,
-        "mask": mask,
-        "ends": ends,
-        "valid": valid,
-        "h": h,
-        "h_hat": h_hat,
-        "probe": probe,
-        "z": z,
-        "z_hat": z_hat,
-        "logprobs": logprobs,
-    }
+    return {"p": p, "mask": mask, "ends": ends, "valid": valid, "logprobs": logprobs}

@@ -12,12 +12,15 @@ only the boundary BCE and the fused cross-entropy, with the byte-level modules
 on twice the backbone learning rate. Both stages weigh the boundary BCE by
 `BOUNDARY_WEIGHT` and every other term by 1.
 
-This module alone turns a document into a training window: `TrainConfig.strategy`
-picks the stage's boundary supervision, each window's text is encoded once,
-the teacher runs on those token ids and the subword mask is merged into the
-one supervision mask the window carries. `prepare_windows` runs the teacher
-over all training windows in batches of equal token count; `prepare_window`
-builds one window (evaluation, boundary dumps) with the same assembly code.
+This module alone turns text into windows, and `prepare_windows` is the one
+builder: each content is encoded once, the teacher (when given) runs over all
+of them in batches of equal token count, and the subword mask is merged under
+the strategy into the one supervision mask the window carries. Each caller
+states its own rule: `train_conversion` cuts documents with `make_windows`,
+hands the teacher over only for stage 1 and scored merges, and keeps no
+teacher outputs in stage-2 windows; `evaluate_bpb` and `boundary-dump` build
+the windows of all their documents in one call. `prepare_window` is the same
+call on one content.
 Both stages and the teacher's own training share one step loop; metrics
 stream to a line-delimited log, one JSON record per step. The loop alone
 puts tensors in the autodiff graph: every step runs forward and backward on
@@ -61,7 +64,7 @@ from .model import (
     transformer_probe,
 )
 from .optim import AdamW
-from .teacher import TeacherOutputs, run_teacher, run_teachers, teacher_nll
+from .teacher import TeacherOutputs, run_teachers, teacher_nll
 from .tensor import Tensor
 from .tokenizer import SubwordVocab, encode, mask_from_token_ids, suffix_ids
 
@@ -133,10 +136,44 @@ class Window:
     model_bytes: np.ndarray  # [EOT as BOS] + content bytes
     suffix: np.ndarray  # longest-suffix token id per model position
     mask: np.ndarray  # supervision boundaries over model positions; BOS flagged
-    teacher: TeacherOutputs | None  # prepare_windows keeps it for stage 1 only
+    teacher: TeacherOutputs | None  # when a teacher ran; stage 2's training windows drop it
 
     def __len__(self) -> int:
         return len(self.model_bytes)
+
+
+def prepare_windows(
+    contents: list[bytes],
+    vocab: SubwordVocab,
+    cfg: ModelConfig,
+    teacher_params: ParamStore | None,
+    strategy: MergeStrategy,
+) -> list[Window]:
+    """The window of each of `contents`: each is encoded once, the teacher
+    (when given) runs over all of them in batches of equal token count, and
+    the subword mask merged under `strategy` is the window's supervision."""
+    if strategy.needs_teacher and teacher_params is None:
+        raise ValueError(f"{strategy.kind} supervision needs teacher scores")
+    id_lists = [encode(vocab, c) for c in contents]
+    teachers = ([None] * len(contents) if teacher_params is None
+                else run_teachers(teacher_params, cfg, vocab, id_lists))
+    t = strategy.target_compression
+    windows = []
+    for content, token_ids, teacher in zip(contents, id_lists, teachers):
+        mask = mask_from_token_ids(vocab, token_ids)
+        if strategy.kind == "bpe":
+            mask = merge_bpe_per_example(mask, content, t)
+        elif strategy.needs_teacher:
+            scores = teacher.entropy if strategy.kind == "entropy" else -teacher.next_logp
+            mask = merge_by_score(mask, len(content), scores, t)
+        model_bytes = np.concatenate([[EOT], np.frombuffer(content, dtype=np.uint8)]).astype(np.int64)
+        windows.append(Window(
+            model_bytes=model_bytes,
+            suffix=suffix_ids(vocab.suffix_index, bytes(model_bytes.tolist())),
+            mask=np.concatenate([[True], mask]),
+            teacher=teacher,
+        ))
+    return windows
 
 
 def prepare_window(
@@ -146,58 +183,8 @@ def prepare_window(
     teacher_params: ParamStore | None,
     strategy: MergeStrategy,
 ) -> Window:
-    """Encode `content` once, run the teacher (when given) on those token ids,
-    and merge the subword mask under `strategy` into the window's supervision."""
-    token_ids = encode(vocab, content)
-    teacher = run_teacher(teacher_params, cfg, vocab, token_ids) if teacher_params is not None else None
-    return _assemble_window(content, token_ids, teacher, vocab, strategy)
-
-
-def _assemble_window(
-    content: bytes,
-    token_ids: list[int],
-    teacher: TeacherOutputs | None,
-    vocab: SubwordVocab,
-    strategy: MergeStrategy,
-) -> Window:
-    """The window of `content`, given its token ids and teacher outputs."""
-    mask = mask_from_token_ids(vocab, token_ids)
-    t = strategy.target_compression
-    if strategy.kind == "bpe":
-        mask = merge_bpe_per_example(mask, content, t)
-    elif strategy.needs_teacher:
-        if teacher is None:
-            raise ValueError(f"{strategy.kind} supervision needs teacher scores")
-        scores = teacher.entropy if strategy.kind == "entropy" else -teacher.next_logp
-        mask = merge_by_score(mask, len(content), scores, t)
-    model_bytes = np.concatenate([[EOT], np.frombuffer(content, dtype=np.uint8)]).astype(np.int64)
-    return Window(
-        model_bytes=model_bytes,
-        suffix=suffix_ids(vocab.suffix_index, bytes(model_bytes.tolist())),
-        mask=np.concatenate([[True], mask]),
-        teacher=teacher,
-    )
-
-
-def prepare_windows(
-    docs: list[bytes],
-    vocab: SubwordVocab,
-    cfg: ModelConfig,
-    tcfg: TrainConfig,
-    teacher_params: ParamStore | None,
-) -> list[Window]:
-    """Every `make_windows` chunk of `docs` as a window: each chunk is encoded
-    once and the teacher runs over all of them in batches."""
-    strategy = tcfg.strategy()
-    chunks = make_windows(docs, tcfg.max_bytes - 1)
-    id_lists = [encode(vocab, c) for c in chunks]
-    teachers: list[TeacherOutputs | None] = [None] * len(chunks)
-    if teacher_params is not None and (tcfg.stage == 1 or strategy.needs_teacher):
-        teachers = run_teachers(teacher_params, cfg, vocab, id_lists)
-    windows = [_assemble_window(c, ids, t, vocab, strategy)
-               for c, ids, t in zip(chunks, id_lists, teachers)]
-    # only stage 1 reads teacher activations; stage 2 needs just the masks
-    return windows if tcfg.stage == 1 else [replace(w, teacher=None) for w in windows]
+    """`prepare_windows` on one content."""
+    return prepare_windows([content], vocab, cfg, teacher_params, strategy)[0]
 
 
 class WindowSampler:
@@ -283,7 +270,7 @@ def stage1_step(
     grad_norm = opt.step()
     return {"l_boundary": l_b.item(), "l_encoder": l_e.item(), "l_distill": l_d.item(),
             "l_ce": l_ce.item(), "total": total.item(),
-            **_step_metrics(p_scores.data, arrays["mask"], cfg, grad_norm)}
+            **_step_metrics(predicted_mask(p_scores.data, cfg.patch_cap), arrays["mask"], grad_norm)}
 
 
 def stage2_step(
@@ -305,11 +292,11 @@ def stage2_step(
     grad_norm = opt.step()
     return {"l_boundary": l_b.item(), "l_encoder": 0.0, "l_distill": 0.0,
             "l_ce": l_ce.item(), "total": total.item(),
-            **_step_metrics(out["p"].data, arrays["mask"], cfg, grad_norm)}
+            **_step_metrics(out["mask"], arrays["mask"], grad_norm)}
 
 
-def _step_metrics(p_scores: np.ndarray, mask: np.ndarray, cfg: ModelConfig, grad_norm: float) -> dict:
-    pred = predicted_mask(p_scores, cfg.patch_cap)
+def _step_metrics(pred: np.ndarray, mask: np.ndarray, grad_norm: float) -> dict:
+    """Boundary accuracy and attained compression of the predicted mask `pred`."""
     # boundary accuracy, here and in evaluate_bpb, leaves out the last byte,
     # which predicted_mask always flags
     acc = float((pred[:, :-1] == mask[:, :-1]).mean())
@@ -390,10 +377,14 @@ def train_conversion(
     learning-rate group."""
     if tcfg.stage == 1 and teacher_params is None:
         raise ValueError("stage 1 needs the teacher")
-    # the teacher's copy lives only while the windows are prepared
-    windows = prepare_windows(docs, vocab, cfg, tcfg,
-                              compute_copy(teacher_params) if teacher_params is not None else None)
     stage2 = tcfg.stage == 2
+    strategy = tcfg.strategy()
+    # stage 1 and scored merges read the teacher; its copy lives only while the windows are prepared
+    reads_teacher = teacher_params is not None and (not stage2 or strategy.needs_teacher)
+    windows = prepare_windows(make_windows(docs, tcfg.max_bytes - 1), vocab, cfg,
+                              compute_copy(teacher_params) if reads_teacher else None, strategy)
+    if stage2:  # only stage 1 reads teacher activations; stage 2 needs just the masks
+        windows = [replace(w, teacher=None) for w in windows]
     group_tags = {"global": ("global",)} if stage2 else {}
     group_tags["local"] = LOCAL_COMPONENTS
     # name order: the global gradient norm is a float sum in group order
@@ -457,20 +448,20 @@ def evaluate_bpb(
     `n_patches`). The teacher runs only then or when the strategy scores
     with it; each store is cast once, to a float32 compute copy."""
     strategy = strategy or MergeStrategy("subword")
+    contents = [c for c in (doc[:max_doc_bytes] for doc in docs) if len(c) >= 2]
+    if not contents:
+        raise ValueError("no document has the 2 bytes a prediction needs")
     params = compute_copy(params)
     # the teacher scores patches (entropy, xent) or is the alignment's reference (subword)
-    teacher = compute_copy(teacher_params) if teacher_params is not None and strategy.kind != "bpe" else None
-    align = teacher is not None and strategy.kind == "subword"
+    reads_teacher = teacher_params is not None and strategy.kind != "bpe"
+    align = reads_teacher and strategy.kind == "subword"
+    windows = prepare_windows(contents, vocab, cfg, compute_copy(teacher_params) if reads_teacher else None, strategy)
     tot_ce = 0.0
     tot_pos = 0
     tot_correct = 0
     pred_masks = []
     diffs = []
-    for doc in docs:
-        content = doc[:max_doc_bytes]
-        if len(content) < 2:
-            continue
-        w = prepare_window(content, vocab, cfg, teacher, strategy)
+    for w in windows:
         out = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], mask=None)
         targets = fused_targets(w.model_bytes[1:], w.mask[1:])[None, :]
         ce = ce_fused(out["logprobs"], targets).item()
@@ -484,8 +475,6 @@ def evaluate_bpb(
             pooled = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], w.mask[None, :])
             sums, _ = patch_logprobs(pooled["logprobs"], targets, pooled["ends"], pooled["valid"])
             diffs.append(np.abs(sums.data[0] - w.teacher.next_logp))
-    if tot_pos == 0:
-        raise ValueError("no document has the 2 bytes a prediction needs")
     ce_mean = tot_ce / tot_pos
     metrics = {
         "ce_nats": ce_mean,

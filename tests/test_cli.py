@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 
 from bytepatch import cli
+from bytepatch import teacher as teacher_mod
+from bytepatch.boundaries import MergeStrategy, mask_to_rle
 from bytepatch.checkpoint import load_checkpoint, save_checkpoint
 from bytepatch.cli import (
     EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_MISSING, EXIT_OK, EXIT_USAGE,
     build_model_config, build_train_config, parse_config_file,
 )
 from bytepatch.data import load_corpus, write_corpus
-from bytepatch.model import ModelConfig, init_byte_model, init_teacher
-from bytepatch.tokenizer import load_vocab
-from bytepatch.training import TrainConfig
+from bytepatch.model import ModelConfig, forward_full, init_byte_model, init_teacher
+from bytepatch.tokenizer import encode, load_vocab
+from bytepatch.training import TrainConfig, compute_copy, prepare_window
 
 ROOT = Path(__file__).resolve().parents[1]
 TOY_CFG = ROOT / "configs" / "toy.cfg"
@@ -305,6 +307,74 @@ def test_boundary_dump_predicted(workspace, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     # one RLE mask per document, covering each of its bytes
     assert [sum(int(r) for r in line.split(":")[1].split(",")) for line in lines] == list(map(len, docs))
+
+
+@pytest.fixture(scope="module")
+def heldout_docs(workspace, tmp_path_factory):
+    """A corpus that holds out half of its 24 documents, and a config for it
+    that the workspace's checkpoints agree with."""
+    root, cfg = workspace
+    data = tmp_path_factory.mktemp("heldout")
+    assert cli.main(["make-corpus", "--docs", "24", "--out", str(data / "corpus"), "--seed", "8"]) == EXIT_OK
+    conf = data / "heldout.cfg"
+    conf.write_text(with_line(cfg, "data.holdout_frac=0.5"))
+    return data / "corpus", conf
+
+
+DUMP_BYTES = 40  # short cuts, so that several documents share a token count
+
+
+@pytest.mark.parametrize("flags", [[], ["--merge-strategy", "bpe", "--target-compression", "6"],
+                                   ["--merge-strategy", "entropy", "--target-compression", "6"], ["--predicted"]],
+                         ids=["subword", "bpe", "entropy", "predicted"])
+def test_boundary_dump_equals_a_per_document_loop(workspace, heldout_docs, capsys, flags):
+    """Each line is the RLE of one held-out document's window, built alone by
+    `prepare_window` (with a float32 copy of the teacher when it scores),
+    or, under --predicted, of the mask a float32 `forward_full` pools on."""
+    root, _ = workspace
+    data, conf = heldout_docs
+    vocab = load_vocab(root / "vocab.txt")
+    predicted = flags == ["--predicted"]
+    model = ["--model", str(root / "s1.ckpt")] if predicted else ["--teacher", str(root / "teacher.ckpt")]
+    assert cli.main(["boundary-dump", "--data", str(data), "--vocab", str(root / "vocab.txt"),
+                     "--config", str(conf), "--docs", "100", "--max-doc-bytes", str(DUMP_BYTES),
+                     *model, *flags]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    strategy = MergeStrategy(flags[1], float(flags[3])) if "--merge-strategy" in flags else MergeStrategy("subword")
+    teacher, tmc, _ = load_checkpoint(root / "teacher.ckpt")
+    scorer = compute_copy(teacher) if strategy.needs_teacher else None
+    params, mc, _ = load_checkpoint(root / "s1.ckpt")
+    params = compute_copy(params)
+    want = []
+    for doc in load_corpus(data, holdout_frac=0.5).heldout:
+        w = prepare_window(doc[:DUMP_BYTES], vocab, tmc, scorer, strategy)
+        mask = forward_full(params, mc, w.model_bytes[None, :], w.suffix[None, :])["mask"][0] if predicted else w.mask
+        want.append(mask_to_rle(mask[1:]))  # the BOS position is no byte of the document
+    assert len(want) >= 8 and lines == want
+
+
+def test_boundary_dump_batches_the_teacher(workspace, heldout_docs, capsys, monkeypatch):
+    """Under entropy supervision the teacher runs once per token count among
+    the dumped documents, not once per document."""
+    root, _ = workspace
+    data, conf = heldout_docs
+    rows = []
+    teacher_logits = teacher_mod.teacher_logits
+
+    def counting_logits(params, cfg, token_ids):
+        rows.append(len(token_ids))
+        return teacher_logits(params, cfg, token_ids)
+
+    monkeypatch.setattr(teacher_mod, "teacher_logits", counting_logits)
+    assert cli.main(["boundary-dump", "--data", str(data), "--vocab", str(root / "vocab.txt"),
+                     "--config", str(conf), "--teacher", str(root / "teacher.ckpt"), "--docs", "100",
+                     "--max-doc-bytes", str(DUMP_BYTES), "--merge-strategy", "entropy",
+                     "--target-compression", "6"]) == EXIT_OK
+    capsys.readouterr()
+    vocab = load_vocab(root / "vocab.txt")
+    counts = [len(encode(vocab, d[:DUMP_BYTES])) for d in load_corpus(data, holdout_frac=0.5).heldout]
+    assert len(rows) == len(set(counts)) < len(counts)
+    assert sum(rows) == len(counts)
 
 
 def test_eval_bpb_and_predicted_dump_report_one_compression(workspace, capsys):

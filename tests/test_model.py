@@ -301,7 +301,7 @@ def test_forward_full_shapes_and_determinism(setup):
     out1 = forward_full(params, cfg, byte_ids, sfx, mask)
     out2 = forward_full(params, cfg, byte_ids, sfx, mask)
     assert out1["logprobs"].shape == (2, n, M.N_FUSED)
-    assert out1["h"].shape[1] == int(mask.sum(axis=1).max())
+    assert out1["ends"].shape[1] == int(mask.sum(axis=1).max())
     assert np.array_equal(out1["logprobs"].data, out2["logprobs"].data)
     # predicted-mask path
     out3 = forward_full(params, cfg, byte_ids, sfx, mask=None)

@@ -21,6 +21,7 @@ from bytepatch.model import (
     fused_targets,
     init_byte_model,
     init_teacher,
+    predicted_mask,
 )
 from bytepatch.losses import ce_fused
 from bytepatch.optim import AdamW
@@ -249,7 +250,8 @@ def test_float32_conversion_steps_track_the_float64_step(toy, stage):
     reference = init_byte_model(cfg, np.random.default_rng(1), teacher)
     p32 = ParamStore({n: Tensor(t.data.astype(np.float32)) for n, t in reference.items()})
     tc = TrainConfig(stage=stage, steps=1, batch_size=2, max_bytes=48, seed=3)
-    batch = tr.WindowSampler(prepare_windows(docs[:4], vocab, cfg, tc, scorer), tc.batch_size, tc.seed).draw()
+    windows = prepare_windows(make_windows(docs[:4], tc.max_bytes - 1), vocab, cfg, scorer, tc.strategy())
+    batch = tr.WindowSampler(windows, tc.batch_size, tc.seed).draw()
     trained = [n for n in reference if stage == 2 or reference.tag(n) in LOCAL_COMPONENTS]
     step = tr.stage1_step if stage == 1 else tr.stage2_step
     got, ref = (one_step(step, params, cfg, tc, trained, batch) for params in (p32, reference))
@@ -307,7 +309,7 @@ def test_float32_stage1_step_gives_float32_gradients(toy):
     student = init_byte_model(cfg, np.random.default_rng(1), teacher)
     p32 = ParamStore({n: Tensor(t.data.astype(np.float32), requires_grad=True) for n, t in student.items()})
     tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=3)
-    batch = prepare_windows(docs[:4], vocab, cfg, tc, teacher)[:2]
+    batch = prepare_windows(make_windows(docs[:4], tc.max_bytes - 1), vocab, cfg, teacher, tc.strategy())[:2]
     metrics = tr.stage1_step(p32, cfg, tc, AdamW({"all": list(p32.values())}), batch)
     assert metrics["l_encoder"] > 0 and metrics["l_distill"] > 0
     grads = {n: t.grad for n, t in p32.items() if t.grad is not None}
@@ -329,13 +331,14 @@ def test_step_metrics_count_capped_boundaries():
     cfg = replace(small_cfg(), patch_cap=4)
     p_scores = np.zeros((1, 10))  # no predicted boundary: the cap and the last byte close patches
     capped = np.array([[False, False, False, True] * 2 + [False, True]])
-    m = tr._step_metrics(p_scores, capped, cfg, grad_norm=1.0)
+    pred = predicted_mask(p_scores, cfg.patch_cap)
+    m = tr._step_metrics(pred, capped, grad_norm=1.0)
     assert m["boundary_acc"] == 1.0
     assert m["compression"] == 3.0  # 9 content bytes, 3 boundaries
     missed = capped.copy()
     missed[0, 0] = True  # a supervised boundary the prediction lacks
     # one miss in 9 scored bytes: the last byte, always flagged, is not scored
-    assert tr._step_metrics(p_scores, missed, cfg, grad_norm=1.0)["boundary_acc"] == 8 / 9
+    assert tr._step_metrics(pred, missed, grad_norm=1.0)["boundary_acc"] == 8 / 9
 
 
 def test_evaluation_counts_capped_boundaries(toy):
@@ -384,29 +387,35 @@ def test_evaluation_and_training_leave_the_callers_stores_untouched(toy, monkeyp
 
 
 def test_float32_evaluation_tracks_its_float64_oracle(toy):
-    """`evaluate_bpb` computes on a float32 copy; the reference is the float64
-    store's own `forward_full` and `ce_fused` over the same windows."""
+    """Under every merge strategy, `evaluate_bpb` computes on a float32 copy;
+    the reference is the float64 store's own `forward_full` and `ce_fused`
+    over the same windows, whose entropy and xent masks a float32 copy of the
+    teacher scores."""
     docs, vocab, cfg, teacher = toy
     student = init_byte_model(cfg, np.random.default_rng(1), teacher)
     real = slice(None, -1)  # every byte but the last, which predicted_mask always flags
-    ce = n = correct = scored = 0
-    masks = []
-    for doc in docs[:6]:
-        w = prepare_window(doc[:512], vocab, cfg, None, MergeStrategy("subword"))
-        out = forward_full(student, cfg, w.model_bytes[None, :], w.suffix[None, :])
-        assert out["logprobs"].dtype == np.float64
-        k = len(w.model_bytes) - 1
-        ce += ce_fused(out["logprobs"], fused_targets(w.model_bytes[1:], w.mask[1:])[None, :]).item() * k
-        n += k
-        pred = out["mask"][0]
-        correct += int((pred[real] == w.mask[real]).sum())
-        scored += pred[real].size
-        masks.append(pred[1:])
-    got = tr.evaluate_bpb(student, cfg, vocab, docs[:6])
-    assert got["n_positions"] == n
-    assert got["ce_nats"] == pytest.approx(ce / n, rel=1e-5)
-    assert got["boundary_acc"] == correct / scored
-    assert got["attained_compression"] == attained_compression(masks)
+    for kind in MergeStrategy.KINDS:
+        strategy = MergeStrategy(kind, 0.0 if kind == "subword" else 6.0)
+        scorer = teacher if strategy.needs_teacher else None
+        scorer32 = tr.compute_copy(scorer) if scorer is not None else None
+        ce = n = correct = scored = 0
+        masks = []
+        for doc in docs[:6]:
+            w = prepare_window(doc[:512], vocab, cfg, scorer32, strategy)
+            out = forward_full(student, cfg, w.model_bytes[None, :], w.suffix[None, :])
+            assert out["logprobs"].dtype == np.float64
+            k = len(w.model_bytes) - 1
+            ce += ce_fused(out["logprobs"], fused_targets(w.model_bytes[1:], w.mask[1:])[None, :]).item() * k
+            n += k
+            pred = out["mask"][0]
+            correct += int((pred[real] == w.mask[real]).sum())
+            scored += pred[real].size
+            masks.append(pred[1:])
+        got = tr.evaluate_bpb(student, cfg, vocab, docs[:6], strategy, scorer)
+        assert got["n_positions"] == n, kind
+        assert got["ce_nats"] == pytest.approx(ce / n, rel=1e-5), kind
+        assert got["boundary_acc"] == correct / scored, kind
+        assert got["attained_compression"] == attained_compression(masks), kind
 
 
 def test_alignment_matches_a_plain_loop_over_patches(toy):
@@ -443,19 +452,19 @@ def test_evaluation_with_a_teacher_is_one_pass(toy, monkeypatch):
     bpe supervision the teacher is neither cast nor run."""
     docs, vocab, cfg, teacher = toy
     student = init_byte_model(cfg, np.random.default_rng(1), teacher)
-    calls = {"compute_copy": [], "encode": [], "run_teacher": []}
+    calls = {"compute_copy": [], "encode": [], "run_teachers": []}
     for name, calls_of in calls.items():
         monkeypatch.setattr(tr, name, lambda *a, _f=getattr(tr, name), _c=calls_of: _c.append(a) or _f(*a))
     docs = [b"a", *docs[:3]]  # the 1-byte document is skipped
     assert "n_patches" in tr.evaluate_bpb(student, cfg, vocab, docs, teacher_params=teacher)
     assert [id(a[0]) for a in calls["compute_copy"]] == [id(student), id(teacher)]
     assert [a[1] for a in calls["encode"]] == [d[:512] for d in docs[1:]]
-    assert [a[3] for a in calls["run_teacher"]] == [encode(vocab, d[:512]) for d in docs[1:]]
+    assert [a[3] for a in calls["run_teachers"]] == [[encode(vocab, d[:512]) for d in docs[1:]]]
     for calls_of in calls.values():
         calls_of.clear()
     assert "n_patches" not in tr.evaluate_bpb(student, cfg, vocab, docs, MergeStrategy("bpe", 6.0), teacher)
     assert [id(a[0]) for a in calls["compute_copy"]] == [id(student)]
-    assert len(calls["encode"]) == 3 and calls["run_teacher"] == []
+    assert len(calls["encode"]) == 3 and calls["run_teachers"] == []
 
 
 def test_stage1_loss_decreases_smoke(toy):
@@ -516,20 +525,44 @@ def test_entropy_supervision_needs_teacher(toy):
     tc = TrainConfig(stage=2, steps=1, batch_size=2, max_bytes=48, seed=0,
                      merge_kind="entropy", target_compression=6.0)
     with pytest.raises(ValueError):
-        prepare_windows(docs[:4], vocab, cfg, tc, None)
+        prepare_windows(make_windows(docs[:4], tc.max_bytes - 1), vocab, cfg, None, tc.strategy())
 
 
-def test_stage2_scored_windows_keep_masks_not_teacher(toy):
+def test_stage2_scored_windows_keep_masks_not_teacher(toy, monkeypatch):
+    """The windows stage 2 trains on carry the masks the teacher scored, and
+    none of its outputs."""
     docs, vocab, cfg, teacher = toy
     tc = TrainConfig(stage=2, steps=1, batch_size=2, max_bytes=48, seed=0,
                      merge_kind="entropy", target_compression=6.0)
-    windows = prepare_windows(docs[:4], vocab, cfg, tc, teacher)
-    strategy = MergeStrategy("entropy", 6.0)
+    seen = []
+    train_loop = tr._train_loop
+    monkeypatch.setattr(tr, "_train_loop", lambda *a: seen.append(a[4]) or train_loop(*a))
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    train_conversion(student, cfg, vocab, teacher, docs[:4], tc)
+    (windows,) = seen
+    assert len(windows) == len(make_windows(docs[:4], tc.max_bytes - 1))
+    strategy, scorer = MergeStrategy("entropy", 6.0), tr.compute_copy(teacher)  # training scores on a copy
     for w in windows:
         assert w.teacher is None
         content = w.model_bytes[1:].astype(np.uint8).tobytes()
-        ref = prepare_window(content, vocab, cfg, teacher, strategy)
+        ref = prepare_window(content, vocab, cfg, scorer, strategy)
         assert np.array_equal(w.mask, ref.mask)
+
+
+@pytest.mark.parametrize("kind", ["subword", "bpe"])
+def test_stage2_without_scores_neither_casts_nor_runs_a_given_teacher(toy, monkeypatch, kind):
+    """A stage-2 run whose supervision scores nothing makes one compute copy,
+    the step loop's of the model, and no teacher forward."""
+    docs, vocab, cfg, teacher = toy
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    copies, forwards = [], []
+    compute_copy, teacher_logits = tr.compute_copy, teacher_mod.teacher_logits
+    monkeypatch.setattr(tr, "compute_copy", lambda params: copies.append(params) or compute_copy(params))
+    monkeypatch.setattr(teacher_mod, "teacher_logits", lambda *a: forwards.append(a) or teacher_logits(*a))
+    tc = TrainConfig(stage=2, steps=1, batch_size=2, max_bytes=48, seed=0, merge_kind=kind,
+                     target_compression=0.0 if kind == "subword" else 6.0)
+    train_conversion(student, cfg, vocab, teacher, docs[:4], tc)
+    assert [id(p) for p in copies] == [id(student)] and forwards == []
 
 
 def test_stage1_supervises_subword_ends_whatever_the_merge_keys(toy):
@@ -541,7 +574,7 @@ def test_stage1_supervises_subword_ends_whatever_the_merge_keys(toy):
     log = train_conversion(student, cfg, vocab, teacher, docs[:4], tc)
     assert len(log.records) == 1 and np.isfinite(log.records[0]["total"])
     assert tc.strategy() == MergeStrategy("subword")
-    windows = prepare_windows(docs[:4], vocab, cfg, tc, teacher)
+    windows = prepare_windows(make_windows(docs[:4], tc.max_bytes - 1), vocab, cfg, teacher, tc.strategy())
     for w in windows:
         assert int(w.mask.sum()) == len(w.teacher.token_ids)  # BOS + one end per token
 
@@ -559,16 +592,17 @@ def test_stage1_windows_encode_each_window_once(toy, monkeypatch):
         if name.startswith("bytepatch.") and getattr(module, "encode", None) is encode:
             monkeypatch.setattr(module, "encode", counting_encode)
     tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=0)
-    windows = prepare_windows(docs[:4], vocab, cfg, tc, teacher)
-    assert seen == make_windows(docs[:4], tc.max_bytes - 1)
+    chunks = make_windows(docs[:4], tc.max_bytes - 1)
+    windows = prepare_windows(chunks, vocab, cfg, teacher, tc.strategy())
+    assert seen == chunks
     assert len(seen) == len(windows)
 
 
 def test_stage1_windows_equal_a_prepare_window_loop(toy):
     docs, vocab, cfg, teacher = toy
     tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=0)
-    windows = prepare_windows(docs[:6], vocab, cfg, tc, teacher)
     chunks = make_windows(docs[:6], tc.max_bytes - 1)
+    windows = prepare_windows(chunks, vocab, cfg, teacher, tc.strategy())
     assert len(windows) == len(chunks)
     for w, chunk in zip(windows, chunks):
         ref = prepare_window(chunk, vocab, cfg, teacher, MergeStrategy("subword"))
@@ -592,9 +626,9 @@ def test_stage1_windows_batch_the_teacher(toy, monkeypatch):
     monkeypatch.setattr(teacher_mod, "teacher_logits", counting_logits)
     monkeypatch.setattr(teacher_mod, "BATCH_ROWS", 4)
     tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=0)
-    windows = prepare_windows(docs[:8], vocab, cfg, tc, teacher)
-    groups = np.unique([len(encode(vocab, c)) for c in make_windows(docs[:8], tc.max_bytes - 1)],
-                       return_counts=True)[1]
+    chunks = make_windows(docs[:8], tc.max_bytes - 1)
+    windows = prepare_windows(chunks, vocab, cfg, teacher, tc.strategy())
+    groups = np.unique([len(encode(vocab, c)) for c in chunks], return_counts=True)[1]
     # one forward per (token-count group, at most 4 rows), not one per window
     assert len(rows) == sum(-(-g // 4) for g in groups) < len(windows)
     assert sum(rows) == len(windows) and max(rows) <= 4
