@@ -351,6 +351,8 @@ def cmd_boundary_dump(args) -> int:
         raise UsageError("--predicted needs --model")
     params, mc = _open(args.model, "byte_model", args.cfg) if args.model else (None, None)
     strategy = MergeStrategy(args.merge_strategy, args.target_compression or 0.0)
+    if args.predicted:  # the dump prints the model's own boundaries, so no teacher merges a mask
+        strategy = MergeStrategy("subword")
     teacher, teacher_mc = _teacher(args, strategy, (args.model, mc) if args.model else None)
     contents = [doc[: args.max_doc_bytes] for doc in (corpus.heldout or corpus.train)[: args.docs]]
     windows = prepare_windows(contents, vocab, teacher_mc,

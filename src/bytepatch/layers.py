@@ -44,7 +44,7 @@ GATE_SOFT_CAP = 15.0  # mLSTM input/forget gate pre-activations stay inside ±ca
 # -- small shared pieces ------------------------------------------------------
 
 def rms(x: Tensor, gain: Tensor) -> Tensor:
-    return T.rmsnorm(x, RMS_EPS) * gain
+    return T.rmsnorm(x, gain, RMS_EPS)
 
 
 def rms_np(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -53,7 +53,7 @@ def rms_np(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def swiglu(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
-    return T.matmul(T.silu(T.matmul(x, w_gate)) * T.matmul(x, w_up), w_down)
+    return T.gated_matmul(T.silu(T.matmul(x, w_gate)), T.matmul(x, w_up), w_down)
 
 
 def ffn_block(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -241,9 +241,9 @@ def mlstm_block(
     h = num / den  # (B, NH, n, v)
 
     h = T.transpose(h, (0, 2, 1, 3))  # (B, n, NH, v)
-    h = T.rmsnorm(h, RMS_EPS).reshape((b, n, heads * v_dim)) * p[f"{prefix}.mh_norm_g"]
+    h = rms(h, p[f"{prefix}.mh_norm_g"].reshape((heads, v_dim))).reshape((b, n, heads * v_dim))
     og = T.sigmoid(T.matmul(xn, p[f"{prefix}.w_og"]))
-    return x + T.matmul(h * og, p[f"{prefix}.w_out"])
+    return x + T.gated_matmul(h, og, p[f"{prefix}.w_out"])
 
 
 def empty_mlstm_state(heads: int, qk_dim: int, v_dim: int, dtype) -> dict:
@@ -283,7 +283,7 @@ def mlstm_step(
     dots = np.einsum("hk,hk->h", state["n"], q)
     den = np.maximum(np.abs(dots), np.exp(-m_new))
     h = num / den[:, None]
-    h = (h * T.rms_scale_np(h, RMS_EPS)).reshape(-1) * p[f"{prefix}.mh_norm_g"].data
+    h = rms_np(h, p[f"{prefix}.mh_norm_g"].data.reshape(heads, v_dim)).reshape(-1)
     og = T.sigmoid_np(xn @ p[f"{prefix}.w_og"].data)
     return x_t + (h * og) @ p[f"{prefix}.w_out"].data
 

@@ -61,6 +61,21 @@ def f_temp_bce(student_logp: Tensor, teacher_logp: np.ndarray, tau: float) -> Te
     return -(y_pow * a + (1.0 - y_pow) * T.log1mexp(a))
 
 
+def next_symbol_logprobs(logprobs: Tensor, targets: np.ndarray) -> Tensor:
+    """(B, n-1): position j's log-probability of `targets[:, j]`, the fused
+    symbol at j+1. The pick runs over all n rows (the last picks symbol 0)
+    and the cut follows, so the gradient reaching `logprobs` is one (B, n, V)
+    array. The cut's integer key copies, and the copy is C-ordered, so its
+    sums group as a pick over the first n-1 rows would."""
+    b, n, _ = logprobs.shape
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (b, n - 1):
+        raise T.ShapeError(f"targets shape {targets.shape} must be {(b, n - 1)}")
+    idx = np.zeros((b, n), dtype=np.int64)
+    idx[:, :-1] = targets
+    return T.pick(logprobs, idx)[np.arange(b)[:, None], np.arange(n - 1)]
+
+
 def patch_logprobs(
     logprobs: Tensor,
     targets: np.ndarray,
@@ -77,7 +92,7 @@ def patch_logprobs(
     Returns per-patch sums aligned with ends[:, 1:] plus their validity mask.
     """
     b, n, _ = logprobs.shape
-    picked = T.pick(logprobs[:, :-1, :], np.asarray(targets, dtype=np.int64))  # (B, n-1)
+    picked = next_symbol_logprobs(logprobs, targets)  # (B, n-1)
     zero = Tensor(np.zeros((b, 1), dtype=logprobs.dtype), _op="const")
     cs = T.concat([zero, T.cumsum(picked, axis=1)], axis=1)  # (B, n); cs[j] = sum of picked[:j]
     gathered = T.gather_rows(cs.reshape((b, n, 1)), np.asarray(ends, dtype=np.int64)).reshape(
@@ -110,8 +125,7 @@ def decoder_distill(
 
 def ce_fused(logprobs: Tensor, targets: np.ndarray) -> Tensor:
     """Next-fused-symbol cross-entropy, mean per predicting byte position."""
-    picked = T.pick(logprobs[:, :-1, :], np.asarray(targets, dtype=np.int64))
-    return -picked.mean()
+    return -next_symbol_logprobs(logprobs, targets).mean()
 
 
 def bits_per_byte(ce_nats: float) -> float:

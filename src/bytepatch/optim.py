@@ -26,8 +26,9 @@ GRAD_CLIP = 0.5  # global gradient-norm ceiling
 
 class AdamW:
     def __init__(self, groups: dict[str, list[Tensor]], masters: dict[str, list[Tensor]] | None = None):
-        """`groups` holds the tensors whose `.grad` the steps fill; `masters`,
-        in the same layout, the float64 tensors the updates land on."""
+        """`groups` holds the tensors whose `.grad` the steps fill and `step`
+        empties; `masters`, in the same layout, the float64 tensors the
+        updates land on."""
         self.groups = {name: list(params) for name, params in groups.items()}
         self.masters = {name: list(ts) for name, ts in (masters or groups).items()}
         self.step_count = 0
@@ -56,7 +57,8 @@ class AdamW:
         return float(np.sqrt(total))
 
     def step(self) -> float:
-        """Apply one update; returns the pre-clip global gradient norm.
+        """Apply one update and drop each gradient it applies, so no step's
+        gradients outlive it; returns the pre-clip global gradient norm.
 
         Raises `NonFiniteError`, before any state changes, when that norm is
         not finite. For float32 gradients this is exactly a NaN or Inf in
@@ -94,4 +96,5 @@ class AdamW:
                 master.data -= np.multiply(master.data, lr * WEIGHT_DECAY, out=s)
                 if p.data is not master.data:
                     np.copyto(p.data, master.data, casting="same_kind")
+                p.grad = None  # applied: the next backward starts from none
         return norm

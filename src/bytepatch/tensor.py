@@ -20,6 +20,14 @@ as its VJPs have run (its gradient, its VJPs with the arrays they read, and
 its place in the graph), so its peak is the forward graph plus one frontier
 of gradients not yet consumed, and a swept graph cannot be swept again.
 
+Where a chain of small ops would keep an array only for one gradient, one
+node stands for the chain and recomputes that array in its backward:
+`rmsnorm` takes its gain and keeps x, its (..., 1) scale and the gain, not
+the normalized x; `gated_matmul(u, v, w)`, which is (u * v) @ w, keeps u, v
+and w, not their product; `silu` keeps its input, not its sigmoid. Each
+computes the chain's values bit for bit, and `log_softmax`'s backward builds
+its gradient in one scratch array.
+
 Values are float32 or float64, and every op's output has its inputs' dtype:
 `_make` rejects an op whose inputs and output disagree, so no float64
 constant can silently widen a float32 graph, and a Python number operand
@@ -94,7 +102,7 @@ class GraphError(RuntimeError):
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
@@ -427,9 +435,14 @@ def logsigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def silu(x: Tensor) -> Tensor:
+    """x * sigmoid(x). The node keeps only x: the backward recomputes the sigmoid."""
     xd = x.data
-    s = sigmoid_np(xd)
-    return _make(xd * s, "silu", (x, lambda g: g * (s + xd * s * (1.0 - s))))
+
+    def vjp(g):
+        s = sigmoid_np(xd)
+        return g * (s + xd * s * (1.0 - s))
+
+    return _make(xd * sigmoid_np(xd), "silu", (x, vjp))
 
 
 def absolute(x: Tensor) -> Tensor:
@@ -556,6 +569,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                  (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb)))
 
 
+def gated_matmul(u: Tensor, v: Tensor, w: Tensor) -> Tensor:
+    """(u * v) @ w for a weight w, as one node: it keeps u, v and w, not their
+    product, and recomputes the product for w's gradient. The gradient that
+    reaches the product is computed once, for u's and v's VJPs both. Each
+    value is `matmul(u * v, w)`'s, bit for bit."""
+    if u.shape != v.shape:
+        raise ShapeError(f"gated_matmul: gate shapes {u.shape} and {v.shape} differ")
+    if u.ndim < 2 or w.ndim != 2 or u.shape[-1] != w.shape[0]:
+        raise ShapeError(f"gated_matmul: {u.shape} @ {w.shape} needs a 2-D weight")
+    ud, vd, wd = u.data, v.data, w.data
+    shape, (d, m) = u.shape, w.shape
+    product_grad: list[np.ndarray] = []  # [output gradient, the product's gradient from it]
+
+    def grad_product(g):
+        if not product_grad or product_grad[0] is not g:
+            product_grad[:] = [g, (g.reshape(-1, m) @ wd.T).reshape(shape)]
+        return product_grad[1]
+
+    return _make(np.matmul(ud * vd, wd), "gated_matmul",
+                 (u, lambda g: grad_product(g) * vd),
+                 (v, lambda g: grad_product(g) * ud),
+                 (w, lambda g: (ud * vd).reshape(-1, d).T @ g.reshape(-1, m)))
+
+
 # -- gathers ----------------------------------------------------------------
 
 def take_rows(table: Tensor, idx: np.ndarray) -> Tensor:
@@ -637,8 +674,14 @@ def softmax_np(x: np.ndarray) -> np.ndarray:
 
 def log_softmax(x: Tensor) -> Tensor:
     out_data = log_softmax_np(x.data)
-    return _make(out_data, "log_softmax",
-                 (x, lambda g: g - np.exp(out_data) * g.sum(axis=-1, keepdims=True)))
+
+    def vjp(g):  # g - exp(out) * sum(g), in one scratch array
+        s = g.sum(axis=-1, keepdims=True)
+        scratch = np.exp(out_data)
+        np.multiply(scratch, s, out=scratch)
+        return np.subtract(g, scratch, out=scratch)
+
+    return _make(out_data, "log_softmax", (x, vjp))
 
 
 def log_softmax_np(x: np.ndarray) -> np.ndarray:
@@ -647,17 +690,23 @@ def log_softmax_np(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def rmsnorm(x: Tensor, eps: float = 0.0) -> Tensor:
-    """x / sqrt(mean(x^2, last axis) + eps); gain is applied by the caller."""
-    xd = x.data
+def rmsnorm(x: Tensor, gain: Tensor, eps: float = 0.0) -> Tensor:
+    """x / sqrt(mean(x^2, last axis) + eps) * gain, the gain broadcast over
+    x's leading axes. The node keeps x, the scale and the gain, and
+    recomputes the normalized x for the gain's gradient."""
+    _binary(x, gain, "rmsnorm")
+    xd, gd, sg = x.data, gain.data, gain.shape
     r = rms_scale_np(xd, eps)
     n = x.shape[-1]
 
-    def vjp(g):
+    def vjp_x(g):
+        g = g * gd
         dot = (g * xd).sum(axis=-1, keepdims=True)
         return r * g - (r ** 3 / n) * dot * xd
 
-    return _make(xd * r, "rmsnorm", (x, vjp))
+    return _make(xd * r * gd, "rmsnorm",
+                 (x, vjp_x),
+                 (gain, lambda g: _unbroadcast(g * (xd * r), sg)))
 
 
 def rms_scale_np(x: np.ndarray, eps: float) -> np.ndarray:

@@ -26,10 +26,12 @@ stream to a line-delimited log, one JSON record per step. The loop alone
 puts tensors in the autodiff graph: every step runs forward and backward on
 a float32 copy of the parameters (`compute_copy`), whose trained entries are
 in the graph while the loop runs, and AdamW keeps float64 master weights and
-moments. The forward-only passes compute on such copies too, made by their
-entry points and never in the graph: `train_conversion` runs the teacher for
-its windows on one, and `evaluate_bpb`, the one held-out scorer (one pass,
-one window per document), runs the model and the teacher on theirs.
+moments and drops each gradient once applied, so no step's gradients live
+through the next step's forward. The forward-only passes compute on such
+copies too, made by their entry points and never in the graph:
+`train_conversion` runs the teacher for its windows on one, and
+`evaluate_bpb`, the one held-out scorer (one pass, one window per document),
+runs the model and the teacher on theirs.
 `prepare_windows` and `prepare_window` compute in the dtype of the store
 they are given. Parameters at rest, checkpoints and decoding stay float64.
 """
@@ -265,7 +267,6 @@ def stage1_step(
                           t_logp, arrays["valid"][:, 1:])
 
     total = BOUNDARY_WEIGHT * l_b + l_e + l_d + l_ce
-    opt.zero_grad()
     total.backward()
     grad_norm = opt.step()
     return {"l_boundary": l_b.item(), "l_encoder": l_e.item(), "l_distill": l_d.item(),
@@ -287,7 +288,6 @@ def stage2_step(
     l_b = boundary_bce(out["p"], arrays["mask"])
     l_ce = ce_fused(out["logprobs"], arrays["targets"])
     total = BOUNDARY_WEIGHT * l_b + l_ce
-    opt.zero_grad()
     total.backward()
     grad_norm = opt.step()
     return {"l_boundary": l_b.item(), "l_encoder": 0.0, "l_distill": 0.0,
@@ -404,7 +404,6 @@ def teacher_step(
     """One next-token step of the teacher on a batch of equal-length token
     rows, with the conversion steps' signature."""
     loss = teacher_nll(params, cfg, np.stack(batch))
-    opt.zero_grad()
     loss.backward()
     grad_norm = opt.step()
     return {"total": loss.item(), "l_ce": loss.item(), "grad_norm": grad_norm}

@@ -9,7 +9,10 @@ What the forward retains is only what its VJPs read: a node links to its
 parents' nodes and holds no values, so an intermediate no VJP reads is freed
 as soon as the model code drops it. A graph whose VJPs hold their input
 tensors keeps every intermediate, 74 MB at (1, 512) and 107 MB at (8, 88),
-which `MAX_RETAINED_MB` rejects."""
+which `MAX_RETAINED_MB` rejects. So does a graph of smaller nodes where one
+node stands today: a norm and a separate gain `mul` keep the normalized x
+twice, and a SwiGLU of `silu`, `mul` and `matmul` keeps silu's sigmoid and
+the gated product too, 51.8 MB at (1, 512) and 73.0 MB at (8, 88)."""
 
 import tracemalloc
 from functools import lru_cache
@@ -18,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bytepatch import layers as L
 from bytepatch import tensor as T
 from bytepatch.cli import build_model_config, parse_config_file
 from bytepatch.losses import boundary_bce, ce_fused
@@ -28,7 +32,7 @@ from bytepatch.tensor import Tensor
 TOY = parse_config_file(str(Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"))
 CFG = build_model_config(TOY, int(TOY["tokenizer.vocab_size"]))
 MAX_BACKWARD_SHARE = 0.25  # backward's peak increment over the forward's retained memory
-MAX_RETAINED_MB = {(1, 512): 60, (8, 88): 85}  # what the forward graph may hold, float64
+MAX_RETAINED_MB = {(1, 512): 44, (8, 88): 62}  # what the forward graph may hold, float64
 SHAPES = sorted(MAX_RETAINED_MB)
 
 
@@ -86,3 +90,27 @@ def test_backward_leaves_no_intermediate_in_the_graph():
     loss.backward()
     assert inner and all(n.grad is None and n.vjps == () and not n.requires_grad for n in inner)
     assert all(t.grad is not None for t in params.values())
+
+
+def test_an_ffn_block_keeps_two_model_wide_and_three_hidden_wide_arrays():
+    """A float32 (8, 88) FFN block retains its output and the normed input
+    (B, n, d), and the gate's pre-activation, its silu and the up projection
+    (B, n, ffn_hidden): the norm recomputes x·r for its gain's gradient, and
+    the gated down-projection recomputes its product. The slack is for the
+    norm's (B, n, 1) scale and Python objects, well below one (B, n, d) array."""
+    b, n, prefix = 8, 88, "encoder.0.ffn"
+    params = init_byte_model(CFG, np.random.default_rng(0))
+    p = {k: Tensor(t.data.astype(np.float32), requires_grad=True) for k, t in params.items()
+         if k.startswith(prefix + ".")}
+    x = Tensor(np.random.default_rng(1).normal(size=(b, n, CFG.d)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        out = L.ffn_block(p, prefix, x)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    itemsize = np.dtype(np.float32).itemsize
+    bound = (2 * CFG.d + 3 * CFG.ffn_hidden) * b * n * itemsize + 64 * 2**10
+    assert retained <= bound, (retained, bound)

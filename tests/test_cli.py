@@ -11,6 +11,7 @@ import pytest
 
 from bytepatch import cli
 from bytepatch import teacher as teacher_mod
+from bytepatch import training
 from bytepatch.boundaries import MergeStrategy, mask_to_rle
 from bytepatch.checkpoint import load_checkpoint, save_checkpoint
 from bytepatch.cli import (
@@ -351,6 +352,32 @@ def test_boundary_dump_equals_a_per_document_loop(workspace, heldout_docs, capsy
         mask = forward_full(params, mc, w.model_bytes[None, :], w.suffix[None, :])["mask"][0] if predicted else w.mask
         want.append(mask_to_rle(mask[1:]))  # the BOS position is no byte of the document
     assert len(want) >= 8 and lines == want
+
+
+@pytest.mark.parametrize("flags", [["--merge-strategy", "entropy", "--target-compression", "6", "--teacher"],
+                                   ["--merge-strategy", "xent", "--target-compression", "6"]],
+                         ids=["entropy-with-teacher", "xent-without-teacher"])
+def test_a_predicted_dump_never_casts_or_runs_a_teacher(workspace, heldout_docs, capsys, monkeypatch, flags):
+    """--predicted prints the model's own boundaries, so a scored merge
+    strategy neither needs --teacher nor runs one that is given: stdout is
+    the plain predicted dump's, which a per-document loop pins above."""
+    root, _ = workspace
+    data, conf = heldout_docs
+    common = ["boundary-dump", "--data", str(data), "--vocab", str(root / "vocab.txt"), "--config", str(conf),
+              "--docs", "100", "--max-doc-bytes", str(DUMP_BYTES), "--model", str(root / "s1.ckpt"), "--predicted"]
+    assert cli.main(common) == EXIT_OK
+    plain = capsys.readouterr().out
+    cast = []
+
+    def never(*args):
+        raise AssertionError("a predicted dump ran the teacher")
+
+    monkeypatch.setattr(teacher_mod, "teacher_logits", never)
+    monkeypatch.setattr(training, "run_teachers", never)
+    monkeypatch.setattr(cli, "compute_copy", lambda params: cast.append(params) or compute_copy(params))
+    flags = [*flags, str(root / "teacher.ckpt")] if flags[-1] == "--teacher" else flags
+    assert cli.main([*common, *flags]) == EXIT_OK
+    assert capsys.readouterr().out == plain and len(cast) == 1  # the model's copy only
 
 
 def test_boundary_dump_batches_the_teacher(workspace, heldout_docs, capsys, monkeypatch):

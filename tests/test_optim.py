@@ -75,3 +75,17 @@ def test_a_non_finite_gradient_raises_before_any_state_changes(bad):
         for (m0, p0, mo, vo), m, q in zip(state, masters, work, strict=True):
             assert np.array_equal(m.data, m0) and np.array_equal(q.data, p0), i
             assert np.array_equal(opt.m[id(q)], mo) and np.array_equal(opt.v[id(q)], vo), i
+
+
+def test_every_gradient_is_dropped_once_applied():
+    """A step leaves no gradient behind, so the next backward starts from none;
+    a tensor that got no gradient is skipped and stays without one."""
+    opt, _, work, _ = run(AdamW.step, n_steps=1)
+    assert [p.grad for p in work] == [None] * len(work)
+    for p in work[1:]:
+        p.grad = np.full(p.shape, 0.1, dtype=np.float32)
+    before = work[0].data.copy()
+    opt.step()
+    assert [p.grad for p in work] == [None] * len(work)
+    # skipped whole, weight decay included
+    assert np.array_equal(work[0].data, before)

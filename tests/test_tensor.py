@@ -40,13 +40,13 @@ def test_matmul_identity():
 
 
 def test_rmsnorm_hand_value():
-    out = T.rmsnorm(t([3.0, 4.0]))
-    np.testing.assert_allclose(out.data, np.array([3.0, 4.0]) / np.sqrt(12.5), rtol=1e-15)
+    out = T.rmsnorm(t([3.0, 4.0]), t([2.0, 0.5]))
+    np.testing.assert_allclose(out.data, np.array([6.0, 2.0]) / np.sqrt(12.5), rtol=1e-15)
 
 
 def test_rmsnorm_unit_mean_square():
     x = RNG.normal(size=(5, 16)) * 3
-    out = T.rmsnorm(t(x))
+    out = T.rmsnorm(t(x), t(np.ones(16)))
     ms = (out.data**2).mean(axis=-1)
     np.testing.assert_allclose(ms, np.ones(5), atol=1e-10)
 
@@ -197,7 +197,8 @@ GRAPH_OPS = {
     "outer_add": lambda: T.outer_add(_u(2, 3), _u(2, 4)),
     "softmax": lambda: T.softmax(_u(2, 3)),
     "log_softmax": lambda: T.log_softmax(_u(2, 3)),
-    "rmsnorm": lambda: T.rmsnorm(_u(2, 3)),
+    "rmsnorm": lambda: T.rmsnorm(_u(2, 3), _u(3)),
+    "gated_matmul": lambda: T.gated_matmul(_u(2, 3, 4), _u(2, 3, 4), _u(4, 5)),
     "rope": lambda: T.rope(_u(2, 3, 4), np.cos(ANGLES), np.sin(ANGLES)),
 }
 
@@ -354,6 +355,13 @@ def test_matmul_requires_matching_batch():
         T.matmul(t(RNG.normal(size=(2, 3, 4))), t(RNG.normal(size=(3, 4, 5))))
 
 
+def test_gated_matmul_needs_equal_gates_and_a_weight():
+    u = t(RNG.normal(size=(2, 3, 4)))
+    for v, w in (((2, 3, 1), (4, 5)), ((2, 3, 4), (2, 4, 5)), ((2, 3, 4), (3, 5))):
+        with pytest.raises(ShapeError):
+            T.gated_matmul(u, t(RNG.normal(size=v)), t(RNG.normal(size=w)))
+
+
 def test_cumsum_value_and_grad():
     x = RNG.normal(size=(4, 5))
 
@@ -384,13 +392,16 @@ def test_cumsum_value_and_grad():
         ("maximum", lambda a, b: T.maximum(a, b).sum(), [(3, 4), (3, 4)]),
         ("softmax", lambda a: (T.softmax(a) * T.softmax(a)).sum(), [(4, 6)]),
         ("log_softmax", lambda a: (T.log_softmax(a)[..., 0]).sum(), [(4, 6)]),
-        ("rmsnorm", lambda a: (T.rmsnorm(a) * T.rmsnorm(a * 2.0 + 0.3)).sum(), [(4, 6)]),
+        ("rmsnorm", lambda a, g: (T.rmsnorm(a, g) * T.rmsnorm(a * 2.0 + 0.3, g)).sum(), [(4, 6), (6,)]),
         ("mean", lambda a: a.mean(axis=-1).sum(), [(4, 6)]),
         ("index", lambda a: (a[1:, 2:4] * a[:-1, :2]).sum(), [(4, 6)]),
         ("concat", lambda a, b: T.concat([a, b], axis=1).sum(), [(3, 2), (3, 4)]),
         ("transpose", lambda a: T.matmul(a, a.swap_last()).sum(), [(3, 4)]),
         ("reshape", lambda a: (a.reshape(2, 6) * a.reshape(2, 6)).sum(), [(3, 4)]),
         ("clip", lambda a: T.clip(a, -0.5, 0.5).sum(), [(4, 4)]),
+        ("rmsnorm_head_gain", lambda a, g: (T.rmsnorm(a, g) * a).sum(), [(2, 3, 4), (3, 4)]),
+        ("gated_matmul", lambda u, v, w: (lambda y: (y * y).sum())(T.gated_matmul(u, v, w)),
+         [(2, 3, 4), (2, 3, 4), (4, 5)]),
     ],
 )
 def test_primitive_gradients(name, fn, shapes):
@@ -464,7 +475,7 @@ def test_evaluate_deterministic():
     w = RNG.normal(size=(8, 8))
 
     def run():
-        return T.softmax(T.matmul(T.rmsnorm(t(x, grad=False)), t(w, grad=False))).data
+        return T.softmax(T.matmul(T.rmsnorm(t(x, grad=False), t(np.ones(8), grad=False)), t(w, grad=False))).data
 
     a, b = run(), run()
     assert np.array_equal(a, b)

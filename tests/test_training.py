@@ -310,9 +310,16 @@ def test_float32_stage1_step_gives_float32_gradients(toy):
     p32 = ParamStore({n: Tensor(t.data.astype(np.float32), requires_grad=True) for n, t in student.items()})
     tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=3)
     batch = prepare_windows(make_windows(docs[:4], tc.max_bytes - 1), vocab, cfg, teacher, tc.strategy())[:2]
-    metrics = tr.stage1_step(p32, cfg, tc, AdamW({"all": list(p32.values())}), batch)
+    seen = {}
+
+    class Recording(AdamW):  # the step drops the gradients it applies: read them first
+        def step(self):
+            seen.update({n: t.grad for n, t in p32.items() if t.grad is not None})
+            return super().step()
+
+    metrics = tr.stage1_step(p32, cfg, tc, Recording({"all": list(p32.values())}), batch)
     assert metrics["l_encoder"] > 0 and metrics["l_distill"] > 0
-    grads = {n: t.grad for n, t in p32.items() if t.grad is not None}
+    grads = seen
     # stage 1 reaches the backbone only through the probed layers
     assert {n for n in p32 if n.startswith("global.0.")} <= set(grads)
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
