@@ -4,17 +4,15 @@ Two implementations exist for the recurrent byte-level layers:
 
 * ``mlstm_block`` builds the training graph in chunkwise-parallel form
   (xLSTM, arXiv 2405.04517; Tiled Flash Linear Attention, arXiv 2503.14376).
-  Inside each chunk of L bytes the exponential-gate recurrence unrolls into a
-  decay matrix over the chunk's position pairs; each chunk's key-value state
-  and normalizer reach the later chunks through one strictly-lower decay
-  matmul over chunks. Every exponent is stabilized by a max of the gate
-  log-sums that cancels exactly and is therefore computed in numpy, outside
-  the gradient. L = n is the closed quadratic form over all position pairs,
-  L = 1 the recurrence; the default ``CHUNK`` bounds L, and so memory at
-  L×n instead of n×n per head. The n bytes split into the fewest chunks of
-  at most ``CHUNK``, balanced in length, so a ragged last chunk pads fewer
-  bytes than there are chunks. ``CHUNK`` is sized for float32 steps: 32 B
-  chunks make a 512-B step cheaper than 128 B ones, and no slower at 88 B.
+  Its core is one ``tensor.mlstm_chunkwise`` node, whose graph of small ops
+  lives in ``test_fused_nodes`` as its bit-for-bit oracle. A chunk length
+  L = n is the closed quadratic form over all position pairs, L = 1 the
+  recurrence; the default ``CHUNK`` bounds L, and so memory at L×n instead
+  of n×n per head.
+  The n bytes split into the fewest chunks of at most ``CHUNK``, balanced in
+  length, so a ragged last chunk pads fewer bytes than there are chunks.
+  ``CHUNK`` is sized for float32 steps: 32 B chunks make a 512-B step
+  cheaper than 128 B ones, and no slower at 88 B.
 * ``mlstm_step`` advances one byte at a time on raw numpy state, used for
   incremental decoding. ``test_layers`` pins the two to each other at
   several chunk lengths; the sequential form is the correctness oracle.
@@ -53,7 +51,7 @@ def rms_np(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def swiglu(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
-    return T.gated_matmul(T.silu(T.matmul(x, w_gate)), T.matmul(x, w_up), w_down)
+    return T.silu_gated_matmul(T.matmul(x, w_gate), T.matmul(x, w_up), w_down)
 
 
 def ffn_block(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -177,69 +175,7 @@ def mlstm_block(
     i_pre = T.transpose(i_pre, (0, 2, 1))  # (B, NH, n)
     f_pre = T.transpose(f_pre, (0, 2, 1))
 
-    log_f = T.logsigmoid(f_pre)
-    fcum = T.cumsum(log_f, axis=-1)  # F_t = sum_{s<=t} log f_s
-    a = i_pre - fcum  # a_s = i_s - F_s
-    # running stabilizer m_t = F_t + max_{s<=t} a_s; it rescales numerator and
-    # denominator identically, so it is a constant for the gradient, and so is
-    # every other max of `a` below
-    amax = np.maximum.accumulate(a.data, axis=-1)
-    m = Tensor(fcum.data + amax, _op="const")
-    # decay[t, s] = exp(u_t + a_s) for s <= t, where u_t = F_t - m_t is
-    # -max_{s<=t} a_s, so no exponent is positive
-
-    # split the time axis into the fewest chunks of at most `chunk` bytes,
-    # nc chunks of L = ceil(n / nc), so padding stays below nc bytes; a ragged
-    # last chunk is padded with zero q/k/v and with the last stabilizer as u
-    # and a, so its exponents stay <= 0 too
-    nc = -(-n // chunk)
-    size = -(-n // nc)
-    pad = nc * size - n
-    last = amax[..., -1:]
-
-    def chunks(t: Tensor, fill) -> Tensor:
-        if pad:
-            fill = np.broadcast_to(np.asarray(fill, dtype=t.dtype), t.shape[:2] + (pad,) + t.shape[3:])
-            t = T.concat([t, Tensor(fill, _op="const")], axis=2)
-        return t.reshape((b, heads, nc, size) + t.shape[3:])
-
-    uc, ac = chunks(fcum - m, -last), chunks(a, last)
-    qc, kc, vc = chunks(q, 0.0), chunks(k, 0.0), chunks(v, 0.0)
-
-    # inside each chunk: the decay matrix over its position pairs
-    scores = T.outer_add(uc, ac)  # (B, NH, nc, L, L)
-    decay = T.exp_where(scores, np.tril(np.ones((size, size), dtype=bool)))
-    w = decay * T.matmul(qc, kc.swap_last())
-    num = T.matmul(w, vc)  # (B, NH, nc, L, v)
-    den = w.sum(axis=-1, keepdims=True)
-
-    if nc > 1:  # across chunks, an empty sum for one chunk
-        # chunk c's state sum_s exp(a_s - M_c) k_s v_s^T and normalizer, with
-        # M_c the chunk's max of a; chunk c reads the earlier states through
-        # one strictly-lower decay exp(M_c' - R_c), R_c the max of a before c
-        # (a_0 for c = 0, whose row is empty)
-        cmax = ac.data.max(axis=-1)  # (B, NH, nc)
-        ref = amax[..., np.maximum(np.arange(nc) * size - 1, 0)]
-        cross = np.zeros((b, heads, nc, nc), dtype=amax.dtype)
-        np.exp(cmax[..., None, :] - ref[..., :, None], out=cross,
-               where=np.tril(np.ones((nc, nc), dtype=bool), k=-1))
-        cross = Tensor(cross, _op="const")
-        kg = kc * T.exp(ac - Tensor(cmax[..., None], _op="const")).reshape((b, heads, nc, size, 1))
-        states = T.matmul(kg.swap_last(), vc).reshape((b, heads, nc, qk_dim * v_dim))
-        carry = T.matmul(cross, states).reshape((b, heads, nc, qk_dim, v_dim))
-        carry_n = T.matmul(cross, kg.sum(axis=-2)).reshape((b, heads, nc, qk_dim, 1))
-        # u_t + R_c <= 0, because R_c <= max_{s<=t} a_s = -u_t
-        e = T.exp(uc + Tensor(ref[..., None], _op="const")).reshape((b, heads, nc, size, 1))
-        num = num + T.matmul(qc, carry) * e
-        den = den + T.matmul(qc, carry_n) * e
-
-    num = num.reshape((b, heads, nc * size, v_dim))
-    den = den.reshape((b, heads, nc * size, 1))
-    if pad:
-        num, den = num[:, :, :n], den[:, :, :n]
-    den = T.maximum(T.absolute(den), T.exp(-m).reshape((b, heads, n, 1)))
-    h = num / den  # (B, NH, n, v)
-
+    h = T.mlstm_chunkwise(q, k, v, i_pre, f_pre, chunk)  # (B, NH, n, v)
     h = T.transpose(h, (0, 2, 1, 3))  # (B, n, NH, v)
     h = rms(h, p[f"{prefix}.mh_norm_g"].reshape((heads, v_dim))).reshape((b, n, heads * v_dim))
     og = T.sigmoid(T.matmul(xn, p[f"{prefix}.w_og"]))

@@ -24,9 +24,13 @@ Where a chain of small ops would keep an array only for one gradient, one
 node stands for the chain and recomputes that array in its backward:
 `rmsnorm` takes its gain and keeps x, its (..., 1) scale and the gain, not
 the normalized x; `gated_matmul(u, v, w)`, which is (u * v) @ w, keeps u, v
-and w, not their product; `silu` keeps its input, not its sigmoid. Each
-computes the chain's values bit for bit, and `log_softmax`'s backward builds
-its gradient in one scratch array.
+and w, not their product; `silu_gated_matmul(a, up, w)`, SwiGLU's
+(silu(a) * up) @ w, keeps a, up and w, not silu(a) or the product; and
+`mlstm_chunkwise`, the mLSTM's whole chunkwise core, keeps q, k and v in
+chunks, O(n) gate vectors and its output, and recomputes every (·, L, L)
+and (·, L, v) chunk matrix in its backward. Each computes the chain's values
+and gradients bit for bit, and `log_softmax`'s backward builds its gradient
+in one scratch array.
 
 Values are float32 or float64, and every op's output has its inputs' dtype:
 `_make` rejects an op whose inputs and output disagree, so no float64
@@ -50,6 +54,7 @@ else requires an explicit reshape.
 from __future__ import annotations
 
 import ctypes
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -380,16 +385,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
                  (b, lambda g: _unbroadcast(-g * out_data / bd, sb)))
 
 
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; ties route the gradient to the first argument."""
-    _binary(a, b, "maximum")
-    take_a = a.data >= b.data
-    sa, sb = a.shape, b.shape
-    return _make(np.where(take_a, a.data, b.data), "maximum",
-                 (a, lambda g: _unbroadcast(g * take_a, sa)),
-                 (b, lambda g: _unbroadcast(g * ~take_a, sb)))
-
-
 # -- elementwise unary ------------------------------------------------------
 
 def exp(x: Tensor) -> Tensor:
@@ -424,30 +419,9 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def logsigmoid(x: Tensor) -> Tensor:
-    xd = x.data
-    return _make(logsigmoid_np(xd), "logsigmoid", (x, lambda g: g * sigmoid_np(-xd)))
-
-
 def logsigmoid_np(x: np.ndarray) -> np.ndarray:
     """log(sigmoid(x)), computed as -softplus(-x) for stability."""
     return -(np.maximum(-x, 0.0) + np.log1p(np.exp(-np.abs(x))))
-
-
-def silu(x: Tensor) -> Tensor:
-    """x * sigmoid(x). The node keeps only x: the backward recomputes the sigmoid."""
-    xd = x.data
-
-    def vjp(g):
-        s = sigmoid_np(xd)
-        return g * (s + xd * s * (1.0 - s))
-
-    return _make(xd * sigmoid_np(xd), "silu", (x, vjp))
-
-
-def absolute(x: Tensor) -> Tensor:
-    sign = np.sign(x.data)
-    return _make(np.abs(x.data), "abs", (x, lambda g: g * sign))
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -593,6 +567,42 @@ def gated_matmul(u: Tensor, v: Tensor, w: Tensor) -> Tensor:
                  (w, lambda g: (ud * vd).reshape(-1, d).T @ g.reshape(-1, m)))
 
 
+def silu_gated_matmul(a: Tensor, up: Tensor, w: Tensor) -> Tensor:
+    """(silu(a) * up) @ w for a weight w, SwiGLU's gate and down-projection
+    as one node, with silu(x) = x * sigmoid(x). It keeps a, up and w; its
+    first VJP to run recomputes sigmoid(a), silu(a) and the product's
+    gradient once for all three. Each value is `gated_matmul(u, up, w)`'s
+    with u the silu of a, bit for bit."""
+    if a.shape != up.shape:
+        raise ShapeError(f"silu_gated_matmul: gate shapes {a.shape} and {up.shape} differ")
+    if a.ndim < 2 or w.ndim != 2 or a.shape[-1] != w.shape[0]:
+        raise ShapeError(f"silu_gated_matmul: {a.shape} @ {w.shape} needs a 2-D weight")
+    ad, ud, wd = a.data, up.data, w.data
+    shape, (d, m) = a.shape, w.shape
+    memo: list[np.ndarray] = []  # [output gradient, the product's gradient from it, sigmoid(a), silu(a)]
+
+    def recompute(g):
+        if not memo or memo[0] is not g:
+            s = sigmoid_np(ad)
+            memo[:] = [g, (g.reshape(-1, m) @ wd.T).reshape(shape), s, ad * s]
+        return memo[1:]
+
+    def vjp_a(g):
+        product_grad, s, _ = recompute(g)
+        return product_grad * ud * (s + ad * s * (1.0 - s))
+
+    def vjp_up(g):
+        product_grad, _, silu_a = recompute(g)
+        return product_grad * silu_a
+
+    def vjp_w(g):
+        silu_a = recompute(g)[2]
+        return (silu_a * ud).reshape(-1, d).T @ g.reshape(-1, m)
+
+    return _make(np.matmul(ad * sigmoid_np(ad) * ud, wd), "silu_gated_matmul",
+                 (a, vjp_a), (up, vjp_up), (w, vjp_w))
+
+
 # -- gathers ----------------------------------------------------------------
 
 def take_rows(table: Tensor, idx: np.ndarray) -> Tensor:
@@ -636,26 +646,6 @@ def pick(x: Tensor, idx: np.ndarray) -> Tensor:
         return full
 
     return _make(np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0], "pick", (x, vjp))
-
-
-def exp_where(x: Tensor, keep: np.ndarray) -> Tensor:
-    """exp(x) where `keep` (a constant boolean mask broadcast over trailing
-    axes), exactly 0 elsewhere. Fused so causal decay matrices pay for the
-    exponential only on the kept half."""
-    keep_b = np.broadcast_to(keep, x.shape)
-    out_data = np.zeros(x.shape, dtype=x.data.dtype)
-    np.exp(x.data, out=out_data, where=keep_b)
-    return _make(out_data, "exp_where", (x, lambda g: g * out_data))
-
-
-def outer_add(u: Tensor, v: Tensor) -> Tensor:
-    """Pairwise sum over the last axes: u (..., n), v (..., m) -> (..., n, m)
-    with out[..., i, j] = u[..., i] + v[..., j]. Leading dims must match."""
-    if u.shape[:-1] != v.shape[:-1]:
-        raise ShapeError(f"outer_add: leading dims differ, {u.shape} vs {v.shape}")
-    return _make(u.data[..., :, None] + v.data[..., None, :], "outer_add",
-                 (u, lambda g: g.sum(axis=-1)),
-                 (v, lambda g: g.sum(axis=-2)))
 
 
 # -- fused normalizers ------------------------------------------------------
@@ -730,3 +720,218 @@ def rope_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     half = x.shape[-1] // 2
     x1, x2 = x[..., :half], x[..., half:]
     return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
+
+
+# -- the chunkwise mLSTM core -----------------------------------------------
+
+def mlstm_chunkwise(q: Tensor, k: Tensor, v: Tensor, i_pre: Tensor, f_pre: Tensor, chunk: int) -> Tensor:
+    """The mLSTM's chunkwise-parallel core as one node: queries and keys
+    (B, NH, n, qk), values (B, NH, n, v) and the input and forget gates'
+    pre-activations (B, NH, n) give the heads' outputs h (B, NH, n, v).
+
+    The n bytes split into the fewest chunks of at most `chunk` bytes, all of
+    one length L, the last one padded. Inside a chunk the exponential-gate
+    recurrence unrolls into a decay matrix over the chunk's position pairs;
+    each chunk's key-value state and normalizer reach the later chunks
+    through one strictly-lower decay matmul over chunks. Every exponent is
+    shifted by a running max of the gate log-sums, which cancels between
+    numerator and denominator, and no shifted exponent is positive. The one
+    other exp, the denominator's floor exp(-m_t), stays below e^15 because
+    m_t >= i_t >= -15 under the gates' soft cap. So no intermediate can
+    overflow unseen, and the output's finite check sees the rest; the inputs
+    are checked too, since a forget gate at +inf would give a finite output.
+
+    The node keeps q, k and v in chunks, O(n) gate vectors and h, and no
+    chunk matrix: the first of its VJPs to run recomputes them and all five
+    input gradients, and the others hand theirs out. Its values and
+    gradients are those of the composed graph that the tests keep as its
+    oracle, bit for bit: `_MlstmChunks` does that graph's arithmetic op by
+    op, on arrays of the same layouts, and accumulates each gradient in the
+    order that graph's sweep did."""
+    arrays = (q.data, k.data, v.data, i_pre.data, f_pre.data)
+    for arr in arrays:
+        _check_finite(arr, "mlstm_chunkwise")
+    core = _MlstmChunks(*arrays, chunk)
+    h = core.forward()
+    grads: list = []  # [output gradient, the five input gradients from it]
+
+    def vjp(i: int) -> Vjp:
+        def grad(g):
+            if not grads or grads[0] is not g:
+                grads[:] = [g, core.input_grads(g, h)]
+            return grads[1][i]
+        return grad
+
+    # the inputs in the order in which the composed graph's sweep finished
+    # their branches, so that the sweep outside adds their gradients into
+    # the block's normed input in the same order
+    order = (2, 0, 1, 3, 4) if core.nc > 1 else (2, 3, 4, 0, 1)
+    inputs = (q, k, v, i_pre, f_pre)
+    return _make(h, "mlstm_chunkwise", *((inputs[i], vjp(i)) for i in order))
+
+
+class _MlstmChunks:
+    """`mlstm_chunkwise`'s inputs in chunks and its gate vectors; the chunk
+    matrices are recomputed from them for the forward and for the backward."""
+
+    def __init__(self, q, k, v, i_pre, f_pre, chunk: int):
+        b, heads, n, _ = q.shape
+        fcum = np.cumsum(logsigmoid_np(f_pre), axis=-1)  # F_t = sum_{s<=t} log f_s
+        a = i_pre - fcum  # a_s = i_s - F_s
+        # running stabilizer m_t = F_t + max_{s<=t} a_s, a constant for the
+        # gradient like every other max of `a` below
+        amax = np.maximum.accumulate(a, axis=-1)
+        self.m = m = fcum + amax
+        # nc chunks of L = ceil(n / nc) bytes, so padding stays below nc
+        # bytes; a ragged last chunk is padded with zero q/k/v and with the
+        # last stabilizer as u and a, so its exponents stay <= 0 too
+        self.nc = nc = -(-n // chunk)
+        self.size = size = -(-n // nc)
+        self.pad = pad = nc * size - n
+        self.cut = (slice(None), slice(None), slice(0, n))  # the n bytes of a padded axis
+        last = amax[..., -1:]
+        # R_c, the max of a before chunk c (a_0 for c = 0)
+        self.ref = amax[..., np.maximum(np.arange(nc) * size - 1, 0)]
+
+        def chunks(x, fill):
+            if pad:
+                fill = np.broadcast_to(np.asarray(fill, dtype=x.dtype), x.shape[:2] + (pad,) + x.shape[3:])
+                x = np.concatenate([x, fill], axis=2)
+            return x.reshape((b, heads, nc, size) + x.shape[3:])
+
+        # u_t = F_t - m_t is -max_{s<=t} a_s
+        self.uc, self.ac = chunks(fcum - m, -last), chunks(a, last)
+        self.qc, self.kc, self.vc = chunks(q, 0.0), chunks(k, 0.0), chunks(v, 0.0)
+        self.f_pre = f_pre
+
+    def matrices(self) -> SimpleNamespace:
+        """The chunk matrices: the in-chunk decay, q·kᵀ and their product w,
+        and over two or more chunks the cross-chunk decay, key gates, gated
+        keys, carried states and normalizers, and their products with q."""
+        uc, ac, qc, kc, vc, nc, size = self.uc, self.ac, self.qc, self.kc, self.vc, self.nc, self.size
+        b, heads, _, _, dk = qc.shape
+        dv = vc.shape[-1]
+        # inside each chunk: decay[t, s] = exp(u_t + a_s) for s <= t. u and a
+        # have the gates' strided layout, so C-ordered copies make the sum
+        # C-ordered, as the composed graph's decay was, and fast. The pairs
+        # s > t get -inf added, whose exp is the composed graph's 0: one
+        # elementwise exp over all pairs gives the kept ones the same bits
+        # as a masked exp, at a third of its time on rows of 30
+        decay = np.ascontiguousarray(uc)[..., :, None] + np.ascontiguousarray(ac)[..., None, :]
+        decay += _upper(size, 1, decay.dtype)
+        np.exp(decay, out=decay)
+        qk = np.matmul(qc, np.swapaxes(kc, -1, -2))
+        mx = SimpleNamespace(decay=decay, qk=qk, w=decay * qk)
+        if nc > 1:  # across chunks, an empty sum for one chunk
+            # chunk c's state sum_s exp(a_s - M_c) k_s v_s^T and normalizer,
+            # with M_c the chunk's max of a; chunk c reads the earlier states
+            # through one strictly-lower decay exp(M_c' - R_c) (row 0 is empty)
+            cmax, ref = ac.max(axis=-1), self.ref  # (B, NH, nc)
+            mx.cross = cross = np.empty((b, heads, nc, nc), dtype=qk.dtype)  # C-ordered, as composed
+            np.subtract(cmax[..., None, :], ref[..., :, None], out=cross)
+            cross += _upper(nc, 0, cross.dtype)
+            np.exp(cross, out=cross)
+            mx.key_gate = np.exp(ac - cmax[..., None])
+            mx.kg = kg = kc * mx.key_gate.reshape((b, heads, nc, size, 1))
+            states = np.matmul(np.swapaxes(kg, -1, -2), vc).reshape((b, heads, nc, dk * dv))
+            mx.carry = np.matmul(cross, states).reshape((b, heads, nc, dk, dv))
+            mx.carry_n = np.matmul(cross, kg.sum(axis=-2)).reshape((b, heads, nc, dk, 1))
+            # u_t + R_c <= 0, because R_c <= max_{s<=t} a_s = -u_t
+            mx.e0 = np.exp(uc + ref[..., None])
+            mx.e = mx.e0.reshape((b, heads, nc, size, 1))
+            mx.q_carry = np.matmul(qc, mx.carry)
+            mx.q_carry_n = np.matmul(qc, mx.carry_n)
+        return mx
+
+    def forward(self) -> np.ndarray:
+        """h, (B, NH, n, v)."""
+        mx = self.matrices()
+        num = np.matmul(mx.w, self.vc)  # (B, NH, nc, L, v)
+        if self.nc > 1:
+            num = np.add(num, mx.q_carry * mx.e, out=num)
+        num = self.uncut(num)
+        den = self.denominator(mx)
+        floor = np.exp(-self.m).reshape(den.shape)
+        with np.errstate(all="ignore"):
+            return num / np.where(np.abs(den) >= floor, np.abs(den), floor)
+
+    def denominator(self, mx: SimpleNamespace) -> np.ndarray:
+        """The (B, NH, n, 1) denominator before its floor."""
+        den = mx.w.sum(axis=-1, keepdims=True)
+        if self.nc > 1:
+            den = den + mx.q_carry_n * mx.e
+        return self.uncut(den)
+
+    def uncut(self, x: np.ndarray) -> np.ndarray:
+        """A chunked value, or its gradient, as the n bytes it came from."""
+        b, heads, nc, size = x.shape[:4]
+        x = x.reshape((b, heads, nc * size) + x.shape[4:])
+        return x[self.cut] if self.pad else x
+
+    def input_grads(self, g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The gradients of (q, k, v, i_pre, f_pre) from h's gradient g: the
+        composed graph's VJPs, in the order its sweep ran them."""
+        mx = self.matrices()
+        qc, kc, vc, w, cut, uncut = self.qc, self.kc, self.vc, mx.w, self.cut, self.uncut
+        b, heads, nc, size, dk = qc.shape
+        dv = vc.shape[-1]
+        swap = np.swapaxes
+
+        def unpad(x):  # a cut value's gradient, chunked and zero on the padding
+            if self.pad:
+                full = np.zeros((b, heads, nc * size) + x.shape[3:], dtype=x.dtype)
+                full[cut] = x
+                x = full
+            return x.reshape((b, heads, nc, size) + x.shape[3:])
+
+        den = self.denominator(mx)
+        floor = np.exp(-self.m).reshape(den.shape)
+        above = np.abs(den) >= floor
+        den_max = np.where(above, np.abs(den), floor)
+        g_num = unpad(g / den_max)
+        g_w = np.matmul(g_num, swap(vc, -1, -2))
+        g_vc = np.matmul(swap(w, -1, -2), g_num)
+        if nc > 1:
+            g_q_carry = g_num * mx.e
+            g_e = _unbroadcast(g_num * mx.q_carry, mx.e.shape)
+            g_qc = np.matmul(g_q_carry, swap(mx.carry, -1, -2))
+            g_carry = np.matmul(swap(qc, -1, -2), g_q_carry).reshape((b, heads, nc, dk * dv))
+            g_states = np.matmul(swap(mx.cross, -1, -2), g_carry).reshape((b, heads, nc, dk, dv))
+            g_kg = swap(np.matmul(g_states, swap(vc, -1, -2)), -1, -2)
+            g_vc += np.matmul(mx.kg, g_states)
+        g_v = uncut(g_vc)
+        g_den_max = np.negative(g)  # -g * h / den_max, in one buffer
+        g_den_max *= h
+        g_den_max /= den_max
+        g_den = unpad(_unbroadcast(g_den_max, den_max.shape) * above * np.sign(den))
+        g_w += g_den
+        g_scores = g_w * mx.qk
+        g_scores *= mx.decay
+        g_qk = np.multiply(g_w, mx.decay, out=g_w)
+        g_uc, g_ac = g_scores.sum(axis=-1), g_scores.sum(axis=-2)
+        if nc > 1:
+            g_qc += np.matmul(g_qk, kc)
+        else:
+            g_qc = np.matmul(g_qk, kc)
+        g_kc = swap(np.matmul(swap(qc, -1, -2), g_qk), -1, -2)
+        if nc > 1:
+            key_gate5 = mx.key_gate.reshape((b, heads, nc, size, 1))
+            g_q_carry_n = g_den * mx.e
+            g_e = g_e + _unbroadcast(g_den * mx.q_carry_n, mx.e.shape)
+            g_qc += np.matmul(g_q_carry_n, swap(mx.carry_n, -1, -2))
+            g_carry_n = np.matmul(swap(qc, -1, -2), g_q_carry_n).reshape((b, heads, nc, dk))
+            g_kgs = np.matmul(swap(mx.cross, -1, -2), g_carry_n)
+            g_kg = g_kg + np.broadcast_to(np.expand_dims(g_kgs, -2), mx.kg.shape)
+            g_kc = g_kc + g_kg * key_gate5
+            g_ac = g_ac + _unbroadcast(g_kg * kc, key_gate5.shape).reshape(mx.key_gate.shape) * mx.key_gate
+            g_uc = g_uc + g_e.reshape(mx.e0.shape) * mx.e0
+        g_a = uncut(g_ac)
+        g_fcum = -g_a + uncut(g_uc)
+        g_f = np.flip(np.cumsum(np.flip(g_fcum, -1), axis=-1), -1) * sigmoid_np(-self.f_pre)
+        return uncut(g_qc), uncut(g_kc), g_v, g_a, g_f
+
+
+def _upper(size: int, k: int, dtype) -> np.ndarray:
+    """(size, size): -inf on and above the k-th diagonal, 0 below it. Added
+    to exponents, it gives the exps of a lower-triangular mask."""
+    return np.triu(np.full((size, size), -np.inf, dtype=dtype), k=k)

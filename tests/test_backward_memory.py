@@ -11,8 +11,10 @@ as soon as the model code drops it. A graph whose VJPs hold their input
 tensors keeps every intermediate, 74 MB at (1, 512) and 107 MB at (8, 88),
 which `MAX_RETAINED_MB` rejects. So does a graph of smaller nodes where one
 node stands today: a norm and a separate gain `mul` keep the normalized x
-twice, and a SwiGLU of `silu`, `mul` and `matmul` keeps silu's sigmoid and
-the gated product too, 51.8 MB at (1, 512) and 73.0 MB at (8, 88)."""
+twice, a SwiGLU of `silu`, `mul` and `matmul` keeps silu's sigmoid and the
+gated product too (51.8 MB at (1, 512), 73.0 MB at (8, 88)), and an mLSTM
+core of small ops keeps its chunk matrices, which the one node recomputes
+(38.2 and 53.6 MB)."""
 
 import tracemalloc
 from functools import lru_cache
@@ -32,7 +34,8 @@ from bytepatch.tensor import Tensor
 TOY = parse_config_file(str(Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"))
 CFG = build_model_config(TOY, int(TOY["tokenizer.vocab_size"]))
 MAX_BACKWARD_SHARE = 0.25  # backward's peak increment over the forward's retained memory
-MAX_RETAINED_MB = {(1, 512): 44, (8, 88): 62}  # what the forward graph may hold, float64
+MAX_RETAINED_MB = {(1, 512): 31, (8, 88): 43}  # what the forward graph may hold, float64
+MAX_STAGE2_NODES = 280  # graph nodes of the (8, 88) loss: one node per fused chain
 SHAPES = sorted(MAX_RETAINED_MB)
 
 
@@ -92,25 +95,54 @@ def test_backward_leaves_no_intermediate_in_the_graph():
     assert all(t.grad is not None for t in params.values())
 
 
-def test_an_ffn_block_keeps_two_model_wide_and_three_hidden_wide_arrays():
-    """A float32 (8, 88) FFN block retains its output and the normed input
-    (B, n, d), and the gate's pre-activation, its silu and the up projection
-    (B, n, ffn_hidden): the norm recomputes x·r for its gain's gradient, and
-    the gated down-projection recomputes its product. The slack is for the
-    norm's (B, n, 1) scale and Python objects, well below one (B, n, d) array."""
-    b, n, prefix = 8, 88, "encoder.0.ffn"
+def test_the_stage2_loss_builds_one_node_per_fused_chain():
+    """The mLSTM core, SwiGLU, the norms with their gains and the gated
+    down-projections are one node each: a composed rewrite of any of them
+    adds nodes (the loss had 421 with the core of small ops)."""
+    loss = _loss(_graph_params(), 8, 88)
+    assert len(T._toposort(loss._node)) <= MAX_STAGE2_NODES
+
+
+def _retained_by_block(kind: str) -> int:
+    """Bytes a float32 (8, 88) block of toy.cfg's encoder keeps in the graph."""
+    prefix = f"encoder.0.{kind}"
     params = init_byte_model(CFG, np.random.default_rng(0))
     p = {k: Tensor(t.data.astype(np.float32), requires_grad=True) for k, t in params.items()
          if k.startswith(prefix + ".")}
-    x = Tensor(np.random.default_rng(1).normal(size=(b, n, CFG.d)).astype(np.float32), requires_grad=True)
+    x = Tensor(np.random.default_rng(1).normal(size=(8, 88, CFG.d)).astype(np.float32), requires_grad=True)
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        out = L.ffn_block(p, prefix, x)
+        if kind == "ffn":
+            out = L.ffn_block(p, prefix, x)
+        else:
+            out = L.mlstm_block(p, prefix, x, CFG.mlstm_heads, CFG.mlstm_qk_dim, CFG.mlstm_v_dim)
         retained = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
     assert out.requires_grad
-    itemsize = np.dtype(np.float32).itemsize
-    bound = (2 * CFG.d + 3 * CFG.ffn_hidden) * b * n * itemsize + 64 * 2**10
+    return retained
+
+
+def test_an_ffn_block_keeps_two_model_wide_and_two_hidden_wide_arrays():
+    """A float32 (8, 88) FFN block retains its output and the normed input
+    (B, n, d), and the gate's pre-activation and the up projection
+    (B, n, ffn_hidden): the norm recomputes x·r for its gain's gradient, and
+    SwiGLU's node recomputes silu and the gated product. The slack is for
+    the norm's (B, n, 1) scale and Python objects, well below one (B, n, d)
+    array."""
+    bound = (2 * CFG.d + 2 * CFG.ffn_hidden) * 8 * 88 * np.dtype(np.float32).itemsize + 64 * 2**10
+    retained = _retained_by_block("ffn")
+    assert retained <= bound, (retained, bound)
+
+
+def test_an_mlstm_block_keeps_no_chunk_matrix():
+    """A float32 (8, 88) mLSTM block retains seven (B, n, d)-sized arrays:
+    its output, the normed input, the heads' output and its norm, the output
+    gate and, in chunks, q, k and v (half, half and one each). The core
+    recomputes its (·, L, L) and (·, L, v) chunk matrices in its backward;
+    a core of small ops kept twelve and a half arrays. The slack is for its
+    O(n) gate vectors, the norms' scales and Python objects."""
+    bound = 7 * CFG.d * 8 * 88 * np.dtype(np.float32).itemsize + 128 * 2**10
+    retained = _retained_by_block("mlstm")
     assert retained <= bound, (retained, bound)

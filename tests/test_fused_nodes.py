@@ -1,12 +1,14 @@
 """The fused graph nodes against the composed graphs they stand for, bit for bit.
 
-`rmsnorm` takes its gain, `gated_matmul` is `(u * v) @ w` in one node, `silu`
-keeps only its input, `log_softmax`'s backward reuses one scratch buffer, and
-the losses pick over all n rows before they cut the last one. Each holds fewer
-arrays than the graph it replaces, and none may change a bit: every test here
-builds the composed graph (from plain ops, or from the node as it was, rebuilt
-on `T._make`) and compares the forward value and every input gradient with
-`np.array_equal`, in float32 and in float64. The composed forms live only here.
+`mlstm_chunkwise` is the mLSTM's whole chunkwise core in one node,
+`silu_gated_matmul` is SwiGLU's `(silu(a) * up) @ w`, `rmsnorm` takes its
+gain, `gated_matmul` is `(u * v) @ w`, `log_softmax`'s backward reuses one
+scratch buffer, and the losses pick over all n rows before they cut the last
+one. Each holds fewer arrays than the graph it replaces, and none may change a
+bit: every test here builds the composed graph (from plain ops, or from the
+node as it was, rebuilt on `T._make`) and compares the forward value and every
+input gradient with `np.array_equal`, in float32 and in float64. The composed
+forms, and the ops only they use, live only here.
 """
 
 from pathlib import Path
@@ -17,16 +19,143 @@ import pytest
 from bytepatch import layers as L
 from bytepatch import losses
 from bytepatch import tensor as T
+from bytepatch import training
 from bytepatch.cli import build_model_config, parse_config_file
-from bytepatch.model import ParamStore, forward_full, fused_targets, init_byte_model
-from bytepatch.tensor import Tensor
+from bytepatch.data import markov_word_docs
+from bytepatch.model import ParamStore, forward_full, fused_targets, init_byte_model, init_teacher
+from bytepatch.optim import AdamW
+from bytepatch.tensor import NonFiniteError, Tensor
+from bytepatch.tokenizer import train_bpe, utf8_to_bytes
 
 DTYPES = [np.float32, np.float64]
 TOY = parse_config_file(str(Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"))
 CFG = build_model_config(TOY, int(TOY["tokenizer.vocab_size"]))
 
 
+# -- the ops that only the composed forms use, rebuilt on the engine ---------------
+
+def maximum(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise max; ties route the gradient to the first argument."""
+    T._binary(a, b, "maximum")
+    take_a = a.data >= b.data
+    sa, sb = a.shape, b.shape
+    return T._make(np.where(take_a, a.data, b.data), "maximum",
+                   (a, lambda g: T._unbroadcast(g * take_a, sa)),
+                   (b, lambda g: T._unbroadcast(g * ~take_a, sb)))
+
+
+def absolute(x: Tensor) -> Tensor:
+    sign = np.sign(x.data)
+    return T._make(np.abs(x.data), "abs", (x, lambda g: g * sign))
+
+
+def logsigmoid(x: Tensor) -> Tensor:
+    xd = x.data
+    return T._make(T.logsigmoid_np(xd), "logsigmoid", (x, lambda g: g * T.sigmoid_np(-xd)))
+
+
+def silu(x: Tensor) -> Tensor:
+    """x * sigmoid(x), keeping only x: the backward recomputes the sigmoid."""
+    xd = x.data
+
+    def vjp(g):
+        s = T.sigmoid_np(xd)
+        return g * (s + xd * s * (1.0 - s))
+
+    return T._make(xd * T.sigmoid_np(xd), "silu", (x, vjp))
+
+
+def exp_where(x: Tensor, keep: np.ndarray) -> Tensor:
+    """exp(x) where `keep` (a constant boolean mask broadcast over trailing
+    axes), exactly 0 elsewhere."""
+    keep_b = np.broadcast_to(keep, x.shape)
+    out_data = np.zeros(x.shape, dtype=x.data.dtype)
+    np.exp(x.data, out=out_data, where=keep_b)
+    return T._make(out_data, "exp_where", (x, lambda g: g * out_data))
+
+
+def outer_add(u: Tensor, v: Tensor) -> Tensor:
+    """Pairwise sum over the last axes: u (..., n), v (..., m) -> (..., n, m)
+    with out[..., i, j] = u[..., i] + v[..., j]. Leading dims must match."""
+    if u.shape[:-1] != v.shape[:-1]:
+        raise T.ShapeError(f"outer_add: leading dims differ, {u.shape} vs {v.shape}")
+    return T._make(u.data[..., :, None] + v.data[..., None, :], "outer_add",
+                   (u, lambda g: g.sum(axis=-1)),
+                   (v, lambda g: g.sum(axis=-2)))
+
+
+# one build per op above, every input in the graph; test_tensor audits these too
+COMPOSED_OPS = {
+    "maximum": lambda u: maximum(u(2, 3, 4), u(2, 3, 4)),
+    "logsigmoid": lambda u: logsigmoid(u(2, 3)),
+    "silu": lambda u: silu(u(2, 3)),
+    "absolute": lambda u: absolute(u(2, 3)),
+    "exp_where": lambda u: exp_where(u(2, 3, 3), np.tri(3, dtype=bool)),
+    "outer_add": lambda u: outer_add(u(2, 3), u(2, 4)),
+}
+
+
 # -- the composed forms -----------------------------------------------------------
+
+def mlstm_core_composed(q: Tensor, k: Tensor, v: Tensor, i_pre: Tensor, f_pre: Tensor, chunk: int) -> Tensor:
+    """`T.mlstm_chunkwise` as the graph of small ops that mlstm_block built
+    before the core became one node: the oracle for its bits."""
+    b, heads, n, qk_dim = q.shape
+    v_dim = v.shape[-1]
+    log_f = logsigmoid(f_pre)
+    fcum = T.cumsum(log_f, axis=-1)  # F_t = sum_{s<=t} log f_s
+    a = i_pre - fcum  # a_s = i_s - F_s
+    # running stabilizer m_t = F_t + max_{s<=t} a_s; it rescales numerator and
+    # denominator identically, so it is a constant for the gradient, and so is
+    # every other max of `a` below
+    amax = np.maximum.accumulate(a.data, axis=-1)
+    m = Tensor(fcum.data + amax, _op="const")
+    nc = -(-n // chunk)
+    size = -(-n // nc)
+    pad = nc * size - n
+    last = amax[..., -1:]
+
+    def chunks(t: Tensor, fill) -> Tensor:
+        if pad:
+            fill = np.broadcast_to(np.asarray(fill, dtype=t.dtype), t.shape[:2] + (pad,) + t.shape[3:])
+            t = T.concat([t, Tensor(fill, _op="const")], axis=2)
+        return t.reshape((b, heads, nc, size) + t.shape[3:])
+
+    uc, ac = chunks(fcum - m, -last), chunks(a, last)
+    qc, kc, vc = chunks(q, 0.0), chunks(k, 0.0), chunks(v, 0.0)
+    scores = outer_add(uc, ac)  # (B, NH, nc, L, L)
+    decay = exp_where(scores, np.tril(np.ones((size, size), dtype=bool)))
+    w = decay * T.matmul(qc, kc.swap_last())
+    num = T.matmul(w, vc)  # (B, NH, nc, L, v)
+    den = w.sum(axis=-1, keepdims=True)
+    if nc > 1:
+        cmax = ac.data.max(axis=-1)  # (B, NH, nc)
+        ref = amax[..., np.maximum(np.arange(nc) * size - 1, 0)]
+        cross = np.zeros((b, heads, nc, nc), dtype=amax.dtype)
+        np.exp(cmax[..., None, :] - ref[..., :, None], out=cross,
+               where=np.tril(np.ones((nc, nc), dtype=bool), k=-1))
+        cross = Tensor(cross, _op="const")
+        kg = kc * T.exp(ac - Tensor(cmax[..., None], _op="const")).reshape((b, heads, nc, size, 1))
+        states = T.matmul(kg.swap_last(), vc).reshape((b, heads, nc, qk_dim * v_dim))
+        carry = T.matmul(cross, states).reshape((b, heads, nc, qk_dim, v_dim))
+        carry_n = T.matmul(cross, kg.sum(axis=-2)).reshape((b, heads, nc, qk_dim, 1))
+        e = T.exp(uc + Tensor(ref[..., None], _op="const")).reshape((b, heads, nc, size, 1))
+        num = num + T.matmul(qc, carry) * e
+        den = den + T.matmul(qc, carry_n) * e
+    num = num.reshape((b, heads, nc * size, v_dim))
+    den = den.reshape((b, heads, nc * size, 1))
+    if pad:
+        num, den = num[:, :, :n], den[:, :, :n]
+    den = maximum(absolute(den), T.exp(-m).reshape((b, heads, n, 1)))
+    return num / den
+
+
+def silu_then_gated_matmul(a: Tensor, up: Tensor, w: Tensor) -> Tensor:
+    """SwiGLU's gate and down-projection as the two nodes it was."""
+    return T.gated_matmul(silu(a), up, w)
+
+
+# -- the older forms of the fused nodes ------------------------------------------
 
 def norm_without_gain(x: Tensor, eps: float) -> Tensor:
     """The norm node as it was before it took its gain."""
@@ -86,15 +215,27 @@ def composed(monkeypatch):
 
     def swap():
         monkeypatch.setattr(T, "rmsnorm", rmsnorm)
-        monkeypatch.setattr(T, "silu", silu_keeping_its_sigmoid)
+        monkeypatch.setattr(T, "silu_gated_matmul", silu_then_gated_matmul)
         monkeypatch.setattr(T, "log_softmax", log_softmax_with_temporaries)
         monkeypatch.setattr(T, "gated_matmul", matmul_of_product)
+        monkeypatch.setattr(T, "mlstm_chunkwise", mlstm_core_composed)
         monkeypatch.setattr(losses, "next_symbol_logprobs", cut_then_pick)
 
     return swap
 
 
 # -- helpers ----------------------------------------------------------------------
+
+def trained_like(name: str, value: np.ndarray, rng) -> np.ndarray:
+    """Gains other than the initial ones, and mLSTM gate weights other than
+    their initial zeros, whose gradients would otherwise add nothing to the
+    normed input's and so hide the order in which the sweep adds them."""
+    if name.endswith("norm_g"):
+        return rng.uniform(0.5, 1.5, size=value.shape)
+    if name.endswith((".w_i", ".w_f")):
+        return rng.normal(size=value.shape) * 0.1
+    return value
+
 
 def run(build, arrays: dict, dtype, seed: int = 99):
     """`build(leaves)`'s value and every leaf's gradient, under a random
@@ -149,7 +290,7 @@ def test_rmsnorm_with_a_per_head_gain_equals_norm_reshape_then_gain(dtype):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_silu_keeping_its_input_equals_silu_keeping_its_sigmoid(dtype):
     rng = np.random.default_rng(2)
-    compare(lambda t: T.silu(t["a"]), lambda t: silu_keeping_its_sigmoid(t["a"]),
+    compare(lambda t: silu(t["a"]), lambda t: silu_keeping_its_sigmoid(t["a"]),
             {"a": rng.normal(size=(8, 88, 256)) * 3.0}, dtype)
 
 
@@ -168,7 +309,7 @@ def test_gated_matmul_at_the_swiglu_site_equals_the_matmul_of_the_product(dtype)
               "wu": rng.normal(size=(128, 256)) * 0.1, "wd": rng.normal(size=(256, 128)) * 0.1}
 
     def build(gated):
-        return lambda t: gated(T.silu(t["x"] @ t["wg"]), t["x"] @ t["wu"], t["wd"])
+        return lambda t: gated(silu(t["x"] @ t["wg"]), t["x"] @ t["wu"], t["wd"])
 
     compare(build(T.gated_matmul), build(matmul_of_product), arrays, dtype)
 
@@ -185,6 +326,78 @@ def test_gated_matmul_at_the_output_gate_site_equals_the_matmul_of_the_product(d
         return lambda t: gated(t["h"], T.sigmoid(t["xn"] @ t["wog"]), t["wo"])
 
     compare(build(T.gated_matmul), build(matmul_of_product), arrays, dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_silu_gated_matmul_equals_silu_then_gated_matmul(dtype):
+    """a = x @ w_gate, up = x @ w_up, w = w_down, at toy.cfg's sizes."""
+    rng = np.random.default_rng(16)
+    arrays = {"x": rng.normal(size=(8, 88, 128)), "wg": rng.normal(size=(128, 256)) * 0.1,
+              "wu": rng.normal(size=(128, 256)) * 0.1, "wd": rng.normal(size=(256, 128)) * 0.1}
+
+    def build(swiglu):
+        return lambda t: swiglu(t["x"] @ t["wg"], t["x"] @ t["wu"], t["wd"])
+
+    compare(build(T.silu_gated_matmul), build(silu_then_gated_matmul), arrays, dtype)
+
+
+def core_arrays(rng, b: int, n: int, heads: int = 4, saturated: bool = False) -> dict:
+    """The chunkwise core's inputs at toy.cfg's head sizes, in the (B, n, NH, ·)
+    layout the block's projections have: `core` transposes them, so the node
+    sees the block's strided views. The gates are soft-capped as the block
+    caps them; saturated, the forget gates sit at ±15 by head and the input
+    gates reach 14, so the gate sums run to thousands over 300 bytes."""
+    gates = rng.normal(size=(2, b, n, heads))
+    if saturated:
+        gates[0] = np.linspace(6.0, 14.0, heads) + gates[0]
+        gates[1] = np.where(np.arange(heads) % 2, 50.0, -50.0) + gates[1]
+    else:
+        gates[0], gates[1] = 3.0 * gates[0], 2.0 * gates[1] + 3.0
+    i_pre, f_pre = L.GATE_SOFT_CAP * np.tanh(gates / L.GATE_SOFT_CAP)
+    return {"q": rng.normal(size=(b, n, heads, 16)), "k": rng.normal(size=(b, n, heads, 16)) * 0.25,
+            "v": rng.normal(size=(b, n, heads, 32)), "i": i_pre, "f": f_pre}
+
+
+def core_inputs(t: dict) -> tuple[Tensor, ...]:
+    """q, k, v, i_pre, f_pre as (B, NH, n, ·) views, as mlstm_block has them."""
+    return (*(T.transpose(t[name], (0, 2, 1, 3)) for name in "qkv"),
+            *(T.transpose(t[name], (0, 2, 1)) for name in "if"))
+
+
+def core(mlstm, chunk: int):
+    return lambda t: mlstm(*core_inputs(t), chunk)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", [1, 7, 30, 88, 513])
+@pytest.mark.parametrize("chunk", [1, 7, 32, "n"])
+def test_mlstm_chunkwise_equals_the_composed_core(dtype, n, chunk):
+    """One chunk of n, n chunks of 1, and the splits in between, with and
+    without a padded last chunk (30 B in chunks of at most 7 are five of 6;
+    88 B three of 30 with 2 padded; 513 B seventeen of 31 with 14 padded)."""
+    chunk = n if chunk == "n" else chunk
+    arrays = core_arrays(np.random.default_rng(n * 100 + chunk), 1 if n == 513 else 3, n)
+    compare(core(T.mlstm_chunkwise, chunk), core(mlstm_core_composed, chunk), arrays, dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("chunk, n", [(7, 300), (L.CHUNK, 300), (L.CHUNK, 301), (300, 300)])
+def test_mlstm_chunkwise_equals_the_composed_core_with_saturated_gates(dtype, chunk, n):
+    arrays = core_arrays(np.random.default_rng(n + chunk), 2, n, saturated=True)
+    compare(core(T.mlstm_chunkwise, chunk), core(mlstm_core_composed, chunk), arrays, dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name", ["q", "k", "v", "i", "f"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_core_input_raises_naming_the_node(dtype, name, value):
+    """Also where the output would stay finite: a forget gate at +inf has a
+    log-sigmoid of 0."""
+    arrays = core_arrays(np.random.default_rng(17), 2, 40)
+    inputs = core_inputs({k: Tensor(np.asarray(a, dtype=dtype)) for k, a in arrays.items()})
+    inputs["qkvif".index(name)].data[1, 2, 20] = value  # (B, NH, n, ·): head 2, byte 20
+    with pytest.raises(NonFiniteError, match="mlstm_chunkwise"):
+        T.mlstm_chunkwise(*inputs, L.CHUNK)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -225,9 +438,8 @@ def test_blocks_equal_their_composed_graphs(composed, kind, dtype):
     prefix = f"encoder.0.{kind}"
     arrays = {"x": rng.normal(size=(8, 88, CFG.d)),
               **{k: t.data for k, t in params.items() if k.startswith(prefix + ".")}}
-    for k in arrays:  # gains other than the initial ones
-        if k.endswith("norm_g"):
-            arrays[k] = rng.uniform(0.5, 1.5, size=arrays[k].shape)
+    for k in arrays:
+        arrays[k] = trained_like(k, arrays[k], rng)
 
     def block(t):
         if kind == "ffn":
@@ -245,9 +457,8 @@ def test_a_stage2_loss_equals_its_composed_graph(composed, dtype):
     the loss and every parameter's gradient."""
     rng = np.random.default_rng(7)
     params = init_byte_model(CFG, rng)
-    for k, t in params.items():  # gains other than the initial ones
-        if k.endswith("norm_g"):
-            t.data[...] = rng.uniform(0.5, 1.5, size=t.shape)
+    for k, t in params.items():
+        t.data[...] = trained_like(k, t.data, rng)
     ids = rng.integers(0, 256, size=(8, 88))
     sfx = rng.integers(0, CFG.vocab_size, size=(8, 88))
 
@@ -258,6 +469,51 @@ def test_a_stage2_loss_equals_its_composed_graph(composed, dtype):
         total = losses.boundary_bce(out["p"], out["mask"]) + losses.ce_fused(out["logprobs"], targets)
         total.backward()
         return total.data, {k: t.grad for k, t in p.items()}
+
+    fused = loss()
+    composed()
+    assert_bit_identical(fused, loss())
+
+
+@pytest.fixture(scope="module")
+def conversion():
+    """toy.cfg's byte model, its teacher, and a BPE vocabulary of toy.cfg's
+    size trained on generated text."""
+    docs = [utf8_to_bytes(t) + b"\x00" for t in markov_word_docs(seed=5, n_docs=40)]
+    vocab = train_bpe(docs, int(TOY["tokenizer.vocab_size"]))
+    cfg = build_model_config(TOY, vocab.size)
+    rng = np.random.default_rng(18)
+    teacher = init_teacher(cfg, rng)
+    params = init_byte_model(cfg, rng, teacher)
+    for k, t in params.items():
+        t.data[...] = trained_like(k, t.data, rng)
+    return docs, vocab, cfg, teacher, params
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("stage", [1, 2])
+@pytest.mark.parametrize("b, n", [(8, 88), (2, 17)])
+def test_steps_equal_their_composed_graphs(composed, conversion, stage, b, n, dtype):
+    """A whole stage-1 step (probe, encoder match, distillation) and a whole
+    stage-2 step, over three chunks of 30 B and over one chunk of 17 B: the
+    loss and every parameter's gradient."""
+    docs, vocab, cfg, teacher, params = conversion
+    tc = training.TrainConfig(stage=stage, steps=1, max_bytes=n)
+    contents = [d[: n - 1] for d in docs if len(d) >= n - 1][:b]
+    batch = training.prepare_windows(contents, vocab, cfg, teacher if stage == 1 else None, tc.strategy())
+    step = training.stage1_step if stage == 1 else training.stage2_step
+
+    def loss():
+        p = ParamStore({k: Tensor(t.data.astype(dtype), requires_grad=True) for k, t in params.items()})
+        grads = {}
+
+        class Recording(AdamW):  # the step drops the gradients it applies: read them first
+            def step(self):
+                grads.update({k: t.grad for k, t in p.items() if t.grad is not None})
+                return 0.0
+
+        total = step(p, cfg, tc, Recording({"all": list(p.values())}), batch)["total"]
+        return np.asarray(total, dtype=dtype), grads
 
     fused = loss()
     composed()

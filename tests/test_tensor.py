@@ -6,6 +6,7 @@ import ctypes
 import gc
 import inspect
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from bytepatch import tensor as T
 from bytepatch.tensor import DtypeError, GraphError, NonFiniteError, ShapeError, Tensor
 from gradcheck import finite_difference_check
+from test_fused_nodes import COMPOSED_OPS, absolute, logsigmoid, maximum, outer_add, silu
 
 RNG = np.random.default_rng(0)
 ANGLES = np.linspace(0.3, 2.5, 6).reshape(3, 2)  # rotary angles: 3 positions x 2 pairs
@@ -165,20 +167,17 @@ def _u(*shape):
     return t(RNG.uniform(0.5, 1.5, size=shape))
 
 
-# one build per graph op, every input in the graph
+# one build per graph op, every input in the graph, and per op that only the
+# composed oracles in test_fused_nodes use
 GRAPH_OPS = {
     "add": lambda: T.add(_u(2, 3, 4), _u(4)),
     "sub": lambda: T.sub(_u(2, 3, 4), _u(4)),
     "mul": lambda: T.mul(_u(2, 3, 4), _u(4)),
     "div": lambda: T.div(_u(2, 3, 4), _u(4)),
-    "maximum": lambda: T.maximum(_u(2, 3, 4), _u(2, 3, 4)),
     "exp": lambda: T.exp(_u(2, 3)),
     "log": lambda: T.log(_u(2, 3)),
     "sqrt": lambda: T.sqrt(_u(2, 3)),
     "sigmoid": lambda: T.sigmoid(_u(2, 3)),
-    "logsigmoid": lambda: T.logsigmoid(_u(2, 3)),
-    "silu": lambda: T.silu(_u(2, 3)),
-    "absolute": lambda: T.absolute(_u(2, 3)),
     "clip": lambda: T.clip(_u(2, 3), 0.7, 1.2),
     "log1mexp": lambda: T.log1mexp(T.sub(_u(2, 3), _u(2, 3) + 2.0)),
     "softcap": lambda: T.softcap(_u(2, 3), 2.0),
@@ -193,13 +192,15 @@ GRAPH_OPS = {
     "take_rows": lambda: T.take_rows(_u(5, 4), np.array([[0, 3], [3, 1]])),
     "gather_rows": lambda: T.gather_rows(_u(2, 3, 4), np.array([[0, 2], [1, 1]])),
     "pick": lambda: T.pick(_u(2, 3, 4), np.array([[0, 3, 1], [2, 2, 0]])),
-    "exp_where": lambda: T.exp_where(_u(2, 3, 3), np.tri(3, dtype=bool)),
-    "outer_add": lambda: T.outer_add(_u(2, 3), _u(2, 4)),
     "softmax": lambda: T.softmax(_u(2, 3)),
     "log_softmax": lambda: T.log_softmax(_u(2, 3)),
     "rmsnorm": lambda: T.rmsnorm(_u(2, 3), _u(3)),
     "gated_matmul": lambda: T.gated_matmul(_u(2, 3, 4), _u(2, 3, 4), _u(4, 5)),
+    "silu_gated_matmul": lambda: T.silu_gated_matmul(_u(2, 3, 4), _u(2, 3, 4), _u(4, 5)),
+    "mlstm_chunkwise": lambda: T.mlstm_chunkwise(_u(2, 2, 5, 3), _u(2, 2, 5, 3), _u(2, 2, 5, 4),
+                                                 _u(2, 2, 5), _u(2, 2, 5), 2),
     "rope": lambda: T.rope(_u(2, 3, 4), np.cos(ANGLES), np.sin(ANGLES)),
+    **{name: partial(build, _u) for name, build in COMPOSED_OPS.items()},
 }
 
 
@@ -295,8 +296,8 @@ def test_broadcast_backward_shapes():
 
 
 MIXABLE = {
-    "add": T.add, "sub": T.sub, "mul": T.mul, "div": T.div, "maximum": T.maximum, "matmul": T.matmul,
-    "outer_add": T.outer_add, "concat": lambda a, b: T.concat([a, b], axis=-1),
+    "add": T.add, "sub": T.sub, "mul": T.mul, "div": T.div, "maximum": maximum, "matmul": T.matmul,
+    "outer_add": outer_add, "concat": lambda a, b: T.concat([a, b], axis=-1),
 }
 
 
@@ -385,11 +386,11 @@ def test_cumsum_value_and_grad():
         ("sqrt", lambda a: T.sqrt(a * a + 0.3).sum(), [(3, 3)]),
         ("rope", lambda a: (T.rope(a, np.cos(ANGLES), np.sin(ANGLES)) * a * a).sum(), [(3, 4)]),
         ("sigmoid", lambda a: T.sigmoid(a).sum(), [(3, 3)]),
-        ("logsigmoid", lambda a: T.logsigmoid(a).sum(), [(3, 3)]),
-        ("silu", lambda a: T.silu(a).sum(), [(3, 3)]),
-        ("abs", lambda a: T.absolute(a + 0.1).sum(), [(3, 3)]),
+        ("logsigmoid", lambda a: logsigmoid(a).sum(), [(3, 3)]),
+        ("silu", lambda a: silu(a).sum(), [(3, 3)]),
+        ("abs", lambda a: absolute(a + 0.1).sum(), [(3, 3)]),
         ("softcap", lambda a: T.softcap(a * 5.0, 15.0).sum(), [(3, 3)]),
-        ("maximum", lambda a, b: T.maximum(a, b).sum(), [(3, 4), (3, 4)]),
+        ("maximum", lambda a, b: maximum(a, b).sum(), [(3, 4), (3, 4)]),
         ("softmax", lambda a: (T.softmax(a) * T.softmax(a)).sum(), [(4, 6)]),
         ("log_softmax", lambda a: (T.log_softmax(a)[..., 0]).sum(), [(4, 6)]),
         ("rmsnorm", lambda a, g: (T.rmsnorm(a, g) * T.rmsnorm(a * 2.0 + 0.3, g)).sum(), [(4, 6), (6,)]),
@@ -402,6 +403,13 @@ def test_cumsum_value_and_grad():
         ("rmsnorm_head_gain", lambda a, g: (T.rmsnorm(a, g) * a).sum(), [(2, 3, 4), (3, 4)]),
         ("gated_matmul", lambda u, v, w: (lambda y: (y * y).sum())(T.gated_matmul(u, v, w)),
          [(2, 3, 4), (2, 3, 4), (4, 5)]),
+        ("silu_gated_matmul", lambda a, u, w: (lambda y: (y * y).sum())(T.silu_gated_matmul(a, u, w)),
+         [(2, 3, 4), (2, 3, 4), (4, 5)]),
+        # three chunks of 2, the last one padded, and one chunk of 5
+        ("mlstm_chunkwise", lambda q, k, v, i, f: (lambda y: (y * y).sum())(T.mlstm_chunkwise(q, k, v, i, f, 2)),
+         [(2, 2, 5, 3), (2, 2, 5, 3), (2, 2, 5, 4), (2, 2, 5), (2, 2, 5)]),
+        ("mlstm_one_chunk", lambda q, k, v, i, f: (lambda y: (y * y).sum())(T.mlstm_chunkwise(q, k, v, i, f, 5)),
+         [(2, 2, 5, 3), (2, 2, 5, 3), (2, 2, 5, 4), (2, 2, 5), (2, 2, 5)]),
     ],
 )
 def test_primitive_gradients(name, fn, shapes):
