@@ -5,12 +5,15 @@ Two implementations exist for the recurrent byte-level layers:
 * ``mlstm_block`` builds the training graph in chunkwise-parallel form
   (xLSTM, arXiv 2405.04517; Tiled Flash Linear Attention, arXiv 2503.14376).
   Its core is one ``tensor.mlstm_chunkwise`` node, whose graph of small ops
-  lives in ``test_fused_nodes`` as its bit-for-bit oracle. A chunk length
-  L = n is the closed quadratic form over all position pairs, L = 1 the
-  recurrence; the default ``CHUNK`` bounds L, and so memory at L×n instead
-  of n×n per head.
-  The n bytes split into the fewest chunks of at most ``CHUNK``, balanced in
-  length, so a ragged last chunk pads fewer bytes than there are chunks.
+  lives in ``test_fused_nodes`` as its oracle: bit for bit in the forward,
+  within 2^12 units in the last place in the derived backward. A chunk
+  length L = n is the closed quadratic form over all position pairs, L = 1
+  the recurrence; the default ``CHUNK`` bounds L, and so memory at L×n
+  instead of n×n per head.
+  The chunk rule, ``tensor.mlstm_chunk_split``: the n bytes split into nc
+  chunks of one length L = ceil(n / nc) <= ``CHUNK``, the last one padded to
+  nc·L bytes. Of the counts from the fewest, ceil(n / CHUNK), to a quarter
+  more (rounded up), nc is the one that pads least, the fewer on a tie.
   ``CHUNK`` is sized for float32 steps: 32 B chunks make a 512-B step
   cheaper than 128 B ones, and no slower at 88 B.
 * ``mlstm_step`` advances one byte at a time on raw numpy state, used for
@@ -140,9 +143,10 @@ def empty_attention_cache(n_heads: int, head_dim: int, dtype) -> dict:
 
 # -- mLSTM block --------------------------------------------------------------
 
-# most bytes per chunk of the mLSTM training form, sized for float32 steps:
-# toy.cfg's 88-B windows run as three chunks of 30 B, 512-B documents as
-# sixteen of 32 B, and 513 positions as seventeen of 31
+# most bytes per chunk of the mLSTM training form, sized for float32 steps.
+# Under the chunk rule (tensor.mlstm_chunk_split), toy.cfg's 88-B windows run
+# as four chunks of 22 B, 512-B documents as sixteen of 32 B, and 513
+# positions (BOS + 512) as nineteen of 27, none padded
 CHUNK = 32
 
 
@@ -158,8 +162,8 @@ def mlstm_block(
     """Chunkwise-parallel mLSTM with exponential input gate, sigmoid forget
     gate, soft-capped gate pre-activations, matrix memory per head, per-head
     RMS normalization and a sigmoid output gate, wrapped pre-norm residually.
-    `chunk` bounds the chunk length L: the n bytes split into the fewest
-    chunks of at most `chunk`, all of one length L, the last one padded.
+    `chunk` bounds the chunk length L: the n bytes split into chunks of at
+    most `chunk`, all of one length L, as `tensor.mlstm_chunk_split` says.
     Per head, the in-chunk products grow as n·L·(qk_dim + v_dim) and the
     cross-chunk ones as (n/L)²·qk_dim·v_dim: at CHUNK and toy.cfg's head
     sizes the in-chunk part stays the larger up to about 3,000 bytes, at

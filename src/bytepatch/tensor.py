@@ -27,10 +27,18 @@ the normalized x; `gated_matmul(u, v, w)`, which is (u * v) @ w, keeps u, v
 and w, not their product; `silu_gated_matmul(a, up, w)`, SwiGLU's
 (silu(a) * up) @ w, keeps a, up and w, not silu(a) or the product; and
 `mlstm_chunkwise`, the mLSTM's whole chunkwise core, keeps q, k and v in
-chunks, O(n) gate vectors and its output, and recomputes every (·, L, L)
-and (·, L, v) chunk matrix in its backward. Each computes the chain's values
-and gradients bit for bit, and `log_softmax`'s backward builds its gradient
-in one scratch array.
+chunks, O(n) gate and denominator vectors, and recomputes every (·, L, L)
+and (·, L, v) chunk matrix in its backward. Their VJPs work in place, in
+as few full-size arrays as the arithmetic allows, and the gathers'
+(`take_rows`, `gather_rows`) add rows with one flat `np.add.at`. Each
+computes the chain's values and gradients bit for bit, but for two nodes
+whose sums run in other orders: `rmsnorm` takes its last-axis sums as dot
+products, and `mlstm_chunkwise`'s backward is derived rather than replayed
+(its forward keeps every bit). Their values and gradients stay within 2^12
+units in the last place of the dtype of the composed graph's, relative to
+each array's largest magnitude (9.1e-13 in float64, 4.9e-4 in float32);
+`test_fused_nodes` holds every node to its composed graph. `log_softmax`'s
+backward builds its gradient in one scratch array.
 
 Values are float32 or float64, and every op's output has its inputs' dtype:
 `_make` rejects an op whose inputs and output disagree, so no float64
@@ -415,8 +423,13 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """Logistic function through the tanh identity: one pass, no overflow."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    """Logistic function through the tanh identity, 0.5 * (1 + tanh(0.5 * x)),
+    computed in one new array: no overflow, no temporaries."""
+    s = np.asarray(np.multiply(x, 0.5))  # an array for a 0-d x too
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def logsigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -546,7 +559,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def gated_matmul(u: Tensor, v: Tensor, w: Tensor) -> Tensor:
     """(u * v) @ w for a weight w, as one node: it keeps u, v and w, not their
     product, and recomputes the product for w's gradient. The gradient that
-    reaches the product is computed once, for u's and v's VJPs both. Each
+    reaches the product is computed once, for u's and v's VJPs both, and v's
+    gradient is made in its buffer: the sweep runs u's VJP before v's. Each
     value is `matmul(u * v, w)`'s, bit for bit."""
     if u.shape != v.shape:
         raise ShapeError(f"gated_matmul: gate shapes {u.shape} and {v.shape} differ")
@@ -561,46 +575,62 @@ def gated_matmul(u: Tensor, v: Tensor, w: Tensor) -> Tensor:
             product_grad[:] = [g, (g.reshape(-1, m) @ wd.T).reshape(shape)]
         return product_grad[1]
 
+    def vjp_v(g):
+        product_grad = grad_product(g)  # u's VJP, which reads it too, has run
+        return np.multiply(product_grad, ud, out=product_grad)
+
     return _make(np.matmul(ud * vd, wd), "gated_matmul",
                  (u, lambda g: grad_product(g) * vd),
-                 (v, lambda g: grad_product(g) * ud),
+                 (v, vjp_v),
                  (w, lambda g: (ud * vd).reshape(-1, d).T @ g.reshape(-1, m)))
 
 
 def silu_gated_matmul(a: Tensor, up: Tensor, w: Tensor) -> Tensor:
     """(silu(a) * up) @ w for a weight w, SwiGLU's gate and down-projection
-    as one node, with silu(x) = x * sigmoid(x). It keeps a, up and w; its
-    first VJP to run recomputes sigmoid(a), silu(a) and the product's
-    gradient once for all three. Each value is `gated_matmul(u, up, w)`'s
-    with u the silu of a, bit for bit."""
+    as one node, with silu(x) = x * sigmoid(x). It keeps a, up and w. The
+    first of its VJPs to run computes the gradients of every input in the
+    graph, from sigmoid(a), silu(a) and the product's gradient, in four
+    arrays and mostly in place; the others hand theirs out. Each value is
+    `gated_matmul(u, up, w)`'s with u the silu of a, bit for bit."""
     if a.shape != up.shape:
         raise ShapeError(f"silu_gated_matmul: gate shapes {a.shape} and {up.shape} differ")
     if a.ndim < 2 or w.ndim != 2 or a.shape[-1] != w.shape[0]:
         raise ShapeError(f"silu_gated_matmul: {a.shape} @ {w.shape} needs a 2-D weight")
     ad, ud, wd = a.data, up.data, w.data
     shape, (d, m) = a.shape, w.shape
-    memo: list[np.ndarray] = []  # [output gradient, the product's gradient from it, sigmoid(a), silu(a)]
+    wanted = (a.requires_grad, up.requires_grad, w.requires_grad)
+    grads: list = []  # [output gradient, the three input gradients from it]
 
-    def recompute(g):
-        if not memo or memo[0] is not g:
-            s = sigmoid_np(ad)
-            memo[:] = [g, (g.reshape(-1, m) @ wd.T).reshape(shape), s, ad * s]
-        return memo[1:]
+    def input_grads(g) -> list:
+        s = sigmoid_np(ad)
+        silu_a = ad * s
+        scratch = silu_a * ud
+        out = [None, None, None]
+        if wanted[2]:
+            out[2] = scratch.reshape(-1, d).T @ g.reshape(-1, m)
+        # silu's derivative s + silu(a) * (1 - s), in the scratch array
+        np.subtract(1.0, s, out=scratch)
+        scratch *= silu_a
+        scratch += s
+        product_grad = (g.reshape(-1, m) @ wd.T).reshape(shape)
+        if wanted[1]:
+            out[1] = np.multiply(product_grad, silu_a, out=silu_a)
+        if wanted[0]:
+            product_grad *= ud
+            out[0] = np.multiply(product_grad, scratch, out=product_grad)
+        return out
 
-    def vjp_a(g):
-        product_grad, s, _ = recompute(g)
-        return product_grad * ud * (s + ad * s * (1.0 - s))
+    def vjp(i: int) -> Vjp:
+        def grad(g):
+            if not grads or grads[0] is not g:
+                grads[:] = [g, input_grads(g)]
+            return grads[1][i]
+        return grad
 
-    def vjp_up(g):
-        product_grad, _, silu_a = recompute(g)
-        return product_grad * silu_a
-
-    def vjp_w(g):
-        silu_a = recompute(g)[2]
-        return (silu_a * ud).reshape(-1, d).T @ g.reshape(-1, m)
-
-    return _make(np.matmul(ad * sigmoid_np(ad) * ud, wd), "silu_gated_matmul",
-                 (a, vjp_a), (up, vjp_up), (w, vjp_w))
+    gated = sigmoid_np(ad)
+    gated *= ad
+    gated *= ud
+    return _make(np.matmul(gated, wd), "silu_gated_matmul", (a, vjp(0)), (up, vjp(1)), (w, vjp(2)))
 
 
 # -- gathers ----------------------------------------------------------------
@@ -608,14 +638,10 @@ def silu_gated_matmul(a: Tensor, up: Tensor, w: Tensor) -> Tensor:
 def take_rows(table: Tensor, idx: np.ndarray) -> Tensor:
     """Embedding lookup: table (R, d), idx int array of any shape -> idx.shape + (d,)."""
     idx = np.asarray(idx)
-    shape, dtype = table.shape, table.dtype
-
-    def vjp(g):
-        full = np.zeros(shape, dtype)
-        np.add.at(full, idx, g)
-        return full
-
-    return _make(table.data[idx], "take_rows", (table, vjp))
+    rows, d = table.shape
+    flat = idx.reshape(-1)
+    return _make(table.data[idx], "take_rows",
+                 (table, lambda g: _scatter_rows(g.reshape(-1, d), flat, rows)))
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -623,14 +649,21 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx)
     if x.ndim != 3 or idx.ndim != 2:
         raise ShapeError("gather_rows expects x (B, R, d) and idx (B, P)")
-    shape, dtype = x.shape, x.dtype
+    b, rows, d = shape = x.shape
+    flat = (idx + rows * np.arange(b)[:, None]).reshape(-1)  # rows of x viewed as (B·R, d)
+    return _make(x.data.reshape(b * rows, d)[flat].reshape(idx.shape + (d,)), "gather_rows",
+                 (x, lambda g: _scatter_rows(g.reshape(-1, d), flat, b * rows).reshape(shape)))
 
-    def vjp(g):
-        full = np.zeros(shape, dtype)
-        np.add.at(full, (np.arange(shape[0])[:, None], idx), g)
-        return full
 
-    return _make(np.take_along_axis(x.data, idx[:, :, None], axis=1), "gather_rows", (x, vjp))
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, d) zeros plus each row of g (N, d) at its row idx (N,): the
+    gathers' VJP. It is `np.add.at` over the flattened arrays, element by
+    element in the same order, so the same bits, but on numpy's fast
+    one-dimensional path: a row-indexed `np.add.at` is four times slower."""
+    d = g.shape[1]
+    full = np.zeros(rows * d, g.dtype)
+    np.add.at(full, (idx[:, None] * d + np.arange(d)).reshape(-1), g.reshape(-1))
+    return full.reshape(rows, d)
 
 
 def pick(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -683,27 +716,40 @@ def log_softmax_np(x: np.ndarray) -> np.ndarray:
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 0.0) -> Tensor:
     """x / sqrt(mean(x^2, last axis) + eps) * gain, the gain broadcast over
     x's leading axes. The node keeps x, the scale and the gain, and
-    recomputes the normalized x for the gain's gradient."""
+    recomputes the normalized x for the gain's gradient. Its last-axis sums
+    are dot products, and each VJP works in place in two new arrays."""
     _binary(x, gain, "rmsnorm")
     xd, gd, sg = x.data, gain.data, gain.shape
     r = rms_scale_np(xd, eps)
     n = x.shape[-1]
 
-    def vjp_x(g):
-        g = g * gd
-        dot = (g * xd).sum(axis=-1, keepdims=True)
-        return r * g - (r ** 3 / n) * dot * xd
+    def vjp_x(g):  # r * g·gain - (r³ / n) * (g·gain · x) * x
+        out = np.multiply(g, gd)
+        dot = np.einsum("...i,...i->...", out, xd)[..., None]
+        scratch = np.multiply(xd, (r ** 3 / n) * dot, out=np.empty_like(out))
+        out *= r
+        return np.subtract(out, scratch, out=out)
 
-    return _make(xd * r * gd, "rmsnorm",
-                 (x, vjp_x),
-                 (gain, lambda g: _unbroadcast(g * (xd * r), sg)))
+    def vjp_gain(g):  # over the leading axes, one matrix-vector product
+        scaled = np.multiply(xd, r, out=np.empty(xd.shape, xd.dtype))
+        scaled *= g
+        if xd.shape[xd.ndim - len(sg):] != sg:
+            return _unbroadcast(scaled, sg)
+        rows = scaled.size // gd.size
+        return (np.ones(rows, scaled.dtype) @ scaled.reshape(rows, gd.size)).reshape(sg)
+
+    out = np.multiply(xd, r)
+    out *= gd
+    return _make(out, "rmsnorm", (x, vjp_x), (gain, vjp_gain))
 
 
 def rms_scale_np(x: np.ndarray, eps: float) -> np.ndarray:
     """1 / sqrt(mean(x^2, last axis) + eps), kept as a size-1 last axis;
-    `x * rms_scale_np(x, eps)` is the RMS-normalized x."""
+    `x * rms_scale_np(x, eps)` is the RMS-normalized x. The sum of squares
+    is a dot product, one pass with no temporary."""
+    squares = np.einsum("...i,...i->...", x, x)[..., None]
     with np.errstate(all="ignore"):
-        return 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+        return 1.0 / np.sqrt(squares / x.shape[-1] + eps)
 
 
 # -- rotary positions -------------------------------------------------------
@@ -724,13 +770,25 @@ def rope_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 
 # -- the chunkwise mLSTM core -----------------------------------------------
 
+def mlstm_chunk_split(n: int, chunk: int) -> tuple[int, int]:
+    """The chunk count and length (nc, L) for n bytes in chunks of at most
+    `chunk` bytes. Of the counts from the fewest, ceil(n / chunk), to a
+    quarter more (rounded up), it takes the one that pads least, nc * L - n
+    bytes with L = ceil(n / nc), and the fewer chunks on a tie: at most 32,
+    88 bytes run as four chunks of 22, not three of 30, 513 as nineteen of
+    27, not seventeen of 31, and 512 as sixteen of 32."""
+    fewest = -(-n // chunk)
+    nc = min(range(fewest, fewest + -(-fewest // 4) + 1), key=lambda c: c * -(-n // c) - n)
+    return nc, -(-n // nc)
+
+
 def mlstm_chunkwise(q: Tensor, k: Tensor, v: Tensor, i_pre: Tensor, f_pre: Tensor, chunk: int) -> Tensor:
     """The mLSTM's chunkwise-parallel core as one node: queries and keys
     (B, NH, n, qk), values (B, NH, n, v) and the input and forget gates'
     pre-activations (B, NH, n) give the heads' outputs h (B, NH, n, v).
 
-    The n bytes split into the fewest chunks of at most `chunk` bytes, all of
-    one length L, the last one padded. Inside a chunk the exponential-gate
+    The n bytes split into chunks as `mlstm_chunk_split` says, all of one
+    length L, the last one padded. Inside a chunk the exponential-gate
     recurrence unrolls into a decay matrix over the chunk's position pairs;
     each chunk's key-value state and normalizer reach the later chunks
     through one strictly-lower decay matmul over chunks. Every exponent is
@@ -741,18 +799,24 @@ def mlstm_chunkwise(q: Tensor, k: Tensor, v: Tensor, i_pre: Tensor, f_pre: Tenso
     overflow unseen, and the output's finite check sees the rest; the inputs
     are checked too, since a forget gate at +inf would give a finite output.
 
-    The node keeps q, k and v in chunks, O(n) gate vectors and h, and no
-    chunk matrix: the first of its VJPs to run recomputes them and all five
-    input gradients, and the others hand theirs out. Its values and
-    gradients are those of the composed graph that the tests keep as its
-    oracle, bit for bit: `_MlstmChunks` does that graph's arithmetic op by
-    op, on arrays of the same layouts, and accumulates each gradient in the
-    order that graph's sweep did."""
-    arrays = (q.data, k.data, v.data, i_pre.data, f_pre.data)
-    for arr in arrays:
-        _check_finite(arr, "mlstm_chunkwise")
-    core = _MlstmChunks(*arrays, chunk)
-    h = core.forward()
+    In the graph, the node keeps q, k and v and the gate vectors in chunks,
+    the forget gates' pre-activations, the floored denominator, its sign and
+    the carried normalizers, and no chunk matrix: the first of its VJPs to
+    run recomputes the chunk matrices and all five input gradients, and the
+    others hand theirs out. Out of the graph it keeps nothing.
+
+    Its forward is the composed graph's, op for op; its backward is derived
+    rather than replayed (TFLA, arXiv 2503.14376, derives its own the same
+    way). One array holds the gradient of every pair's exponent u_t + a_s,
+    and its row and column sums give u's and a's in-chunk parts, so that
+    their difference, the forget gates' gradient, stays as accurate as the
+    composed graph's where the two nearly cancel. Through the carried
+    states, a_s only scales key s and u_t only scales what row t reads
+    through q_t, so their parts there are k_s·dk_s and q_t·dq_t.
+    `test_fused_nodes` holds values and gradients to the composed graph."""
+    inputs = (q, k, v, i_pre, f_pre)
+    core = _MlstmChunks(*(t.data for t in inputs), chunk)
+    h = core.forward(for_backward=any(t.requires_grad for t in inputs))
     grads: list = []  # [output gradient, the five input gradients from it]
 
     def vjp(i: int) -> Vjp:
@@ -762,173 +826,165 @@ def mlstm_chunkwise(q: Tensor, k: Tensor, v: Tensor, i_pre: Tensor, f_pre: Tenso
             return grads[1][i]
         return grad
 
-    # the inputs in the order in which the composed graph's sweep finished
-    # their branches, so that the sweep outside adds their gradients into
-    # the block's normed input in the same order
-    order = (2, 0, 1, 3, 4) if core.nc > 1 else (2, 3, 4, 0, 1)
-    inputs = (q, k, v, i_pre, f_pre)
-    return _make(h, "mlstm_chunkwise", *((inputs[i], vjp(i)) for i in order))
+    return _make(h, "mlstm_chunkwise", *((t, vjp(i)) for i, t in enumerate(inputs)))
 
 
 class _MlstmChunks:
-    """`mlstm_chunkwise`'s inputs in chunks and its gate vectors; the chunk
-    matrices are recomputed from them for the forward and for the backward."""
+    """`mlstm_chunkwise`'s inputs: q, k and v in zero-padded chunks, the gate
+    vectors u and a in chunks, each chunk's R, and the forget gates'
+    pre-activations. The chunk matrices are recomputed from them for the
+    forward and for the backward."""
 
     def __init__(self, q, k, v, i_pre, f_pre, chunk: int):
-        b, heads, n, _ = q.shape
-        fcum = np.cumsum(logsigmoid_np(f_pre), axis=-1)  # F_t = sum_{s<=t} log f_s
-        a = i_pre - fcum  # a_s = i_s - F_s
-        # running stabilizer m_t = F_t + max_{s<=t} a_s, a constant for the
-        # gradient like every other max of `a` below
-        amax = np.maximum.accumulate(a, axis=-1)
-        self.m = m = fcum + amax
-        # nc chunks of L = ceil(n / nc) bytes, so padding stays below nc
-        # bytes; a ragged last chunk is padded with zero q/k/v and with the
-        # last stabilizer as u and a, so its exponents stay <= 0 too
-        self.nc = nc = -(-n // chunk)
-        self.size = size = -(-n // nc)
-        self.pad = pad = nc * size - n
-        self.cut = (slice(None), slice(None), slice(0, n))  # the n bytes of a padded axis
-        last = amax[..., -1:]
-        # R_c, the max of a before chunk c (a_0 for c = 0)
-        self.ref = amax[..., np.maximum(np.arange(nc) * size - 1, 0)]
-
-        def chunks(x, fill):
-            if pad:
-                fill = np.broadcast_to(np.asarray(fill, dtype=x.dtype), x.shape[:2] + (pad,) + x.shape[3:])
-                x = np.concatenate([x, fill], axis=2)
-            return x.reshape((b, heads, nc, size) + x.shape[3:])
-
-        # u_t = F_t - m_t is -max_{s<=t} a_s
-        self.uc, self.ac = chunks(fcum - m, -last), chunks(a, last)
-        self.qc, self.kc, self.vc = chunks(q, 0.0), chunks(k, 0.0), chunks(v, 0.0)
+        self.n = n = q.shape[2]
+        self.nc, self.size = mlstm_chunk_split(n, chunk)
         self.f_pre = f_pre
+        self.qc, self.kc, self.vc = (self.chunks(x) for x in (q, k, v))
+        # the C-ordered copies check faster than the inputs' strided views
+        for x in (self.qc, self.kc, self.vc, i_pre, f_pre):
+            _check_finite(x, "mlstm_chunkwise")
+        self.uc, self.ac, self.ref, self.m = self.gates(i_pre, f_pre)  # m: for the forward only
+        self.carry_n = None  # the carried normalizers, once a forward has kept them
 
-    def matrices(self) -> SimpleNamespace:
-        """The chunk matrices: the in-chunk decay, q·kᵀ and their product w,
-        and over two or more chunks the cross-chunk decay, key gates, gated
-        keys, carried states and normalizers, and their products with q."""
-        uc, ac, qc, kc, vc, nc, size = self.uc, self.ac, self.qc, self.kc, self.vc, self.nc, self.size
-        b, heads, _, _, dk = qc.shape
-        dv = vc.shape[-1]
-        # inside each chunk: decay[t, s] = exp(u_t + a_s) for s <= t. u and a
-        # have the gates' strided layout, so C-ordered copies make the sum
-        # C-ordered, as the composed graph's decay was, and fast. The pairs
-        # s > t get -inf added, whose exp is the composed graph's 0: one
-        # elementwise exp over all pairs gives the kept ones the same bits
-        # as a masked exp, at a third of its time on rows of 30
-        decay = np.ascontiguousarray(uc)[..., :, None] + np.ascontiguousarray(ac)[..., None, :]
-        decay += _upper(size, 1, decay.dtype)
-        np.exp(decay, out=decay)
-        qk = np.matmul(qc, np.swapaxes(kc, -1, -2))
-        mx = SimpleNamespace(decay=decay, qk=qk, w=decay * qk)
-        if nc > 1:  # across chunks, an empty sum for one chunk
-            # chunk c's state sum_s exp(a_s - M_c) k_s v_s^T and normalizer,
-            # with M_c the chunk's max of a; chunk c reads the earlier states
-            # through one strictly-lower decay exp(M_c' - R_c) (row 0 is empty)
-            cmax, ref = ac.max(axis=-1), self.ref  # (B, NH, nc)
-            mx.cross = cross = np.empty((b, heads, nc, nc), dtype=qk.dtype)  # C-ordered, as composed
-            np.subtract(cmax[..., None, :], ref[..., :, None], out=cross)
-            cross += _upper(nc, 0, cross.dtype)
-            np.exp(cross, out=cross)
-            mx.key_gate = np.exp(ac - cmax[..., None])
-            mx.kg = kg = kc * mx.key_gate.reshape((b, heads, nc, size, 1))
-            states = np.matmul(np.swapaxes(kg, -1, -2), vc).reshape((b, heads, nc, dk * dv))
-            mx.carry = np.matmul(cross, states).reshape((b, heads, nc, dk, dv))
-            mx.carry_n = np.matmul(cross, kg.sum(axis=-2)).reshape((b, heads, nc, dk, 1))
-            # u_t + R_c <= 0, because R_c <= max_{s<=t} a_s = -u_t
-            mx.e0 = np.exp(uc + ref[..., None])
-            mx.e = mx.e0.reshape((b, heads, nc, size, 1))
-            mx.q_carry = np.matmul(qc, mx.carry)
-            mx.q_carry_n = np.matmul(qc, mx.carry_n)
-        return mx
-
-    def forward(self) -> np.ndarray:
-        """h, (B, NH, n, v)."""
-        mx = self.matrices()
-        num = np.matmul(mx.w, self.vc)  # (B, NH, nc, L, v)
-        if self.nc > 1:
-            num = np.add(num, mx.q_carry * mx.e, out=num)
-        num = self.uncut(num)
-        den = self.denominator(mx)
-        floor = np.exp(-self.m).reshape(den.shape)
-        with np.errstate(all="ignore"):
-            return num / np.where(np.abs(den) >= floor, np.abs(den), floor)
-
-    def denominator(self, mx: SimpleNamespace) -> np.ndarray:
-        """The (B, NH, n, 1) denominator before its floor."""
-        den = mx.w.sum(axis=-1, keepdims=True)
-        if self.nc > 1:
-            den = den + mx.q_carry_n * mx.e
-        return self.uncut(den)
+    def chunks(self, x: np.ndarray, divisor: np.ndarray | float = 1.0) -> np.ndarray:
+        """x / divisor, (B, NH, n, d), as a new C-ordered (B, NH, nc, L, d),
+        zero on the padding."""
+        b, heads, n, d = x.shape
+        out = np.empty((b, heads, self.nc * self.size, d), dtype=x.dtype)
+        np.divide(x, divisor, out=out[:, :, :n])
+        out[:, :, n:] = 0.0
+        return out.reshape((b, heads, self.nc, self.size, d))
 
     def uncut(self, x: np.ndarray) -> np.ndarray:
         """A chunked value, or its gradient, as the n bytes it came from."""
         b, heads, nc, size = x.shape[:4]
         x = x.reshape((b, heads, nc * size) + x.shape[4:])
-        return x[self.cut] if self.pad else x
+        return x[:, :, : self.n] if nc * size > self.n else x
+
+    def gates(self, i_pre: np.ndarray, f_pre: np.ndarray) -> tuple[np.ndarray, ...]:
+        """u and a in chunks (B, NH, nc, L), R (B, NH, nc) and m (B, NH, n)."""
+        n, nc, size = self.n, self.nc, self.size
+        # C-ordered, like every gate vector below, so that the decay's
+        # broadcast sum is C-ordered and fast; F_t = sum_{s<=t} log f_s
+        fcum = np.cumsum(logsigmoid_np(np.ascontiguousarray(f_pre)), axis=-1)
+        a = np.ascontiguousarray(i_pre) - fcum  # a_s = i_s - F_s
+        # running stabilizer m_t = F_t + max_{s<=t} a_s, a constant for the
+        # gradient like every other max of `a` below; u_t = F_t - m_t
+        amax = np.maximum.accumulate(a, axis=-1)
+        last = amax[..., -1:]
+        # R_c, the max of a before chunk c (a_0 for c = 0)
+        ref = amax[..., np.maximum(np.arange(nc) * size - 1, 0)]
+
+        # a ragged last chunk gets the last stabilizer as u and as a, so that
+        # its exponents stay <= 0 too
+        def chunked(x, fill):
+            if nc * size > n:
+                x = np.concatenate([x, np.broadcast_to(fill, x.shape[:2] + (nc * size - n,))], axis=-1)
+            return x.reshape(x.shape[:2] + (nc, size))
+
+        m = fcum + amax
+        return chunked(fcum - m, -last), chunked(a, last), ref, m
+
+    def decay(self) -> np.ndarray:
+        """decay[t, s] = exp(u_t + a_s) inside each chunk for s <= t, else 0.
+        The pairs s > t get -inf added, whose exp is 0: one elementwise exp
+        over all pairs is three times faster than a masked one on rows of 30."""
+        decay = self.uc[..., :, None] + self.ac[..., None, :]
+        decay += _upper(self.size, 1, decay.dtype)
+        return np.exp(decay, out=decay)
+
+    def carry(self) -> SimpleNamespace:
+        """Over two or more chunks, what each chunk reads of the earlier ones.
+        Chunk c's state sum_s exp(a_s - M_c) k_s v_sᵀ and its normalizer, with
+        M_c the chunk's max of a, reach chunk c' > c through the strictly-lower
+        decay exp(M_c - R_c') (row 0 is empty), and row t of chunk c' reads
+        them, through q_t, scaled by e_t = exp(u_t + R_c'), whose exponent is
+        <= 0 since R_c' <= max_{s<=t} a_s = -u_t."""
+        kc, vc, ac, ref = self.kc, self.vc, self.ac, self.ref
+        b, heads, nc, size, dk = kc.shape
+        cmax = ac.max(axis=-1)  # (B, NH, nc)
+        cross = np.subtract(cmax[..., None, :], ref[..., :, None])
+        cross += _upper(nc, 0, cross.dtype)
+        np.exp(cross, out=cross)
+        key_gate = np.exp(ac - cmax[..., None])[..., None]
+        kg = kc * key_gate
+        states = np.matmul(np.swapaxes(kg, -1, -2), vc).reshape((b, heads, nc, -1))
+        carry = np.matmul(cross, states).reshape((b, heads, nc, dk, -1))
+        carry_n = self.carry_n
+        if carry_n is None:  # a short-axis sum, which the backward need not repeat
+            carry_n = np.matmul(cross, kg.sum(axis=-2))[..., None]
+        return SimpleNamespace(cross=cross, key_gate=key_gate, kg=kg, carry=carry, carry_n=carry_n,
+                               e=np.exp(self.uc + ref[..., None])[..., None])
+
+    def forward(self, for_backward: bool) -> np.ndarray:
+        """h, (B, NH, n, v). For the backward, it keeps the floored
+        denominator, its sign where the floor does not hold it (0 where it
+        does), and the carried normalizers (B, NH, nc, qk, 1)."""
+        w = self.decay()
+        w *= np.matmul(self.qc, np.swapaxes(self.kc, -1, -2))
+        num = np.matmul(w, self.vc)  # (B, NH, nc, L, v)
+        den = w.sum(axis=-1, keepdims=True)
+        if self.nc > 1:
+            cx = self.carry()
+            num += np.matmul(self.qc, cx.carry) * cx.e
+            den += np.matmul(self.qc, cx.carry_n) * cx.e
+            if for_backward:
+                self.carry_n = cx.carry_n
+        den = self.uncut(den)
+        floor = np.exp(-self.m)[..., None]
+        self.m = None
+        den_max = np.maximum(np.abs(den), floor)
+        if for_backward:
+            self.den_max = den_max
+            self.sign = np.where(np.abs(den) >= floor, np.sign(den), 0.0).astype(np.int8)
+        h = self.uncut(num)
+        return np.divide(h, den_max, out=h)
 
     def input_grads(self, g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The gradients of (q, k, v, i_pre, f_pre) from h's gradient g: the
-        composed graph's VJPs, in the order its sweep ran them."""
-        mx = self.matrices()
-        qc, kc, vc, w, cut, uncut = self.qc, self.kc, self.vc, mx.w, self.cut, self.uncut
-        b, heads, nc, size, dk = qc.shape
-        dv = vc.shape[-1]
-        swap = np.swapaxes
-
-        def unpad(x):  # a cut value's gradient, chunked and zero on the padding
-            if self.pad:
-                full = np.zeros((b, heads, nc * size) + x.shape[3:], dtype=x.dtype)
-                full[cut] = x
-                x = full
-            return x.reshape((b, heads, nc, size) + x.shape[3:])
-
-        den = self.denominator(mx)
-        floor = np.exp(-self.m).reshape(den.shape)
-        above = np.abs(den) >= floor
-        den_max = np.where(above, np.abs(den), floor)
-        g_num = unpad(g / den_max)
-        g_w = np.matmul(g_num, swap(vc, -1, -2))
-        g_vc = np.matmul(swap(w, -1, -2), g_num)
-        if nc > 1:
-            g_q_carry = g_num * mx.e
-            g_e = _unbroadcast(g_num * mx.q_carry, mx.e.shape)
-            g_qc = np.matmul(g_q_carry, swap(mx.carry, -1, -2))
-            g_carry = np.matmul(swap(qc, -1, -2), g_q_carry).reshape((b, heads, nc, dk * dv))
-            g_states = np.matmul(swap(mx.cross, -1, -2), g_carry).reshape((b, heads, nc, dk, dv))
-            g_kg = swap(np.matmul(g_states, swap(vc, -1, -2)), -1, -2)
-            g_vc += np.matmul(mx.kg, g_states)
-        g_v = uncut(g_vc)
-        g_den_max = np.negative(g)  # -g * h / den_max, in one buffer
-        g_den_max *= h
-        g_den_max /= den_max
-        g_den = unpad(_unbroadcast(g_den_max, den_max.shape) * above * np.sign(den))
-        g_w += g_den
-        g_scores = g_w * mx.qk
-        g_scores *= mx.decay
-        g_qk = np.multiply(g_w, mx.decay, out=g_w)
-        g_uc, g_ac = g_scores.sum(axis=-1), g_scores.sum(axis=-2)
-        if nc > 1:
-            g_qc += np.matmul(g_qk, kc)
-        else:
-            g_qc = np.matmul(g_qk, kc)
-        g_kc = swap(np.matmul(swap(qc, -1, -2), g_qk), -1, -2)
-        if nc > 1:
-            key_gate5 = mx.key_gate.reshape((b, heads, nc, size, 1))
-            g_q_carry_n = g_den * mx.e
-            g_e = g_e + _unbroadcast(g_den * mx.q_carry_n, mx.e.shape)
-            g_qc += np.matmul(g_q_carry_n, swap(mx.carry_n, -1, -2))
-            g_carry_n = np.matmul(swap(qc, -1, -2), g_q_carry_n).reshape((b, heads, nc, dk))
-            g_kgs = np.matmul(swap(mx.cross, -1, -2), g_carry_n)
-            g_kg = g_kg + np.broadcast_to(np.expand_dims(g_kgs, -2), mx.kg.shape)
-            g_kc = g_kc + g_kg * key_gate5
-            g_ac = g_ac + _unbroadcast(g_kg * kc, key_gate5.shape).reshape(mx.key_gate.shape) * mx.key_gate
-            g_uc = g_uc + g_e.reshape(mx.e0.shape) * mx.e0
-        g_a = uncut(g_ac)
-        g_fcum = -g_a + uncut(g_uc)
-        g_f = np.flip(np.cumsum(np.flip(g_fcum, -1), axis=-1), -1) * sigmoid_np(-self.f_pre)
-        return uncut(g_qc), uncut(g_kc), g_v, g_a, g_f
+        """The gradients of (q, k, v, i_pre, f_pre) from h's gradient g."""
+        qc, kc, vc, swap = self.qc, self.kc, self.vc, np.swapaxes
+        decay = self.decay()
+        w = np.matmul(qc, swap(kc, -1, -2))
+        w *= decay
+        # the gradients of the numerator, g / den_max, and of the denominator,
+        # -(g·h) / den_max times its sign (0 where the floor holds it)
+        g_num = self.chunks(g, self.den_max)
+        g_den = self.chunks(-np.einsum("...v,...v->...", g, h)[..., None] * self.sign, self.den_max)
+        grad_w = np.matmul(g_num, swap(vc, -1, -2))
+        grad_w += g_den
+        g_v = np.matmul(swap(w, -1, -2), g_num)
+        grad_qk = np.multiply(decay, grad_w, out=decay)
+        g_q = np.matmul(grad_qk, kc)
+        g_k = np.matmul(swap(grad_qk, -1, -2), qc)
+        # each pair's exponent u_t + a_s: its gradient goes to u by rows and
+        # to a by columns, as one array, so that their difference, the forget
+        # gates' gradient, stays accurate where the two nearly cancel
+        grad_w *= w
+        g_u = np.einsum("...ts->...t", grad_w)
+        g_a = np.einsum("...ts->...s", grad_w)
+        if self.nc > 1:
+            cx = self.carry()
+            b, heads, nc, _, dk = qc.shape
+            g_num *= cx.e
+            g_den *= cx.e
+            # q's gradient through the carried states; q_t times it is the
+            # carried part of u_t's, which scales what row t reads
+            g_q_carried = np.matmul(g_num, swap(cx.carry, -1, -2))
+            g_q_carried += g_den * swap(cx.carry_n, -1, -2)
+            g_u += np.einsum("...d,...d->...", qc, g_q_carried)
+            g_q += g_q_carried
+            grad_carry = np.matmul(swap(qc, -1, -2), g_num).reshape((b, heads, nc, -1))
+            grad_states = np.matmul(swap(cx.cross, -1, -2), grad_carry).reshape(cx.carry.shape)
+            grad_carry_n = np.matmul(swap(qc, -1, -2), g_den)[..., 0]
+            grad_kg = np.matmul(vc, swap(grad_states, -1, -2))
+            grad_kg += np.matmul(swap(cx.cross, -1, -2), grad_carry_n)[..., None, :]
+            g_v += np.matmul(cx.kg, grad_states)
+            grad_kg *= cx.key_gate
+            g_k += grad_kg
+            g_a += np.einsum("...d,...d->...", kc, grad_kg)
+        g_a = self.uncut(g_a)
+        g_f = np.flip(np.cumsum(np.flip(self.uncut(g_u) - g_a, -1), axis=-1), -1) * sigmoid_np(-self.f_pre)
+        return self.uncut(g_q), self.uncut(g_k), self.uncut(g_v), g_a, g_f
 
 
 def _upper(size: int, k: int, dtype) -> np.ndarray:

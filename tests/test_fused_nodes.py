@@ -1,16 +1,24 @@
-"""The fused graph nodes against the composed graphs they stand for, bit for bit.
+"""The fused graph nodes against the composed graphs they stand for.
 
 `mlstm_chunkwise` is the mLSTM's whole chunkwise core in one node,
 `silu_gated_matmul` is SwiGLU's `(silu(a) * up) @ w`, `rmsnorm` takes its
 gain, `gated_matmul` is `(u * v) @ w`, `log_softmax`'s backward reuses one
-scratch buffer, and the losses pick over all n rows before they cut the last
-one. Each holds fewer arrays than the graph it replaces, and none may change a
-bit: every test here builds the composed graph (from plain ops, or from the
-node as it was, rebuilt on `T._make`) and compares the forward value and every
-input gradient with `np.array_equal`, in float32 and in float64. The composed
+scratch buffer, the gathers' backward adds rows by a sort instead of
+`np.add.at`, and the losses pick over all n rows before they cut the last
+one. Each holds fewer arrays than the graph it replaces. Every test here
+builds the composed graph (from plain ops, or from the node as it was,
+rebuilt on `T._make`) and compares the forward value and every input
+gradient, in float32 and in float64.
+
+Most nodes keep every bit: `np.array_equal`. Two sum in other orders than
+their composed graphs and are held to a relative bound instead, `RTOL`:
+`rmsnorm`, whose last-axis sums are dot products, and `mlstm_chunkwise`,
+whose backward is derived rather than replayed (its forward keeps every
+bit). So are the blocks, losses and steps that contain them. The composed
 forms, and the ops only they use, live only here.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +36,13 @@ from bytepatch.tensor import NonFiniteError, Tensor
 from bytepatch.tokenizer import train_bpe, utf8_to_bytes
 
 DTYPES = [np.float32, np.float64]
+# the shapes every rewritten VJP is checked at: toy.cfg's training batch, a
+# short one, and a 512-B document with and without its BOS position
+SHAPES = [(8, 88), (2, 17), (1, 512), (1, 513)]
+# a node that sums in another order than its composed graph stays within 2^12
+# units in the last place of the dtype, relative to the largest magnitude of
+# each compared array: 9.1e-13 in float64, 4.9e-4 in float32
+RTOL = {np.dtype(dt): 2.0 ** 12 * np.finfo(dt).eps for dt in DTYPES}
 TOY = parse_config_file(str(Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"))
 CFG = build_model_config(TOY, int(TOY["tokenizer.vocab_size"]))
 
@@ -52,6 +67,12 @@ def absolute(x: Tensor) -> Tensor:
 def logsigmoid(x: Tensor) -> Tensor:
     xd = x.data
     return T._make(T.logsigmoid_np(xd), "logsigmoid", (x, lambda g: g * T.sigmoid_np(-xd)))
+
+
+def rms_scale_composed(x: np.ndarray, eps: float) -> np.ndarray:
+    """The RMS scale as the norm node computed it, through `np.mean`."""
+    with np.errstate(all="ignore"):
+        return 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
 
 
 def silu(x: Tensor) -> Tensor:
@@ -92,6 +113,8 @@ COMPOSED_OPS = {
     "absolute": lambda u: absolute(u(2, 3)),
     "exp_where": lambda u: exp_where(u(2, 3, 3), np.tri(3, dtype=bool)),
     "outer_add": lambda u: outer_add(u(2, 3), u(2, 4)),
+    "take_rows_adding_at": lambda u: take_rows_adding_at(u(5, 4), np.array([[0, 3], [3, 1]])),
+    "gather_rows_adding_at": lambda u: gather_rows_adding_at(u(2, 3, 4), np.array([[0, 2], [1, 1]])),
 }
 
 
@@ -99,7 +122,7 @@ COMPOSED_OPS = {
 
 def mlstm_core_composed(q: Tensor, k: Tensor, v: Tensor, i_pre: Tensor, f_pre: Tensor, chunk: int) -> Tensor:
     """`T.mlstm_chunkwise` as the graph of small ops that mlstm_block built
-    before the core became one node: the oracle for its bits."""
+    before the core became one node: the oracle for its values and gradients."""
     b, heads, n, qk_dim = q.shape
     v_dim = v.shape[-1]
     log_f = logsigmoid(f_pre)
@@ -110,8 +133,7 @@ def mlstm_core_composed(q: Tensor, k: Tensor, v: Tensor, i_pre: Tensor, f_pre: T
     # every other max of `a` below
     amax = np.maximum.accumulate(a.data, axis=-1)
     m = Tensor(fcum.data + amax, _op="const")
-    nc = -(-n // chunk)
-    size = -(-n // nc)
+    nc, size = T.mlstm_chunk_split(n, chunk)
     pad = nc * size - n
     last = amax[..., -1:]
 
@@ -160,7 +182,7 @@ def silu_then_gated_matmul(a: Tensor, up: Tensor, w: Tensor) -> Tensor:
 def norm_without_gain(x: Tensor, eps: float) -> Tensor:
     """The norm node as it was before it took its gain."""
     xd = x.data
-    r = T.rms_scale_np(xd, eps)
+    r = rms_scale_composed(xd, eps)
     n = x.shape[-1]
 
     def vjp(g):
@@ -183,6 +205,32 @@ def silu_keeping_its_sigmoid(x: Tensor) -> Tensor:
 def log_softmax_with_temporaries(x: Tensor) -> Tensor:
     out = T.log_softmax_np(x.data)
     return T._make(out, "log_softmax", (x, lambda g: g - np.exp(out) * g.sum(axis=-1, keepdims=True)))
+
+
+def take_rows_adding_at(table: Tensor, idx: np.ndarray) -> Tensor:
+    """The embedding lookup as it was: its VJP adds row by row, `np.add.at`."""
+    idx = np.asarray(idx)
+    shape, dtype = table.shape, table.dtype
+
+    def vjp(g):
+        full = np.zeros(shape, dtype)
+        np.add.at(full, idx, g)
+        return full
+
+    return T._make(table.data[idx], "take_rows", (table, vjp))
+
+
+def gather_rows_adding_at(x: Tensor, idx: np.ndarray) -> Tensor:
+    """The batched row gather as it was: its VJP adds row by row, `np.add.at`."""
+    idx = np.asarray(idx)
+    shape, dtype = x.shape, x.dtype
+
+    def vjp(g):
+        full = np.zeros(shape, dtype)
+        np.add.at(full, (np.arange(shape[0])[:, None], idx), g)
+        return full
+
+    return T._make(np.take_along_axis(x.data, idx[:, :, None], axis=1), "gather_rows", (x, vjp))
 
 
 def matmul_of_product(u: Tensor, v: Tensor, w: Tensor) -> Tensor:
@@ -219,6 +267,8 @@ def composed(monkeypatch):
         monkeypatch.setattr(T, "log_softmax", log_softmax_with_temporaries)
         monkeypatch.setattr(T, "gated_matmul", matmul_of_product)
         monkeypatch.setattr(T, "mlstm_chunkwise", mlstm_core_composed)
+        monkeypatch.setattr(T, "take_rows", take_rows_adding_at)
+        monkeypatch.setattr(T, "gather_rows", gather_rows_adding_at)
         monkeypatch.setattr(losses, "next_symbol_logprobs", cut_then_pick)
 
     return swap
@@ -256,18 +306,31 @@ def assert_bit_identical(got, want):
         assert np.array_equal(grads[k], ref_grads[k]), k
 
 
-def compare(build, composed_build, arrays, dtype):
-    assert_bit_identical(run(build, arrays, dtype), run(composed_build, arrays, dtype))
+def assert_within_rtol(got, want):
+    """The value and every gradient within `RTOL` of the composed graph's,
+    relative to the largest magnitude of the composed array."""
+    (out, grads), (ref_out, ref_grads) = got, want
+    assert grads.keys() == ref_grads.keys()
+    for k, a, ref in [("out", out, ref_out), *((k, grads[k], ref_grads[k]) for k in grads)]:
+        assert a is not None and a.dtype == ref.dtype and a.shape == ref.shape, k
+        err = np.max(np.abs(a - ref), initial=0.0)
+        assert err <= RTOL[ref.dtype] * np.max(np.abs(ref), initial=0.0), (k, err / np.max(np.abs(ref)))
+
+
+def compare(build, composed_build, arrays, dtype, exact: bool = True):
+    check = assert_bit_identical if exact else assert_within_rtol
+    check(run(build, arrays, dtype), run(composed_build, arrays, dtype))
 
 
 # -- one node at a time ---------------------------------------------------------------
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_rmsnorm_with_a_vector_gain_equals_norm_then_gain(dtype):
-    rng = np.random.default_rng(0)
-    arrays = {"x": rng.normal(size=(8, 88, 128)), "g": rng.uniform(0.5, 1.5, size=128)}
-    compare(lambda t: T.rmsnorm(t["x"], t["g"], L.RMS_EPS),
-            lambda t: norm_then_gain(t["x"], t["g"], L.RMS_EPS), arrays, dtype)
+    for b, n in SHAPES:
+        rng = np.random.default_rng(b * n)
+        arrays = {"x": rng.normal(size=(b, n, 128)), "g": rng.uniform(0.5, 1.5, size=128)}
+        compare(lambda t: T.rmsnorm(t["x"], t["g"], L.RMS_EPS),
+                lambda t: norm_then_gain(t["x"], t["g"], L.RMS_EPS), arrays, dtype, exact=False)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -275,16 +338,17 @@ def test_rmsnorm_with_a_per_head_gain_equals_norm_reshape_then_gain(dtype):
     """The per-head norm over a transposed (B, n, H, v) view, as mlstm_block
     has it: the flat gain viewed as (H, v), against the gain applied after
     the flattening."""
-    rng = np.random.default_rng(1)
-    b, n, heads, v = 2, 30, 4, 32
-    arrays = {"h": rng.normal(size=(b, heads, n, v)), "g": rng.uniform(0.5, 1.5, size=heads * v)}
+    heads, v = 4, 32
+    for b, n in SHAPES:
+        rng = np.random.default_rng(b * n + 1)
+        arrays = {"h": rng.normal(size=(b, heads, n, v)), "g": rng.uniform(0.5, 1.5, size=heads * v)}
 
-    def fused(t):
-        h = T.transpose(t["h"], (0, 2, 1, 3))
-        return T.rmsnorm(h, t["g"].reshape((heads, v)), L.RMS_EPS).reshape((b, n, heads * v))
+        def fused(t):
+            h = T.transpose(t["h"], (0, 2, 1, 3))
+            return T.rmsnorm(h, t["g"].reshape((heads, v)), L.RMS_EPS).reshape((b, n, heads * v))
 
-    compare(fused, lambda t: per_head_norm_then_gain(T.transpose(t["h"], (0, 2, 1, 3)), t["g"], L.RMS_EPS),
-            arrays, dtype)
+        compare(fused, lambda t: per_head_norm_then_gain(T.transpose(t["h"], (0, 2, 1, 3)), t["g"], L.RMS_EPS),
+                arrays, dtype, exact=False)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -305,40 +369,68 @@ def test_log_softmax_with_one_scratch_buffer_equals_its_temporaries(dtype):
 def test_gated_matmul_at_the_swiglu_site_equals_the_matmul_of_the_product(dtype):
     """u = silu(x @ w_gate), v = x @ w_up, w = w_down."""
     rng = np.random.default_rng(4)
-    arrays = {"x": rng.normal(size=(8, 88, 128)), "wg": rng.normal(size=(128, 256)) * 0.1,
-              "wu": rng.normal(size=(128, 256)) * 0.1, "wd": rng.normal(size=(256, 128)) * 0.1}
 
     def build(gated):
         return lambda t: gated(silu(t["x"] @ t["wg"]), t["x"] @ t["wu"], t["wd"])
 
-    compare(build(T.gated_matmul), build(matmul_of_product), arrays, dtype)
+    for b, n in SHAPES:
+        arrays = {"x": rng.normal(size=(b, n, 128)), "wg": rng.normal(size=(128, 256)) * 0.1,
+                  "wu": rng.normal(size=(128, 256)) * 0.1, "wd": rng.normal(size=(256, 128)) * 0.1}
+        compare(build(T.gated_matmul), build(matmul_of_product), arrays, dtype)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_gated_matmul_at_the_output_gate_site_equals_the_matmul_of_the_product(dtype):
     """u = the normed heads, flattened; v = sigmoid(xn @ w_og); w = w_out."""
     rng = np.random.default_rng(5)
-    b, n, heads, v = 8, 88, 4, 32
-    arrays = {"h": rng.normal(size=(b, n, heads * v)), "xn": rng.normal(size=(b, n, 128)),
-              "wog": rng.normal(size=(128, heads * v)) * 0.1, "wo": rng.normal(size=(heads * v, 128)) * 0.1}
+    heads, v = 4, 32
 
     def build(gated):
         return lambda t: gated(t["h"], T.sigmoid(t["xn"] @ t["wog"]), t["wo"])
 
-    compare(build(T.gated_matmul), build(matmul_of_product), arrays, dtype)
+    for b, n in SHAPES:
+        arrays = {"h": rng.normal(size=(b, n, heads * v)), "xn": rng.normal(size=(b, n, 128)),
+                  "wog": rng.normal(size=(128, heads * v)) * 0.1, "wo": rng.normal(size=(heads * v, 128)) * 0.1}
+        compare(build(T.gated_matmul), build(matmul_of_product), arrays, dtype)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_silu_gated_matmul_equals_silu_then_gated_matmul(dtype):
     """a = x @ w_gate, up = x @ w_up, w = w_down, at toy.cfg's sizes."""
     rng = np.random.default_rng(16)
-    arrays = {"x": rng.normal(size=(8, 88, 128)), "wg": rng.normal(size=(128, 256)) * 0.1,
-              "wu": rng.normal(size=(128, 256)) * 0.1, "wd": rng.normal(size=(256, 128)) * 0.1}
 
     def build(swiglu):
         return lambda t: swiglu(t["x"] @ t["wg"], t["x"] @ t["wu"], t["wd"])
 
-    compare(build(T.silu_gated_matmul), build(silu_then_gated_matmul), arrays, dtype)
+    for b, n in SHAPES:
+        arrays = {"x": rng.normal(size=(b, n, 128)), "wg": rng.normal(size=(128, 256)) * 0.1,
+                  "wu": rng.normal(size=(128, 256)) * 0.1, "wd": rng.normal(size=(256, 128)) * 0.1}
+        compare(build(T.silu_gated_matmul), build(silu_then_gated_matmul), arrays, dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("b, n", SHAPES)
+def test_take_rows_equals_its_row_by_row_scatter(dtype, b, n):
+    """The byte and suffix embeddings' lookups: ids repeat within and
+    across rows, and some table rows are never read."""
+    rng = np.random.default_rng(b * n + 19)
+    ids = rng.integers(0, 256, size=(b, n))
+    compare(lambda t: T.take_rows(t["table"], ids), lambda t: take_rows_adding_at(t["table"], ids),
+            {"table": rng.normal(size=(420, 128))}, dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("b, n", SHAPES)
+def test_gather_rows_equals_its_row_by_row_scatter(dtype, b, n):
+    """Depooling's gather, one patch per byte (sorted, each patch read by
+    several bytes), and pooling's, one byte per patch end."""
+    rng = np.random.default_rng(b * n + 20)
+    patches = max(2, n // 5)
+    depool = np.sort(rng.integers(0, patches, size=(b, n)), axis=1)
+    ends = np.stack([np.sort(rng.choice(n, size=patches, replace=False)) for _ in range(b)])
+    for idx, rows in ((depool, patches), (ends, n)):
+        compare(lambda t: T.gather_rows(t["x"], idx), lambda t: gather_rows_adding_at(t["x"], idx),
+                {"x": rng.normal(size=(b, rows, 128))}, dtype)
 
 
 def core_arrays(rng, b: int, n: int, heads: int = 4, saturated: bool = False) -> dict:
@@ -373,18 +465,47 @@ def core(mlstm, chunk: int):
 @pytest.mark.parametrize("chunk", [1, 7, 32, "n"])
 def test_mlstm_chunkwise_equals_the_composed_core(dtype, n, chunk):
     """One chunk of n, n chunks of 1, and the splits in between, with and
-    without a padded last chunk (30 B in chunks of at most 7 are five of 6;
-    88 B three of 30 with 2 padded; 513 B seventeen of 31 with 14 padded)."""
+    without a padded last chunk (88 B in chunks of at most 7 are fifteen of
+    6 with 2 padded; 513 B eighty-six of 6 with 3 padded)."""
     chunk = n if chunk == "n" else chunk
     arrays = core_arrays(np.random.default_rng(n * 100 + chunk), 1 if n == 513 else 3, n)
-    compare(core(T.mlstm_chunkwise, chunk), core(mlstm_core_composed, chunk), arrays, dtype)
+    compare(core(T.mlstm_chunkwise, chunk), core(mlstm_core_composed, chunk), arrays, dtype, exact=False)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("b, n", SHAPES)
+def test_mlstm_chunkwise_equals_the_composed_core_at_the_block_shapes(dtype, b, n):
+    arrays = core_arrays(np.random.default_rng(b * n + 21), b, n)
+    compare(core(T.mlstm_chunkwise, L.CHUNK), core(mlstm_core_composed, L.CHUNK), arrays, dtype, exact=False)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("chunk, n", [(7, 300), (L.CHUNK, 300), (L.CHUNK, 301), (300, 300)])
 def test_mlstm_chunkwise_equals_the_composed_core_with_saturated_gates(dtype, chunk, n):
     arrays = core_arrays(np.random.default_rng(n + chunk), 2, n, saturated=True)
-    compare(core(T.mlstm_chunkwise, chunk), core(mlstm_core_composed, chunk), arrays, dtype)
+    compare(core(T.mlstm_chunkwise, chunk), core(mlstm_core_composed, chunk), arrays, dtype, exact=False)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_mlstm_chunkwise_forward_keeps_every_bit_of_the_composed_core(dtype):
+    """Only the backward is derived: with saturated gates, where the
+    denominator's rounding moves h the most, the outputs are equal."""
+    for chunk, n in [(L.CHUNK, 88), (L.CHUNK, 301), (7, 300)]:
+        arrays = core_arrays(np.random.default_rng(n + chunk), 2, n, saturated=True)
+        ts = {k: Tensor(np.asarray(a, dtype=dtype)) for k, a in arrays.items()}
+        assert np.array_equal(core(T.mlstm_chunkwise, chunk)(ts).data, core(mlstm_core_composed, chunk)(ts).data)
+
+
+@pytest.mark.parametrize("n, chunk, split", [(88, 32, (4, 22)), (513, 32, (19, 27)), (512, 32, (16, 32)),
+                                             (89, 32, (3, 30)), (17, 32, (1, 17)), (300, 7, (50, 6))])
+def test_the_chunk_split_pads_least(n, chunk, split):
+    """Among ceil(n / chunk) chunks to a quarter more, the count that pads
+    least, and the fewest chunks on a tie (89 B: three of 30 with one padded)."""
+    assert T.mlstm_chunk_split(n, chunk) == split
+    fewest = -(-n // chunk)
+    nc, size = split
+    assert size <= chunk and nc * size >= n
+    assert all(nc * size - n <= c * -(-n // c) - n for c in range(fewest, fewest + -(-fewest // 4) + 1))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -425,6 +546,44 @@ def test_pick_then_cut_equals_cut_then_pick(dtype, b, n):
     assert losses.next_symbol_logprobs(Tensor(arrays["lp"].astype(dtype)), targets).data.flags.c_contiguous
 
 
+# nodes built from constants, at toy.cfg's (8, 88) shapes: the forward-only
+# passes (evaluation, the teacher's window preparation) build them this way
+CONSTANT_NODES = {
+    "rmsnorm": lambda c: T.rmsnorm(c(8, 88, 128), c(128), L.RMS_EPS),
+    "gated_matmul": lambda c: T.gated_matmul(c(8, 88, 128), c(8, 88, 128), c(128, 128)),
+    "silu_gated_matmul": lambda c: T.silu_gated_matmul(c(8, 88, 256), c(8, 88, 256), c(256, 128)),
+    "mlstm_chunkwise": lambda c: T.mlstm_chunkwise(c(8, 4, 88, 16), c(8, 4, 88, 16), c(8, 4, 88, 32),
+                                                   c(8, 4, 88), c(8, 4, 88), L.CHUNK),
+    "take_rows": lambda c: T.take_rows(c(420, 128), np.arange(8 * 88).reshape(8, 88) % 420),
+    "gather_rows": lambda c: T.gather_rows(c(8, 88, 128), np.sort(np.arange(8 * 88).reshape(8, 88) % 88)),
+    "log_softmax": lambda c: T.log_softmax(c(8, 88, 512)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_NODES))
+def test_a_node_with_no_input_in_the_graph_keeps_no_vjp_state(name):
+    """Out of the graph, a node keeps its output and nothing for a backward:
+    no VJP, and no array beyond the output's own."""
+    rng = np.random.default_rng(22)
+    made = []
+
+    def const(*shape):
+        made.append(Tensor(np.tanh(rng.normal(size=shape)).astype(np.float32)))
+        return made[-1]
+
+    CONSTANT_NODES[name](const)  # the inputs, made before the count starts
+    made, inputs = [], iter(made)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        out = CONSTANT_NODES[name](lambda *shape: next(inputs))
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert not out.requires_grad and out._node.vjps == ()
+    assert retained <= out.data.nbytes + 2 * 2**10, (retained, out.data.nbytes)
+
+
 # -- both call sites, in whole blocks and the whole model -------------------------------
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -448,7 +607,7 @@ def test_blocks_equal_their_composed_graphs(composed, kind, dtype):
 
     fused = run(block, arrays, dtype)
     composed()
-    assert_bit_identical(fused, run(block, arrays, dtype))
+    assert_within_rtol(fused, run(block, arrays, dtype))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -472,7 +631,7 @@ def test_a_stage2_loss_equals_its_composed_graph(composed, dtype):
 
     fused = loss()
     composed()
-    assert_bit_identical(fused, loss())
+    assert_within_rtol(fused, loss())
 
 
 @pytest.fixture(scope="module")
@@ -517,4 +676,4 @@ def test_steps_equal_their_composed_graphs(composed, conversion, stage, b, n, dt
 
     fused = loss()
     composed()
-    assert_bit_identical(fused, loss())
+    assert_within_rtol(fused, loss())
