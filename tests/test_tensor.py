@@ -232,6 +232,40 @@ def test_every_graph_op_is_audited():
     assert makers <= set(GRAPH_OPS), sorted(makers - set(GRAPH_OPS))
 
 
+def _input_grads_in_order(name: str, reverse: bool, monkeypatch) -> tuple[list, list[int]]:
+    """A fresh GRAPH_OPS[name] output node's input gradients from one output
+    gradient, its VJPs called in input order or in reverse, and the inputs
+    whose returned gradient changed once every VJP had run. The inputs come
+    from a reseeded RNG, so both orders see the same node."""
+    monkeypatch.setitem(globals(), "RNG", np.random.default_rng(5))
+    out = GRAPH_OPS[name]()
+    vjps = [vjp for _, vjp in out._node.vjps]
+    g = np.random.default_rng(6).uniform(-1.0, 1.0, out.shape).astype(out.dtype)
+    grads, kept = [None] * len(vjps), [None] * len(vjps)
+    for i in reversed(range(len(vjps))) if reverse else range(len(vjps)):
+        grads[i] = vjps[i](g)
+        kept[i] = np.array(grads[i], copy=True)
+    return grads, [i for i in range(len(vjps)) if grads[i].tobytes() != kept[i].tobytes()]
+
+
+def test_vjps_give_the_same_gradients_in_either_order(monkeypatch):
+    """Every node with two or more inputs in the graph gives each input the
+    same gradient bits whichever of its VJPs runs first, and no VJP changes
+    a gradient that a sibling handed out."""
+    checked, failures = [], []
+    for name in sorted(GRAPH_OPS):
+        forward, changed = _input_grads_in_order(name, False, monkeypatch)
+        if len(forward) < 2:
+            continue
+        checked.append(name)
+        backward, changed_backward = _input_grads_in_order(name, True, monkeypatch)
+        failures += [(name, i, "changed by a sibling") for i in changed + changed_backward]
+        failures += [(name, i, "differs between orders") for i, (a, b) in enumerate(zip(forward, backward))
+                     if a.shape != b.shape or a.tobytes() != b.tobytes()]
+    assert {"gated_matmul", "silu_gated_matmul", "mlstm_chunkwise", "rmsnorm", "add"} <= set(checked)
+    assert failures == []
+
+
 @pytest.mark.parametrize("name", sorted(GRAPH_OPS))
 def test_no_vjp_holds_a_tensor(name):
     """A VJP closes over the arrays and shapes it reads, never over a Tensor,
@@ -275,16 +309,31 @@ def test_nonfinite_surfaces():
         T.div(t([1.0]), t([0.0]))
 
 
+# operand shapes and whether trailing-axis broadcasting allows them
+BROADCASTS = [
+    ((2, 3, 4), (4,), True),  # a trailing suffix
+    ((2, 3, 4), (2, 3, 1), True),  # trailing size-1 expansion
+    ((3, 4), (2, 3, 4), True),
+    ((), (2, 3), True),
+    ((2, 1, 1), (2, 3, 4), True),
+    ((4, 1), (4, 5), True),
+    ((3, 1, 5), (3, 4, 5), False),  # interior size-1 expansion
+    ((1, 3, 4), (2, 3, 4), False),
+    ((2, 1, 4), (2, 3, 1), False),
+    ((2, 3), (3, 2), False),
+]
+
+
 def test_broadcast_policy():
-    # trailing suffix and trailing size-1 expansion are allowed
-    a = t(RNG.normal(size=(2, 3, 4)))
-    b = t(RNG.normal(size=(4,)))
-    assert (a + b).shape == (2, 3, 4)
-    c = t(RNG.normal(size=(2, 3, 1)))
-    assert (a * c).shape == (2, 3, 4)
-    # interior size-1 expansion is not
-    with pytest.raises(ShapeError):
-        T.add(t(RNG.normal(size=(3, 1, 5))), t(RNG.normal(size=(3, 4, 5))))
+    for sa, sb, allowed in BROADCASTS:
+        a, b = t(RNG.normal(size=sa)), t(RNG.normal(size=sb))
+        for x, y in ((a, b), (b, a)):
+            if allowed:
+                assert (x + y).shape == (x * y).shape == np.broadcast_shapes(sa, sb)
+            else:
+                for op in (T.add, T.mul):
+                    with pytest.raises(ShapeError):
+                        op(x, y)
 
 
 def test_broadcast_backward_shapes():
