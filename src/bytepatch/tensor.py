@@ -28,17 +28,21 @@ and w, not their product; `silu_gated_matmul(a, up, w)`, SwiGLU's
 (silu(a) * up) @ w, keeps a, up and w, not silu(a) or the product; and
 `mlstm_chunkwise`, the mLSTM's whole chunkwise core, keeps q, k and v in
 chunks, O(n) gate and denominator vectors, and recomputes every (·, L, L)
-and (·, L, v) chunk matrix in its backward. Their VJPs work in place, in
-as few full-size arrays as the arithmetic allows, and the gathers'
-(`take_rows`, `gather_rows`) add rows with one flat `np.add.at`. Each
-computes the chain's values and gradients bit for bit, but for two nodes
-whose sums run in other orders: `rmsnorm` takes its last-axis sums as dot
-products, and `mlstm_chunkwise`'s backward is derived rather than replayed
-(its forward keeps every bit). Their values and gradients stay within 2^12
-units in the last place of the dtype of the composed graph's, relative to
-each array's largest magnitude (9.1e-13 in float64, 4.9e-4 in float32);
-`test_fused_nodes` holds every node to its composed graph. `log_softmax`'s
-backward builds its gradient in one scratch array.
+and (·, L, v) chunk matrix in its backward. The last three build their
+input gradients together, through `_make_shared`: one call gives every
+input's gradient from the output's and each VJP hands out its own, so the
+VJPs may run in any order and none changes a gradient another handed out.
+The nodes' VJPs work in place, in as few full-size arrays as the arithmetic
+allows, and the gathers' (`take_rows`, `gather_rows`) add rows with one
+flat `np.add.at`. Each computes the chain's values and gradients bit for
+bit, but for two nodes whose sums run in other orders: `rmsnorm` takes its
+last-axis sums as dot products, and `mlstm_chunkwise`'s backward is derived
+rather than replayed (its forward keeps every bit). Their values and
+gradients stay within 2^12 units in the last place of the dtype of the
+composed graph's, relative to each array's largest magnitude (9.1e-13 in
+float64, 4.9e-4 in float32); `test_fused_nodes` holds every node to its
+composed graph. `log_softmax`'s backward builds its gradient in one scratch
+array.
 
 Values are float32 or float64, and every op's output has its inputs' dtype:
 `_make` rejects an op whose inputs and output disagree, so no float64
@@ -120,29 +124,16 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 
 
 def _broadcast_ok(sa: tuple[int, ...], sb: tuple[int, ...]) -> bool:
-    """Trailing-axis broadcasting: right-aligned axes must match, and any
-    size-1 expansion must sit in a trailing block of that operand's axes."""
-    ra, rb = sa[::-1], sb[::-1]
-    n = max(len(ra), len(rb))
-    exp_a: list[bool] = []
-    exp_b: list[bool] = []
-    for i in range(n):
-        da = ra[i] if i < len(ra) else None
-        db = rb[i] if i < len(rb) else None
-        if da is None or db is None:
-            continue
-        if da != db and da != 1 and db != 1:
+    """Trailing-axis broadcasting: on the right-aligned common axes, each pair
+    of sizes matches or holds a 1, and each operand's expanded axes (its 1s
+    against a larger size) form a trailing block of them."""
+    n = min(len(sa), len(sb))
+    was_a = was_b = False
+    for da, db in zip(sa[len(sa) - n:], sb[len(sb) - n:]):
+        exp_a, exp_b = da == 1 and db != 1, db == 1 and da != 1
+        if (da != db and not (exp_a or exp_b)) or (was_a and not exp_a) or (was_b and not exp_b):
             return False
-        exp_a.append(da == 1 and db != 1)
-        exp_b.append(db == 1 and da != 1)
-    # expanded axes (from the right) must be contiguous from position 0
-    for exp in (exp_a, exp_b):
-        seen_real = False
-        for e in exp:
-            if not e:
-                seen_real = True
-            elif seen_real:
-                return False
+        was_a, was_b = exp_a, exp_b
     return True
 
 
@@ -352,6 +343,27 @@ def _make(data: np.ndarray, op: str, *inputs: tuple[Tensor, Vjp]) -> Tensor:
     return out
 
 
+def _make_shared(data: np.ndarray, op: str, inputs: Sequence[Tensor],
+                 grads: Callable[[np.ndarray, tuple[bool, ...]], Sequence[np.ndarray | None]]) -> Tensor:
+    """The output of an op whose input gradients share work. `grads(g, wanted)`
+    returns every input's gradient from the output gradient g at once (None
+    where `wanted`, each input's `requires_grad`, is False) and may build one
+    in a buffer that another read. The first VJP to run calls it and the
+    others reuse its result, so the VJPs may run in any order and none
+    changes a gradient that another handed out. Otherwise it is `_make`."""
+    wanted = tuple(t.requires_grad for t in inputs)
+    memo: list = []  # [output gradient, the input gradients from it]
+
+    def vjp(i: int) -> Vjp:
+        def grad(g):
+            if not memo or memo[0] is not g:
+                memo[:] = [g, grads(g, wanted)]
+            return memo[1][i]
+        return grad
+
+    return _make(data, op, *((t, vjp(i)) for i, t in enumerate(inputs)))
+
+
 # -- elementwise binary -----------------------------------------------------
 
 def _binary(a: Tensor, b: Tensor, op: str):
@@ -478,12 +490,8 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        denom = x.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else axis
-        denom = int(np.prod([x.shape[a] for a in axes]))
-    return mul(reduce_sum(x, axis, keepdims), _as_tensor(1.0 / denom, x))
+    total = reduce_sum(x, axis, keepdims)
+    return mul(total, _as_tensor(total.size / x.size, x))
 
 
 def cumsum(x: Tensor, axis: int) -> Tensor:
@@ -556,52 +564,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                  (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb)))
 
 
+def _gated_shapes(op: str, a: Tensor, b: Tensor, w: Tensor) -> tuple[tuple[int, ...], int, int]:
+    """The gated nodes' shape check: equal gates a and b against a 2-D weight
+    w (d, m). Returns the gates' shape, d and m."""
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: gate shapes {a.shape} and {b.shape} differ")
+    if a.ndim < 2 or w.ndim != 2 or a.shape[-1] != w.shape[0]:
+        raise ShapeError(f"{op}: {a.shape} @ {w.shape} needs a 2-D weight")
+    return a.shape, *w.shape
+
+
 def gated_matmul(u: Tensor, v: Tensor, w: Tensor) -> Tensor:
     """(u * v) @ w for a weight w, as one node: it keeps u, v and w, not their
-    product, and recomputes the product for w's gradient. The gradient that
-    reaches the product is computed once, for u's and v's VJPs both, and v's
-    gradient is made in its buffer: the sweep runs u's VJP before v's. Each
-    value is `matmul(u * v, w)`'s, bit for bit."""
-    if u.shape != v.shape:
-        raise ShapeError(f"gated_matmul: gate shapes {u.shape} and {v.shape} differ")
-    if u.ndim < 2 or w.ndim != 2 or u.shape[-1] != w.shape[0]:
-        raise ShapeError(f"gated_matmul: {u.shape} @ {w.shape} needs a 2-D weight")
+    product, and recomputes the product for w's gradient. u's and v's
+    gradients share the product's (see `_make_shared`), and v's is made in its
+    buffer. Each value is `matmul(u * v, w)`'s, bit for bit."""
+    shape, d, m = _gated_shapes("gated_matmul", u, v, w)
     ud, vd, wd = u.data, v.data, w.data
-    shape, (d, m) = u.shape, w.shape
-    product_grad: list[np.ndarray] = []  # [output gradient, the product's gradient from it]
 
-    def grad_product(g):
-        if not product_grad or product_grad[0] is not g:
-            product_grad[:] = [g, (g.reshape(-1, m) @ wd.T).reshape(shape)]
-        return product_grad[1]
+    def grads(g, wanted):
+        g_w = (ud * vd).reshape(-1, d).T @ g.reshape(-1, m) if wanted[2] else None
+        product_grad = (g.reshape(-1, m) @ wd.T).reshape(shape) if wanted[0] or wanted[1] else None
+        g_u = product_grad * vd if wanted[0] else None
+        g_v = np.multiply(product_grad, ud, out=product_grad) if wanted[1] else None
+        return g_u, g_v, g_w
 
-    def vjp_v(g):
-        product_grad = grad_product(g)  # u's VJP, which reads it too, has run
-        return np.multiply(product_grad, ud, out=product_grad)
-
-    return _make(np.matmul(ud * vd, wd), "gated_matmul",
-                 (u, lambda g: grad_product(g) * vd),
-                 (v, vjp_v),
-                 (w, lambda g: (ud * vd).reshape(-1, d).T @ g.reshape(-1, m)))
+    return _make_shared(np.matmul(ud * vd, wd), "gated_matmul", (u, v, w), grads)
 
 
 def silu_gated_matmul(a: Tensor, up: Tensor, w: Tensor) -> Tensor:
     """(silu(a) * up) @ w for a weight w, SwiGLU's gate and down-projection
-    as one node, with silu(x) = x * sigmoid(x). It keeps a, up and w. The
-    first of its VJPs to run computes the gradients of every input in the
-    graph, from sigmoid(a), silu(a) and the product's gradient, in four
-    arrays and mostly in place; the others hand theirs out. Each value is
+    as one node, with silu(x) = x * sigmoid(x). It keeps a, up and w, and its
+    input gradients (see `_make_shared`) come from sigmoid(a), silu(a) and
+    the product's gradient, in four arrays and mostly in place. Each value is
     `gated_matmul(u, up, w)`'s with u the silu of a, bit for bit."""
-    if a.shape != up.shape:
-        raise ShapeError(f"silu_gated_matmul: gate shapes {a.shape} and {up.shape} differ")
-    if a.ndim < 2 or w.ndim != 2 or a.shape[-1] != w.shape[0]:
-        raise ShapeError(f"silu_gated_matmul: {a.shape} @ {w.shape} needs a 2-D weight")
+    shape, d, m = _gated_shapes("silu_gated_matmul", a, up, w)
     ad, ud, wd = a.data, up.data, w.data
-    shape, (d, m) = a.shape, w.shape
-    wanted = (a.requires_grad, up.requires_grad, w.requires_grad)
-    grads: list = []  # [output gradient, the three input gradients from it]
 
-    def input_grads(g) -> list:
+    def grads(g, wanted):
         s = sigmoid_np(ad)
         silu_a = ad * s
         scratch = silu_a * ud
@@ -620,17 +620,10 @@ def silu_gated_matmul(a: Tensor, up: Tensor, w: Tensor) -> Tensor:
             out[0] = np.multiply(product_grad, scratch, out=product_grad)
         return out
 
-    def vjp(i: int) -> Vjp:
-        def grad(g):
-            if not grads or grads[0] is not g:
-                grads[:] = [g, input_grads(g)]
-            return grads[1][i]
-        return grad
-
     gated = sigmoid_np(ad)
     gated *= ad
     gated *= ud
-    return _make(np.matmul(gated, wd), "silu_gated_matmul", (a, vjp(0)), (up, vjp(1)), (w, vjp(2)))
+    return _make_shared(np.matmul(gated, wd), "silu_gated_matmul", (a, up, w), grads)
 
 
 # -- gathers ----------------------------------------------------------------
@@ -801,9 +794,9 @@ def mlstm_chunkwise(q: Tensor, k: Tensor, v: Tensor, i_pre: Tensor, f_pre: Tenso
 
     In the graph, the node keeps q, k and v and the gate vectors in chunks,
     the forget gates' pre-activations, the floored denominator, its sign and
-    the carried normalizers, and no chunk matrix: the first of its VJPs to
-    run recomputes the chunk matrices and all five input gradients, and the
-    others hand theirs out. Out of the graph it keeps nothing.
+    the carried normalizers, and no chunk matrix: its five input gradients
+    (see `_make_shared`) come from one recomputation of the chunk matrices.
+    Out of the graph it keeps nothing.
 
     Its forward is the composed graph's, op for op; its backward is derived
     rather than replayed (TFLA, arXiv 2503.14376, derives its own the same
@@ -816,17 +809,8 @@ def mlstm_chunkwise(q: Tensor, k: Tensor, v: Tensor, i_pre: Tensor, f_pre: Tenso
     `test_fused_nodes` holds values and gradients to the composed graph."""
     inputs = (q, k, v, i_pre, f_pre)
     core = _MlstmChunks(*(t.data for t in inputs), chunk)
-    h = core.forward(for_backward=any(t.requires_grad for t in inputs))
-    grads: list = []  # [output gradient, the five input gradients from it]
-
-    def vjp(i: int) -> Vjp:
-        def grad(g):
-            if not grads or grads[0] is not g:
-                grads[:] = [g, core.input_grads(g, h)]
-            return grads[1][i]
-        return grad
-
-    return _make(h, "mlstm_chunkwise", *((t, vjp(i)) for i, t in enumerate(inputs)))
+    h = core.forward()
+    return _make_shared(h, "mlstm_chunkwise", inputs, lambda g, wanted: core.input_grads(g, h))
 
 
 class _MlstmChunks:
@@ -916,7 +900,7 @@ class _MlstmChunks:
         return SimpleNamespace(cross=cross, key_gate=key_gate, kg=kg, carry=carry, carry_n=carry_n,
                                e=np.exp(self.uc + ref[..., None])[..., None])
 
-    def forward(self, for_backward: bool) -> np.ndarray:
+    def forward(self) -> np.ndarray:
         """h, (B, NH, n, v). For the backward, it keeps the floored
         denominator, its sign where the floor does not hold it (0 where it
         does), and the carried normalizers (B, NH, nc, qk, 1)."""
@@ -928,15 +912,12 @@ class _MlstmChunks:
             cx = self.carry()
             num += np.matmul(self.qc, cx.carry) * cx.e
             den += np.matmul(self.qc, cx.carry_n) * cx.e
-            if for_backward:
-                self.carry_n = cx.carry_n
+            self.carry_n = cx.carry_n
         den = self.uncut(den)
         floor = np.exp(-self.m)[..., None]
         self.m = None
-        den_max = np.maximum(np.abs(den), floor)
-        if for_backward:
-            self.den_max = den_max
-            self.sign = np.where(np.abs(den) >= floor, np.sign(den), 0.0).astype(np.int8)
+        self.den_max = den_max = np.maximum(np.abs(den), floor)
+        self.sign = np.where(np.abs(den) >= floor, np.sign(den), 0.0).astype(np.int8)
         h = self.uncut(num)
         return np.divide(h, den_max, out=h)
 

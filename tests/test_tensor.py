@@ -5,6 +5,7 @@ thresholds the engine fixes at import."""
 import ctypes
 import gc
 import inspect
+import re
 import weakref
 from functools import partial
 
@@ -226,9 +227,12 @@ def _tensors_held_by(vjp) -> list[Tensor]:
 
 
 def test_every_graph_op_is_audited():
+    """Every op built by either node constructor, `_make` or `_make_shared`,
+    has a GRAPH_OPS entry."""
     makers = {name for name, fn in vars(T).items()
-              if inspect.isfunction(fn) and fn.__module__ == T.__name__ and name != "_make"
-              and "_make(" in inspect.getsource(fn)}
+              if inspect.isfunction(fn) and fn.__module__ == T.__name__
+              and name not in ("_make", "_make_shared")
+              and re.search(r"_make(_shared)?\(", inspect.getsource(fn))}
     assert makers <= set(GRAPH_OPS), sorted(makers - set(GRAPH_OPS))
 
 
