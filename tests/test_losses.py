@@ -11,6 +11,7 @@ from bytepatch.losses import (
     decoder_distill,
     encoder_match,
     f_temp_bce,
+    next_symbol_logprobs,
     patch_logprobs,
 )
 from bytepatch.model import ModelConfig, init_teacher, transformer_probe
@@ -255,3 +256,14 @@ def test_ce_fused_gradient():
         return ce_fused(T.log_softmax(logits), targets)
 
     assert finite_difference_check(loss, [rng.normal(size=(1, 5, 24))]) < 1e-4
+
+
+def test_next_symbol_logprobs_rejects_targets_outside_the_vocabulary():
+    """A target outside [0, V) raises, naming the range, rather than reading
+    another symbol's or another position's log-probability."""
+    logprobs = Tensor(np.full((2, 3, 4), -np.log(4.0)))
+    for bad in (4, -1):
+        targets = np.zeros((2, 2), dtype=np.int64)
+        targets[0, 1] = bad
+        with pytest.raises(T.ShapeError, match=r"\[0, 4\)"):
+            next_symbol_logprobs(logprobs, targets)

@@ -506,6 +506,18 @@ def test_gather_rows_grad():
     assert np.all(x.grad[0, 0] != 0)
 
 
+def test_gathers_reject_indices_outside_their_rows():
+    """An index outside [0, R) raises, naming the range: a negative one would
+    wrap to the last rows, and one past an entry's R would read the next
+    entry's rows of gather_rows' flat (B·R, d) view."""
+    for idx in ([[3, 0]], [[0, -1]]):
+        with pytest.raises(ShapeError, match=r"\[0, 3\)"):
+            T.take_rows(_u(3, 1), np.array(idx))
+    for idx in ([[3], [0]], [[0], [-1]]):
+        with pytest.raises(ShapeError, match=r"\[0, 3\)"):
+            T.gather_rows(_u(2, 3, 1), np.array(idx))
+
+
 def test_pick_grad():
     x = t(RNG.normal(size=(2, 4, 6)))
     idx = RNG.integers(0, 6, size=(2, 4))

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bytepatch import tensor as T
 from bytepatch import teacher as teacher_mod
 from bytepatch import training as tr
 from bytepatch.boundaries import MergeStrategy, attained_compression
@@ -323,6 +324,27 @@ def test_float32_stage1_step_gives_float32_gradients(toy):
     # stage 1 reaches the backbone only through the probed layers
     assert {n for n in p32 if n.startswith("global.0.")} <= set(grads)
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+
+
+def test_a_stage1_step_gathers_the_fused_symbol_scores_once(toy, monkeypatch):
+    """The fused CE and the distillation read one gather of the log-probs:
+    one node reads them, so the sweep builds one (B, n, V) gradient."""
+    docs, vocab, cfg, teacher = toy
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    p = ParamStore({n: Tensor(t.data, requires_grad=True) for n, t in student.items()})
+    tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=3)
+    batch = prepare_windows(make_windows(docs[:4], tc.max_bytes - 1), vocab, cfg, teacher, tc.strategy())[:2]
+    made, readers = [], []
+    head, backward = tr.lm_head_fused, Tensor.backward
+    monkeypatch.setattr(tr, "lm_head_fused", lambda *args: made.append(head(*args)) or made[-1])
+
+    def counting(loss):
+        readers.append(sum(parent is made[0]._node for node in T._toposort(loss._node) for parent, _ in node.vjps))
+        backward(loss)
+
+    monkeypatch.setattr(Tensor, "backward", counting)
+    tr.stage1_step(p, cfg, tc, AdamW({"all": list(p.values())}), batch)
+    assert readers == [1]
 
 
 def test_evaluation_without_a_scorable_document_raises(toy):
