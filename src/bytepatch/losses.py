@@ -63,69 +63,58 @@ def f_temp_bce(student_logp: Tensor, teacher_logp: np.ndarray, tau: float) -> Te
 
 def next_symbol_logprobs(logprobs: Tensor, targets: np.ndarray) -> Tensor:
     """(B, n-1): position j's log-probability of `targets[:, j]`, the fused
-    symbol at j+1. The pick runs over all n rows (the last picks symbol 0)
-    and the cut follows, so the gradient reaching `logprobs` is one (B, n, V)
-    array. The cut's integer key copies, and the copy is C-ordered, so its
-    sums group as a pick over the first n-1 rows would."""
-    b, n, _ = logprobs.shape
+    symbol at j+1, in [0, V): the scores the losses take. One `take_rows`
+    over the log-probs viewed as (B·n·V, 1) rows, so the gradient reaching
+    `logprobs` is one (B, n, V) array and the scores are a new C-ordered one."""
+    b, n, v = logprobs.shape
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (b, n - 1):
         raise T.ShapeError(f"targets shape {targets.shape} must be {(b, n - 1)}")
-    idx = np.zeros((b, n), dtype=np.int64)
-    idx[:, :-1] = targets
-    return T.pick(logprobs, idx)[np.arange(b)[:, None], np.arange(n - 1)]
+    if targets.size and (targets.min() < 0 or targets.max() >= v):
+        raise T.ShapeError(f"targets must lie in [0, {v})")
+    rows = (np.arange(b)[:, None] * n + np.arange(n - 1)) * v + targets
+    return T.take_rows(logprobs.reshape((b * n * v, 1)), rows).reshape((b, n - 1))
 
 
-def patch_logprobs(
-    logprobs: Tensor,
-    targets: np.ndarray,
-    ends: np.ndarray,
-    valid: np.ndarray,
-) -> tuple[Tensor, np.ndarray]:
-    """Student log-likelihood per patch.
+def patch_logprobs(picked: Tensor, ends: np.ndarray, valid: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Student log-likelihood per patch, from the (B, n-1) scores of
+    `next_symbol_logprobs`.
 
-    Position j of `logprobs` scores the fused symbol at j+1 (`targets[j]`),
-    and a patch owns the predictions of its own symbols, so the patch ending
-    at byte b_i sums positions b_{i-1}..b_i - 1. The first boundary (the BOS
-    pseudo-patch) anchors the telescoping and has no likelihood of its own.
+    Score j predicts the fused symbol at j+1, and a patch owns the
+    predictions of its own symbols, so the patch ending at byte b_i sums
+    scores b_{i-1}..b_i - 1. The first boundary (the BOS pseudo-patch)
+    anchors the telescoping and has no likelihood of its own.
 
     Returns per-patch sums aligned with ends[:, 1:] plus their validity mask.
     """
-    b, n, _ = logprobs.shape
-    picked = next_symbol_logprobs(logprobs, targets)  # (B, n-1)
-    zero = Tensor(np.zeros((b, 1), dtype=logprobs.dtype), _op="const")
+    b, m = picked.shape
+    zero = Tensor(np.zeros((b, 1), dtype=picked.dtype), _op="const")
     cs = T.concat([zero, T.cumsum(picked, axis=1)], axis=1)  # (B, n); cs[j] = sum of picked[:j]
-    gathered = T.gather_rows(cs.reshape((b, n, 1)), np.asarray(ends, dtype=np.int64)).reshape(
-        (b, ends.shape[1])
-    )
+    gathered = T.gather_rows(cs.reshape((b, m + 1, 1)), np.asarray(ends, dtype=np.int64)).reshape(ends.shape)
     sums = gathered[:, 1:] - gathered[:, :-1]
     return sums, np.asarray(valid, dtype=bool)[:, 1:]
 
 
-def decoder_distill(
-    logprobs: Tensor,
-    targets: np.ndarray,
-    ends: np.ndarray,
-    valid: np.ndarray,
-    teacher_logp: np.ndarray,
-    teacher_valid: np.ndarray,
-) -> Tensor:
+def decoder_distill(picked: Tensor, ends: np.ndarray, valid: np.ndarray,
+                    teacher_logp: np.ndarray, teacher_valid: np.ndarray) -> Tensor:
     """Per-patch likelihood matching: `f_temp_bce` at `TAU` between each
-    patch's student log-likelihood and the teacher's log-likelihood of the
-    aligned token, mean-reduced over patches. Teacher-mask pooling makes
-    misalignment impossible; this is asserted, not handled."""
-    sums, sums_valid = patch_logprobs(logprobs, targets, ends, valid)
+    patch's student log-likelihood (`patch_logprobs` of the scores `picked`)
+    and the teacher's log-likelihood of the aligned token, mean-reduced over
+    patches. Teacher-mask pooling makes misalignment impossible; this is
+    asserted, not handled."""
+    sums, sums_valid = patch_logprobs(picked, ends, valid)
     teacher_valid = np.asarray(teacher_valid, dtype=bool)
     if sums_valid.shape != teacher_valid.shape or not np.array_equal(sums_valid, teacher_valid):
         raise AssertionError("patch/token misalignment between student and teacher")
     f = f_temp_bce(sums, np.where(teacher_valid, teacher_logp, -1.0), TAU)
-    w = Tensor(teacher_valid.astype(logprobs.dtype), _op="const")
+    w = Tensor(teacher_valid.astype(picked.dtype), _op="const")
     return (f * w).sum() / float(teacher_valid.sum())
 
 
-def ce_fused(logprobs: Tensor, targets: np.ndarray) -> Tensor:
-    """Next-fused-symbol cross-entropy, mean per predicting byte position."""
-    return -next_symbol_logprobs(logprobs, targets).mean()
+def ce_fused(picked: Tensor) -> Tensor:
+    """Next-fused-symbol cross-entropy from the scores of
+    `next_symbol_logprobs`, mean per predicting byte position."""
+    return -picked.mean()
 
 
 def bits_per_byte(ce_nats: float) -> float:

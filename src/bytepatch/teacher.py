@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .losses import ce_fused
+from .losses import ce_fused, next_symbol_logprobs
 from .model import ModelConfig, ParamStore, global_forward
 from .tensor import Tensor
 from .tokenizer import SubwordVocab
@@ -56,7 +56,7 @@ def teacher_nll(params: ParamStore, cfg: ModelConfig, token_ids: np.ndarray) -> 
     """Mean next-token cross-entropy in nats: `ce_fused` over token ids."""
     token_ids = np.atleast_2d(np.asarray(token_ids, dtype=np.int64))
     logits, _, _ = teacher_logits(params, cfg, token_ids)
-    return ce_fused(T.log_softmax(logits), token_ids[:, 1:])
+    return ce_fused(next_symbol_logprobs(T.log_softmax(logits), token_ids[:, 1:]))
 
 
 BATCH_ROWS = 64  # rows per teacher forward; 16..64 cost the same per row

@@ -33,16 +33,20 @@ input gradients together, through `_make_shared`: one call gives every
 input's gradient from the output's and each VJP hands out its own, so the
 VJPs may run in any order and none changes a gradient another handed out.
 The nodes' VJPs work in place, in as few full-size arrays as the arithmetic
-allows, and the gathers' (`take_rows`, `gather_rows`) add rows with one
-flat `np.add.at`. Each computes the chain's values and gradients bit for
-bit, but for two nodes whose sums run in other orders: `rmsnorm` takes its
-last-axis sums as dot products, and `mlstm_chunkwise`'s backward is derived
-rather than replayed (its forward keeps every bit). Their values and
-gradients stay within 2^12 units in the last place of the dtype of the
-composed graph's, relative to each array's largest magnitude (9.1e-13 in
-float64, 4.9e-4 in float32); `test_fused_nodes` holds every node to its
-composed graph. `log_softmax`'s backward builds its gradient in one scratch
-array.
+allows. Each computes the chain's values and gradients bit for bit, but
+for two nodes whose sums run in other orders: `rmsnorm` takes its last-axis
+sums as dot products, and `mlstm_chunkwise`'s backward is derived rather
+than replayed (its forward keeps every bit). Their values and gradients
+stay within 2^12 units in the last place of the dtype of the composed
+graph's, relative to each array's largest magnitude (9.1e-13 in float64,
+4.9e-4 in float32); `test_fused_nodes` holds every node to its composed
+graph. `log_softmax`'s backward builds its gradient in one scratch array.
+
+`take_rows` is the engine's one row gather, and its VJP adds rows with one
+flat `np.add.at`. `gather_rows` is `take_rows` over x viewed as (B·R, d),
+and the losses pick each position's fused-symbol score with `take_rows`
+over the log-probs viewed as (B·n·V, 1). An index outside the rows it may
+read raises `ShapeError`.
 
 Values are float32 or float64, and every op's output has its inputs' dtype:
 `_make` rejects an op whose inputs and output disagree, so no float64
@@ -629,49 +633,42 @@ def silu_gated_matmul(a: Tensor, up: Tensor, w: Tensor) -> Tensor:
 # -- gathers ----------------------------------------------------------------
 
 def take_rows(table: Tensor, idx: np.ndarray) -> Tensor:
-    """Embedding lookup: table (R, d), idx int array of any shape -> idx.shape + (d,)."""
+    """The engine's row gather: table (R, d), idx an int array of any shape
+    in [0, R) -> idx.shape + (d,). Its VJP adds each row's gradient back
+    into the table row it came from."""
     idx = np.asarray(idx)
     rows, d = table.shape
+    _check_rows("take_rows", idx, rows)
     flat = idx.reshape(-1)
     return _make(table.data[idx], "take_rows",
                  (table, lambda g: _scatter_rows(g.reshape(-1, d), flat, rows)))
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Batched row gather: x (B, R, d), idx (B, P) -> (B, P, d)."""
+    """Batched row gather: x (B, R, d), idx (B, P) in [0, R) -> (B, P, d),
+    `take_rows` over x viewed as (B·R, d)."""
     idx = np.asarray(idx)
-    if x.ndim != 3 or idx.ndim != 2:
+    if x.ndim != 3 or idx.ndim != 2 or idx.shape[0] != x.shape[0]:
         raise ShapeError("gather_rows expects x (B, R, d) and idx (B, P)")
-    b, rows, d = shape = x.shape
-    flat = (idx + rows * np.arange(b)[:, None]).reshape(-1)  # rows of x viewed as (B·R, d)
-    return _make(x.data.reshape(b * rows, d)[flat].reshape(idx.shape + (d,)), "gather_rows",
-                 (x, lambda g: _scatter_rows(g.reshape(-1, d), flat, b * rows).reshape(shape)))
+    b, rows, d = x.shape
+    _check_rows("gather_rows", idx, rows)
+    return take_rows(reshape(x, (b * rows, d)), idx + rows * np.arange(b)[:, None])
+
+
+def _check_rows(op: str, idx: np.ndarray, rows: int) -> None:
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ShapeError(f"{op}: row indices must lie in [0, {rows})")
 
 
 def _scatter_rows(g: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
-    """(rows, d) zeros plus each row of g (N, d) at its row idx (N,): the
-    gathers' VJP. It is `np.add.at` over the flattened arrays, element by
+    """(rows, d) zeros plus each row of g (N, d) at its row idx (N,):
+    `take_rows`' VJP. It is `np.add.at` over the flattened arrays, element by
     element in the same order, so the same bits, but on numpy's fast
     one-dimensional path: a row-indexed `np.add.at` is four times slower."""
     d = g.shape[1]
     full = np.zeros(rows * d, g.dtype)
     np.add.at(full, (idx[:, None] * d + np.arange(d)).reshape(-1), g.reshape(-1))
     return full.reshape(rows, d)
-
-
-def pick(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Per-row selection along the last axis: x (..., n, V), idx (..., n) -> (..., n)."""
-    idx = np.asarray(idx)
-    if idx.shape != x.shape[:-1]:
-        raise ShapeError(f"pick: idx shape {idx.shape} must equal {x.shape[:-1]}")
-    shape, dtype = x.shape, x.dtype
-
-    def vjp(g):
-        full = np.zeros(shape, dtype)
-        np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
-        return full
-
-    return _make(np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0], "pick", (x, vjp))
 
 
 # -- fused normalizers ------------------------------------------------------
@@ -707,12 +704,14 @@ def log_softmax_np(x: np.ndarray) -> np.ndarray:
 
 
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 0.0) -> Tensor:
-    """x / sqrt(mean(x^2, last axis) + eps) * gain, the gain broadcast over
-    x's leading axes. The node keeps x, the scale and the gain, and
-    recomputes the normalized x for the gain's gradient. Its last-axis sums
-    are dot products, and each VJP works in place in two new arrays."""
-    _binary(x, gain, "rmsnorm")
+    """x / sqrt(mean(x^2, last axis) + eps) * gain, the gain spanning x's
+    trailing axes and broadcast over its leading ones. The node keeps x, the
+    scale and the gain, and recomputes the normalized x for the gain's
+    gradient. Its last-axis sums are dot products, and each VJP works in
+    place in two new arrays."""
     xd, gd, sg = x.data, gain.data, gain.shape
+    if len(sg) > x.ndim or x.shape[x.ndim - len(sg):] != sg:
+        raise ShapeError(f"rmsnorm: gain {sg} must be the trailing axes of x {x.shape}")
     r = rms_scale_np(xd, eps)
     n = x.shape[-1]
 
@@ -726,8 +725,6 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 0.0) -> Tensor:
     def vjp_gain(g):  # over the leading axes, one matrix-vector product
         scaled = np.multiply(xd, r, out=np.empty(xd.shape, xd.dtype))
         scaled *= g
-        if xd.shape[xd.ndim - len(sg):] != sg:
-            return _unbroadcast(scaled, sg)
         rows = scaled.size // gd.size
         return (np.ones(rows, scaled.dtype) @ scaled.reshape(rows, gd.size)).reshape(sg)
 

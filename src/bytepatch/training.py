@@ -47,7 +47,8 @@ import numpy as np
 from .boundaries import (MergeStrategy, attained_compression, check_target_compression, merge_bpe_per_example,
                          merge_by_score)
 from .data import EOT, MIN_WINDOW_BYTES, make_windows
-from .losses import boundary_bce, bits_per_byte, ce_fused, decoder_distill, encoder_match, patch_logprobs
+from .losses import (boundary_bce, bits_per_byte, ce_fused, decoder_distill, encoder_match, next_symbol_logprobs,
+                     patch_logprobs)
 from .model import (
     LOCAL_COMPONENTS,
     ModelConfig,
@@ -261,10 +262,9 @@ def stage1_step(
     # learns only through the boundary and encoder-match terms
     z = depool(params, cfg, e_hat.detach(), Tensor(t_z, _op="const"), arrays["mask"])
     z_hat = local_decode(params, cfg, z)
-    logprobs = lm_head_fused(params, cfg, z_hat)
-    l_ce = ce_fused(logprobs, arrays["targets"])
-    l_d = decoder_distill(logprobs, arrays["targets"], arrays["ends"], arrays["valid"],
-                          t_logp, arrays["valid"][:, 1:])
+    picked = next_symbol_logprobs(lm_head_fused(params, cfg, z_hat), arrays["targets"])
+    l_ce = ce_fused(picked)
+    l_d = decoder_distill(picked, arrays["ends"], arrays["valid"], t_logp, arrays["valid"][:, 1:])
 
     total = BOUNDARY_WEIGHT * l_b + l_e + l_d + l_ce
     total.backward()
@@ -286,7 +286,7 @@ def stage2_step(
     arrays = _stack_batch(batch)
     out = forward_full(params, cfg, arrays["y"], arrays["sfx"])
     l_b = boundary_bce(out["p"], arrays["mask"])
-    l_ce = ce_fused(out["logprobs"], arrays["targets"])
+    l_ce = ce_fused(next_symbol_logprobs(out["logprobs"], arrays["targets"]))
     total = BOUNDARY_WEIGHT * l_b + l_ce
     total.backward()
     grad_norm = opt.step()
@@ -463,7 +463,7 @@ def evaluate_bpb(
     for w in windows:
         out = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], mask=None)
         targets = fused_targets(w.model_bytes[1:], w.mask[1:])[None, :]
-        ce = ce_fused(out["logprobs"], targets).item()
+        ce = ce_fused(next_symbol_logprobs(out["logprobs"], targets)).item()
         n_pred = len(w.model_bytes) - 1
         tot_ce += ce * n_pred
         tot_pos += n_pred
@@ -472,7 +472,8 @@ def evaluate_bpb(
         pred_masks.append(pred[1:])  # content bytes only, as boundary-dump counts
         if align:  # w.mask holds the teacher's token ends
             pooled = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], w.mask[None, :])
-            sums, _ = patch_logprobs(pooled["logprobs"], targets, pooled["ends"], pooled["valid"])
+            picked = next_symbol_logprobs(pooled["logprobs"], targets)
+            sums, _ = patch_logprobs(picked, pooled["ends"], pooled["valid"])
             diffs.append(np.abs(sums.data[0] - w.teacher.next_logp))
     ce_mean = tot_ce / tot_pos
     metrics = {

@@ -26,7 +26,7 @@ import pytest
 from bytepatch import layers as L
 from bytepatch import tensor as T
 from bytepatch.cli import build_model_config, parse_config_file
-from bytepatch.losses import boundary_bce, ce_fused
+from bytepatch.losses import boundary_bce, ce_fused, next_symbol_logprobs
 from bytepatch.model import ParamStore, forward_full, fused_targets, init_byte_model
 from bytepatch.tensor import Tensor
 
@@ -54,7 +54,7 @@ def _loss(params: ParamStore, batch: int, n: int, seed: int = 1) -> Tensor:
     mask[:, -1] = True
     out = forward_full(params, CFG, ids, sfx, mask)
     targets = fused_targets(ids[:, 1:], mask[:, 1:])
-    return boundary_bce(out["p"], mask) + ce_fused(out["logprobs"], targets)
+    return boundary_bce(out["p"], mask) + ce_fused(next_symbol_logprobs(out["logprobs"], targets))
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,10 @@
 `mlstm_chunkwise` is the mLSTM's whole chunkwise core in one node,
 `silu_gated_matmul` is SwiGLU's `(silu(a) * up) @ w`, `rmsnorm` takes its
 gain, `gated_matmul` is `(u * v) @ w`, `log_softmax`'s backward reuses one
-scratch buffer, the gathers' backward adds rows by a sort instead of
-`np.add.at`, and the losses pick over all n rows before they cut the last
-one. Each holds fewer arrays than the graph it replaces. Every test here
+scratch buffer, the gathers' backward adds rows through one flat
+`np.add.at`, and the losses gather each position's score as one flat row
+of the log-probs, not by a cut and a pick along the last axis. Each holds
+fewer arrays than the graph it replaces. Every test here
 builds the composed graph (from plain ops, or from the node as it was,
 rebuilt on `T._make`) and compares the forward value and every input
 gradient, in float32 and in float64.
@@ -115,6 +116,7 @@ COMPOSED_OPS = {
     "outer_add": lambda u: outer_add(u(2, 3), u(2, 4)),
     "take_rows_adding_at": lambda u: take_rows_adding_at(u(5, 4), np.array([[0, 3], [3, 1]])),
     "gather_rows_adding_at": lambda u: gather_rows_adding_at(u(2, 3, 4), np.array([[0, 2], [1, 1]])),
+    "pick": lambda u: pick(u(2, 3, 4), np.array([[0, 3, 1], [2, 2, 0]])),
 }
 
 
@@ -207,6 +209,20 @@ def log_softmax_with_temporaries(x: Tensor) -> Tensor:
     return T._make(out, "log_softmax", (x, lambda g: g - np.exp(out) * g.sum(axis=-1, keepdims=True)))
 
 
+def pick(x: Tensor, idx: np.ndarray) -> Tensor:
+    """Per-row selection along the last axis, as the engine had it:
+    x (..., n, V), idx (..., n) -> (..., n)."""
+    idx = np.asarray(idx)
+    shape, dtype = x.shape, x.dtype
+
+    def vjp(g):
+        full = np.zeros(shape, dtype)
+        np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
+        return full
+
+    return T._make(np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0], "pick", (x, vjp))
+
+
 def take_rows_adding_at(table: Tensor, idx: np.ndarray) -> Tensor:
     """The embedding lookup as it was: its VJP adds row by row, `np.add.at`."""
     idx = np.asarray(idx)
@@ -238,7 +254,8 @@ def matmul_of_product(u: Tensor, v: Tensor, w: Tensor) -> Tensor:
 
 
 def cut_then_pick(logprobs: Tensor, targets: np.ndarray) -> Tensor:
-    return T.pick(logprobs[:, :-1, :], np.asarray(targets, dtype=np.int64))
+    """The losses' scores as a cut of the last position and a pick."""
+    return pick(logprobs[:, :-1, :], np.asarray(targets, dtype=np.int64))
 
 
 def per_head_norm_then_gain(h: Tensor, gain: Tensor, eps: float) -> Tensor:
@@ -250,7 +267,7 @@ def per_head_norm_then_gain(h: Tensor, gain: Tensor, eps: float) -> Tensor:
 
 @pytest.fixture
 def composed(monkeypatch):
-    """A call that swaps every fused node, and the losses' pick-then-cut, for
+    """A call that swaps every fused node, and the losses' flat gather, for
     its composed graph. mlstm_block's per-head norm reshapes its gain to (H, v) first, so
     the composed norm recognises that call and applies the flat gain after
     the flattening, as the block did."""
@@ -270,6 +287,7 @@ def composed(monkeypatch):
         monkeypatch.setattr(T, "take_rows", take_rows_adding_at)
         monkeypatch.setattr(T, "gather_rows", gather_rows_adding_at)
         monkeypatch.setattr(losses, "next_symbol_logprobs", cut_then_pick)
+        monkeypatch.setattr(training, "next_symbol_logprobs", cut_then_pick)
 
     return swap
 
@@ -524,8 +542,9 @@ def test_a_non_finite_core_input_raises_naming_the_node(dtype, name, value):
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("b, n", [(8, 88), (1, 512), (3, 17)])
 def test_pick_then_cut_equals_cut_then_pick(dtype, b, n):
-    """Through what the losses compute from the picks: the fused CE's mean
-    and the patch sums' cumulative sum."""
+    """The losses' flat gather of the scores (it was a pick over all n rows
+    and then a cut) against a cut and a pick, through what the losses compute
+    from the scores: the fused CE's mean and the patch sums' cumulative sum."""
     rng = np.random.default_rng(b * n)
     targets = rng.integers(0, 512, size=(b, n - 1))
     ends = np.sort(rng.choice(np.arange(1, n - 1), size=(b, 4)), axis=1)
@@ -534,15 +553,15 @@ def test_pick_then_cut_equals_cut_then_pick(dtype, b, n):
     def build(pick):
         def loss(t):
             picked = pick(t["lp"], targets)
-            ce = -picked.mean()
+            ce = losses.ce_fused(picked)
             cs = T.cumsum(picked, axis=1)
             return ce + T.gather_rows(cs.reshape((b, n - 1, 1)), ends - 1).sum()
         return loss
 
     arrays = {"lp": rng.normal(size=(b, n, 512))}
     compare(build(losses.next_symbol_logprobs), build(cut_then_pick), arrays, dtype)
-    # a strided (B, n-1) view would sum in another grouping than the picked
-    # rows did, and differ in the last bits on some inputs
+    # a strided (B, n-1) view would sum in another grouping than the cut
+    # rows' picks do, and differ in the last bits on some inputs
     assert losses.next_symbol_logprobs(Tensor(arrays["lp"].astype(dtype)), targets).data.flags.c_contiguous
 
 
@@ -625,7 +644,8 @@ def test_a_stage2_loss_equals_its_composed_graph(composed, dtype):
         p = ParamStore({k: Tensor(t.data.astype(dtype), requires_grad=True) for k, t in params.items()})
         out = forward_full(p, CFG, ids, sfx)
         targets = fused_targets(ids[:, 1:], out["mask"][:, 1:])
-        total = losses.boundary_bce(out["p"], out["mask"]) + losses.ce_fused(out["logprobs"], targets)
+        picked = losses.next_symbol_logprobs(out["logprobs"], targets)
+        total = losses.boundary_bce(out["p"], out["mask"]) + losses.ce_fused(picked)
         total.backward()
         return total.data, {k: t.grad for k, t in p.items()}
 

@@ -162,7 +162,7 @@ def _toy_patch_setup(rng, b=1, n=9):
 def test_patch_logprobs_enumeration_oracle():
     rng = np.random.default_rng(7)
     logprobs, targets, mask, ends, valid = _toy_patch_setup(rng)
-    sums, sv = patch_logprobs(logprobs, targets, ends, valid)
+    sums, sv = patch_logprobs(next_symbol_logprobs(logprobs, targets), ends, valid)
     lp = logprobs.data[0]
     picked = lp[np.arange(8), targets[0]]
     # patch i sums prediction positions b_{i-1} .. b_i - 1
@@ -174,15 +174,16 @@ def test_patch_logprobs_enumeration_oracle():
 def test_decoder_distill_minimum_at_teacher_match():
     rng = np.random.default_rng(8)
     logprobs, targets, mask, ends, valid = _toy_patch_setup(rng)
-    sums, _ = patch_logprobs(logprobs, targets, ends, valid)
+    picked = next_symbol_logprobs(logprobs, targets)
+    sums, _ = patch_logprobs(picked, ends, valid)
     teacher_logp = sums.data.copy()  # student == teacher patch likelihoods
-    got = decoder_distill(logprobs, targets, ends, valid, teacher_logp, np.ones_like(teacher_logp, dtype=bool))
+    got = decoder_distill(picked, ends, valid, teacher_logp, np.ones_like(teacher_logp, dtype=bool))
     yt = np.exp(teacher_logp / TAU)
     entropies = -(yt * np.log(yt) + (1 - yt) * np.log1p(-yt))
     assert got.item() == pytest.approx(float(entropies.mean()), rel=1e-9)
     # any perturbation of one patch likelihood increases the loss
-    worse = Tensor(logprobs.data * 1.02)
-    got2 = decoder_distill(worse, targets, ends, valid, teacher_logp, np.ones_like(teacher_logp, dtype=bool))
+    worse = next_symbol_logprobs(Tensor(logprobs.data * 1.02), targets)
+    got2 = decoder_distill(worse, ends, valid, teacher_logp, np.ones_like(teacher_logp, dtype=bool))
     assert got2.item() > got.item()
 
 
@@ -195,7 +196,8 @@ def test_decoder_distill_single_byte_patches_reduces_to_nll():
     ends = np.arange(n)[None, :]
     valid = np.ones((1, n), dtype=bool)
     teacher_logp = np.zeros((1, n - 1))
-    got = decoder_distill(logprobs, targets, ends, valid, teacher_logp, np.ones((1, n - 1), dtype=bool))
+    got = decoder_distill(next_symbol_logprobs(logprobs, targets), ends, valid, teacher_logp,
+                          np.ones((1, n - 1), dtype=bool))
     want = -logprobs.data[0, :-1][np.arange(n - 1), targets[0]].mean() / TAU
     assert got.item() == pytest.approx(float(want), rel=1e-12)
 
@@ -204,7 +206,8 @@ def test_decoder_distill_misalignment_asserted():
     rng = np.random.default_rng(10)
     logprobs, targets, mask, ends, valid = _toy_patch_setup(rng)
     with pytest.raises(AssertionError):
-        decoder_distill(logprobs, targets, ends, valid, np.zeros((1, 3)), np.array([[True, True, False]]))
+        decoder_distill(next_symbol_logprobs(logprobs, targets), ends, valid, np.zeros((1, 3)),
+                        np.array([[True, True, False]]))
 
 
 def test_decoder_distill_gradient():
@@ -216,7 +219,8 @@ def test_decoder_distill_gradient():
 
     def loss(logits):
         lp = T.log_softmax(logits)
-        return decoder_distill(lp, targets, ends, valid, teacher_logp, np.ones((1, 3), dtype=bool))
+        picked = next_symbol_logprobs(lp, targets)
+        return decoder_distill(picked, ends, valid, teacher_logp, np.ones((1, 3), dtype=bool))
 
     err = finite_difference_check(loss, [rng.normal(size=(1, 9, 16)).repeat(32, axis=-1)], max_coords=80)
     assert err < 1e-4
@@ -226,13 +230,13 @@ def test_ce_fused_uniform_and_onehot():
     n = 5
     uniform = np.full((1, n, 512), -np.log(512.0))
     targets = np.arange(n - 1)[None, :]
-    got = ce_fused(Tensor(uniform), targets).item()
+    got = ce_fused(next_symbol_logprobs(Tensor(uniform), targets)).item()
     assert got == pytest.approx(np.log(512.0), rel=1e-12)
     # one-hot correct logits -> ~0 after softmax saturation
     logits = np.zeros((1, n, 512))
     for j in range(n - 1):
         logits[0, j, targets[0, j]] = 200.0
-    got = ce_fused(T.log_softmax(Tensor(logits)), targets).item()
+    got = ce_fused(next_symbol_logprobs(T.log_softmax(Tensor(logits)), targets)).item()
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
@@ -240,7 +244,7 @@ def test_ce_fused_matches_oracle():
     rng = np.random.default_rng(12)
     logits = rng.normal(size=(2, 7, 512))
     targets = rng.integers(0, 512, size=(2, 6))
-    got = ce_fused(T.log_softmax(Tensor(logits)), targets).item()
+    got = ce_fused(next_symbol_logprobs(T.log_softmax(Tensor(logits)), targets)).item()
     shifted = logits - logits.max(axis=-1, keepdims=True)
     lp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     want = -np.mean([lp[b, j, targets[b, j]] for b in range(2) for j in range(6)])
@@ -253,9 +257,22 @@ def test_ce_fused_gradient():
     targets = rng.integers(0, 24, size=(1, 4))
 
     def loss(logits):
-        return ce_fused(T.log_softmax(logits), targets)
+        return ce_fused(next_symbol_logprobs(T.log_softmax(logits), targets))
 
     assert finite_difference_check(loss, [rng.normal(size=(1, 5, 24))]) < 1e-4
+
+
+def test_next_symbol_logprobs_gradient():
+    """float64: each score's gradient reaches its own position and symbol of
+    the log-probs, and the last position gets none."""
+    rng = np.random.default_rng(14)
+    targets = rng.integers(0, 6, size=(2, 3))
+    weights = Tensor(rng.normal(size=(2, 3)))
+
+    def loss(lp):
+        return (next_symbol_logprobs(lp, targets) * weights).sum()
+
+    assert finite_difference_check(loss, [rng.normal(size=(2, 4, 6))]) < 1e-7
 
 
 def test_next_symbol_logprobs_rejects_targets_outside_the_vocabulary():

@@ -23,9 +23,10 @@ from bytepatch.model import (
     predict_boundaries,
     predicted_mask,
 )
-from bytepatch.losses import boundary_bce, ce_fused
+from bytepatch.losses import boundary_bce, ce_fused, next_symbol_logprobs
 from bytepatch.tensor import Tensor
 from gradcheck import finite_difference_check
+from test_fused_nodes import pick
 
 
 def tiny_config(**kw) -> ModelConfig:
@@ -341,7 +342,7 @@ def test_forward_full_gradient_end_to_end():
             p[nm] = tt
         out = forward_full(p, cfg, byte_ids, sfx, mask)
         lp = out["logprobs"]
-        return -T.pick(lp[:, :-1, :], targets[:, 1:]).mean() + out["p"].mean()
+        return -pick(lp[:, :-1, :], targets[:, 1:]).mean() + out["p"].mean()
 
     err = finite_difference_check(loss, [params[nm].data for nm in names], max_coords=60)
     assert err < 1e-4
@@ -365,7 +366,7 @@ def test_float32_forward_and_backward_stay_float32(setup, n):
     np.testing.assert_allclose(out["logprobs"].data, ref["logprobs"].data, rtol=0, atol=1e-4)
     targets = fused_targets(byte_ids[:, 1:], ref["mask"][:, 1:])
     for o in (ref, out):
-        (ce_fused(o["logprobs"], targets) + boundary_bce(o["p"], ref["mask"])).backward()
+        (ce_fused(next_symbol_logprobs(o["logprobs"], targets)) + boundary_bce(o["p"], ref["mask"])).backward()
     assert {name: t.grad.dtype for name, t in p32.items()} == {name: np.float32 for name in p32}
     # relative to the float64 gradient's norm, so an exactly zero one must stay zero
     for name, t in p32.items():

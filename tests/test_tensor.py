@@ -15,7 +15,7 @@ import pytest
 from bytepatch import tensor as T
 from bytepatch.tensor import DtypeError, GraphError, NonFiniteError, ShapeError, Tensor
 from gradcheck import finite_difference_check
-from test_fused_nodes import COMPOSED_OPS, absolute, logsigmoid, maximum, outer_add, silu
+from test_fused_nodes import COMPOSED_OPS, absolute, logsigmoid, maximum, outer_add, pick, silu
 
 RNG = np.random.default_rng(0)
 ANGLES = np.linspace(0.3, 2.5, 6).reshape(3, 2)  # rotary angles: 3 positions x 2 pairs
@@ -52,6 +52,23 @@ def test_rmsnorm_unit_mean_square():
     out = T.rmsnorm(t(x), t(np.ones(16)))
     ms = (out.data**2).mean(axis=-1)
     np.testing.assert_allclose(ms, np.ones(5), atol=1e-10)
+
+
+def test_rmsnorm_gain_must_be_the_trailing_axes_of_x():
+    """A gain spans x's trailing axes and broadcasts over the leading ones,
+    like the per-head (H, v) gain on a (B, n, H, v) x; a gain that x would
+    broadcast along one of its own axes raises."""
+    x = t(RNG.normal(size=(2, 3, 4)))
+    for shape in [(1, 4), (3, 1)]:
+        with pytest.raises(ShapeError, match="trailing axes"):
+            T.rmsnorm(x, t(np.ones(shape)))
+    h = t(RNG.normal(size=(2, 5, 3, 4)))
+    gain = t(RNG.uniform(0.5, 1.5, size=(3, 4)))
+    out = T.rmsnorm(h, gain)
+    out.sum().backward()
+    normed = h.data / np.sqrt((h.data ** 2).mean(axis=-1, keepdims=True))
+    np.testing.assert_allclose(out.data, normed * gain.data, rtol=1e-12)
+    np.testing.assert_allclose(gain.grad, normed.sum(axis=(0, 1)), rtol=1e-12)
 
 
 def test_backward_square():
@@ -192,7 +209,6 @@ GRAPH_OPS = {
     "matmul": lambda: T.matmul(_u(2, 3, 4), _u(4, 5)) + T.matmul(_u(3, 4), _u(2, 4, 5)).sum(axis=0),
     "take_rows": lambda: T.take_rows(_u(5, 4), np.array([[0, 3], [3, 1]])),
     "gather_rows": lambda: T.gather_rows(_u(2, 3, 4), np.array([[0, 2], [1, 1]])),
-    "pick": lambda: T.pick(_u(2, 3, 4), np.array([[0, 3, 1], [2, 2, 0]])),
     "softmax": lambda: T.softmax(_u(2, 3)),
     "log_softmax": lambda: T.log_softmax(_u(2, 3)),
     "rmsnorm": lambda: T.rmsnorm(_u(2, 3), _u(3)),
@@ -518,15 +534,6 @@ def test_gathers_reject_indices_outside_their_rows():
             T.gather_rows(_u(2, 3, 1), np.array(idx))
 
 
-def test_pick_grad():
-    x = t(RNG.normal(size=(2, 4, 6)))
-    idx = RNG.integers(0, 6, size=(2, 4))
-    out = T.pick(x, idx)
-    assert out.shape == (2, 4)
-    out.sum().backward()
-    assert x.grad.sum() == pytest.approx(8.0)
-
-
 def test_detach_blocks_gradient():
     x = t(2.0)
     y = x.detach() * x
@@ -571,6 +578,6 @@ def test_softmax_cross_entropy_composite():
 
     def loss(logits):
         lp = T.log_softmax(logits)
-        return -T.pick(lp, targets).mean()
+        return -pick(lp, targets).mean()
 
     assert finite_difference_check(loss, [rng.normal(size=(4, 5))]) < 1e-5

@@ -24,7 +24,7 @@ from bytepatch.model import (
     init_teacher,
     predicted_mask,
 )
-from bytepatch.losses import ce_fused
+from bytepatch.losses import ce_fused, next_symbol_logprobs
 from bytepatch.optim import AdamW
 from bytepatch.tensor import NonFiniteError, Tensor
 from bytepatch.tokenizer import encode, train_bpe, utf8_to_bytes
@@ -434,7 +434,8 @@ def test_float32_evaluation_tracks_its_float64_oracle(toy):
             out = forward_full(student, cfg, w.model_bytes[None, :], w.suffix[None, :])
             assert out["logprobs"].dtype == np.float64
             k = len(w.model_bytes) - 1
-            ce += ce_fused(out["logprobs"], fused_targets(w.model_bytes[1:], w.mask[1:])[None, :]).item() * k
+            targets = fused_targets(w.model_bytes[1:], w.mask[1:])[None, :]
+            ce += ce_fused(next_symbol_logprobs(out["logprobs"], targets)).item() * k
             n += k
             pred = out["mask"][0]
             correct += int((pred[real] == w.mask[real]).sum())
