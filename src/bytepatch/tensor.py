@@ -42,11 +42,9 @@ graph's, relative to each array's largest magnitude (9.1e-13 in float64,
 4.9e-4 in float32); `test_fused_nodes` holds every node to its composed
 graph. `log_softmax`'s backward builds its gradient in one scratch array.
 
-`take_rows` is the engine's one row gather, and its VJP adds rows with one
-flat `np.add.at`. `gather_rows` is `take_rows` over x viewed as (B·R, d),
-and the losses pick each position's fused-symbol score with `take_rows`
-over the log-probs viewed as (B·n·V, 1). An index outside the rows it may
-read raises `ShapeError`.
+`take_rows` is the one row gather, and its VJP adds rows with one flat
+`np.add.at`: `gather_rows` and the losses' fused-symbol scores are
+`take_rows` over flat views, and an index outside the rows raises.
 
 Values are float32 or float64, and every op's output has its inputs' dtype:
 `_make` rejects an op whose inputs and output disagree, so no float64

@@ -6,10 +6,10 @@ gain, `gated_matmul` is `(u * v) @ w`, `log_softmax`'s backward reuses one
 scratch buffer, the gathers' backward adds rows through one flat
 `np.add.at`, and the losses gather each position's score as one flat row
 of the log-probs, not by a cut and a pick along the last axis. Each holds
-fewer arrays than the graph it replaces. Every test here
-builds the composed graph (from plain ops, or from the node as it was,
-rebuilt on `T._make`) and compares the forward value and every input
-gradient, in float32 and in float64.
+fewer arrays than the graph it replaces. Every test here builds the
+composed graph (from plain ops, or from the node as it was, rebuilt on
+`T._make`) and compares the forward value and every input gradient, in
+float32 and in float64.
 
 Most nodes keep every bit: `np.array_equal`. Two sum in other orders than
 their composed graphs and are held to a relative bound instead, `RTOL`:

@@ -525,13 +525,16 @@ def test_gather_rows_grad():
 def test_gathers_reject_indices_outside_their_rows():
     """An index outside [0, R) raises, naming the range: a negative one would
     wrap to the last rows, and one past an entry's R would read the next
-    entry's rows of gather_rows' flat (B·R, d) view."""
+    entry's rows of gather_rows' flat (B·R, d) view, as would indices for
+    fewer entries than x has."""
     for idx in ([[3, 0]], [[0, -1]]):
         with pytest.raises(ShapeError, match=r"\[0, 3\)"):
             T.take_rows(_u(3, 1), np.array(idx))
     for idx in ([[3], [0]], [[0], [-1]]):
         with pytest.raises(ShapeError, match=r"\[0, 3\)"):
             T.gather_rows(_u(2, 3, 1), np.array(idx))
+    with pytest.raises(ShapeError, match=r"idx \(B, P\)"):  # one row of indices for two entries
+        T.gather_rows(_u(2, 3, 1), np.array([[0]]))
 
 
 def test_detach_blocks_gradient():
