@@ -97,6 +97,21 @@ def test_supervision_strategies_are_subsets(toy):
         assert len(content) / (w.mask.sum() - 1) >= 8.0 or w.mask.sum() <= 2
 
 
+@pytest.mark.parametrize("kind", MergeStrategy.KINDS)
+def test_only_windows_on_the_teachers_tokens_carry_its_outputs(toy, kind):
+    """The teacher's per-token outputs index a window's patches only while
+    its mask is the teacher's token ends: under subword supervision every
+    window carries one score per patch, under a merged mask none carries any."""
+    docs, vocab, cfg, teacher = toy
+    strategy = MergeStrategy(kind, 0.0 if kind == "subword" else 8.0)
+    windows = prepare_windows([d[:80] for d in docs[:6]], vocab, cfg, teacher, strategy)
+    for w in windows:
+        if kind == "subword":
+            assert len(w.teacher.next_logp) == w.mask.sum() - 1
+        else:
+            assert w.teacher is None
+
+
 def test_stage1_freezes_global_bit_exact(toy):
     docs, vocab, cfg, teacher = toy
     student = init_byte_model(cfg, np.random.default_rng(1), teacher)
@@ -345,6 +360,23 @@ def test_a_stage1_step_gathers_the_fused_symbol_scores_once(toy, monkeypatch):
     monkeypatch.setattr(Tensor, "backward", counting)
     tr.stage1_step(p, cfg, tc, AdamW({"all": list(p.values())}), batch)
     assert readers == [1]
+
+
+def test_a_stage1_step_rejects_a_teacher_one_token_short(toy):
+    """`decoder_distill` checks the student's patches against the teacher's
+    own tokens, so a window whose `next_logp` is one token short raises
+    instead of distilling toward a zero-padded log-probability. One token
+    too many on the batch's widest window fails before that, in
+    `_pad_teacher`'s numpy assignment."""
+    docs, vocab, cfg, teacher = toy
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    p = ParamStore({n: Tensor(t.data, requires_grad=True) for n, t in student.items()})
+    tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=3)
+    batch = prepare_windows(make_windows(docs[:4], tc.max_bytes - 1), vocab, cfg, teacher, tc.strategy())[:2]
+    short = batch[0].teacher
+    batch[0] = replace(batch[0], teacher=replace(short, next_logp=short.next_logp[:-1]))
+    with pytest.raises(AssertionError, match="patch/token misalignment"):
+        tr.stage1_step(p, cfg, tc, AdamW({"all": list(p.values())}), batch)
 
 
 def test_evaluation_without_a_scorable_document_raises(toy):
