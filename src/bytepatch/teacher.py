@@ -78,9 +78,9 @@ def run_teachers(
             rows = members[start : start + BATCH_ROWS]
             token_ids = np.array([[vocab.bos_id, *id_lists[i]] for i in rows], dtype=np.int64)
             logits, probe, z = teacher_logits(params, cfg, token_ids)
-            logp = T.log_softmax(logits).data[:, :m]  # (b, m, V)
-            next_logp = np.take_along_axis(logp, token_ids[:, 1:, None], axis=-1)[..., 0]
-            entropy = -(np.exp(logp) * logp).sum(axis=-1)
+            logp = T.log_softmax(logits)
+            next_logp = next_symbol_logprobs(logp, token_ids[:, 1:]).data  # (b, m)
+            entropy = -(np.exp(logp.data[:, :m]) * logp.data[:, :m]).sum(axis=-1)
             probe32 = probe.data.astype(np.float32, copy=False)
             z32 = z.data.astype(np.float32, copy=False)
             for r, i in enumerate(rows):

@@ -15,12 +15,12 @@ on twice the backbone learning rate. Both stages weigh the boundary BCE by
 This module alone turns text into windows, and `prepare_windows` is the one
 builder: each content is encoded once, the teacher (when given) runs over all
 of them in batches of equal token count, and the subword mask is merged under
-the strategy into the one supervision mask the window carries. Each caller
-states its own rule: `train_conversion` cuts documents with `make_windows`,
-hands the teacher over only for stage 1 and scored merges, and keeps no
-teacher outputs in stage-2 windows; `evaluate_bpb` and `boundary-dump` build
-the windows of all their documents in one call. `prepare_window` is the same
-call on one content.
+the strategy into the one supervision mask the window carries. Only subword
+windows keep the teacher's outputs: a merged mask's patches are no longer the
+teacher's tokens. `train_conversion` cuts documents with `make_windows` and
+hands the teacher over only for stage 1 and scored merges; `evaluate_bpb` and
+`boundary-dump` build the windows of all their documents in one call.
+`prepare_window` is the same call on one content.
 Both stages and the teacher's own training share one step loop; metrics
 stream to a line-delimited log, one JSON record per step. The loop alone
 puts tensors in the autodiff graph: every step runs forward and backward on
@@ -39,7 +39,7 @@ they are given. Parameters at rest, checkpoints and decoding stay float64.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +139,7 @@ class Window:
     model_bytes: np.ndarray  # [EOT as BOS] + content bytes
     suffix: np.ndarray  # longest-suffix token id per model position
     mask: np.ndarray  # supervision boundaries over model positions; BOS flagged
-    teacher: TeacherOutputs | None  # when a teacher ran; stage 2's training windows drop it
+    teacher: TeacherOutputs | None  # when a teacher ran and the mask is its token ends (subword)
 
     def __len__(self) -> int:
         return len(self.model_bytes)
@@ -154,7 +154,8 @@ def prepare_windows(
 ) -> list[Window]:
     """The window of each of `contents`: each is encoded once, the teacher
     (when given) runs over all of them in batches of equal token count, and
-    the subword mask merged under `strategy` is the window's supervision."""
+    the subword mask merged under `strategy` is the window's supervision. Only
+    a subword window keeps the teacher's outputs, one per patch."""
     if strategy.needs_teacher and teacher_params is None:
         raise ValueError(f"{strategy.kind} supervision needs teacher scores")
     id_lists = [encode(vocab, c) for c in contents]
@@ -174,7 +175,7 @@ def prepare_windows(
             model_bytes=model_bytes,
             suffix=suffix_ids(vocab.suffix_index, bytes(model_bytes.tolist())),
             mask=np.concatenate([[True], mask]),
-            teacher=teacher,
+            teacher=teacher if strategy.kind == "subword" else None,
         ))
     return windows
 
@@ -264,7 +265,8 @@ def stage1_step(
     z_hat = local_decode(params, cfg, z)
     picked = next_symbol_logprobs(lm_head_fused(params, cfg, z_hat), arrays["targets"])
     l_ce = ce_fused(picked)
-    l_d = decoder_distill(picked, arrays["ends"], arrays["valid"], t_logp, arrays["valid"][:, 1:])
+    t_valid = np.arange(p_max - 1) < np.array([len(w.teacher.next_logp) for w in batch])[:, None]
+    l_d = decoder_distill(picked, arrays["ends"], arrays["valid"], t_logp, t_valid)
 
     total = BOUNDARY_WEIGHT * l_b + l_e + l_d + l_ce
     total.backward()
@@ -383,8 +385,6 @@ def train_conversion(
     reads_teacher = teacher_params is not None and (not stage2 or strategy.needs_teacher)
     windows = prepare_windows(make_windows(docs, tcfg.max_bytes - 1), vocab, cfg,
                               compute_copy(teacher_params) if reads_teacher else None, strategy)
-    if stage2:  # only stage 1 reads teacher activations; stage 2 needs just the masks
-        windows = [replace(w, teacher=None) for w in windows]
     group_tags = {"global": ("global",)} if stage2 else {}
     group_tags["local"] = LOCAL_COMPONENTS
     # name order: the global gradient norm is a float sum in group order
@@ -453,7 +453,6 @@ def evaluate_bpb(
     params = compute_copy(params)
     # the teacher scores patches (entropy, xent) or is the alignment's reference (subword)
     reads_teacher = teacher_params is not None and strategy.kind != "bpe"
-    align = reads_teacher and strategy.kind == "subword"
     windows = prepare_windows(contents, vocab, cfg, compute_copy(teacher_params) if reads_teacher else None, strategy)
     tot_ce = 0.0
     tot_pos = 0
@@ -470,7 +469,7 @@ def evaluate_bpb(
         pred = out["mask"][0]
         tot_correct += int((pred[:-1] == w.mask[:-1]).sum())  # n_pred bytes scored
         pred_masks.append(pred[1:])  # content bytes only, as boundary-dump counts
-        if align:  # w.mask holds the teacher's token ends
+        if w.teacher is not None:  # w.mask holds the teacher's token ends
             pooled = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], w.mask[None, :])
             picked = next_symbol_logprobs(pooled["logprobs"], targets)
             sums, _ = patch_logprobs(picked, pooled["ends"], pooled["valid"])
@@ -483,7 +482,7 @@ def evaluate_bpb(
         "attained_compression": attained_compression(pred_masks),
         "n_positions": tot_pos,
     }
-    if align:
+    if diffs:
         diffs = np.concatenate(diffs)
         metrics.update(mean_abs_diff=float(diffs.mean()), max_abs_diff=float(diffs.max()),
                        n_patches=int(diffs.size))
