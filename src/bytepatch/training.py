@@ -250,6 +250,7 @@ def stage1_step(
     t_probe = _pad_teacher(batch, "probe", p_max, cfg.d, e.dtype)
     t_z = _pad_teacher(batch, "z", p_max, cfg.d, e.dtype)
     t_logp = _pad_teacher(batch, "next_logp", p_max - 1, None, e.dtype)
+    t_valid = np.arange(p_max - 1) < np.array([len(w.teacher.next_logp) for w in batch])[:, None]
 
     e_hat = local_encode(params, cfg, e)
     p_scores = predict_boundaries(params, cfg, e_hat)
@@ -265,7 +266,6 @@ def stage1_step(
     z_hat = local_decode(params, cfg, z)
     picked = next_symbol_logprobs(lm_head_fused(params, cfg, z_hat), arrays["targets"])
     l_ce = ce_fused(picked)
-    t_valid = np.arange(p_max - 1) < np.array([len(w.teacher.next_logp) for w in batch])[:, None]
     l_d = decoder_distill(picked, arrays["ends"], arrays["valid"], t_logp, t_valid)
 
     total = BOUNDARY_WEIGHT * l_b + l_e + l_d + l_ce
