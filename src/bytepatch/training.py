@@ -155,7 +155,7 @@ def prepare_windows(
     """The window of each of `contents`: each is encoded once, the teacher
     (when given) runs over all of them in batches of equal token count, and
     the subword mask merged under `strategy` is the window's supervision. Only
-    a subword window keeps the teacher's outputs, one per patch."""
+    a subword window, whose patches are the teacher's tokens, keeps its outputs."""
     if strategy.needs_teacher and teacher_params is None:
         raise ValueError(f"{strategy.kind} supervision needs teacher scores")
     id_lists = [encode(vocab, c) for c in contents]
