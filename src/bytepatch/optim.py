@@ -4,11 +4,12 @@ Parameters are organized into named groups so the two-rate schedule used in
 end-to-end training (slower backbone, faster byte-level modules) can set a
 different learning rate per group each step.
 
-The tensors the training steps differentiate are float32 copies of float64
-master weights, as in mixed-precision training (Micikevicius et al., arXiv
-1710.03740): the gradient norm adds up its squares in float64, the moments
-and the update are float64, the update lands on the master, and each master
-is then written back into its copy. A tensor without a master is its own.
+The update runs in each tensor's own dtype and lands on the tensor in place:
+the training steps' float32 copies keep float32 moments and no float64
+masters, since mixed-precision training (Micikevicius et al., arXiv
+1710.03740) needs those only for a half-precision compute dtype. Only the
+gradient norm adds up its squares in float64. On float64 tensors the same
+class is the float64 oracle.
 """
 
 from __future__ import annotations
@@ -25,19 +26,17 @@ GRAD_CLIP = 0.5  # global gradient-norm ceiling
 
 
 class AdamW:
-    def __init__(self, groups: dict[str, list[Tensor]], masters: dict[str, list[Tensor]] | None = None):
+    def __init__(self, groups: dict[str, list[Tensor]]):
         """`groups` holds the tensors whose `.grad` the steps fill and `step`
-        empties; `masters`, in the same layout, the float64 tensors the
-        updates land on."""
+        empties, and whose values the updates change in place."""
         self.groups = {name: list(params) for name, params in groups.items()}
-        self.masters = {name: list(ts) for name, ts in (masters or groups).items()}
         self.step_count = 0
         self.lr = {name: 0.0 for name in self.groups}
         self.m = {}
         self.v = {}
         for p in self.params():
-            self.m[id(p)] = np.zeros(p.shape)
-            self.v[id(p)] = np.zeros(p.shape)
+            self.m[id(p)] = np.zeros_like(p.data)
+            self.v[id(p)] = np.zeros_like(p.data)
 
     def params(self) -> list[Tensor]:
         return [p for params in self.groups.values() for p in params]
@@ -72,29 +71,29 @@ class AdamW:
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1 ** t
-        bc2 = 1.0 - BETA2 ** t
+        root_bc2 = (1.0 - BETA2 ** t) ** 0.5
         for name, params in self.groups.items():
             lr = self.lr[name]
-            for p, master in zip(params, self.masters[name], strict=True):
+            step_size = lr * root_bc2 / bc1
+            for p in params:
                 if p.grad is None:
                     continue
                 # m = β1·m + (1-β1)·g;  v = β2·v + ((1-β2)·g)·g
-                # w -= lr·(m/bc1) / (√(v/bc2) + ε);  w -= (lr·WEIGHT_DECAY)·w
-                # computed in `g` and one scratch array, each in that order
-                g = np.multiply(p.grad, scale, dtype=np.float64)
+                # w -= (m / (√v + ε·√bc2))·step_size, i.e. lr·(m/bc1) / (√(v/bc2) + ε)
+                # (arXiv 1412.6980, sec. 2);  w *= 1 - lr·WEIGHT_DECAY;  each in that order,
+                # in p's dtype, in a new `g` (two tensors may share one) and one scratch array
+                g = np.multiply(p.grad, scale, dtype=p.dtype)
                 s = np.empty_like(g)
-                m = self.m[id(p)]
-                v = self.v[id(p)]
+                m, v = self.m[id(p)], self.v[id(p)]
                 m *= BETA1
                 m += np.multiply(g, 1.0 - BETA1, out=s)
                 v *= BETA2
                 v += np.multiply(np.multiply(g, 1.0 - BETA2, out=s), g, out=s)
-                np.sqrt(np.divide(v, bc2, out=s), out=s)
-                s += EPS
-                update = np.divide(np.divide(m, bc1, out=g), s, out=g)
-                master.data -= np.multiply(update, lr, out=update)
-                master.data -= np.multiply(master.data, lr * WEIGHT_DECAY, out=s)
-                if p.data is not master.data:
-                    np.copyto(p.data, master.data, casting="same_kind")
+                np.sqrt(v, out=s)
+                s += EPS * root_bc2
+                update = np.divide(m, s, out=g)
+                update *= step_size
+                p.data -= update
+                p.data *= 1.0 - lr * WEIGHT_DECAY
                 p.grad = None  # applied: the next backward starts from none
         return norm

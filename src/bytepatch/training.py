@@ -25,10 +25,11 @@ Both stages and the teacher's own training share one step loop; metrics
 stream to a line-delimited log, one JSON record per step. The loop alone
 puts tensors in the autodiff graph: every step runs forward and backward on
 a float32 copy of the parameters (`compute_copy`), whose trained entries are
-in the graph while the loop runs, and AdamW keeps float64 master weights and
+in the graph while the loop runs; AdamW updates them in place with float32
 moments and drops each gradient once applied, so no step's gradients live
-through the next step's forward. The forward-only passes compute on such
-copies too, made by their entry points and never in the graph:
+through the next step's forward, and the caller's float64 store takes the
+trained values once, when the loop ends. The forward-only passes compute on
+such copies too, made by their entry points and never in the graph:
 `train_conversion` runs the teacher for its windows on one, and
 `evaluate_bpb`, the one held-out scorer (one pass, one window per document),
 runs the model and the teacher on theirs.
@@ -71,7 +72,7 @@ from .teacher import TeacherOutputs, run_teachers, teacher_nll
 from .tensor import Tensor
 from .tokenizer import SubwordVocab, encode, mask_from_token_ids, suffix_ids
 
-COMPUTE_DTYPE = np.float32  # every training step and forward-only pass; masters and moments stay float64
+COMPUTE_DTYPE = np.float32  # every training step, its AdamW moments and every forward-only pass
 BOUNDARY_WEIGHT = 4.0  # the boundary BCE's weight in both stages' totals
 
 
@@ -338,14 +339,14 @@ def _train_loop(
     from `rows`, one `step(copy, cfg, tcfg, opt, batch)` and one JSONL record
     of its metrics follow (no step reads `tcfg`: it keeps the batch fifth,
     where perfbench counts its bytes). `groups` names the trained entries:
-    AdamW updates their float64 masters, the caller's own tensors, and
-    writes each back into its copy. Only the copies are ever in the autodiff
-    graph, so once the loop returns or raises, the caller's tensors are
-    float64 plain values holding the last completed update."""
+    AdamW updates their copies in place. Only the copies are ever in the
+    autodiff graph, and the caller's tensors change once, when the loop
+    returns or raises: each trained entry whose copy an update changed takes
+    the copy's values, the last completed update, and every other entry keeps
+    its float64 bits. They end as float64 plain values."""
     sampler = WindowSampler(rows, tcfg.batch_size, tcfg.seed)
     work = compute_copy(params)
-    opt = AdamW({g: [work[n] for n in names] for g, names in groups.items()},
-                masters={g: [params[n] for n in names] for g, names in groups.items()})
+    opt = AdamW({g: [work[n] for n in names] for g, names in groups.items()})
     log = MetricsLog(log_path)
     for p in opt.params():
         p.requires_grad = True
@@ -362,6 +363,9 @@ def _train_loop(
         for p in opt.params():
             p.requires_grad = False
             p.grad = None
+        for n in (n for names in groups.values() for n in names):
+            if not np.array_equal(work[n].data, params[n].data.astype(COMPUTE_DTYPE)):
+                np.copyto(params[n].data, work[n].data)
     return log
 
 

@@ -786,7 +786,7 @@ def test_eval_bpb_without_a_scorable_document_names_the_minimum(workspace, capsy
     ("train.tau=0", [], "tau"),  # losses.TAU is no key: rejected as unknown
     ("train.batch_size=0", [], "batch_size"),
     ("", ["--steps", "-3"], "steps"),
-    ("train.peak_lr=nan", [], "peak_lr"),  # the first update would make every master NaN
+    ("train.peak_lr=nan", [], "peak_lr"),  # the first update would make every weight NaN
 ])
 def test_stage1_rejects_invalid_train_values(workspace, tmp_path, capsys, line, flags, name):
     root, cfg = workspace

@@ -239,6 +239,19 @@ def test_a_raising_step_leaves_the_last_completed_update(toy, monkeypatch):
     assert all(np.array_equal(t.data, one_step[n].data) for n, t in student.items())
 
 
+def test_steps_that_change_no_value_leave_the_float64_bits(toy):
+    """At learning rate 0 the updates change no float32 value, so no entry
+    is written back, and none is rounded to float32."""
+    docs, vocab, cfg, teacher = toy
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    before = student.copy()
+    tc = TrainConfig(stage=2, steps=2, batch_size=2, max_bytes=48, peak_lr=0.0, seed=3)
+    train_conversion(student, cfg, vocab, None, docs[:4], tc)
+    assert_at_rest(student)
+    assert all(np.array_equal(t.data, before[n].data) for n, t in student.items())
+    assert any(not np.array_equal(t.data, t.data.astype(np.float32)) for t in student.values())
+
+
 def assert_at_rest(params):
     """Float64 plain values: no gradient and outside the graph."""
     assert {t.dtype for t in params.values()} == {np.dtype(np.float64)}
@@ -287,34 +300,52 @@ def test_float32_teacher_step_tracks_the_float64_step(toy):
     assert log.records[0]["grad_norm"] == pytest.approx(ref["grad_norm"], rel=1e-4)
 
 
-def test_steps_run_on_copies_of_float64_masters(toy, monkeypatch):
-    """Stage-1, stage-2 and teacher steps all compute on float32 copies."""
+def test_steps_update_float32_copies_and_write_back_once(toy, monkeypatch):
+    """Stage-1, stage-2 and teacher steps all update float32 copies in place:
+    the optimizer holds only those copies, with float32 moments, and the
+    caller's float64 tensors stay as they were until the loop ends; then each
+    trained entry equals its copy, and every frozen one keeps its bits."""
     docs, vocab, cfg, teacher = toy
     student, teacher = init_byte_model(cfg, np.random.default_rng(1), teacher), teacher.copy()
     caller = {id(t) for params in (student, teacher) for t in params.values()}
-    step = AdamW.step
+    loops = []  # (caller's store, its values at the loop's start, the loop's copy)
     checked = []
+    compute_copy, step = tr.compute_copy, AdamW.step
+
+    def recording_copy(params):
+        loops.append((params, {n: t.data.copy() for n, t in params.items()}, compute_copy(params)))
+        return loops[-1][2]
 
     def checking_step(opt):
+        params, start, work = loops[-1]
+        assert {id(p) for p in opt.params()} <= {id(t) for t in work.values()}
+        assert not {id(p) for p in opt.params()} & caller
+        dtypes = {a.dtype for a in [*(p.data for p in opt.params()), *opt.m.values(), *opt.v.values()]}
+        assert dtypes == {np.dtype(np.float32)}
+        assert all(np.array_equal(t.data, start[n]) for n, t in params.items())
         norm = step(opt)
-        masters = [m for ms in opt.masters.values() for m in ms]
-        assert {id(m) for m in masters} <= caller and not {id(p) for p in opt.params()} & caller
-        (dtype,) = {p.dtype for p in opt.params()}
-        assert {a.dtype for a in [*masters, *opt.m.values(), *opt.v.values()]} == {np.dtype(np.float64)}
-        # after the update, every copy holds its master's value in an array of its own
-        assert all(np.array_equal(p.data, m.data.astype(dtype)) for p, m in zip(opt.params(), masters))
-        assert not any(np.shares_memory(p.data, m.data) for p, m in zip(opt.params(), masters))
-        checked.append((opt.step_count, dtype))
+        assert all(np.array_equal(t.data, start[n]) for n, t in params.items())
+        checked.append(opt.step_count)
         return norm
 
+    def check_written_back(trained: list[str]):
+        params, start, work = loops[-1]
+        assert_at_rest(params)
+        for n, t in params.items():
+            want = work[n].data.astype(np.float64) if n in trained else start[n]
+            assert np.array_equal(t.data, want), n
+        assert any(not np.array_equal(params[n].data, start[n]) for n in trained)
+
+    monkeypatch.setattr(tr, "compute_copy", recording_copy)
     monkeypatch.setattr(AdamW, "step", checking_step)
     tc = TrainConfig(stage=1, steps=2, batch_size=2, max_bytes=48, seed=3)
     train_conversion(student, cfg, vocab, teacher, docs[:4], tc)
+    check_written_back([n for n in student if student.tag(n) in LOCAL_COMPONENTS])
     train_conversion(student, cfg, vocab, None, docs[:4], replace(tc, stage=2))
+    check_written_back(list(student))
     train_teacher(teacher, cfg, vocab, docs[:4], tc)
-    assert checked == [(step, np.dtype(np.float32)) for step in (1, 2) * 3]
-    assert_at_rest(student)
-    assert_at_rest(teacher)
+    check_written_back(list(teacher))
+    assert checked == [1, 2] * 3
 
 
 def test_float32_stage1_step_gives_float32_gradients(toy):
@@ -419,7 +450,7 @@ def test_evaluation_counts_capped_boundaries(toy):
 def test_evaluation_and_training_leave_the_callers_stores_untouched(toy, monkeypatch):
     """Forward-only passes and steps compute on copies of their own: the
     stores passed in come back float64, outside the graph and without
-    gradients, and only training's masters change."""
+    gradients, and only training's trained entries change."""
     docs, vocab, cfg, teacher = toy
     student, teacher = init_byte_model(cfg, np.random.default_rng(1), teacher), teacher.copy()
     caller = [t.data for params in (student, teacher) for t in params.values()]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import statistics
 import sys
 import time
@@ -83,9 +84,14 @@ class Side:
 
     def trainer(self, names: list[str]):
         """A compute copy with `names` in the graph, and their AdamW, whose
-        learning rate stays 0."""
+        learning rate stays 0. A package whose AdamW updates float64 masters
+        (its `__init__` takes `masters`) gets the store's tensors as those."""
         work = self.tr.compute_copy(self.params)
-        opt = self.optim.AdamW({"all": [work[n] for n in names]}, masters={"all": [self.params[n] for n in names]})
+        groups = {"all": [work[n] for n in names]}
+        if "masters" in inspect.signature(self.optim.AdamW.__init__).parameters:
+            opt = self.optim.AdamW(groups, masters={"all": [self.params[n] for n in names]})
+        else:
+            opt = self.optim.AdamW(groups)
         for p in opt.params():
             p.requires_grad = True
         return work, opt
