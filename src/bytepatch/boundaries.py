@@ -101,6 +101,9 @@ def merge_by_score(mask: np.ndarray, n_bytes: int, scores: np.ndarray, t: float)
     nxt = list(range(1, p)) + [-1]
     prv = [-1] + list(range(p - 1))
     alive = np.ones(p, dtype=bool)
+    # a lazy heap of pair sums: the O(p^2) argmin loop the tests keep as its
+    # oracle took 0.44 vs 0.12 ms at 512 B (101 patches), 42 vs 1.4 ms at 4 KB
+    # and 2.5 s vs 21 ms at 32 KB (one core, thread_time medians)
     heap = [(score[i] + score[i + 1], i, i + 1) for i in range(p - 1)]
     heapq.heapify(heap)
     remaining = p

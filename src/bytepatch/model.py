@@ -297,6 +297,16 @@ def predicted_mask(p_scores: np.ndarray, patch_cap: int) -> np.ndarray:
     return mask | ((pos - last) % patch_cap == 0)
 
 
+def pad_rows(rows: list[np.ndarray], width: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged rows zero-filled to one (B, width, ...) array of `dtype`, and
+    valid (B, width), true on each row's own entries."""
+    valid = np.arange(width) < np.array([len(r) for r in rows])[:, None]
+    padded = np.zeros(valid.shape + np.shape(rows[0])[1:], dtype=dtype)
+    for i, r in enumerate(rows):
+        padded[i, : len(r)] = r  # a row longer than `width` raises ValueError
+    return padded, valid
+
+
 def pool_indices(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pad per-row boundary positions to the max patch count. Returns
     (ends (B, P), valid (B, P)); padded slots index position 0 and are
@@ -305,14 +315,7 @@ def pool_indices(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     counts = mask.sum(axis=1)
     if counts.min() == 0:
         raise ValueError("a row has no boundary; the final byte must be one")
-    p_max = int(counts.max())
-    ends = np.zeros((mask.shape[0], p_max), dtype=np.int64)
-    valid = np.zeros((mask.shape[0], p_max), dtype=bool)
-    for i, row in enumerate(mask):
-        e = np.flatnonzero(row)
-        ends[i, : len(e)] = e
-        valid[i, : len(e)] = True
-    return ends, valid
+    return pad_rows([np.flatnonzero(r) for r in mask], int(counts.max()), np.int64)
 
 
 def pool_last(e_hat: Tensor, ends: np.ndarray) -> Tensor:

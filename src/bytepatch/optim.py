@@ -41,9 +41,6 @@ class AdamW:
     def params(self) -> list[Tensor]:
         return [p for params in self.groups.values() for p in params]
 
-    def set_lr(self, name: str, lr: float) -> None:
-        self.lr[name] = lr
-
     def zero_grad(self) -> None:
         for p in self.params():
             p.grad = None

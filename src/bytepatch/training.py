@@ -61,6 +61,7 @@ from .model import (
     local_encode,
     depool,
     lm_head_fused,
+    pad_rows,
     pool_indices,
     pool_last,
     predict_boundaries,
@@ -223,14 +224,6 @@ def _stack_batch(batch: list[Window]) -> dict:
     return {"y": y, "sfx": sfx, "mask": mask, "targets": targets, "ends": ends, "valid": valid}
 
 
-def _pad_teacher(batch: list[Window], field_name: str, p_max: int, d: int | None, dtype) -> np.ndarray:
-    out = np.zeros((len(batch), p_max) if d is None else (len(batch), p_max, d), dtype=dtype)
-    for i, w in enumerate(batch):
-        arr = getattr(w.teacher, field_name)
-        out[i, : arr.shape[0]] = arr
-    return out
-
-
 # -- the two training steps -------------------------------------------------------
 
 def stage1_step(
@@ -244,14 +237,13 @@ def stage1_step(
     distillation + fused CE, with the backbone frozen and the decoder path
     depooling the teacher's final-layer states."""
     arrays = _stack_batch(batch)
-    b, n = arrays["y"].shape
     p_max = arrays["ends"].shape[1]
     e = embed_bytes(params, arrays["y"], arrays["sfx"])
-    # the teacher's targets take the dtype the parameters compute in
-    t_probe = _pad_teacher(batch, "probe", p_max, cfg.d, e.dtype)
-    t_z = _pad_teacher(batch, "z", p_max, cfg.d, e.dtype)
-    t_logp = _pad_teacher(batch, "next_logp", p_max - 1, None, e.dtype)
-    t_valid = np.arange(p_max - 1) < np.array([len(w.teacher.next_logp) for w in batch])[:, None]
+    # the teacher's targets take the compute dtype; t_valid counts the
+    # teacher's own tokens, which decoder_distill checks against the patches
+    t_probe, _ = pad_rows([w.teacher.probe for w in batch], p_max, e.dtype)
+    t_z, _ = pad_rows([w.teacher.z for w in batch], p_max, e.dtype)
+    t_logp, t_valid = pad_rows([w.teacher.next_logp for w in batch], p_max - 1, e.dtype)
 
     e_hat = local_encode(params, cfg, e)
     p_scores = predict_boundaries(params, cfg, e_hat)
@@ -354,7 +346,7 @@ def _train_loop(
         for i in range(tcfg.steps):
             lrs = lr_at(tcfg, i + 1)
             for name in opt.groups:
-                opt.set_lr(name, lrs[name])
+                opt.lr[name] = lrs[name]
             metrics = step(work, cfg, tcfg, opt, sampler.draw())
             log.write({"step": i + 1, **metrics, "lr_local": lrs["local"],
                        "lr_global": lrs["global"] if "global" in opt.groups else 0.0})
@@ -464,9 +456,9 @@ def evaluate_bpb(
     pred_masks = []
     diffs = []
     for w in windows:
-        out = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], mask=None)
-        targets = fused_targets(w.model_bytes[1:], w.mask[1:])[None, :]
-        ce = ce_fused(next_symbol_logprobs(out["logprobs"], targets)).item()
+        a = _stack_batch([w])
+        out = forward_full(params, cfg, a["y"], a["sfx"], mask=None)
+        ce = ce_fused(next_symbol_logprobs(out["logprobs"], a["targets"])).item()
         n_pred = len(w.model_bytes) - 1
         tot_ce += ce * n_pred
         tot_pos += n_pred
@@ -474,9 +466,9 @@ def evaluate_bpb(
         tot_correct += int((pred[:-1] == w.mask[:-1]).sum())  # n_pred bytes scored
         pred_masks.append(pred[1:])  # content bytes only, as boundary-dump counts
         if w.teacher is not None:  # w.mask holds the teacher's token ends
-            pooled = forward_full(params, cfg, w.model_bytes[None, :], w.suffix[None, :], w.mask[None, :])
-            picked = next_symbol_logprobs(pooled["logprobs"], targets)
-            sums, _ = patch_logprobs(picked, pooled["ends"], pooled["valid"])
+            pooled = forward_full(params, cfg, a["y"], a["sfx"], a["mask"])
+            picked = next_symbol_logprobs(pooled["logprobs"], a["targets"])
+            sums, _ = patch_logprobs(picked, a["ends"], a["valid"])
             diffs.append(np.abs(sums.data[0] - w.teacher.next_logp))
     ce_mean = tot_ce / tot_pos
     metrics = {

@@ -215,6 +215,40 @@ def test_pool_last(setup):
         pool_indices(np.zeros((1, 3), dtype=bool))
 
 
+def test_pool_indices_on_a_ragged_batch_equals_a_per_row_loop():
+    """Rows of 3, 1, 6 and 2 patches. The last row leaves its last byte
+    unflagged, as a decoded stream's boundary bits do before its final patch
+    closes (perfbench's `_replay` hands such masks to `forward_full`)."""
+    mask = np.array([
+        [False, True, False, False, True, True],
+        [False, False, False, False, False, True],
+        [True, True, True, True, True, True],
+        [False, True, False, True, False, False],
+    ])
+    ends, valid = pool_indices(mask)
+    assert ends.shape == valid.shape == (4, 6)
+    assert ends.dtype == np.int64 and valid.dtype == bool
+    for row, e, v in zip(mask, ends, valid, strict=True):
+        want = np.flatnonzero(row)
+        assert e.tolist() == want.tolist() + [0] * (6 - len(want))
+        assert v.tolist() == [True] * len(want) + [False] * (6 - len(want))
+
+
+def test_pad_rows_zero_fills_in_the_requested_dtype():
+    rng = np.random.default_rng(0)
+    probes = [rng.normal(size=(m, 3)) for m in (2, 4, 1)]  # (tokens, d) rows, like the teacher's probe
+    logps = [rng.normal(size=m) for m in (1, 3, 0)]
+    for rows, width in ((probes, 5), (logps, 4)):
+        padded, valid = M.pad_rows(rows, width, np.float32)
+        assert padded.shape == (3, width) + rows[0].shape[1:] and padded.dtype == np.float32
+        assert valid.tolist() == [[i < len(r) for i in range(width)] for r in rows]
+        for r, got in zip(rows, padded, strict=True):
+            assert np.array_equal(got[: len(r)], r.astype(np.float32))
+            assert not got[len(r):].any()
+    with pytest.raises(ValueError):
+        M.pad_rows(logps, 2, np.float32)  # a row of 3 entries
+
+
 def test_depool_rule(setup):
     cfg, _, params = setup
     rng = np.random.default_rng(3)

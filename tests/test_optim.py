@@ -66,8 +66,8 @@ def run(step, dtype=np.float32, n_steps: int = 6, start_dtype=None):
     opt = AdamW({"a": work[:2], "b": work[2:]})
     norms = []
     for i in range(n_steps):
-        opt.set_lr("a", 1e-2 * (i + 1))
-        opt.set_lr("b", 3e-3)
+        opt.lr["a"] = 1e-2 * (i + 1)
+        opt.lr["b"] = 3e-3
         for p in work:
             p.grad = (rng.normal(size=p.shape) * 0.3 ** i).astype(np.float32).astype(dtype)
         norms.append(step(opt))
@@ -118,7 +118,7 @@ def test_tensors_sharing_one_gradient_array_update_as_if_each_had_a_copy():
     shared, copied = ([Tensor(w.copy()) for w in start] for _ in range(2))
     opts = AdamW({"all": shared}), AdamW({"all": copied})
     for opt in opts:
-        opt.set_lr("all", 1e-2)
+        opt.lr["all"] = 1e-2
     for scale in (1.0, 1e-3):
         grad = (rng.normal(size=(8, 6)) * scale).astype(np.float32)
         before = grad.copy()

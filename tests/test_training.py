@@ -397,8 +397,8 @@ def test_a_stage1_step_rejects_a_teacher_one_token_short(toy):
     """`decoder_distill` checks the student's patches against the teacher's
     own tokens, so a window whose `next_logp` is one token short raises
     instead of distilling toward a zero-padded log-probability. One token
-    too many on the batch's widest window fails before that, in
-    `_pad_teacher`'s numpy assignment."""
+    too many on the batch's widest window fails before that, in `pad_rows`
+    (the next test)."""
     docs, vocab, cfg, teacher = toy
     student = init_byte_model(cfg, np.random.default_rng(1), teacher)
     p = ParamStore({n: Tensor(t.data, requires_grad=True) for n, t in student.items()})
@@ -408,6 +408,27 @@ def test_a_stage1_step_rejects_a_teacher_one_token_short(toy):
     batch[0] = replace(batch[0], teacher=replace(short, next_logp=short.next_logp[:-1]))
     with pytest.raises(AssertionError, match="patch/token misalignment"):
         tr.stage1_step(p, cfg, tc, AdamW({"all": list(p.values())}), batch)
+
+
+def test_a_stage1_step_rejects_a_teacher_one_token_long_before_any_update(toy):
+    """One teacher token too many on the batch's widest window has no slot
+    in the patch-wide teacher arrays: `pad_rows` raises, and no parameter
+    changes."""
+    docs, vocab, cfg, teacher = toy
+    student = init_byte_model(cfg, np.random.default_rng(1), teacher)
+    p = ParamStore({n: Tensor(t.data.copy(), requires_grad=True) for n, t in student.items()})
+    tc = TrainConfig(stage=1, steps=1, batch_size=2, max_bytes=48, seed=3)
+    batch = prepare_windows(make_windows(docs[:4], tc.max_bytes - 1), vocab, cfg, teacher, tc.strategy())[:2]
+    widest = int(np.argmax([w.mask.sum() for w in batch]))
+    t = batch[widest].teacher
+    assert len(t.next_logp) == batch[widest].mask.sum() - 1  # the windows start aligned
+    batch[widest] = replace(batch[widest], teacher=replace(t, next_logp=np.append(t.next_logp, -1.0)))
+    opt = AdamW({"all": list(p.values())})
+    opt.lr["all"] = 1e-2
+    with pytest.raises(ValueError):
+        tr.stage1_step(p, cfg, tc, opt, batch)
+    assert opt.step_count == 0
+    assert all(np.array_equal(p[n].data, student[n].data) for n in student)
 
 
 def test_evaluation_without_a_scorable_document_raises(toy):

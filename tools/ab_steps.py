@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import inspect
 import statistics
 import sys
 import time
@@ -84,14 +83,9 @@ class Side:
 
     def trainer(self, names: list[str]):
         """A compute copy with `names` in the graph, and their AdamW, whose
-        learning rate stays 0. A package whose AdamW updates float64 masters
-        (its `__init__` takes `masters`) gets the store's tensors as those."""
+        learning rate stays 0."""
         work = self.tr.compute_copy(self.params)
-        groups = {"all": [work[n] for n in names]}
-        if "masters" in inspect.signature(self.optim.AdamW.__init__).parameters:
-            opt = self.optim.AdamW(groups, masters={"all": [self.params[n] for n in names]})
-        else:
-            opt = self.optim.AdamW(groups)
+        opt = self.optim.AdamW({"all": [work[n] for n in names]})
         for p in opt.params():
             p.requires_grad = True
         return work, opt
